@@ -39,7 +39,6 @@ use ivnt_cluster::{
 };
 use ivnt_core::pipeline::RunOptions;
 use ivnt_simulator::scenario::{self, DataSetSpec};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreWriter, WriterOptions};
 
 const SEED: u64 = 7;
@@ -89,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut writer = StoreWriter::create(&path, options)?;
     for r in data.trace.records() {
-        writer.append(&to_store_record(r))?;
+        writer.append(r)?;
     }
     writer.finish()?;
 

@@ -29,7 +29,6 @@ use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions};
 use ivnt_core::rules::{InferParams, RuleCatalog};
 use ivnt_infer::infer_store;
 use ivnt_simulator::scenario::{self, DataSetSpec};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 struct ScenarioResult {
@@ -122,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let mut writer = StoreWriter::new(Vec::new(), options)?;
         for r in data.trace.records() {
-            writer.append(&to_store_record(r))?;
+            writer.append(r)?;
         }
         let bytes = writer.finish()?;
 

@@ -294,6 +294,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"parallel_seconds\": {:.6},\n",
             "  \"parallel_vs_serial_speedup\": {:.3},\n",
             "  \"stage_seconds\": {{\n",
+            "    \"tabular\": {:.6},\n",
             "    \"interpret\": {:.6},\n",
             "    \"split\": {:.6},\n",
             "    \"dedup\": {:.6},\n",
@@ -336,6 +337,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         serial_secs,
         parallel_secs,
         parallel_speedup,
+        timing.tabular,
         timing.interpret,
         timing.split,
         timing.dedup,

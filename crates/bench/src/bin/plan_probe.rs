@@ -26,7 +26,6 @@ use std::time::Instant;
 use ivnt_bench::{disjoint_domains, domain_pipeline, scale, vehicle_journey};
 use ivnt_core::pipeline::{Pipeline, RunOptions};
 use ivnt_plan::{Planner, Query};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 /// Median wall-clock seconds over `runs` executions (after one warmup).
@@ -152,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut writer = StoreWriter::new(Vec::new(), options)?;
     for r in data.trace.records() {
-        writer.append(&to_store_record(r))?;
+        writer.append(r)?;
     }
     let bytes = writer.finish()?;
 

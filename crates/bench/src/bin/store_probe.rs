@@ -7,15 +7,19 @@
 //! `BENCH_store.json` (plus a human-readable summary on stdout), following
 //! the same conventions as `speed_probe`/`BENCH_interpret.json`.
 //!
-//! Two invariants are enforced, not just reported:
+//! Three invariants are enforced, not just reported:
 //!
 //! * the store extraction must be bit-identical to the in-memory
 //!   extraction (the zero-materialization path is an optimization, not an
-//!   approximation), and
+//!   approximation),
 //! * the zone maps must actually prune: the probe exits non-zero when the
 //!   chunk-skip ratio falls below `IVNT_STORE_MIN_SKIP` (default 0.5), so
 //!   CI catches a layout regression that silently degenerates the store
-//!   into a plain row file.
+//!   into a plain row file, and
+//! * the in-memory source must preselect before it materializes:
+//!   `mem_over_store` — in-memory over from-store extraction time, the
+//!   median ratio of interleaved pairs — must stay at or below
+//!   [`MAX_MEM_OVER_STORE`].
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
@@ -25,7 +29,6 @@ use std::time::Instant;
 
 use ivnt_bench::{covered_fraction, domain_pipeline, scale, select_signals_for_fraction};
 use ivnt_core::pipeline::RunOptions;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 /// Median wall-clock seconds over `runs` executions (after one warmup).
@@ -41,6 +44,14 @@ fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
+
+/// Interleaved (in-memory, from-store) extraction pairs behind
+/// `mem_over_store`; an extraction takes milliseconds, so pairs are cheap.
+const EXTRACT_PAIRS: usize = 15;
+
+/// Gate on `mem_over_store`: the roadmap's "in-memory extract ≤ 1.5× the
+/// from-store time".
+const MAX_MEM_OVER_STORE: f64 = 1.5;
 
 struct Measurement {
     name: &'static str,
@@ -110,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let write_store = || {
         let mut writer = StoreWriter::create(&path, options).expect("create store");
         for r in data.trace.records() {
-            writer.append(&to_store_record(r)).expect("append");
+            writer.append(r).expect("append");
         }
         writer.finish().expect("finish");
     };
@@ -146,19 +157,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .session(RunOptions::trace(&data.trace))
         .extract()?
         .frame;
-    let secs = median_secs(runs, || {
-        pipeline
-            .session(RunOptions::trace(&data.trace))
-            .extract()
-            .expect("extract");
-    });
-    measurements.push(Measurement {
-        name: "extract_in_memory",
-        secs,
-        rows_in: trace_rows,
-        rows_out: baseline.num_rows(),
-    });
-
     let mut reader = StoreReader::open(&path)?;
     let ex = pipeline.session(RunOptions::store(&mut reader)).extract()?;
     let (frame, stats) = (ex.frame, ex.scan.unwrap_or_default());
@@ -172,16 +170,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scan buffered {} rows, budget is {group_rows}",
         stats.peak_rows_buffered
     );
-    let secs = median_secs(runs, || {
+
+    // Both sources timed as interleaved adjacent pairs, so machine drift
+    // hits both sides equally; `mem_over_store` is the median of the
+    // per-pair ratios, not the ratio of two medians taken seconds apart
+    // (the `pipeline_e2e` methodology). The two runs above were the warmup.
+    let mut samples: [Vec<f64>; 3] = Default::default(); // mem, store, mem / store
+    for _ in 0..EXTRACT_PAIRS {
+        let t0 = Instant::now();
+        pipeline
+            .session(RunOptions::trace(&data.trace))
+            .extract()
+            .expect("extract");
+        let mem = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
         let mut reader = StoreReader::open(&path).expect("open");
         pipeline
             .session(RunOptions::store(&mut reader))
             .extract()
             .expect("extract_from_store");
+        let store = t0.elapsed().as_secs_f64();
+        for (side, secs) in samples.iter_mut().zip([mem, store, mem / store]) {
+            side.push(secs);
+        }
+    }
+    let [mem_secs, store_secs, mem_over_store] = samples.map(|mut side| {
+        side.sort_by(f64::total_cmp);
+        side[side.len() / 2]
+    });
+    measurements.push(Measurement {
+        name: "extract_in_memory",
+        secs: mem_secs,
+        rows_in: trace_rows,
+        rows_out: baseline.num_rows(),
     });
     measurements.push(Measurement {
         name: "extract_from_store",
-        secs,
+        secs: store_secs,
         rows_in: trace_rows,
         rows_out: frame.num_rows(),
     });
@@ -214,6 +239,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"bytes_per_row\": {:.2}\n",
             "  }},\n",
             "  \"measurements\": [\n{}\n  ],\n",
+            "  \"extract\": {{\n",
+            "    \"pairs\": {},\n",
+            "    \"mem_over_store\": {:.4}\n",
+            "  }},\n",
             "  \"scan\": {{\n",
             "    \"chunks_total\": {},\n",
             "    \"chunks_scanned\": {},\n",
@@ -235,6 +264,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         legacy_bytes,
         ivns_bytes as f64 / trace_rows.max(1) as f64,
         entries.join(",\n"),
+        EXTRACT_PAIRS,
+        mem_over_store,
         chunks_total,
         stats.chunks_scanned,
         stats.chunks_skipped,
@@ -267,12 +298,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         skip_ratio * 100.0,
         stats.peak_rows_buffered,
     );
+    println!(
+        "extract: in-memory / from-store = {mem_over_store:.2} \
+         (median of {EXTRACT_PAIRS} interleaved pairs, gate <= {MAX_MEM_OVER_STORE:.2})"
+    );
     println!("wrote BENCH_store.json");
 
     if skip_ratio < min_skip {
         eprintln!(
             "FAIL: chunk skip ratio {skip_ratio:.2} below gate {min_skip:.2} — \
              zone-map pushdown degenerated"
+        );
+        std::process::exit(1);
+    }
+    if mem_over_store > MAX_MEM_OVER_STORE {
+        eprintln!(
+            "FAIL: in-memory extraction takes {mem_over_store:.2}x the from-store time \
+             (gate {MAX_MEM_OVER_STORE:.2}) — the trace ingest materializes rows it should drop"
         );
         std::process::exit(1);
     }

@@ -184,6 +184,7 @@ fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
     };
     println!("\nstage timing (busy = summed per-signal task time, wall = stage makespan):");
     println!("  {:<22} {:>10} {:>10}", "stage", "busy ms", "wall ms");
+    serial("tabular (ingest)", t.tabular);
     serial("interpret (fused)", t.interpret);
     serial("split", t.split);
     fan_out("dedup", t.dedup, t.wall.dedup);
@@ -199,6 +200,7 @@ fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
 /// Renders one run's timing as a JSON object (seconds, not ms).
 fn timing_json(w: &mut JsonWriter, t: &ivnt_core::pipeline::StageTiming) {
     w.begin_object(Some("timing"));
+    w.field_f64("tabular", t.tabular);
     w.field_f64("interpret", t.interpret);
     w.field_f64("split", t.split);
     w.field_f64("dedup", t.dedup);
@@ -375,9 +377,7 @@ fn store_ingest(args: &Args) -> CmdResult {
     let group_rows = options.group_rows();
     let mut writer = ivnt_store::StoreWriter::create(out_path, options).map_err(err)?;
     for r in trace.records() {
-        writer
-            .append(&ivnt_simulator::store::to_store_record(r))
-            .map_err(err)?;
+        writer.append(r).map_err(err)?;
     }
     let rows = writer.rows();
     writer.finish().map_err(err)?;

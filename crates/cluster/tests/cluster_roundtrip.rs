@@ -35,9 +35,7 @@ fn write_store(path: &Path, seed: u64) -> Vec<String> {
     };
     let mut writer = ivnt_store::StoreWriter::create(path, options).expect("store create");
     for r in data.trace.records() {
-        writer
-            .append(&ivnt_simulator::store::to_store_record(r))
-            .expect("store append");
+        writer.append(r).expect("store append");
     }
     writer.finish().expect("store finish");
     data.signal_names()

@@ -20,10 +20,12 @@
 //!   assert it stays bit-identical to the reference path.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
 use ivnt_protocol::signal::PhysicalValue;
+use ivnt_store::Record;
 
 use crate::error::Result;
 use crate::rules::{load_window, DecodePlan, PlanDecoded, Rule, RuleSet};
@@ -172,6 +174,25 @@ impl MidFilter {
             _ => MidFilter::Wide,
         }
     }
+
+    /// `false` proves no rule on any bus reads `mid`.
+    #[inline]
+    fn admits(&self, mid: i64) -> bool {
+        match self {
+            MidFilter::Band { min, set } => band_admits(*min, set, mid),
+            MidFilter::Wide => true,
+        }
+    }
+}
+
+/// The band test — one branchless table load; ids outside the band (the
+/// kernel folds null ids to `i64::MIN`) index past `set` and test absent.
+#[inline(always)]
+fn band_admits(min: i64, set: &[u8], mid: i64) -> bool {
+    set.get(mid.wrapping_sub(min) as usize)
+        .copied()
+        .unwrap_or(0)
+        != 0
 }
 
 /// The broadcast rule table of the fused kernel: interned buses, per-bus
@@ -187,11 +208,12 @@ struct RuleLut {
 }
 
 /// Per-partition probe state: a learned table of bus `Arc` data pointers.
-/// `trace_to_frame` shares one interned `Arc<str>` per bus, so a partition
-/// sees only a handful of distinct pointers — each resolved by string
-/// lookup once and by pointer comparison ever after, even when adjacent
-/// rows alternate between buses (gateway copies). Unknown buses are
-/// learned too, so their rows stay on the pointer path.
+/// Records share one interned `Arc<str>` per bus and `records_to_batch`
+/// clones those `Arc`s into the frame, so a partition sees only a handful
+/// of distinct pointers — each resolved by string lookup once and by
+/// pointer comparison ever after, even when adjacent rows alternate
+/// between buses (gateway copies). Unknown buses are learned too, so
+/// their rows stay on the pointer path.
 struct ProbeState {
     seen: Vec<(*const u8, usize, Option<u32>)>,
     hint: usize,
@@ -276,6 +298,38 @@ impl RuleLut {
         };
         let group = self.by_bus[bid as usize].get(mid)?;
         Some((group, bid))
+    }
+}
+
+/// Record-level preselection (line 3) for in-memory traces, the twin of
+/// the store's scan predicate: keeps exactly the records the fused kernel
+/// would admit, within an inclusive µs window, before any becomes cells.
+pub(crate) struct RecordSelector {
+    /// `None`: every message (the session does not preselect).
+    lut: Option<RuleLut>,
+    window_us: RangeInclusive<u64>,
+}
+
+impl RecordSelector {
+    pub(crate) fn new(u_comb: Option<&RuleSet>, window_us: Option<(u64, u64)>) -> RecordSelector {
+        let (from, to) = window_us.unwrap_or((0, u64::MAX));
+        RecordSelector {
+            lut: u_comb.map(RuleLut::build),
+            window_us: from..=to,
+        }
+    }
+
+    /// The records of `records` this selector keeps, in order.
+    pub(crate) fn select<'a>(&self, records: &'a [Record]) -> Vec<&'a Record> {
+        let mut probe = ProbeState::new();
+        let admits = |r: &&Record| {
+            let mid = i64::from(r.message_id);
+            self.window_us.contains(&r.timestamp_us)
+                && self.lut.as_ref().is_none_or(|lut| {
+                    lut.prefilter.admits(mid) && lut.probe_group(&r.bus, mid, &mut probe).is_some()
+                })
+        };
+        records.iter().filter(admits).collect()
     }
 }
 
@@ -737,8 +791,7 @@ impl Kernel {
                     // Null ids fold to a sentinel that is never admitted
                     // (see `MidFilter::build`), keeping the loop free of
                     // a validity branch.
-                    let idx = mid.unwrap_or(i64::MIN).wrapping_sub(min) as usize;
-                    if set.get(idx).copied().unwrap_or(0) != 0 {
+                    if band_admits(min, set, mid.unwrap_or(i64::MIN)) {
                         cand.push(row);
                     }
                 }
@@ -1178,8 +1231,7 @@ fn decode_batch<S: EmitSink>(
                 // admitted (see `MidFilter::build`), so admitted
                 // `m` is always the row's real id.
                 let m = mid.unwrap_or(i64::MIN);
-                let idx = m.wrapping_sub(min) as usize;
-                if set.get(idx).copied().unwrap_or(0) != 0 {
+                if band_admits(min, set, m) {
                     cand.push((row as u32, m));
                 }
             }

@@ -29,12 +29,11 @@ use crate::classify::{classify, Classification, ClassifyConfig};
 use crate::dedup::{deduplicate, Dedup};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
-use crate::interpret::{extract_signals, preselect};
+use crate::interpret::{extract_signals, RecordSelector};
 use crate::reduce::{apply_constraints, ConditionFn, Constraint};
 use crate::represent::{merge_results, state_representation};
 use crate::rules::{RuleCatalog, RuleSet};
 use crate::split::{split_by_signal, SignalSequence};
-use crate::tabular::trace_to_frame;
 
 /// One domain's one-time parameterization of the framework.
 #[derive(Debug, Clone)]
@@ -187,8 +186,11 @@ pub struct StageWall {
 /// (lines 3–6), which is not separable per stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTiming {
-    /// Fused preselection + interpretation (lines 3–6), incl. raw-frame
-    /// construction.
+    /// Trace→frame ingest: record-level preselection (line 3) plus the
+    /// column-wise build of the survivors. 0 for store sources.
+    pub tabular: f64,
+    /// Fused preselection + interpretation kernel (lines 3–6); for store
+    /// sources incl. the scan.
     pub interpret: f64,
     /// Per-signal split (line 7).
     pub split: f64,
@@ -368,9 +370,10 @@ impl<'a, R: Read + Seek> RunOptions<'a, R> {
         self
     }
 
-    /// Restricts store-backed sources to the inclusive `[from, to]`
-    /// timestamp window (µs), pushed down into the scan predicate so
-    /// zone maps prune chunks outside it. Ignored for in-memory traces.
+    /// Restricts the session to the inclusive `[from, to]` timestamp
+    /// window (µs): pushed down into the scan predicate for store-backed
+    /// sources (zone maps prune chunks outside it), into the record-level
+    /// preselection for in-memory traces — same rows from either source.
     pub fn with_time_window(mut self, from_us: u64, to_us: u64) -> RunOptions<'a, R> {
         self.time_window = Some((from_us, to_us));
         self
@@ -468,7 +471,8 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
-        p.extract_source(opts.source, opts.preselection, opts.time_window)
+        let (extraction, _) = p.extract_source(opts.source, opts.preselection, opts.time_window)?;
+        Ok(extraction)
     }
 
     /// Lines 3–11: extraction, splitting, gateway dedup and constraint
@@ -483,9 +487,8 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
-        let ks = p
-            .extract_source(opts.source, opts.preselection, opts.time_window)?
-            .frame;
+        let (Extraction { frame: ks, .. }, _) =
+            p.extract_source(opts.source, opts.preselection, opts.time_window)?;
         let seqs = split_by_signal(&ks)?;
         let task = |seq: SignalSequence| {
             let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
@@ -516,14 +519,15 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let _guard = opts.subscriber.map(ivnt_obs::install);
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
         let t_run = Instant::now();
-        let ks = p
-            .extract_source(opts.source, opts.preselection, opts.time_window)?
-            .frame;
-        let interpret_secs = t_run.elapsed().as_secs_f64();
+        let (extraction, tabular_secs) =
+            p.extract_source(opts.source, opts.preselection, opts.time_window)?;
+        let interpret_secs = t_run.elapsed().as_secs_f64() - tabular_secs;
         // A 1-worker scatter is pure overhead (channel round-trips, same
         // order): take the serial per-signal loop instead.
         let parallel = !opts.serial && p.effective_workers() > 1;
-        p.run_from_ks(ks, t_run, interpret_secs, parallel)
+        let mut output = p.run_from_ks(extraction.frame, t_run, interpret_secs, parallel)?;
+        output.timing.tabular = tabular_secs;
+        Ok(output)
     }
 }
 
@@ -614,13 +618,12 @@ impl Pipeline {
         &self.profile
     }
 
-    /// The trace as a partitioned frame, carrying the profile's executor.
-    fn raw_frame(&self, trace: &Trace) -> Result<DataFrame> {
-        let raw = trace_to_frame(trace, self.profile.partitions)?;
-        Ok(match self.profile.workers {
-            Some(workers) => raw.with_executor(Executor::new(workers)),
-            None => raw,
-        })
+    /// The trace as a partitioned frame carrying the profile's executor,
+    /// holding only the rows `selector` keeps (all of them for `None`).
+    fn raw_frame(&self, trace: &Trace, selector: Option<&RecordSelector>) -> Result<DataFrame> {
+        let executor = self.signal_executor();
+        let raw = crate::tabular::ingest(trace, self.profile.partitions, executor, selector)?;
+        Ok(raw.with_executor(executor))
     }
 
     /// Binds this pipeline to a source and options, producing the
@@ -636,14 +639,16 @@ impl Pipeline {
     }
 
     /// Source-dispatched extraction (lines 3–6), shared by every session
-    /// method. Trace sources interpret in memory; store sources push the
-    /// preselection down as a zone-map predicate and stream row groups.
+    /// method, with the seconds the trace→frame ingest took (0 for store
+    /// sources, whose ingest is part of the scan). Both preselect before
+    /// materializing: store sources by zone-map predicate, trace sources
+    /// by the same record predicate per partition slice.
     fn extract_source<R: Read + Seek>(
         &self,
         source: Source<'_, R>,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<Extraction> {
+    ) -> Result<(Extraction, f64)> {
         let windowed = |mut pred: ivnt_store::Predicate| {
             if let Some((from, to)) = time_window {
                 pred = pred.with_time_range_us(from, to);
@@ -652,13 +657,22 @@ impl Pipeline {
         };
         match source {
             Source::Trace(trace) => {
-                let raw = self.raw_frame(trace)?;
+                let t = Instant::now();
+                let selector =
+                    RecordSelector::new(preselection.then_some(&self.u_comb), time_window);
+                let raw = self.raw_frame(trace, Some(&selector))?;
+                let tabular_secs = t.elapsed().as_secs_f64();
+                ivnt_obs::with(|r| {
+                    r.record_span("tabular", "run", tabular_secs);
+                    r.add("tabular_rows_in_total", trace.len() as u64);
+                    r.add("tabular_rows_kept_total", raw.num_rows() as u64);
+                });
                 let frame = if preselection {
                     extract_signals(&raw, &self.u_comb)?
                 } else {
                     crate::interpret::interpret(&raw, &self.u_comb)?
                 };
-                Ok(Extraction { frame, scan: None })
+                Ok((Extraction { frame, scan: None }, tabular_secs))
             }
             Source::Store(reader) => {
                 let (mut parts, stats) =
@@ -666,10 +680,8 @@ impl Pipeline {
                 if parts.is_empty() {
                     parts.push(Batch::empty(crate::interpret::signal_schema()));
                 }
-                Ok(Extraction {
-                    frame: self.signal_frame(parts)?,
-                    scan: Some(stats),
-                })
+                let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
+                Ok((Extraction { frame, scan }, 0.0))
             }
             Source::StoreShard { reader, groups } => {
                 let pred =
@@ -677,10 +689,8 @@ impl Pipeline {
                 // No empty-batch padding: a shard's partitions concatenate
                 // with its siblings', and only the whole must be non-empty.
                 let (parts, stats) = self.interpret_store_groups(reader, &pred)?;
-                Ok(Extraction {
-                    frame: self.signal_frame(parts)?,
-                    scan: Some(stats),
-                })
+                let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
+                Ok((Extraction { frame, scan }, 0.0))
             }
         }
     }
@@ -1184,7 +1194,8 @@ impl Pipeline {
     ///
     /// Propagates tabular-engine failures.
     pub fn preselect(&self, trace: &Trace) -> Result<DataFrame> {
-        preselect(&self.raw_frame(trace)?, &self.u_comb)
+        let selector = RecordSelector::new(Some(&self.u_comb), None);
+        self.raw_frame(trace, Some(&selector))
     }
 }
 
@@ -1391,7 +1402,7 @@ mod tests {
 
     #[test]
     fn store_extraction_matches_in_memory_extraction() {
-        use ivnt_store::{Record, StoreReader, StoreWriter, WriterOptions};
+        use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
         let network = vehicle();
         let trace = network.simulate(10.0, 11, &FaultPlan::new()).unwrap();
         let u_rel = RuleSet::from_network(&network);
@@ -1408,15 +1419,7 @@ mod tests {
         )
         .unwrap();
         for r in trace.records() {
-            writer
-                .append(&Record {
-                    timestamp_us: r.timestamp_us,
-                    bus: r.bus.clone(),
-                    message_id: r.message_id,
-                    payload: r.payload.clone(),
-                    protocol: r.protocol,
-                })
-                .unwrap();
+            writer.append(r).unwrap();
         }
         let bytes = writer.finish().unwrap();
         let mut reader = StoreReader::from_reader(std::io::Cursor::new(bytes)).unwrap();
@@ -1438,7 +1441,7 @@ mod tests {
 
     #[test]
     fn shard_extraction_concatenates_to_full_store_extraction() {
-        use ivnt_store::{Record, StoreReader, StoreWriter, WriterOptions};
+        use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
         let network = vehicle();
         let trace = network.simulate(10.0, 11, &FaultPlan::new()).unwrap();
         let u_rel = RuleSet::from_network(&network);
@@ -1455,15 +1458,7 @@ mod tests {
         )
         .unwrap();
         for r in trace.records() {
-            writer
-                .append(&Record {
-                    timestamp_us: r.timestamp_us,
-                    bus: r.bus.clone(),
-                    message_id: r.message_id,
-                    payload: r.payload.clone(),
-                    protocol: r.protocol,
-                })
-                .unwrap();
+            writer.append(r).unwrap();
         }
         let bytes = writer.finish().unwrap();
         let mut reader = StoreReader::from_reader(std::io::Cursor::new(bytes)).unwrap();

@@ -1,11 +1,15 @@
-//! Conversion of raw traces into the tabular engine.
+//! Conversion of raw traces into the tabular engine, through the one
+//! record→frame builder ([`ivnt_store::schema::records_to_batch`]).
 
 use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
 use ivnt_simulator::trace::Trace;
+use ivnt_store::schema::records_to_batch;
+use ivnt_store::Record;
 
 use crate::error::Result;
+use crate::interpret::RecordSelector;
 
 /// Column names of the raw-trace frame (the tabular `K_b`).
 ///
@@ -38,33 +42,31 @@ pub fn raw_schema() -> Arc<Schema> {
 ///
 /// Propagates tabular-engine failures.
 pub fn trace_to_frame(trace: &Trace, partitions: usize) -> Result<DataFrame> {
+    ingest(trace, partitions, Executor::new(1), None)
+}
+
+/// [`trace_to_frame`] with the slices mapped over `executor` and, given a
+/// selector, only the records it keeps materialized. Slices are cut on
+/// the unfiltered trace, so the result equals filtering the full frame
+/// partition by partition, empty partitions included.
+pub(crate) fn ingest(
+    trace: &Trace,
+    partitions: usize,
+    executor: Executor,
+    selector: Option<&RecordSelector>,
+) -> Result<DataFrame> {
     let schema = raw_schema();
-    let n = trace.len();
-    let parts = partitions.max(1);
-    let chunk = n.div_ceil(parts).max(1);
-    let mut batches = Vec::with_capacity(parts);
-    let mut records = trace.records();
-    while !records.is_empty() {
-        let take = chunk.min(records.len());
-        let (head, tail) = records.split_at(take);
-        let batch = Batch::from_rows(
-            schema.clone(),
-            head.iter().map(|r| {
-                vec![
-                    Value::Float(r.timestamp_s()),
-                    Value::from(r.payload.clone()),
-                    // Share the trace's interned bus Arc instead of
-                    // reallocating per row: downstream operators exploit
-                    // the pointer identity of repeated bus names.
-                    Value::Str(r.bus.clone()),
-                    Value::Int(r.message_id as i64),
-                    Value::from(r.protocol.to_string()),
-                ]
-            }),
-        )?;
-        batches.push(batch);
-        records = tail;
-    }
+    let chunk = trace.len().div_ceil(partitions.max(1)).max(1);
+    let slices: Vec<&[Record]> = trace.records().chunks(chunk).collect();
+    let mut batches = executor
+        .map_ref(&slices, |slice| match selector {
+            Some(selector) => {
+                records_to_batch(schema.clone(), selector.select(slice).iter().copied())
+            }
+            None => records_to_batch(schema.clone(), *slice),
+        })
+        .into_iter()
+        .collect::<std::result::Result<Vec<_>, _>>()?;
     if batches.is_empty() {
         batches.push(Batch::empty(schema.clone()));
     }

@@ -163,8 +163,8 @@ pub(crate) fn route_shared<R: Read + Seek>(
         if shared_interpret {
             // One union-kernel pass, emissions routed by signal owner
             // inside the kernel (see `extract_signals_routed`).
-            let records: Vec<Record> = rows.into_iter().map(|r| r.record).collect();
-            let raw = records_to_batch(raw_schema.clone(), &records).map_err(Error::from)?;
+            let raw = records_to_batch(raw_schema.clone(), rows.iter().map(|r| &r.record))
+                .map_err(Error::from)?;
             let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
             let routed =
                 extract_signals_routed(&morsel, &union_set, n, |name| match owner.get(name) {
@@ -185,12 +185,13 @@ pub(crate) fn route_shared<R: Read + Seek>(
                 if !hit[qi] {
                     continue;
                 }
-                let records: Vec<Record> = rows
+                let records: Vec<&Record> = rows
                     .iter()
                     .filter(|r| preds[qi].row_matches(r))
-                    .map(|r| r.record.clone())
+                    .map(|r| &r.record)
                     .collect();
-                let raw = records_to_batch(raw_schema.clone(), &records).map_err(Error::from)?;
+                let raw = records_to_batch(raw_schema.clone(), records.iter().copied())
+                    .map_err(Error::from)?;
                 let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
                 let interpreted = extract_signals(&morsel, specs[qi].pipeline.u_comb())?;
                 parts[qi].extend(interpreted.partitions().iter().cloned());

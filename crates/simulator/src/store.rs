@@ -137,7 +137,7 @@ impl TraceStore {
         )
         .map_err(Error::from)?;
         for r in trace.records() {
-            writer.append(&to_store_record(r)).map_err(Error::from)?;
+            writer.append(r).map_err(Error::from)?;
         }
         writer.finish().map_err(Error::from)?;
         self.index.push(JourneyMeta {
@@ -178,9 +178,7 @@ impl TraceStore {
         if ext.eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION) {
             let mut reader = ivnt_store::StoreReader::open(&path).map_err(Error::from)?;
             let records = reader.read_all().map_err(Error::from)?;
-            Ok(Trace::from_records(
-                records.into_iter().map(from_store_record).collect(),
-            ))
+            Ok(Trace::from_records(records))
         } else if ext.eq_ignore_ascii_case("csv") {
             read_csv_trace(BufReader::new(File::open(&path)?))
         } else if ext.eq_ignore_ascii_case(LEGACY_EXTENSION) {
@@ -225,7 +223,7 @@ impl TraceStore {
             let pred = ivnt_store::Predicate::all().with_time_range_us(from_us, to_us);
             let mut records = Vec::new();
             reader.scan::<Error, _>(&pred, |group| {
-                records.extend(group.into_iter().map(from_store_record).filter(&in_window));
+                records.extend(group.into_iter().filter(&in_window));
                 Ok(())
             })?;
             return Ok(Trace::from_records(records));
@@ -326,27 +324,6 @@ fn extension(file: &str) -> &str {
 /// produces `TRIP.IVNS` as readily as `trip.ivns`.
 fn is_store_file(file: &str) -> bool {
     extension(file).eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION)
-}
-
-/// Converts a simulator trace record into its store-layer twin.
-pub fn to_store_record(r: &TraceRecord) -> ivnt_store::Record {
-    ivnt_store::Record {
-        timestamp_us: r.timestamp_us,
-        bus: r.bus.clone(),
-        message_id: r.message_id,
-        payload: r.payload.clone(),
-        protocol: r.protocol,
-    }
-}
-
-fn from_store_record(r: ivnt_store::Record) -> TraceRecord {
-    TraceRecord {
-        timestamp_us: r.timestamp_us,
-        bus: r.bus,
-        message_id: r.message_id,
-        payload: r.payload,
-        protocol: r.protocol,
-    }
 }
 
 /// Parses a raw-trace CSV (`t,l,b_id,m_id,m_info`) into a [`Trace`].
@@ -602,15 +579,7 @@ mod tests {
         let trace = sample_trace(5);
         // Render the trace as a raw-trace CSV, as external tooling would.
         let schema = ivnt_store::schema::raw_trace_schema();
-        let batch = ivnt_store::schema::records_to_batch(
-            schema.clone(),
-            &trace
-                .records()
-                .iter()
-                .map(to_store_record)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let batch = ivnt_store::schema::records_to_batch(schema.clone(), trace.records()).unwrap();
         let frame = ivnt_frame::frame::DataFrame::from_partitions(schema, vec![batch]).unwrap();
         let mut csv = Vec::new();
         ivnt_frame::csv::write_csv(&frame, &mut csv).unwrap();
@@ -654,7 +623,7 @@ mod tests {
         )
         .unwrap();
         for r in trace.records() {
-            writer.append(&to_store_record(r)).unwrap();
+            writer.append(r).unwrap();
         }
         writer.finish().unwrap();
         fs::write(

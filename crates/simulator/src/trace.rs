@@ -3,35 +3,15 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use ivnt_protocol::message::Protocol;
+use ivnt_store::record::{protocol_from_tag, protocol_tag};
 
 use crate::error::{Error, Result};
 
-/// One recorded byte tuple `k_b = (t, l, b_id, m_id, m_info)`.
-///
-/// `info` carries the protocol-specific message fields the paper calls
-/// `m_info` (protocol family and DLC — enough for protocol-specific
-/// translation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Timestamp in microseconds since recording start (`t`).
-    pub timestamp_us: u64,
-    /// Channel identifier (`b_id`), shared across records.
-    pub bus: Arc<str>,
-    /// Message identifier on that channel (`m_id`).
-    pub message_id: u32,
-    /// Raw payload bytes (`l`).
-    pub payload: Vec<u8>,
-    /// Protocol family the frame used (`m_info`).
-    pub protocol: Protocol,
-}
-
-impl TraceRecord {
-    /// Timestamp in seconds.
-    pub fn timestamp_s(&self) -> f64 {
-        self.timestamp_us as f64 / 1e6
-    }
-}
+/// One recorded byte tuple `k_b = (t, l, b_id, m_id, m_info)` — the store's
+/// [`ivnt_store::Record`] under its trace-side name. One type end to end:
+/// traces append to stores, and stores load into traces, without a
+/// per-record conversion.
+pub use ivnt_store::Record as TraceRecord;
 
 /// An ordered sequence of [`TraceRecord`]s — the raw trace `K_b`.
 ///
@@ -182,7 +162,8 @@ impl Trace {
             let timestamp_us = u64::from_le_bytes(u64buf);
             let mut b1 = [0u8; 1];
             reader.read_exact(&mut b1)?;
-            let protocol = protocol_from_tag(b1[0])?;
+            let protocol = protocol_from_tag(b1[0])
+                .map_err(|_| Error::Format(format!("unknown protocol tag {}", b1[0])))?;
             reader.read_exact(&mut b1)?;
             let mut bus_bytes = vec![0u8; b1[0] as usize];
             reader.read_exact(&mut bus_bytes)?;
@@ -249,28 +230,10 @@ impl Extend<TraceRecord> for Trace {
     }
 }
 
-fn protocol_tag(p: Protocol) -> u8 {
-    match p {
-        Protocol::Can => 0,
-        Protocol::Lin => 1,
-        Protocol::SomeIp => 2,
-        Protocol::CanFd => 3,
-    }
-}
-
-fn protocol_from_tag(tag: u8) -> Result<Protocol> {
-    Ok(match tag {
-        0 => Protocol::Can,
-        1 => Protocol::Lin,
-        2 => Protocol::SomeIp,
-        3 => Protocol::CanFd,
-        other => return Err(Error::Format(format!("unknown protocol tag {other}"))),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivnt_protocol::message::Protocol;
 
     fn record(t: u64, bus: &str, id: u32) -> TraceRecord {
         TraceRecord {
@@ -354,10 +317,5 @@ mod tests {
         assert_eq!(t2.len(), 1);
         assert_eq!((&t2).into_iter().count(), 1);
         assert_eq!(t2.into_iter().count(), 1);
-    }
-
-    #[test]
-    fn timestamp_seconds() {
-        assert_eq!(record(2_500_000, "A", 1).timestamp_s(), 2.5);
     }
 }

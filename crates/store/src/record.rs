@@ -1,9 +1,8 @@
-//! The store's record type — the paper's byte tuple `k_b`.
+//! The record type — the paper's byte tuple `k_b`.
 //!
-//! Structurally identical to `ivnt_simulator::trace::TraceRecord`, but
-//! defined here so the store sits *below* the simulator in the dependency
-//! graph (the simulator's journey repository writes this format; the
-//! pipeline reads it back without ever seeing the simulator).
+//! Defined here so the store sits *below* the simulator in the dependency
+//! graph; `ivnt_simulator::trace::TraceRecord` is a re-export of this
+//! type, so in-memory traces and store files hold the same records.
 
 use std::sync::Arc;
 

@@ -3,11 +3,13 @@
 //! Column names and the raw schema live here — *below* the pipeline — so
 //! the on-disk store, the simulator's repository and the interpretation
 //! engine all agree on one definition (`ivnt_core::tabular` re-exports
-//! these).
+//! these) — and so does [`records_to_batch`], the one column-wise
+//! record→frame builder every source's rows go through.
 
 use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
+use ivnt_protocol::message::Protocol;
 
 use crate::error::Result;
 use crate::record::Record;
@@ -39,36 +41,39 @@ pub fn raw_trace_schema() -> Arc<Schema> {
     .into_shared()
 }
 
-/// Converts one batch of records into a raw-trace [`Batch`], column-wise.
+/// Converts records into one raw-trace [`Batch`], column-wise — the single
+/// record→frame ingest behind store scans, the stream tier and in-memory
+/// traces alike. Takes any re-iterable source of `&Record` (a slice, or
+/// preselected survivors), so filtering never copies a record.
 ///
-/// Cell values are produced exactly as the row-wise trace conversion does
-/// (seconds as `µs / 1e6`, protocol display names, shared bus `Arc`s), so
-/// frames built from store scans are bit-identical to frames built from
-/// in-memory traces.
+/// Cells are typed from the start: seconds as `µs / 1e6`, protocol display
+/// names interned per batch, bus `Arc`s shared with the records (the
+/// interpretation kernel's learned bus-pointer table relies on that).
 ///
 /// # Errors
 ///
 /// Propagates tabular-engine failures.
-pub fn records_to_batch(schema: Arc<Schema>, records: &[Record]) -> Result<Batch> {
+pub fn records_to_batch<'a, I>(schema: Arc<Schema>, records: I) -> Result<Batch>
+where
+    I: IntoIterator<Item = &'a Record>,
+    I::IntoIter: Clone,
+{
+    let records = records.into_iter();
     // Protocol display names repeat endlessly; intern them per batch.
-    let mut proto_names: Vec<(ivnt_protocol::message::Protocol, Arc<str>)> = Vec::new();
-    let mut protos = Vec::with_capacity(records.len());
-    for r in records {
-        let name = match proto_names.iter().find(|(p, _)| *p == r.protocol) {
-            Some((_, name)) => name.clone(),
-            None => {
-                let name: Arc<str> = Arc::from(r.protocol.to_string().as_str());
-                proto_names.push((r.protocol, name.clone()));
-                name
-            }
-        };
-        protos.push(name);
-    }
+    let mut names: Vec<(Protocol, Arc<str>)> = Vec::new();
+    let protos = records.clone().map(|r| {
+        let at = names.iter().position(|(p, _)| *p == r.protocol);
+        let at = at.unwrap_or_else(|| {
+            names.push((r.protocol, Arc::from(r.protocol.to_string())));
+            names.len() - 1
+        });
+        names[at].1.clone()
+    });
     let columns = vec![
-        Column::from_floats(records.iter().map(Record::timestamp_s)),
-        Column::from_byte_payloads(records.iter().map(|r| Arc::from(r.payload.as_slice()))),
-        Column::from_strs(records.iter().map(|r| r.bus.clone())),
-        Column::from_ints(records.iter().map(|r| i64::from(r.message_id))),
+        Column::from_floats(records.clone().map(Record::timestamp_s)),
+        Column::from_byte_payloads(records.clone().map(|r| Arc::from(r.payload.as_slice()))),
+        Column::from_strs(records.clone().map(|r| r.bus.clone())),
+        Column::from_ints(records.map(|r| i64::from(r.message_id))),
         Column::from_strs(protos),
     ];
     Ok(Batch::new(schema, columns)?)
@@ -77,7 +82,6 @@ pub fn records_to_batch(schema: Arc<Schema>, records: &[Record]) -> Result<Batch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivnt_protocol::message::Protocol;
 
     #[test]
     fn batch_matches_row_wise_conversion() {
@@ -100,7 +104,7 @@ mod tests {
         let schema = raw_trace_schema();
         let batch = records_to_batch(schema.clone(), &records).unwrap();
         let row_wise = Batch::from_rows(
-            schema,
+            schema.clone(),
             records.iter().map(|r| {
                 vec![
                     Value::Float(r.timestamp_s()),
@@ -113,6 +117,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(batch, row_wise);
+        // A selection of borrowed records builds the same cells.
+        let picked = [&records[1]];
+        let batch = records_to_batch(schema, picked.iter().copied()).unwrap();
+        assert_eq!(batch, row_wise.slice(1, 1));
     }
 
     #[test]

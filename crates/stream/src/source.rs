@@ -71,11 +71,7 @@ pub struct SimulatorSource {
 impl SimulatorSource {
     /// Wraps an in-memory trace.
     pub fn new(trace: &Trace) -> SimulatorSource {
-        let records: Vec<Record> = trace
-            .records()
-            .iter()
-            .map(ivnt_simulator::store::to_store_record)
-            .collect();
+        let records = trace.records().to_vec();
         let lap_span_us = records
             .iter()
             .map(|r| r.timestamp_us)

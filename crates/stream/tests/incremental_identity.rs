@@ -16,7 +16,6 @@ use ivnt_core::reduce::{ConditionFn, Constraint};
 use ivnt_core::rules::RuleSet;
 use ivnt_core::split::SignalSequence;
 use ivnt_simulator::prelude::*;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{Record, StoreReader, StoreWriter, WriterOptions};
 use ivnt_stream::{
     flatten_reduced, summarize_batch, DeltaRow, SignalSummary, StreamOptions, StreamingSession,
@@ -37,7 +36,7 @@ fn pipeline(network: &NetworkModel, profile: DomainProfile) -> Pipeline {
 }
 
 fn records(trace: &Trace) -> Vec<Record> {
-    trace.records().iter().map(to_store_record).collect()
+    trace.records().to_vec()
 }
 
 fn batch_reduced(p: &Pipeline, trace: &Trace) -> Vec<(SignalSequence, Dedup, usize)> {

@@ -7,7 +7,6 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use ivnt_simulator::prelude::*;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{open_recovered, AppendOptions, AppendWriter, Record, StoreReader, WriterOptions};
 use ivnt_stream::{
     format_line, ingest, parse_line, FrameSource, IngestOptions, LineSource, SimulatorSource,
@@ -46,7 +45,7 @@ fn frame_line_round_trips() {
         .records()
         .iter()
         .take(500)
-        .map(to_store_record)
+        .cloned()
         .collect();
     for r in &records {
         let line = format_line(r);
@@ -78,7 +77,7 @@ fn line_source_reads_a_textual_stream() {
         .records()
         .iter()
         .take(200)
-        .map(to_store_record)
+        .cloned()
         .collect();
     let mut text = String::from("# header comment\n\n");
     for r in &records {
@@ -104,7 +103,7 @@ fn tcp_source_reassembles_lines_across_packets() {
         .records()
         .iter()
         .take(150)
-        .map(to_store_record)
+        .cloned()
         .collect();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -142,7 +141,7 @@ fn tcp_source_reassembles_lines_across_packets() {
 #[test]
 fn ingest_seals_a_store_identical_to_the_source() {
     let data = dataset();
-    let records: Vec<Record> = data.trace.records().iter().map(to_store_record).collect();
+    let records: Vec<Record> = data.trace.records().to_vec();
     let path = temp_path("seal");
     let writer = AppendWriter::create(&path, append_options()).expect("writer");
     let stop = StopFlag::new();

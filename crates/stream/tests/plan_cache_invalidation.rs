@@ -15,7 +15,6 @@ use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions};
 use ivnt_core::rules::RuleSet;
 use ivnt_plan::{Planner, Query, SessionMany};
 use ivnt_simulator::prelude::*;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{open_recovered, AppendOptions, AppendWriter, Record, StoreReader};
 
 fn dataset() -> &'static GeneratedDataSet {
@@ -58,7 +57,7 @@ fn rows_of(frame: &ivnt_frame::frame::DataFrame) -> Vec<Vec<ivnt_frame::value::V
 #[test]
 fn cache_invalidates_across_an_append_and_seal_cycle() {
     let data = dataset();
-    let records: Vec<Record> = data.trace.records().iter().map(to_store_record).collect();
+    let records: Vec<Record> = data.trace.records().to_vec();
     let half = records.len() / 2;
     let path = temp_path("cycle");
     let p = pipeline(&data.network);

@@ -17,8 +17,11 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> store_probe smoke (zone-map pushdown gate)"
-# Small workload; fails if chunk skipping degenerates below the gate.
+echo "==> store_probe smoke (zone-map pushdown + in-memory/from-store ratio gates)"
+# Small workload; fails if chunk skipping degenerates below the gate, or if
+# the in-memory extraction costs more than 1.5x the from-store one (median
+# of interleaved pairs; the probe's fixed gate) — the trace source must
+# preselect before it materializes, like the scan does.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_STORE_MIN_SKIP="${IVNT_STORE_MIN_SKIP:-0.5}" \
   cargo run --release -q -p ivnt-bench --bin store_probe

@@ -24,9 +24,7 @@ fn build_store(tag: &str) -> PathBuf {
     };
     let mut writer = ivnt::store::StoreWriter::create(&path, options).expect("store create");
     for r in data.trace.records() {
-        writer
-            .append(&ivnt::simulator::store::to_store_record(r))
-            .expect("store append");
+        writer.append(r).expect("store append");
     }
     writer.finish().expect("store finish");
     path

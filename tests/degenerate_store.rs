@@ -30,9 +30,7 @@ fn write_foreign_store(path: &Path) {
         .expect("scenario generates");
     let mut writer = StoreWriter::create(path, WriterOptions::default()).expect("store create");
     for r in data.trace.records() {
-        writer
-            .append(&ivnt::simulator::store::to_store_record(r))
-            .expect("store append");
+        writer.append(r).expect("store append");
     }
     writer.finish().expect("store finish");
 }

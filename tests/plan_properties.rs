@@ -10,7 +10,6 @@ use ivnt::core::pipeline::{DomainProfile, Pipeline, RunOptions};
 use ivnt::core::rules::RuleSet;
 use ivnt::plan::{Planner, Query, SessionMany};
 use ivnt::simulator::scenario::{generate, DataSetSpec, GeneratedDataSet};
-use ivnt::simulator::store::to_store_record;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use proptest::prelude::*;
 
@@ -69,7 +68,7 @@ fn write_store(data: &GeneratedDataSet) -> Vec<u8> {
     };
     let mut writer = StoreWriter::new(Vec::new(), options).expect("create store");
     for r in data.trace.records() {
-        writer.append(&to_store_record(r)).expect("append");
+        writer.append(r).expect("append");
     }
     writer.finish().expect("finish")
 }

@@ -13,7 +13,6 @@ use std::sync::OnceLock;
 use ivnt::core::pipeline::{Pipeline, PipelineOutput, RunOptions};
 use ivnt::frame::frame::DataFrame;
 use ivnt::plan::{Planner, Query, SessionMany};
-use ivnt::simulator::store::to_store_record;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use ivnt_bench::{disjoint_domains, domain_pipeline, vehicle_journey};
 
@@ -34,7 +33,7 @@ fn fixture() -> &'static Fixture {
         };
         let mut writer = StoreWriter::new(Vec::new(), options).expect("create store");
         for r in data.trace.records() {
-            writer.append(&to_store_record(r)).expect("append");
+            writer.append(r).expect("append");
         }
         let bytes = writer.finish().expect("finish");
         Fixture { data, bytes }

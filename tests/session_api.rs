@@ -12,7 +12,6 @@ use ivnt::core::dedup::Dedup;
 use ivnt::core::pipeline::{PipelineOutput, RunOptions};
 use ivnt::core::prelude::*;
 use ivnt::simulator::prelude::*;
-use ivnt::simulator::store::to_store_record;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 
 fn dataset() -> GeneratedDataSet {
@@ -160,7 +159,7 @@ fn session_store_sources_match_legacy_store_entry_points() {
     };
     let mut writer = StoreWriter::create(&path, options).expect("create store");
     for r in data.trace.records() {
-        writer.append(&to_store_record(r)).expect("append");
+        writer.append(r).expect("append");
     }
     writer.finish().expect("finish");
 

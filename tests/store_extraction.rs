@@ -7,7 +7,6 @@
 //! buffer even when the trace is several times larger.
 
 use ivnt::core::pipeline::RunOptions;
-use ivnt::simulator::store::to_store_record;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use ivnt_bench::{domain_pipeline, select_signals_for_fraction, vehicle_journey};
 
@@ -18,7 +17,7 @@ fn write_store(
 ) {
     let mut writer = StoreWriter::create(path, options).expect("create store");
     for r in trace.records() {
-        writer.append(&to_store_record(r)).expect("append");
+        writer.append(r).expect("append");
     }
     writer.finish().expect("finish");
 }
