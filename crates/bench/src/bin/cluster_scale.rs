@@ -18,13 +18,17 @@
 //!   least `IVNT_CLUSTER_MIN_WIRE_RATIO` (default 3.0) versus the flat
 //!   v2 encoding — compression is core-count-independent, so this gate
 //!   always applies;
+//! * one worker plus the coordinator may cost at most
+//!   [`MAX_CLUSTER_TAX`] times the single-process extraction —
+//!   `cluster_tax`, the median ratio of interleaved (single-process,
+//!   1-worker) pairs. It needs no spare core to hold, so it is enforced
+//!   everywhere;
 //! * on machines with at least as many cores as workers, the N-worker
 //!   run must beat the 1-worker run by `IVNT_CLUSTER_MIN_SPEEDUP`
-//!   (default 1.0) and reach `IVNT_CLUSTER_MIN_SP_SPEEDUP` (default
-//!   1.0) of the *single-process* time — the honest number. With fewer
-//!   cores than workers a speedup is physically impossible and the
-//!   contention makes the timings too noisy to gate on, so there the
-//!   speedups are report-only.
+//!   (default 1.0). With fewer cores than workers a speedup is
+//!   physically impossible and the contention makes the timings too
+//!   noisy to gate on, so there the speedup is report-only (the
+//!   speedup over the single process is reported beside it, ungated).
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
@@ -42,6 +46,16 @@ use ivnt_simulator::scenario::{self, DataSetSpec};
 use ivnt_store::{StoreWriter, WriterOptions};
 
 const SEED: u64 = 7;
+
+/// Interleaved (single-process, 1-worker cluster) pairs behind
+/// `cluster_tax`.
+const TAX_PAIRS: usize = 5;
+
+/// Gate on `cluster_tax`: distributing to one worker may cost at most
+/// this many times the single-process extraction. The codec used to sit
+/// on the critical path and read 2.7–3.5 here; overlapped it reads
+/// 1.0–1.2, and ROADMAP's target is 1.3.
+const MAX_CLUSTER_TAX: f64 = 2.5;
 
 /// Child mode: bind an ephemeral worker, announce it, serve until killed.
 fn worker_main() -> Result<(), Box<dyn std::error::Error>> {
@@ -93,7 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     writer.finish()?;
 
     let job = JobSpec::new("syn", path.display().to_string()).with_seed(SEED);
-    eprintln!("workload: {trace_rows} store rows, {cores} cores, {runs} runs per point");
+    eprintln!(
+        "workload: {trace_rows} store rows, {cores} cores, {TAX_PAIRS} single-process/1-worker \
+         pairs, {runs} runs per multi-worker point"
+    );
 
     // Single-process reference: both the timing baseline and the
     // bit-identity oracle for every distributed run.
@@ -106,25 +123,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .frame
     };
     let expected_fp: Vec<Vec<u8>> = expected.partitions().iter().map(encode_batch).collect();
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            let mut reader = ivnt_store::StoreReader::open(&path).expect("open");
-            pipeline
-                .session(RunOptions::store(&mut reader))
-                .extract()
-                .expect("extract");
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    let single_secs = median(&mut times);
+    let time_single = || {
+        let t0 = Instant::now();
+        let mut reader = ivnt_store::StoreReader::open(&path).expect("open");
+        pipeline
+            .session(RunOptions::store(&mut reader))
+            .extract()
+            .expect("extract");
+        t0.elapsed().as_secs_f64()
+    };
 
     let check = |run: &ClusterRun, label: &str| {
         let fp: Vec<Vec<u8>> = run.frame.partitions().iter().map(encode_batch).collect();
         assert_eq!(fp, expected_fp, "{label} result diverged");
     };
 
-    let mut counts = vec![1usize, 2];
+    let mut counts = vec![2usize];
     if cores >= 4 {
         counts.push(4);
     }
@@ -141,8 +155,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ClusterConfig::default()
     };
 
-    let mut points = Vec::new();
+    // One worker against the single process, as interleaved adjacent
+    // pairs (alternating which side goes first) so machine drift hits
+    // both sides equally; `cluster_tax` is the median of the per-pair
+    // ratios, not the ratio of two medians taken seconds apart (the
+    // `store_probe` methodology).
     let mut wire_stats = None;
+    let mut samples: [Vec<f64>; 3] = Default::default(); // single, 1 worker, ratio
+    {
+        let workers = spawn_local_workers(&spawn_spec, 1, &Default::default())?;
+        let addrs = vec![workers[0].addr().to_string()];
+        // Warmup session (also absorbs worker process start-up).
+        check(&run_job(&job, &addrs, &config)?, "1-worker warmup");
+        let mut time_cluster = || {
+            let t0 = Instant::now();
+            let run = run_job(&job, &addrs, &config).expect("cluster run");
+            let secs = t0.elapsed().as_secs_f64();
+            check(&run, "1-worker");
+            wire_stats = Some(run.stats);
+            secs
+        };
+        for pair in 0..TAX_PAIRS {
+            let (single, cluster) = if pair % 2 == 0 {
+                let single = time_single();
+                (single, time_cluster())
+            } else {
+                let cluster = time_cluster();
+                (time_single(), cluster)
+            };
+            for (side, secs) in samples.iter_mut().zip([single, cluster, cluster / single]) {
+                side.push(secs);
+            }
+        }
+    }
+    let [single_secs, one_worker_secs, cluster_tax] = samples.map(|mut side| median(&mut side));
+
+    let mut points = vec![(1usize, one_worker_secs)];
     for &n in &counts {
         let workers = spawn_local_workers(&spawn_spec, n, &Default::default())?;
         let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
@@ -209,15 +257,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let speedup = t1 / tn;
     let speedup_sp = single_secs / tn;
     let gate = env_f64("IVNT_CLUSTER_MIN_SPEEDUP", 1.0);
-    let gate_sp = env_f64("IVNT_CLUSTER_MIN_SP_SPEEDUP", 1.0);
     let wire_gate = env_f64("IVNT_CLUSTER_MIN_WIRE_RATIO", 3.0);
     // With fewer cores than workers a speedup is physically impossible
     // and the contention makes timings too noisy to gate on at all —
-    // the speedups are then report-only. Bit-identity and the wire
-    // compression ratio stay enforced on every run regardless.
+    // the speedup is then report-only. Bit-identity, the cluster tax and
+    // the wire compression ratio stay enforced on every run regardless.
     let gated = cores >= n_max;
     let effective_gate = if gated { gate } else { 0.0 };
-    let effective_gate_sp = if gated { gate_sp } else { 0.0 };
     let wire_ratio = wire.compression_ratio();
 
     let point_entries: Vec<String> = points
@@ -240,15 +286,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"runs\": {}\n",
             "  }},\n",
             "  \"single_process_seconds\": {:.6},\n",
+            "  \"cluster_tax\": {{\n",
+            "    \"pairs\": {},\n",
+            "    \"median\": {:.3},\n",
+            "    \"max_gate\": {:.2}\n",
+            "  }},\n",
             "  \"cluster\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",
             "    \"workers_max\": {},\n",
             "    \"speedup_vs_one_worker\": {:.3},\n",
             "    \"speedup_vs_single_process\": {:.3},\n",
             "    \"min_speedup_gate\": {:.2},\n",
-            "    \"min_sp_speedup_gate\": {:.2},\n",
-            "    \"effective_gate\": {:.2},\n",
-            "    \"effective_sp_gate\": {:.2}\n",
+            "    \"effective_gate\": {:.2}\n",
             "  }},\n",
             "  \"wire\": {{\n",
             "    \"partial_frames\": {},\n",
@@ -274,14 +323,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cores,
         runs,
         single_secs,
+        TAX_PAIRS,
+        cluster_tax,
+        MAX_CLUSTER_TAX,
         point_entries.join(",\n"),
         n_max,
         speedup,
         speedup_sp,
         gate,
-        gate_sp,
         effective_gate,
-        effective_gate_sp,
         wire.partial_frames,
         wire.wire_result_bytes,
         wire.wire_result_raw_bytes,
@@ -323,8 +373,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wire compression: {wire_ratio:.2}x ({} -> {} result bytes, gate {wire_gate:.2}x)",
         wire.wire_result_raw_bytes, wire.wire_result_bytes
     );
+    println!(
+        "cluster tax: {cluster_tax:.2}x the single process for 1 worker \
+         (median of {TAX_PAIRS} interleaved pairs, gate <= {MAX_CLUSTER_TAX:.2})"
+    );
     let gate_note = if gated {
-        format!("gates {effective_gate:.2}x / {effective_gate_sp:.2}x vs single-process")
+        format!("gate {effective_gate:.2}x")
     } else {
         format!("report-only: {n_max} workers on {cores} core(s) cannot scale")
     };
@@ -342,10 +396,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("FAIL: {n_max}-worker speedup {speedup:.2}x below gate {effective_gate:.2}x");
         failed = true;
     }
-    if speedup_sp < effective_gate_sp {
+    if cluster_tax > MAX_CLUSTER_TAX {
         eprintln!(
-            "FAIL: {n_max}-worker speedup vs single-process {speedup_sp:.2}x \
-             below gate {effective_gate_sp:.2}x"
+            "FAIL: 1-worker cluster costs {cluster_tax:.2}x the single process \
+             (gate {MAX_CLUSTER_TAX:.2}) — codec or merge work is back on the critical path"
         );
         failed = true;
     }

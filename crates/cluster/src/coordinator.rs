@@ -4,8 +4,9 @@
 //! event loop**: every worker socket is switched to non-blocking mode
 //! after the handshake and one readiness loop services them all —
 //! draining frames, flushing queued writes, checking heartbeat
-//! liveness, assigning tasks and merging streamed partial results as
-//! they arrive. No per-worker session thread exists anymore; the only
+//! liveness, assigning tasks and *decoding* streamed partial results the
+//! moment they arrive, so by the last `TaskDone` only the concatenation
+//! is left to do. No per-worker session thread exists anymore; the only
 //! blocking phase left is the initial serial connect/handshake, bounded
 //! by [`ClusterConfig::connect_timeout_ms`] per worker.
 //!
@@ -22,7 +23,9 @@
 //! Retries stay bounded per task; exhausting them fails the whole job.
 //!
 //! With a checkpoint configured, every completed task's result blobs
-//! are appended to a torn-tail-tolerant file; a restarted coordinator
+//! are kept until they are appended to a torn-tail-tolerant file (and
+//! not a moment longer; without a checkpoint they are dropped as soon
+//! as they are decoded); a restarted coordinator
 //! resumes from it, re-planning only uncovered groups — merged work is
 //! never re-fetched (see [`crate::checkpoint`]).
 //!
@@ -51,6 +54,8 @@ use crate::error::{Error, Result};
 use crate::job::JobSpec;
 use crate::plan::{plan_shards_filtered, split_range};
 use crate::wire::{self, Message, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION};
+
+type SharedSchema = std::sync::Arc<ivnt_frame::datatype::Schema>;
 
 /// Scheduling knobs of one cluster run.
 #[derive(Debug, Clone)]
@@ -171,13 +176,14 @@ pub struct ClusterRun {
 }
 
 /// Reorder buffer for one task's streamed [`Message::PartialResult`]
-/// frames. Slices arrive tagged with a 0-based `seq`; the accumulator
-/// accepts any arrival order and [`PartialAccum::finish`] verifies the
-/// stream was gap-free before yielding the blobs in seq (= group)
-/// order. Public so the wire proptests can drive it directly.
+/// frames, already decoded. Slices arrive tagged with a 0-based `seq`;
+/// the accumulator accepts any arrival order and
+/// [`PartialAccum::finish`] verifies the stream was gap-free before
+/// yielding the batches in seq (= group) order. Public so the wire
+/// proptests can drive it directly.
 #[derive(Debug, Default)]
 pub struct PartialAccum {
-    parts: Vec<Option<(u32, Vec<Vec<u8>>)>>,
+    parts: Vec<Option<(u32, Vec<Batch>)>>,
     inserted: usize,
 }
 
@@ -198,7 +204,7 @@ impl PartialAccum {
     ///
     /// Returns [`Error::Protocol`] for a duplicate `seq` or one so far
     /// beyond the stream that it cannot be honest.
-    pub fn insert(&mut self, seq: u32, group: u32, batches: Vec<Vec<u8>>) -> Result<()> {
+    pub fn insert(&mut self, seq: u32, group: u32, batches: Vec<Batch>) -> Result<()> {
         if u64::from(seq) > MAX_FRAME_LEN {
             return Err(Error::Protocol(format!("partial seq {seq} out of range")));
         }
@@ -215,21 +221,21 @@ impl PartialAccum {
     }
 
     /// Closes the stream: exactly `parts` slices with seqs `0..parts`,
-    /// groups strictly ascending. Returns the concatenated blobs in seq
-    /// order — per-group batches in group order, ready to merge.
+    /// groups strictly ascending. Returns the concatenated batches in
+    /// seq order — per-group batches in group order, ready to merge.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Protocol`] when slices are missing or group
     /// order is violated.
-    pub fn finish(self, parts: u32) -> Result<Vec<Vec<u8>>> {
+    pub fn finish(self, parts: u32) -> Result<Vec<Batch>> {
         if self.parts.len() != parts as usize || self.inserted != parts as usize {
             return Err(Error::Protocol(format!(
                 "task finished with {} of {parts} partial slices",
                 self.inserted
             )));
         }
-        let mut blobs = Vec::new();
+        let mut merged = Vec::new();
         let mut prev_group: Option<u32> = None;
         for slot in self.parts {
             let (group, batches) =
@@ -240,9 +246,9 @@ impl PartialAccum {
                 )));
             }
             prev_group = Some(group);
-            blobs.extend(batches);
+            merged.extend(batches);
         }
-        Ok(blobs)
+        Ok(merged)
     }
 }
 
@@ -260,12 +266,16 @@ struct TaskSlot {
     excluded: HashSet<usize>,
     last_error: Option<String>,
     accum: PartialAccum,
+    /// The partials' wire bytes as `(seq, blobs)`, held only while a
+    /// checkpoint is configured and only until the completed task has
+    /// been appended to it.
+    blobs: Vec<(u32, Vec<Vec<u8>>)>,
     /// Next group the worker will report a partial for.
     progress: u32,
     truncate_sent: bool,
     started: Instant,
-    /// Set when `status == Done`: (compressed?, blobs in group order).
-    result: Option<(bool, Vec<Vec<u8>>)>,
+    /// Set when `status == Done`: decoded batches in group order.
+    result: Option<Vec<Batch>>,
 }
 
 impl TaskSlot {
@@ -277,6 +287,7 @@ impl TaskSlot {
             excluded: HashSet::new(),
             last_error: None,
             accum: PartialAccum::new(),
+            blobs: Vec::new(),
             progress: task.group_start,
             truncate_sent: false,
             started: Instant::now(),
@@ -290,7 +301,6 @@ impl TaskSlot {
 struct Conn {
     addr: String,
     stream: Option<TcpStream>,
-    version: u32,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     woff: usize,
@@ -517,21 +527,20 @@ pub fn run_job(job: &JobSpec, workers: &[String], config: &ClusterConfig) -> Res
         return Err(Error::Job(why));
     }
 
-    let completed: Vec<CheckpointEntry> = driver
+    let completed: Vec<MergeRange> = driver
         .slots
         .iter_mut()
         .map(|s| {
-            let (compressed, blobs) = s.result.take().ok_or_else(|| {
+            let batches = s.result.take().ok_or_else(|| {
                 Error::Job(format!(
                     "task {} never completed (no reachable worker?)",
                     s.task.task_id
                 ))
             })?;
-            Ok(CheckpointEntry {
+            Ok(MergeRange {
                 group_start: s.task.group_start,
                 group_end: s.task.group_end,
-                compressed,
-                blobs,
+                batches,
             })
         })
         .collect::<Result<_>>()?;
@@ -581,33 +590,50 @@ fn record_run_counters(stats: &ClusterStats) {
     });
 }
 
-/// Decodes recovered + freshly completed ranges and concatenates their
-/// batches in group order, verifying no group was merged twice.
+/// One completed group range with its decoded batches in group order.
+struct MergeRange {
+    group_start: u32,
+    group_end: u32,
+    batches: Vec<Batch>,
+}
+
+/// Concatenates recovered + freshly completed ranges in group order,
+/// verifying no group was merged twice. Only entries recovered from a
+/// checkpoint still need decoding; this run's were decoded on arrival.
 fn merge_entries(
-    schema: &std::sync::Arc<ivnt_frame::datatype::Schema>,
+    schema: &SharedSchema,
     recovered: Vec<CheckpointEntry>,
-    completed: Vec<CheckpointEntry>,
+    completed: Vec<MergeRange>,
 ) -> Result<DataFrame> {
-    let mut entries: Vec<CheckpointEntry> = recovered;
-    entries.extend(completed);
-    entries.sort_by_key(|e| e.group_start);
+    let mut ranges = completed;
+    for e in recovered {
+        let decode = if e.compressed {
+            decode_batch_compressed
+        } else {
+            decode_batch
+        };
+        ranges.push(MergeRange {
+            group_start: e.group_start,
+            group_end: e.group_end,
+            batches: e
+                .blobs
+                .iter()
+                .map(|blob| decode(blob, schema))
+                .collect::<Result<_>>()?,
+        });
+    }
+    ranges.sort_by_key(|r| r.group_start);
     let mut parts: Vec<Batch> = Vec::new();
     let mut prev_end: Option<u32> = None;
-    for e in &entries {
-        if prev_end.is_some_and(|p| e.group_start < p) {
+    for r in ranges {
+        if prev_end.is_some_and(|p| r.group_start < p) {
             return Err(Error::Job(format!(
                 "merge ranges overlap at group {} — a task was merged twice",
-                e.group_start
+                r.group_start
             )));
         }
-        prev_end = Some(e.group_end);
-        for blob in &e.blobs {
-            parts.push(if e.compressed {
-                decode_batch_compressed(blob, schema)?
-            } else {
-                decode_batch(blob, schema)?
-            });
-        }
+        prev_end = Some(r.group_end);
+        parts.extend(r.batches);
     }
     if parts.is_empty() {
         parts.push(Batch::empty(schema.clone()));
@@ -619,7 +645,7 @@ struct Driver<'a> {
     config: &'a ClusterConfig,
     footer: Footer,
     predicate: Predicate,
-    schema: std::sync::Arc<ivnt_frame::datatype::Schema>,
+    schema: SharedSchema,
     conns: Vec<Conn>,
     slots: Vec<TaskSlot>,
     /// Per-worker task backlogs; stealing moves ids between them.
@@ -648,7 +674,6 @@ impl Driver<'_> {
             let mut conn = Conn {
                 addr: addr.clone(),
                 stream: None,
-                version: WIRE_VERSION,
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 woff: 0,
@@ -659,10 +684,7 @@ impl Driver<'_> {
                 reported_metrics: false,
             };
             match handshake(addr, job, self.config) {
-                Ok((stream, version)) => {
-                    conn.stream = Some(stream);
-                    conn.version = version;
-                }
+                Ok(stream) => conn.stream = Some(stream),
                 Err(e) => {
                     eprintln!("cluster: worker {addr} unavailable: {e}");
                     self.stats.workers_lost += 1;
@@ -762,9 +784,30 @@ impl Driver<'_> {
                 raw_bytes,
                 batches,
             } => {
-                let slot = self.running_slot(idx, task_id)?;
+                let _ = self.running_slot(idx, task_id)?;
                 let wire_bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
-                slot.accum.insert(seq, group, batches)?;
+                // Decoded here, while the worker extracts its next group.
+                // A frame that passed its checksum but does not decode
+                // condemns this connection — the task is requeued
+                // elsewhere — not the job.
+                let t_decode = Instant::now();
+                let decoded = batches
+                    .iter()
+                    .map(|b| decode_batch_compressed(b, &self.schema))
+                    .collect::<Result<Vec<Batch>>>()?;
+                ivnt_obs::with(|r| {
+                    r.observe(
+                        "cluster_decode_seconds",
+                        ivnt_obs::SECONDS_BUCKETS,
+                        t_decode.elapsed().as_secs_f64(),
+                    );
+                });
+                let keep_blobs = self.checkpoint.is_some();
+                let slot = &mut self.slots[task_id as usize];
+                slot.accum.insert(seq, group, decoded)?;
+                if keep_blobs {
+                    slot.blobs.push((seq, batches));
+                }
                 slot.progress = group + 1;
                 self.stats.partial_frames += 1;
                 self.stats.wire_result_bytes += wire_bytes;
@@ -784,17 +827,8 @@ impl Driver<'_> {
                     )));
                 }
                 let accum = std::mem::take(&mut slot.accum);
-                let blobs = accum.finish(parts)?;
-                self.complete_task(idx, task_id, true, blobs)
-            }
-            Message::TaskResult { task_id, batches } => {
-                // The v2 whole-shard path: the bytes on the wire *are*
-                // the raw encoding, so it contributes ratio 1.
-                let _ = self.running_slot(idx, task_id)?;
-                let bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
-                self.stats.wire_result_bytes += bytes;
-                self.stats.wire_result_raw_bytes += bytes;
-                self.complete_task(idx, task_id, false, batches)
+                let batches = accum.finish(parts)?;
+                self.complete_task(idx, task_id, batches)
             }
             Message::TaskError { task_id, message } => {
                 let _ = self.running_slot(idx, task_id)?;
@@ -830,19 +864,11 @@ impl Driver<'_> {
         Ok(slot)
     }
 
-    fn complete_task(
-        &mut self,
-        idx: usize,
-        task_id: u32,
-        compressed: bool,
-        blobs: Vec<Vec<u8>>,
-    ) -> Result<()> {
-        let wall = {
-            let slot = &mut self.slots[task_id as usize];
-            slot.status = TaskStatus::Done;
-            slot.result = Some((compressed, blobs));
-            slot.started.elapsed().as_secs_f64()
-        };
+    fn complete_task(&mut self, idx: usize, task_id: u32, batches: Vec<Batch>) -> Result<()> {
+        let slot = &mut self.slots[task_id as usize];
+        slot.status = TaskStatus::Done;
+        slot.result = Some(batches);
+        let wall = slot.started.elapsed().as_secs_f64();
         self.durations.push(wall);
         ivnt_obs::with(|r| {
             r.observe(
@@ -854,13 +880,16 @@ impl Driver<'_> {
         self.conns[idx].running = None;
         self.completed_this_run += 1;
         if let Some(ckpt) = self.checkpoint.as_mut() {
-            let slot = &self.slots[task_id as usize];
-            let (compressed, blobs) = slot.result.as_ref().expect("just set");
+            let slot = &mut self.slots[task_id as usize];
+            // `finish` verified the seqs are exactly 0..parts, so sorting
+            // by seq puts the blobs in group order.
+            let mut blobs = std::mem::take(&mut slot.blobs);
+            blobs.sort_by_key(|(seq, _)| *seq);
             ckpt.append(&CheckpointEntry {
                 group_start: slot.task.group_start,
                 group_end: slot.task.group_end,
-                compressed: *compressed,
-                blobs: blobs.clone(),
+                compressed: true,
+                blobs: blobs.into_iter().flat_map(|(_, b)| b).collect(),
             })?;
         }
         Ok(())
@@ -879,6 +908,7 @@ impl Driver<'_> {
         slot.last_error = Some(why.to_string());
         // A retry starts the stream over.
         slot.accum = PartialAccum::new();
+        slot.blobs.clear();
         slot.progress = slot.task.group_start;
         slot.truncate_sent = false;
         self.stats.retries += 1;
@@ -961,9 +991,8 @@ impl Driver<'_> {
         }
     }
 
-    /// Truncates stragglers: a task far past the completed-task median,
-    /// running on a v3 worker, with an idle worker available to absorb
-    /// the split-off tail.
+    /// Truncates stragglers: a task far past the completed-task median
+    /// with an idle worker available to absorb the split-off tail.
     fn check_stragglers(&mut self) {
         if self.durations.len() < self.config.straggler_min_samples.max(1) {
             return;
@@ -980,11 +1009,6 @@ impl Driver<'_> {
             let Some(task_id) = self.conns[idx].running else {
                 continue;
             };
-            if self.conns[idx].version < 3 {
-                // A v2 worker reports no progress; truncating it is not
-                // possible on that dialect.
-                continue;
-            }
             let slot = &mut self.slots[task_id as usize];
             if slot.truncate_sent || slot.started.elapsed().as_secs_f64() < threshold {
                 continue;
@@ -1088,7 +1112,7 @@ impl Driver<'_> {
     }
 
     /// End-of-run metrics pull, multiplexed like everything else: ask
-    /// every live v2+ worker for its snapshot and drain replies until
+    /// every live worker for its snapshot and drain replies until
     /// they all answered or the liveness timeout passes. Best-effort —
     /// a worker that dies here just contributes nothing.
     fn collect_metrics_phase(&mut self, scratch: &mut [u8]) {
@@ -1163,10 +1187,9 @@ fn take_claimable(queue: &mut VecDeque<u32>, slots: &[TaskSlot], w: usize) -> Op
     queue.remove(pos)
 }
 
-/// Blocking connect + version negotiation + job preamble for one
-/// worker; returns the socket already switched to non-blocking mode and
-/// the negotiated wire version.
-fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpStream, u32)> {
+/// Blocking connect + version check + job preamble for one worker;
+/// returns the socket already switched to non-blocking mode.
+fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<TcpStream> {
     let sock_addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|_| Error::Job(format!("bad worker address {addr:?}")))?;
@@ -1181,20 +1204,16 @@ fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpSt
             peer: format!("coordinator->{addr}"),
         },
     )?;
-    let version = match wire::read_frame(&mut stream) {
-        Ok(Message::Hello { version, .. }) => {
-            let effective = version.min(WIRE_VERSION);
-            if effective < MIN_WIRE_VERSION {
-                return Err(Error::Protocol(format!(
-                    "worker {addr} speaks wire v{version}, coordinator supports \
-                     v{MIN_WIRE_VERSION}..=v{WIRE_VERSION}"
-                )));
-            }
-            effective
+    match wire::read_frame(&mut stream)? {
+        Message::Hello { version, .. } if version < MIN_WIRE_VERSION => {
+            return Err(Error::Protocol(format!(
+                "worker {addr} speaks wire v{version}, coordinator supports \
+                 v{MIN_WIRE_VERSION}..=v{WIRE_VERSION}"
+            )));
         }
-        Ok(other) => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
-        Err(e) => return Err(e),
-    };
+        Message::Hello { .. } => {}
+        other => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
+    }
     wire::write_frame(
         &mut stream,
         &Message::Job {
@@ -1204,22 +1223,37 @@ fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpSt
     )?;
     stream.set_read_timeout(None).ok();
     stream.set_nonblocking(true)?;
-    Ok((stream, version))
+    Ok(stream)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A one-cell batch carrying `tag`, so merged order is observable.
+    fn tagged(tag: i64) -> Batch {
+        let schema = ivnt_frame::datatype::Schema::from_pairs([(
+            "tag",
+            ivnt_frame::datatype::DataType::Int,
+        )])
+        .expect("static schema")
+        .into_shared();
+        Batch::new(
+            schema,
+            vec![ivnt_frame::column::Column::Int(vec![Some(tag)])],
+        )
+        .unwrap()
+    }
+
     #[test]
     fn partial_accum_accepts_any_arrival_order() {
         let mut accum = PartialAccum::new();
-        accum.insert(2, 7, vec![vec![3u8]]).unwrap();
-        accum.insert(0, 4, vec![vec![1u8], vec![9u8]]).unwrap();
+        accum.insert(2, 7, vec![tagged(3)]).unwrap();
+        accum.insert(0, 4, vec![tagged(1), tagged(9)]).unwrap();
         accum.insert(1, 5, vec![]).unwrap();
         assert_eq!(accum.received(), 3);
-        let blobs = accum.finish(3).unwrap();
-        assert_eq!(blobs, vec![vec![1u8], vec![9u8], vec![3u8]]);
+        let merged = accum.finish(3).unwrap();
+        assert_eq!(merged, vec![tagged(1), tagged(9), tagged(3)]);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!
 //! Since wire v3 the coordinator is a single non-blocking multiplexed
 //! event loop (no thread per worker); workers stream compressed
-//! per-group [`wire::Message::PartialResult`] frames so the merge
-//! overlaps compute; scheduling is dynamic (work-stealing deques plus
+//! per-group [`wire::Message::PartialResult`] frames — encoded beside
+//! the extraction, decoded on arrival — so the codec and the merge
+//! overlap compute; scheduling is dynamic (work-stealing deques plus
 //! straggler-triggered shard splitting); and a checkpoint file lets a
-//! restarted coordinator resume without re-fetching merged work. Wire
-//! v2 peers still interoperate through version negotiation.
+//! restarted coordinator resume without re-fetching merged work. v3 is
+//! also the floor: older peers are refused at the handshake.
 //!
 //! The contract that makes it trustworthy: the merged distributed result
 //! is **bit-identical** to a single-process
@@ -27,8 +28,8 @@
 //! - [`plan::plan_shards`] — zone-map-aware carving of group ranges;
 //!   [`plan::split_range`] re-plans a straggler's unfinished tail.
 //! - [`wire`] — the framed message codec (store varints + FNV-1a).
-//! - [`codec`] — bit-exact batch serialization, flat (v2) and
-//!   compressed (v3).
+//! - [`codec`] — bit-exact batch serialization: the compressed wire
+//!   encoding and the flat one fingerprints are taken in.
 //! - [`coordinator::run_job`] — the event loop: scheduling, liveness,
 //!   retry, stealing, splitting, merge.
 //! - [`checkpoint`] — completed-task results on disk for

@@ -37,10 +37,11 @@ use crate::plan::ShardTask;
 pub const WIRE_VERSION: u32 = 3;
 
 /// Oldest revision both peers still speak. The handshake negotiates
-/// `min(ours, theirs)`; anything below this is rejected. A v3
-/// coordinator drives a v2 worker with whole-shard uncompressed
-/// [`Message::TaskResult`] frames, exactly as before.
-pub const MIN_WIRE_VERSION: u32 = 2;
+/// `min(ours, theirs)`; anything below this is rejected with a typed
+/// [`Error::Protocol`]. The v2 dialect (whole-shard uncompressed
+/// `TaskResult` frames, tag 5) is retired: no v2 peer exists outside
+/// this repository's history.
+pub const MIN_WIRE_VERSION: u32 = 3;
 
 /// Upper bound on a frame's payload length (64 MiB). A frame header
 /// claiming more is rejected before any allocation happens.
@@ -55,7 +56,7 @@ mod tag {
     pub const JOB: u8 = 2;
     pub const ASSIGN: u8 = 3;
     pub const HEARTBEAT: u8 = 4;
-    pub const TASK_RESULT: u8 = 5;
+    // 5 was the v2 whole-shard `TaskResult`; never reuse it.
     pub const TASK_ERROR: u8 = 6;
     pub const SHUTDOWN: u8 = 7;
     pub const METRICS_REQUEST: u8 = 8;
@@ -95,16 +96,6 @@ pub enum Message {
         /// Monotonic per-connection sequence number.
         seq: u64,
     },
-    /// Completed shard in one frame, worker → coordinator — the wire v2
-    /// result path, kept for old workers. v3 sessions stream
-    /// [`Message::PartialResult`] frames instead.
-    TaskResult {
-        /// Id of the finished task.
-        task_id: u32,
-        /// One encoded [`ivnt_frame::batch::Batch`] per emitted row
-        /// group, in group order (see [`crate::codec`]).
-        batches: Vec<Vec<u8>>,
-    },
     /// Shard execution failed on the worker (the worker stays alive).
     TaskError {
         /// Id of the failed task.
@@ -112,10 +103,10 @@ pub enum Message {
         /// Human-readable cause, reported into the coordinator's stats.
         message: String,
     },
-    /// One streamed slice of a shard result, worker → coordinator
-    /// (wire v3). The worker emits one of these per row group as it
-    /// finishes, so the coordinator's merge overlaps compute instead of
-    /// waiting for the whole shard.
+    /// One streamed slice of a shard result, worker → coordinator.
+    /// The worker emits one of these per row group as it finishes and
+    /// the coordinator decodes it on arrival, so the merge overlaps
+    /// compute instead of waiting for the whole shard.
     PartialResult {
         /// Id of the task the slice belongs to.
         task_id: u32,
@@ -334,14 +325,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             varint::write_u64(&mut out, u64::from(*task_id));
             varint::write_u64(&mut out, *seq);
         }
-        Message::TaskResult { task_id, batches } => {
-            out.push(tag::TASK_RESULT);
-            varint::write_u64(&mut out, u64::from(*task_id));
-            varint::write_u64(&mut out, batches.len() as u64);
-            for b in batches {
-                write_bytes(&mut out, b);
-            }
-        }
         Message::TaskError { task_id, message } => {
             out.push(tag::TASK_ERROR);
             varint::write_u64(&mut out, u64::from(*task_id));
@@ -425,18 +408,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message> {
             task_id: read_u32_varint(&mut cur, "task id")?,
             seq: cur.read_u64()?,
         },
-        tag::TASK_RESULT => {
-            let task_id = read_u32_varint(&mut cur, "task id")?;
-            let n = cur.read_u64()?;
-            if n > MAX_FRAME_LEN {
-                return Err(Error::Protocol(format!("{n} result batches")));
-            }
-            let mut batches = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                batches.push(read_bytes(&mut cur)?);
-            }
-            Message::TaskResult { task_id, batches }
-        }
         tag::TASK_ERROR => Message::TaskError {
             task_id: read_u32_varint(&mut cur, "task id")?,
             message: read_str(&mut cur)?,

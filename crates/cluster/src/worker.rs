@@ -6,16 +6,16 @@
 //! [`JobSpec`](crate::job::JobSpec) and opens the `.ivns` store locally —
 //! shard results travel over the socket, raw trace rows never do.
 //!
-//! On a wire-v3 session the worker **streams**: each row group of an
-//! assigned shard is extracted, compressed
-//! ([`crate::codec::encode_batch_compressed`]) and shipped as a
-//! [`Message::PartialResult`] the moment it is done, so the coordinator
-//! merges while the worker computes. Between groups the worker polls for
-//! a [`Message::Truncate`] — the coordinator's straggler protocol — and
-//! answers with the group it will actually stop at (never one it has
-//! already emitted). A v2 coordinator gets the old whole-shard
-//! [`Message::TaskResult`] instead; [`WorkerServer::with_wire_version`]
-//! pins a worker to the old dialect for compatibility tests.
+//! The worker **streams**, in two stages: the session thread extracts
+//! one row group of the assigned shard after another and hands each to
+//! an encode+send stage over a bounded channel; that stage compresses
+//! the group ([`crate::codec::encode_batch_compressed`]) and ships it as
+//! a [`Message::PartialResult`] while the next group is being extracted.
+//! Extraction is the only thing on the task's critical path, and at
+//! most [`HANDOFF_DEPTH`]` + 1` extracted groups wait behind it. Between
+//! groups the worker polls for a [`Message::Truncate`] — the
+//! coordinator's straggler protocol — and answers with the group it
+//! will actually stop at (never one it has already handed over).
 //!
 //! Fault injection lives here too, env-gated via [`FAULT_ENV`]: the
 //! coordinator's retry, checksum-reject, liveness-timeout and straggler
@@ -23,16 +23,24 @@
 //! mid-task, corrupt a result frame, go silent, or crawl on demand.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ivnt_core::pipeline::RunOptions;
+use ivnt_frame::batch::Batch;
 
-use crate::codec::{encode_batch, encode_batch_compressed, encoded_len_raw};
+use crate::codec::encode_batch_compressed_with_raw_len;
 use crate::error::{Error, Result};
+use crate::plan::ShardTask;
 use crate::wire::{self, Message, IDLE_TASK, MIN_WIRE_VERSION, WIRE_VERSION};
+
+/// Extracted groups the channel to the encode+send stage may hold. With
+/// the one the stage is working on, at most two groups are handed over
+/// but not yet shipped — the worker's memory bound beside the group
+/// being extracted.
+const HANDOFF_DEPTH: usize = 1;
 
 /// Environment variable carrying a comma-separated fault list
 /// (`kill-mid-task`, `corrupt-result`, `stall-heartbeat`, `slow-task`).
@@ -117,7 +125,6 @@ pub struct WorkerServer {
     listener: TcpListener,
     name: String,
     faults: WorkerFaults,
-    wire_version: u32,
 }
 
 impl WorkerServer {
@@ -133,7 +140,6 @@ impl WorkerServer {
             listener,
             name,
             faults: WorkerFaults::none(),
-            wire_version: WIRE_VERSION,
         })
     }
 
@@ -152,14 +158,6 @@ impl WorkerServer {
         self
     }
 
-    /// Caps the wire version this worker advertises — a v2-pinned worker
-    /// exercises the coordinator's compatibility fallback. Clamped to
-    /// the supported range.
-    pub fn with_wire_version(mut self, version: u32) -> WorkerServer {
-        self.wire_version = version.clamp(MIN_WIRE_VERSION, WIRE_VERSION);
-        self
-    }
-
     /// Accepts and serves exactly one coordinator session.
     ///
     /// # Errors
@@ -168,7 +166,7 @@ impl WorkerServer {
     /// ones ([`Error::Job`] with a `fault injection:` message).
     pub fn serve_once(&self) -> Result<()> {
         let (stream, _) = self.listener.accept()?;
-        serve_session(stream, &self.name, self.faults, self.wire_version)
+        serve_session(stream, &self.name, self.faults)
     }
 
     /// Serves coordinator sessions forever, like a daemon: a failed
@@ -181,7 +179,7 @@ impl WorkerServer {
     pub fn serve(&self) -> Result<()> {
         loop {
             let (stream, _) = self.listener.accept()?;
-            if let Err(e) = serve_session(stream, &self.name, self.faults, self.wire_version) {
+            if let Err(e) = serve_session(stream, &self.name, self.faults) {
                 eprintln!("{}: session failed: {e}", self.name);
             }
         }
@@ -189,31 +187,23 @@ impl WorkerServer {
 }
 
 /// Runs one full coordinator session over an accepted connection.
-fn serve_session(
-    mut stream: TcpStream,
-    name: &str,
-    faults: WorkerFaults,
-    advertised: u32,
-) -> Result<()> {
+fn serve_session(mut stream: TcpStream, name: &str, faults: WorkerFaults) -> Result<()> {
     stream.set_nodelay(true).ok();
-    let effective = match wire::read_frame(&mut stream)? {
-        Message::Hello { version, .. } => {
-            let effective = version.min(advertised);
-            if effective < MIN_WIRE_VERSION {
-                return Err(Error::Protocol(format!(
-                    "coordinator speaks wire v{version}, this worker \
-                     v{MIN_WIRE_VERSION}..=v{advertised}"
-                )));
-            }
-            effective
+    match wire::read_frame(&mut stream)? {
+        Message::Hello { version, .. } if version < MIN_WIRE_VERSION => {
+            return Err(Error::Protocol(format!(
+                "coordinator speaks wire v{version}, this worker \
+                 v{MIN_WIRE_VERSION}..=v{WIRE_VERSION}"
+            )));
         }
+        Message::Hello { .. } => {}
         other => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
-    };
+    }
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     send(
         &writer,
         &Message::Hello {
-            version: advertised,
+            version: WIRE_VERSION,
             peer: name.to_string(),
         },
     )?;
@@ -233,26 +223,27 @@ fn serve_session(
     let _obs_guard = ivnt_obs::install(Arc::clone(&registry));
 
     // Heartbeat ticker: a background thread beating every `heartbeat_ms`
-    // until the session ends (or the stall fault silences it).
-    let running = Arc::new(AtomicBool::new(true));
+    // until the session drops `stop` (the stall fault silences it). It
+    // waits on the channel, not in a sleep, so the session ends at once
+    // and not a beat later — the next session's accept is behind it.
     let current_task = Arc::new(AtomicU32::new(IDLE_TASK));
+    let (stop, stopped) = std::sync::mpsc::channel::<()>();
     let ticker = {
-        let running = Arc::clone(&running);
         let current_task = Arc::clone(&current_task);
         let writer = Arc::clone(&writer);
         let beat = Duration::from_millis(u64::from(heartbeat_ms.max(1)));
         let silent = faults.stall_heartbeat;
         std::thread::spawn(move || {
-            let seq = AtomicU64::new(0);
-            while running.load(Ordering::SeqCst) {
-                std::thread::sleep(beat);
-                if silent || !running.load(Ordering::SeqCst) {
+            let mut seq = 0u64;
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(beat) {
+                if silent {
                     continue;
                 }
                 let msg = Message::Heartbeat {
                     task_id: current_task.load(Ordering::SeqCst),
-                    seq: seq.fetch_add(1, Ordering::SeqCst),
+                    seq,
                 };
+                seq += 1;
                 if send(&writer, &msg).is_err() {
                     break;
                 }
@@ -283,17 +274,19 @@ fn serve_session(
     };
 
     let session = Session {
-        writer: &writer,
+        out: Outbound {
+            writer: &writer,
+            registry: &registry,
+            corrupt_pending: AtomicBool::new(faults.corrupt_result),
+        },
         rx: &rx,
         pipeline: &pipeline,
         current_task: &current_task,
         faults,
         heartbeat_ms,
-        registry: &registry,
-        effective,
     };
     let result = session.assign_loop(&mut reader);
-    running.store(false, Ordering::SeqCst);
+    drop(stop);
     stream.shutdown(std::net::Shutdown::Both).ok();
     let _ = ticker.join();
     let _ = pump.join();
@@ -308,23 +301,96 @@ enum TaskControl {
     Stop(Result<()>),
 }
 
-struct Session<'a> {
+/// How a task's extract loop ended.
+enum Extracted {
+    /// Every group up to `end` was handed over, in `parts` slices.
+    All { parts: u32, end: u32 },
+    /// Extraction failed; the worker stays alive and reports it.
+    Failed(String),
+    /// A control frame, a vanished coordinator or a dead encode+send
+    /// stage ended the session.
+    Stop(Result<()>),
+}
+
+/// One extracted row group on its way to the encode+send stage.
+struct Handoff {
+    seq: u32,
+    group: u32,
+    batches: Vec<Batch>,
+}
+
+/// The session's outbound half — what both stages of a task share.
+struct Outbound<'a> {
     writer: &'a Arc<Mutex<TcpStream>>,
+    registry: &'a ivnt_obs::Registry,
+    /// The corrupt-result fault, until the first result frame spent it.
+    corrupt_pending: AtomicBool,
+}
+
+struct Session<'a> {
+    out: Outbound<'a>,
     rx: &'a Receiver<Result<Message>>,
     pipeline: &'a ivnt_core::Pipeline,
     current_task: &'a Arc<AtomicU32>,
     faults: WorkerFaults,
     heartbeat_ms: u32,
-    registry: &'a Arc<ivnt_obs::Registry>,
-    effective: u32,
 }
+
+impl Outbound<'_> {
+    /// Stage two: compresses and ships handed-over groups in order
+    /// until the channel closes. The first failed send ends the stage;
+    /// dropping `rx` is how the extract loop learns of it.
+    fn encode_and_send(&self, task_id: u32, rx: Receiver<Handoff>) -> Result<()> {
+        for Handoff {
+            seq,
+            group,
+            batches,
+        } in rx
+        {
+            let t_encode = Instant::now();
+            let mut raw_bytes = 0u64;
+            let encoded = batches
+                .iter()
+                .map(|b| {
+                    let (bytes, raw) = encode_batch_compressed_with_raw_len(b);
+                    raw_bytes += raw;
+                    bytes
+                })
+                .collect();
+            drop(batches);
+            self.observe("cluster_worker_encode_seconds", t_encode);
+            let msg = Message::PartialResult {
+                task_id,
+                seq,
+                group,
+                raw_bytes,
+                batches: encoded,
+            };
+            let t_send = Instant::now();
+            if self.corrupt_pending.swap(false, Ordering::SeqCst) {
+                send_corrupted(self.writer, &msg)?;
+            } else {
+                send(self.writer, &msg)?;
+            }
+            self.observe("cluster_worker_send_seconds", t_send);
+        }
+        Ok(())
+    }
+
+    fn observe(&self, name: &str, since: Instant) {
+        self.registry.observe(
+            name,
+            ivnt_obs::SECONDS_BUCKETS,
+            since.elapsed().as_secs_f64(),
+        );
+    }
+}
+
+type ShardReader = ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>;
 
 impl Session<'_> {
     /// The assign/result loop — the worker's steady state.
-    fn assign_loop(
-        mut self,
-        reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>,
-    ) -> Result<()> {
+    fn assign_loop(self, reader: &mut ShardReader) -> Result<()> {
         loop {
             // A dropped channel means the pump thread is gone without a
             // terminal error — treat like a vanished coordinator.
@@ -378,12 +444,7 @@ impl Session<'_> {
                 return Err(Error::Job("fault injection: stalled heartbeat".into()));
             }
 
-            let outcome = if self.effective >= 3 {
-                self.run_task_streamed(reader, task)
-            } else {
-                self.run_task_whole(reader, task)
-            };
-            match outcome {
+            match self.run_task(reader, task) {
                 TaskControl::Continue => {}
                 TaskControl::Stop(result) => return result,
             }
@@ -391,132 +452,108 @@ impl Session<'_> {
         }
     }
 
-    /// The v3 path: per-group extraction streamed as compressed
-    /// [`Message::PartialResult`] frames, a truncate poll between
-    /// groups, and a closing [`Message::TaskDone`].
-    fn run_task_streamed(
-        &mut self,
-        reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>,
-        task: crate::plan::ShardTask,
-    ) -> TaskControl {
-        let t_task = std::time::Instant::now();
+    /// One shard: the extract loop on this thread, the encode+send
+    /// stage beside it, and — once the stage has shipped everything
+    /// handed over — the closing [`Message::TaskDone`].
+    fn run_task(&self, reader: &mut ShardReader, task: ShardTask) -> TaskControl {
+        let t_task = Instant::now();
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Handoff>(HANDOFF_DEPTH);
+        let out = &self.out;
+        let (extracted, shipped) = std::thread::scope(|s| {
+            let stage = s.spawn(move || out.encode_and_send(task.task_id, rx));
+            let extracted = self.extract_groups(reader, task, tx);
+            let shipped = stage
+                .join()
+                .unwrap_or_else(|_| Err(Error::Job("encode stage panicked".into())));
+            (extracted, shipped)
+        });
+        // A dead connection outranks whatever the extract loop saw.
+        match self.map_send(shipped) {
+            TaskControl::Continue => {}
+            stop => return stop,
+        }
+        match extracted {
+            Extracted::All { parts, end } => {
+                self.out
+                    .registry
+                    .add("cluster_tasks_total{result=\"ok\"}", 1);
+                self.out.observe("cluster_task_seconds", t_task);
+                self.finish_send(&Message::TaskDone {
+                    task_id: task.task_id,
+                    parts,
+                    group_end: end,
+                })
+            }
+            Extracted::Failed(message) => {
+                self.out
+                    .registry
+                    .add("cluster_tasks_total{result=\"error\"}", 1);
+                self.finish_send(&Message::TaskError {
+                    task_id: task.task_id,
+                    message,
+                })
+            }
+            Extracted::Stop(result) => TaskControl::Stop(result),
+        }
+    }
+
+    /// Stage one: per-group extraction with a truncate poll between
+    /// groups. Dropping `tx` on return is what lets the stage finish.
+    fn extract_groups(
+        &self,
+        reader: &mut ShardReader,
+        task: ShardTask,
+        tx: SyncSender<Handoff>,
+    ) -> Extracted {
         let mut end = task.group_end;
         let mut group = task.group_start;
         let mut seq: u32 = 0;
         while group < end {
             match self.poll_control(task.task_id, group, &mut end) {
                 TaskControl::Continue => {}
-                stop => return stop,
+                TaskControl::Stop(result) => return Extracted::Stop(result),
             }
             if self.faults.slow_task {
                 std::thread::sleep(Duration::from_millis(
                     u64::from(self.heartbeat_ms.max(1)) * 3,
                 ));
             }
+            let t_extract = Instant::now();
             let batches = match self
                 .pipeline
                 .session(RunOptions::store_shard(reader, group..group + 1))
                 .extract()
             {
                 Ok(ex) => ex.frame.into_partitions(),
-                Err(e) => {
-                    self.registry
-                        .add("cluster_tasks_total{result=\"error\"}", 1);
-                    return self.finish_send(&Message::TaskError {
-                        task_id: task.task_id,
-                        message: e.to_string(),
-                    });
-                }
+                Err(e) => return Extracted::Failed(e.to_string()),
             };
-            let raw_bytes: u64 = batches.iter().map(encoded_len_raw).sum();
-            let msg = Message::PartialResult {
-                task_id: task.task_id,
+            self.out
+                .observe("cluster_worker_extract_seconds", t_extract);
+            let t_wait = Instant::now();
+            let handoff = Handoff {
                 seq,
                 group,
-                raw_bytes,
-                batches: batches.iter().map(encode_batch_compressed).collect(),
+                batches,
             };
-            let sent = if self.faults.corrupt_result {
-                self.faults.corrupt_result = false;
-                self.send_corrupted(&msg)
-            } else {
-                send(self.writer, &msg)
-            };
-            match self.map_send(sent) {
-                TaskControl::Continue => {}
-                stop => return stop,
+            if tx.send(handoff).is_err() {
+                // The stage only hangs up on a failed send, and reports
+                // that itself; this is the fallback if it ever did not.
+                return Extracted::Stop(Err(Error::Job("encode stage hung up".into())));
             }
+            self.out
+                .observe("cluster_worker_handoff_wait_seconds", t_wait);
             seq += 1;
             group += 1;
         }
-        self.registry.add("cluster_tasks_total{result=\"ok\"}", 1);
-        self.registry.observe(
-            "cluster_task_seconds",
-            ivnt_obs::SECONDS_BUCKETS,
-            t_task.elapsed().as_secs_f64(),
-        );
-        self.finish_send(&Message::TaskDone {
-            task_id: task.task_id,
-            parts: seq,
-            group_end: end,
-        })
-    }
-
-    /// The v2 path: whole-shard extraction, one flat
-    /// [`Message::TaskResult`].
-    fn run_task_whole(
-        &mut self,
-        reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>,
-        task: crate::plan::ShardTask,
-    ) -> TaskControl {
-        let t_task = std::time::Instant::now();
-        if self.faults.slow_task {
-            std::thread::sleep(Duration::from_millis(
-                u64::from(self.heartbeat_ms.max(1))
-                    * 3
-                    * u64::from(task.group_end - task.group_start),
-            ));
-        }
-        let response = match self
-            .pipeline
-            .session(RunOptions::store_shard(reader, task.groups()))
-            .extract()
-        {
-            Ok(ex) => {
-                let batches = ex.frame.into_partitions();
-                self.registry.add("cluster_tasks_total{result=\"ok\"}", 1);
-                Message::TaskResult {
-                    task_id: task.task_id,
-                    batches: batches.iter().map(encode_batch).collect(),
-                }
-            }
-            Err(e) => {
-                self.registry
-                    .add("cluster_tasks_total{result=\"error\"}", 1);
-                Message::TaskError {
-                    task_id: task.task_id,
-                    message: e.to_string(),
-                }
-            }
-        };
-        self.registry.observe(
-            "cluster_task_seconds",
-            ivnt_obs::SECONDS_BUCKETS,
-            t_task.elapsed().as_secs_f64(),
-        );
-        if self.faults.corrupt_result {
-            self.faults.corrupt_result = false;
-            let sent = self.send_corrupted(&response);
-            return self.map_send(sent);
-        }
-        self.finish_send(&response)
+        Extracted::All { parts: seq, end }
     }
 
     /// Drains control frames that arrived mid-task. A Truncate for the
     /// running task shortens `end` — never below `group + 1`, the group
-    /// about to be emitted, so already-shipped partials stay covered —
-    /// and is acknowledged with the actual stopping point.
-    fn poll_control(&mut self, task_id: u32, group: u32, end: &mut u32) -> TaskControl {
+    /// about to be extracted, so every partial already handed to the
+    /// encode stage stays covered — and is acknowledged with the actual
+    /// stopping point.
+    fn poll_control(&self, task_id: u32, group: u32, end: &mut u32) -> TaskControl {
         loop {
             match self.rx.try_recv() {
                 Ok(Ok(Message::Truncate {
@@ -528,7 +565,7 @@ impl Session<'_> {
                         *end = actual;
                     }
                     let sent = send(
-                        self.writer,
+                        self.out.writer,
                         &Message::Truncated {
                             task_id,
                             group_end: *end,
@@ -565,23 +602,11 @@ impl Session<'_> {
 
     fn send_metrics(&self) -> Result<()> {
         send(
-            self.writer,
+            self.out.writer,
             &Message::Metrics {
-                snapshot: self.registry.snapshot(),
+                snapshot: self.out.registry.snapshot(),
             },
         )
-    }
-
-    /// Ships `msg` with one payload byte flipped; the length prefix
-    /// stays honest so the coordinator reads a full frame and must fail
-    /// the checksum.
-    fn send_corrupted(&self, msg: &Message) -> Result<()> {
-        let mut frame = wire::encode_frame(msg);
-        frame[4] ^= 0xFF;
-        let mut w = self.writer.lock().expect("writer mutex");
-        std::io::Write::write_all(&mut *w, &frame)?;
-        std::io::Write::flush(&mut *w)?;
-        Ok(())
     }
 
     /// Folds a send result into task control: a hung-up coordinator may
@@ -597,7 +622,7 @@ impl Session<'_> {
 
     /// [`Session::map_send`], for a task's closing frame.
     fn finish_send(&self, msg: &Message) -> TaskControl {
-        let sent = send(self.writer, msg);
+        let sent = send(self.out.writer, msg);
         self.map_send(sent)
     }
 }
@@ -617,4 +642,167 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 fn send(writer: &Arc<Mutex<TcpStream>>, msg: &Message) -> Result<()> {
     let mut w = writer.lock().expect("writer mutex");
     wire::write_frame(&mut *w, msg)
+}
+
+/// Ships `msg` with one payload byte flipped; the length prefix stays
+/// honest so the coordinator reads a full frame and must fail the
+/// checksum.
+fn send_corrupted(writer: &Arc<Mutex<TcpStream>>, msg: &Message) -> Result<()> {
+    let mut frame = wire::encode_frame(msg);
+    frame[4] ^= 0xFF;
+    let mut w = writer.lock().expect("writer mutex");
+    std::io::Write::write_all(&mut *w, &frame)?;
+    std::io::Write::flush(&mut *w)?;
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{decode_batch_compressed, encode_batch};
+    use crate::coordinator::PartialAccum;
+    use crate::job::JobSpec;
+    use ivnt_simulator::scenario::{self, DataSetSpec};
+
+    /// A Truncate that lands while the encode stage still holds
+    /// handed-over groups: the stage is wedged on the writer lock, so
+    /// group 0 is in the stage, group 1 in the channel and the extract
+    /// loop blocked handing over group 2 when the coordinator asks to
+    /// stop after group 0. The worker may only stop past what it handed
+    /// over, must say so, and the stream must stay gap-free and
+    /// bit-identical to a single-process extraction of the same groups.
+    #[test]
+    fn truncate_while_groups_are_queued_stays_gap_free() {
+        let path = std::env::temp_dir().join(format!(
+            "ivnt-worker-truncate-{}-{:?}.ivns",
+            std::process::id(),
+            std::thread::current().id(),
+        ));
+        let spec = DataSetSpec::syn().with_seed(53).with_duration_s(4.0);
+        let data = scenario::generate(&spec).expect("scenario generates");
+        let options = ivnt_store::WriterOptions {
+            chunk_rows: 128,
+            chunks_per_group: 1,
+            cluster: true,
+        };
+        let mut writer = ivnt_store::StoreWriter::create(&path, options).expect("store create");
+        for r in data.trace.records() {
+            writer.append(r).expect("store append");
+        }
+        writer.finish().expect("store finish");
+        let job = JobSpec::new("syn", path.display().to_string()).with_seed(53);
+        let pipeline = job.pipeline().expect("pipeline rebuilds");
+        let mut reader = ivnt_store::StoreReader::open(&path).expect("store opens");
+        let groups = reader.footer().groups;
+        assert!(
+            groups >= 8,
+            "the shard must outlast the truncation, got {groups}"
+        );
+        let task = ShardTask {
+            task_id: 7,
+            group_start: 0,
+            group_end: groups,
+            rows_estimated: 0,
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut coordinator =
+            TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let (worker_side, _) = listener.accept().expect("accepts");
+        let writer = Arc::new(Mutex::new(worker_side));
+        let registry = ivnt_obs::Registry::new();
+        let (control, rx) = std::sync::mpsc::channel::<Result<Message>>();
+        let current_task = Arc::new(AtomicU32::new(task.task_id));
+        // `move`: the control receiver is `Send` but not `Sync`.
+        let (writer_ref, registry_ref, pipeline_ref) = (&writer, &registry, &pipeline);
+        let run_task = move |reader: &mut ShardReader| {
+            let session = Session {
+                out: Outbound {
+                    writer: writer_ref,
+                    registry: registry_ref,
+                    corrupt_pending: AtomicBool::new(false),
+                },
+                rx: &rx,
+                pipeline: pipeline_ref,
+                current_task: &current_task,
+                faults: WorkerFaults::none(),
+                heartbeat_ms: 25,
+            };
+            session.run_task(reader, task)
+        };
+        let handed_over = HANDOFF_DEPTH as u64 + 2;
+        let extracted = || {
+            registry
+                .snapshot()
+                .histograms
+                .get("cluster_worker_extract_seconds")
+                .map_or(0, |h| h.count)
+        };
+
+        let wedge = writer.lock().expect("writer mutex");
+        let shard_reader = &mut reader;
+        let control_flow = std::thread::scope(|s| {
+            let running = s.spawn(move || run_task(shard_reader));
+            // The extract loop stalls exactly here: stage busy, channel
+            // full, one more group in hand.
+            while extracted() < handed_over {
+                std::thread::yield_now();
+            }
+            control
+                .send(Ok(Message::Truncate {
+                    task_id: task.task_id,
+                    group_end: 1,
+                }))
+                .expect("session listens");
+            drop(wedge);
+            running.join().expect("task thread")
+        });
+        assert!(matches!(control_flow, TaskControl::Continue));
+        assert_eq!(extracted(), handed_over + 1, "one group past the handoffs");
+
+        let schema = ivnt_core::interpret::signal_schema();
+        let mut accum = PartialAccum::new();
+        let mut acked = None;
+        let (parts, end) = loop {
+            match wire::read_frame(&mut coordinator).expect("frame") {
+                Message::PartialResult {
+                    task_id,
+                    seq,
+                    group,
+                    batches,
+                    ..
+                } => {
+                    assert_eq!(task_id, task.task_id);
+                    let decoded = batches
+                        .iter()
+                        .map(|b| decode_batch_compressed(b, &schema).expect("decodes"))
+                        .collect();
+                    accum.insert(seq, group, decoded).expect("fresh seq");
+                }
+                Message::Truncated { group_end, .. } => acked = Some(group_end),
+                Message::TaskDone {
+                    parts, group_end, ..
+                } => break (parts, group_end),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        };
+        // Asked to stop at group 1; three groups were already handed
+        // over and the fourth was the one about to be extracted.
+        assert_eq!(end, handed_over as u32 + 1);
+        assert_eq!(acked, Some(end), "the ack names the actual stop");
+        assert_eq!(parts, end - task.group_start);
+        let merged = accum.finish(parts).expect("gap-free stream");
+
+        let expected = pipeline
+            .session(RunOptions::store_shard(&mut reader, task.group_start..end))
+            .extract()
+            .expect("single-process extraction")
+            .frame
+            .into_partitions();
+        assert_eq!(
+            merged.iter().map(encode_batch).collect::<Vec<_>>(),
+            expected.iter().map(encode_batch).collect::<Vec<_>>(),
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }

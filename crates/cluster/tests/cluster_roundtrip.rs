@@ -1,8 +1,9 @@
 //! End-to-end cluster runs against in-process workers.
 //!
 //! The acceptance criterion, tested directly: for every worker count —
-//! and through injected worker kills, corrupted result frames and
-//! stalled heartbeats — the merged distributed result is *bit-identical*
+//! and through injected worker kills, corrupted result frames,
+//! undecodable batches and stalled heartbeats — the merged distributed
+//! result is *bit-identical*
 //! to a single-process `Pipeline::extract_from_store` over the same
 //! store. Bit-identity is asserted by re-encoding both results'
 //! partitions with the wire codec and comparing bytes.
@@ -10,7 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use ivnt_cluster::codec::encode_batch;
-use ivnt_cluster::{run_job, ClusterConfig, Error, JobSpec, WorkerFaults, WorkerServer};
+use ivnt_cluster::wire::{read_frame, write_frame};
+use ivnt_cluster::{run_job, ClusterConfig, Error, JobSpec, Message, WorkerFaults, WorkerServer};
 use ivnt_core::pipeline::RunOptions;
 use ivnt_simulator::scenario::{self, DataSetSpec};
 
@@ -63,25 +65,12 @@ fn single_process_fingerprint(job: &JobSpec) -> (Vec<Vec<u8>>, usize) {
 
 /// Starts `faults.len()` in-process workers, each serving one session.
 fn start_workers(faults: &[WorkerFaults]) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
-    let specs: Vec<(WorkerFaults, u32)> = faults
-        .iter()
-        .map(|&f| (f, ivnt_cluster::WIRE_VERSION))
-        .collect();
-    start_workers_versioned(&specs)
-}
-
-/// Starts one in-process worker per `(faults, wire_version)` spec, each
-/// serving one session.
-fn start_workers_versioned(
-    specs: &[(WorkerFaults, u32)],
-) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
-    for &(f, v) in specs {
+    for &f in faults {
         let server = WorkerServer::bind("127.0.0.1:0")
             .expect("worker binds")
-            .with_faults(f)
-            .with_wire_version(v);
+            .with_faults(f);
         addrs.push(server.local_addr().expect("worker addr").to_string());
         handles.push(std::thread::spawn(move || {
             // Session failures (including injected ones) are the
@@ -257,39 +246,98 @@ fn v3_sessions_stream_compressed_partials() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A peer that completes the handshake as `version` and then answers
+/// its first assignment with `reply(task_id, group_start)` — the
+/// misbehaving workers no fault flag of the real one can produce.
+fn start_rogue_worker(
+    version: u32,
+    reply: impl Fn(u32, u32) -> Message + Send + 'static,
+) -> (String, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("rogue binds");
+    let addr = listener.local_addr().expect("rogue addr").to_string();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("coordinator connects");
+        let _hello = read_frame(&mut stream);
+        let hello = Message::Hello {
+            version,
+            peer: "rogue".into(),
+        };
+        if write_frame(&mut stream, &hello).is_err() {
+            return;
+        }
+        // Job preamble, then frames until the coordinator hangs up.
+        while let Ok(msg) = read_frame(&mut stream) {
+            if let Message::Assign { task } = msg {
+                let _ = write_frame(&mut stream, &reply(task.task_id, task.group_start));
+            }
+        }
+    });
+    (addr, handle)
+}
+
 #[test]
-fn v2_pinned_workers_interoperate_bit_identically() {
-    let path = temp_store("v2compat");
+fn undecodable_partial_fails_its_connection_not_the_job() {
+    let path = temp_store("undecodable");
     write_store(&path, 41);
     let job = job_for(&path, 41);
     let (expected, _) = single_process_fingerprint(&job);
 
-    // All-v2 fleet: the coordinator must fall back to whole-shard
-    // TaskResult frames and still merge bit-identically.
-    let specs = [(WorkerFaults::none(), 2), (WorkerFaults::none(), 2)];
-    let (addrs, handles) = start_workers_versioned(&specs);
-    let run = run_job(&job, &addrs, &fast_config()).expect("v2 cluster run");
+    // The frame is well-formed and its checksum valid; only the batch
+    // inside is garbage. Decoded on arrival, that must cost the rogue
+    // its connection and requeue the task on the healthy worker.
+    let (rogue, rogue_handle) = start_rogue_worker(ivnt_cluster::WIRE_VERSION, |task_id, group| {
+        Message::PartialResult {
+            task_id,
+            seq: 0,
+            group,
+            raw_bytes: 3,
+            batches: vec![vec![0xFF, 0xFF, 0xFF]],
+        }
+    });
+    let (mut addrs, handles) = start_workers(&[WorkerFaults::none()]);
+    addrs.insert(0, rogue);
+    let run = run_job(&job, &addrs, &fast_config()).expect("cluster survives the rogue");
+    rogue_handle.join().expect("rogue thread");
     for h in handles {
         h.join().expect("worker thread");
     }
     assert_eq!(fingerprint(&run.frame), expected);
-    assert_eq!(run.stats.partial_frames, 0, "v2 sessions never stream");
-    assert!(
-        (run.stats.compression_ratio() - 1.0).abs() < f64::EPSILON,
-        "the v2 dialect is uncompressed"
-    );
+    assert_eq!(run.stats.workers_lost, 1, "the rogue was dropped");
+    assert!(run.stats.retries >= 1, "its task was requeued");
+    std::fs::remove_file(&path).ok();
+}
 
-    // Mixed fleet: one old worker, one new — negotiation is per session.
-    let specs = [
-        (WorkerFaults::none(), 2),
-        (WorkerFaults::none(), ivnt_cluster::WIRE_VERSION),
-    ];
-    let (addrs, handles) = start_workers_versioned(&specs);
-    let run = run_job(&job, &addrs, &fast_config()).expect("mixed cluster run");
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    assert_eq!(fingerprint(&run.frame), expected);
+#[test]
+fn peers_below_the_v3_floor_are_refused_with_a_typed_error() {
+    let path = temp_store("floor");
+    write_store(&path, 47);
+    let job = job_for(&path, 47);
+
+    // A v2 worker: the coordinator refuses it at the handshake, and with
+    // nobody else to talk to the job fails typed.
+    let (rogue, rogue_handle) = start_rogue_worker(2, |task_id, _| Message::TaskError {
+        task_id,
+        message: "a refused peer is never assigned work".into(),
+    });
+    let err = run_job(&job, &[rogue], &fast_config()).expect_err("v2 worker is no worker");
+    rogue_handle.join().expect("rogue thread");
+    assert!(matches!(err, Error::Job(_)), "typed job failure: {err}");
+
+    // A v2 coordinator: the worker refuses it the same way.
+    let server = WorkerServer::bind("127.0.0.1:0").expect("worker binds");
+    let addr = server.local_addr().expect("worker addr");
+    let worker = std::thread::spawn(move || server.serve_once());
+    let mut stream = std::net::TcpStream::connect(addr).expect("connects");
+    let hello = Message::Hello {
+        version: 2,
+        peer: "old coordinator".into(),
+    };
+    write_frame(&mut stream, &hello).expect("hello sent");
+    let refused = worker.join().expect("worker thread");
+    assert!(
+        matches!(refused, Err(Error::Protocol(_))),
+        "typed refusal: {refused:?}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

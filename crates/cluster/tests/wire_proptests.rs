@@ -32,7 +32,7 @@ fn message_from(
     blobs: Vec<Vec<u8>>,
 ) -> Message {
     let (a, b, c, d) = nums;
-    match selector % 13 {
+    match selector % 12 {
         0 => Message::Hello {
             version: a as u32,
             peer: s1,
@@ -76,16 +76,12 @@ fn message_from(
             task_id: a as u32,
             seq: b,
         },
-        4 => Message::TaskResult {
-            task_id: a as u32,
-            batches: blobs,
-        },
-        5 => Message::TaskError {
+        4 => Message::TaskError {
             task_id: a as u32,
             message: s1,
         },
-        6 => Message::MetricsRequest,
-        7 => {
+        5 => Message::MetricsRequest,
+        6 => {
             // Finite floats only: the round-trip is asserted via
             // `PartialEq`, which NaN would defeat even though the wire
             // preserves its bits.
@@ -112,23 +108,23 @@ fn message_from(
             );
             Message::Metrics { snapshot }
         }
-        8 => Message::PartialResult {
+        7 => Message::PartialResult {
             task_id: a as u32,
             seq: (b % 1_000) as u32,
             group: (c % 1_000) as u32,
             raw_bytes: d,
             batches: blobs,
         },
-        9 => Message::TaskDone {
+        8 => Message::TaskDone {
             task_id: a as u32,
             parts: (b % 1_000) as u32,
             group_end: (c % 1_000) as u32,
         },
-        10 => Message::Truncate {
+        9 => Message::Truncate {
             task_id: a as u32,
             group_end: (b % 1_000) as u32,
         },
-        11 => Message::Truncated {
+        10 => Message::Truncated {
             task_id: a as u32,
             group_end: (b % 1_000) as u32,
         },
@@ -141,7 +137,7 @@ proptest! {
     /// message variant.
     #[test]
     fn every_message_type_roundtrips(
-        selector in 0u8..13,
+        selector in 0u8..12,
         s1 in "\\PC{0,24}",
         s2 in "\\PC{0,24}",
         signals in prop::collection::vec("\\PC{0,12}", 0..5),
@@ -158,7 +154,7 @@ proptest! {
     /// error. The length prefix, payload and checksum are all covered.
     #[test]
     fn corrupted_frame_yields_typed_error(
-        selector in 0u8..13,
+        selector in 0u8..12,
         s1 in "\\PC{0,16}",
         seq in 0u64..u64::MAX,
         victim in 0usize..4096,
@@ -190,7 +186,7 @@ proptest! {
     /// not a panic or a hang.
     #[test]
     fn truncated_frame_yields_typed_error(
-        selector in 0u8..13,
+        selector in 0u8..12,
         s1 in "\\PC{0,16}",
         cut in 0usize..4096,
     ) {
@@ -277,37 +273,61 @@ proptest! {
     }
 
     /// Claim 4: however `PartialResult` slices interleave on the wire,
-    /// the accumulator reassembles the exact in-order blob list — the
+    /// the accumulator reassembles the exact in-order batch list — the
     /// merge is a function of the slice *contents*, not their arrival
-    /// order.
+    /// order. Slices travel as the coordinator handles them: compressed
+    /// on the wire, decoded on arrival, accumulated as batches.
     #[test]
     fn partial_slices_merge_identically_in_any_arrival_order(
         sizes in prop::collection::vec(0usize..4, 1..12),
         keys in prop::collection::vec(0u64..u64::MAX, 12),
     ) {
+        let schema = Schema::from_pairs([("seq", DataType::Int), ("j", DataType::Int)])
+            .expect("static schema")
+            .into_shared();
         // Slice `seq` covers group `2 * seq` and carries `sizes[seq]`
-        // distinguishable blobs.
+        // distinguishable batches.
         let slices: Vec<(u32, u32, Vec<Vec<u8>>)> = sizes
             .iter()
             .enumerate()
             .map(|(seq, &n)| {
-                let blobs = (0..n).map(|j| vec![seq as u8, j as u8]).collect();
+                let blobs = (0..n)
+                    .map(|j| {
+                        let cols = vec![
+                            Column::Int(vec![Some(seq as i64); j + 1]),
+                            Column::Int(vec![Some(j as i64); j + 1]),
+                        ];
+                        encode_batch_compressed(&Batch::new(schema.clone(), cols).unwrap())
+                    })
+                    .collect();
                 (seq as u32, 2 * seq as u32, blobs)
             })
             .collect();
+        let arrive = |accum: &mut PartialAccum, (seq, group, blobs): &(u32, u32, Vec<Vec<u8>>)| {
+            let batches = blobs
+                .iter()
+                .map(|b| decode_batch_compressed(b, &schema).unwrap())
+                .collect();
+            accum.insert(*seq, *group, batches).unwrap();
+        };
 
         let mut in_order = PartialAccum::new();
-        for (seq, group, blobs) in &slices {
-            in_order.insert(*seq, *group, blobs.clone()).unwrap();
+        for slice in &slices {
+            arrive(&mut in_order, slice);
         }
         let expected = in_order.finish(slices.len() as u32).unwrap();
+        let all_blobs: Vec<&Vec<u8>> = slices.iter().flat_map(|(_, _, b)| b).collect();
+        prop_assert_eq!(expected.len(), all_blobs.len());
+        for (batch, blob) in expected.iter().zip(all_blobs) {
+            prop_assert_eq!(&encode_batch_compressed(batch), blob);
+        }
 
         // A key-sorted permutation of the arrival order.
         let mut shuffled: Vec<&(u32, u32, Vec<Vec<u8>>)> = slices.iter().collect();
         shuffled.sort_by_key(|(seq, _, _)| keys[*seq as usize]);
         let mut accum = PartialAccum::new();
-        for (seq, group, blobs) in shuffled {
-            accum.insert(*seq, *group, blobs.clone()).unwrap();
+        for slice in shuffled {
+            arrive(&mut accum, slice);
         }
         prop_assert_eq!(accum.finish(slices.len() as u32).unwrap(), expected);
     }

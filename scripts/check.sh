@@ -26,17 +26,17 @@ IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_STORE_MIN_SKIP="${IVNT_STORE_MIN_SKIP:-0.5}" \
   cargo run --release -q -p ivnt-bench --bin store_probe
 
-echo "==> cluster_scale smoke (distributed bit-identity + speedup + wire compression gates)"
+echo "==> cluster_scale smoke (distributed bit-identity + cluster tax + speedup + wire compression gates)"
 # 1 vs N subprocess workers; every run is checked bit-identical to the
-# single-process extraction, N workers must not lose to 1 (and must beat
-# the single process when the machine has the cores — both speed gates
-# are report-only when cores < workers), compressed v3 result streaming
-# must shrink wire bytes by IVNT_CLUSTER_MIN_WIRE_RATIO (always enforced),
-# and a straggler-slowed worker plus a coordinator restart from its
-# checkpoint are exercised inline, both asserted bit-identical.
+# single-process extraction, one worker may cost at most 2.5x the single
+# process (median of interleaved pairs; the probe's fixed gate, always
+# enforced), N workers must not lose to 1 (report-only when cores <
+# workers), compressed v3 result streaming must shrink wire bytes by
+# IVNT_CLUSTER_MIN_WIRE_RATIO (always enforced), and a straggler-slowed
+# worker plus a coordinator restart from its checkpoint are exercised
+# inline, both asserted bit-identical.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_CLUSTER_MIN_SPEEDUP="${IVNT_CLUSTER_MIN_SPEEDUP:-1.0}" \
-IVNT_CLUSTER_MIN_SP_SPEEDUP="${IVNT_CLUSTER_MIN_SP_SPEEDUP:-1.0}" \
 IVNT_CLUSTER_MIN_WIRE_RATIO="${IVNT_CLUSTER_MIN_WIRE_RATIO:-3.0}" \
   cargo run --release -q -p ivnt-bench --bin cluster_scale
 
