@@ -6,6 +6,9 @@
 //! channel for processing; results then apply to all *corresponding*
 //! channels, cutting computational cost by the duplication factor.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use ivnt_frame::prelude::*;
 
 use crate::error::Result;
@@ -33,75 +36,21 @@ pub struct Dedup {
 /// one, otherwise the lexicographically smallest channel. Two channel
 /// copies are equal when their value sequences (numeric and textual) agree
 /// element-wise in time order — timestamps may differ by the gateway
-/// forwarding delay and are not compared.
+/// forwarding delay and are not compared. The representative keeps the
+/// input's partition structure.
 ///
 /// # Errors
 ///
 /// Propagates tabular-engine failures.
 pub fn deduplicate(seq: &SignalSequence, rules: &RuleSet) -> Result<Dedup> {
-    let channels = seq.channels()?;
-    if channels.len() <= 1 {
-        let channel = channels.into_iter().next().unwrap_or_default();
-        return Ok(Dedup {
-            representative: seq.clone(),
-            representative_channel: channel,
-            corresponding: Vec::new(),
-            mismatched: Vec::new(),
-        });
-    }
-    let home = rules
-        .rules()
-        .iter()
-        .find(|r| r.signal == seq.signal && r.info.home_channel)
-        .map(|r| r.bus.clone());
-    let representative_channel = home
-        .filter(|h| channels.contains(h))
-        .unwrap_or_else(|| channels[0].clone());
+    check(Cow::Borrowed(seq), rules)
+}
 
-    let bus_idx = seq.frame.schema().index_of(c::BUS)?;
-    let per_channel = |bus: &str| -> Result<DataFrame> {
-        // Direct columnar scan: this runs once per channel per signal over
-        // potentially millions of rows.
-        let parts = seq
-            .frame
-            .partitions()
-            .iter()
-            .map(|batch| {
-                let buses = batch.column(bus_idx).as_str_slice().unwrap_or(&[]);
-                let mask: Vec<bool> = buses.iter().map(|b| b.as_deref() == Some(bus)).collect();
-                batch.filter(&mask)
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(DataFrame::from_partitions(
-            seq.frame.schema().clone(),
-            parts,
-        )?)
-    };
-    let rep_frame = per_channel(&representative_channel)?;
-    let rep_values = value_signature(&rep_frame)?;
-
-    let mut corresponding = Vec::new();
-    let mut mismatched = Vec::new();
-    for ch in &channels {
-        if *ch == representative_channel {
-            continue;
-        }
-        let other = value_signature(&per_channel(ch)?)?;
-        if other == rep_values {
-            corresponding.push(ch.clone());
-        } else {
-            mismatched.push(ch.clone());
-        }
-    }
-    Ok(Dedup {
-        representative: SignalSequence {
-            signal: seq.signal.clone(),
-            frame: rep_frame,
-        },
-        representative_channel,
-        corresponding,
-        mismatched,
-    })
+/// [`deduplicate`] for a caller that is done with `seq`: a single-channel
+/// sequence (every signal no gateway forwards) becomes its own
+/// representative by move instead of a deep copy.
+pub(crate) fn deduplicate_owned(seq: SignalSequence, rules: &RuleSet) -> Result<Dedup> {
+    check(Cow::Owned(seq), rules)
 }
 
 /// Runs [`deduplicate`] over every sequence.
@@ -113,25 +62,106 @@ pub fn deduplicate_all(seqs: &[SignalSequence], rules: &RuleSet) -> Result<Vec<D
     seqs.iter().map(|s| deduplicate(s, rules)).collect()
 }
 
-/// One compared element of `e`'s value signature: `(v_num bits, v_text)`.
-type SignatureElem = (Option<u64>, Option<std::sync::Arc<str>>);
+/// Channel code of a row whose `b_id` cell is null: it belongs to no copy.
+const NO_CHANNEL: u32 = u32::MAX;
 
-/// The value sequence compared by `e`, in time order.
-fn value_signature(frame: &DataFrame) -> Result<Vec<SignatureElem>> {
-    let num_idx = frame.schema().index_of(c::VALUE_NUM)?;
-    let text_idx = frame.schema().index_of(c::VALUE_TEXT)?;
-    let mut out = Vec::with_capacity(frame.num_rows());
-    for batch in frame.partitions() {
-        let nums = batch.column(num_idx).as_float_slice().unwrap_or(&[]);
-        let texts = batch.column(text_idx).as_str_slice().unwrap_or(&[]);
-        for row in 0..batch.num_rows() {
-            out.push((
-                nums.get(row).copied().flatten().map(f64::to_bits),
-                texts.get(row).cloned().flatten(),
-            ));
+fn check(seq: Cow<'_, SignalSequence>, rules: &RuleSet) -> Result<Dedup> {
+    let schema = seq.frame.schema();
+    let bus_idx = schema.index_of(c::BUS)?;
+    let num_idx = schema.index_of(c::VALUE_NUM)?;
+    let text_idx = schema.index_of(c::VALUE_TEXT)?;
+    let parts = seq.frame.partitions();
+
+    // One pass: a channel code per row. A split sequence shares one `Arc`
+    // per channel, so a cell resolves by pointer; by content only when
+    // every cell is its own `Arc`.
+    let mut names: Vec<&Arc<str>> = Vec::new();
+    let mut codes: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
+    for batch in parts {
+        let buses = batch.column(bus_idx).as_str_slice().unwrap_or(&[]);
+        let mut part_codes = Vec::with_capacity(buses.len());
+        for bus in buses {
+            part_codes.push(match bus {
+                None => NO_CHANNEL,
+                Some(bus) => names
+                    .iter()
+                    .position(|n| Arc::ptr_eq(n, bus))
+                    .or_else(|| names.iter().position(|n| *n == bus))
+                    .unwrap_or_else(|| {
+                        names.push(bus);
+                        names.len() - 1
+                    }) as u32,
+            });
         }
+        codes.push(part_codes);
     }
-    Ok(out)
+    if names.len() <= 1 {
+        // At most one channel (none when no row names one): the sequence
+        // is its own representative.
+        let representative_channel = names.first().map(|n| n.to_string()).unwrap_or_default();
+        return Ok(Dedup {
+            representative: seq.into_owned(),
+            representative_channel,
+            corresponding: Vec::new(),
+            mismatched: Vec::new(),
+        });
+    }
+
+    // Channel codes in lexicographic name order.
+    let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
+    by_name.sort_by_key(|&code| names[code as usize]);
+    let rep = rules
+        .rules()
+        .iter()
+        .find(|r| r.signal == seq.signal && r.info.home_channel)
+        .and_then(|r| names.iter().position(|n| n.as_ref() == r.bus.as_str()))
+        .map_or(by_name[0], |home| home as u32);
+
+    // A channel's value stream — the compared element of `e` is
+    // `(v_num bits, v_text content)` — read in place, in time order.
+    let values_of = |channel: u32| {
+        parts.iter().zip(&codes).flat_map(move |(batch, codes)| {
+            let nums = batch.column(num_idx).as_float_slice();
+            let texts = batch.column(text_idx).as_str_slice();
+            (0..codes.len())
+                .filter(move |&row| codes[row] == channel)
+                .map(move |row| {
+                    (
+                        nums.and_then(|v| v[row]).map(f64::to_bits),
+                        texts.and_then(|v| v[row].as_deref()),
+                    )
+                })
+        })
+    };
+    let mut corresponding = Vec::new();
+    let mut mismatched = Vec::new();
+    for &channel in by_name.iter().filter(|&&channel| channel != rep) {
+        let list = if values_of(channel).eq(values_of(rep)) {
+            &mut corresponding
+        } else {
+            &mut mismatched
+        };
+        list.push(names[channel as usize].to_string());
+    }
+
+    // Gather the representative's rows only, partition by partition.
+    let rep_parts = parts
+        .iter()
+        .zip(&codes)
+        .map(|(batch, codes)| {
+            let rows: Vec<usize> = (0..codes.len()).filter(|&row| codes[row] == rep).collect();
+            batch.take(&rows)
+        })
+        .collect();
+    Ok(Dedup {
+        representative: SignalSequence {
+            signal: seq.signal.clone(),
+            frame: DataFrame::from_partitions(schema.clone(), rep_parts)?,
+        },
+        representative_channel: names[rep as usize].to_string(),
+        corresponding,
+        mismatched,
+    })
 }
 
 #[cfg(test)]
@@ -247,6 +277,254 @@ mod tests {
         let s = seq(vec![(1.0, "ZC", Some(1.0)), (1.1, "AC", Some(1.0))]);
         let d = deduplicate(&s, &RuleSet::new()).unwrap();
         assert_eq!(d.representative_channel, "AC");
+    }
+
+    /// The equality check as it was before it compared in place: the
+    /// channels from a sort of every bus cell, one filter pass and one
+    /// materialized `(v_num bits, v_text)` signature vector per channel.
+    fn oracle(seq: &SignalSequence, rules: &RuleSet) -> Dedup {
+        let channels = seq.channels().unwrap();
+        if channels.len() <= 1 {
+            return Dedup {
+                representative: seq.clone(),
+                representative_channel: channels.into_iter().next().unwrap_or_default(),
+                corresponding: Vec::new(),
+                mismatched: Vec::new(),
+            };
+        }
+        let home = rules
+            .rules()
+            .iter()
+            .find(|r| r.signal == seq.signal && r.info.home_channel)
+            .map(|r| r.bus.clone());
+        let representative_channel = home
+            .filter(|h| channels.contains(h))
+            .unwrap_or_else(|| channels[0].clone());
+        let schema = seq.frame.schema();
+        let bus_idx = schema.index_of(c::BUS).unwrap();
+        let per_channel = |bus: &str| {
+            let parts = seq.frame.partitions().iter().map(|batch| {
+                let buses = batch.column(bus_idx).as_str_slice().unwrap();
+                let mask: Vec<bool> = buses.iter().map(|b| b.as_deref() == Some(bus)).collect();
+                batch.filter(&mask).unwrap()
+            });
+            DataFrame::from_partitions(schema.clone(), parts.collect()).unwrap()
+        };
+        let signature = |frame: &DataFrame| -> Vec<(Option<u64>, Option<Arc<str>>)> {
+            let seq = SignalSequence {
+                signal: String::new(),
+                frame: frame.clone(),
+            };
+            let nums = seq.numeric_values().unwrap();
+            let texts = seq.text_values().unwrap();
+            nums.into_iter()
+                .map(|v| v.map(f64::to_bits))
+                .zip(texts)
+                .collect()
+        };
+        let rep_frame = per_channel(&representative_channel);
+        let rep_values = signature(&rep_frame);
+        let (mut corresponding, mut mismatched) = (Vec::new(), Vec::new());
+        for ch in channels.iter().filter(|ch| **ch != representative_channel) {
+            if signature(&per_channel(ch)) == rep_values {
+                corresponding.push(ch.clone());
+            } else {
+                mismatched.push(ch.clone());
+            }
+        }
+        Dedup {
+            representative: SignalSequence {
+                signal: seq.signal.clone(),
+                frame: rep_frame,
+            },
+            representative_channel,
+            corresponding,
+            mismatched,
+        }
+    }
+
+    /// `deduplicate` and `deduplicate_owned` against the oracle: channel
+    /// verdicts, and the representative partition by partition, cell by
+    /// cell (floats by bit pattern).
+    fn checked(seq: &SignalSequence, rules: &RuleSet) -> Dedup {
+        let cells = |d: &Dedup| -> Vec<Vec<Vec<String>>> {
+            let parts = d.representative.frame.partitions().iter();
+            parts
+                .map(|b| {
+                    let cell = |v: Value| match v {
+                        Value::Float(f) => format!("{:#x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    };
+                    (0..b.num_rows())
+                        .map(|r| b.row(r).into_iter().map(cell).collect())
+                        .collect()
+                })
+                .collect()
+        };
+        let expect = oracle(seq, rules);
+        let borrowed = deduplicate(seq, rules).unwrap();
+        let owned = deduplicate_owned(seq.clone(), rules).unwrap();
+        for got in [&borrowed, &owned] {
+            assert_eq!(got.representative_channel, expect.representative_channel);
+            assert_eq!(got.corresponding, expect.corresponding);
+            assert_eq!(got.mismatched, expect.mismatched);
+            assert_eq!(got.representative.signal, expect.representative.signal);
+            assert_eq!(cells(got), cells(&expect));
+        }
+        borrowed
+    }
+
+    /// A `wpos` sequence from `(t, bus, v_num, v_text)` rows, one inner
+    /// vector per partition; every cell is its own `Arc`.
+    #[allow(clippy::type_complexity)]
+    fn seq_parts(
+        parts: Vec<Vec<(f64, Option<&str>, Option<f64>, Option<&str>)>>,
+    ) -> SignalSequence {
+        let batches = parts.into_iter().map(|rows| {
+            Batch::from_rows(
+                signal_schema(),
+                rows.into_iter().map(|(t, bus, num, text)| {
+                    vec![
+                        Value::Float(t),
+                        Value::from("wpos"),
+                        bus.map_or(Value::Null, Value::from),
+                        Value::from(num),
+                        text.map_or(Value::Null, Value::from),
+                    ]
+                }),
+            )
+            .unwrap()
+        });
+        SignalSequence {
+            signal: "wpos".into(),
+            frame: DataFrame::from_partitions(signal_schema(), batches.collect()).unwrap(),
+        }
+    }
+
+    #[test]
+    fn existing_cases_match_the_oracle() {
+        let rules = rules_with_home("FC");
+        for rows in [
+            vec![(2.0, "FC", Some(45.0)), (2.1, "DC", Some(45.0))],
+            vec![(2.0, "FC", Some(45.0)), (2.1, "DC", Some(44.0))],
+            vec![(1.0, "FC", Some(1.0)), (2.0, "FC", Some(2.0))],
+            vec![(1.0, "ZC", Some(1.0)), (1.1, "AC", Some(1.0))],
+            vec![],
+        ] {
+            checked(&seq(rows), &rules);
+        }
+    }
+
+    #[test]
+    fn representative_keeps_the_partition_structure() {
+        let s = seq_parts(vec![
+            vec![
+                (1.0, Some("FC"), Some(1.0), None),
+                (1.1, Some("DC"), Some(1.0), None),
+            ],
+            vec![(1.2, Some("DC"), Some(2.0), None)], // no representative row
+            vec![],
+            vec![
+                (2.0, Some("FC"), Some(2.0), None),
+                (2.1, None, Some(9.0), None), // null channel: in no copy
+                (3.0, Some("FC"), Some(3.0), None),
+                (3.1, Some("DC"), Some(3.0), None),
+            ],
+        ]);
+        let d = checked(&s, &rules_with_home("FC"));
+        assert_eq!(d.corresponding, ["DC"]);
+        let rows: Vec<usize> = d
+            .representative
+            .frame
+            .partitions()
+            .iter()
+            .map(Batch::num_rows)
+            .collect();
+        assert_eq!(rows, [1, 0, 0, 2]);
+    }
+
+    #[test]
+    fn three_channels_last_row_and_length_mismatches() {
+        let mut rows = Vec::new();
+        for i in 0..50 {
+            let v = Some(f64::from(i));
+            rows.push((f64::from(i), Some("FC"), v, None));
+            // BC disagrees in its last row only; AC lacks the last row.
+            let bc = if i == 49 { Some(-1.0) } else { v };
+            rows.push((f64::from(i) + 0.1, Some("BC"), bc, None));
+            if i < 49 {
+                rows.push((f64::from(i) + 0.2, Some("AC"), v, None));
+            }
+            rows.push((f64::from(i) + 0.3, Some("DC"), v, None));
+        }
+        let d = checked(&seq_parts(vec![rows]), &rules_with_home("FC"));
+        assert_eq!(d.representative_channel, "FC");
+        assert_eq!(d.corresponding, ["DC"]);
+        assert_eq!(d.mismatched, ["AC", "BC"]);
+        assert_eq!(d.representative.len(), 50);
+    }
+
+    #[test]
+    fn text_values_compare_by_content() {
+        // Every label cell is a distinct `Arc`: pointer equality would call
+        // the copies different.
+        let s = seq_parts(vec![vec![
+            (1.0, Some("FC"), None, Some("ON")),
+            (1.1, Some("DC"), None, Some("ON")),
+            (1.2, Some("EC"), None, Some("ON")),
+            (2.0, Some("FC"), None, Some("OFF")),
+            (2.1, Some("DC"), None, Some("OFF")),
+            (2.2, Some("EC"), None, Some("off")),
+        ]]);
+        let d = checked(&s, &rules_with_home("FC"));
+        assert_eq!(d.corresponding, ["DC"]);
+        assert_eq!(d.mismatched, ["EC"]);
+    }
+
+    #[test]
+    fn numeric_values_compare_by_bit_pattern() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        let s = seq_parts(vec![vec![
+            (1.0, Some("FC"), Some(0.0), None),
+            (1.1, Some("DC"), Some(-0.0), None), // equal as floats, not as bits
+            (1.2, Some("EC"), Some(0.0), None),
+            (1.3, Some("GC"), Some(0.0), None),
+            (2.0, Some("FC"), Some(quiet), None),
+            (2.1, Some("DC"), Some(quiet), None),
+            (2.2, Some("EC"), Some(quiet), None), // NaN == NaN by bits
+            (2.3, Some("GC"), Some(payload), None),
+        ]]);
+        let d = checked(&s, &rules_with_home("FC"));
+        assert_eq!(d.corresponding, ["EC"]);
+        assert_eq!(d.mismatched, ["DC", "GC"]);
+    }
+
+    #[test]
+    fn absent_home_falls_back_to_smallest_channel() {
+        // The rules name FC home, the data never saw it.
+        let s = seq_parts(vec![vec![
+            (1.0, Some("ZC"), Some(1.0), None),
+            (1.1, Some("DC"), Some(1.0), None),
+        ]]);
+        let d = checked(&s, &rules_with_home("FC"));
+        assert_eq!(d.representative_channel, "DC");
+        assert_eq!(d.corresponding, ["ZC"]);
+    }
+
+    #[test]
+    fn owned_single_channel_sequence_is_moved_not_copied() {
+        let s = seq(vec![(1.0, "FC", Some(1.0)), (2.0, "FC", Some(2.0))]);
+        let cell = |s: &SignalSequence| {
+            s.frame.partitions()[0]
+                .column(0)
+                .as_float_slice()
+                .unwrap()
+                .as_ptr()
+        };
+        let before = cell(&s);
+        let d = deduplicate_owned(s, &RuleSet::new()).unwrap();
+        assert_eq!(cell(&d.representative), before, "same column buffer");
     }
 
     #[test]

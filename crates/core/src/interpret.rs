@@ -14,10 +14,12 @@
 //!   mirroring the paper's Spark plan operator by operator. The join
 //!   materializes `K_pre ⋈ U_comb`, duplicating each payload row once per
 //!   matching rule.
-//! * [`interpret_fused`] — the production kernel: one pass per partition
-//!   that probes the broadcast rule table and decodes in place, so neither
-//!   `K_pre` nor the joined intermediate ever hits memory. Property tests
-//!   assert it stays bit-identical to the reference path.
+//! * [`Kernel`] ([`interpret_fused`]) — the production kernel: one pass
+//!   per partition that probes the broadcast rule table and decodes in
+//!   place, so neither `K_pre` nor the joined intermediate ever hits
+//!   memory. Property tests assert it stays bit-identical to the reference
+//!   path. It is compiled once per pipeline and emits either `K_s` or, for
+//!   sessions, straight into the per-signal sequences of line 8.
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
@@ -29,6 +31,7 @@ use ivnt_store::Record;
 
 use crate::error::Result;
 use crate::rules::{load_window, DecodePlan, PlanDecoded, Rule, RuleSet};
+use crate::split::{SequenceBuilder, SignalRuns, SignalSequence};
 use crate::tabular::columns as c;
 
 /// Internal column: the joined rule index.
@@ -304,17 +307,20 @@ impl RuleLut {
 /// Record-level preselection (line 3) for in-memory traces, the twin of
 /// the store's scan predicate: keeps exactly the records the fused kernel
 /// would admit, within an inclusive µs window, before any becomes cells.
-pub(crate) struct RecordSelector {
+pub(crate) struct RecordSelector<'k> {
     /// `None`: every message (the session does not preselect).
-    lut: Option<RuleLut>,
+    lut: Option<&'k RuleLut>,
     window_us: RangeInclusive<u64>,
 }
 
-impl RecordSelector {
-    pub(crate) fn new(u_comb: Option<&RuleSet>, window_us: Option<(u64, u64)>) -> RecordSelector {
+impl<'k> RecordSelector<'k> {
+    pub(crate) fn new(
+        kernel: Option<&'k Kernel>,
+        window_us: Option<(u64, u64)>,
+    ) -> RecordSelector<'k> {
         let (from, to) = window_us.unwrap_or((0, u64::MAX));
         RecordSelector {
-            lut: u_comb.map(RuleLut::build),
+            lut: kernel.map(|k| &k.lut),
             window_us: from..=to,
         }
     }
@@ -325,7 +331,7 @@ impl RecordSelector {
         let admits = |r: &&Record| {
             let mid = i64::from(r.message_id);
             self.window_us.contains(&r.timestamp_us)
-                && self.lut.as_ref().is_none_or(|lut| {
+                && self.lut.is_none_or(|lut| {
                     lut.prefilter.admits(mid) && lut.probe_group(&r.bus, mid, &mut probe).is_some()
                 })
         };
@@ -371,7 +377,7 @@ pub fn preselect(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
     Ok(DataFrame::from_partitions(raw.schema().clone(), parts)?.with_executor(raw.executor()))
 }
 
-fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<Arc<str>>]> {
+pub(crate) fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<Arc<str>>]> {
     batch
         .column(idx)
         .as_str_slice()
@@ -391,7 +397,7 @@ fn int_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<i64>]> {
         })
 }
 
-fn float_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<f64>]> {
+pub(crate) fn float_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<f64>]> {
     batch
         .column(idx)
         .as_float_slice()
@@ -698,7 +704,12 @@ struct FusedGroup {
 /// The compiled broadcast side of the batch-columnar kernel: the probe LUT
 /// plus, per rule, its [`DecodePlan`] and dictionary-encoded signal name,
 /// and per group an optional fused payload window.
-struct Kernel {
+///
+/// Compiling is the expensive part of a small decode (every rule becomes a
+/// plan, every message a fused window), so a [`Pipeline`]
+/// (crate::pipeline::Pipeline) compiles its `U_comb` once and every
+/// partition, row group, planner pass and stream micro-batch reuses it.
+pub struct Kernel {
     lut: RuleLut,
     plans: Vec<DecodePlan>,
     /// Per rule: index into `signal_names`.
@@ -708,8 +719,19 @@ struct Kernel {
     fused: Vec<Option<FusedGroup>>,
 }
 
+impl std::fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Kernel")
+            .field("rules", &self.plans.len())
+            .field("signals", &self.signal_names.len())
+            .finish_non_exhaustive()
+    }
+}
+
 impl Kernel {
-    fn build(u_comb: &RuleSet) -> Kernel {
+    /// Compiles `u_comb`: rules to [`DecodePlan`]s, once.
+    pub fn compile(u_comb: &RuleSet) -> Kernel {
+        ivnt_obs::with(|r| r.add("interpret_kernel_builds_total", 1));
         let lut = RuleLut::build(u_comb);
         let plans: Vec<DecodePlan> = u_comb.rules().iter().map(DecodePlan::compile).collect();
         let mut signal_names: Vec<Arc<str>> = Vec::new();
@@ -904,12 +926,15 @@ impl Kernel {
 /// [`RoutedBuilders`] monomorphize separately — the solo path pays
 /// nothing for routing support.
 trait EmitSink {
+    /// Hint: the batch about to be decoded emits at most `upper` rows.
+    fn reserve(&mut self, upper: usize);
     fn push(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded);
 }
 
 /// Pre-sized dictionary-encoded output builders for the signal table:
 /// signal and bus are `u32` dictionary indices while decoding, turned
 /// into shared `Arc<str>` columns once per batch.
+#[derive(Default)]
 struct Builders {
     t: Vec<Option<f64>>,
     s: Vec<u32>,
@@ -918,19 +943,17 @@ struct Builders {
     text: Vec<Option<Arc<str>>>,
 }
 
-impl Builders {
-    fn with_capacity(n: usize) -> Builders {
-        Builders {
-            t: Vec::with_capacity(n),
-            s: Vec::with_capacity(n),
-            b: Vec::with_capacity(n),
-            num: Vec::with_capacity(n),
-            text: Vec::with_capacity(n),
-        }
+impl EmitSink for Builders {
+    fn reserve(&mut self, upper: usize) {
+        self.t.reserve(upper);
+        self.s.reserve(upper);
+        self.b.reserve(upper);
+        self.num.reserve(upper);
+        self.text.reserve(upper);
     }
 
     #[inline]
-    fn push_row(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded) {
+    fn push(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded) {
         self.t.push(t);
         self.s.push(s);
         self.b.push(b);
@@ -949,7 +972,9 @@ impl Builders {
             }
         }
     }
+}
 
+impl Builders {
     /// Materializes the dictionary columns — one shared `Arc<str>` per
     /// distinct signal/bus, cloned in a tight index loop — and assembles
     /// the output batch.
@@ -977,13 +1002,6 @@ impl Builders {
     }
 }
 
-impl EmitSink for Builders {
-    #[inline]
-    fn push(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded) {
-        self.push_row(t, s, b, decoded);
-    }
-}
-
 /// N per-query [`Builders`] behind one signal-index route table: the
 /// multi-query planner's union kernel emits each decoded row straight
 /// into its owning query's output, so no post-hoc routing pass (name
@@ -996,15 +1014,11 @@ struct RoutedBuilders<'r> {
 
 impl<'r> RoutedBuilders<'r> {
     /// `route` maps kernel signal index → output slot; slots `>= lanes`
-    /// are clamped to the discard lane by the caller. `upper` is the
-    /// whole batch's emission bound, split evenly as a pre-size hint.
-    fn with_capacity(route: &'r [u32], lanes: usize, upper: usize) -> RoutedBuilders<'r> {
-        let per = upper / lanes.max(1) + 1;
+    /// are clamped to the discard lane by the caller.
+    fn new(route: &'r [u32], lanes: usize) -> RoutedBuilders<'r> {
         RoutedBuilders {
             route,
-            outs: (0..lanes + 1)
-                .map(|_| Builders::with_capacity(per))
-                .collect(),
+            outs: (0..lanes + 1).map(|_| Builders::default()).collect(),
         }
     }
 
@@ -1019,9 +1033,35 @@ impl<'r> RoutedBuilders<'r> {
 }
 
 impl EmitSink for RoutedBuilders<'_> {
+    /// The batch's emission bound, split evenly across the query lanes.
+    fn reserve(&mut self, upper: usize) {
+        let per = upper / (self.outs.len() - 1).max(1) + 1;
+        for out in &mut self.outs {
+            out.reserve(per);
+        }
+    }
+
     #[inline]
     fn push(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded) {
-        self.outs[self.route[s as usize] as usize].push_row(t, s, b, decoded);
+        self.outs[self.route[s as usize] as usize].push(t, s, b, decoded);
+    }
+}
+
+/// The per-signal sink: rows land in their signal's columns as they are
+/// decoded, so line 8's split costs nothing after the kernel. Unsized up
+/// front — an even share of `upper` per signal would over-allocate every
+/// slow signal, and the columns grow across a whole job, not per batch.
+impl EmitSink for SignalRuns {
+    fn reserve(&mut self, _upper: usize) {}
+
+    #[inline]
+    fn push(&mut self, t: Option<f64>, s: u32, b: u32, decoded: PlanDecoded) {
+        let (num, text) = match decoded {
+            PlanDecoded::Num(v) => (Some(v), None),
+            PlanDecoded::Text(label) => (None, Some(label)),
+            PlanDecoded::Null | PlanDecoded::Absent => (None, None),
+        };
+        self.push_row(s, t, b, num, text);
     }
 }
 
@@ -1087,6 +1127,108 @@ impl<'a> RunScanner<'a> {
     }
 }
 
+impl Kernel {
+    /// `K_s` of `raw`, one output partition per input partition, mapped
+    /// over `raw`'s executor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn extract(&self, raw: &DataFrame) -> Result<DataFrame> {
+        let parts: Vec<Batch> = raw
+            .executor()
+            .try_map_ref(raw.partitions(), |batch| self.extract_batch(batch))?;
+        Ok(DataFrame::from_partitions(signal_schema(), parts)?.with_executor(raw.executor()))
+    }
+
+    /// `K_s` of one raw batch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn extract_batch(&self, raw: &Batch) -> Result<Batch> {
+        let mut out = Builders::default();
+        decode_batch(self, raw, &mut out)?;
+        Ok(out.into_batch(&signal_schema(), self)?)
+    }
+
+    /// Multi-query interpretation: one pass over a union rule set whose
+    /// emissions are routed at the emission site into `n_routes` per-query
+    /// outputs.
+    ///
+    /// `route_of` maps a signal name to its owning route; values `>=
+    /// n_routes` send that signal's rows to a discard lane. Routing happens
+    /// *inside* the kernel's emit step (an index load per emitted row), so
+    /// answering N disjoint queries costs one decode plus one table build
+    /// per query — no name hashing or gather over the emitted rows.
+    ///
+    /// Returns `out[route]` = one batch per input partition, in partition
+    /// order. For each route, concatenating its batches yields exactly the
+    /// rows (and row order) that [`extract_signals`] over the same input
+    /// with only that route's rules would produce, provided no signal name
+    /// is claimed by two routes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn extract_routed(
+        &self,
+        raw: &DataFrame,
+        n_routes: usize,
+        route_of: impl Fn(&str) -> usize,
+    ) -> Result<Vec<Vec<Batch>>> {
+        let out_schema = signal_schema();
+        // Signal index → route; out-of-range claims clamp to the discard
+        // lane.
+        let route: Vec<u32> = self
+            .signal_names
+            .iter()
+            .map(|s| route_of(s).min(n_routes) as u32)
+            .collect();
+        let per_part: Vec<Vec<Batch>> =
+            raw.executor()
+                .try_map_ref(raw.partitions(), |batch| -> Result<_> {
+                    let mut out = RoutedBuilders::new(&route, n_routes);
+                    decode_batch(self, batch, &mut out)?;
+                    Ok(out.into_batches(&out_schema, self)?)
+                })?;
+
+        let mut out: Vec<Vec<Batch>> = (0..n_routes)
+            .map(|_| Vec::with_capacity(per_part.len()))
+            .collect();
+        for batches in per_part {
+            for (qi, batch) in batches.into_iter().enumerate() {
+                out[qi].push(batch);
+            }
+        }
+        Ok(out)
+    }
+
+    /// One raw batch decoded into `runs`, a sink of this kernel's
+    /// [`sequence_builder`](Kernel::sequence_builder).
+    pub(crate) fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
+        Ok(decode_batch(self, raw, runs)?)
+    }
+
+    /// A [`SequenceBuilder`] over this kernel's signal and bus codes.
+    pub(crate) fn sequence_builder(&self) -> SequenceBuilder {
+        SequenceBuilder::with_dictionaries(&self.signal_names, &self.lut.interner.buses)
+    }
+
+    /// Lines 3–8 of one raw batch (a stream micro-batch): decoded straight
+    /// into per-signal sequences, identical to
+    /// `split_by_signal(&extract_signals(..))` without the table between.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn sequences(&self, raw: &Batch) -> Result<Vec<SignalSequence>> {
+        let mut builder = self.sequence_builder();
+        self.decode_runs(raw, builder.runs_mut())?;
+        builder.finish()
+    }
+}
+
 /// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules
 /// are compiled to [`DecodePlan`]s once per query, rows are grouped into
 /// `(bus, m_id)` runs probed once each, and all signals of a message
@@ -1102,116 +1244,31 @@ impl<'a> RunScanner<'a> {
 /// rule hits are emitted in ascending rule order, matching the reference
 /// join's build-insertion order.
 ///
+/// Compiles a [`Kernel`] per call; hold one (as [`Pipeline`]
+/// (crate::pipeline::Pipeline) does) to decode many frames.
+///
 /// # Errors
 ///
 /// Propagates tabular-engine failures.
 pub fn interpret_fused(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
-    let schema = raw.schema();
-    let idx = BatchCols {
-        t: schema.index_of(c::T)?,
-        bus: schema.index_of(c::BUS)?,
-        mid: schema.index_of(c::MESSAGE_ID)?,
-        payload: schema.index_of(c::PAYLOAD)?,
-    };
-    let out_schema = signal_schema();
-    let kernel = Kernel::build(u_comb);
-
-    let parts: Vec<Batch> = raw
-        .executor()
-        .map_ref(raw.partitions(), |batch| {
-            decode_batch(&kernel, batch, idx, &Builders::with_capacity)?
-                .into_batch(&out_schema, &kernel)
-        })
-        .into_iter()
-        .collect::<std::result::Result<_, _>>()?;
-    Ok(DataFrame::from_partitions(out_schema, parts)?.with_executor(raw.executor()))
+    Kernel::compile(u_comb).extract(raw)
 }
 
-/// Multi-query interpretation: one union-kernel pass whose emissions are
-/// routed at the emission site into `n_routes` per-query outputs.
-///
-/// `route_of` maps a signal name to its owning route; values `>=
-/// n_routes` send that signal's rows to a discard lane. Routing happens
-/// *inside* the kernel's emit step (an index load per emitted row), so
-/// answering N disjoint queries costs one decode plus one table build per
-/// query — no name hashing or gather over the emitted rows.
-///
-/// Returns `out[route]` = one batch per input partition, in partition
-/// order. For each route, concatenating its batches yields exactly the
-/// rows (and row order) that [`extract_signals`] over the same input
-/// with only that route's rules would produce, provided no signal name
-/// is claimed by two routes.
-///
-/// # Errors
-///
-/// Propagates tabular-engine failures.
-pub fn extract_signals_routed(
-    raw: &DataFrame,
-    u_comb: &RuleSet,
-    n_routes: usize,
-    route_of: impl Fn(&str) -> usize,
-) -> Result<Vec<Vec<Batch>>> {
-    let schema = raw.schema();
-    let idx = BatchCols {
-        t: schema.index_of(c::T)?,
-        bus: schema.index_of(c::BUS)?,
-        mid: schema.index_of(c::MESSAGE_ID)?,
-        payload: schema.index_of(c::PAYLOAD)?,
-    };
-    let out_schema = signal_schema();
-    let kernel = Kernel::build(u_comb);
-    // Signal index → route, resolved once per kernel; out-of-range
-    // claims clamp to the discard lane.
-    let route: Vec<u32> = kernel
-        .signal_names
-        .iter()
-        .map(|s| route_of(s).min(n_routes) as u32)
-        .collect();
-
-    let per_part: Vec<Vec<Batch>> = raw
-        .executor()
-        .map_ref(raw.partitions(), |batch| {
-            decode_batch(&kernel, batch, idx, &|upper| {
-                RoutedBuilders::with_capacity(&route, n_routes, upper)
-            })?
-            .into_batches(&out_schema, &kernel)
-        })
-        .into_iter()
-        .collect::<std::result::Result<_, _>>()?;
-
-    let mut out: Vec<Vec<Batch>> = (0..n_routes)
-        .map(|_| Vec::with_capacity(per_part.len()))
-        .collect();
-    for batches in per_part {
-        for (qi, batch) in batches.into_iter().enumerate() {
-            out[qi].push(batch);
-        }
-    }
-    Ok(out)
-}
-
-/// The raw-trace key/payload column indices one decode pass reads.
-#[derive(Clone, Copy)]
-struct BatchCols {
-    t: usize,
-    bus: usize,
-    mid: usize,
-    payload: usize,
-}
-
-/// One batch through the batch-columnar kernel into `new_sink(upper)`,
-/// where `upper` bounds the batch's emission count. Generic over the
-/// sink so the solo and routed paths share every decode line.
+/// One raw batch through the batch-columnar kernel into `out`, told the
+/// batch's emission bound first. Generic over the sink so the table,
+/// routed and per-signal paths share every decode line.
 fn decode_batch<S: EmitSink>(
     kernel: &Kernel,
     batch: &Batch,
-    idx: BatchCols,
-    new_sink: &impl Fn(usize) -> S,
-) -> ivnt_frame::Result<S> {
-    let ts = float_column(batch, idx.t)?;
-    let buses = str_column(batch, idx.bus)?;
-    let mids = int_column(batch, idx.mid)?;
-    let payloads = bytes_column(batch, idx.payload)?;
+    out: &mut S,
+) -> ivnt_frame::Result<()> {
+    let schema = batch.schema();
+    let (idx_bus, idx_mid) = (schema.index_of(c::BUS)?, schema.index_of(c::MESSAGE_ID)?);
+    let idx_payload = schema.index_of(c::PAYLOAD)?;
+    let ts = float_column(batch, schema.index_of(c::T)?)?;
+    let buses = str_column(batch, idx_bus)?;
+    let mids = int_column(batch, idx_mid)?;
+    let payloads = bytes_column(batch, idx_payload)?;
 
     match &kernel.lut.prefilter {
         // Banded ids, two passes. The admit pass rejects the
@@ -1237,7 +1294,7 @@ fn decode_batch<S: EmitSink>(
             }
 
             let widest = kernel.lut.groups.iter().map(Vec::len).max().unwrap_or(0);
-            let mut out = new_sink(cand.len() * widest);
+            out.reserve(cand.len() * widest);
             let mut scan = RunScanner::new(&kernel.lut);
             // Far stage: request the column cells of the row
             // `FAR` candidates ahead; near stage: their cells are
@@ -1264,10 +1321,10 @@ fn decode_batch<S: EmitSink>(
                 // Probe once per (bus, m_id) run; the memo makes
                 // every later row of a run a three-compare no-op.
                 if let Some((group, bus_id)) = scan.probe_memo(bus, mid) {
-                    kernel.dispatch_row(group, payloads[row].as_deref(), ts[row], bus_id, &mut out);
+                    kernel.dispatch_row(group, payloads[row].as_deref(), ts[row], bus_id, out);
                 }
             }
-            Ok(out)
+            Ok(())
         }
         // Wide ids: no cache-resident prefilter exists, so scan
         // with the probe-every-row pass into a run list, then
@@ -1277,16 +1334,16 @@ fn decode_batch<S: EmitSink>(
         // payloads only when a sizeable share of rows decodes.
         MidFilter::Wide => {
             let keys_dense =
-                !batch.column(idx.bus).has_nulls() && !batch.column(idx.mid).has_nulls();
+                !batch.column(idx_bus).has_nulls() && !batch.column(idx_mid).has_nulls();
             let runs = kernel.scan_runs(buses, mids, keys_dense);
             let hit_rows: usize = runs.iter().map(|r| r.len).sum();
             let payloads_dense =
-                hit_rows * 4 >= batch.num_rows() && !batch.column(idx.payload).has_nulls();
+                hit_rows * 4 >= batch.num_rows() && !batch.column(idx_payload).has_nulls();
             let upper: usize = runs
                 .iter()
                 .map(|r| r.len * kernel.lut.groups[r.group as usize].len())
                 .sum();
-            let mut out = new_sink(upper);
+            out.reserve(upper);
             for run in &runs {
                 let group_rules = kernel.lut.groups[run.group as usize].as_slice();
                 let rows = run.start..run.start + run.len;
@@ -1298,16 +1355,9 @@ fn decode_batch<S: EmitSink>(
                         for row in rows {
                             let p = payloads[row].as_deref().unwrap_or_default();
                             if p.len() >= end {
-                                kernel.decode_row_fused(
-                                    f,
-                                    group_rules,
-                                    p,
-                                    ts[row],
-                                    run.bus,
-                                    &mut out,
-                                );
+                                kernel.decode_row_fused(f, group_rules, p, ts[row], run.bus, out);
                             } else {
-                                kernel.decode_row_plans(group_rules, p, ts[row], run.bus, &mut out);
+                                kernel.decode_row_plans(group_rules, p, ts[row], run.bus, out);
                             }
                         }
                     }
@@ -1318,13 +1368,13 @@ fn decode_batch<S: EmitSink>(
                                 payloads[row].as_deref(),
                                 ts[row],
                                 run.bus,
-                                &mut out,
+                                out,
                             );
                         }
                     }
                 }
             }
-            Ok(out)
+            Ok(())
         }
     }
 }
@@ -1341,7 +1391,7 @@ pub fn run_length_histogram(raw: &DataFrame, u_comb: &RuleSet) -> Result<Vec<u64
     let schema = raw.schema();
     let idx_bus = schema.index_of(c::BUS)?;
     let idx_mid = schema.index_of(c::MESSAGE_ID)?;
-    let kernel = Kernel::build(u_comb);
+    let kernel = Kernel::compile(u_comb);
     let mut hist: Vec<u64> = Vec::new();
     for batch in raw.partitions() {
         let buses = str_column(batch, idx_bus)?;

@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ivnt_frame::prelude::*;
@@ -26,10 +26,10 @@ use ivnt_store::{ScanStats, StoreReader};
 
 use crate::branch::{process, BranchConfig};
 use crate::classify::{classify, Classification, ClassifyConfig};
-use crate::dedup::{deduplicate, Dedup};
+use crate::dedup::{deduplicate_owned, Dedup};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
-use crate::interpret::{extract_signals, RecordSelector};
+use crate::interpret::{Kernel, RecordSelector};
 use crate::reduce::{apply_constraints, ConditionFn, Constraint};
 use crate::represent::{merge_results, state_representation};
 use crate::rules::{RuleCatalog, RuleSet};
@@ -294,6 +294,22 @@ struct SignalResult {
     stages: SignalStageSecs,
 }
 
+/// Scans `reader` under `pred`, handing each surviving row group to `each`
+/// as one raw batch, in group order.
+fn scan_groups<R: Read + Seek>(
+    reader: &mut StoreReader<R>,
+    pred: &ivnt_store::Predicate,
+    mut each: impl FnMut(Batch) -> Result<()>,
+) -> Result<ScanStats> {
+    let raw_schema = crate::tabular::raw_schema();
+    reader.scan::<Error, _>(pred, |group| {
+        each(ivnt_store::schema::records_to_batch(
+            raw_schema.clone(),
+            &group,
+        )?)
+    })
+}
+
 /// Where a [`Session`] reads its input rows from.
 pub enum Source<'a, R: Read + Seek = BufReader<File>> {
     /// An in-memory trace (simulated or recorded).
@@ -487,9 +503,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
-        let (Extraction { frame: ks, .. }, _) =
-            p.extract_source(opts.source, opts.preselection, opts.time_window)?;
-        let seqs = split_by_signal(&ks)?;
+        let (seqs, ..) = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         let task = |seq: SignalSequence| {
             let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
             let reduced = p.reduce_representative(&dedup)?;
@@ -519,13 +533,13 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let _guard = opts.subscriber.map(ivnt_obs::install);
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
         let t_run = Instant::now();
-        let (extraction, tabular_secs) =
-            p.extract_source(opts.source, opts.preselection, opts.time_window)?;
-        let interpret_secs = t_run.elapsed().as_secs_f64() - tabular_secs;
+        let (seqs, tabular_secs, split_secs) =
+            p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
+        let interpret_secs = t_run.elapsed().as_secs_f64() - tabular_secs - split_secs;
         // A 1-worker scatter is pure overhead (channel round-trips, same
         // order): take the serial per-signal loop instead.
         let parallel = !opts.serial && p.effective_workers() > 1;
-        let mut output = p.run_from_ks(extraction.frame, t_run, interpret_secs, parallel)?;
+        let mut output = p.run_from_sequences(seqs, t_run, interpret_secs, split_secs, parallel)?;
         output.timing.tabular = tabular_secs;
         Ok(output)
     }
@@ -561,6 +575,9 @@ pub struct Pipeline {
     u_rel: RuleSet,
     u_comb: RuleSet,
     profile: DomainProfile,
+    /// `u_comb` compiled, on first use; clones (a session's worker
+    /// override) share it.
+    kernel: Arc<OnceLock<Kernel>>,
 }
 
 impl Pipeline {
@@ -588,6 +605,7 @@ impl Pipeline {
             u_rel,
             u_comb,
             profile,
+            kernel: Arc::default(),
         })
     }
 
@@ -618,6 +636,13 @@ impl Pipeline {
         &self.profile
     }
 
+    /// The interpretation kernel compiled from `U_comb` — once per
+    /// pipeline, shared by every session, row group, partition and stream
+    /// micro-batch that decodes with it.
+    pub fn kernel(&self) -> &Kernel {
+        self.kernel.get_or_init(|| Kernel::compile(&self.u_comb))
+    }
+
     /// The trace as a partitioned frame carrying the profile's executor,
     /// holding only the rows `selector` keeps (all of them for `None`).
     fn raw_frame(&self, trace: &Trace, selector: Option<&RecordSelector>) -> Result<DataFrame> {
@@ -638,61 +663,143 @@ impl Pipeline {
         }
     }
 
-    /// Source-dispatched extraction (lines 3–6), shared by every session
-    /// method, with the seconds the trace→frame ingest took (0 for store
-    /// sources, whose ingest is part of the scan). Both preselect before
-    /// materializing: store sources by zone-map predicate, trace sources
-    /// by the same record predicate per partition slice.
+    /// The trace as a raw frame holding only what preselection (line 3)
+    /// and the window keep, with the seconds the ingest took.
+    fn ingest_trace(
+        &self,
+        trace: &Trace,
+        preselection: bool,
+        time_window: Option<(u64, u64)>,
+    ) -> Result<(DataFrame, f64)> {
+        let t = Instant::now();
+        let selector = RecordSelector::new(preselection.then(|| self.kernel()), time_window);
+        let raw = self.raw_frame(trace, Some(&selector))?;
+        let tabular_secs = t.elapsed().as_secs_f64();
+        ivnt_obs::with(|r| {
+            r.record_span("tabular", "run", tabular_secs);
+            r.add("tabular_rows_in_total", trace.len() as u64);
+            r.add("tabular_rows_kept_total", raw.num_rows() as u64);
+        });
+        Ok((raw, tabular_secs))
+    }
+
+    /// The scan predicate of a store session: the domain's preselection,
+    /// the session's window and, for a shard, its row-group range.
+    fn scan_predicate(
+        &self,
+        time_window: Option<(u64, u64)>,
+        groups: Option<Range<u32>>,
+    ) -> ivnt_store::Predicate {
+        let mut pred = self.store_predicate();
+        if let Some((from, to)) = time_window {
+            pred = pred.with_time_range_us(from, to);
+        }
+        if let Some(groups) = groups {
+            pred = pred.with_group_range(groups.start, groups.end);
+        }
+        pred
+    }
+
+    /// Source-dispatched extraction (lines 3–6) into the table `K_s`, with
+    /// the seconds the trace→frame ingest took (0 for store sources, whose
+    /// ingest is part of the scan). Both preselect before materializing:
+    /// store sources by zone-map predicate, trace sources by the same
+    /// record predicate per partition slice.
     fn extract_source<R: Read + Seek>(
         &self,
         source: Source<'_, R>,
         preselection: bool,
         time_window: Option<(u64, u64)>,
     ) -> Result<(Extraction, f64)> {
-        let windowed = |mut pred: ivnt_store::Predicate| {
-            if let Some((from, to)) = time_window {
-                pred = pred.with_time_range_us(from, to);
-            }
-            pred
-        };
-        match source {
+        let (reader, groups) = match source {
             Source::Trace(trace) => {
-                let t = Instant::now();
-                let selector =
-                    RecordSelector::new(preselection.then_some(&self.u_comb), time_window);
-                let raw = self.raw_frame(trace, Some(&selector))?;
-                let tabular_secs = t.elapsed().as_secs_f64();
-                ivnt_obs::with(|r| {
-                    r.record_span("tabular", "run", tabular_secs);
-                    r.add("tabular_rows_in_total", trace.len() as u64);
-                    r.add("tabular_rows_kept_total", raw.num_rows() as u64);
-                });
+                let (raw, tabular_secs) = self.ingest_trace(trace, preselection, time_window)?;
                 let frame = if preselection {
-                    extract_signals(&raw, &self.u_comb)?
+                    self.kernel().extract(&raw)?
                 } else {
                     crate::interpret::interpret(&raw, &self.u_comb)?
                 };
-                Ok((Extraction { frame, scan: None }, tabular_secs))
+                return Ok((Extraction { frame, scan: None }, tabular_secs));
+            }
+            Source::Store(reader) => (reader, None),
+            Source::StoreShard { reader, groups } => (reader, Some(groups)),
+        };
+        // No empty-batch padding for a shard: its partitions concatenate
+        // with its siblings', and only the whole must be non-empty.
+        let pad = groups.is_none();
+        // Each surviving row group is one morsel through the kernel and
+        // one output partition, in group order; pruned groups contribute
+        // nothing (matching the in-memory path, which never sees them).
+        let kernel = self.kernel();
+        let mut parts: Vec<Batch> = Vec::new();
+        let stats = scan_groups(reader, &self.scan_predicate(time_window, groups), |raw| {
+            parts.push(kernel.extract_batch(&raw)?);
+            Ok(())
+        })?;
+        if parts.is_empty() && pad {
+            parts.push(Batch::empty(crate::interpret::signal_schema()));
+        }
+        let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
+        Ok((Extraction { frame, scan }, 0.0))
+    }
+
+    /// Lines 3–8 with the split fused into the kernel's emission: the
+    /// source's rows decode straight into per-signal sequences, so `K_s`
+    /// is never built. Trace partitions decode in parallel into
+    /// per-partition sinks appended in partition order; store row groups
+    /// decode one after another into the builder itself. Only the
+    /// no-preselection ablation, whose reference join is not the kernel,
+    /// goes through `K_s`. Returns the sequences with the seconds of the
+    /// trace→frame ingest (0 for store sources) and of the builder's
+    /// `finish` — the split that is left: ordering check + column assembly.
+    fn extract_sequences<R: Read + Seek>(
+        &self,
+        source: Source<'_, R>,
+        preselection: bool,
+        time_window: Option<(u64, u64)>,
+    ) -> Result<(Vec<SignalSequence>, f64, f64)> {
+        let kernel = self.kernel();
+        let mut builder = kernel.sequence_builder();
+        let mut tabular = 0.0;
+        match source {
+            Source::Trace(trace) if preselection => {
+                let (raw, secs) = self.ingest_trace(trace, true, time_window)?;
+                tabular = secs;
+                let decoded =
+                    raw.executor()
+                        .try_map_ref(raw.partitions(), |batch| -> Result<_> {
+                            let mut runs = builder.new_runs();
+                            kernel.decode_runs(batch, &mut runs)?;
+                            Ok(runs)
+                        })?;
+                for runs in decoded {
+                    builder.append(runs);
+                }
+            }
+            Source::Trace(trace) => {
+                let (ks, secs) =
+                    self.extract_source(Source::<R>::Trace(trace), false, time_window)?;
+                tabular = secs;
+                for batch in ks.frame.partitions() {
+                    builder.push(batch)?;
+                }
             }
             Source::Store(reader) => {
-                let (mut parts, stats) =
-                    self.interpret_store_groups(reader, &windowed(self.store_predicate()))?;
-                if parts.is_empty() {
-                    parts.push(Batch::empty(crate::interpret::signal_schema()));
-                }
-                let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
-                Ok((Extraction { frame, scan }, 0.0))
+                let pred = self.scan_predicate(time_window, None);
+                scan_groups(reader, &pred, |raw| {
+                    kernel.decode_runs(&raw, builder.runs_mut())
+                })?;
             }
             Source::StoreShard { reader, groups } => {
-                let pred =
-                    windowed(self.store_predicate()).with_group_range(groups.start, groups.end);
-                // No empty-batch padding: a shard's partitions concatenate
-                // with its siblings', and only the whole must be non-empty.
-                let (parts, stats) = self.interpret_store_groups(reader, &pred)?;
-                let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
-                Ok((Extraction { frame, scan }, 0.0))
+                let pred = self.scan_predicate(time_window, Some(groups));
+                scan_groups(reader, &pred, |raw| {
+                    kernel.decode_runs(&raw, builder.runs_mut())
+                })?;
             }
         }
+        let t = Instant::now();
+        let seqs = builder.finish()?;
+        Ok((seqs, tabular, t.elapsed().as_secs_f64()))
     }
 
     /// Assembles interpreted partitions into a `K_s` frame carrying the
@@ -819,31 +926,6 @@ impl Pipeline {
             .into_partitions())
     }
 
-    /// Shared scan driver: each emitted row group becomes one morsel
-    /// through the fused interpretation kernel; its output partitions are
-    /// appended in group order. Groups the predicate prunes contribute
-    /// nothing (matching the in-memory path, which never sees their rows).
-    fn interpret_store_groups<R>(
-        &self,
-        reader: &mut ivnt_store::StoreReader<R>,
-        pred: &ivnt_store::Predicate,
-    ) -> Result<(Vec<Batch>, ivnt_store::ScanStats)>
-    where
-        R: std::io::Read + std::io::Seek,
-    {
-        let raw_schema = crate::tabular::raw_schema();
-        let mut parts: Vec<Batch> = Vec::new();
-        let stats = reader.scan::<Error, _>(pred, |group| {
-            let raw = ivnt_store::schema::records_to_batch(raw_schema.clone(), &group)
-                .map_err(Error::from)?;
-            let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
-            let interpreted = extract_signals(&morsel, &self.u_comb)?;
-            parts.extend(interpreted.partitions().iter().cloned());
-            Ok(())
-        })?;
-        Ok((parts, stats))
-    }
-
     /// Interpretation *without* preselection — the ablation showing why
     /// line 3 matters: every rule joins against every raw row.
     ///
@@ -902,7 +984,7 @@ impl Pipeline {
     /// representative's pre-reduction length.
     fn dedup_signal(&self, seq: SignalSequence) -> Result<(Dedup, usize)> {
         let dedup = if self.profile.dedup {
-            deduplicate(&seq, &self.u_comb)?
+            deduplicate_owned(seq, &self.u_comb)?
         } else {
             let representative_channel = seq.channels()?.into_iter().next().unwrap_or_default();
             Dedup {
@@ -1076,12 +1158,10 @@ impl Pipeline {
         self.session(RunOptions::trace(trace).serial()).run()
     }
 
-    /// Lines 7–29 + Sec. 4.3 from an already-extracted `K_s`: the shared
-    /// back half of every [`Session::run`], regardless of source.
-    /// `epoch` is the session's start (stage spans are offsets from it)
-    /// and `interpret_secs` the extraction time already spent. Public
+    /// Lines 7–29 + Sec. 4.3 from an already-extracted `K_s`. Public
     /// (hidden) for the multi-query planner, which extracts every query's
-    /// `K_s` from one shared scan and then runs each query's back half.
+    /// `K_s` from one shared scan — its routing lanes are per query, not
+    /// per signal — and then runs each query's back half.
     #[doc(hidden)]
     pub fn run_from_ks(
         &self,
@@ -1090,12 +1170,27 @@ impl Pipeline {
         interpret_secs: f64,
         parallel: bool,
     ) -> Result<PipelineOutput> {
-        ivnt_obs::with(|r| r.record_span("interpret", "run", interpret_secs));
-
         let t = Instant::now();
         let seqs = split_by_signal(&ks)?;
+        drop(ks);
         let split_secs = t.elapsed().as_secs_f64();
+        self.run_from_sequences(seqs, epoch, interpret_secs, split_secs, parallel)
+    }
+
+    /// Lines 9–29 + Sec. 4.3 from the per-signal sequences: the shared
+    /// back half of every run, regardless of source. `epoch` is the
+    /// session's start (stage spans are offsets from it), `interpret_secs`
+    /// and `split_secs` the time already spent getting here.
+    fn run_from_sequences(
+        &self,
+        seqs: Vec<SignalSequence>,
+        epoch: Instant,
+        interpret_secs: f64,
+        split_secs: f64,
+        parallel: bool,
+    ) -> Result<PipelineOutput> {
         ivnt_obs::with(|r| {
+            r.record_span("interpret", "run", interpret_secs);
             r.add("pipeline_runs_total", 1);
             r.add("pipeline_signals_total", seqs.len() as u64);
             r.record_span("split", "run", split_secs);
@@ -1194,7 +1289,7 @@ impl Pipeline {
     ///
     /// Propagates tabular-engine failures.
     pub fn preselect(&self, trace: &Trace) -> Result<DataFrame> {
-        let selector = RecordSelector::new(Some(&self.u_comb), None);
+        let selector = RecordSelector::new(Some(self.kernel()), None);
         self.raw_frame(trace, Some(&selector))
     }
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::io::{Read, Seek};
 use std::sync::Arc;
 
-use ivnt_core::interpret::{extract_signals, extract_signals_routed};
+use ivnt_core::interpret::Kernel;
 use ivnt_core::rules::{Rule, RuleSet};
 use ivnt_core::{Error, Pipeline, Result};
 use ivnt_frame::batch::Batch;
@@ -101,8 +101,9 @@ pub(crate) fn route_shared<R: Read + Seek>(
     let preds = compile_predicates(specs, reader);
     let shared_interpret = can_share_interpret(specs);
 
-    // Union rule set + signal-ownership routing table for the fast path.
-    let (union_set, owner) = if shared_interpret {
+    // Union kernel + signal-ownership routing table for the fast path,
+    // compiled once for the whole pass.
+    let (union_kernel, owner) = if shared_interpret {
         let mut rules: Vec<Arc<Rule>> = Vec::new();
         let mut owner: HashMap<String, usize> = HashMap::new();
         for (qi, spec) in specs.iter().enumerate() {
@@ -111,9 +112,9 @@ pub(crate) fn route_shared<R: Read + Seek>(
                 rules.push(r.clone());
             }
         }
-        (RuleSet::from_rules(rules), owner)
+        (Some(Kernel::compile(&RuleSet::from_rules(rules))), owner)
     } else {
-        (RuleSet::new(), HashMap::new())
+        (None, HashMap::new())
     };
 
     let raw_schema = ivnt_core::tabular::raw_schema();
@@ -160,17 +161,16 @@ pub(crate) fn route_shared<R: Read + Seek>(
             }
         }
 
-        if shared_interpret {
+        if let Some(union_kernel) = &union_kernel {
             // One union-kernel pass, emissions routed by signal owner
-            // inside the kernel (see `extract_signals_routed`).
+            // inside the kernel (see `Kernel::extract_routed`).
             let raw = records_to_batch(raw_schema.clone(), rows.iter().map(|r| &r.record))
                 .map_err(Error::from)?;
             let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
-            let routed =
-                extract_signals_routed(&morsel, &union_set, n, |name| match owner.get(name) {
-                    Some(&qi) => qi,
-                    None => n, // discard lane; unreachable for union rules
-                })?;
+            let routed = union_kernel.extract_routed(&morsel, n, |name| match owner.get(name) {
+                Some(&qi) => qi,
+                None => n, // discard lane; unreachable for union rules
+            })?;
             for (qi, batches) in routed.into_iter().enumerate() {
                 // A query gets a (possibly empty) partition exactly
                 // when its solo scan would have emitted this group.
@@ -192,9 +192,7 @@ pub(crate) fn route_shared<R: Read + Seek>(
                     .collect();
                 let raw = records_to_batch(raw_schema.clone(), records.iter().copied())
                     .map_err(Error::from)?;
-                let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
-                let interpreted = extract_signals(&morsel, specs[qi].pipeline.u_comb())?;
-                parts[qi].extend(interpreted.partitions().iter().cloned());
+                parts[qi].push(specs[qi].pipeline.kernel().extract_batch(&raw)?);
             }
         }
         Ok(())

@@ -13,9 +13,9 @@
 //! concatenated [`SignalDelta`]s plus the close-time summaries are
 //! **bit-identical** to the batch `extract_reduced` output. The pieces:
 //!
-//! * Interpretation (`extract_signals`) is row-local and deterministic, so
-//!   interpreting micro-batches and concatenating equals interpreting the
-//!   whole trace.
+//! * Interpretation (the pipeline's `Kernel`) is row-local and
+//!   deterministic, so interpreting micro-batches and concatenating equals
+//!   interpreting the whole trace.
 //! * The batch split stable-sorts each signal's rows by time. Streaming
 //!   reproduces that exact order with a per-signal reorder buffer keyed by
 //!   `(t, arrival seqno)` under `f64::total_cmp` — ties keep arrival
@@ -36,10 +36,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ivnt_core::dedup::Dedup;
-use ivnt_core::interpret::extract_signals;
 use ivnt_core::pipeline::Pipeline;
 use ivnt_core::reduce::{Constraint, Reduction, RowCtx};
-use ivnt_core::split::{split_by_signal, SignalSequence};
+use ivnt_core::split::SignalSequence;
 use ivnt_frame::prelude::*;
 use ivnt_store::schema::{raw_trace_schema, records_to_batch};
 use ivnt_store::Record;
@@ -267,10 +266,9 @@ impl<'p> StreamingSession<'p> {
         }
         ivnt_obs::with(|r| r.add("stream_frames_total", records.len() as u64));
         let batch = records_to_batch(self.raw_schema.clone(), records).map_err(Error::Store)?;
-        let raw = DataFrame::from_partitions(self.raw_schema.clone(), vec![batch])
-            .map_err(|e| Error::Core(e.into()))?;
-        let ks = extract_signals(&raw, self.pipeline.u_comb())?;
-        let seqs = split_by_signal(&ks)?;
+        // The pipeline's kernel, compiled once for the whole session, emits
+        // the micro-batch's per-signal sequences directly.
+        let seqs = self.pipeline.kernel().sequences(&batch)?;
 
         let mut deltas = Vec::new();
         for seq in seqs {

@@ -89,42 +89,6 @@ fn parallel_pipeline_matches_serial_bit_for_bit() {
 }
 
 #[test]
-fn one_worker_session_skips_the_scatter_machinery() {
-    use ivnt::core::pipeline::RunOptions;
-    let data = dataset();
-    let u_rel = RuleSet::from_network(&data.network);
-
-    // `pipeline_scatter_total` is bumped exactly when the per-signal
-    // fan-out goes through the executor. At 1 effective worker the session
-    // must take the serial loop — a 1-worker pool is pure round-trip
-    // overhead — while >=2 workers must still scatter.
-    let mut scatters = Vec::new();
-    for workers in [1usize, 2] {
-        let pipeline = Pipeline::new(
-            u_rel.clone(),
-            profile(&data, "scatter").with_workers(workers),
-        )
-        .expect("pipeline");
-        let registry = std::sync::Arc::new(ivnt::obs::Registry::new());
-        pipeline
-            .session(
-                RunOptions::trace(&data.trace).with_subscriber(std::sync::Arc::clone(&registry)),
-            )
-            .run()
-            .expect("run");
-        let snapshot = registry.snapshot();
-        scatters.push(
-            snapshot
-                .counters
-                .get("pipeline_scatter_total")
-                .copied()
-                .unwrap_or(0),
-        );
-    }
-    assert_eq!(scatters, vec![0, 1], "serial fast path at 1 worker only");
-}
-
-#[test]
 fn timing_is_populated_but_not_part_of_the_output_contract() {
     let data = dataset();
     let u_rel = RuleSet::from_network(&data.network);
