@@ -7,7 +7,7 @@
 //! `BENCH_store.json` (plus a human-readable summary on stdout), following
 //! the same conventions as `speed_probe`/`BENCH_interpret.json`.
 //!
-//! Three invariants are enforced, not just reported:
+//! Four invariants are enforced, not just reported:
 //!
 //! * the store extraction must be bit-identical to the in-memory
 //!   extraction (the zero-materialization path is an optimization, not an
@@ -15,21 +15,35 @@
 //! * the zone maps must actually prune: the probe exits non-zero when the
 //!   chunk-skip ratio falls below `IVNT_STORE_MIN_SKIP` (default 0.5), so
 //!   CI catches a layout regression that silently degenerates the store
-//!   into a plain row file, and
+//!   into a plain row file,
 //! * the in-memory source must preselect before it materializes:
 //!   `mem_over_store` — in-memory over from-store extraction time, the
 //!   median ratio of interleaved pairs — must stay at or below
-//!   [`MAX_MEM_OVER_STORE`].
+//!   [`MAX_MEM_OVER_STORE`] (a loose bound: at probe scale a fixed
+//!   per-call cost dominates both sides, so this ratio barely moves when
+//!   the scan does), and
+//! * the store scan must test keys before it materializes payloads:
+//!   `store_scan_columns` — the row-materializing scan the columnar core
+//!   replaced (every admitted chunk decoded to records, filtered, sorted,
+//!   `records_to_batch`) over the columnar scan (`scan_columns` +
+//!   `GroupColumns::to_batch`) under the domain's predicate, the median
+//!   ratio of interleaved pairs — must stay at or above
+//!   [`MIN_SCAN_COLUMNS_SPEEDUP`]. The public row views (`scan`,
+//!   `scan_indexed`) sit over the core, so they cannot be the baseline.
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
+use std::path::Path;
 use std::time::Instant;
 
 use ivnt_bench::{covered_fraction, domain_pipeline, scale, select_signals_for_fraction};
 use ivnt_core::pipeline::RunOptions;
-use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
+use ivnt_frame::batch::Batch;
+use ivnt_store::layout::{checksum, decode_chunk};
+use ivnt_store::schema::{raw_trace_schema, records_to_batch};
+use ivnt_store::{Error, IndexedRecord, Predicate, StoreReader, StoreWriter, WriterOptions};
 
 /// Median wall-clock seconds over `runs` executions (after one warmup).
 fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
@@ -52,6 +66,69 @@ const EXTRACT_PAIRS: usize = 15;
 /// Gate on `mem_over_store`: the roadmap's "in-memory extract ≤ 1.5× the
 /// from-store time".
 const MAX_MEM_OVER_STORE: f64 = 1.5;
+
+/// Interleaved (row-materializing, columnar) scan pairs behind
+/// `store_scan_columns`.
+const SCAN_PAIRS: usize = 15;
+
+/// Floor on `store_scan_columns`: the columnar scan must beat the
+/// row-materializing scan it replaced by this factor on the same predicate.
+/// It reads 2.3–2.5 at full and CI scale; a core that materialized every
+/// decoded row again would read about 1.
+const MIN_SCAN_COLUMNS_SPEEDUP: f64 = 2.0;
+
+/// Seconds to scan `path` under `pred` into one raw batch per group,
+/// through the columnar core (`columns`) or the row-materializing scan it
+/// replaced; both sides also return their batches, which must agree.
+fn scan_secs(path: &Path, pred: &Predicate, columns: bool) -> (f64, Vec<Batch>) {
+    let schema = raw_trace_schema();
+    let t0 = Instant::now();
+    let mut reader = StoreReader::open(path).expect("open");
+    let compiled = pred.compile(reader.footer());
+    let mut batches = Vec::new();
+    if columns {
+        reader
+            .scan_columns::<Error, _>(std::slice::from_ref(&compiled), |group| {
+                batches.push(group.to_batch(schema.clone())?);
+                Ok(())
+            })
+            .expect("columnar scan");
+    } else {
+        // Every admitted chunk decoded into records, filtered row by row,
+        // sorted by trace position per group, then `records_to_batch`.
+        let footer = reader.footer();
+        let mut file = BufReader::new(File::open(path).expect("open"));
+        let mut pending: Vec<IndexedRecord> = Vec::new();
+        let mut emit = |pending: &mut Vec<IndexedRecord>| {
+            if !pending.is_empty() {
+                pending.sort_by_key(|r| r.index);
+                let rows = pending.iter().map(|r| &r.record);
+                batches.push(records_to_batch(schema.clone(), rows).expect("batch"));
+                pending.clear();
+            }
+        };
+        let mut group = None;
+        for meta in footer.chunks.iter() {
+            if group.is_some_and(|g| g != meta.group) {
+                emit(&mut pending);
+            }
+            group = Some(meta.group);
+            if !compiled.chunk_may_match(meta) {
+                continue;
+            }
+            let mut bytes = vec![0u8; meta.len as usize];
+            file.seek(SeekFrom::Start(meta.offset)).expect("seek");
+            file.read_exact(&mut bytes).expect("read");
+            assert_eq!(checksum(&bytes), meta.checksum, "chunk checksum");
+            let rows = decode_chunk(&bytes, &footer.buses).expect("decode");
+            pending.extend(rows.into_iter().filter(|r| {
+                compiled.matches(r.bus_id, r.record.message_id, r.record.timestamp_us)
+            }));
+        }
+        emit(&mut pending);
+    }
+    (t0.elapsed().as_secs_f64(), batches)
+}
 
 struct Measurement {
     name: &'static str,
@@ -211,6 +288,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows_out: frame.num_rows(),
     });
 
+    // The scan alone, columnar core vs the row-materializing scan, same
+    // predicate, same batches; pairs alternate which side runs first.
+    let pred = pipeline.store_predicate();
+    assert_eq!(
+        scan_secs(&path, &pred, true).1,
+        scan_secs(&path, &pred, false).1,
+        "columnar and row scans diverged"
+    );
+    let mut samples: [Vec<f64>; 3] = Default::default(); // rows, columns, rows / columns
+    for pair in 0..SCAN_PAIRS {
+        let (rows, columns) = if pair % 2 == 0 {
+            let rows = scan_secs(&path, &pred, false).0;
+            (rows, scan_secs(&path, &pred, true).0)
+        } else {
+            let columns = scan_secs(&path, &pred, true).0;
+            (scan_secs(&path, &pred, false).0, columns)
+        };
+        for (side, secs) in samples.iter_mut().zip([rows, columns, rows / columns]) {
+            side.push(secs);
+        }
+    }
+    let [row_scan_secs, columns_scan_secs, scan_columns_speedup] = samples.map(|mut side| {
+        side.sort_by(f64::total_cmp);
+        side[side.len() / 2]
+    });
+    for (name, secs) in [
+        ("store_scan_rows", row_scan_secs),
+        ("store_scan_columns", columns_scan_secs),
+    ] {
+        measurements.push(Measurement {
+            name,
+            secs,
+            rows_in: trace_rows,
+            rows_out: stats.rows_emitted as usize,
+        });
+    }
+
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&legacy_path);
 
@@ -241,12 +355,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"measurements\": [\n{}\n  ],\n",
             "  \"extract\": {{\n",
             "    \"pairs\": {},\n",
-            "    \"mem_over_store\": {:.4}\n",
+            "    \"mem_over_store\": {:.4},\n",
+            "    \"max_gate\": {:.2}\n",
+            "  }},\n",
+            "  \"store_scan_columns\": {{\n",
+            "    \"pairs\": {},\n",
+            "    \"rows_over_columns\": {:.4},\n",
+            "    \"min_gate\": {:.2}\n",
             "  }},\n",
             "  \"scan\": {{\n",
             "    \"chunks_total\": {},\n",
             "    \"chunks_scanned\": {},\n",
             "    \"chunks_skipped\": {},\n",
+            "    \"rows_decoded\": {},\n",
+            "    \"rows_emitted\": {},\n",
             "    \"skip_ratio\": {:.4},\n",
             "    \"min_skip_gate\": {:.2},\n",
             "    \"peak_rows_buffered\": {},\n",
@@ -266,9 +388,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         entries.join(",\n"),
         EXTRACT_PAIRS,
         mem_over_store,
+        MAX_MEM_OVER_STORE,
+        SCAN_PAIRS,
+        scan_columns_speedup,
+        MIN_SCAN_COLUMNS_SPEEDUP,
         chunks_total,
         stats.chunks_scanned,
         stats.chunks_skipped,
+        stats.rows_decoded,
+        stats.rows_emitted,
         skip_ratio,
         min_skip,
         stats.peak_rows_buffered,
@@ -302,6 +430,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "extract: in-memory / from-store = {mem_over_store:.2} \
          (median of {EXTRACT_PAIRS} interleaved pairs, gate <= {MAX_MEM_OVER_STORE:.2})"
     );
+    println!(
+        "scan: rows / columnar = {scan_columns_speedup:.2} \
+         (median of {SCAN_PAIRS} interleaved pairs, gate >= {MIN_SCAN_COLUMNS_SPEEDUP:.2}; \
+         {} of {} decoded rows emitted)",
+        stats.rows_emitted, stats.rows_decoded,
+    );
     println!("wrote BENCH_store.json");
 
     if skip_ratio < min_skip {
@@ -315,6 +449,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "FAIL: in-memory extraction takes {mem_over_store:.2}x the from-store time \
              (gate {MAX_MEM_OVER_STORE:.2}) — the trace ingest materializes rows it should drop"
+        );
+        std::process::exit(1);
+    }
+    if scan_columns_speedup < MIN_SCAN_COLUMNS_SPEEDUP {
+        eprintln!(
+            "FAIL: the columnar scan is only {scan_columns_speedup:.2}x the row scan \
+             (gate {MIN_SCAN_COLUMNS_SPEEDUP:.2}) — the store scan materializes rows it should drop"
         );
         std::process::exit(1);
     }

@@ -612,6 +612,8 @@ fn store_extract(args: &Args) -> CmdResult {
         w.field_u64("chunks_scanned", stats.chunks_scanned as u64);
         w.field_u64("chunks_skipped", stats.chunks_skipped as u64);
         w.field_f64("skip_ratio", stats.skip_ratio());
+        w.field_u64("rows_decoded", stats.rows_decoded);
+        w.field_u64("rows_emitted", stats.rows_emitted);
         w.field_u64("peak_rows_buffered", stats.peak_rows_buffered as u64);
         w.end_object();
         if let Some(s) = &snapshot {
@@ -622,11 +624,14 @@ fn store_extract(args: &Args) -> CmdResult {
     } else {
         println!("interpreted {} signal rows from {path}", frame.num_rows());
         println!(
-            "scan: {}/{} chunks decoded, {} skipped by zone maps ({:.0}% pruned), peak {} rows buffered",
+            "scan: {}/{} chunks decoded, {} skipped by zone maps ({:.0}% pruned), \
+             {} of {} decoded rows kept, peak {} rows buffered",
             stats.chunks_scanned,
             stats.chunks_total,
             stats.chunks_skipped,
             stats.skip_ratio() * 100.0,
+            stats.rows_emitted,
+            stats.rows_decoded,
             stats.peak_rows_buffered,
         );
     }

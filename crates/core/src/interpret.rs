@@ -212,7 +212,8 @@ struct RuleLut {
 
 /// Per-partition probe state: a learned table of bus `Arc` data pointers.
 /// Records share one interned `Arc<str>` per bus and `records_to_batch`
-/// clones those `Arc`s into the frame, so a partition sees only a handful
+/// clones those `Arc`s into the frame (a store scan clones the footer
+/// dictionary's), so a partition sees only a handful
 /// of distinct pointers — each resolved by string lookup once and by
 /// pointer comparison ever after, even when adjacent rows alternate
 /// between buses (gateway copies). Unknown buses are learned too, so

@@ -302,11 +302,9 @@ fn scan_groups<R: Read + Seek>(
     mut each: impl FnMut(Batch) -> Result<()>,
 ) -> Result<ScanStats> {
     let raw_schema = crate::tabular::raw_schema();
-    reader.scan::<Error, _>(pred, |group| {
-        each(ivnt_store::schema::records_to_batch(
-            raw_schema.clone(),
-            &group,
-        )?)
+    let compiled = pred.compile(reader.footer());
+    reader.scan_columns::<Error, _>(std::slice::from_ref(&compiled), |group| {
+        each(group.to_batch(raw_schema.clone())?)
     })
 }
 

@@ -31,8 +31,7 @@ use ivnt_core::rules::{Rule, RuleSet};
 use ivnt_core::{Error, Pipeline, Result};
 use ivnt_frame::batch::Batch;
 use ivnt_frame::frame::DataFrame;
-use ivnt_store::schema::records_to_batch;
-use ivnt_store::{CompiledPredicate, Record, ScanStats, StoreReader};
+use ivnt_store::{CompiledPredicate, ScanStats, StoreReader};
 
 /// One query as the executor sees it.
 pub(crate) struct QuerySpec<'p> {
@@ -129,14 +128,18 @@ pub(crate) fn route_shared<R: Read + Seek>(
     let windows: Vec<Option<(u64, u64)>> = specs.iter().map(|s| s.window).collect();
     let mut pair_memo: HashMap<(u32, u32), usize> = HashMap::new();
     let mut pair_masks: Vec<bool> = Vec::new();
+    // Per-query row masks of the group under routing, query-major.
+    let mut row_masks: Vec<bool> = Vec::new();
 
-    let stats = reader.scan_indexed::<Error, _>(&preds, |rows| {
+    let stats = reader.scan_columns::<Error, _>(&preds, |group| {
         groups_scanned += 1;
+        let rows = group.len();
+        row_masks.clear();
+        row_masks.resize(n * rows, false);
         let mut hit = vec![false; n];
-        for row in &rows {
-            let key = (row.bus_id, row.record.message_id);
-            let mi = *pair_memo.entry(key).or_insert_with(|| {
-                pair_masks.extend(preds.iter().map(|p| p.row_matches(row)));
+        for (i, (bus, mid, t)) in group.keys().enumerate() {
+            let mi = *pair_memo.entry((bus, mid)).or_insert_with(|| {
+                pair_masks.extend(preds.iter().map(|p| p.matches(bus, mid, t)));
                 pair_masks.len() / n - 1
             });
             let mask = &pair_masks[mi * n..(mi + 1) * n];
@@ -145,13 +148,14 @@ pub(crate) fn route_shared<R: Read + Seek>(
                 // answers them. A windowed predicate's match depends on
                 // the row's timestamp too, so it is evaluated directly.
                 let matches = if windows[qi].is_some() {
-                    preds[qi].row_matches(row)
+                    preds[qi].matches(bus, mid, t)
                 } else {
                     mask[qi]
                 };
                 if matches {
                     hit[qi] = true;
                     rows_routed[qi] += 1;
+                    row_masks[qi * rows + i] = true;
                 }
             }
         }
@@ -161,11 +165,10 @@ pub(crate) fn route_shared<R: Read + Seek>(
             }
         }
 
+        let raw = group.to_batch(raw_schema.clone()).map_err(Error::from)?;
         if let Some(union_kernel) = &union_kernel {
             // One union-kernel pass, emissions routed by signal owner
             // inside the kernel (see `Kernel::extract_routed`).
-            let raw = records_to_batch(raw_schema.clone(), rows.iter().map(|r| &r.record))
-                .map_err(Error::from)?;
             let morsel = DataFrame::from_partitions(raw_schema.clone(), vec![raw])?;
             let routed = union_kernel.extract_routed(&morsel, n, |name| match owner.get(name) {
                 Some(&qi) => qi,
@@ -181,18 +184,9 @@ pub(crate) fn route_shared<R: Read + Seek>(
         } else {
             // Shared scan + decode only; each query interprets its own
             // row subset — the solo path verbatim.
-            for qi in 0..n {
-                if !hit[qi] {
-                    continue;
-                }
-                let records: Vec<&Record> = rows
-                    .iter()
-                    .filter(|r| preds[qi].row_matches(r))
-                    .map(|r| &r.record)
-                    .collect();
-                let raw = records_to_batch(raw_schema.clone(), records.iter().copied())
-                    .map_err(Error::from)?;
-                parts[qi].push(specs[qi].pipeline.kernel().extract_batch(&raw)?);
+            for qi in (0..n).filter(|&qi| hit[qi]) {
+                let own = raw.filter(&row_masks[qi * rows..(qi + 1) * rows])?;
+                parts[qi].push(specs[qi].pipeline.kernel().extract_batch(&own)?);
             }
         }
         Ok(())

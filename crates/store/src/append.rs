@@ -647,7 +647,9 @@ fn try_read_footer<R: Read + Seek>(
     if checksum(&footer_bytes) != footer_sum {
         return Ok(None);
     }
-    match crate::layout::decode_footer(&footer_bytes) {
+    match crate::layout::decode_footer(&footer_bytes)
+        .and_then(|footer| footer.check_extents(footer_offset).map(|()| footer))
+    {
         Ok(footer) => Ok(Some(footer)),
         Err(Error::Io(e)) => Err(Error::Io(e)),
         Err(_) => Ok(None),

@@ -26,6 +26,8 @@
 
 use std::sync::Arc;
 
+use ivnt_protocol::message::Protocol;
+
 use crate::error::{Error, Result};
 use crate::record::{protocol_from_tag, Record};
 use crate::varint::{self, Cursor};
@@ -190,6 +192,31 @@ impl Footer {
         }
         spans
     }
+
+    /// Checks that the chunks lie in file order, without overlap, inside
+    /// the data region `[MAGIC.len(), data_end)` — so no length taken from
+    /// the index can size a read past the bytes the file holds.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Truncated`] for a chunk outside the region,
+    /// [`Error::Format`] for overlapping or out-of-order chunks.
+    pub(crate) fn check_extents(&self, data_end: u64) -> Result<()> {
+        let mut prev_end = MAGIC.len() as u64;
+        for (i, c) in self.chunks.iter().enumerate() {
+            let end = c.offset.saturating_add(u64::from(c.len));
+            if c.offset < MAGIC.len() as u64 || end > data_end {
+                return Err(Error::Truncated(format!(
+                    "chunk {i} outside the data region"
+                )));
+            }
+            if c.offset < prev_end {
+                return Err(Error::Format(format!("chunk {i} overlaps its predecessor")));
+            }
+            prev_end = end;
+        }
+        Ok(())
+    }
 }
 
 /// One record of a chunk under encoding, referencing the writer's buffers.
@@ -261,14 +288,35 @@ pub struct IndexedRecord {
     pub record: Record,
 }
 
-/// Decodes an encoded chunk back into indexed records, resolving bus ids
-/// through `buses` (the footer dictionary).
-///
-/// # Errors
-///
-/// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes and
-/// out-of-dictionary bus references.
-pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecord>> {
+/// One chunk decoded into key columns — the store's only chunk decoder.
+/// No row value is built: payloads stay in the checksummed chunk bytes
+/// this borrows, so a scan tests keys first and copies only survivors.
+pub(crate) struct ChunkColumns<'a> {
+    pub(crate) index: Vec<u64>,
+    pub(crate) t_us: Vec<u64>,
+    pub(crate) bus: Vec<u32>,
+    pub(crate) mid: Vec<u32>,
+    pub(crate) protocol: Vec<Protocol>,
+    /// `rows + 1` offsets into `payloads`.
+    payload_offsets: Vec<usize>,
+    payloads: &'a [u8],
+}
+
+impl<'a> ChunkColumns<'a> {
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    pub(crate) fn payload(&self, i: usize) -> &'a [u8] {
+        &self.payloads[self.payload_offsets[i]..self.payload_offsets[i + 1]]
+    }
+}
+
+/// Decodes an encoded chunk into [`ChunkColumns`]; bus codes must lie
+/// below `bus_count` (the footer dictionary's size). Malformed bytes and
+/// out-of-dictionary bus references are [`Error::Truncated`] /
+/// [`Error::Format`].
+pub(crate) fn decode_chunk_columns(bytes: &[u8], bus_count: usize) -> Result<ChunkColumns<'_>> {
     let mut cur = Cursor::new(bytes);
     let rows = cur.read_u32_le()? as usize;
     // A chunk never holds more rows than bytes; reject sizes that a
@@ -279,55 +327,51 @@ pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecor
             bytes.len()
         )));
     }
-    let mut indices = Vec::with_capacity(rows);
-    let mut prev: u64 = 0;
-    for i in 0..rows {
-        prev = if i == 0 {
-            cur.read_u64()?
-        } else {
-            prev.wrapping_add(cur.read_i64()? as u64)
-        };
-        indices.push(prev);
-    }
-    let mut times = Vec::with_capacity(rows);
-    let mut prev_t: u64 = 0;
-    for i in 0..rows {
-        prev_t = if i == 0 {
-            cur.read_u64()?
-        } else {
-            prev_t.wrapping_add(cur.read_i64()? as u64)
-        };
-        times.push(prev_t);
-    }
-    let mut bus_ids = Vec::with_capacity(rows);
+    // Indices and timestamps: absolute first value, zigzag deltas after.
+    let deltas = |cur: &mut Cursor<'_>| -> Result<Vec<u64>> {
+        let mut out = Vec::with_capacity(rows);
+        let mut prev: u64 = 0;
+        for i in 0..rows {
+            prev = if i == 0 {
+                cur.read_u64()?
+            } else {
+                prev.wrapping_add(cur.read_i64()? as u64)
+            };
+            out.push(prev);
+        }
+        Ok(out)
+    };
+    let index = deltas(&mut cur)?;
+    let t_us = deltas(&mut cur)?;
+    let mut bus = Vec::with_capacity(rows);
     for _ in 0..rows {
         let id = cur.read_u64()?;
-        if usize::try_from(id).ok().is_none_or(|i| i >= buses.len()) {
+        if usize::try_from(id).ok().is_none_or(|i| i >= bus_count) {
             return Err(Error::Format(format!("bus id {id} not in dictionary")));
         }
-        bus_ids.push(id as u32);
+        bus.push(id as u32);
     }
-    let mut mids = Vec::with_capacity(rows);
+    let mut mid = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let mid = cur.read_u64()?;
-        let mid = u32::try_from(mid)
-            .map_err(|_| Error::Format(format!("message id {mid} exceeds u32")))?;
-        mids.push(mid);
+        let m = cur.read_u64()?;
+        mid.push(
+            u32::try_from(m).map_err(|_| Error::Format(format!("message id {m} exceeds u32")))?,
+        );
     }
-    let mut protocols = Vec::with_capacity(rows);
+    let mut protocol = Vec::with_capacity(rows);
     for _ in 0..rows {
-        protocols.push(protocol_from_tag(cur.read_u8()?)?);
+        protocol.push(protocol_from_tag(cur.read_u8()?)?);
     }
-    let mut lens = Vec::with_capacity(rows);
+    let mut payload_offsets = Vec::with_capacity(rows + 1);
+    payload_offsets.push(0usize);
     let mut total: usize = 0;
     for _ in 0..rows {
-        let len = cur.read_u64()?;
-        let len =
-            usize::try_from(len).map_err(|_| Error::Format("payload length overflow".into()))?;
+        let len = usize::try_from(cur.read_u64()?)
+            .map_err(|_| Error::Format("payload length overflow".into()))?;
         total = total
             .checked_add(len)
             .ok_or_else(|| Error::Format("payload length overflow".into()))?;
-        lens.push(len);
+        payload_offsets.push(total);
     }
     if total != cur.remaining() {
         return Err(Error::Format(format!(
@@ -335,22 +379,40 @@ pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecor
             cur.remaining()
         )));
     }
-    let mut out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let payload = cur.read_slice(lens[i])?.to_vec();
-        out.push(IndexedRecord {
-            index: indices[i],
-            bus_id: bus_ids[i],
+    Ok(ChunkColumns {
+        index,
+        t_us,
+        bus,
+        mid,
+        protocol,
+        payload_offsets,
+        payloads: cur.read_slice(total)?,
+    })
+}
+
+/// Decodes an encoded chunk into indexed records (chunk order), resolving
+/// bus ids through `buses` (the footer dictionary) — a row view over
+/// [`decode_chunk_columns`].
+///
+/// # Errors
+///
+/// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes and
+/// out-of-dictionary bus references.
+pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecord>> {
+    let cols = decode_chunk_columns(bytes, buses.len())?;
+    Ok((0..cols.len())
+        .map(|i| IndexedRecord {
+            index: cols.index[i],
+            bus_id: cols.bus[i],
             record: Record {
-                timestamp_us: times[i],
-                bus: buses[bus_ids[i] as usize].clone(),
-                message_id: mids[i],
-                payload,
-                protocol: protocols[i],
+                timestamp_us: cols.t_us[i],
+                bus: buses[cols.bus[i] as usize].clone(),
+                message_id: cols.mid[i],
+                payload: cols.payload(i).to_vec(),
+                protocol: cols.protocol[i],
             },
-        });
-    }
-    Ok(out)
+        })
+        .collect())
 }
 
 /// Encodes the footer.
@@ -411,12 +473,9 @@ pub fn encode_footer(footer: &Footer) -> Result<Vec<u8>> {
 pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
     let mut cur = Cursor::new(bytes);
     let bus_count = cur.read_u32_le()? as usize;
-    if bus_count > bytes.len() {
-        return Err(Error::Format(format!(
-            "footer declares {bus_count} buses in {} bytes",
-            bytes.len()
-        )));
-    }
+    // Declared counts drive allocations: each must fit the bytes left at
+    // its entries' minimum encoded size (2-byte name length per bus).
+    check_room(bus_count, 2, cur.remaining(), "buses")?;
     let mut buses = Vec::with_capacity(bus_count);
     for _ in 0..bus_count {
         let len = u16::from_le_bytes(cur.read_slice(2)?.try_into().expect("2 bytes")) as usize;
@@ -434,13 +493,13 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
     };
     let generation = cur.read_u64_le()?;
     let chunk_count = cur.read_u32_le()? as usize;
-    if chunk_count > bytes.len() {
-        return Err(Error::Format(format!(
-            "footer declares {chunk_count} chunks in {} bytes",
-            bytes.len()
-        )));
-    }
     let bus_bitset_len = bus_count.div_ceil(8);
+    check_room(
+        chunk_count,
+        CHUNK_META_FIXED_LEN + bus_bitset_len,
+        cur.remaining(),
+        "chunks",
+    )?;
     let mut chunks = Vec::with_capacity(chunk_count);
     for _ in 0..chunk_count {
         let offset = cur.read_u64_le()?;
@@ -477,6 +536,19 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
         generation,
         chunks,
     })
+}
+
+/// Encoded bytes of one footer index entry before its bus bitset:
+/// offset, len, rows, group, checksum, zone-map times and message ids.
+const CHUNK_META_FIXED_LEN: usize = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 4 + 4;
+
+fn check_room(count: usize, entry_len: usize, remaining: usize, what: &str) -> Result<()> {
+    match count.checked_mul(entry_len) {
+        Some(need) if need <= remaining => Ok(()),
+        _ => Err(Error::Format(format!(
+            "{count} {what} in {remaining} bytes"
+        ))),
+    }
 }
 
 #[cfg(test)]

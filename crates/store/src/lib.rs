@@ -20,7 +20,11 @@
 //! - [`StoreWriter`] — streaming append, bounded by one row group.
 //! - [`StoreReader`] — validated open ([`Error::BadMagic`],
 //!   [`Error::Truncated`], checksum variants), [`Predicate`]-driven
-//!   [`StoreReader::scan`] with [`ScanStats`].
+//!   [`StoreReader::scan_columns`] with [`ScanStats`]: keys are tested on
+//!   decoded key columns before any payload is copied, and each row
+//!   group's survivors arrive as [`GroupColumns`] (one raw-trace batch via
+//!   [`GroupColumns::to_batch`]); [`StoreReader::scan`] and
+//!   [`StoreReader::read_all`] are row views over it.
 //! - [`append`] — live-session mode: [`AppendWriter`] flushes
 //!   crash-recoverable micro-batched group frames, [`recover`] rebuilds
 //!   the index of a torn file by walking checksummed frames, and
@@ -47,7 +51,7 @@ pub use append::{
 pub use compact::{compact, compact_file, CompactReport};
 pub use error::{Error, Result};
 pub use layout::{ChunkMeta, Footer, GroupSpan, IndexedRecord, ZoneMap};
-pub use reader::{CompiledPredicate, Predicate, ScanStats, StoreReader};
+pub use reader::{CompiledPredicate, GroupColumns, Predicate, ScanStats, StoreReader};
 pub use record::Record;
 pub use writer::{StoreWriter, WriterOptions};
 
@@ -303,7 +307,7 @@ mod tests {
                 union_rows += rows.len() as u64;
                 for row in &rows {
                     for (q, c) in compiled.iter().enumerate() {
-                        if c.row_matches(row) {
+                        if c.matches(row.bus_id, row.record.message_id, row.record.timestamp_us) {
                             routed[q].push(row.record.clone());
                         }
                     }
@@ -445,5 +449,73 @@ mod tests {
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let err = reader.read_all().unwrap_err();
         assert!(matches!(err, Error::ChunkChecksum { chunk: 0 }));
+    }
+
+    /// Replaces the footer of `bytes` by `forge(footer bytes)` under a
+    /// recomputed checksum and trailer, so only the footer's content can
+    /// get it rejected.
+    fn reseal(bytes: &[u8], forge: impl FnOnce(Vec<u8>) -> Vec<u8>) -> Vec<u8> {
+        let trailer_start = bytes.len() - layout::TRAILER_LEN;
+        let offset = u64::from_le_bytes(bytes[trailer_start..][..8].try_into().unwrap());
+        let footer = forge(bytes[offset as usize..trailer_start].to_vec());
+        let mut out = bytes[..offset as usize].to_vec();
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        out.extend_from_slice(&layout::checksum(&footer).to_le_bytes());
+        out.extend_from_slice(layout::END_MAGIC);
+        out
+    }
+
+    #[test]
+    fn forged_footers_are_rejected_at_open() {
+        let bytes = write_store(
+            &cyclic_trace(512, 8),
+            WriterOptions {
+                chunk_rows: 64,
+                chunks_per_group: 2,
+                cluster: true,
+            },
+        );
+        let open = |forge: &dyn Fn(&mut Footer)| {
+            let forged = reseal(&bytes, |footer| {
+                let mut footer = layout::decode_footer(&footer).unwrap();
+                forge(&mut footer);
+                layout::encode_footer(&footer).unwrap()
+            });
+            StoreReader::from_reader(Cursor::new(forged)).map(|_| ())
+        };
+        assert!(open(&|_| {}).is_ok());
+        // A chunk length no file holds must fail before any read sizes a
+        // buffer by it.
+        let err = open(&|f| f.chunks[0].len = u32::MAX).unwrap_err();
+        assert!(matches!(err, Error::Truncated(_)), "{err}");
+        let err = open(&|f| f.chunks[3].offset = bytes.len() as u64).unwrap_err();
+        assert!(matches!(err, Error::Truncated(_)), "{err}");
+        let err = open(&|f| f.chunks[0].offset = 0).unwrap_err();
+        assert!(matches!(err, Error::Truncated(_)), "{err}");
+        let err = open(&|f| f.chunks[1].offset = f.chunks[0].offset + 1).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
+        let err = open(&|f| f.chunks.swap(1, 2)).unwrap_err();
+        assert!(matches!(err, Error::Format(_)), "{err}");
+
+        // Declared counts that the footer bytes left cannot hold are
+        // refused before they size an allocation: one chunk entry per
+        // footer byte passes a bytes-per-entry guard of 1, not the real
+        // 52-plus-bitset minimum.
+        let footer = StoreReader::from_reader(Cursor::new(bytes.clone()))
+            .unwrap()
+            .footer()
+            .clone();
+        let chunk_count_at = 4 + footer.buses.iter().map(|b| 2 + b.len()).sum::<usize>() + 25;
+        for (at, what) in [(0, "buses"), (chunk_count_at, "chunks")] {
+            let forged = reseal(&bytes, |mut fb| {
+                let count = fb.len() as u32;
+                fb[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                fb
+            });
+            let err = StoreReader::from_reader(Cursor::new(forged)).unwrap_err();
+            assert!(matches!(err, Error::Format(_)), "{what}: {err}");
+        }
     }
 }

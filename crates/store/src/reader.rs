@@ -1,23 +1,28 @@
 //! Store reader: trailer/footer parsing and the zone-map pushdown scan.
 //!
 //! A scan walks the footer's chunk index in file order, evaluating the
-//! caller's [`Predicate`] against each chunk's [`ZoneMap`] first — chunks
+//! caller's [`Predicate`] against each chunk's zone map first — chunks
 //! proven empty of matches are **skipped without being read or decoded**.
-//! Surviving chunks are decoded, row-filtered, and buffered per row group;
-//! when a group completes, its matching rows are re-sorted by original
-//! trace position and emitted as one in-order batch. Memory therefore
-//! stays bounded by one group (`group_rows` records) regardless of file
-//! size — the out-of-core property.
+//! Surviving chunks are decoded into key columns, each row's keys are
+//! tested before its payload is touched, and only survivors are copied
+//! into the row group under assembly ([`GroupColumns`]); when the group
+//! completes, its rows are restored to trace order and handed over as
+//! columns. Memory therefore stays bounded by one group (`group_rows`
+//! records) regardless of file size — the out-of-core property.
 
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::Arc;
+
+use ivnt_frame::prelude::{Batch, Column, Schema};
+use ivnt_protocol::message::Protocol;
 
 use crate::error::{Error, Result};
-use crate::layout::{checksum, decode_chunk, decode_footer, Footer, IndexedRecord};
-use crate::layout::{ChunkMeta, END_MAGIC, MAGIC, TRAILER_LEN};
-use crate::record::Record;
+use crate::layout::{checksum, decode_chunk_columns, decode_footer, ChunkColumns, Footer};
+use crate::layout::{ChunkMeta, IndexedRecord, END_MAGIC, MAGIC, TRAILER_LEN};
+use crate::record::{protocol_tag, Record};
 
 /// What a scan is looking for. Conservative by construction: `None`
 /// fields mean "everything".
@@ -124,19 +129,18 @@ impl CompiledPredicate {
         }
     }
 
-    /// Exact row test (the zone-map test is only conservative). Public so
-    /// multi-query planners can route the rows of a shared union scan back
-    /// to the individual query each row belongs to.
-    pub fn row_matches(&self, row: &IndexedRecord) -> bool {
-        if let Some((from, to)) = self.time_range_us {
-            if !(from..=to).contains(&row.record.timestamp_us) {
-                return false;
-            }
-        }
-        match &self.pairs {
-            None => true,
-            Some(pairs) => pairs.contains(&(row.bus_id, row.record.message_id)),
-        }
+    /// Exact row test on key columns (the zone-map test is only
+    /// conservative): bus dictionary code, message id and timestamp (µs).
+    /// Public so multi-query planners can route the rows of a shared union
+    /// scan back to the individual query each row belongs to.
+    pub fn matches(&self, bus: u32, mid: u32, t_us: u64) -> bool {
+        self.time_range_us
+            .is_none_or(|(from, to)| (from..=to).contains(&t_us))
+            && self.pair_matches(bus, mid)
+    }
+
+    fn pair_matches(&self, bus: u32, mid: u32) -> bool {
+        self.pairs.as_ref().is_none_or(|p| p.contains(&(bus, mid)))
     }
 }
 
@@ -150,6 +154,9 @@ pub struct ScanStats {
     pub chunks_scanned: usize,
     /// Chunks skipped on zone maps alone.
     pub chunks_skipped: usize,
+    /// Rows of the scanned chunks whose keys were decoded and tested;
+    /// `rows_emitted / rows_decoded` is the scan's row selectivity.
+    pub rows_decoded: u64,
     /// Rows that matched the predicate and were emitted.
     pub rows_emitted: u64,
     /// High-water mark of rows held in memory at once — the out-of-core
@@ -164,6 +171,145 @@ impl ScanStats {
             return 0.0;
         }
         self.chunks_skipped as f64 / self.chunks_total as f64
+    }
+}
+
+/// The rows of one row group that survived a scan — key columns plus one
+/// payload arena, in original trace order once emitted. What a scan hands
+/// its consumers instead of row structs.
+#[derive(Debug, Default)]
+pub struct GroupColumns {
+    index: Vec<u64>,
+    t_us: Vec<u64>,
+    bus: Vec<u32>,
+    mid: Vec<u32>,
+    protocol: Vec<Protocol>,
+    /// `[start, end)` of each row's payload in `arena`, which batches and
+    /// row views each copy out of once.
+    spans: Vec<(usize, usize)>,
+    arena: Vec<u8>,
+    /// The footer dictionary `bus` codes index.
+    buses: Vec<Arc<str>>,
+}
+
+impl GroupColumns {
+    fn new(buses: Vec<Arc<str>>) -> GroupColumns {
+        GroupColumns {
+            buses,
+            ..GroupColumns::default()
+        }
+    }
+
+    /// Rows in the group.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the group holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Each row's `(bus code, message id, timestamp µs)` — the keys
+    /// [`CompiledPredicate::matches`] tests.
+    pub fn keys(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
+        (0..self.len()).map(|i| (self.bus[i], self.mid[i], self.t_us[i]))
+    }
+
+    /// Copies row `i` of `chunk`, keys and payload, into the group.
+    fn push(&mut self, chunk: &ChunkColumns<'_>, i: usize) {
+        self.index.push(chunk.index[i]);
+        self.t_us.push(chunk.t_us[i]);
+        self.bus.push(chunk.bus[i]);
+        self.mid.push(chunk.mid[i]);
+        self.protocol.push(chunk.protocol[i]);
+        let start = self.arena.len();
+        self.arena.extend_from_slice(chunk.payload(i));
+        self.spans.push((start, self.arena.len()));
+    }
+
+    fn payload(&self, i: usize) -> &[u8] {
+        &self.arena[self.spans[i].0..self.spans[i].1]
+    }
+
+    /// Restores trace order: a stable permutation by `index`, skipped when
+    /// the rows are already in order.
+    fn restore_order(&mut self) {
+        if self.index.is_sorted() {
+            return;
+        }
+        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
+        perm.sort_by_key(|&i| self.index[i as usize]);
+        fn gather<T: Copy>(v: &mut Vec<T>, perm: &[u32]) {
+            *v = perm.iter().map(|&i| v[i as usize]).collect();
+        }
+        gather(&mut self.index, &perm);
+        gather(&mut self.t_us, &perm);
+        gather(&mut self.bus, &perm);
+        gather(&mut self.mid, &perm);
+        gather(&mut self.protocol, &perm);
+        gather(&mut self.spans, &perm);
+    }
+
+    /// Empties the group, keeping its buffers for the next one.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.t_us.clear();
+        self.bus.clear();
+        self.mid.clear();
+        self.protocol.clear();
+        self.spans.clear();
+        self.arena.clear();
+    }
+
+    /// The group as one raw-trace batch under `schema`
+    /// ([`raw_trace_schema`](crate::schema::raw_trace_schema)), cell for
+    /// cell what [`records_to_batch`](crate::schema::records_to_batch)
+    /// builds from the same rows.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures (a schema of another shape).
+    pub fn to_batch(&self, schema: Arc<Schema>) -> Result<Batch> {
+        // Protocol display names interned per batch, as records_to_batch does.
+        let mut names: [Option<Arc<str>>; 4] = Default::default();
+        let columns = vec![
+            Column::from_floats(self.t_us.iter().map(|&t| t as f64 / 1e6)),
+            Column::from_byte_payloads((0..self.len()).map(|i| Arc::from(self.payload(i)))),
+            Column::from_strs(self.bus.iter().map(|&b| self.buses[b as usize].clone())),
+            Column::from_ints(self.mid.iter().map(|&m| i64::from(m))),
+            Column::from_strs(self.protocol.iter().map(|&p| {
+                let name = &mut names[usize::from(protocol_tag(p))];
+                name.get_or_insert_with(|| Arc::from(p.to_string())).clone()
+            })),
+        ];
+        Ok(Batch::new(schema, columns)?)
+    }
+
+    /// The rows materialized as indexed records — the row view.
+    pub fn indexed_records(&self) -> Vec<IndexedRecord> {
+        (0..self.len())
+            .map(|i| IndexedRecord {
+                index: self.index[i],
+                bus_id: self.bus[i],
+                record: self.record(i),
+            })
+            .collect()
+    }
+
+    /// The rows materialized as records.
+    pub fn records(&self) -> Vec<Record> {
+        (0..self.len()).map(|i| self.record(i)).collect()
+    }
+
+    fn record(&self, i: usize) -> Record {
+        Record {
+            timestamp_us: self.t_us[i],
+            bus: self.buses[self.bus[i] as usize].clone(),
+            message_id: self.mid[i],
+            payload: self.payload(i).to_vec(),
+            protocol: self.protocol[i],
+        }
     }
 }
 
@@ -197,7 +343,9 @@ impl<R: Read + Seek> StoreReader<R> {
     /// - [`Error::Truncated`] — shorter than header + trailer, or the
     ///   trailer/footer point outside the file.
     /// - [`Error::FooterChecksum`] — damaged index.
-    /// - [`Error::Format`] — malformed footer bytes.
+    /// - [`Error::Format`] — malformed footer bytes, or a chunk index whose
+    ///   entries overlap or leave file order (a chunk reaching past the
+    ///   footer is [`Error::Truncated`]).
     pub fn from_reader(mut inner: R) -> Result<Self> {
         let mut magic = [0u8; MAGIC.len()];
         inner.seek(SeekFrom::Start(0))?;
@@ -235,6 +383,7 @@ impl<R: Read + Seek> StoreReader<R> {
             return Err(Error::FooterChecksum);
         }
         let footer = decode_footer(&footer_bytes)?;
+        footer.check_extents(footer_offset)?;
         Ok(StoreReader { inner, footer })
     }
 
@@ -258,7 +407,8 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     /// Scans the file under `pred`, calling `on_group` once per row group
-    /// with that group's matching rows restored to original trace order.
+    /// with that group's matching rows restored to original trace order —
+    /// a row view over [`StoreReader::scan_columns`].
     ///
     /// # Errors
     ///
@@ -274,18 +424,14 @@ impl<R: Read + Seek> StoreReader<R> {
         F: FnMut(Vec<Record>) -> std::result::Result<(), E>,
     {
         let compiled = CompiledPredicate::compile(pred, &self.footer);
-        self.scan_indexed(std::slice::from_ref(&compiled), |rows| {
-            on_group(rows.into_iter().map(|r| r.record).collect())
+        self.scan_columns(std::slice::from_ref(&compiled), |group| {
+            on_group(group.records())
         })
     }
 
-    /// Shared-scan driver: scans the file once under the **union** of
-    /// `preds`, calling `on_group` with every row that matches *at least
-    /// one* predicate (original trace order restored per group, dictionary
-    /// ids kept so callers can re-route rows per predicate with
-    /// [`CompiledPredicate::row_matches`]). A chunk is decoded when any
-    /// predicate's zone-map test admits it, so N queries pay one pass.
-    /// `rows_emitted` counts union rows.
+    /// [`StoreReader::scan_columns`] with each group materialized as
+    /// indexed records (dictionary ids kept, so callers can re-route rows
+    /// per predicate with [`CompiledPredicate::matches`]).
     ///
     /// # Errors
     ///
@@ -299,6 +445,31 @@ impl<R: Read + Seek> StoreReader<R> {
         E: From<Error>,
         F: FnMut(Vec<IndexedRecord>) -> std::result::Result<(), E>,
     {
+        self.scan_columns(preds, |group| on_group(group.indexed_records()))
+    }
+
+    /// The scan: reads the file once under the **union** of `preds`,
+    /// calling `on_group` once per row group with the rows that match *at
+    /// least one* predicate, as columns in original trace order. A chunk
+    /// is decoded when any predicate's zone-map test admits it, so N
+    /// queries pay one pass. Within a chunk, each row's keys are tested
+    /// before its payload is copied; the `(bus, m_id)` test runs once per
+    /// run of equal keys (clustered groups hold long runs), the time test
+    /// per row. Groups without survivors are not emitted. `rows_emitted`
+    /// counts union rows.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StoreReader::scan`].
+    pub fn scan_columns<E, F>(
+        &mut self,
+        preds: &[CompiledPredicate],
+        mut on_group: F,
+    ) -> std::result::Result<ScanStats, E>
+    where
+        E: From<Error>,
+        F: FnMut(&GroupColumns) -> std::result::Result<(), E>,
+    {
         let mut stats = ScanStats {
             chunks_total: self.footer.chunks.len(),
             ..ScanStats::default()
@@ -306,27 +477,28 @@ impl<R: Read + Seek> StoreReader<R> {
         // Observability counters are accumulated locally and flushed once
         // per scan, so the per-chunk loop never touches the registry.
         let mut bytes_read: u64 = 0;
-        // Matching rows of the group under assembly.
-        let mut pending: Vec<IndexedRecord> = Vec::new();
+        let mut buf: Vec<u8> = Vec::new();
+        // Surviving rows of the group under assembly.
+        let mut group = GroupColumns::new(self.footer.buses.clone());
         let mut pending_group: Option<u32> = None;
-        let chunk_count = self.footer.chunks.len();
-        for idx in 0..chunk_count {
-            let (group, may_match) = {
-                let meta = &self.footer.chunks[idx];
-                (meta.group, preds.iter().any(|p| p.chunk_may_match(meta)))
-            };
-            if pending_group.is_some_and(|g| g != group) {
-                emit_group(&mut pending, &mut stats, &mut on_group)?;
+        // Windows of the predicates selecting the current `(bus, m_id)`
+        // run, decided once per run; a windowless predicate admits all time.
+        let mut run_key: Option<(u32, u32)> = None;
+        let mut run_windows: Vec<(u64, u64)> = Vec::new();
+        for (idx, meta) in self.footer.chunks.iter().enumerate() {
+            if pending_group.is_some_and(|g| g != meta.group) {
+                emit_group(&mut group, &mut stats, &mut on_group)?;
             }
-            pending_group = Some(group);
-            if !may_match {
+            pending_group = Some(meta.group);
+            if !preds.iter().any(|p| p.chunk_may_match(meta)) {
                 stats.chunks_skipped += 1;
                 continue;
             }
             stats.chunks_scanned += 1;
-            bytes_read += self.footer.chunks[idx].len as u64;
-            let rows = match self.read_chunk(idx) {
-                Ok(rows) => rows,
+            bytes_read += u64::from(meta.len);
+            let bus_count = self.footer.buses.len();
+            let chunk = match read_chunk(&mut self.inner, meta, idx, bus_count, &mut buf) {
+                Ok(chunk) => chunk,
                 Err(e) => {
                     if matches!(e, Error::ChunkChecksum { .. }) {
                         ivnt_obs::with(|r| r.add("store_scan_checksum_failures_total", 1));
@@ -335,14 +507,30 @@ impl<R: Read + Seek> StoreReader<R> {
                     return Err(E::from(e));
                 }
             };
-            stats.peak_rows_buffered = stats.peak_rows_buffered.max(pending.len() + rows.len());
-            for row in rows {
-                if preds.iter().any(|p| p.row_matches(&row)) {
-                    pending.push(row);
+            stats.rows_decoded += chunk.len() as u64;
+            stats.peak_rows_buffered = stats.peak_rows_buffered.max(group.len() + chunk.len());
+            for i in 0..chunk.len() {
+                let key = (chunk.bus[i], chunk.mid[i]);
+                if run_key != Some(key) {
+                    run_key = Some(key);
+                    run_windows.clear();
+                    run_windows.extend(
+                        preds
+                            .iter()
+                            .filter(|p| p.pair_matches(key.0, key.1))
+                            .map(|p| p.time_range_us.unwrap_or((0, u64::MAX))),
+                    );
+                }
+                let t = chunk.t_us[i];
+                if run_windows
+                    .iter()
+                    .any(|&(from, to)| (from..=to).contains(&t))
+                {
+                    group.push(&chunk, i);
                 }
             }
         }
-        emit_group(&mut pending, &mut stats, &mut on_group)?;
+        emit_group(&mut group, &mut stats, &mut on_group)?;
         flush_scan_obs(&stats, bytes_read);
         Ok(stats)
     }
@@ -360,18 +548,26 @@ impl<R: Read + Seek> StoreReader<R> {
         })?;
         Ok(out)
     }
+}
 
-    /// Reads, checksum-verifies and decodes chunk `idx`.
-    fn read_chunk(&mut self, idx: usize) -> Result<Vec<IndexedRecord>> {
-        let meta = &self.footer.chunks[idx];
-        self.inner.seek(SeekFrom::Start(meta.offset))?;
-        let mut bytes = vec![0u8; meta.len as usize];
-        read_exact_or_truncated(&mut self.inner, &mut bytes, "chunk body")?;
-        if checksum(&bytes) != meta.checksum {
-            return Err(Error::ChunkChecksum { chunk: idx });
-        }
-        decode_chunk(&bytes, &self.footer.buses)
+/// Reads chunk `idx` into `buf`, verifies its checksum and decodes its
+/// columns. The footer's extents were checked at open, so `meta.len` is
+/// bounded by the file.
+fn read_chunk<'b, R: Read + Seek>(
+    inner: &mut R,
+    meta: &ChunkMeta,
+    idx: usize,
+    bus_count: usize,
+    buf: &'b mut Vec<u8>,
+) -> Result<ChunkColumns<'b>> {
+    inner.seek(SeekFrom::Start(meta.offset))?;
+    buf.clear();
+    buf.resize(meta.len as usize, 0);
+    read_exact_or_truncated(inner, buf, "chunk body")?;
+    if checksum(buf) != meta.checksum {
+        return Err(Error::ChunkChecksum { chunk: idx });
     }
+    decode_chunk_columns(buf, bus_count)
 }
 
 /// Flushes one scan's accumulated counters to the installed subscriber
@@ -388,6 +584,7 @@ fn flush_scan_obs(stats: &ScanStats, bytes_read: u64) {
             stats.chunks_skipped as u64,
         );
         r.add("store_scan_bytes_total", bytes_read);
+        r.add("store_scan_rows_decoded_total", stats.rows_decoded);
         r.add("store_scan_rows_emitted_total", stats.rows_emitted);
         r.gauge_max(
             "store_scan_peak_rows_buffered",
@@ -396,22 +593,25 @@ fn flush_scan_obs(stats: &ScanStats, bytes_read: u64) {
     });
 }
 
-/// Restores one group's rows to trace order and hands them to the callback.
+/// Restores one group's rows to trace order, hands them to the callback
+/// and empties the group for the next one. Groups without survivors are
+/// not emitted.
 fn emit_group<E, F>(
-    pending: &mut Vec<IndexedRecord>,
+    group: &mut GroupColumns,
     stats: &mut ScanStats,
     on_group: &mut F,
 ) -> std::result::Result<(), E>
 where
-    F: FnMut(Vec<IndexedRecord>) -> std::result::Result<(), E>,
+    F: FnMut(&GroupColumns) -> std::result::Result<(), E>,
 {
-    if pending.is_empty() {
+    if group.is_empty() {
         return Ok(());
     }
-    let mut rows = std::mem::take(pending);
-    rows.sort_by_key(|r| r.index);
-    stats.rows_emitted += rows.len() as u64;
-    on_group(rows)
+    group.restore_order();
+    stats.rows_emitted += group.len() as u64;
+    let result = on_group(group);
+    group.clear();
+    result
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<()> {

@@ -3,8 +3,10 @@
 //! Column names and the raw schema live here — *below* the pipeline — so
 //! the on-disk store, the simulator's repository and the interpretation
 //! engine all agree on one definition (`ivnt_core::tabular` re-exports
-//! these) — and so does [`records_to_batch`], the one column-wise
-//! record→frame builder every source's rows go through.
+//! these) — and so does [`records_to_batch`], the column-wise
+//! record→frame builder of in-memory and streamed rows. Store scans never
+//! build records: [`GroupColumns::to_batch`](crate::GroupColumns::to_batch)
+//! emits the same cells straight from decoded columns.
 
 use std::sync::Arc;
 
@@ -41,10 +43,10 @@ pub fn raw_trace_schema() -> Arc<Schema> {
     .into_shared()
 }
 
-/// Converts records into one raw-trace [`Batch`], column-wise — the single
-/// record→frame ingest behind store scans, the stream tier and in-memory
-/// traces alike. Takes any re-iterable source of `&Record` (a slice, or
-/// preselected survivors), so filtering never copies a record.
+/// Converts records into one raw-trace [`Batch`], column-wise — the
+/// record→frame ingest behind the stream tier and in-memory traces. Takes
+/// any re-iterable source of `&Record` (a slice, or preselected
+/// survivors), so filtering never copies a record.
 ///
 /// Cells are typed from the start: seconds as `µs / 1e6`, protocol display
 /// names interned per batch, bus `Arc`s shared with the records (the
