@@ -954,10 +954,13 @@ fn sample_quantile(samples: &[f64], p: f64) -> f64 {
 /// Sources: `--stdin` reads the frame-line format from standard input,
 /// `--listen` accepts one TCP peer speaking the same format, and the
 /// default replays a simulated scenario (looped when `--frames` caps the
-/// run). Every flushed group is checksummed and immediately durable, so
-/// killing the process mid-stream loses at most the unflushed tail —
-/// `ivnt store info` and the pipeline recover the rest. `--no-seal`
-/// leaves the file appendable on exit.
+/// run). Frames reach the writer in batches; `--queue N` bounds the rows
+/// queued between source and writer, and a batch that would exceed it
+/// waits (one backpressure wait per blocked hand-off). Every flushed group
+/// is checksummed and immediately durable, so killing the process
+/// mid-stream loses at most the unflushed tail — `ivnt store info` and
+/// the pipeline recover the rest. `--no-seal` leaves the file appendable
+/// on exit.
 fn stream_ingest(args: &Args) -> CmdResult {
     let out_path = args.positional(1, "out.ivns")?;
     let shared = SharedOptions::parse_switches(args);
@@ -1041,7 +1044,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
             p99 * 1e3,
         );
         println!(
-            "queue: peak depth {}, {} backpressure waits, {} dropped frames",
+            "queue: peak depth {} rows, {} backpressure waits, {} dropped frames",
             stats.peak_queue_depth, stats.backpressure_waits, stats.dropped_frames,
         );
         if let Some(s) = &snapshot {
@@ -1650,7 +1653,10 @@ SHARED FLAGS (run, extract, store extract, query):
 STREAMING:
   `stream ingest` appends micro-batched, checksummed row groups; a killed
   writer loses at most the unflushed tail and `store info` still indexes
-  the file. `stream follow` tails such a store through the incremental
+  the file. Frames move from source to writer in batches; `--queue N`
+  (default 1024) bounds the rows in flight, and a batch that would exceed
+  it waits (counted once per blocked hand-off as a backpressure wait).
+  Lines longer than 64 KiB are rejected. `stream follow` tails such a store through the incremental
   pipeline; on a sealed stream its concatenated output is bit-identical
   to the batch `run` over the same records. Frame-line stdin format:
   `<timestamp_us> <bus> <message_id> <payload_hex|-> [can|canfd|lin|someip]`

@@ -1228,6 +1228,13 @@ impl Kernel {
         self.decode_runs(raw, builder.runs_mut())?;
         builder.finish()
     }
+
+    /// Preselection (line 3) on records: the ones whose `(b_id, m_id)`
+    /// some rule decodes, in order — the record selector trace runs use,
+    /// so a caller builds cells only for rows the kernel would admit.
+    pub fn select_records<'a>(&self, records: &'a [Record]) -> Vec<&'a Record> {
+        RecordSelector::new(Some(self), None).select(records)
+    }
 }
 
 /// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules

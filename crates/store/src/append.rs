@@ -25,6 +25,11 @@
 //!   store in place.
 //! * [`StoreFollower`] tails a growing file, emitting each newly completed
 //!   group's records in trace order — the reader half of a live session.
+//!
+//! The pending group is held column-wise ([`GroupColumns`]: key columns,
+//! one payload arena, a row's trace index implied by its position), so
+//! appending a frame copies its payload once and allocates nothing per
+//! row; [`AppendWriter::append_batch`] takes a whole source batch.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -32,15 +37,17 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ivnt_protocol::message::Protocol;
+
+use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
 use crate::layout::{
-    checksum, decode_chunk, encode_chunk, encode_footer, ChunkMeta, EncodedRow, Footer,
-    IndexedRecord, ZoneMap, END_MAGIC, MAGIC, TRAILER_LEN,
+    checksum, decode_chunk_columns, ChunkMeta, Footer, ZoneMap, END_MAGIC, MAGIC, TRAILER_LEN,
 };
 use crate::reader::StoreReader;
-use crate::record::{protocol_tag, Record};
+use crate::record::Record;
 use crate::varint;
-use crate::writer::WriterOptions;
+use crate::writer::{encode_group, write_seal, WriterOptions};
 
 /// Marker opening every appended group frame.
 pub const GROUP_MAGIC: &[u8; 8] = b"IVNSGRP\0";
@@ -93,27 +100,20 @@ pub struct AppendWriter<W: Write> {
     options: AppendOptions,
     /// Bytes written so far == offset of the next write.
     offset: u64,
-    /// Bus dictionary in first-seen order.
-    buses: Vec<Arc<str>>,
+    /// Buffered rows of the current (unflushed) group, in append order;
+    /// its dictionary is the file's bus dictionary in first-seen order.
+    group: GroupColumns,
     /// Buses already persisted in earlier frame headers.
     buses_written: usize,
-    /// Buffered rows of the current (unflushed) group, in append order.
-    group: Vec<PendingRow>,
     /// Chunk index accumulated for the seal-time footer.
     chunks: Vec<ChunkMeta>,
     rows_total: u64,
     groups: u32,
     /// Oldest buffered record timestamp (time-trigger anchor).
     oldest_buffered_us: u64,
-}
-
-struct PendingRow {
-    index: u64,
-    timestamp_us: u64,
-    bus_id: u32,
-    message_id: u32,
-    protocol: u8,
-    payload: Vec<u8>,
+    /// Batch bus code → file bus code, filled row by row in
+    /// [`AppendWriter::append_batch`] (`u32::MAX` = not seen yet).
+    bus_codes: Vec<u32>,
 }
 
 impl AppendWriter<BufWriter<File>> {
@@ -140,13 +140,13 @@ impl<W: Write> AppendWriter<W> {
             out,
             options,
             offset: MAGIC.len() as u64,
-            buses: Vec::new(),
+            group: GroupColumns::default(),
             buses_written: 0,
-            group: Vec::new(),
             chunks: Vec::new(),
             rows_total: 0,
             groups: 0,
             oldest_buffered_us: 0,
+            bus_codes: Vec::new(),
         })
     }
 
@@ -158,23 +158,74 @@ impl<W: Write> AppendWriter<W> {
     ///
     /// Returns [`Error::Io`] if a frame flush fails.
     pub fn append(&mut self, record: &Record) -> Result<Option<GroupFlush>> {
-        let bus_id = self.intern_bus(&record.bus);
-        if self.group.is_empty() {
-            self.oldest_buffered_us = record.timestamp_us;
+        let bus = self.group.intern_bus(&record.bus);
+        self.push(
+            record.timestamp_us,
+            bus,
+            record.message_id,
+            record.protocol,
+            &record.payload,
+        )
+    }
+
+    /// Appends every row of `batch` in order, exactly as [`append`]ing
+    /// them one by one would: the flush triggers fire at the same rows and
+    /// a bus new to the file is interned when its first row is appended,
+    /// so frame headers and zone maps come out byte-identical. Calls
+    /// `on_flush` with each frame written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] if a frame flush fails; rows before the
+    /// failing flush stay appended.
+    ///
+    /// [`append`]: AppendWriter::append
+    pub fn append_batch(
+        &mut self,
+        batch: &GroupColumns,
+        mut on_flush: impl FnMut(GroupFlush),
+    ) -> Result<()> {
+        self.bus_codes.clear();
+        self.bus_codes.resize(batch.buses.len(), u32::MAX);
+        for i in 0..batch.len() {
+            let code = &mut self.bus_codes[batch.bus[i] as usize];
+            if *code == u32::MAX {
+                *code = self.group.intern_bus(&batch.buses[batch.bus[i] as usize]);
+            }
+            let bus = *code;
+            let flushed = self.push(
+                batch.t_us[i],
+                bus,
+                batch.mid[i],
+                batch.protocol[i],
+                batch.payload(i),
+            )?;
+            if let Some(flush) = flushed {
+                on_flush(flush);
+            }
         }
-        self.group.push(PendingRow {
-            index: self.rows_total,
-            timestamp_us: record.timestamp_us,
-            bus_id,
-            message_id: record.message_id,
-            protocol: protocol_tag(record.protocol),
-            payload: record.payload.clone(),
-        });
+        Ok(())
+    }
+
+    /// Buffers one row coded against the file dictionary and fires the
+    /// flush triggers.
+    fn push(
+        &mut self,
+        t_us: u64,
+        bus: u32,
+        message_id: u32,
+        protocol: Protocol,
+        payload: &[u8],
+    ) -> Result<Option<GroupFlush>> {
+        if self.group.is_empty() {
+            self.oldest_buffered_us = t_us;
+        }
+        self.group
+            .push_row(t_us, bus, message_id, protocol, payload);
         self.rows_total += 1;
         let rows_due = self.group.len() >= self.options.effective_flush_rows();
         let time_due = self.options.flush_interval_us > 0
-            && record.timestamp_us.saturating_sub(self.oldest_buffered_us)
-                >= self.options.flush_interval_us;
+            && t_us.saturating_sub(self.oldest_buffered_us) >= self.options.flush_interval_us;
         if rows_due || time_due {
             return self.flush();
         }
@@ -194,47 +245,19 @@ impl<W: Write> AppendWriter<W> {
             return Ok(None);
         }
         let started = Instant::now();
-        let mut rows = std::mem::take(&mut self.group);
-        if self.options.writer.cluster {
-            rows.sort_by_key(|r| (r.bus_id, r.message_id, r.index));
-        }
         let group_id = self.groups;
         self.groups += 1;
-
         // Cut chunks first: the frame header indexes them, so their bytes
         // and metadata must exist before the header can be written.
-        let chunk_rows = self.options.writer.chunk_rows.max(1);
-        let mut chunk_bytes: Vec<Vec<u8>> = Vec::new();
-        let mut metas: Vec<ChunkMeta> = Vec::new();
-        for chunk in rows.chunks(chunk_rows) {
-            let encoded_rows: Vec<EncodedRow<'_>> = chunk
-                .iter()
-                .map(|r| EncodedRow {
-                    index: r.index,
-                    timestamp_us: r.timestamp_us,
-                    bus_id: r.bus_id,
-                    message_id: r.message_id,
-                    protocol: r.protocol,
-                    payload: &r.payload,
-                })
-                .collect();
-            let zone = ZoneMap::compute(&encoded_rows, self.buses.len());
-            let bytes = encode_chunk(&encoded_rows);
-            metas.push(ChunkMeta {
-                offset: 0, // absolute offset patched below, once known
-                len: bytes.len() as u32,
-                rows: chunk.len() as u32,
-                group: group_id,
-                checksum: checksum(&bytes),
-                zone,
-            });
-            chunk_bytes.push(bytes);
-        }
+        let first_index = self.rows_total - self.group.len() as u64;
+        let (mut metas, chunk_bytes) =
+            encode_group(&self.group, first_index, &self.options.writer, group_id);
+        self.group.clear();
 
         let header = encode_frame_header(
             group_id,
             self.options.writer.cluster,
-            &self.buses[self.buses_written..],
+            &self.group.buses[self.buses_written..],
             &metas,
         );
         self.out.write_all(GROUP_MAGIC)?;
@@ -249,7 +272,7 @@ impl<W: Write> AppendWriter<W> {
         }
         let frame_bytes = chunk_offset - self.offset;
         self.offset = chunk_offset;
-        self.buses_written = self.buses.len();
+        self.buses_written = self.group.buses.len();
         let group_rows: usize = metas.iter().map(|m| m.rows as usize).sum();
         self.chunks.extend(metas);
         // Durability point: push the frame through to the sink so a crash
@@ -274,7 +297,7 @@ impl<W: Write> AppendWriter<W> {
     pub fn seal(mut self) -> Result<W> {
         self.flush()?;
         let footer = Footer {
-            buses: std::mem::take(&mut self.buses),
+            buses: std::mem::take(&mut self.group.buses),
             rows: self.rows_total,
             groups: self.groups,
             group_rows: self.options.effective_flush_rows() as u32,
@@ -306,28 +329,6 @@ impl<W: Write> AppendWriter<W> {
     pub fn buffered_rows(&self) -> usize {
         self.group.len()
     }
-
-    fn intern_bus(&mut self, bus: &Arc<str>) -> u32 {
-        for (i, known) in self.buses.iter().enumerate() {
-            if known.as_ref() == bus.as_ref() {
-                return i as u32;
-            }
-        }
-        self.buses.push(bus.clone());
-        (self.buses.len() - 1) as u32
-    }
-}
-
-/// Writes `footer` + trailer at `offset` through `out`.
-fn write_seal<W: Write>(out: &mut W, offset: u64, footer: &Footer) -> Result<()> {
-    let footer_bytes = encode_footer(footer)?;
-    out.write_all(&footer_bytes)?;
-    out.write_all(&offset.to_le_bytes())?;
-    out.write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
-    out.write_all(&checksum(&footer_bytes).to_le_bytes())?;
-    out.write_all(END_MAGIC)?;
-    out.flush()?;
-    Ok(())
 }
 
 /// Varint frame header: group id, flags, newly interned buses, chunk index.
@@ -360,14 +361,15 @@ fn encode_frame_header(
     out
 }
 
-/// One decoded group frame.
+/// One validated group frame; its chunk bytes are left in the buffer the
+/// caller passed to [`read_frame`].
 struct FrameInfo {
     group: u32,
     clustered: bool,
+    /// Names the frame adds to the bus dictionary.
+    new_buses: Vec<Arc<str>>,
     /// Chunk index with absolute file offsets.
     metas: Vec<ChunkMeta>,
-    /// Decoded records (only when requested), in on-disk (clustered) order.
-    records: Option<Vec<IndexedRecord>>,
     /// File offset just past the frame.
     end: u64,
 }
@@ -387,14 +389,13 @@ enum FrameRead {
     Corrupt(String),
 }
 
-/// Reads the frame at `pos`. `buses` is extended with the frame's newly
-/// interned names only when the frame is complete and valid.
+/// Reads the frame at `pos`, leaving its checksum-valid chunk bytes in
+/// `chunks`.
 fn read_frame<R: Read + Seek>(
     inner: &mut R,
     pos: u64,
     file_len: u64,
-    buses: &mut Vec<Arc<str>>,
-    want_records: bool,
+    chunks: &mut Vec<u8>,
 ) -> Result<FrameRead> {
     let avail = file_len.saturating_sub(pos);
     if avail < (GROUP_MAGIC.len() + 4) as u64 {
@@ -486,42 +487,39 @@ fn read_frame<R: Read + Seek>(
         Err(e) => return Ok(FrameRead::Corrupt(e.to_string())),
     };
 
-    // Validate the chunk bytes.
+    // The chunks follow the header back to back: one read, no seek. The
+    // total is bounded by the bytes the file holds before it sizes the
+    // buffer.
     let chunks_start = pos + (GROUP_MAGIC.len() + 4 + header.len() + 8) as u64;
     let chunk_total: u64 = metas.iter().map(|m| u64::from(m.len)).sum();
     if file_len.saturating_sub(chunks_start) < chunk_total {
         return Ok(FrameRead::Incomplete);
     }
-    let mut extended = buses.clone();
-    extended.extend(new_buses.iter().cloned());
+    let Ok(chunk_total) = usize::try_from(chunk_total) else {
+        return Ok(FrameRead::Corrupt("frame chunks exceed memory".into()));
+    };
+    chunks.clear();
+    chunks.resize(chunk_total, 0);
+    inner.read_exact(chunks)?;
     let mut offset = chunks_start;
-    let mut records = want_records.then(Vec::new);
+    let mut at = 0;
     for meta in &mut metas {
-        meta.offset = offset;
-        meta.group = group;
-        let mut bytes = vec![0u8; meta.len as usize];
-        inner.seek(SeekFrom::Start(offset))?;
-        inner.read_exact(&mut bytes)?;
-        if checksum(&bytes) != meta.checksum {
+        let len = meta.len as usize;
+        if checksum(&chunks[at..at + len]) != meta.checksum {
             return Ok(FrameRead::Corrupt(format!(
                 "chunk checksum mismatch in group {group}"
             )));
         }
-        if let Some(records) = records.as_mut() {
-            match decode_chunk(&bytes, &extended) {
-                Ok(mut rows) => records.append(&mut rows),
-                Err(Error::Io(e)) => return Err(Error::Io(e)),
-                Err(e) => return Ok(FrameRead::Corrupt(e.to_string())),
-            }
-        }
+        meta.offset = offset;
+        meta.group = group;
         offset += u64::from(meta.len);
+        at += len;
     }
-    *buses = extended;
     Ok(FrameRead::Complete(FrameInfo {
         group,
         clustered,
+        new_buses,
         metas,
-        records,
         end: offset,
     }))
 }
@@ -580,8 +578,10 @@ pub fn recover_reader<R: Read + Seek>(inner: &mut R) -> Result<Recovered> {
     let mut max_group_rows = 0u64;
     let mut clustered = true;
     let mut pos = MAGIC.len() as u64;
+    let mut chunk_bytes = Vec::new();
     // Incomplete, non-frame and corrupt reads all end the valid prefix.
-    while let FrameRead::Complete(frame) = read_frame(inner, pos, file_len, &mut buses, false)? {
+    while let FrameRead::Complete(frame) = read_frame(inner, pos, file_len, &mut chunk_bytes)? {
+        buses.extend(frame.new_buses);
         let frame_rows: u64 = frame.metas.iter().map(|m| u64::from(m.rows)).sum();
         rows += frame_rows;
         max_group_rows = max_group_rows.max(frame_rows);
@@ -732,7 +732,11 @@ pub struct TailBatch {
 pub struct StoreFollower<R: Read + Seek> {
     inner: R,
     pos: u64,
-    buses: Vec<Arc<str>>,
+    /// The frame under decode; its dictionary is the file's bus
+    /// dictionary so far.
+    rows: GroupColumns,
+    /// Chunk bytes of the frame under decode.
+    chunks: Vec<u8>,
     sealed: bool,
 }
 
@@ -768,7 +772,8 @@ impl<R: Read + Seek> StoreFollower<R> {
         Ok(StoreFollower {
             inner,
             pos: MAGIC.len() as u64,
-            buses: Vec::new(),
+            rows: GroupColumns::default(),
+            chunks: Vec::new(),
             sealed: false,
         })
     }
@@ -796,13 +801,14 @@ impl<R: Read + Seek> StoreFollower<R> {
         let file_len = self.inner.seek(SeekFrom::End(0))?;
         let mut out = TailBatch::default();
         loop {
-            match read_frame(&mut self.inner, self.pos, file_len, &mut self.buses, true)? {
+            match read_frame(&mut self.inner, self.pos, file_len, &mut self.chunks)? {
                 FrameRead::Complete(frame) => {
-                    let mut rows = frame.records.expect("records requested");
-                    rows.sort_by_key(|r| r.index);
+                    let records = self.decode(frame.new_buses, &frame.metas).map_err(|e| {
+                        Error::Format(format!("corrupt group frame at offset {}: {e}", self.pos))
+                    })?;
                     out.groups.push(TailGroup {
                         group: frame.group,
-                        records: rows.into_iter().map(|r| r.record).collect(),
+                        records,
                     });
                     self.pos = frame.end;
                 }
@@ -828,5 +834,30 @@ impl<R: Read + Seek> StoreFollower<R> {
     /// File offset of the next unread frame.
     pub fn position(&self) -> u64 {
         self.pos
+    }
+
+    /// Decodes the frame's chunks (in `self.chunks`, as `metas` cut them)
+    /// and returns its records in trace order. The dictionary keeps
+    /// `new_buses` only when every chunk decodes.
+    fn decode(&mut self, new_buses: Vec<Arc<str>>, metas: &[ChunkMeta]) -> Result<Vec<Record>> {
+        let known = self.rows.buses.len();
+        self.rows.buses.extend(new_buses);
+        let mut at = 0;
+        for meta in metas {
+            let bytes = &self.chunks[at..at + meta.len as usize];
+            at += bytes.len();
+            match decode_chunk_columns(bytes, self.rows.buses.len()) {
+                Ok(chunk) => (0..chunk.len()).for_each(|i| self.rows.push_decoded(&chunk, i)),
+                Err(e) => {
+                    self.rows.clear();
+                    self.rows.buses.truncate(known);
+                    return Err(e);
+                }
+            }
+        }
+        self.rows.restore_order();
+        let records = self.rows.records();
+        self.rows.clear();
+        Ok(records)
     }
 }

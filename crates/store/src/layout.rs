@@ -28,8 +28,9 @@ use std::sync::Arc;
 
 use ivnt_protocol::message::Protocol;
 
+use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
-use crate::record::{protocol_from_tag, Record};
+use crate::record::{protocol_from_tag, protocol_tag, Record};
 use crate::varint::{self, Cursor};
 
 /// Leading file magic (8 bytes, versioned).
@@ -74,21 +75,26 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Zone map of `rows` against a dictionary of `bus_count` entries.
-    pub fn compute(rows: &[EncodedRow<'_>], bus_count: usize) -> ZoneMap {
+    /// Zone map of rows `order` of `rows`, against their bus dictionary.
+    pub(crate) fn compute(rows: &GroupColumns, order: &[u32]) -> ZoneMap {
         let mut zm = ZoneMap {
             min_t_us: u64::MAX,
             max_t_us: 0,
             min_mid: u32::MAX,
             max_mid: 0,
-            bus_bits: vec![0u8; bus_count.div_ceil(8)],
+            bus_bits: vec![0u8; rows.buses.len().div_ceil(8)],
         };
-        for r in rows {
-            zm.min_t_us = zm.min_t_us.min(r.timestamp_us);
-            zm.max_t_us = zm.max_t_us.max(r.timestamp_us);
-            zm.min_mid = zm.min_mid.min(r.message_id);
-            zm.max_mid = zm.max_mid.max(r.message_id);
-            zm.bus_bits[r.bus_id as usize / 8] |= 1 << (r.bus_id % 8);
+        for &i in order {
+            let (t, mid, bus) = (
+                rows.t_us[i as usize],
+                rows.mid[i as usize],
+                rows.bus[i as usize],
+            );
+            zm.min_t_us = zm.min_t_us.min(t);
+            zm.max_t_us = zm.max_t_us.max(t);
+            zm.min_mid = zm.min_mid.min(mid);
+            zm.max_mid = zm.max_mid.max(mid);
+            zm.bus_bits[bus as usize / 8] |= 1 << (bus % 8);
         }
         zm
     }
@@ -219,60 +225,38 @@ impl Footer {
     }
 }
 
-/// One record of a chunk under encoding, referencing the writer's buffers.
-#[derive(Debug)]
-pub struct EncodedRow<'a> {
-    /// Original position of the row within the whole trace.
-    pub index: u64,
-    /// Timestamp (µs).
-    pub timestamp_us: u64,
-    /// Dictionary id of the bus.
-    pub bus_id: u32,
-    /// Message id.
-    pub message_id: u32,
-    /// Protocol tag.
-    pub protocol: u8,
-    /// Payload bytes.
-    pub payload: &'a [u8],
-}
-
-/// Encodes one chunk column-wise into bytes.
-pub fn encode_chunk(rows: &[EncodedRow<'_>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rows.len() * 12);
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-    // Original row indices: absolute first, zigzag deltas after.
-    for (i, r) in rows.iter().enumerate() {
-        if i == 0 {
-            varint::write_u64(&mut out, r.index);
-        } else {
-            varint::write_i64(&mut out, r.index.wrapping_sub(rows[i - 1].index) as i64);
+/// Encodes rows `order` of `rows` as one chunk, column-wise. The rows were
+/// pushed in trace order: row `i` sits at trace index `first_index + i`.
+pub(crate) fn encode_chunk(rows: &GroupColumns, order: &[u32], first_index: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(order.len() * 12);
+    out.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    let rows_at = order.iter().map(|&i| i as usize);
+    // Original row indices and timestamps: absolute first, zigzag deltas
+    // after.
+    let mut deltas = |values: &mut dyn Iterator<Item = u64>| {
+        let mut prev = None;
+        for v in values {
+            match prev {
+                None => varint::write_u64(&mut out, v),
+                Some(p) => varint::write_i64(&mut out, v.wrapping_sub(p) as i64),
+            }
+            prev = Some(v);
         }
+    };
+    deltas(&mut rows_at.clone().map(|i| first_index + i as u64));
+    deltas(&mut rows_at.clone().map(|i| rows.t_us[i]));
+    for i in rows_at.clone() {
+        varint::write_u64(&mut out, u64::from(rows.bus[i]));
     }
-    // Timestamps, same delta scheme.
-    for (i, r) in rows.iter().enumerate() {
-        if i == 0 {
-            varint::write_u64(&mut out, r.timestamp_us);
-        } else {
-            varint::write_i64(
-                &mut out,
-                r.timestamp_us.wrapping_sub(rows[i - 1].timestamp_us) as i64,
-            );
-        }
+    for i in rows_at.clone() {
+        varint::write_u64(&mut out, u64::from(rows.mid[i]));
     }
-    for r in rows {
-        varint::write_u64(&mut out, u64::from(r.bus_id));
+    out.extend(rows_at.clone().map(|i| protocol_tag(rows.protocol[i])));
+    for i in rows_at.clone() {
+        varint::write_u64(&mut out, rows.payload(i).len() as u64);
     }
-    for r in rows {
-        varint::write_u64(&mut out, u64::from(r.message_id));
-    }
-    for r in rows {
-        out.push(r.protocol);
-    }
-    for r in rows {
-        varint::write_u64(&mut out, r.payload.len() as u64);
-    }
-    for r in rows {
-        out.extend_from_slice(r.payload);
+    for i in rows_at {
+        out.extend_from_slice(rows.payload(i));
     }
     out
 }
@@ -554,30 +538,31 @@ fn check_room(count: usize, entry_len: usize, remaining: usize, what: &str) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::protocol_tag;
     use ivnt_protocol::message::Protocol;
 
-    fn rows<'a>(payloads: &'a [Vec<u8>]) -> Vec<EncodedRow<'a>> {
-        payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| EncodedRow {
-                index: 10 + i as u64,
-                timestamp_us: 1_000 * i as u64,
-                bus_id: (i % 2) as u32,
-                message_id: 100 + (i % 3) as u32,
-                protocol: protocol_tag(Protocol::Can),
-                payload: p,
-            })
-            .collect()
+    /// `n` rows alternating buses FC and DC, row `i` with an `i`-byte
+    /// payload.
+    fn rows(n: usize) -> GroupColumns {
+        let mut rows = GroupColumns::default();
+        for i in 0..n {
+            let bus = rows.intern_bus(["FC", "DC"][i % 2]);
+            let payload = vec![i as u8; i];
+            rows.push_row(
+                1_000 * i as u64,
+                bus,
+                100 + (i % 3) as u32,
+                Protocol::Can,
+                &payload,
+            );
+        }
+        rows
     }
 
     #[test]
     fn chunk_roundtrip() {
-        let payloads: Vec<Vec<u8>> = (0..5).map(|i| vec![i as u8; i]).collect();
-        let rows = rows(&payloads);
+        let rows = rows(5);
         let buses: Vec<Arc<str>> = vec![Arc::from("FC"), Arc::from("DC")];
-        let encoded = encode_chunk(&rows);
+        let encoded = encode_chunk(&rows, &[0, 1, 2, 3, 4], 10);
         let decoded = decode_chunk(&encoded, &buses).unwrap();
         assert_eq!(decoded.len(), 5);
         assert_eq!(decoded[3].index, 13);
@@ -589,9 +574,7 @@ mod tests {
 
     #[test]
     fn zone_map_covers_rows() {
-        let payloads: Vec<Vec<u8>> = (0..4).map(|_| vec![]).collect();
-        let rows = rows(&payloads);
-        let zm = ZoneMap::compute(&rows, 2);
+        let zm = ZoneMap::compute(&rows(4), &[3, 1, 0, 2]);
         assert_eq!((zm.min_t_us, zm.max_t_us), (0, 3_000));
         assert_eq!((zm.min_mid, zm.max_mid), (100, 102));
         assert!(zm.has_bus(0) && zm.has_bus(1) && !zm.has_bus(2));
@@ -684,15 +667,13 @@ mod tests {
             Err(Error::Format(_))
         ));
         // Bus reference outside the dictionary.
-        let rows = [EncodedRow {
-            index: 0,
-            timestamp_us: 0,
-            bus_id: 7,
-            message_id: 0,
-            protocol: 0,
-            payload: &[],
-        }];
-        let encoded = encode_chunk(&rows);
+        let mut rows = GroupColumns::default();
+        let bus = (0..8)
+            .map(|b| rows.intern_bus(&format!("B{b}")))
+            .last()
+            .unwrap();
+        rows.push_row(0, bus, 0, Protocol::Can, &[]);
+        let encoded = encode_chunk(&rows, &[0], 0);
         assert!(matches!(
             decode_chunk(&encoded, &buses),
             Err(Error::Format(_))

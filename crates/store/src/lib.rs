@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod append;
+pub mod columns;
 pub mod compact;
 pub mod error;
 pub mod layout;
@@ -48,10 +49,11 @@ pub use append::{
     open_recovered, recover, recover_reader, seal_recovered, AppendOptions, AppendWriter,
     GroupFlush, Recovered, StoreFollower, TailBatch, TailGroup,
 };
+pub use columns::GroupColumns;
 pub use compact::{compact, compact_file, CompactReport};
 pub use error::{Error, Result};
 pub use layout::{ChunkMeta, Footer, GroupSpan, IndexedRecord, ZoneMap};
-pub use reader::{CompiledPredicate, GroupColumns, Predicate, ScanStats, StoreReader};
+pub use reader::{CompiledPredicate, Predicate, ScanStats, StoreReader};
 pub use record::Record;
 pub use writer::{StoreWriter, WriterOptions};
 

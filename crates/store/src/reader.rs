@@ -14,15 +14,12 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::Arc;
 
-use ivnt_frame::prelude::{Batch, Column, Schema};
-use ivnt_protocol::message::Protocol;
-
+use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
 use crate::layout::{checksum, decode_chunk_columns, decode_footer, ChunkColumns, Footer};
 use crate::layout::{ChunkMeta, IndexedRecord, END_MAGIC, MAGIC, TRAILER_LEN};
-use crate::record::{protocol_tag, Record};
+use crate::record::Record;
 
 /// What a scan is looking for. Conservative by construction: `None`
 /// fields mean "everything".
@@ -171,145 +168,6 @@ impl ScanStats {
             return 0.0;
         }
         self.chunks_skipped as f64 / self.chunks_total as f64
-    }
-}
-
-/// The rows of one row group that survived a scan — key columns plus one
-/// payload arena, in original trace order once emitted. What a scan hands
-/// its consumers instead of row structs.
-#[derive(Debug, Default)]
-pub struct GroupColumns {
-    index: Vec<u64>,
-    t_us: Vec<u64>,
-    bus: Vec<u32>,
-    mid: Vec<u32>,
-    protocol: Vec<Protocol>,
-    /// `[start, end)` of each row's payload in `arena`, which batches and
-    /// row views each copy out of once.
-    spans: Vec<(usize, usize)>,
-    arena: Vec<u8>,
-    /// The footer dictionary `bus` codes index.
-    buses: Vec<Arc<str>>,
-}
-
-impl GroupColumns {
-    fn new(buses: Vec<Arc<str>>) -> GroupColumns {
-        GroupColumns {
-            buses,
-            ..GroupColumns::default()
-        }
-    }
-
-    /// Rows in the group.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the group holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Each row's `(bus code, message id, timestamp µs)` — the keys
-    /// [`CompiledPredicate::matches`] tests.
-    pub fn keys(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
-        (0..self.len()).map(|i| (self.bus[i], self.mid[i], self.t_us[i]))
-    }
-
-    /// Copies row `i` of `chunk`, keys and payload, into the group.
-    fn push(&mut self, chunk: &ChunkColumns<'_>, i: usize) {
-        self.index.push(chunk.index[i]);
-        self.t_us.push(chunk.t_us[i]);
-        self.bus.push(chunk.bus[i]);
-        self.mid.push(chunk.mid[i]);
-        self.protocol.push(chunk.protocol[i]);
-        let start = self.arena.len();
-        self.arena.extend_from_slice(chunk.payload(i));
-        self.spans.push((start, self.arena.len()));
-    }
-
-    fn payload(&self, i: usize) -> &[u8] {
-        &self.arena[self.spans[i].0..self.spans[i].1]
-    }
-
-    /// Restores trace order: a stable permutation by `index`, skipped when
-    /// the rows are already in order.
-    fn restore_order(&mut self) {
-        if self.index.is_sorted() {
-            return;
-        }
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_by_key(|&i| self.index[i as usize]);
-        fn gather<T: Copy>(v: &mut Vec<T>, perm: &[u32]) {
-            *v = perm.iter().map(|&i| v[i as usize]).collect();
-        }
-        gather(&mut self.index, &perm);
-        gather(&mut self.t_us, &perm);
-        gather(&mut self.bus, &perm);
-        gather(&mut self.mid, &perm);
-        gather(&mut self.protocol, &perm);
-        gather(&mut self.spans, &perm);
-    }
-
-    /// Empties the group, keeping its buffers for the next one.
-    fn clear(&mut self) {
-        self.index.clear();
-        self.t_us.clear();
-        self.bus.clear();
-        self.mid.clear();
-        self.protocol.clear();
-        self.spans.clear();
-        self.arena.clear();
-    }
-
-    /// The group as one raw-trace batch under `schema`
-    /// ([`raw_trace_schema`](crate::schema::raw_trace_schema)), cell for
-    /// cell what [`records_to_batch`](crate::schema::records_to_batch)
-    /// builds from the same rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures (a schema of another shape).
-    pub fn to_batch(&self, schema: Arc<Schema>) -> Result<Batch> {
-        // Protocol display names interned per batch, as records_to_batch does.
-        let mut names: [Option<Arc<str>>; 4] = Default::default();
-        let columns = vec![
-            Column::from_floats(self.t_us.iter().map(|&t| t as f64 / 1e6)),
-            Column::from_byte_payloads((0..self.len()).map(|i| Arc::from(self.payload(i)))),
-            Column::from_strs(self.bus.iter().map(|&b| self.buses[b as usize].clone())),
-            Column::from_ints(self.mid.iter().map(|&m| i64::from(m))),
-            Column::from_strs(self.protocol.iter().map(|&p| {
-                let name = &mut names[usize::from(protocol_tag(p))];
-                name.get_or_insert_with(|| Arc::from(p.to_string())).clone()
-            })),
-        ];
-        Ok(Batch::new(schema, columns)?)
-    }
-
-    /// The rows materialized as indexed records — the row view.
-    pub fn indexed_records(&self) -> Vec<IndexedRecord> {
-        (0..self.len())
-            .map(|i| IndexedRecord {
-                index: self.index[i],
-                bus_id: self.bus[i],
-                record: self.record(i),
-            })
-            .collect()
-    }
-
-    /// The rows materialized as records.
-    pub fn records(&self) -> Vec<Record> {
-        (0..self.len()).map(|i| self.record(i)).collect()
-    }
-
-    fn record(&self, i: usize) -> Record {
-        Record {
-            timestamp_us: self.t_us[i],
-            bus: self.buses[self.bus[i] as usize].clone(),
-            message_id: self.mid[i],
-            payload: self.payload(i).to_vec(),
-            protocol: self.protocol[i],
-        }
     }
 }
 
@@ -479,7 +337,8 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut bytes_read: u64 = 0;
         let mut buf: Vec<u8> = Vec::new();
         // Surviving rows of the group under assembly.
-        let mut group = GroupColumns::new(self.footer.buses.clone());
+        let mut group = GroupColumns::default();
+        group.buses = self.footer.buses.clone();
         let mut pending_group: Option<u32> = None;
         // Windows of the predicates selecting the current `(bus, m_id)`
         // run, decided once per run; a windowless predicate admits all time.
@@ -526,7 +385,7 @@ impl<R: Read + Seek> StoreReader<R> {
                     .iter()
                     .any(|&(from, to)| (from..=to).contains(&t))
                 {
-                    group.push(&chunk, i);
+                    group.push_decoded(&chunk, i);
                 }
             }
         }

@@ -18,13 +18,13 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::Arc;
 
+use crate::columns::GroupColumns;
 use crate::error::Result;
 use crate::layout::{
-    checksum, encode_chunk, encode_footer, ChunkMeta, EncodedRow, Footer, ZoneMap, END_MAGIC, MAGIC,
+    checksum, encode_chunk, encode_footer, ChunkMeta, Footer, ZoneMap, END_MAGIC, MAGIC,
 };
-use crate::record::{protocol_tag, Record};
+use crate::record::Record;
 
 /// Tuning knobs for [`StoreWriter`].
 #[derive(Debug, Clone, Copy)]
@@ -63,22 +63,12 @@ pub struct StoreWriter<W: Write> {
     options: WriterOptions,
     /// Bytes written so far == offset of the next write (no Seek needed).
     offset: u64,
-    /// Bus dictionary in first-seen order.
-    buses: Vec<Arc<str>>,
-    /// Buffered rows of the current group, in append order.
-    group: Vec<BufferedRow>,
+    /// Buffered rows of the current group, in append order; its dictionary
+    /// is the file's bus dictionary in first-seen order.
+    group: GroupColumns,
     chunks: Vec<ChunkMeta>,
     rows_total: u64,
     groups: u32,
-}
-
-struct BufferedRow {
-    index: u64,
-    timestamp_us: u64,
-    bus_id: u32,
-    message_id: u32,
-    protocol: u8,
-    payload: Vec<u8>,
 }
 
 impl StoreWriter<BufWriter<File>> {
@@ -104,8 +94,7 @@ impl<W: Write> StoreWriter<W> {
             out,
             options,
             offset: MAGIC.len() as u64,
-            buses: Vec::new(),
-            group: Vec::new(),
+            group: GroupColumns::default(),
             chunks: Vec::new(),
             rows_total: 0,
             groups: 0,
@@ -119,15 +108,14 @@ impl<W: Write> StoreWriter<W> {
     ///
     /// Returns [`Error::Io`](crate::Error::Io) if a group flush fails.
     pub fn append(&mut self, record: &Record) -> Result<()> {
-        let bus_id = self.intern_bus(&record.bus);
-        self.group.push(BufferedRow {
-            index: self.rows_total,
-            timestamp_us: record.timestamp_us,
-            bus_id,
-            message_id: record.message_id,
-            protocol: protocol_tag(record.protocol),
-            payload: record.payload.clone(),
-        });
+        let bus = self.group.intern_bus(&record.bus);
+        self.group.push_row(
+            record.timestamp_us,
+            bus,
+            record.message_id,
+            record.protocol,
+            &record.payload,
+        );
         self.rows_total += 1;
         if self.group.len() >= self.options.group_rows() {
             self.flush_group()?;
@@ -145,7 +133,7 @@ impl<W: Write> StoreWriter<W> {
     pub fn finish(mut self) -> Result<W> {
         self.flush_group()?;
         let footer = Footer {
-            buses: std::mem::take(&mut self.buses),
+            buses: std::mem::take(&mut self.group.buses),
             rows: self.rows_total,
             groups: self.groups,
             group_rows: self.options.group_rows() as u32,
@@ -153,15 +141,7 @@ impl<W: Write> StoreWriter<W> {
             generation: u64::from(self.groups),
             chunks: std::mem::take(&mut self.chunks),
         };
-        let footer_bytes = encode_footer(&footer)?;
-        let footer_offset = self.offset;
-        self.out.write_all(&footer_bytes)?;
-        self.out.write_all(&footer_offset.to_le_bytes())?;
-        self.out
-            .write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
-        self.out.write_all(&checksum(&footer_bytes).to_le_bytes())?;
-        self.out.write_all(END_MAGIC)?;
-        self.out.flush()?;
+        write_seal(&mut self.out, self.offset, &footer)?;
         Ok(self.out)
     }
 
@@ -170,52 +150,64 @@ impl<W: Write> StoreWriter<W> {
         self.rows_total
     }
 
-    fn intern_bus(&mut self, bus: &Arc<str>) -> u32 {
-        // Traces carry a handful of buses; linear probing beats a map.
-        for (i, known) in self.buses.iter().enumerate() {
-            if known.as_ref() == bus.as_ref() {
-                return i as u32;
-            }
-        }
-        self.buses.push(bus.clone());
-        (self.buses.len() - 1) as u32
-    }
-
     fn flush_group(&mut self) -> Result<()> {
         if self.group.is_empty() {
             return Ok(());
         }
-        let mut rows = std::mem::take(&mut self.group);
-        if self.options.cluster {
-            rows.sort_by_key(|r| (r.bus_id, r.message_id, r.index));
-        }
-        let group_id = self.groups;
+        let first_index = self.rows_total - self.group.len() as u64;
+        let (metas, chunks) = encode_group(&self.group, first_index, &self.options, self.groups);
         self.groups += 1;
-        for chunk_rows in rows.chunks(self.options.chunk_rows.max(1)) {
-            let encoded_rows: Vec<EncodedRow<'_>> = chunk_rows
-                .iter()
-                .map(|r| EncodedRow {
-                    index: r.index,
-                    timestamp_us: r.timestamp_us,
-                    bus_id: r.bus_id,
-                    message_id: r.message_id,
-                    protocol: r.protocol,
-                    payload: &r.payload,
-                })
-                .collect();
-            let zone = ZoneMap::compute(&encoded_rows, self.buses.len());
-            let bytes = encode_chunk(&encoded_rows);
-            self.chunks.push(ChunkMeta {
-                offset: self.offset,
-                len: bytes.len() as u32,
-                rows: chunk_rows.len() as u32,
-                group: group_id,
-                checksum: checksum(&bytes),
-                zone,
-            });
+        self.group.clear();
+        for (mut meta, bytes) in metas.into_iter().zip(chunks) {
+            meta.offset = self.offset;
             self.out.write_all(&bytes)?;
             self.offset += bytes.len() as u64;
+            self.chunks.push(meta);
         }
         Ok(())
     }
+}
+
+/// Cuts a buffered group — rows in trace order, the first at trace index
+/// `first_index`, buses coded against `rows`' dictionary — into encoded
+/// chunks: clustered by `(b_id, m_id)` when `options` ask for it (ties
+/// keep trace order), `chunk_rows` rows each, with zone maps. The metas
+/// carry offset 0 for the caller to place.
+pub(crate) fn encode_group(
+    rows: &GroupColumns,
+    first_index: u64,
+    options: &WriterOptions,
+    group: u32,
+) -> (Vec<ChunkMeta>, Vec<Vec<u8>>) {
+    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+    if options.cluster {
+        order.sort_by_key(|&i| (rows.bus[i as usize], rows.mid[i as usize]));
+    }
+    order
+        .chunks(options.chunk_rows.max(1))
+        .map(|chunk| {
+            let bytes = encode_chunk(rows, chunk, first_index);
+            let meta = ChunkMeta {
+                offset: 0,
+                len: bytes.len() as u32,
+                rows: chunk.len() as u32,
+                group,
+                checksum: checksum(&bytes),
+                zone: ZoneMap::compute(rows, chunk),
+            };
+            (meta, bytes)
+        })
+        .unzip()
+}
+
+/// Writes `footer` + trailer at `offset` through `out`.
+pub(crate) fn write_seal<W: Write>(out: &mut W, offset: u64, footer: &Footer) -> Result<()> {
+    let footer_bytes = encode_footer(footer)?;
+    out.write_all(&footer_bytes)?;
+    out.write_all(&offset.to_le_bytes())?;
+    out.write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
+    out.write_all(&checksum(&footer_bytes).to_le_bytes())?;
+    out.write_all(END_MAGIC)?;
+    out.flush()?;
+    Ok(())
 }

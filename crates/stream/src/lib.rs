@@ -5,11 +5,12 @@
 //! uploading — with three layers:
 //!
 //! * [`source`] — where frames come from: a simulator replay, a textual
-//!   frame-line stream on stdin, or a TCP socket ([`FrameSource`]).
-//! * ingest ([`ingest()`]) — a bounded-channel driver writing frames into
-//!   the appendable `.ivns` store (`ivnt_store::AppendWriter`), with
-//!   backpressure, graceful drain and crash-recoverable micro-batched row
-//!   groups.
+//!   frame-line stream on stdin, or a TCP socket ([`FrameSource`]), each
+//!   filling column batches (`ivnt_store::GroupColumns`).
+//! * ingest ([`ingest()`]) — a driver handing those batches to the
+//!   appendable `.ivns` store (`ivnt_store::AppendWriter`), with a
+//!   row-bounded queue, backpressure, graceful drain and crash-recoverable
+//!   micro-batched row groups.
 //! * [`session`] — [`StreamingSession`], the incremental variant of the
 //!   batch `extract_reduced` path: watermark reordering, bounded-history
 //!   gateway dedup, carried-state constraint reduction and optional
@@ -37,6 +38,7 @@ pub use session::{
 };
 pub use source::{
     format_line, parse_line, FrameSource, LineSource, SimulatorSource, SourceEvent, TcpLineSource,
+    MAX_LINE_LEN,
 };
 pub use symbolize::{
     symbolize_batch, IncrementalSwab, IncrementalSymbolizer, SymbolizeOptions, SymbolizedSegment,

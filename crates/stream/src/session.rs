@@ -265,10 +265,14 @@ impl<'p> StreamingSession<'p> {
             return Ok(Vec::new());
         }
         ivnt_obs::with(|r| r.add("stream_frames_total", records.len() as u64));
-        let batch = records_to_batch(self.raw_schema.clone(), records).map_err(Error::Store)?;
-        // The pipeline's kernel, compiled once for the whole session, emits
-        // the micro-batch's per-signal sequences directly.
-        let seqs = self.pipeline.kernel().sequences(&batch)?;
+        // The pipeline's kernel, compiled once for the whole session,
+        // preselects the records it decodes and emits the micro-batch's
+        // per-signal sequences directly.
+        let kernel = self.pipeline.kernel();
+        let selected = kernel.select_records(records);
+        let batch = records_to_batch(self.raw_schema.clone(), selected.iter().copied())
+            .map_err(Error::Store)?;
+        let seqs = kernel.sequences(&batch)?;
 
         let mut deltas = Vec::new();
         for seq in seqs {
