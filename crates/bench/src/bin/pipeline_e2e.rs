@@ -1,8 +1,8 @@
 //! Machine-readable end-to-end probe of the parallel branch pipeline.
 //!
 //! Runs the full Algorithm 1 on the Table 6 vehicle workload twice — the
-//! sequential reference path (`Pipeline::run_serial`) and the scatter/gather
-//! path (`Pipeline::run`) — plus the O(n log n) heap SWAB kernel against its
+//! sequential reference path (`RunOptions::serial`) and the scatter/gather
+//! path (`Session::run`) — plus the O(n log n) heap SWAB kernel against its
 //! retained O(n²) reference, and writes `BENCH_pipeline.json` following the
 //! `speed_probe`/`cluster_scale` conventions. `IVNT_BENCH_SCALE` scales the
 //! workload.

@@ -34,7 +34,7 @@
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::time::Instant;
 
@@ -180,10 +180,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cluster: true,
     };
     let group_rows = options.group_rows();
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let path = dir.join(format!("ivnt-store-probe-{pid}.ivns"));
-    let legacy_path = dir.join(format!("ivnt-store-probe-{pid}.ivnt"));
+    let path = std::env::temp_dir().join(format!("ivnt-store-probe-{}.ivns", std::process::id()));
 
     eprintln!(
         "workload: {trace_rows} rows, 9 signals ({:.1}% of traffic), \
@@ -210,11 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows_out: trace_rows,
     });
 
-    // Size comparison against the legacy sequential binary format.
-    data.trace
-        .write_to(BufWriter::new(File::create(&legacy_path)?))?;
     let ivns_bytes = std::fs::metadata(&path)?.len();
-    let legacy_bytes = std::fs::metadata(&legacy_path)?.len();
 
     let mut reader = StoreReader::open(&path)?;
     let chunks_total = reader.footer().chunks.len();
@@ -326,7 +319,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&legacy_path);
 
     let skip_ratio = stats.skip_ratio();
     let min_skip: f64 = std::env::var("IVNT_STORE_MIN_SKIP")
@@ -349,7 +341,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  }},\n",
             "  \"file\": {{\n",
             "    \"ivns_bytes\": {},\n",
-            "    \"legacy_bytes\": {},\n",
             "    \"bytes_per_row\": {:.2}\n",
             "  }},\n",
             "  \"measurements\": [\n{}\n  ],\n",
@@ -383,7 +374,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         group_rows,
         runs,
         ivns_bytes,
-        legacy_bytes,
         ivns_bytes as f64 / trace_rows.max(1) as f64,
         entries.join(",\n"),
         EXTRACT_PAIRS,
@@ -415,7 +405,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "file: {ivns_bytes} bytes ({:.2} B/row; legacy format {legacy_bytes} bytes)",
+        "file: {ivns_bytes} bytes ({:.2} B/row)",
         ivns_bytes as f64 / trace_rows.max(1) as f64
     );
     println!(

@@ -107,10 +107,10 @@ mod tests {
 
     #[test]
     fn flags_and_positionals() {
-        let a = parse(&["--scenario", "syn", "trace.ivnt", "--seed", "7"]);
+        let a = parse(&["--scenario", "syn", "trace.ivns", "--seed", "7"]);
         assert_eq!(a.get("scenario"), Some("syn"));
         assert_eq!(a.get_parsed::<u64>("seed").unwrap(), Some(7));
-        assert_eq!(a.positional(0, "trace").unwrap(), "trace.ivnt");
+        assert_eq!(a.positional(0, "trace").unwrap(), "trace.ivns");
         assert_eq!(a.get_or("missing", "x"), "x");
     }
 

@@ -82,17 +82,22 @@ fn scenario_spec(args: &Args) -> Result<DataSetSpec, String> {
     Ok(spec)
 }
 
-/// `ivnt record --scenario syn --examples 50000 --seed 7 <out.ivnt>`
+/// `ivnt record --scenario syn|lig|sta [--examples N] [--seed S]
+/// [--chunk-rows N] [--chunks-per-group N] [--cluster true|false]
+/// <out.ivns>`
+///
+/// Simulates a scenario and records it as an `.ivns` store file — the
+/// same writer the journey repository uses. `--scenario`/`--seed` re-create
+/// any recording deterministically.
 ///
 /// # Errors
 ///
 /// Reports generation and I/O failures as messages.
 pub fn record(args: &Args) -> CmdResult {
-    let out_path = args.positional(0, "out.ivnt")?;
+    let out_path = args.positional(0, "out.ivns")?;
     let spec = scenario_spec(args)?;
     let data = scenario::generate(&spec).map_err(err)?;
-    let file = File::create(out_path).map_err(err)?;
-    data.trace.write_to(BufWriter::new(file)).map_err(err)?;
+    write_store(out_path, &data.trace, args)?;
     println!(
         "recorded {}: {} records, {:.1} s, {} signal types ({})",
         out_path,
@@ -104,15 +109,27 @@ pub fn record(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ivnt inspect <trace.ivnt>` — structural statistics of a trace file.
+/// Writes `trace` to `out_path` as a sealed store file under the
+/// chunk-geometry flags.
+fn write_store(out_path: &str, trace: &Trace, args: &Args) -> CmdResult {
+    let mut writer =
+        ivnt_store::StoreWriter::create(out_path, writer_options(args)?).map_err(err)?;
+    for r in trace.records() {
+        writer.append(r).map_err(err)?;
+    }
+    writer.finish().map_err(err)?;
+    Ok(())
+}
+
+/// `ivnt inspect <trace.ivns>` — structural statistics of a trace file.
 ///
 /// # Errors
 ///
 /// Reports I/O and format failures as messages.
 pub fn inspect(args: &Args) -> CmdResult {
-    let path = args.positional(0, "trace.ivnt")?;
-    let file = File::open(path).map_err(err)?;
-    let trace = Trace::read_from(BufReader::new(file)).map_err(err)?;
+    let path = args.positional(0, "trace.ivns")?;
+    let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
+    let trace = Trace::from_records(reader.read_all().map_err(err)?);
 
     let stats = ivnt_simulator::stats::trace_stats(&trace);
     println!(
@@ -139,35 +156,47 @@ pub fn inspect(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ivnt extract --scenario syn --seed 7 [--signals a,b] [--state-csv out.csv] <trace.ivnt>`
-///
-/// Rebuilds the scenario's network (the catalog/documentation role), runs
-/// the full pipeline and prints or exports the state representation. The
-/// `--scenario`/`--seed` must match the recording.
-///
-/// # Errors
-///
-/// Reports pipeline and I/O failures as messages.
-pub fn extract(args: &Args) -> CmdResult {
-    run_pipeline_cmd(args)
+/// Opens a store and resolves the `--rules` catalog for it;
+/// `inferred`/`merged` tables are recovered from the store itself.
+fn store_catalog(
+    args: &Args,
+    path: &str,
+) -> Result<(RuleCatalog, ivnt_store::StoreReader<BufReader<File>>), String> {
+    let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
+    let catalog = rule_catalog(
+        args,
+        || authored_catalog(args),
+        |params| ivnt_infer::infer_store(&mut reader, params).map_err(err),
+    )?;
+    Ok((catalog, reader))
 }
 
-/// `ivnt run --scenario syn --seed 7 [--signals a,b] [--workers N]
-/// [--timing] [--serial] [--metrics] [--json] [--state-csv out.csv]
-/// <trace.ivnt>`
-///
-/// The full Algorithm 1 like `ivnt extract`, plus perf introspection:
-/// `--timing` prints the per-stage busy/wall breakdown, `--serial`
-/// forces the sequential reference path, `--workers` caps the
-/// per-signal fan-out, `--metrics` prints the run's observability
-/// snapshot (Prometheus text, or JSON with `--json`), and `--json`
-/// switches the whole summary to machine-readable output.
-///
-/// # Errors
-///
-/// Reports pipeline and I/O failures as messages.
-pub fn run(args: &Args) -> CmdResult {
-    run_pipeline_cmd(args)
+/// The `cli` domain profile, narrowed to `--signals a,b` when given.
+fn signal_profile(args: &Args) -> DomainProfile {
+    let profile = DomainProfile::new("cli");
+    match args.get("signals") {
+        Some(list) => profile.with_signals(list.split(',').map(str::trim).map(String::from)),
+        None => profile,
+    }
+}
+
+/// Applies the shared `--serial`/`--workers` flags and the `--metrics`
+/// subscriber to a session's options.
+fn session_options<'a, R: std::io::Read + std::io::Seek>(
+    mut opts: RunOptions<'a, R>,
+    shared: &SharedOptions,
+    registry: Option<&std::sync::Arc<ivnt_obs::Registry>>,
+) -> RunOptions<'a, R> {
+    if shared.serial {
+        opts = opts.serial();
+    }
+    if let Some(workers) = shared.workers {
+        opts = opts.with_workers(workers);
+    }
+    if let Some(r) = registry {
+        opts = opts.with_subscriber(std::sync::Arc::clone(r));
+    }
+    opts
 }
 
 /// Prints the per-stage timing table of one run: `busy` is the summed
@@ -176,12 +205,10 @@ pub fn run(args: &Args) -> CmdResult {
 /// stage's effective parallelism.
 fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
     let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let serial = |name: &str, busy: f64| {
-        println!("  {:<22} {:>10} {:>10}", name, ms(busy), ms(busy));
-    };
     let fan_out = |name: &str, busy: f64, wall: f64| {
         println!("  {:<22} {:>10} {:>10}", name, ms(busy), ms(wall));
     };
+    let serial = |name: &str, busy: f64| fan_out(name, busy, busy);
     println!("\nstage timing (busy = summed per-signal task time, wall = stage makespan):");
     println!("  {:<22} {:>10} {:>10}", "stage", "busy ms", "wall ms");
     serial("tabular (ingest)", t.tabular);
@@ -195,6 +222,20 @@ fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
     serial("merge", t.merge);
     serial("state", t.state);
     println!("  {:<22} {:>10} {:>10}", "total", "", ms(t.total));
+}
+
+/// Renders per-signal run summaries as the `signals` JSON array.
+fn signals_json(w: &mut JsonWriter, signals: &[ivnt_core::pipeline::SignalOutput]) {
+    w.begin_array(Some("signals"));
+    for s in signals {
+        w.begin_object(None);
+        w.field_str("signal", &s.signal);
+        w.field_str("branch", &s.classification.branch.to_string());
+        w.field_u64("rows_interpreted", s.rows_interpreted as u64);
+        w.field_u64("rows_reduced", s.rows_reduced as u64);
+        w.end_object();
+    }
+    w.end_array();
 }
 
 /// Renders one run's timing as a JSON object (seconds, not ms).
@@ -221,57 +262,40 @@ fn timing_json(w: &mut JsonWriter, t: &ivnt_core::pipeline::StageTiming) {
     w.end_object();
 }
 
-/// Shared driver of `ivnt extract` and `ivnt run`.
-fn run_pipeline_cmd(args: &Args) -> CmdResult {
-    let path = args.positional(0, "trace.ivnt")?;
-    let file = File::open(path).map_err(err)?;
-    let trace = Trace::read_from(BufReader::new(file)).map_err(err)?;
-
-    let catalog = rule_catalog(
-        args,
-        || authored_catalog(args),
-        |params| Ok(ivnt_infer::infer_trace(&trace, params)),
-    )?;
-
+/// `ivnt run --scenario syn --seed 7 [--signals a,b] [--workers N]
+/// [--timing] [--serial] [--metrics] [--json] [--state-csv out.csv]
+/// <trace.ivns>`
+///
+/// The full Algorithm 1 straight from the store (zone maps prune chunks
+/// the domain cannot match): `--timing` prints the per-stage busy/wall
+/// breakdown, `--serial` forces the sequential reference path,
+/// `--workers` caps the per-signal fan-out, `--metrics` prints the run's
+/// observability snapshot (Prometheus text, or JSON with `--json`), and
+/// `--json` switches the whole summary to machine-readable output.
+///
+/// # Errors
+///
+/// Reports pipeline and I/O failures as messages.
+pub fn run(args: &Args) -> CmdResult {
+    let path = args.positional(0, "trace.ivns")?;
     let shared = SharedOptions::parse(args)?;
-    let mut profile = DomainProfile::new("cli");
-    if let Some(list) = args.get("signals") {
-        let names: Vec<String> = list.split(',').map(str::trim).map(String::from).collect();
-        profile = profile.with_signals(names);
-    }
-    let pipeline = Pipeline::from_catalog(&catalog, profile).map_err(err)?;
-
+    let (catalog, mut reader) = store_catalog(args, path)?;
+    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args)).map_err(err)?;
     let registry = output::metrics_registry(&shared);
-    let mut opts = ivnt_core::pipeline::RunOptions::trace(&trace);
-    if shared.serial {
-        opts = opts.serial();
-    }
-    if let Some(workers) = shared.workers {
-        opts = opts.with_workers(workers);
-    }
-    if let Some((r, _)) = &registry {
-        opts = opts.with_subscriber(std::sync::Arc::clone(r));
-    }
+    let opts = session_options(
+        RunOptions::store(&mut reader),
+        &shared,
+        registry.as_ref().map(|(r, _)| r),
+    );
     let output = pipeline.session(opts).run().map_err(err)?;
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
 
     if shared.json {
         let mut w = JsonWriter::new();
         w.begin_object(None);
-        w.begin_array(Some("signals"));
-        for s in &output.signals {
-            w.begin_object(None);
-            w.field_str("signal", &s.signal);
-            w.field_str("branch", &s.classification.branch.to_string());
-            w.field_u64("rows_interpreted", s.rows_interpreted as u64);
-            w.field_u64("rows_reduced", s.rows_reduced as u64);
-            w.end_object();
-        }
-        w.end_array();
+        signals_json(&mut w, &output.signals);
         timing_json(&mut w, &output.timing);
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -285,10 +309,7 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
         if shared.timing {
             print_timing(&output.timing);
         }
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
     if let Some(report_path) = args.get("report") {
         let md = ivnt_analysis::report::render_report(
@@ -318,24 +339,24 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ivnt store <ingest|info|extract>` — the chunked columnar trace store.
+/// `ivnt store <ingest|info|compact>` — the chunked columnar trace store.
 ///
 /// # Errors
 ///
 /// Reports unknown subcommands and the subcommands' own failures.
 pub fn store(args: &Args) -> CmdResult {
-    match args.positional(0, "ingest|info|extract|compact")? {
+    match args.positional(0, "ingest|info|compact")? {
         "ingest" => store_ingest(args),
         "info" => store_info(args),
-        "extract" => store_extract(args),
         "compact" => store_compact(args),
         other => Err(format!(
-            "unknown store subcommand {other:?} (use ingest|info|extract|compact)"
+            "unknown store subcommand {other:?} (use ingest|info|compact)"
         )),
     }
 }
 
-/// Chunk-geometry flags shared by `store ingest`.
+/// Chunk-geometry flags shared by `record`, `store ingest`, `store
+/// compact` and `stream ingest`.
 fn writer_options(args: &Args) -> Result<ivnt_store::WriterOptions, String> {
     let mut options = ivnt_store::WriterOptions::default();
     if let Some(rows) = args.get_parsed::<usize>("chunk-rows")? {
@@ -350,42 +371,24 @@ fn writer_options(args: &Args) -> Result<ivnt_store::WriterOptions, String> {
     Ok(options)
 }
 
-/// `ivnt store ingest [--from trace.ivnt|trace.csv] [--scenario syn ...]
-/// [--chunk-rows N] [--chunks-per-group N] [--cluster true|false] <out.ivns>`
+/// `ivnt store ingest --from trace.csv [--chunk-rows N]
+/// [--chunks-per-group N] [--cluster true|false] <out.ivns>`
 ///
-/// Converts a legacy binary trace or a raw-trace CSV into the chunked
-/// columnar format; without `--from`, records a simulated scenario
-/// directly into it.
+/// Imports a raw-trace CSV (`t,l,b_id,m_id,m_info`) into the chunked
+/// columnar format.
 fn store_ingest(args: &Args) -> CmdResult {
     let out_path = args.positional(1, "out.ivns")?;
-    let trace = match args.get("from") {
-        Some(path) if path.ends_with(".csv") => {
-            let file = File::open(path).map_err(err)?;
-            ivnt_simulator::store::read_csv_trace(BufReader::new(file)).map_err(err)?
-        }
-        Some(path) => {
-            let file = File::open(path).map_err(err)?;
-            Trace::read_from(BufReader::new(file)).map_err(err)?
-        }
-        None => {
-            scenario::generate(&scenario_spec(args)?)
-                .map_err(err)?
-                .trace
-        }
-    };
-    let options = writer_options(args)?;
-    let group_rows = options.group_rows();
-    let mut writer = ivnt_store::StoreWriter::create(out_path, options).map_err(err)?;
-    for r in trace.records() {
-        writer.append(r).map_err(err)?;
-    }
-    let rows = writer.rows();
-    writer.finish().map_err(err)?;
+    let from = args
+        .get("from")
+        .ok_or_else(|| "need --from <trace.csv>".to_string())?;
+    let file = File::open(from).map_err(err)?;
+    let trace = ivnt_simulator::store::read_csv_trace(BufReader::new(file)).map_err(err)?;
+    write_store(out_path, &trace, args)?;
     println!(
         "ingested {out_path}: {} records over {:.1} s ({} rows/group)",
-        rows,
+        trace.len(),
         trace.duration_s(),
-        group_rows,
+        writer_options(args)?.group_rows(),
     );
     Ok(())
 }
@@ -562,41 +565,28 @@ fn store_info(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `ivnt store extract --scenario syn [--seed S] [--signals a,b]
-/// [--workers N] [--serial] [--metrics] [--json] [--csv out.csv]
-/// <trace.ivns>`
+/// `ivnt extract --scenario syn [--seed S] [--signals a,b]
+/// [--rules authored|inferred|merged|FILE.dbc] [--workers N] [--serial]
+/// [--metrics] [--json] [--csv out.csv] <trace.ivns>`
 ///
-/// Runs interpretation directly against the store: the pipeline's
-/// preselection predicate is pushed into the chunk scan, so chunks whose
-/// zone maps cannot match are never read from disk.
-fn store_extract(args: &Args) -> CmdResult {
-    let path = args.positional(1, "trace.ivns")?;
+/// Lines 3–6 only: interprets the store into `K_s` and reports the scan.
+/// The pipeline's preselection predicate is pushed into the chunk scan,
+/// so chunks whose zone maps cannot match are never read from disk.
+///
+/// # Errors
+///
+/// Reports pipeline and I/O failures as messages.
+pub fn extract(args: &Args) -> CmdResult {
+    let path = args.positional(0, "trace.ivns")?;
     let shared = SharedOptions::parse(args)?;
-    let spec = scenario_spec(args)?;
-    let data = scenario::generate(&spec.clone().with_duration_s(0.5)).map_err(err)?;
-    let mut u_rel = RuleSet::from_network(&data.network);
-    for (signal, (_, comparable)) in &data.signal_classes {
-        let _ = u_rel.set_comparable(signal, *comparable);
-    }
-    let mut profile = DomainProfile::new("cli-store");
-    if let Some(list) = args.get("signals") {
-        let names: Vec<String> = list.split(',').map(str::trim).map(String::from).collect();
-        profile = profile.with_signals(names);
-    }
-    let pipeline = Pipeline::new(u_rel, profile).map_err(err)?;
-    let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
-
+    let (catalog, mut reader) = store_catalog(args, path)?;
+    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args)).map_err(err)?;
     let registry = output::metrics_registry(&shared);
-    let mut opts = ivnt_core::pipeline::RunOptions::store(&mut reader);
-    if shared.serial {
-        opts = opts.serial();
-    }
-    if let Some(workers) = shared.workers {
-        opts = opts.with_workers(workers);
-    }
-    if let Some((r, _)) = &registry {
-        opts = opts.with_subscriber(std::sync::Arc::clone(r));
-    }
+    let opts = session_options(
+        RunOptions::store(&mut reader),
+        &shared,
+        registry.as_ref().map(|(r, _)| r),
+    );
     let extraction = pipeline.session(opts).extract().map_err(err)?;
     let frame = extraction.frame;
     let stats = extraction.scan.unwrap_or_default();
@@ -616,9 +606,7 @@ fn store_extract(args: &Args) -> CmdResult {
         w.field_u64("rows_emitted", stats.rows_emitted);
         w.field_u64("peak_rows_buffered", stats.peak_rows_buffered as u64);
         w.end_object();
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -642,7 +630,7 @@ fn store_extract(args: &Args) -> CmdResult {
             println!("interpreted signals written to {csv_path}");
         }
     } else if !shared.json {
-        let mut counts: Vec<(String, usize)> = Vec::new();
+        let mut by_name = std::collections::BTreeMap::<String, usize>::new();
         for v in frame
             .column_values(ivnt_core::tabular::columns::SIGNAL)
             .map_err(err)?
@@ -651,21 +639,16 @@ fn store_extract(args: &Args) -> CmdResult {
                 ivnt_frame::value::Value::Str(s) => s.to_string(),
                 other => format!("{other:?}"),
             };
-            match counts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((name, 1)),
-            }
+            *by_name.entry(name).or_default() += 1;
         }
+        let mut counts: Vec<(String, usize)> = by_name.into_iter().collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for (name, count) in counts {
             println!("  {name:<14} {count:>8} rows");
         }
     }
     if !shared.json {
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
     Ok(())
 }
@@ -763,7 +746,7 @@ fn parse_domain_spec(spec: &str) -> Result<DomainSpec, String> {
 /// the `ivnt-plan` planner: preselection predicates are merged into one
 /// union scan, signal-disjoint windowless batches share the interpret
 /// kernel, and every per-query answer is bit-identical to running that
-/// domain as its own `ivnt store extract`-style session. `--signal SIG`
+/// domain as its own `ivnt extract`-style session. `--signal SIG`
 /// is shorthand for `--domain SIG=SIG`.
 ///
 /// # Errors
@@ -788,13 +771,7 @@ pub fn query(args: &Args) -> CmdResult {
         return Err("need at least one --domain NAME=SIG[+SIG..] or --signal SIG".into());
     }
 
-    let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
-    let catalog = rule_catalog(
-        args,
-        || authored_catalog(args),
-        |params| ivnt_infer::infer_store(&mut reader, params).map_err(err),
-    )?;
-
+    let (catalog, mut reader) = store_catalog(args, path)?;
     let pipelines: Vec<Pipeline> = specs
         .iter()
         .map(|d| {
@@ -862,22 +839,11 @@ pub fn query(args: &Args) -> CmdResult {
             w.field_str("label", &qr.label);
             w.field_u64("rows_routed", qr.stats.rows_routed);
             w.field_u64("groups", u64::from(qr.stats.groups));
-            w.begin_array(Some("signals"));
-            for s in &qr.output.signals {
-                w.begin_object(None);
-                w.field_str("signal", &s.signal);
-                w.field_str("branch", &s.classification.branch.to_string());
-                w.field_u64("rows_interpreted", s.rows_interpreted as u64);
-                w.field_u64("rows_reduced", s.rows_reduced as u64);
-                w.end_object();
-            }
-            w.end_array();
+            signals_json(&mut w, &qr.output.signals);
             w.end_object();
         }
         w.end_array();
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -910,10 +876,7 @@ pub fn query(args: &Args) -> CmdResult {
                 );
             }
         }
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
     Ok(())
 }
@@ -1026,9 +989,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
         w.field_u64("backpressure_waits", stats.backpressure_waits);
         w.field_u64("peak_queue_depth", stats.peak_queue_depth as u64);
         w.field_u64("dropped_frames", stats.dropped_frames);
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -1047,10 +1008,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
             "queue: peak depth {} rows, {} backpressure waits, {} dropped frames",
             stats.peak_queue_depth, stats.backpressure_waits, stats.dropped_frames,
         );
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
     Ok(())
 }
@@ -1071,18 +1029,8 @@ fn stream_follow(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse_switches(args);
 
-    let spec = scenario_spec(args)?;
-    let data = scenario::generate(&spec.clone().with_duration_s(0.5)).map_err(err)?;
-    let mut u_rel = RuleSet::from_network(&data.network);
-    for (signal, (_, comparable)) in &data.signal_classes {
-        let _ = u_rel.set_comparable(signal, *comparable);
-    }
-    let mut profile = DomainProfile::new("cli-stream");
-    if let Some(list) = args.get("signals") {
-        let names: Vec<String> = list.split(',').map(str::trim).map(String::from).collect();
-        profile = profile.with_signals(names);
-    }
-    let pipeline = Pipeline::new(u_rel, profile).map_err(err)?;
+    let pipeline =
+        Pipeline::from_catalog(&authored_catalog(args)?, signal_profile(args)).map_err(err)?;
 
     let mut options = ivnt_stream::StreamOptions::default();
     if let Some(ms) = args.get_parsed::<u64>("watermark-ms")? {
@@ -1159,9 +1107,7 @@ fn stream_follow(args: &Args) -> CmdResult {
             w.end_object();
         }
         w.end_array();
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -1186,10 +1132,7 @@ fn stream_follow(args: &Args) -> CmdResult {
                 s.signal, s.representative_channel, s.rows_interpreted, s.rows_emitted,
             );
         }
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
     Ok(())
 }
@@ -1358,9 +1301,7 @@ fn cluster_run(args: &Args) -> CmdResult {
         w.field_u64("wire_result_bytes", run.stats.wire_result_bytes);
         w.field_u64("wire_result_raw_bytes", run.stats.wire_result_raw_bytes);
         w.field_f64("wire_compression_ratio", run.stats.compression_ratio());
-        if let Some(s) = &snapshot {
-            w.field_raw("metrics", &s.to_json());
-        }
+        w.field_metrics(snapshot.as_ref());
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -1387,10 +1328,7 @@ fn cluster_run(args: &Args) -> CmdResult {
             run.stats.wire_result_raw_bytes,
             run.stats.compression_ratio(),
         );
-        if let Some(s) = &snapshot {
-            println!();
-            output::print_snapshot(&shared, s);
-        }
+        output::print_metrics(snapshot.as_ref());
     }
 
     if args.has("verify") {
@@ -1580,28 +1518,26 @@ pub fn usage() -> &'static str {
     "ivnt — in-vehicle network trace preprocessing (DAC'18 reproduction)
 
 USAGE:
-  ivnt record  --scenario syn|lig|sta [--examples N] [--seed S] <out.ivnt>
-  ivnt inspect <trace.ivnt>
-  ivnt extract --scenario syn|lig|sta [--seed S] [--signals a,b,..]
-               [--rules authored|inferred|merged|FILE.dbc] [shared flags]
-               [--state-csv out.csv] [--report out.md] [--rows N]
-               <trace.ivnt>
+  ivnt record  --scenario syn|lig|sta [--examples N] [--seed S]
+               [--chunk-rows N] [--chunks-per-group N]
+               [--cluster true|false] <out.ivns>
+  ivnt inspect <trace.ivns>
   ivnt run     --scenario syn|lig|sta [--seed S] [--signals a,b,..]
                [--rules authored|inferred|merged|FILE.dbc] [shared flags]
                [--state-csv out.csv] [--report out.md] [--rows N]
-               <trace.ivnt>
+               <trace.ivns>
+  ivnt extract --scenario syn|lig|sta [--seed S] [--signals a,b,..]
+               [--rules authored|inferred|merged|FILE.dbc] [shared flags]
+               [--csv out.csv] <trace.ivns>
   ivnt query   --scenario syn|lig|sta [--seed S]
                --domain NAME=SIG[+SIG..][@FROM_US..TO_US] [--domain ..]
                [--signal SIG [--signal ..]]
                [--rules authored|inferred|merged|FILE.dbc] [shared flags]
                <trace.ivns>
   ivnt infer   --store trace.ivns [--mid ID] [--min-samples N] [--json]
-  ivnt store ingest  [--from trace.ivnt|trace.csv | --scenario syn|lig|sta
-                      [--seed S] [--examples N]] [--chunk-rows N]
+  ivnt store ingest  --from trace.csv [--chunk-rows N]
                       [--chunks-per-group N] [--cluster true|false] <out.ivns>
   ivnt store info    [--chunks N] [--groups N] [--json] <trace.ivns>
-  ivnt store extract --scenario syn|lig|sta [--seed S] [--signals a,b,..]
-                      [shared flags] [--csv out.csv] <trace.ivns>
   ivnt store compact [--chunk-rows N] [--chunks-per-group N]
                       [--cluster true|false] [--json] <in.ivns> <out.ivns>
   ivnt stream ingest [--stdin | --listen ADDR | --scenario syn|lig|sta
@@ -1639,10 +1575,17 @@ MULTI-QUERY:
   bit-identical to a solo session. `store compact` rewrites micro-batched
   (append-mode) stores into full-size row groups, contents unchanged.
 
-SHARED FLAGS (run, extract, store extract, query):
+TRACE FILES:
+  Every trace is an `.ivns` store: `record` simulates one, `store ingest`
+  imports a raw-trace CSV, `stream ingest` appends live frames. `run` is
+  the full Algorithm 1 (state representation); `extract` stops at the
+  interpreted signals K_s and reports the zone-map scan. Both read the
+  store directly, so chunks the domain cannot match are never decoded.
+
+SHARED FLAGS (run, extract, query):
   --workers N   cap the per-signal fan-out executor
   --serial      force the sequential reference path
-  --timing      print the per-stage busy/wall timing table (run, extract)
+  --timing      print the per-stage busy/wall timing table (run)
   --metrics     print an ivnt-obs snapshot of the run (Prometheus text)
   --json        machine-readable output; with --metrics, the snapshot
                 is embedded as JSON

@@ -1,4 +1,4 @@
-//! The flags shared by `run`, `store extract` and `cluster run`, parsed
+//! The flags shared by `run`, `extract` and `cluster run`, parsed
 //! once so every command interprets them identically.
 
 use crate::args::Args;
@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn defaults_are_off() {
-        let opts = SharedOptions::parse(&parse_line(&["trace.ivnt"])).unwrap();
+        let opts = SharedOptions::parse(&parse_line(&["trace.ivns"])).unwrap();
         assert_eq!(opts.workers, None);
         assert!(!opts.serial && !opts.timing && !opts.metrics && !opts.json);
     }

@@ -134,6 +134,14 @@ impl JsonWriter {
         self
     }
 
+    /// The `metrics` member holding a `--metrics` snapshot, if any.
+    pub fn field_metrics(&mut self, snapshot: Option<&ivnt_obs::Snapshot>) -> &mut JsonWriter {
+        if let Some(s) = snapshot {
+            self.field_raw("metrics", &s.to_json());
+        }
+        self
+    }
+
     /// An unkeyed raw JSON array element.
     pub fn element_raw(&mut self, raw: &str) -> &mut JsonWriter {
         self.entry(None);
@@ -147,14 +155,13 @@ impl JsonWriter {
     }
 }
 
-/// Prints a metrics snapshot in the format the shared flags selected:
-/// JSON when `--json` rides along with `--metrics`, Prometheus text
-/// otherwise.
-pub fn print_snapshot(opts: &SharedOptions, snapshot: &ivnt_obs::Snapshot) {
-    if opts.json {
-        println!("{}", snapshot.to_json());
-    } else {
-        print!("{}", snapshot.to_prometheus());
+/// Prints a `--metrics` snapshot, if any, after a blank line as
+/// Prometheus text (the human-readable output; `--json` embeds it through
+/// [`JsonWriter::field_metrics`] instead).
+pub fn print_metrics(snapshot: Option<&ivnt_obs::Snapshot>) {
+    if let Some(s) = snapshot {
+        println!();
+        print!("{}", s.to_prometheus());
     }
 }
 

@@ -18,10 +18,9 @@ fn temp_path(tag: &str) -> PathBuf {
 fn local_cluster_survives_a_killed_worker_bit_identically() {
     let store = temp_path("kill.ivns");
 
-    let ingest = ivnt()
+    let record = ivnt()
         .args([
-            "store",
-            "ingest",
+            "record",
             "--scenario",
             "syn",
             "--seed",
@@ -33,11 +32,11 @@ fn local_cluster_survives_a_killed_worker_bit_identically() {
         ])
         .arg(&store)
         .output()
-        .expect("ingest runs");
+        .expect("record runs");
     assert!(
-        ingest.status.success(),
-        "ingest failed: {}",
-        String::from_utf8_lossy(&ingest.stderr)
+        record.status.success(),
+        "record failed: {}",
+        String::from_utf8_lossy(&record.stderr)
     );
 
     let run = ivnt()
@@ -85,12 +84,12 @@ fn local_cluster_survives_a_killed_worker_bit_identically() {
 #[test]
 fn store_info_json_is_machine_readable() {
     let store = temp_path("info.ivns");
-    let ingest = ivnt()
-        .args(["store", "ingest", "--scenario", "syn", "--seed", "3"])
+    let record = ivnt()
+        .args(["record", "--scenario", "syn", "--seed", "3"])
         .arg(&store)
         .output()
-        .expect("ingest runs");
-    assert!(ingest.status.success());
+        .expect("record runs");
+    assert!(record.status.success());
 
     let info = ivnt()
         .args(["store", "info", "--json"])

@@ -33,8 +33,8 @@
 //! a contiguous run of row groups, ranges are verified pairwise
 //! disjoint, and concatenating their per-group batch lists in
 //! `group_start` order rebuilds exactly the partition list a
-//! single-process
-//! [`Pipeline::extract_from_store`](ivnt_core::Pipeline::extract_from_store)
+//! single-process store session
+//! ([`RunOptions::store`](ivnt_core::pipeline::RunOptions::store))
 //! produces — bit-identical, which the integration tests assert under
 //! every worker count and every injected fault.
 

@@ -4,7 +4,7 @@
 //! and profiles are closures-and-catalogs deep. It ships the *recipe*
 //! instead: scenario name, seed, and signal selection. Both sides rebuild
 //! the identical [`Pipeline`] from it (the same way the CLI's
-//! `store extract` does), which is what makes the merged distributed
+//! `extract` does), which is what makes the merged distributed
 //! output bit-identical to a single-process run: every worker interprets
 //! its shards with byte-for-byte the same `U_comb`.
 

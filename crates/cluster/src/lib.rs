@@ -17,8 +17,8 @@
 //! also the floor: older peers are refused at the handshake.
 //!
 //! The contract that makes it trustworthy: the merged distributed result
-//! is **bit-identical** to a single-process
-//! [`Pipeline::extract_from_store`](ivnt_core::Pipeline::extract_from_store)
+//! is **bit-identical** to a single-process store session
+//! ([`RunOptions::store`](ivnt_core::pipeline::RunOptions::store))
 //! over the same store — for every worker count, and through injected
 //! worker kills, corrupted result frames, stalled heartbeats, slow-task
 //! stragglers and coordinator restarts (see [`worker::WorkerFaults`]).

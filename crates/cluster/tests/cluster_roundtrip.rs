@@ -4,7 +4,7 @@
 //! and through injected worker kills, corrupted result frames,
 //! undecodable batches and stalled heartbeats — the merged distributed
 //! result is *bit-identical*
-//! to a single-process `Pipeline::extract_from_store` over the same
+//! to a single-process `RunOptions::store` session over the same
 //! store. Bit-identity is asserted by re-encoding both results'
 //! partitions with the wire codec and comparing bytes.
 

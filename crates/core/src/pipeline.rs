@@ -175,7 +175,7 @@ pub struct StageWall {
 }
 
 /// Wall-clock seconds spent per Algorithm 1 stage during one
-/// [`Pipeline::run`], so perf regressions can be attributed to a stage
+/// [`Session::run`], so perf regressions can be attributed to a stage
 /// without a profiler (`ivnt run --timing` prints this table).
 ///
 /// The fan-out stages (`dedup` through `branch`) run per signal, possibly
@@ -326,8 +326,7 @@ pub enum Source<'a, R: Read + Seek = BufReader<File>> {
 }
 
 /// Options for one pipeline [`Session`]: the input [`Source`] plus the
-/// switches that were historically spread across eight `Pipeline` entry
-/// points. Build with [`RunOptions::trace`], [`RunOptions::store`] or
+/// run's switches. Build with [`RunOptions::trace`], [`RunOptions::store`] or
 /// [`RunOptions::store_shard`], then chain the setters.
 pub struct RunOptions<'a, R: Read + Seek = BufReader<File>> {
     source: Source<'a, R>,
@@ -433,9 +432,9 @@ pub struct Extraction {
 }
 
 /// One configured pipeline invocation: a [`Pipeline`] bound to a
-/// [`Source`] and [`RunOptions`]. Every public entry point delegates
-/// here, so extraction, reduction and full runs behave identically no
-/// matter which surface invoked them.
+/// [`Source`] and [`RunOptions`] — the only way into the pipeline, so
+/// extraction, reduction and full runs behave identically whatever the
+/// source.
 ///
 /// # Examples
 ///
@@ -812,21 +811,6 @@ impl Pipeline {
         })
     }
 
-    /// Lines 3–6: preselection and interpretation, producing `K_s`.
-    ///
-    /// Wrapper over [`Pipeline::session`] with [`RunOptions::trace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::trace(trace)).extract()?.frame` instead"
-    )]
-    pub fn extract(&self, trace: &Trace) -> Result<DataFrame> {
-        Ok(self.session(RunOptions::trace(trace)).extract()?.frame)
-    }
-
     /// The store-scan predicate corresponding to this domain's
     /// preselection (line 3): the `(b_id, m_id)` pairs of `U_comb`.
     pub fn store_predicate(&self) -> ivnt_store::Predicate {
@@ -836,127 +820,6 @@ impl Pipeline {
                 .iter()
                 .map(|r| (r.bus.clone(), r.message_id)),
         )
-    }
-
-    /// Lines 3–6 straight from the on-disk store: pushes the domain's
-    /// preselection down to the storage layer as a zone-map predicate, so
-    /// chunks without relevant messages are skipped unread, and feeds each
-    /// surviving row group through the fused interpretation kernel as its
-    /// own morsel. Peak memory is bounded by one row group plus the
-    /// (preselected, hence small) interpreted output — the trace itself is
-    /// never materialized.
-    ///
-    /// Produces exactly the rows of [`Pipeline::extract`] on the same
-    /// trace, in the same order.
-    ///
-    /// Wrapper over [`Pipeline::session`] with [`RunOptions::store`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates store corruption/I/O errors ([`Error::Store`]) and
-    /// tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::store(reader)).extract()?.frame` instead"
-    )]
-    pub fn extract_from_store<R>(
-        &self,
-        reader: &mut ivnt_store::StoreReader<R>,
-    ) -> Result<DataFrame>
-    where
-        R: std::io::Read + std::io::Seek,
-    {
-        Ok(self.session(RunOptions::store(reader)).extract()?.frame)
-    }
-
-    /// [`Pipeline::extract_from_store`] plus the scan's skip statistics —
-    /// the bench probe and the acceptance tests read these.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pipeline::extract_from_store`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::store(reader)).extract()` and read \
-                `Extraction { frame, scan }` instead"
-    )]
-    pub fn extract_from_store_with_stats<R>(
-        &self,
-        reader: &mut ivnt_store::StoreReader<R>,
-    ) -> Result<(DataFrame, ivnt_store::ScanStats)>
-    where
-        R: std::io::Read + std::io::Seek,
-    {
-        let ex = self.session(RunOptions::store(reader)).extract()?;
-        Ok((ex.frame, ex.scan.unwrap_or_default()))
-    }
-
-    /// Lines 3–6 for one *shard* of the store: only row groups in
-    /// `groups` (half-open) are interpreted, producing that shard's
-    /// partitions of [`Pipeline::extract_from_store`]'s output.
-    ///
-    /// A shard is a pure function of `(file, predicate, group range)` —
-    /// re-running it after a crash yields the same batches, and
-    /// concatenating every shard's batches in group order reproduces the
-    /// single-process result exactly. This is the unit of work a cluster
-    /// coordinator assigns, retries and merges.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pipeline::extract_from_store`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::store_shard(reader, groups)).extract()?\
-                .frame.into_partitions()` instead"
-    )]
-    pub fn extract_store_shard<R>(
-        &self,
-        reader: &mut ivnt_store::StoreReader<R>,
-        groups: std::ops::Range<u32>,
-    ) -> Result<Vec<Batch>>
-    where
-        R: std::io::Read + std::io::Seek,
-    {
-        Ok(self
-            .session(RunOptions::store_shard(reader, groups))
-            .extract()?
-            .frame
-            .into_partitions())
-    }
-
-    /// Interpretation *without* preselection — the ablation showing why
-    /// line 3 matters: every rule joins against every raw row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::trace(trace).without_preselection())\
-                .extract()?.frame` instead"
-    )]
-    pub fn extract_without_preselection(&self, trace: &Trace) -> Result<DataFrame> {
-        Ok(self
-            .session(RunOptions::trace(trace).without_preselection())
-            .extract()?
-            .frame)
-    }
-
-    /// Lines 3–11: extraction, splitting, gateway dedup and constraint
-    /// reduction — the portion of Algorithm 1 the paper's Fig. 5 measures.
-    ///
-    /// Returns the reduced per-signal sequences together with their dedup
-    /// reports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::trace(trace)).extract_reduced()` instead"
-    )]
-    pub fn extract_reduced(&self, trace: &Trace) -> Result<Vec<(SignalSequence, Dedup, usize)>> {
-        self.session(RunOptions::trace(trace)).extract_reduced()
     }
 
     /// Executor for the per-signal scatter/gather: bounded by the
@@ -1010,7 +873,7 @@ impl Pipeline {
 
     /// Lines 9–28 for one signal: dedup, reduction, extension rules,
     /// classification and branch processing — the unit of work the
-    /// scatter/gather in [`Pipeline::run`] distributes. Signals are
+    /// scatter/gather in [`Session::run`] distributes. Signals are
     /// independent after the split, so running these units in any order
     /// (or concurrently) and gathering in input order reproduces the
     /// serial pipeline exactly.
@@ -1114,46 +977,6 @@ impl Pipeline {
             extensions,
             stages,
         })
-    }
-
-    /// The full Algorithm 1: extraction, reduction, extension,
-    /// classification, branch processing, merging and the state
-    /// representation.
-    ///
-    /// The per-signal middle (lines 9–28) is scattered over the persistent
-    /// worker pool — signals are independent after the split — and
-    /// gathered in signal order, so the output is bit-identical to
-    /// [`Pipeline::run_serial`] at every worker count.
-    ///
-    /// Wrapper over [`Pipeline::session`] with [`RunOptions::trace`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::trace(trace)).run()` instead"
-    )]
-    pub fn run(&self, trace: &Trace) -> Result<PipelineOutput> {
-        self.session(RunOptions::trace(trace)).run()
-    }
-
-    /// [`Pipeline::run`] with the per-signal fan-out replaced by a plain
-    /// sequential loop — the reference oracle the parallel path is held to
-    /// (see `tests/pipeline_parallel.rs` and the pipeline proptests).
-    ///
-    /// Wrapper over [`Pipeline::session`] with
-    /// [`RunOptions::trace`]`.serial()`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `pipeline.session(RunOptions::trace(trace).serial()).run()` instead"
-    )]
-    pub fn run_serial(&self, trace: &Trace) -> Result<PipelineOutput> {
-        self.session(RunOptions::trace(trace).serial()).run()
     }
 
     /// Lines 7–29 + Sec. 4.3 from an already-extracted `K_s`. Public

@@ -5,15 +5,13 @@
 //! 1/7/12 journeys). This module is that repository at laptop scale: a
 //! directory of journey files plus a plain-text index.
 //!
-//! New journeys are written in the chunked columnar `.ivns` format
-//! ([`ivnt_store`]) so downstream extraction can push predicates into the
-//! storage layer. Existing repositories keep working: `.ivnt` files use
-//! the legacy sequential binary format, and `.csv` files are imported
-//! through the raw-trace CSV schema — [`TraceStore::load`] dispatches on
-//! the file extension.
+//! Journeys are stored in the chunked columnar `.ivns` format
+//! ([`ivnt_store`]), the only trace file format, so downstream extraction
+//! can push predicates into the storage layer. Raw-trace CSV from external
+//! capture tooling is imported into it ([`TraceStore::import_csv_journey`]).
 
-use std::fs::{self, File};
-use std::io::{BufReader, Read};
+use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -168,68 +166,32 @@ impl TraceStore {
     /// # Errors
     ///
     /// Returns [`Error::InvalidScenario`] for unknown names and propagates
-    /// I/O/format failures.
+    /// I/O/store failures.
     pub fn load(&self, name: &str) -> Result<Trace> {
-        let meta = self
-            .journey(name)
-            .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        let path = self.root.join(&meta.file);
-        let ext = extension(&meta.file);
-        if ext.eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION) {
-            let mut reader = ivnt_store::StoreReader::open(&path).map_err(Error::from)?;
-            let records = reader.read_all().map_err(Error::from)?;
-            Ok(Trace::from_records(records))
-        } else if ext.eq_ignore_ascii_case("csv") {
-            read_csv_trace(BufReader::new(File::open(&path)?))
-        } else if ext.eq_ignore_ascii_case(LEGACY_EXTENSION) {
-            // Legacy sequential binary journeys keep loading unchanged.
-            Trace::read_from(BufReader::new(File::open(&path)?))
-        } else {
-            // Refusing beats feeding an arbitrary file to the legacy binary
-            // decoder and surfacing its malformed-trace error.
-            Err(Error::Format(format!(
-                "journey file {:?} has unsupported extension {ext:?} \
-                 (expected .{}, .csv or .{LEGACY_EXTENSION})",
-                meta.file,
-                ivnt_store::FILE_EXTENSION
-            )))
-        }
+        let records = self.reader(name)?.read_all()?;
+        Ok(Trace::from_records(records))
     }
 
-    /// Loads the records of a journey within `[from_s, to_s)`.
-    ///
-    /// For `.ivns` journeys the window is pushed into the store scan as a
-    /// zone-map predicate, so chunks outside the window are skipped
-    /// without being read; other formats fall back to load-then-filter.
+    /// Loads the records of a journey within `[from_s, to_s)`. The window
+    /// is pushed into the store scan as a zone-map predicate, so chunks
+    /// outside it are skipped without being read.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TraceStore::load`].
     pub fn load_range(&self, name: &str, from_s: f64, to_s: f64) -> Result<Trace> {
-        let meta = self
-            .journey(name)
-            .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        let in_window = |r: &TraceRecord| {
-            let t = r.timestamp_s();
-            t >= from_s && t < to_s
-        };
-        if is_store_file(&meta.file) && to_s > from_s {
-            // Conservative µs bounds around the f64-second window; the
-            // exact boundary condition is re-checked per row.
-            let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
-            let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
-            let mut reader =
-                ivnt_store::StoreReader::open(self.root.join(&meta.file)).map_err(Error::from)?;
-            let pred = ivnt_store::Predicate::all().with_time_range_us(from_us, to_us);
-            let mut records = Vec::new();
-            reader.scan::<Error, _>(&pred, |group| {
-                records.extend(group.into_iter().filter(&in_window));
+        let mut records = Vec::new();
+        self.reader(name)?
+            .scan::<Error, _>(&window_predicate(from_s, to_s), |group| {
+                // The µs predicate is conservative; the exact f64-second
+                // boundary is re-checked per row.
+                records.extend(group.into_iter().filter(|r| {
+                    let t = r.timestamp_s();
+                    t >= from_s && t < to_s
+                }));
                 Ok(())
             })?;
-            return Ok(Trace::from_records(records));
-        }
-        let full = self.load(name)?;
-        Ok(full.into_iter().filter(in_window).collect())
+        Ok(Trace::from_records(records))
     }
 
     /// Loads several journeys merged into one time-sorted trace (the
@@ -268,9 +230,8 @@ impl TraceStore {
         self.write_index()
     }
 
-    /// Scan statistics for one `.ivns` journey under a time window — how
-    /// many chunks the zone maps pruned. Returns `None` for legacy
-    /// formats, which have no chunk index.
+    /// Scan statistics for one journey under a time window — how many
+    /// chunks the zone maps pruned.
     ///
     /// # Errors
     ///
@@ -280,20 +241,17 @@ impl TraceStore {
         name: &str,
         from_s: f64,
         to_s: f64,
-    ) -> Result<Option<ivnt_store::ScanStats>> {
+    ) -> Result<ivnt_store::ScanStats> {
+        self.reader(name)?
+            .scan::<Error, _>(&window_predicate(from_s, to_s), |_| Ok(()))
+    }
+
+    /// Opens one journey's store file.
+    fn reader(&self, name: &str) -> Result<ivnt_store::StoreReader<std::io::BufReader<fs::File>>> {
         let meta = self
             .journey(name)
             .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        if !is_store_file(&meta.file) {
-            return Ok(None);
-        }
-        let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
-        let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
-        let mut reader =
-            ivnt_store::StoreReader::open(self.root.join(&meta.file)).map_err(Error::from)?;
-        let pred = ivnt_store::Predicate::all().with_time_range_us(from_us, to_us);
-        let stats = reader.scan::<Error, _>(&pred, |_| Ok(()))?;
-        Ok(Some(stats))
+        Ok(ivnt_store::StoreReader::open(self.root.join(&meta.file))?)
     }
 
     fn write_index(&self) -> Result<()> {
@@ -312,18 +270,12 @@ impl TraceStore {
     }
 }
 
-/// Extension of the legacy sequential binary trace format.
-const LEGACY_EXTENSION: &str = "ivnt";
-
-fn extension(file: &str) -> &str {
-    file.rsplit_once('.').map(|(_, ext)| ext).unwrap_or("")
-}
-
-/// Whether `file` is a chunked columnar store file. Extensions compare
-/// case-insensitively: capture tooling on case-preserving filesystems
-/// produces `TRIP.IVNS` as readily as `trip.ivns`.
-fn is_store_file(file: &str) -> bool {
-    extension(file).eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION)
+/// The zone-map predicate covering `[from_s, to_s)` in conservative µs
+/// bounds.
+fn window_predicate(from_s: f64, to_s: f64) -> ivnt_store::Predicate {
+    let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
+    let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
+    ivnt_store::Predicate::all().with_time_range_us(from_us, to_us)
 }
 
 /// Parses a raw-trace CSV (`t,l,b_id,m_id,m_info`) into a [`Trace`].
@@ -515,65 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_fleet_workflow() {
-        // Record journeys from different seeds into the store, then process
-        // them like Table 6's multi-journey extraction.
-        let root = temp_store("fleet");
-        let mut store = TraceStore::open(&root).unwrap();
-        for i in 0..3u64 {
-            let data =
-                generate(&DataSetSpec::syn().with_duration_s(0.5).with_seed(100 + i)).unwrap();
-            store
-                .add_journey(&format!("journey-{i}"), &data.trace)
-                .unwrap();
-        }
-        assert_eq!(store.journeys().len(), 3);
-        let total: usize = store.journeys().iter().map(|j| j.records).sum();
-        assert!(total > 0);
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn journeys_are_written_in_store_format() {
-        let root = temp_store("native-format");
-        let mut store = TraceStore::open(&root).unwrap();
-        let trace = sample_trace(7);
-        store.add_journey("j", &trace).unwrap();
-        let meta = store.journey("j").unwrap();
-        assert!(meta.file.ends_with(".ivns"), "{}", meta.file);
-        // The file really is a chunked store, readable directly.
-        let mut reader = ivnt_store::StoreReader::open(root.join(&meta.file)).unwrap();
-        assert_eq!(reader.footer().rows, trace.len() as u64);
-        assert_eq!(reader.read_all().unwrap().len(), trace.len());
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn legacy_binary_journeys_still_load() {
-        let root = temp_store("legacy");
-        let trace = sample_trace(9);
-        fs::create_dir_all(&root).unwrap();
-        // A repository written before the columnar format: .ivnt file plus
-        // a hand-rolled index line.
-        let f = File::create(root.join("old.ivnt")).unwrap();
-        trace.write_to(std::io::BufWriter::new(f)).unwrap();
-        fs::write(
-            root.join(INDEX_FILE),
-            format!(
-                "old|{}|{}|old.ivnt\n",
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64
-            ),
-        )
-        .unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        assert_eq!(store.load("old").unwrap(), trace);
-        let slice = store.load_range("old", 0.2, 0.4).unwrap();
-        assert!(slice.iter().all(|r| (0.2..0.4).contains(&r.timestamp_s())));
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
     fn csv_journeys_import_and_load() {
         let root = temp_store("csv");
         let trace = sample_trace(5);
@@ -590,67 +483,19 @@ mod tests {
             .import_csv_journey("imported", csv.as_slice())
             .unwrap();
         assert_eq!(store.load("imported").unwrap(), trace);
-
-        // Fallback path: a .csv file referenced directly by the index.
-        fs::write(root.join("raw.csv"), &csv).unwrap();
-        fs::write(
-            root.join(INDEX_FILE),
-            format!(
-                "imported|{}|{}|imported.ivns\nraw|{}|{}|raw.csv\n",
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64,
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64
-            ),
-        )
-        .unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        assert_eq!(store.load("raw").unwrap(), trace);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn uppercase_store_extension_loads() {
-        // Case-preserving filesystems hand back `TRIP.IVNS` as readily as
-        // `trip.ivns`; the dispatcher must not fall through to the legacy
-        // binary decoder.
-        let root = temp_store("upper-ext");
+    fn non_store_journey_file_is_a_typed_error() {
+        let root = temp_store("not-a-store");
         fs::create_dir_all(&root).unwrap();
-        let trace = sample_trace(11);
-        let mut writer = ivnt_store::StoreWriter::create(
-            root.join("TRIP.IVNS"),
-            ivnt_store::WriterOptions::default(),
-        )
-        .unwrap();
-        for r in trace.records() {
-            writer.append(r).unwrap();
-        }
-        writer.finish().unwrap();
-        fs::write(
-            root.join(INDEX_FILE),
-            format!(
-                "trip|{}|{}|TRIP.IVNS\n",
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64
-            ),
-        )
-        .unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        assert_eq!(store.load("trip").unwrap(), trace);
-        assert!(store.range_scan_stats("trip", 0.0, 0.1).unwrap().is_some());
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn unknown_extension_is_a_typed_error() {
-        let root = temp_store("unknown-ext");
-        fs::create_dir_all(&root).unwrap();
-        fs::write(root.join("trip.bin"), b"not a trace").unwrap();
-        fs::write(root.join(INDEX_FILE), "trip|1|1000000|trip.bin\n").unwrap();
+        fs::write(root.join("trip.csv"), b"not a trace").unwrap();
+        fs::write(root.join(INDEX_FILE), "trip|1|1000000|trip.csv\n").unwrap();
         let store = TraceStore::open(&root).unwrap();
         let err = store.load("trip").unwrap_err();
         assert!(
-            matches!(err, Error::Format(ref m) if m.contains("extension")),
+            matches!(err, Error::Store(ivnt_store::Error::BadMagic)),
             "{err}"
         );
         let _ = fs::remove_dir_all(root);
@@ -666,9 +511,12 @@ mod tests {
         if trace.len() > 2 * 1024 * 32 {
             // Only multi-group traces can skip on a time window (groups
             // are clustered internally but laid out in time order).
-            assert!(stats.unwrap().chunks_skipped > 0);
+            assert!(stats.chunks_skipped > 0);
         } else {
-            assert!(stats.is_some());
+            assert_eq!(
+                stats.chunks_total,
+                stats.chunks_scanned + stats.chunks_skipped
+            );
         }
         let _ = fs::remove_dir_all(root);
     }

@@ -1,12 +1,5 @@
 //! The recorded trace: the paper's byte sequence `K_b`.
 
-use std::io::{Read, Write};
-use std::sync::Arc;
-
-use ivnt_store::record::{protocol_from_tag, protocol_tag};
-
-use crate::error::{Error, Result};
-
 /// One recorded byte tuple `k_b = (t, l, b_id, m_id, m_info)` — the store's
 /// [`ivnt_store::Record`] under its trace-side name. One type end to end:
 /// traces append to stores, and stores load into traces, without a
@@ -36,8 +29,6 @@ pub use ivnt_store::Record as TraceRecord;
 pub struct Trace {
     records: Vec<TraceRecord>,
 }
-
-const MAGIC: &[u8; 5] = b"IVNT1";
 
 impl Trace {
     /// Creates an empty trace.
@@ -107,95 +98,6 @@ impl Trace {
             _ => 0.0,
         }
     }
-
-    /// Serializes the trace to a compact binary stream.
-    ///
-    /// Layout: magic `IVNT1`, record count (u64 LE), then per record:
-    /// `t(u64) | proto(u8) | bus_len(u8) bus | m_id(u32) | payload_len(u16) payload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; remind: a `&mut` reference to any writer can
-    /// be passed.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> Result<()> {
-        writer.write_all(MAGIC)?;
-        writer.write_all(&(self.records.len() as u64).to_le_bytes())?;
-        for r in &self.records {
-            writer.write_all(&r.timestamp_us.to_le_bytes())?;
-            writer.write_all(&[protocol_tag(r.protocol)])?;
-            let bus = r.bus.as_bytes();
-            if bus.len() > u8::MAX as usize {
-                return Err(Error::Format("bus id longer than 255 bytes".into()));
-            }
-            writer.write_all(&[bus.len() as u8])?;
-            writer.write_all(bus)?;
-            writer.write_all(&r.message_id.to_le_bytes())?;
-            if r.payload.len() > u16::MAX as usize {
-                return Err(Error::Format("payload longer than 65535 bytes".into()));
-            }
-            writer.write_all(&(r.payload.len() as u16).to_le_bytes())?;
-            writer.write_all(&r.payload)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a trace written by [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Format`] for bad magic or malformed records and
-    /// propagates I/O failures. A `&mut` reference to any reader can be
-    /// passed.
-    pub fn read_from<R: Read>(mut reader: R) -> Result<Trace> {
-        let mut magic = [0u8; 5];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(Error::Format("bad magic".into()));
-        }
-        let mut u64buf = [0u8; 8];
-        reader.read_exact(&mut u64buf)?;
-        let count = u64::from_le_bytes(u64buf) as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
-        let mut bus_cache: std::collections::HashMap<Vec<u8>, Arc<str>> = Default::default();
-        for _ in 0..count {
-            reader.read_exact(&mut u64buf)?;
-            let timestamp_us = u64::from_le_bytes(u64buf);
-            let mut b1 = [0u8; 1];
-            reader.read_exact(&mut b1)?;
-            let protocol = protocol_from_tag(b1[0])
-                .map_err(|_| Error::Format(format!("unknown protocol tag {}", b1[0])))?;
-            reader.read_exact(&mut b1)?;
-            let mut bus_bytes = vec![0u8; b1[0] as usize];
-            reader.read_exact(&mut bus_bytes)?;
-            let bus = match bus_cache.get(&bus_bytes) {
-                Some(b) => b.clone(),
-                None => {
-                    let s: Arc<str> = Arc::from(
-                        std::str::from_utf8(&bus_bytes)
-                            .map_err(|_| Error::Format("bus id not UTF-8".into()))?,
-                    );
-                    bus_cache.insert(bus_bytes.clone(), s.clone());
-                    s
-                }
-            };
-            let mut u32buf = [0u8; 4];
-            reader.read_exact(&mut u32buf)?;
-            let message_id = u32::from_le_bytes(u32buf);
-            let mut u16buf = [0u8; 2];
-            reader.read_exact(&mut u16buf)?;
-            let len = u16::from_le_bytes(u16buf) as usize;
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload)?;
-            records.push(TraceRecord {
-                timestamp_us,
-                bus,
-                message_id,
-                payload,
-                protocol,
-            });
-        }
-        Ok(Trace { records })
-    }
 }
 
 impl IntoIterator for Trace {
@@ -234,6 +136,7 @@ impl Extend<TraceRecord> for Trace {
 mod tests {
     use super::*;
     use ivnt_protocol::message::Protocol;
+    use std::sync::Arc;
 
     fn record(t: u64, bus: &str, id: u32) -> TraceRecord {
         TraceRecord {
@@ -265,47 +168,6 @@ mod tests {
         assert_eq!(t.prefix(1).len(), 1);
         assert_eq!(t.prefix(10).len(), 2);
         assert_eq!(Trace::new().duration_s(), 0.0);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let t = Trace::from_records(vec![
-            record(5, "FC", 3),
-            TraceRecord {
-                timestamp_us: 9,
-                bus: Arc::from("K-LIN"),
-                message_id: 11,
-                payload: vec![],
-                protocol: Protocol::Lin,
-            },
-            TraceRecord {
-                timestamp_us: 12,
-                bus: Arc::from("ETH"),
-                message_id: 0x00D4_0001,
-                payload: vec![1; 40],
-                protocol: Protocol::SomeIp,
-            },
-        ]);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let parsed = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = Trace::read_from(&b"NOPE!"[..]).unwrap_err();
-        assert!(matches!(err, Error::Io(_) | Error::Format(_)));
-        let err = Trace::read_from(&b"XXXXX\0\0\0\0\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, Error::Format(_)));
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let t = Trace::from_records(vec![record(5, "FC", 3)]);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        assert!(Trace::read_from(&buf[..buf.len() - 1]).is_err());
     }
 
     #[test]

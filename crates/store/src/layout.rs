@@ -179,9 +179,10 @@ pub struct GroupSpan {
 impl Footer {
     /// Per-group chunk ranges, in group order. Consumed by shard planners
     /// and by `store info --json`; groups are contiguous in file order by
-    /// construction (the writer flushes one group at a time).
+    /// construction (the writer flushes one group at a time). Sized from
+    /// the chunk index, never from the declared `groups` count.
     pub fn group_spans(&self) -> Vec<GroupSpan> {
-        let mut spans: Vec<GroupSpan> = Vec::with_capacity(self.groups as usize);
+        let mut spans: Vec<GroupSpan> = Vec::with_capacity(self.chunks.len());
         for (idx, chunk) in self.chunks.iter().enumerate() {
             match spans.last_mut() {
                 Some(span) if span.group == chunk.group => {
@@ -453,7 +454,9 @@ pub fn encode_footer(footer: &Footer) -> Result<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes.
+/// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes,
+/// including a chunk whose group id is not below the declared `groups`
+/// count or decreases along the index.
 pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
     let mut cur = Cursor::new(bytes);
     let bus_count = cur.read_u32_le()? as usize;
@@ -496,6 +499,13 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
         let min_mid = cur.read_u32_le()?;
         let max_mid = cur.read_u32_le()?;
         let bus_bits = cur.read_slice(bus_bitset_len)?.to_vec();
+        let prev_group = chunks.last().map_or(0, |c: &ChunkMeta| c.group);
+        if group >= groups || group < prev_group {
+            return Err(Error::Format(format!(
+                "chunk {} has group {group}, expected {prev_group}..{groups}",
+                chunks.len()
+            )));
+        }
         chunks.push(ChunkMeta {
             offset,
             len,

@@ -399,3 +399,62 @@ proptest! {
         }
     }
 }
+
+/// Rewrites a store's footer through `forge` and re-seals it with a
+/// recomputed checksum — what an adversary (or a buggy tool) can do, since
+/// the footer checksum is not a MAC.
+fn forge_footer(bytes: &[u8], forge: impl FnOnce(&mut ivnt_store::Footer)) -> Vec<u8> {
+    use ivnt_store::layout::{decode_footer, encode_footer, END_MAGIC, TRAILER_LEN};
+    let trailer = &bytes[bytes.len() - TRAILER_LEN..];
+    let offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap()) as usize;
+    let mut footer = decode_footer(&bytes[offset..bytes.len() - TRAILER_LEN]).unwrap();
+    forge(&mut footer);
+    let encoded = encode_footer(&footer).unwrap();
+    let mut out = bytes[..offset].to_vec();
+    out.extend_from_slice(&encoded);
+    out.extend_from_slice(&(offset as u64).to_le_bytes());
+    out.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+    out.extend_from_slice(&checksum(&encoded).to_le_bytes());
+    out.extend_from_slice(END_MAGIC);
+    out
+}
+
+#[test]
+fn forged_group_counts_never_drive_allocations() {
+    let raw: Vec<RawRecord> = (0..200)
+        .map(|i| (10, i % 3, i as u32 % 24, vec![1, 2], 0))
+        .collect();
+    let bytes = write_store(
+        &build_records(raw),
+        WriterOptions {
+            chunk_rows: 16,
+            chunks_per_group: 2,
+            cluster: false,
+        },
+    );
+    let real_groups = StoreReader::from_reader(Cursor::new(bytes.clone()))
+        .unwrap()
+        .footer()
+        .group_spans()
+        .len();
+    assert!(real_groups > 2);
+
+    // A huge declared count opens, but sizes nothing: the spans come from
+    // the chunk index.
+    let huge = forge_footer(&bytes, |f| f.groups = u32::MAX);
+    let reader = StoreReader::from_reader(Cursor::new(huge)).unwrap();
+    assert_eq!(reader.footer().group_spans().len(), real_groups);
+
+    // A chunk past the declared count, or a decreasing group id, is a
+    // typed format error at open.
+    let short = forge_footer(&bytes, |f| f.groups = 1);
+    assert!(matches!(
+        StoreReader::from_reader(Cursor::new(short)),
+        Err(Error::Format(_))
+    ));
+    let unordered = forge_footer(&bytes, |f| f.chunks[0].group = 2);
+    assert!(matches!(
+        StoreReader::from_reader(Cursor::new(unordered)),
+        Err(Error::Format(_))
+    ));
+}

@@ -89,18 +89,6 @@ IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_PLAN_MIN_SPEEDUP="${IVNT_PLAN_MIN_SPEEDUP:-1.5}" \
   cargo run --release -q -p ivnt-bench --bin plan_probe
 
-echo "==> deprecated-entry-point check (in-repo code must use the session API)"
-# `clippy -D warnings --all-targets` above already fails the build on any
-# call to a deprecated Pipeline method; this grep keeps the intent visible
-# and catches `#[allow(deprecated)]` escapes outside the two sanctioned
-# sites (the shims themselves and their bit-identity tests).
-if grep -rn "allow(deprecated)" --include="*.rs" crates src tests examples scripts \
-    | grep -v "crates/core/src/pipeline.rs" \
-    | grep -v "tests/session_api.rs"; then
-  echo "error: allow(deprecated) outside crates/core/src/pipeline.rs / tests/session_api.rs" >&2
-  exit 1
-fi
-
 echo "==> infer_probe smoke (DBC-less boundary recovery F1 + merged bit-identity gates)"
 # Two-pass inference over the store for all three scenarios, scored
 # against simulator ground truth; the worst per-scenario F1 must clear

@@ -115,9 +115,16 @@ fn trace_persistence_roundtrips_through_pipeline() {
     let trace = network
         .simulate(5.0, 33, &FaultPlan::new())
         .expect("simulation runs");
-    let mut buf = Vec::new();
-    trace.write_to(&mut buf).expect("serialize");
-    let reloaded = Trace::read_from(buf.as_slice()).expect("deserialize");
+    let mut writer =
+        ivnt::store::StoreWriter::new(Vec::new(), ivnt::store::WriterOptions::default())
+            .expect("writer");
+    for r in trace.records() {
+        writer.append(r).expect("append");
+    }
+    let bytes = writer.finish().expect("finish");
+    let mut reader =
+        ivnt::store::StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("open");
+    let reloaded = Trace::from_records(reader.read_all().expect("read"));
     assert_eq!(reloaded, trace);
 
     let pipeline = Pipeline::new(

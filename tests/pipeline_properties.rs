@@ -166,13 +166,20 @@ proptest! {
         );
     }
 
-    /// Trace serialization roundtrips for arbitrary generated traces.
+    /// Traces roundtrip through the `.ivns` store for arbitrary generated
+    /// traces.
     #[test]
     fn trace_roundtrip(spec in arb_spec()) {
         let data = generate(&spec).expect("generate");
-        let mut buf = Vec::new();
-        data.trace.write_to(&mut buf).expect("write");
-        let reloaded = Trace::read_from(buf.as_slice()).expect("read");
+        let options = ivnt::store::WriterOptions::default();
+        let mut writer = ivnt::store::StoreWriter::new(Vec::new(), options).expect("writer");
+        for r in data.trace.records() {
+            writer.append(r).expect("append");
+        }
+        let bytes = writer.finish().expect("finish");
+        let mut reader =
+            ivnt::store::StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("open");
+        let reloaded = Trace::from_records(reader.read_all().expect("read"));
         prop_assert_eq!(reloaded, data.trace);
     }
 

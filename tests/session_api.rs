@@ -1,11 +1,12 @@
-//! Regression contract for the `Pipeline::session` API redesign: every
-//! legacy entry point (`run`, `run_serial`, `extract`,
-//! `extract_without_preselection`, `extract_reduced`,
-//! `extract_from_store`, `extract_from_store_with_stats`,
-//! `extract_store_shard`) must be bit-identical to the equivalent
-//! [`RunOptions`]-configured session, and installing an observability
-//! subscriber must not change any output bit.
-#![allow(deprecated)]
+//! Cross-path identities of the `Pipeline::session` API: every source and
+//! switch a [`RunOptions`] can name must produce the same bits as its
+//! reference session — trace vs `.serial()`, trace vs store (for extraction,
+//! the reduced sequences and the full run), the store's row-group shards vs
+//! the whole store, profile workers vs `with_workers`, and an installed
+//! observability subscriber vs none.
+//!
+//! The subscriber is process-wide, so every test holds [`SUBSCRIBER`]:
+//! a concurrent session would add to the subscriber test's counters.
 
 use ivnt::cluster::codec::encode_batch;
 use ivnt::core::dedup::Dedup;
@@ -13,6 +14,13 @@ use ivnt::core::pipeline::{PipelineOutput, RunOptions};
 use ivnt::core::prelude::*;
 use ivnt::simulator::prelude::*;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
+
+/// Serializes the tests of this file around the process-wide subscriber.
+static SUBSCRIBER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn alone() -> std::sync::MutexGuard<'static, ()> {
+    SUBSCRIBER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn dataset() -> GeneratedDataSet {
     generate(&DataSetSpec::syn().with_seed(41).with_target_examples(6_000)).expect("generate")
@@ -57,52 +65,58 @@ fn frame_fp(frame: &ivnt::frame::frame::DataFrame) -> Vec<Vec<u8>> {
     frame.partitions().iter().map(encode_batch).collect()
 }
 
-fn reduced_fp(reduced: &[(SignalSequence, Dedup, usize)]) -> Vec<Vec<u8>> {
-    let mut fp = Vec::new();
-    for (seq, dedup, rows) in reduced {
-        fp.push(
-            format!(
-                "{} {} {:?} {:?} {rows}",
-                seq.signal, dedup.representative_channel, dedup.corresponding, dedup.mismatched
-            )
-            .into_bytes(),
-        );
-        fp.extend(frame_fp(&seq.frame));
-        fp.extend(frame_fp(&dedup.representative.frame));
+fn state_csv(output: &PipelineOutput) -> Vec<u8> {
+    let mut csv = Vec::new();
+    ivnt::frame::csv::write_csv(&output.state, &mut csv).expect("csv");
+    csv
+}
+
+/// The dataset as an in-memory `.ivns` file of several row groups.
+fn store_bytes(data: &GeneratedDataSet) -> Vec<u8> {
+    let options = WriterOptions {
+        chunk_rows: 128,
+        chunks_per_group: 2,
+        cluster: true,
+    };
+    let mut writer = StoreWriter::new(Vec::new(), options).expect("create store");
+    for r in data.trace.records() {
+        writer.append(r).expect("append");
     }
-    fp
+    writer.finish().expect("finish")
+}
+
+fn open(bytes: &[u8]) -> StoreReader<std::io::Cursor<&[u8]>> {
+    StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("open store")
 }
 
 #[test]
-fn session_run_matches_legacy_run_and_run_serial() {
+fn parallel_session_matches_serial_reference() {
+    let _alone = alone();
     let data = dataset();
     let p = pipeline(&data, Some(2));
-
-    let legacy = fingerprint(&p.run(&data.trace).expect("run"));
-    let session = fingerprint(
+    let parallel = fingerprint(
         &p.session(RunOptions::trace(&data.trace))
             .run()
-            .expect("session run"),
+            .expect("run"),
     );
-    assert_eq!(session, legacy, "session.run != legacy run");
-
-    let legacy_serial = fingerprint(&p.run_serial(&data.trace).expect("run_serial"));
-    let session_serial = fingerprint(
+    let serial = fingerprint(
         &p.session(RunOptions::trace(&data.trace).serial())
             .run()
-            .expect("session serial run"),
+            .expect("serial run"),
     );
-    assert_eq!(
-        session_serial, legacy_serial,
-        "session.serial().run != legacy run_serial"
-    );
-    assert_eq!(legacy, legacy_serial, "parallel != serial reference");
+    assert_eq!(parallel, serial, "parallel != serial reference");
 }
 
 #[test]
 fn session_with_workers_matches_profile_workers() {
+    let _alone = alone();
     let data = dataset();
-    let via_profile = fingerprint(&pipeline(&data, Some(3)).run(&data.trace).expect("run"));
+    let via_profile = fingerprint(
+        &pipeline(&data, Some(3))
+            .session(RunOptions::trace(&data.trace))
+            .run()
+            .expect("run"),
+    );
     let via_session = fingerprint(
         &pipeline(&data, None)
             .session(RunOptions::trace(&data.trace).with_workers(3))
@@ -112,105 +126,120 @@ fn session_with_workers_matches_profile_workers() {
     assert_eq!(via_session, via_profile);
 }
 
-#[test]
-fn session_extract_matches_legacy_extract_paths() {
-    let data = dataset();
-    let p = pipeline(&data, Some(2));
-
-    let legacy = p.extract(&data.trace).expect("extract");
-    let session = p
-        .session(RunOptions::trace(&data.trace))
-        .extract()
-        .expect("session extract");
-    assert!(session.scan.is_none(), "trace sources carry no scan stats");
-    assert_eq!(frame_fp(&session.frame), frame_fp(&legacy));
-
-    let legacy_unpre = p
-        .extract_without_preselection(&data.trace)
-        .expect("extract_without_preselection");
-    let session_unpre = p
-        .session(RunOptions::trace(&data.trace).without_preselection())
-        .extract()
-        .expect("session unpreselected extract");
-    assert_eq!(frame_fp(&session_unpre.frame), frame_fp(&legacy_unpre));
+/// The reduced per-signal sequences, their dedup reports and pre-reduction
+/// lengths as comparable rows (partition boundaries excluded: a store scan
+/// and a trace cut their frames differently).
+fn reduced_rows(reduced: &[(SignalSequence, Dedup, usize)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (seq, dedup, rows) in reduced {
+        out.push(format!(
+            "{} {} {:?} {:?} {rows}",
+            seq.signal, dedup.representative_channel, dedup.corresponding, dedup.mismatched
+        ));
+        for frame in [&seq.frame, &dedup.representative.frame] {
+            out.push(format!("{:?}", frame.collect_rows().expect("rows")));
+        }
+    }
+    out
 }
 
 #[test]
-fn session_extract_reduced_matches_legacy() {
+fn reduced_sequences_match_across_serial_and_store_sources() {
+    let _alone = alone();
     let data = dataset();
     let p = pipeline(&data, Some(2));
-    let legacy = p.extract_reduced(&data.trace).expect("extract_reduced");
-    let session = p
+    let parallel = p
         .session(RunOptions::trace(&data.trace))
         .extract_reduced()
-        .expect("session extract_reduced");
-    assert_eq!(reduced_fp(&session), reduced_fp(&legacy));
+        .expect("reduced");
+    assert!(!parallel.is_empty(), "the dataset yields signals");
+    let serial = p
+        .session(RunOptions::trace(&data.trace).serial())
+        .extract_reduced()
+        .expect("serial reduced");
+    assert_eq!(reduced_rows(&serial), reduced_rows(&parallel));
+    let bytes = store_bytes(&data);
+    let store = p
+        .session(RunOptions::store(&mut open(&bytes)))
+        .extract_reduced()
+        .expect("store reduced");
+    assert_eq!(reduced_rows(&store), reduced_rows(&parallel));
 }
 
 #[test]
-fn session_store_sources_match_legacy_store_entry_points() {
+fn store_session_matches_trace_session() {
+    let _alone = alone();
     let data = dataset();
     let p = pipeline(&data, Some(2));
-    let path = std::env::temp_dir().join(format!("ivnt-session-api-{}.ivns", std::process::id()));
-    let options = WriterOptions {
-        chunk_rows: 128,
-        chunks_per_group: 2,
-        cluster: true,
-    };
-    let mut writer = StoreWriter::create(&path, options).expect("create store");
-    for r in data.trace.records() {
-        writer.append(r).expect("append");
-    }
-    writer.finish().expect("finish");
+    let bytes = store_bytes(&data);
 
-    let open = || StoreReader::open(&path).expect("open store");
-    let groups = open().footer().groups;
-    assert!(groups >= 2, "need multiple groups to shard");
-
-    let legacy = p.extract_from_store(&mut open()).expect("from_store");
-    let (legacy_stats_frame, legacy_stats) = p
-        .extract_from_store_with_stats(&mut open())
-        .expect("from_store_with_stats");
-    let session = p
-        .session(RunOptions::store(&mut open()))
+    let trace_ex = p
+        .session(RunOptions::trace(&data.trace))
         .extract()
-        .expect("session store extract");
-    assert_eq!(frame_fp(&session.frame), frame_fp(&legacy));
-    assert_eq!(frame_fp(&session.frame), frame_fp(&legacy_stats_frame));
+        .expect("trace extract");
+    assert!(trace_ex.scan.is_none(), "trace sources carry no scan stats");
+    let store_ex = p
+        .session(RunOptions::store(&mut open(&bytes)))
+        .extract()
+        .expect("store extract");
+    assert!(store_ex.scan.is_some(), "store sources carry scan stats");
     assert_eq!(
-        session.scan.expect("store sources carry scan stats"),
-        legacy_stats
+        store_ex.frame.collect_rows().expect("store rows"),
+        trace_ex.frame.collect_rows().expect("trace rows"),
     );
 
-    // Shards: each group range matches the legacy shard extractor, and the
-    // concatenation over all groups reproduces the whole-store scan.
-    let mut concatenated = Vec::new();
-    for g in 0..groups {
-        let legacy_shard = p
-            .extract_store_shard(&mut open(), g..g + 1)
-            .expect("legacy shard");
-        let session_shard = p
-            .session(RunOptions::store_shard(&mut open(), g..g + 1))
-            .extract()
-            .expect("session shard");
-        let legacy_bytes: Vec<Vec<u8>> = legacy_shard.iter().map(encode_batch).collect();
-        assert_eq!(
-            frame_fp(&session_shard.frame),
-            legacy_bytes,
-            "shard {g} diverged"
-        );
-        concatenated.extend(legacy_bytes);
-    }
-    assert_eq!(concatenated, frame_fp(&legacy), "shards must tile the scan");
+    // The full run — what `ivnt run --state-csv` writes — is identical too.
+    let trace_run = p
+        .session(RunOptions::trace(&data.trace))
+        .run()
+        .expect("trace run");
+    let store_run = p
+        .session(RunOptions::store(&mut open(&bytes)))
+        .run()
+        .expect("store run");
+    assert_eq!(state_csv(&store_run), state_csv(&trace_run));
+}
 
-    let _ = std::fs::remove_file(&path);
+#[test]
+fn store_shards_tile_the_store_scan() {
+    let _alone = alone();
+    let data = dataset();
+    let p = pipeline(&data, Some(2));
+    let bytes = store_bytes(&data);
+    let groups = open(&bytes).footer().groups;
+    assert!(groups >= 3, "need at least three groups to shard");
+
+    let whole = p
+        .session(RunOptions::store(&mut open(&bytes)))
+        .extract()
+        .expect("store extract");
+    // A 3-way split of the group range, concatenated in group order.
+    let cuts = [0, groups / 3, 2 * groups / 3, groups];
+    let mut concatenated = Vec::new();
+    for w in cuts.windows(2) {
+        let shard = p
+            .session(RunOptions::store_shard(&mut open(&bytes), w[0]..w[1]))
+            .extract()
+            .expect("shard extract");
+        concatenated.extend(frame_fp(&shard.frame));
+    }
+    assert_eq!(
+        concatenated,
+        frame_fp(&whole.frame),
+        "shards must tile the scan"
+    );
 }
 
 #[test]
 fn subscriber_changes_no_output_bit_and_counters_are_deterministic() {
+    let _alone = alone();
     let data = dataset();
     let p = pipeline(&data, Some(2));
-    let bare = fingerprint(&p.run(&data.trace).expect("bare run"));
+    let bare = fingerprint(
+        &p.session(RunOptions::trace(&data.trace))
+            .run()
+            .expect("bare run"),
+    );
 
     let mut row_counters = Vec::new();
     for workers in [1usize, 2, 8] {
