@@ -3,20 +3,23 @@
 //! Splits the Table 6 vehicle workload's catalog into N pairwise-disjoint
 //! domains (N ∈ {1, 2, 4, 8}) — the paper's multi-tenant deployment shape,
 //! every domain watching different signals of the same traffic — and
-//! measures answering all N from one shared store pass against running
-//! them as N sequential [`Pipeline::session`]s, plus the plan cache's
+//! measures answering all N full runs from one shared store pass
+//! ([`Planner::run`], what `ivnt query` runs) against running them as N
+//! sequential [`Pipeline::session`] runs, plus the plan cache's
 //! hit-vs-miss latency. Results go to `BENCH_plan.json` (with a
 //! human-readable summary on stderr), following the `store_probe` /
 //! `BENCH_store.json` conventions.
 //!
 //! Two invariants are enforced, not just reported:
 //!
-//! * every shared-scan answer must be bit-identical to the solo session's
-//!   (sharing is an optimization, not an approximation), and
+//! * every shared-scan answer — extraction and full run — must be
+//!   bit-identical to the solo session's (sharing is an optimization, not
+//!   an approximation), and
 //! * the shared pass must actually pay off: the probe exits non-zero when
-//!   the 4-domain speedup over sequential sessions falls below
-//!   `IVNT_PLAN_MIN_SPEEDUP` (default 1.5) — the planner's whole point is
-//!   amortizing the scan+decode, which needs no extra cores.
+//!   the 4-domain speedup of [`Planner::run`] over sequential session runs
+//!   falls below `IVNT_PLAN_MIN_SPEEDUP` (default 1.5) — the planner's
+//!   whole point is amortizing the scan+decode, which needs no extra
+//!   cores.
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
@@ -24,7 +27,7 @@ use std::io::{Cursor, Read, Seek};
 use std::time::Instant;
 
 use ivnt_bench::{disjoint_domains, domain_pipeline, scale, vehicle_journey};
-use ivnt_core::pipeline::{Pipeline, RunOptions};
+use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions};
 use ivnt_plan::{Planner, Query};
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
@@ -84,6 +87,13 @@ fn solo_extract<R: Read + Seek>(
         .extract()
         .expect("solo extract")
         .frame
+}
+
+fn solo_run<R: Read + Seek>(pipeline: &Pipeline, reader: &mut StoreReader<R>) -> PipelineOutput {
+    pipeline
+        .session(RunOptions::store(reader))
+        .run()
+        .expect("solo run")
 }
 
 struct FleetResult {
@@ -178,10 +188,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Correctness first: the shared pass must reproduce each solo
         // session bit for bit before its timing means anything.
-        let mut planner = Planner::new();
         let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
         let mut reader = open(&bytes);
-        let multi = planner.extract(&queries, &mut reader)?;
+        let multi = Planner::new().extract(&queries, &mut reader)?;
         for (qi, (qx, p)) in multi.frames.iter().zip(&pipelines).enumerate() {
             let mut reader = open(&bytes);
             let want = solo_extract(p, &mut reader);
@@ -191,6 +200,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "domain {qi} of {n}: shared scan diverged from solo session"
             );
         }
+        let mut reader = open(&bytes);
+        let multi = Planner::new().run(&queries, &mut reader)?;
+        for (qi, (qr, p)) in multi.results.iter().zip(&pipelines).enumerate() {
+            let mut reader = open(&bytes);
+            let want = solo_run(p, &mut reader);
+            for (got, want) in [
+                (&qr.output.merged, &want.merged),
+                (&qr.output.state, &want.state),
+            ] {
+                assert_eq!(
+                    got.collect_rows()?,
+                    want.collect_rows()?,
+                    "domain {qi} of {n}: shared run diverged from solo session"
+                );
+            }
+        }
         let plan = multi.plan;
 
         let (sequential_secs, shared_secs, speedup) = paired_secs(
@@ -198,14 +223,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             || {
                 for p in &pipelines {
                     let mut reader = open(&bytes);
-                    solo_extract(p, &mut reader);
+                    solo_run(p, &mut reader);
                 }
             },
             || {
                 let mut planner = Planner::new();
                 let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
                 let mut reader = open(&bytes);
-                planner.extract(&queries, &mut reader).expect("shared");
+                planner.run(&queries, &mut reader).expect("shared");
             },
         );
         // Warm planner: every query answered from the plan cache.
@@ -213,7 +238,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cache_hit_secs = median_secs(runs, || {
             let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
             let mut reader = open(&bytes);
-            warm.extract(&queries, &mut reader).expect("warm");
+            warm.run(&queries, &mut reader).expect("warm");
         });
 
         let fleet = FleetResult {

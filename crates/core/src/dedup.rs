@@ -18,9 +18,9 @@ use crate::tabular::columns as c;
 
 /// Outcome of the equality check `e` for one signal.
 #[derive(Debug, Clone)]
-pub struct Dedup {
+pub struct Dedup<S = SignalSequence> {
     /// The representative sequence `K_rep` (single channel, time-ordered).
-    pub representative: SignalSequence,
+    pub representative: S,
     /// Channel chosen as representative.
     pub representative_channel: String,
     /// Channels whose copies matched the representative (`K_cor`).
@@ -43,14 +43,24 @@ pub struct Dedup {
 ///
 /// Propagates tabular-engine failures.
 pub fn deduplicate(seq: &SignalSequence, rules: &RuleSet) -> Result<Dedup> {
-    check(Cow::Borrowed(seq), rules)
+    Ok(check(Cow::Borrowed(seq), rules)?.into_owned())
 }
 
-/// [`deduplicate`] for a caller that is done with `seq`: a single-channel
-/// sequence (every signal no gateway forwards) becomes its own
-/// representative by move instead of a deep copy.
-pub(crate) fn deduplicate_owned(seq: SignalSequence, rules: &RuleSet) -> Result<Dedup> {
-    check(Cow::Owned(seq), rules)
+/// A [`Dedup`] whose representative is still a [`Cow`]: a single-channel
+/// sequence (every signal no gateway forwards) is its own representative,
+/// moved when the caller handed it over and borrowed when it lent it — a
+/// deep copy only when an owned [`Dedup`] is asked for.
+pub(crate) type Checked<'a> = Dedup<Cow<'a, SignalSequence>>;
+
+impl Checked<'_> {
+    pub(crate) fn into_owned(self) -> Dedup {
+        Dedup {
+            representative: self.representative.into_owned(),
+            representative_channel: self.representative_channel,
+            corresponding: self.corresponding,
+            mismatched: self.mismatched,
+        }
+    }
 }
 
 /// Runs [`deduplicate`] over every sequence.
@@ -65,7 +75,8 @@ pub fn deduplicate_all(seqs: &[SignalSequence], rules: &RuleSet) -> Result<Vec<D
 /// Channel code of a row whose `b_id` cell is null: it belongs to no copy.
 const NO_CHANNEL: u32 = u32::MAX;
 
-fn check(seq: Cow<'_, SignalSequence>, rules: &RuleSet) -> Result<Dedup> {
+/// The equality check `e` behind [`deduplicate`].
+pub(crate) fn check<'a>(seq: Cow<'a, SignalSequence>, rules: &RuleSet) -> Result<Checked<'a>> {
     let schema = seq.frame.schema();
     let bus_idx = schema.index_of(c::BUS)?;
     let num_idx = schema.index_of(c::VALUE_NUM)?;
@@ -99,8 +110,8 @@ fn check(seq: Cow<'_, SignalSequence>, rules: &RuleSet) -> Result<Dedup> {
         // At most one channel (none when no row names one): the sequence
         // is its own representative.
         let representative_channel = names.first().map(|n| n.to_string()).unwrap_or_default();
-        return Ok(Dedup {
-            representative: seq.into_owned(),
+        return Ok(Checked {
+            representative: seq,
             representative_channel,
             corresponding: Vec::new(),
             mismatched: Vec::new(),
@@ -153,11 +164,11 @@ fn check(seq: Cow<'_, SignalSequence>, rules: &RuleSet) -> Result<Dedup> {
             batch.take(&rows)
         })
         .collect();
-    Ok(Dedup {
-        representative: SignalSequence {
+    Ok(Checked {
+        representative: Cow::Owned(SignalSequence {
             signal: seq.signal.clone(),
             frame: DataFrame::from_partitions(schema.clone(), rep_parts)?,
-        },
+        }),
         representative_channel: names[rep as usize].to_string(),
         corresponding,
         mismatched,
@@ -343,7 +354,7 @@ mod tests {
         }
     }
 
-    /// `deduplicate` and `deduplicate_owned` against the oracle: channel
+    /// `check` on a borrowed and an owned sequence against the oracle: channel
     /// verdicts, and the representative partition by partition, cell by
     /// cell (floats by bit pattern).
     fn checked(seq: &SignalSequence, rules: &RuleSet) -> Dedup {
@@ -363,7 +374,7 @@ mod tests {
         };
         let expect = oracle(seq, rules);
         let borrowed = deduplicate(seq, rules).unwrap();
-        let owned = deduplicate_owned(seq.clone(), rules).unwrap();
+        let owned = check(Cow::Owned(seq.clone()), rules).unwrap().into_owned();
         for got in [&borrowed, &owned] {
             assert_eq!(got.representative_channel, expect.representative_channel);
             assert_eq!(got.corresponding, expect.corresponding);
@@ -523,8 +534,16 @@ mod tests {
                 .as_ptr()
         };
         let before = cell(&s);
-        let d = deduplicate_owned(s, &RuleSet::new()).unwrap();
+        let d = check(Cow::Owned(s), &RuleSet::new()).unwrap();
         assert_eq!(cell(&d.representative), before, "same column buffer");
+    }
+
+    #[test]
+    fn lent_single_channel_sequence_stays_borrowed() {
+        let s = seq(vec![(1.0, "FC", Some(1.0)), (2.0, "FC", Some(2.0))]);
+        let d = check(Cow::Borrowed(&s), &RuleSet::new()).unwrap();
+        assert!(matches!(d.representative, Cow::Borrowed(_)));
+        assert_eq!(d.representative_channel, "FC");
     }
 
     #[test]

@@ -735,21 +735,17 @@ impl Kernel {
         ivnt_obs::with(|r| r.add("interpret_kernel_builds_total", 1));
         let lut = RuleLut::build(u_comb);
         let plans: Vec<DecodePlan> = u_comb.rules().iter().map(DecodePlan::compile).collect();
+        // Signal codes in first-appearance order.
         let mut signal_names: Vec<Arc<str>> = Vec::new();
+        let mut codes: HashMap<&str, u32> = HashMap::new();
         let signal_idx = u_comb
             .rules()
             .iter()
             .map(|r| {
-                match signal_names
-                    .iter()
-                    .position(|s| s.as_ref() == r.signal.as_str())
-                {
-                    Some(i) => i as u32,
-                    None => {
-                        signal_names.push(Arc::from(r.signal.as_str()));
-                        (signal_names.len() - 1) as u32
-                    }
-                }
+                *codes.entry(r.signal.as_str()).or_insert_with(|| {
+                    signal_names.push(Arc::from(r.signal.as_str()));
+                    (signal_names.len() - 1) as u32
+                })
             })
             .collect();
         let fused = lut
@@ -1013,26 +1009,6 @@ struct RoutedBuilders<'r> {
     outs: Vec<Builders>,
 }
 
-impl<'r> RoutedBuilders<'r> {
-    /// `route` maps kernel signal index → output slot; slots `>= lanes`
-    /// are clamped to the discard lane by the caller.
-    fn new(route: &'r [u32], lanes: usize) -> RoutedBuilders<'r> {
-        RoutedBuilders {
-            route,
-            outs: (0..lanes + 1).map(|_| Builders::default()).collect(),
-        }
-    }
-
-    /// One batch per non-discard lane, in lane order.
-    fn into_batches(self, schema: &Arc<Schema>, kernel: &Kernel) -> ivnt_frame::Result<Vec<Batch>> {
-        let mut outs = self.outs;
-        outs.pop(); // discard lane
-        outs.into_iter()
-            .map(|b| b.into_batch(schema, kernel))
-            .collect()
-    }
-}
-
 impl EmitSink for RoutedBuilders<'_> {
     /// The batch's emission bound, split evenly across the query lanes.
     fn reserve(&mut self, upper: usize) {
@@ -1163,22 +1139,20 @@ impl Kernel {
     /// answering N disjoint queries costs one decode plus one table build
     /// per query — no name hashing or gather over the emitted rows.
     ///
-    /// Returns `out[route]` = one batch per input partition, in partition
-    /// order. For each route, concatenating its batches yields exactly the
-    /// rows (and row order) that [`extract_signals`] over the same input
-    /// with only that route's rules would produce, provided no signal name
-    /// is claimed by two routes.
+    /// Returns one batch per route, in route order: exactly the rows (and
+    /// row order) that [`Kernel::extract_batch`] of `raw` with only that
+    /// route's rules would produce, provided no signal name is claimed by
+    /// two routes.
     ///
     /// # Errors
     ///
     /// Propagates tabular-engine failures.
     pub fn extract_routed(
         &self,
-        raw: &DataFrame,
+        raw: &Batch,
         n_routes: usize,
         route_of: impl Fn(&str) -> usize,
-    ) -> Result<Vec<Vec<Batch>>> {
-        let out_schema = signal_schema();
+    ) -> Result<Vec<Batch>> {
         // Signal index → route; out-of-range claims clamp to the discard
         // lane.
         let route: Vec<u32> = self
@@ -1186,33 +1160,30 @@ impl Kernel {
             .iter()
             .map(|s| route_of(s).min(n_routes) as u32)
             .collect();
-        let per_part: Vec<Vec<Batch>> =
-            raw.executor()
-                .try_map_ref(raw.partitions(), |batch| -> Result<_> {
-                    let mut out = RoutedBuilders::new(&route, n_routes);
-                    decode_batch(self, batch, &mut out)?;
-                    Ok(out.into_batches(&out_schema, self)?)
-                })?;
-
-        let mut out: Vec<Vec<Batch>> = (0..n_routes)
-            .map(|_| Vec::with_capacity(per_part.len()))
-            .collect();
-        for batches in per_part {
-            for (qi, batch) in batches.into_iter().enumerate() {
-                out[qi].push(batch);
-            }
-        }
-        Ok(out)
+        let mut out = RoutedBuilders {
+            route: &route,
+            outs: (0..=n_routes).map(|_| Builders::default()).collect(),
+        };
+        decode_batch(self, raw, &mut out)?;
+        out.outs.pop(); // discard lane
+        let schema = signal_schema();
+        out.outs
+            .into_iter()
+            .map(|b| Ok(b.into_batch(&schema, self)?))
+            .collect()
     }
 
     /// One raw batch decoded into `runs`, a sink of this kernel's
-    /// [`sequence_builder`](Kernel::sequence_builder).
-    pub(crate) fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
+    /// [`sequence_builder`](Kernel::sequence_builder). Public (hidden) for
+    /// the multi-query planner, whose shared pass decodes into builders.
+    #[doc(hidden)]
+    pub fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
         Ok(decode_batch(self, raw, runs)?)
     }
 
     /// A [`SequenceBuilder`] over this kernel's signal and bus codes.
-    pub(crate) fn sequence_builder(&self) -> SequenceBuilder {
+    #[doc(hidden)]
+    pub fn sequence_builder(&self) -> SequenceBuilder {
         SequenceBuilder::with_dictionaries(&self.signal_names, &self.lut.interner.buses)
     }
 
@@ -1615,6 +1586,24 @@ mod tests {
                 "scalar fused != reference at {parts} partitions"
             );
         }
+    }
+
+    #[test]
+    fn kernel_codes_signals_in_first_appearance_order() {
+        let u_rel = RuleSet::from_network(&network());
+        let rule = |name: &str| {
+            u_rel
+                .rules()
+                .iter()
+                .find(|r| r.signal == name)
+                .unwrap()
+                .clone()
+        };
+        let rules = ["wvel", "noise", "wvel", "wpos", "noise", "wpos"].map(rule);
+        let kernel = Kernel::compile(&RuleSet::from_rules(rules.to_vec()));
+        let names: Vec<&str> = kernel.signal_names.iter().map(|s| s.as_ref()).collect();
+        assert_eq!(names, ["wvel", "noise", "wpos"]);
+        assert_eq!(kernel.signal_idx, [0, 1, 0, 2, 1, 2]);
     }
 
     #[test]

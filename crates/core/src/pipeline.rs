@@ -26,14 +26,14 @@ use ivnt_store::{ScanStats, StoreReader};
 
 use crate::branch::{process, BranchConfig};
 use crate::classify::{classify, Classification, ClassifyConfig};
-use crate::dedup::{deduplicate_owned, Dedup};
+use crate::dedup::{check, Checked, Dedup};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
 use crate::interpret::{Kernel, RecordSelector};
 use crate::reduce::{apply_constraints, ConditionFn, Constraint};
 use crate::represent::{merge_results, state_representation};
 use crate::rules::{RuleCatalog, RuleSet};
-use crate::split::{split_by_signal, SignalSequence};
+use crate::split::SignalSequence;
 
 /// One domain's one-time parameterization of the framework.
 #[derive(Debug, Clone)]
@@ -502,9 +502,9 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
         let (seqs, ..) = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         let task = |seq: SignalSequence| {
-            let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
-            let reduced = p.reduce_representative(&dedup)?;
-            Ok((reduced, dedup, rows_interpreted))
+            let (dedup, rows_interpreted) = p.dedup_signal(Cow::Owned(seq))?;
+            let reduced = p.reduce_representative(&dedup.representative)?;
+            Ok((reduced, dedup.into_owned(), rows_interpreted))
         };
         if opts.serial || p.effective_workers() == 1 {
             seqs.into_iter().map(task).collect()
@@ -536,6 +536,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         // A 1-worker scatter is pure overhead (channel round-trips, same
         // order): take the serial per-signal loop instead.
         let parallel = !opts.serial && p.effective_workers() > 1;
+        let seqs = seqs.into_iter().map(Cow::Owned).collect();
         let mut output = p.run_from_sequences(seqs, t_run, interpret_secs, split_secs, parallel)?;
         output.timing.tabular = tabular_secs;
         Ok(output)
@@ -758,7 +759,7 @@ impl Pipeline {
         let kernel = self.kernel();
         let mut builder = kernel.sequence_builder();
         let mut tabular = 0.0;
-        match source {
+        let store = match source {
             Source::Trace(trace) if preselection => {
                 let (raw, secs) = self.ingest_trace(trace, true, time_window)?;
                 tabular = secs;
@@ -772,6 +773,7 @@ impl Pipeline {
                 for runs in decoded {
                     builder.append(runs);
                 }
+                None
             }
             Source::Trace(trace) => {
                 let (ks, secs) =
@@ -780,19 +782,16 @@ impl Pipeline {
                 for batch in ks.frame.partitions() {
                     builder.push(batch)?;
                 }
+                None
             }
-            Source::Store(reader) => {
-                let pred = self.scan_predicate(time_window, None);
-                scan_groups(reader, &pred, |raw| {
-                    kernel.decode_runs(&raw, builder.runs_mut())
-                })?;
-            }
-            Source::StoreShard { reader, groups } => {
-                let pred = self.scan_predicate(time_window, Some(groups));
-                scan_groups(reader, &pred, |raw| {
-                    kernel.decode_runs(&raw, builder.runs_mut())
-                })?;
-            }
+            Source::Store(reader) => Some((reader, None)),
+            Source::StoreShard { reader, groups } => Some((reader, Some(groups))),
+        };
+        if let Some((reader, groups)) = store {
+            let pred = self.scan_predicate(time_window, groups);
+            scan_groups(reader, &pred, |raw| {
+                kernel.decode_runs(&raw, builder.runs_mut())
+            })?;
         }
         let t = Instant::now();
         let seqs = builder.finish()?;
@@ -840,15 +839,15 @@ impl Pipeline {
             .max(1)
     }
 
-    /// Line 9: gateway dedup (or the configured passthrough), consuming
-    /// the split sequence. Returns the dedup report plus the
+    /// Line 9: gateway dedup (or the configured passthrough) of the split
+    /// sequence, owned or borrowed. Returns the dedup report plus the
     /// representative's pre-reduction length.
-    fn dedup_signal(&self, seq: SignalSequence) -> Result<(Dedup, usize)> {
+    fn dedup_signal<'s>(&self, seq: Cow<'s, SignalSequence>) -> Result<(Checked<'s>, usize)> {
         let dedup = if self.profile.dedup {
-            deduplicate_owned(seq, &self.u_comb)?
+            check(seq, &self.u_comb)?
         } else {
             let representative_channel = seq.channels()?.into_iter().next().unwrap_or_default();
-            Dedup {
+            Checked {
                 representative: seq,
                 representative_channel,
                 corresponding: Vec::new(),
@@ -860,13 +859,13 @@ impl Pipeline {
     }
 
     /// Line 10: the configured reduction applied to the representative.
-    fn reduce_representative(&self, dedup: &Dedup) -> Result<SignalSequence> {
+    fn reduce_representative(&self, representative: &SignalSequence) -> Result<SignalSequence> {
         match &self.profile.reduction {
             crate::reduce::Reduction::Constraints => {
-                apply_constraints(&dedup.representative, &self.profile.constraints)
+                apply_constraints(representative, &self.profile.constraints)
             }
             crate::reduce::Reduction::Cluster { k, max_iterations } => {
-                crate::reduce::cluster_reduce(&dedup.representative, *k, *max_iterations)
+                crate::reduce::cluster_reduce(representative, *k, *max_iterations)
             }
         }
     }
@@ -877,7 +876,7 @@ impl Pipeline {
     /// independent after the split, so running these units in any order
     /// (or concurrently) and gathering in input order reproduces the
     /// serial pipeline exactly.
-    fn process_signal(&self, seq: SignalSequence, epoch: Instant) -> Result<SignalResult> {
+    fn process_signal(&self, seq: Cow<'_, SignalSequence>, epoch: Instant) -> Result<SignalResult> {
         // Stage intervals are offsets from the shared run epoch, so the
         // gather can compute per-stage makespans across signals.
         let offset = || epoch.elapsed().as_secs_f64();
@@ -891,7 +890,7 @@ impl Pipeline {
         let dedup_span = span(t);
 
         let t = offset();
-        let reduced = self.reduce_representative(&dedup)?;
+        let reduced = self.reduce_representative(&dedup.representative)?;
         let reduce_span = span(t);
 
         // Line 12: one frame per extension rule, aligned index-wise with
@@ -906,29 +905,23 @@ impl Pipeline {
             .collect::<Result<_>>()?;
         let extend_span = span(t);
 
+        // The signal's rules: the first decides comparability, the home
+        // channel's (else the first) drives branch processing.
+        let rules = || {
+            self.u_comb
+                .rules()
+                .iter()
+                .filter(|r| r.signal == reduced.signal)
+        };
         let t = offset();
-        let comparable = self
-            .u_comb
-            .rules()
-            .iter()
-            .find(|r| r.signal == reduced.signal)
-            .map(|r| r.info.comparable)
-            .unwrap_or(true);
+        let comparable = rules().next().is_none_or(|r| r.info.comparable);
         let classification = classify(&reduced, comparable, &self.profile.classify)?;
         let classify_span = span(t);
 
         let t = offset();
-        let home_rule = self
-            .u_comb
-            .rules()
-            .iter()
-            .find(|r| r.signal == reduced.signal && r.info.home_channel)
-            .or_else(|| {
-                self.u_comb
-                    .rules()
-                    .iter()
-                    .find(|r| r.signal == reduced.signal)
-            });
+        let home_rule = rules()
+            .find(|r| r.info.home_channel)
+            .or_else(|| rules().next());
         let frame = process(
             &reduced,
             &classification,
@@ -979,32 +972,16 @@ impl Pipeline {
         })
     }
 
-    /// Lines 7–29 + Sec. 4.3 from an already-extracted `K_s`. Public
-    /// (hidden) for the multi-query planner, which extracts every query's
-    /// `K_s` from one shared scan — its routing lanes are per query, not
-    /// per signal — and then runs each query's back half.
-    #[doc(hidden)]
-    pub fn run_from_ks(
-        &self,
-        ks: DataFrame,
-        epoch: Instant,
-        interpret_secs: f64,
-        parallel: bool,
-    ) -> Result<PipelineOutput> {
-        let t = Instant::now();
-        let seqs = split_by_signal(&ks)?;
-        drop(ks);
-        let split_secs = t.elapsed().as_secs_f64();
-        self.run_from_sequences(seqs, epoch, interpret_secs, split_secs, parallel)
-    }
-
     /// Lines 9–29 + Sec. 4.3 from the per-signal sequences: the shared
     /// back half of every run, regardless of source. `epoch` is the
     /// session's start (stage spans are offsets from it), `interpret_secs`
-    /// and `split_secs` the time already spent getting here.
-    fn run_from_sequences(
+    /// and `split_secs` the time already spent getting here. A session
+    /// hands its sequences over; the multi-query planner (hence public,
+    /// hidden) lends the ones its cache entry holds.
+    #[doc(hidden)]
+    pub fn run_from_sequences(
         &self,
-        seqs: Vec<SignalSequence>,
+        seqs: Vec<Cow<'_, SignalSequence>>,
         epoch: Instant,
         interpret_secs: f64,
         split_secs: f64,
@@ -1070,11 +1047,8 @@ impl Pipeline {
                 start = start.min(s.start);
                 end = end.max(s.end);
             }
-            if end >= start {
-                (busy, end - start)
-            } else {
-                (busy, 0.0)
-            }
+            // No signals: start = +∞, end = −∞, so no wall time.
+            (busy, (end - start).max(0.0))
         };
         (timing.dedup, timing.wall.dedup) = fold(|s| s.dedup);
         (timing.reduce, timing.wall.reduce) = fold(|s| s.reduce);

@@ -152,7 +152,8 @@ struct SignalColumns {
 /// The per-signal column sets of one partition, row group or micro-batch,
 /// indexed by signal code: the sink the interpretation kernel emits into
 /// when nobody needs `K_s` as a table.
-pub(crate) struct SignalRuns {
+#[doc(hidden)]
+pub struct SignalRuns {
     cols: Vec<SignalColumns>,
 }
 
@@ -295,7 +296,8 @@ impl SequenceBuilder {
     }
 
     /// The builder's own sink, for decoding straight into it.
-    pub(crate) fn runs_mut(&mut self) -> &mut SignalRuns {
+    #[doc(hidden)]
+    pub fn runs_mut(&mut self) -> &mut SignalRuns {
         &mut self.runs
     }
 

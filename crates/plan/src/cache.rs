@@ -1,32 +1,58 @@
 //! The plan-keyed result cache.
 //!
-//! Maps `(query fingerprint, store epoch)` to the query's extracted `K_s`
-//! partitions. A hit skips the scan *and* the interpret kernel; the
-//! per-query back half (dedup → reduce → extend → classify → branch) is
-//! deterministic on `K_s`, so replaying it from cached partitions yields
-//! output bit-identical to a fresh session. Entries are invalidated by
-//! epoch comparison, not eviction: any append advances the store's
-//! [`generation`](ivnt_store::Footer::generation) and strands the old
-//! epoch's entries, which age out of the FIFO ring.
+//! Maps `(query fingerprint, answer kind)` at a store epoch to the query's
+//! answer: `K_s` partitions for [`extract`](crate::Planner::extract),
+//! per-signal sequences for [`run`](crate::Planner::run) — separate
+//! entries, so an `extract` does not warm a `run` nor the reverse. A hit
+//! skips the scan *and* the interpret kernel; the back half is
+//! deterministic on its input, so a replay is bit-identical to a fresh
+//! session. Entries are `Arc`-shared: a miss hands one `Arc` to the cache
+//! and the batch, a hit clones it, and a `run` borrows the sequences — no
+//! cell is copied (an `extract` copies its partitions into its frame).
+//!
+//! Entries are invalidated by epoch comparison, not eviction: any append
+//! advances the store's [`generation`](ivnt_store::Footer::generation) and
+//! strands the old epoch's entries, which age out of the FIFO ring.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
+use ivnt_core::split::SignalSequence;
 use ivnt_frame::batch::Batch;
 
-/// Default maximum number of cached extractions.
+/// Default maximum number of cached answers.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    epoch: u64,
-    parts: Vec<Batch>,
+/// Which answer a query asks the planner for — part of the cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Kind {
+    /// `K_s` partitions ([`Answer::Frame`]).
+    Frame,
+    /// Per-signal sequences ([`Answer::Sequences`]).
+    Sequences,
 }
 
-/// Bounded FIFO cache of extracted `K_s` partition lists.
+/// One query's answer from a shared pass or the cache.
+#[derive(Debug, Clone)]
+pub(crate) enum Answer {
+    /// `K_s` partitions, padded to one empty partition when the scan
+    /// emitted none (the store source's semantics).
+    Frame(Arc<Vec<Batch>>),
+    /// Per-signal sequences in signal-name order.
+    Sequences(Arc<Vec<SignalSequence>>),
+}
+
+#[derive(Debug)]
+struct Entry {
+    epoch: u64,
+    answer: Answer,
+}
+
+/// Bounded FIFO cache of shared answers.
 #[derive(Debug, Default)]
 pub(crate) struct PlanCache {
-    map: HashMap<u64, Entry>,
-    order: VecDeque<u64>,
+    map: HashMap<(u64, Kind), Entry>,
+    order: VecDeque<(u64, Kind)>,
     capacity: usize,
 }
 
@@ -39,23 +65,25 @@ impl PlanCache {
         }
     }
 
-    /// Looks up `key` at `epoch`. A stale entry (older epoch) is dropped
-    /// on the spot — it can never be valid again.
-    pub(crate) fn get(&mut self, key: u64, epoch: u64) -> Option<Vec<Batch>> {
-        match self.map.get(&key) {
-            Some(e) if e.epoch == epoch => Some(e.parts.clone()),
+    /// Looks up `key`'s answer of `kind` at `epoch`. A stale entry (older
+    /// epoch) is dropped on the spot — it can never be valid again.
+    pub(crate) fn get(&mut self, key: u64, kind: Kind, epoch: u64) -> Option<Answer> {
+        let slot = (key, kind);
+        match self.map.get(&slot) {
+            Some(e) if e.epoch == epoch => Some(e.answer.clone()),
             Some(_) => {
-                self.map.remove(&key);
-                self.order.retain(|k| *k != key);
+                self.map.remove(&slot);
+                self.order.retain(|k| *k != slot);
                 None
             }
             None => None,
         }
     }
 
-    pub(crate) fn insert(&mut self, key: u64, epoch: u64, parts: Vec<Batch>) {
-        if self.map.insert(key, Entry { epoch, parts }).is_none() {
-            self.order.push_back(key);
+    pub(crate) fn insert(&mut self, key: u64, kind: Kind, epoch: u64, answer: Answer) {
+        let slot = (key, kind);
+        if self.map.insert(slot, Entry { epoch, answer }).is_none() {
+            self.order.push_back(slot);
             while self.order.len() > self.capacity {
                 if let Some(evict) = self.order.pop_front() {
                     self.map.remove(&evict);

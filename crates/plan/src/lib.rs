@@ -16,11 +16,15 @@
 //!    predicate; the store is scanned once, zone maps pruning chunks no
 //!    query needs. When queries are signal-disjoint and windowless the
 //!    vectorized interpret kernel also runs once per row group over the
-//!    union rule set, and emitted rows are routed back by signal
-//!    ownership (see [`exec`](self) internals); otherwise each query
-//!    interprets its own row subset of the shared decode.
+//!    union rule set, and its output is handed back by signal ownership
+//!    (see [`exec`](self) internals); otherwise each query interprets its
+//!    own row subset of the shared decode. A `run` decodes straight into
+//!    per-signal sequences as a solo
+//!    [`Session::run`](ivnt_core::pipeline::Session::run) does — `K_s` is
+//!    never built; an `extract` builds each query's `K_s` partitions.
 //! 4. **Per-query back half** — dedup → reduce → extend → classify →
-//!    branch runs per query on its routed `K_s`, so every answer is
+//!    branch runs per query on its sequences, borrowed from the shared
+//!    cache entry rather than copied out of it, so every answer is
 //!    **bit-identical** to running that query as its own session.
 //!
 //! ```no_run
@@ -41,19 +45,18 @@ mod cache;
 mod exec;
 mod fingerprint;
 
+use std::borrow::Cow;
 use std::io::{Read, Seek};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ivnt_core::interpret::signal_schema;
 use ivnt_core::pipeline::PipelineOutput;
 use ivnt_core::{Pipeline, Result};
-use ivnt_frame::batch::Batch;
 use ivnt_frame::frame::DataFrame;
 use ivnt_store::{ScanStats, StoreReader};
 
-use cache::PlanCache;
 pub use cache::DEFAULT_CACHE_CAPACITY;
+use cache::{Answer, Kind, PlanCache};
 use exec::{route_shared, QuerySpec};
 
 /// One query of a multi-query batch: a domain pipeline plus optional
@@ -178,19 +181,20 @@ pub struct Planner {
 
 impl Planner {
     /// A planner with the default cache capacity
-    /// ([`DEFAULT_CACHE_CAPACITY`] extractions).
+    /// ([`DEFAULT_CACHE_CAPACITY`] answers).
     pub fn new() -> Planner {
         Planner::with_cache_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// A planner caching at most `capacity` extractions (FIFO eviction).
+    /// A planner caching at most `capacity` answers (FIFO eviction); a
+    /// query's `extract` and `run` answers are separate entries.
     pub fn with_cache_capacity(capacity: usize) -> Planner {
         Planner {
             cache: PlanCache::with_capacity(capacity),
         }
     }
 
-    /// Cached extractions currently held.
+    /// Cached answers currently held.
     pub fn cached(&self) -> usize {
         self.cache.len()
     }
@@ -206,15 +210,19 @@ impl Planner {
         queries: &[Query<'_>],
         reader: &mut StoreReader<R>,
     ) -> Result<MultiExtraction> {
-        let (parts, plan, per_query) = self.extract_parts(queries, reader)?;
+        let (answers, plan, per_query, _) = self.answer(queries, reader, Kind::Frame)?;
         let frames = queries
             .iter()
-            .zip(parts)
+            .zip(answers)
             .zip(per_query)
-            .map(|((q, parts), stats)| {
+            .map(|((q, answer), stats)| {
+                let Answer::Frame(parts) = answer else {
+                    unreachable!("frame lookups return frame answers")
+                };
                 Ok(QueryExtraction {
                     label: q.label().to_string(),
-                    frame: q.pipeline.signal_frame(parts)?,
+                    // The frame owns its partitions: copied out of the entry.
+                    frame: q.pipeline.signal_frame(Arc::unwrap_or_clone(parts))?,
                     stats,
                 })
             })
@@ -256,23 +264,32 @@ impl Planner {
         reader: &mut StoreReader<R>,
         serial: bool,
     ) -> Result<MultiOutput> {
-        let t_extract = Instant::now();
-        let (parts, plan, per_query) = self.extract_parts(queries, reader)?;
-        let extract_secs = t_extract.elapsed().as_secs_f64();
-        // The shared extraction's cost is attributed evenly across the
-        // batch — per-query stage timings stay comparable to solo runs.
-        let interpret_secs = extract_secs / queries.len().max(1) as f64;
+        let t_shared = Instant::now();
+        let (answers, plan, per_query, finish_secs) =
+            self.answer(queries, reader, Kind::Sequences)?;
+        // The shared pass is attributed evenly: its builders' `finish` as
+        // the split of the queries that missed, the rest as every query's
+        // interpret — per-query stage timings stay comparable to solo runs.
+        let interpret_secs =
+            (t_shared.elapsed().as_secs_f64() - finish_secs) / queries.len().max(1) as f64;
+        let split_secs = finish_secs / plan.cache_misses.max(1) as f64;
         let results = queries
             .iter()
-            .zip(parts)
+            .zip(answers)
             .zip(per_query)
-            .map(|((q, parts), stats)| {
+            .map(|((q, answer), stats)| {
+                let Answer::Sequences(seqs) = answer else {
+                    unreachable!("sequence lookups return sequence answers")
+                };
                 let epoch = Instant::now();
-                let ks = q.pipeline.signal_frame(parts)?;
                 let parallel = !serial && q.pipeline.effective_workers() > 1;
-                let output = q
-                    .pipeline
-                    .run_from_ks(ks, epoch, interpret_secs, parallel)?;
+                let output = q.pipeline.run_from_sequences(
+                    seqs.iter().map(Cow::Borrowed).collect(),
+                    epoch,
+                    interpret_secs,
+                    if stats.cache_hit { 0.0 } else { split_secs },
+                    parallel,
+                )?;
                 Ok(QueryResult {
                     label: q.label().to_string(),
                     output,
@@ -284,12 +301,14 @@ impl Planner {
     }
 
     /// The planner core: cache probe → shared scan → routing → cache
-    /// fill. Returns each query's padded `K_s` partitions.
-    fn extract_parts<R: Read + Seek>(
+    /// fill, answering every query with an answer of `kind`. The `f64` is
+    /// the seconds the shared pass's sequence builders spent in `finish`.
+    fn answer<R: Read + Seek>(
         &mut self,
         queries: &[Query<'_>],
         reader: &mut StoreReader<R>,
-    ) -> Result<(Vec<Vec<Batch>>, PlanStats, Vec<QueryStats>)> {
+        kind: Kind,
+    ) -> Result<(Vec<Answer>, PlanStats, Vec<QueryStats>, f64)> {
         let epoch = fingerprint::store_epoch(reader.footer());
         let keys: Vec<u64> = queries
             .iter()
@@ -297,29 +316,21 @@ impl Planner {
             .collect();
 
         // Cache probe: split the batch into hits and the scan set.
-        let mut parts: Vec<Option<Vec<Batch>>> = Vec::with_capacity(queries.len());
+        let mut answers: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
+        let mut split_secs = 0.0;
         let mut per_query: Vec<QueryStats> = Vec::with_capacity(queries.len());
         let mut scan_set: Vec<usize> = Vec::new();
         for (qi, key) in keys.iter().enumerate() {
-            match self.cache.get(*key, epoch) {
-                Some(cached) => {
-                    parts.push(Some(cached));
-                    per_query.push(QueryStats {
-                        rows_routed: 0,
-                        groups: 0,
-                        cache_hit: true,
-                    });
-                }
-                None => {
-                    parts.push(None);
-                    per_query.push(QueryStats {
-                        rows_routed: 0,
-                        groups: 0,
-                        cache_hit: false,
-                    });
-                    scan_set.push(qi);
-                }
+            let cached = self.cache.get(*key, kind, epoch);
+            if cached.is_none() {
+                scan_set.push(qi);
             }
+            per_query.push(QueryStats {
+                rows_routed: 0,
+                groups: 0,
+                cache_hit: cached.is_some(),
+            });
+            answers.push(cached);
         }
         let cache_hits = queries.len() - scan_set.len();
 
@@ -341,30 +352,26 @@ impl Planner {
                     window: queries[qi].window,
                 })
                 .collect();
-            let mut outcome = route_shared(&specs, reader)?;
+            let outcome = route_shared(&specs, reader, kind)?;
             plan.shared_interpret = outcome.shared_interpret;
             plan.groups_scanned = outcome.groups_scanned;
             plan.scan = Some(outcome.stats);
-            for (si, &qi) in scan_set.iter().enumerate() {
-                let mut query_parts = std::mem::take(&mut outcome.parts[si]);
-                // Store-source semantics: an all-pruned query still gets
-                // one empty partition so downstream schemas hold.
-                if query_parts.is_empty() {
-                    query_parts.push(Batch::empty(signal_schema()));
-                }
-                self.cache.insert(keys[qi], epoch, query_parts.clone());
+            split_secs = outcome.split_secs;
+            for (si, (&qi, answer)) in scan_set.iter().zip(outcome.answers).enumerate() {
+                // The cache and the batch share one `Arc`: nothing copied.
+                self.cache.insert(keys[qi], kind, epoch, answer.clone());
                 per_query[qi].rows_routed = outcome.rows_routed[si];
                 per_query[qi].groups = outcome.groups_hit[si];
-                parts[qi] = Some(query_parts);
+                answers[qi] = Some(answer);
             }
         }
 
         flush_plan_obs(&plan, queries, &per_query);
-        let parts = parts
+        let answers = answers
             .into_iter()
-            .map(|p| p.expect("every query resolved by cache or scan"))
+            .map(|a| a.expect("every query resolved by cache or scan"))
             .collect();
-        Ok((parts, plan, per_query))
+        Ok((answers, plan, per_query, split_secs))
     }
 }
 
@@ -436,17 +443,8 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
     ///
     /// Same conditions as [`Planner::run`].
     pub fn run(self) -> Result<MultiOutput> {
-        let QuerySet {
-            queries,
-            reader,
-            planner,
-            serial,
-            subscriber,
-        } = self;
-        let _guard = subscriber.map(ivnt_obs::install);
-        let mut local = Planner::new();
-        let planner = planner.unwrap_or(&mut local);
-        planner.run_with(&queries, reader, serial)
+        let serial = self.serial;
+        self.drive(|planner, queries, reader| planner.run_with(queries, reader, serial))
     }
 
     /// Extracts every query's `K_s` from one shared pass.
@@ -455,17 +453,22 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
     ///
     /// Same conditions as [`Planner::extract`].
     pub fn extract(self) -> Result<MultiExtraction> {
-        let QuerySet {
-            queries,
-            reader,
-            planner,
-            subscriber,
-            ..
-        } = self;
-        let _guard = subscriber.map(ivnt_obs::install);
+        self.drive(|planner, queries, reader| planner.extract(queries, reader))
+    }
+
+    /// Runs `f` on the batch under its subscriber, with the borrowed
+    /// planner or a throwaway one.
+    fn drive<T>(
+        self,
+        f: impl FnOnce(&mut Planner, &[Query<'p>], &mut StoreReader<R>) -> Result<T>,
+    ) -> Result<T> {
+        let _guard = self.subscriber.map(ivnt_obs::install);
         let mut local = Planner::new();
-        let planner = planner.unwrap_or(&mut local);
-        planner.extract(&queries, reader)
+        f(
+            self.planner.unwrap_or(&mut local),
+            &self.queries,
+            self.reader,
+        )
     }
 }
 

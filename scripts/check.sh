@@ -83,8 +83,9 @@ IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 
 echo "==> plan_probe smoke (multi-query shared-scan bit-identity + speedup gate)"
 # N concurrent domains from one shared store pass; every shared answer is
-# checked bit-identical to its solo session inline, and 4 shared domains
-# must beat 4 sequential sessions by IVNT_PLAN_MIN_SPEEDUP on one core.
+# checked bit-identical to its solo session inline, and 4 domains' full
+# runs from one `Planner::run` must beat 4 sequential `Session::run`s by
+# IVNT_PLAN_MIN_SPEEDUP on one core.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_PLAN_MIN_SPEEDUP="${IVNT_PLAN_MIN_SPEEDUP:-1.5}" \
   cargo run --release -q -p ivnt-bench --bin plan_probe

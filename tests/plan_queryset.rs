@@ -350,6 +350,10 @@ fn cache_hits_replay_bit_identical_results() {
     for (w, c) in warm.results.iter().zip(&cold.results) {
         assert!(w.stats.cache_hit);
         assert_outputs_eq(&w.output, &c.output, "warm vs cold");
+        // The split is the sequence builder's `finish`: the cold pass ran
+        // it, a hit replays finished sequences.
+        assert!(c.output.timing.split > 0.0, "cold split timed");
+        assert_eq!(w.output.timing.split, 0.0, "no split on a hit");
     }
 
     // A half-new batch: the known query hits, the new one joins the scan.
@@ -371,6 +375,37 @@ fn cache_hits_replay_bit_identical_results() {
     assert!(!mixed.results[1].stats.cache_hit);
     assert_outputs_eq(&mixed.results[0].output, &cold.results[0].output, "hit");
     assert_outputs_eq(&mixed.results[1].output, &solo_run(&pc, fx, None), "miss");
+
+    // Answers are cached per kind: the run above does not warm an
+    // `extract` of the same query, and an extract does not warm a run.
+    let mut r = reader(fx);
+    let extracted = Pipeline::session_many(vec![Query::new(&pc)], &mut r)
+        .with_planner(&mut planner)
+        .extract()
+        .expect("extract after run");
+    assert_eq!(
+        extracted.plan.cache_misses, 1,
+        "a run does not warm an extract"
+    );
+    assert_frames_eq(
+        &extracted.frames[0].frame,
+        &solo_extract(&pc, fx, None),
+        "extract",
+    );
+    let mut fresh = Planner::new();
+    let mut r = reader(fx);
+    Pipeline::session_many(vec![Query::new(&pc)], &mut r)
+        .with_planner(&mut fresh)
+        .extract()
+        .expect("extract");
+    let mut r = reader(fx);
+    let after = Pipeline::session_many(vec![Query::new(&pc)], &mut r)
+        .with_planner(&mut fresh)
+        .run()
+        .expect("run after extract");
+    assert_eq!(after.plan.cache_misses, 1, "an extract does not warm a run");
+    assert_eq!(fresh.cached(), 2, "one entry per answer kind");
+    assert_outputs_eq(&after.results[0].output, &solo_run(&pc, fx, None), "run");
 }
 
 /// The serial oracle and the parallel fan-out agree (the planner's analog
