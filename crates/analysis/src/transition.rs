@@ -105,11 +105,6 @@ impl TransitionGraph {
         &self.nodes
     }
 
-    /// Number of distinct transitions.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Total recorded transitions (sum of counts).
     pub fn total_transitions(&self) -> u64 {
         self.edges.values().sum()

@@ -25,17 +25,20 @@
 //!   everywhere;
 //! * on machines with at least as many cores as workers, the N-worker
 //!   run must beat the 1-worker run by `IVNT_CLUSTER_MIN_SPEEDUP`
-//!   (default 1.0). With fewer cores than workers a speedup is
-//!   physically impossible and the contention makes the timings too
-//!   noisy to gate on, so there the speedup is report-only (the
-//!   speedup over the single process is reported beside it, ungated).
+//!   (default 1.0) — the median ratio of interleaved (1-worker,
+//!   N-worker) pairs, with both worker pools alive throughout. With fewer
+//!   cores than workers a speedup is physically impossible and the
+//!   contention makes the timings too noisy to gate on, so there the
+//!   speedup is report-only (the speedup over the single process is
+//!   reported beside it, ungated).
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
+use std::cell::RefCell;
 use std::io::Write;
 use std::time::Instant;
 
-use ivnt_bench::scale;
+use ivnt_bench::{env_f64, paired_secs, scale, time_secs};
 use ivnt_cluster::codec::encode_batch;
 use ivnt_cluster::{
     run_job, spawn_local_workers, ClusterConfig, ClusterRun, JobSpec, LocalSpawnSpec, WorkerServer,
@@ -65,18 +68,6 @@ fn worker_main() -> Result<(), Box<dyn std::error::Error>> {
     std::io::stdout().flush()?;
     server.serve()?;
     Ok(())
-}
-
-fn median(times: &mut [f64]) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -124,18 +115,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let expected_fp: Vec<Vec<u8>> = expected.partitions().iter().map(encode_batch).collect();
     let time_single = || {
-        let t0 = Instant::now();
-        let mut reader = ivnt_store::StoreReader::open(&path).expect("open");
-        pipeline
-            .session(RunOptions::store(&mut reader))
-            .extract()
-            .expect("extract");
-        t0.elapsed().as_secs_f64()
+        time_secs(|| {
+            let mut reader = ivnt_store::StoreReader::open(&path).expect("open");
+            pipeline
+                .session(RunOptions::store(&mut reader))
+                .extract()
+                .expect("extract");
+        })
     };
 
     let check = |run: &ClusterRun, label: &str| {
         let fp: Vec<Vec<u8>> = run.frame.partitions().iter().map(encode_batch).collect();
         assert_eq!(fp, expected_fp, "{label} result diverged");
+    };
+    // Bench tasks run seconds of pegged CPU on possibly one core; the
+    // default 1 s liveness window can starve out and flag a healthy
+    // worker dead. Liveness behaviour has its own fault-injection tests —
+    // here the generous timeout just keeps the probe honest about speed.
+    let config = ClusterConfig {
+        liveness_timeout_ms: 30_000,
+        ..ClusterConfig::default()
+    };
+    // One timed cluster run over `addrs`; the bit-identity check and the
+    // wire stats stay outside the measurement.
+    let wire_stats = RefCell::new(None);
+    let time_cluster = |addrs: &[String], label: &str| {
+        let t0 = Instant::now();
+        let run = run_job(&job, addrs, &config).expect("cluster run");
+        let secs = t0.elapsed().as_secs_f64();
+        check(&run, label);
+        *wire_stats.borrow_mut() = Some(run.stats);
+        secs
     };
 
     let mut counts = vec![2usize];
@@ -146,71 +156,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exe: std::env::current_exe()?,
         args: vec!["__worker".into()],
     };
-    // Bench tasks run seconds of pegged CPU on possibly one core; the
-    // default 1 s liveness window can starve out and flag a healthy
-    // worker dead. Liveness behaviour has its own fault-injection tests —
-    // here the generous timeout just keeps the probe honest about speed.
-    let config = ClusterConfig {
-        liveness_timeout_ms: 30_000,
-        ..ClusterConfig::default()
-    };
-
-    // One worker against the single process, as interleaved adjacent
-    // pairs (alternating which side goes first) so machine drift hits
-    // both sides equally; `cluster_tax` is the median of the per-pair
-    // ratios, not the ratio of two medians taken seconds apart (the
-    // `store_probe` methodology).
-    let mut wire_stats = None;
-    let mut samples: [Vec<f64>; 3] = Default::default(); // single, 1 worker, ratio
-    {
-        let workers = spawn_local_workers(&spawn_spec, 1, &Default::default())?;
-        let addrs = vec![workers[0].addr().to_string()];
-        // Warmup session (also absorbs worker process start-up).
-        check(&run_job(&job, &addrs, &config)?, "1-worker warmup");
-        let mut time_cluster = || {
-            let t0 = Instant::now();
-            let run = run_job(&job, &addrs, &config).expect("cluster run");
-            let secs = t0.elapsed().as_secs_f64();
-            check(&run, "1-worker");
-            wire_stats = Some(run.stats);
-            secs
-        };
-        for pair in 0..TAX_PAIRS {
-            let (single, cluster) = if pair % 2 == 0 {
-                let single = time_single();
-                (single, time_cluster())
-            } else {
-                let cluster = time_cluster();
-                (time_single(), cluster)
-            };
-            for (side, secs) in samples.iter_mut().zip([single, cluster, cluster / single]) {
-                side.push(secs);
-            }
-        }
-    }
-    let [single_secs, one_worker_secs, cluster_tax] = samples.map(|mut side| median(&mut side));
-
-    let mut points = vec![(1usize, one_worker_secs)];
-    for &n in &counts {
+    // Spawns an `n`-worker pool and runs one warmup session on it (which
+    // also absorbs worker process start-up).
+    let pool = |n: usize| -> Result<_, Box<dyn std::error::Error>> {
         let workers = spawn_local_workers(&spawn_spec, n, &Default::default())?;
         let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
-        // Warmup session (also absorbs worker process start-up).
-        let warm = run_job(&job, &addrs, &config)?;
-        check(&warm, &format!("{n}-worker warmup"));
-        let mut times: Vec<f64> = (0..runs)
-            .map(|_| {
-                let t0 = Instant::now();
-                let run = run_job(&job, &addrs, &config).expect("cluster run");
-                let secs = t0.elapsed().as_secs_f64();
-                check(&run, &format!("{n}-worker"));
-                wire_stats = Some(run.stats);
-                secs
-            })
-            .collect();
-        points.push((n, median(&mut times)));
+        time_cluster(&addrs, &format!("{n}-worker warmup"));
+        Ok((workers, addrs))
+    };
+
+    // One worker against the single process, as interleaved pairs;
+    // `cluster_tax` is the median of the per-pair ratios.
+    let (one_worker, one_addrs) = pool(1)?;
+    let tax = paired_secs(
+        TAX_PAIRS,
+        || time_cluster(&one_addrs, "1-worker"),
+        time_single,
+    );
+    let (one_worker_secs, single_secs, cluster_tax) = (tax.a_secs, tax.b_secs, tax.a_over_b);
+
+    // Each N-worker pool against the still-running 1-worker pool, as
+    // interleaved pairs; the scaling gate reads the largest pool's
+    // median per-pair ratio.
+    let mut points = vec![(1usize, one_worker_secs)];
+    let mut speedup = 1.0;
+    for &n in &counts {
+        let (workers, addrs) = pool(n)?;
+        let pair = paired_secs(
+            runs,
+            || time_cluster(&one_addrs, "1-worker"),
+            || time_cluster(&addrs, &format!("{n}-worker")),
+        );
+        points.push((n, pair.b_secs));
+        speedup = pair.a_over_b;
         drop(workers);
     }
-    let wire = wire_stats.expect("at least one cluster run");
+    drop(one_worker);
+    let wire = wire_stats.take().expect("at least one cluster run");
 
     // Straggler phase: worker 0 crawls (slow-task fault via the child's
     // env) while the rest are healthy; straggler truncation + tail
@@ -252,9 +234,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(workers);
     let _ = std::fs::remove_file(&path);
 
-    let (_, t1) = points[0];
     let &(n_max, tn) = points.last().expect("at least one point");
-    let speedup = t1 / tn;
     let speedup_sp = single_secs / tn;
     let gate = env_f64("IVNT_CLUSTER_MIN_SPEEDUP", 1.0);
     let wire_gate = env_f64("IVNT_CLUSTER_MIN_WIRE_RATIO", 3.0);

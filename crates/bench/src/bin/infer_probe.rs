@@ -22,9 +22,8 @@
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::io::Cursor;
-use std::time::Instant;
 
-use ivnt_bench::scale;
+use ivnt_bench::{env_f64, median_secs, scale};
 use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions};
 use ivnt_core::rules::{InferParams, RuleCatalog};
 use ivnt_infer::infer_store;
@@ -82,20 +81,6 @@ impl ScenarioResult {
             self.rows_per_sec,
         )
     }
-}
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -185,10 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         results.push(result);
     }
 
-    let min_f1_gate: f64 = std::env::var("IVNT_INFER_MIN_F1")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.85);
+    let min_f1_gate = env_f64("IVNT_INFER_MIN_F1", 0.85);
     let worst = results.iter().map(|r| r.f1).fold(f64::INFINITY, f64::min);
 
     let entries: Vec<String> = results.iter().map(ScenarioResult::to_json).collect();

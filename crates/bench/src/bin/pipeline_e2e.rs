@@ -7,60 +7,28 @@
 //! `speed_probe`/`cluster_scale` conventions. `IVNT_BENCH_SCALE` scales the
 //! workload.
 //!
-//! Three invariants are checked, two of them gated:
+//! Two invariants are enforced:
 //!
 //! * every parallel run must be bit-identical to the serial reference
 //!   (re-encoded partitions of extensions, merged, state and each signal
-//!   frame) — always enforced;
+//!   frame);
 //! * the heap `bottom_up` must produce exactly the naive segments and beat
-//!   it by `IVNT_SWAB_MIN_SPEEDUP` (default 1.0) — always enforced, the
-//!   algorithmic win does not need spare cores;
-//! * when `BENCH_seed.json` carries a `seed_pipeline_e2e` baseline
-//!   (`scripts/bench_seed_baseline.sh`), the parallel end-to-end time must
-//!   beat it by `IVNT_PIPELINE_MIN_SPEEDUP` (default 1.0). Like the cluster
-//!   gate this is report-only on a machine with fewer cores than workers,
-//!   where the fan-out cannot pay off.
+//!   it by `IVNT_SWAB_MIN_SPEEDUP` (default 1.0) — the algorithmic win
+//!   does not need spare cores.
+//!
+//! The parallel-vs-serial speedup and the observability overhead are
+//! report-only.
 
 use std::time::Instant;
 
-use ivnt_bench::{covered_fraction, scale, select_signals_for_fraction, u_rel_with_hints};
+use ivnt_bench::{
+    covered_fraction, env_f64, median_secs, paired_secs, scale, select_signals_for_fraction,
+    time_secs, u_rel_with_hints,
+};
 use ivnt_cluster::codec::encode_batch;
 use ivnt_core::pipeline::PipelineOutput;
 use ivnt_core::prelude::*;
 use ivnt_series::swab::{bottom_up, bottom_up_naive};
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Pulls `"key": <number>` out of `text` after the first occurrence of
-/// `anchor` — enough JSON "parsing" for the flat file `seed_probe` writes.
-fn json_f64_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(anchor)?..];
-    let rest = &rest[rest.find(&format!("\"{key}\""))?..];
-    let rest = rest.split_once(':')?.1;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE ".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// Re-encodes every output frame partition plus the per-signal metadata.
 /// Timing is measurement, not output, and is deliberately excluded.
@@ -141,92 +109,64 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let timing = parallel.timing;
 
-    // Serial and parallel runs are interleaved as pairs so machine drift
-    // (thermal throttling, background load) hits both sides equally; the
-    // speedup is the median of the per-pair ratios, not the ratio of two
-    // medians taken minutes apart.
-    let mut serial_times: Vec<f64> = Vec::with_capacity(runs);
-    let mut parallel_times: Vec<f64> = Vec::with_capacity(runs);
-    let mut sp_ratios: Vec<f64> = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        pipeline
-            .session(RunOptions::trace(&data.trace).serial())
-            .run()
-            .expect("run_serial");
-        let serial = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let run = pipeline
-            .session(RunOptions::trace(&data.trace))
-            .run()
-            .expect("run");
-        let parallel = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            fingerprint(&run),
-            expected_fp,
-            "parallel pipeline diverged from the serial reference"
-        );
-        serial_times.push(serial);
-        parallel_times.push(parallel);
-        sp_ratios.push(serial / parallel);
-    }
-    serial_times.sort_by(f64::total_cmp);
-    parallel_times.sort_by(f64::total_cmp);
-    sp_ratios.sort_by(f64::total_cmp);
-    let serial_secs = serial_times[serial_times.len() / 2];
-    let parallel_secs = parallel_times[parallel_times.len() / 2];
-    let parallel_speedup = sp_ratios[sp_ratios.len() / 2];
-
-    // Observability cost, both sides of the subscriber branch:
-    //  * `parallel_secs` above ran with NO subscriber — every hook is one
-    //    relaxed load and a branch, the mode gated by IVNT_OBS_MAX_OVERHEAD;
-    //  * the enabled side runs the same workload with a live registry,
-    //    pricing the full counter/histogram/span path (report-only).
-    // Disabled and enabled runs are interleaved as pairs after a shared
-    // warmup, so machine drift (thermal, cache, background load) hits both
-    // sides equally; the overhead is the median of the per-pair ratios,
-    // floored at zero — a subscriber cannot make the run faster, so a
-    // negative reading is noise by construction. One enabled run's snapshot
-    // is embedded in the JSON so BENCH_pipeline carries the stage-level
-    // breakdown.
-    let obs_registry = std::sync::Arc::new(ivnt_obs::Registry::new());
-    pipeline.session(RunOptions::trace(&data.trace)).run()?; // warmup, disabled
-    {
-        let _guard = ivnt_obs::install(std::sync::Arc::clone(&obs_registry));
-        pipeline.session(RunOptions::trace(&data.trace)).run()?; // warmup, enabled
-    }
-    let mut pair_ratios: Vec<f64> = Vec::with_capacity(runs);
-    let mut enabled_times: Vec<f64> = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        pipeline
-            .session(RunOptions::trace(&data.trace))
-            .run()
-            .expect("run");
-        let disabled = t0.elapsed().as_secs_f64();
-        let enabled = {
-            let _guard = ivnt_obs::install(std::sync::Arc::clone(&obs_registry));
+    // Serial and parallel runs are interleaved as pairs; the speedup is
+    // the median of the per-pair ratios. The runs above were the warmup.
+    let sp = paired_secs(
+        runs,
+        || {
+            time_secs(|| {
+                pipeline
+                    .session(RunOptions::trace(&data.trace).serial())
+                    .run()
+                    .expect("run_serial");
+            })
+        },
+        || {
             let t0 = Instant::now();
-            pipeline
+            let run = pipeline
                 .session(RunOptions::trace(&data.trace))
                 .run()
-                .expect("run with subscriber");
-            t0.elapsed().as_secs_f64()
-        };
-        pair_ratios.push(enabled / disabled);
-        enabled_times.push(enabled);
-    }
-    pair_ratios.sort_by(f64::total_cmp);
-    enabled_times.sort_by(f64::total_cmp);
-    let obs_enabled_secs = enabled_times[enabled_times.len() / 2];
-    let obs_enabled_overhead = (pair_ratios[pair_ratios.len() / 2] - 1.0).max(0.0);
+                .expect("run");
+            let secs = t0.elapsed().as_secs_f64();
+            assert_eq!(
+                fingerprint(&run),
+                expected_fp,
+                "parallel pipeline diverged from the serial reference"
+            );
+            secs
+        },
+    );
+    let (serial_secs, parallel_secs, parallel_speedup) = (sp.a_secs, sp.b_secs, sp.a_over_b);
+
+    // Observability cost, both sides of the subscriber branch: with no
+    // subscriber every hook is one relaxed load and a branch; the enabled
+    // side prices the full counter/histogram/span path. The overhead is
+    // the median of the per-pair ratios, floored at zero — a subscriber
+    // cannot make the run faster, so a negative reading is noise by
+    // construction. One enabled run's snapshot is embedded in the JSON so
+    // BENCH_pipeline carries the stage-level breakdown.
+    let obs_registry = std::sync::Arc::new(ivnt_obs::Registry::new());
+    let run_parallel = || {
+        pipeline
+            .session(RunOptions::trace(&data.trace))
+            .run()
+            .expect("run");
+    };
+    let run_observed = || {
+        let _guard = ivnt_obs::install(std::sync::Arc::clone(&obs_registry));
+        time_secs(run_parallel)
+    };
+    run_parallel(); // warmup, disabled
+    run_observed(); // warmup, enabled
+    let obs = paired_secs(runs, run_observed, || time_secs(run_parallel));
+    let obs_enabled_secs = obs.a_secs;
+    let obs_enabled_overhead = (obs.a_over_b - 1.0).max(0.0);
     let obs_snapshot = {
         let registry = std::sync::Arc::new(ivnt_obs::Registry::new());
         let _guard = ivnt_obs::install(std::sync::Arc::clone(&registry));
         pipeline.session(RunOptions::trace(&data.trace)).run()?;
         registry.snapshot()
     };
-    let obs_gate = env_f64("IVNT_OBS_MAX_OVERHEAD", 0.02);
 
     // SWAB kernel: heap vs naive on a large window — the O(n log n) vs
     // O(n²) comparison the per-signal workload is too small to show.
@@ -248,36 +188,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let swab_speedup = naive_secs / heap_secs;
     let swab_gate = env_f64("IVNT_SWAB_MIN_SPEEDUP", 1.0);
 
-    // Seed comparison, when scripts/bench_seed_baseline.sh has run here.
-    let seed_secs = std::fs::read_to_string("BENCH_seed.json")
-        .ok()
-        .and_then(|text| json_f64_after(&text, "seed_pipeline_e2e", "seconds"));
-    let speedup_vs_seed = seed_secs.map(|s| s / parallel_secs);
-    let pipeline_gate = env_f64("IVNT_PIPELINE_MIN_SPEEDUP", 1.0);
-    // Fewer cores than workers: the fan-out physically cannot pay off and
-    // timings are too noisy to gate on — report-only, like cluster_scale.
-    // Bit-identity and the SWAB kernel gate stay enforced regardless.
-    let gated = cores >= workers && speedup_vs_seed.is_some();
-    let effective_gate = if gated { pipeline_gate } else { 0.0 };
-    // Disabled-subscriber regression vs the seed: the cost of carrying the
-    // obs hooks at all. Gated by IVNT_OBS_MAX_OVERHEAD under the same
-    // cores >= workers rule; f64::INFINITY disarms it on small machines.
-    let overhead_vs_seed = seed_secs.map(|s| parallel_secs / s - 1.0);
-    let effective_obs_gate = if gated { obs_gate } else { f64::INFINITY };
-
-    let seed_block = match (seed_secs, speedup_vs_seed) {
-        (Some(secs), Some(speedup)) => format!(
-            concat!(
-                "  \"seed_baseline\": {{\n",
-                "    \"source\": \"scripts/bench_seed_baseline.sh\",\n",
-                "    \"seed_pipeline_e2e_secs\": {:.6},\n",
-                "    \"speedup_vs_seed\": {:.3}\n",
-                "  }},\n"
-            ),
-            secs, speedup
-        ),
-        _ => String::new(),
-    };
     let json = format!(
         concat!(
             "{{\n",
@@ -313,18 +223,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"speedup\": {:.3},\n",
             "    \"min_speedup_gate\": {:.2}\n",
             "  }},\n",
-            "{}",
             "  \"observability\": {{\n",
             "    \"disabled_seconds\": {:.6},\n",
             "    \"enabled_seconds\": {:.6},\n",
             "    \"enabled_overhead\": {:.4},\n",
-            "{}",
-            "    \"max_overhead_gate\": {:.4},\n",
             "    \"metrics\": {}\n",
-            "  }},\n",
-            "  \"scaling\": {{\n",
-            "    \"min_speedup_gate\": {:.2},\n",
-            "    \"effective_gate\": {:.2}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -353,17 +256,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         naive_secs,
         swab_speedup,
         swab_gate,
-        seed_block,
         parallel_secs,
         obs_enabled_secs,
         obs_enabled_overhead,
-        overhead_vs_seed
-            .map(|o| format!("    \"overhead_vs_seed\": {o:.4},\n"))
-            .unwrap_or_default(),
-        obs_gate,
         obs_snapshot.to_json(),
-        pipeline_gate,
-        effective_gate,
     );
     std::fs::write("BENCH_pipeline.json", &json)?;
 
@@ -379,12 +275,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("parallel vs serial: {parallel_speedup:.2}x; all runs bit-identical");
     println!(
-        "obs: disabled {:.1} ms, subscriber enabled {:.1} ms ({:+.1}% when live; \
-         disabled-path gate {:.1}% vs seed)",
+        "obs: disabled {:.1} ms, subscriber enabled {:.1} ms ({:+.1}% when live)",
         parallel_secs * 1e3,
         obs_enabled_secs * 1e3,
         obs_enabled_overhead * 100.0,
-        obs_gate * 100.0
     );
     println!(
         "swab heap vs naive (n={swab_n}): {swab_speedup:.2}x \
@@ -392,44 +286,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         heap_secs * 1e3,
         naive_secs * 1e3
     );
-    match speedup_vs_seed {
-        Some(speedup) => {
-            let gate_note = if gated {
-                format!("gate {effective_gate:.2}x")
-            } else {
-                format!("report-only: {workers} workers on {cores} core(s) cannot scale")
-            };
-            println!("end-to-end vs seed: {speedup:.2}x ({gate_note})");
-        }
-        None => println!(
-            "no seed_pipeline_e2e in BENCH_seed.json — run \
-             scripts/bench_seed_baseline.sh for the seed comparison"
-        ),
-    }
     println!("wrote BENCH_pipeline.json");
 
     if swab_speedup < swab_gate {
         eprintln!("FAIL: swab heap speedup {swab_speedup:.2}x below gate {swab_gate:.2}x");
         std::process::exit(1);
-    }
-    if let Some(speedup) = speedup_vs_seed {
-        if speedup < effective_gate {
-            eprintln!(
-                "FAIL: end-to-end speedup vs seed {speedup:.2}x below gate \
-                 {effective_gate:.2}x"
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(overhead) = overhead_vs_seed {
-        if overhead > effective_obs_gate {
-            eprintln!(
-                "FAIL: disabled-subscriber overhead vs seed {:.1}% above gate {:.1}%",
-                overhead * 100.0,
-                effective_obs_gate * 100.0
-            );
-            std::process::exit(1);
-        }
     }
     Ok(())
 }

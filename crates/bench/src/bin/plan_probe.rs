@@ -24,55 +24,14 @@
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::io::{Cursor, Read, Seek};
-use std::time::Instant;
 
-use ivnt_bench::{disjoint_domains, domain_pipeline, scale, vehicle_journey};
+use ivnt_bench::{
+    disjoint_domains, domain_pipeline, env_f64, median_secs, paired_secs, scale, time_secs,
+    vehicle_journey,
+};
 use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions};
 use ivnt_plan::{Planner, Query};
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// Paired comparison: times `a` and `b` back to back each round and
-/// reports (median a, median b, median per-round a/b ratio). Pairing the
-/// measurements keeps slow machine-load drift out of the ratio — on a
-/// busy 1-core container that drift dwarfs the run-to-run jitter.
-fn paired_secs(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
-    a(); // warmups
-    b();
-    let mut ta = Vec::with_capacity(rounds);
-    let mut tb = Vec::with_capacity(rounds);
-    let mut ratios = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        a();
-        let sa = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        b();
-        let sb = t0.elapsed().as_secs_f64();
-        ta.push(sa);
-        tb.push(sb);
-        ratios.push(sa / sb.max(1e-12));
-    }
-    (median(ta), median(tb), median(ratios))
-}
 
 fn open(bytes: &[u8]) -> StoreReader<Cursor<Vec<u8>>> {
     StoreReader::from_reader(Cursor::new(bytes.to_vec())).expect("open store")
@@ -218,21 +177,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let plan = multi.plan;
 
-        let (sequential_secs, shared_secs, speedup) = paired_secs(
-            runs,
-            || {
-                for p in &pipelines {
-                    let mut reader = open(&bytes);
-                    solo_run(p, &mut reader);
-                }
-            },
-            || {
-                let mut planner = Planner::new();
-                let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
+        let sequential = || {
+            for p in &pipelines {
                 let mut reader = open(&bytes);
-                planner.run(&queries, &mut reader).expect("shared");
-            },
-        );
+                solo_run(p, &mut reader);
+            }
+        };
+        let shared = || {
+            let mut planner = Planner::new();
+            let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
+            let mut reader = open(&bytes);
+            planner.run(&queries, &mut reader).expect("shared");
+        };
+        sequential(); // warmups
+        shared();
+        let pair = paired_secs(runs, || time_secs(sequential), || time_secs(shared));
+        let (sequential_secs, shared_secs, speedup) = (pair.a_secs, pair.b_secs, pair.a_over_b);
         // Warm planner: every query answered from the plan cache.
         let mut warm = Planner::new();
         let cache_hit_secs = median_secs(runs, || {
@@ -268,10 +228,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleets.push(fleet);
     }
 
-    let min_speedup: f64 = std::env::var("IVNT_PLAN_MIN_SPEEDUP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.5);
+    let min_speedup = env_f64("IVNT_PLAN_MIN_SPEEDUP", 1.5);
     let gate_fleet = fleets
         .iter()
         .find(|f| f.domains == 4)

@@ -5,54 +5,15 @@
 //! relational path, and the full 9-signal `extract_reduced` — and writes
 //! `BENCH_interpret.json` (plus a human-readable summary on stdout). CI and
 //! PR descriptions quote this file; `IVNT_BENCH_SCALE` scales the workload.
-//!
-//! When `BENCH_seed.json` exists (produced by `scripts/bench_seed_baseline.sh`,
-//! which rebuilds the growth-seed implementation from git on this machine and
-//! runs it on the bit-identical workload), its timings are merged in and a
-//! `fused_vs_seed_speedup` figure is emitted — the honest before/after number
-//! for this interpretation path.
 
-use std::time::Instant;
-
-use ivnt_bench::{covered_fraction, scale, select_signals_for_fraction, u_rel_with_hints};
+use ivnt_bench::{
+    covered_fraction, env_f64, median_secs, scale, select_signals_for_fraction, u_rel_with_hints,
+};
 use ivnt_core::interpret::{
     interpret, interpret_fused, interpret_fused_scalar, preselect, run_length_histogram,
 };
 use ivnt_core::prelude::*;
 use ivnt_core::tabular::trace_to_frame;
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Pulls `"key": <number>` out of `text` after the first occurrence of
-/// `anchor` — enough JSON "parsing" for the flat file `seed_probe` writes.
-fn json_f64_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(anchor)?..];
-    let rest = &rest[rest.find(&format!("\"{key}\""))?..];
-    let rest = rest.split_once(':')?.1;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE ".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Measurement {
     name: &'static str,
@@ -225,34 +186,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         interpret_gate.min(1.0)
     };
 
-    // Seed comparison, when scripts/bench_seed_baseline.sh has run here.
-    let seed = std::fs::read_to_string("BENCH_seed.json")
-        .ok()
-        .and_then(|text| {
-            let pre = json_f64_after(&text, "seed_preselect", "seconds")?;
-            let interp = json_f64_after(&text, "seed_interpret", "seconds")?;
-            let table6 = json_f64_after(&text, "seed_table6_9_signals", "seconds")?;
-            Some((pre, interp, table6))
-        });
-    let seed_block = match seed {
-        Some((pre, interp, table6)) => format!(
-            concat!(
-                "  \"seed_baseline\": {{\n",
-                "    \"source\": \"scripts/bench_seed_baseline.sh\",\n",
-                "    \"seed_preselect_secs\": {:.6},\n",
-                "    \"seed_interpret_secs\": {:.6},\n",
-                "    \"seed_table6_9_signals_secs\": {:.6}\n",
-                "  }},\n",
-                "  \"fused_vs_seed_speedup\": {:.2},\n"
-            ),
-            pre,
-            interp,
-            table6,
-            interp / by_name("interpret_fused").secs
-        ),
-        None => String::new(),
-    };
-
     let entries: Vec<String> = measurements.iter().map(Measurement::to_json).collect();
     let json = format!(
         concat!(
@@ -266,7 +199,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"runs\": {}\n",
             "  }},\n",
             "  \"measurements\": [\n{}\n  ],\n",
-            "{}",
             "  \"run_length_histogram_log2\": [{}],\n",
             "  \"vectorized_vs_scalar_speedup\": {:.2},\n",
             "  \"interpret_min_speedup_gate\": {:.2},\n",
@@ -280,7 +212,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         partitions,
         runs,
         entries.join(",\n"),
-        seed_block,
         hist_json,
         kernel_speedup,
         interpret_gate,
@@ -310,17 +241,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
     println!("run-length histogram (log2 buckets): [{hist_json}]");
-    match seed {
-        Some((_, interp, _)) => println!(
-            "fused vs seed speedup:      {:.2}x (seed interpret {:.1} ms)",
-            interp / by_name("interpret_fused").secs,
-            interp * 1e3
-        ),
-        None => println!(
-            "no BENCH_seed.json — run scripts/bench_seed_baseline.sh for the \
-             seed comparison"
-        ),
-    }
     println!("wrote BENCH_interpret.json");
 
     if kernel_speedup < effective_interpret_gate {

@@ -38,26 +38,15 @@ use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::time::Instant;
 
-use ivnt_bench::{covered_fraction, domain_pipeline, scale, select_signals_for_fraction};
+use ivnt_bench::{
+    covered_fraction, domain_pipeline, env_f64, median_secs, paired_secs, scale,
+    select_signals_for_fraction, time_secs,
+};
 use ivnt_core::pipeline::RunOptions;
 use ivnt_frame::batch::Batch;
 use ivnt_store::layout::{checksum, decode_chunk};
 use ivnt_store::schema::{raw_trace_schema, records_to_batch};
 use ivnt_store::{Error, IndexedRecord, Predicate, StoreReader, StoreWriter, WriterOptions};
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 /// Interleaved (in-memory, from-store) extraction pairs behind
 /// `mem_over_store`; an extraction takes milliseconds, so pairs are cheap.
@@ -241,33 +230,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.peak_rows_buffered
     );
 
-    // Both sources timed as interleaved adjacent pairs, so machine drift
-    // hits both sides equally; `mem_over_store` is the median of the
-    // per-pair ratios, not the ratio of two medians taken seconds apart
-    // (the `pipeline_e2e` methodology). The two runs above were the warmup.
-    let mut samples: [Vec<f64>; 3] = Default::default(); // mem, store, mem / store
-    for _ in 0..EXTRACT_PAIRS {
-        let t0 = Instant::now();
-        pipeline
-            .session(RunOptions::trace(&data.trace))
-            .extract()
-            .expect("extract");
-        let mem = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let mut reader = StoreReader::open(&path).expect("open");
-        pipeline
-            .session(RunOptions::store(&mut reader))
-            .extract()
-            .expect("extract_from_store");
-        let store = t0.elapsed().as_secs_f64();
-        for (side, secs) in samples.iter_mut().zip([mem, store, mem / store]) {
-            side.push(secs);
-        }
-    }
-    let [mem_secs, store_secs, mem_over_store] = samples.map(|mut side| {
-        side.sort_by(f64::total_cmp);
-        side[side.len() / 2]
-    });
+    // Both sources timed as interleaved pairs; `mem_over_store` is the
+    // median of the per-pair ratios. The two runs above were the warmup.
+    let extract = paired_secs(
+        EXTRACT_PAIRS,
+        || {
+            time_secs(|| {
+                pipeline
+                    .session(RunOptions::trace(&data.trace))
+                    .extract()
+                    .expect("extract");
+            })
+        },
+        || {
+            time_secs(|| {
+                let mut reader = StoreReader::open(&path).expect("open");
+                pipeline
+                    .session(RunOptions::store(&mut reader))
+                    .extract()
+                    .expect("extract_from_store");
+            })
+        },
+    );
+    let (mem_secs, store_secs, mem_over_store) = (extract.a_secs, extract.b_secs, extract.a_over_b);
     measurements.push(Measurement {
         name: "extract_in_memory",
         secs: mem_secs,
@@ -282,30 +267,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // The scan alone, columnar core vs the row-materializing scan, same
-    // predicate, same batches; pairs alternate which side runs first.
+    // predicate, same batches.
     let pred = pipeline.store_predicate();
     assert_eq!(
         scan_secs(&path, &pred, true).1,
         scan_secs(&path, &pred, false).1,
         "columnar and row scans diverged"
     );
-    let mut samples: [Vec<f64>; 3] = Default::default(); // rows, columns, rows / columns
-    for pair in 0..SCAN_PAIRS {
-        let (rows, columns) = if pair % 2 == 0 {
-            let rows = scan_secs(&path, &pred, false).0;
-            (rows, scan_secs(&path, &pred, true).0)
-        } else {
-            let columns = scan_secs(&path, &pred, true).0;
-            (scan_secs(&path, &pred, false).0, columns)
-        };
-        for (side, secs) in samples.iter_mut().zip([rows, columns, rows / columns]) {
-            side.push(secs);
-        }
-    }
-    let [row_scan_secs, columns_scan_secs, scan_columns_speedup] = samples.map(|mut side| {
-        side.sort_by(f64::total_cmp);
-        side[side.len() / 2]
-    });
+    let scan = paired_secs(
+        SCAN_PAIRS,
+        || scan_secs(&path, &pred, false).0,
+        || scan_secs(&path, &pred, true).0,
+    );
+    let (row_scan_secs, columns_scan_secs, scan_columns_speedup) =
+        (scan.a_secs, scan.b_secs, scan.a_over_b);
     for (name, secs) in [
         ("store_scan_rows", row_scan_secs),
         ("store_scan_columns", columns_scan_secs),
@@ -321,10 +296,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_file(&path);
 
     let skip_ratio = stats.skip_ratio();
-    let min_skip: f64 = std::env::var("IVNT_STORE_MIN_SKIP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
+    let min_skip = env_f64("IVNT_STORE_MIN_SKIP", 0.5);
 
     let entries: Vec<String> = measurements.iter().map(Measurement::to_json).collect();
     let json = format!(

@@ -32,7 +32,9 @@ use std::io::Cursor;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ivnt_bench::{domain_pipeline, scale, select_signals_for_fraction};
+use ivnt_bench::{
+    domain_pipeline, median_secs, paired_secs, scale, select_signals_for_fraction, time_secs,
+};
 use ivnt_core::pipeline::RunOptions;
 use ivnt_store::{
     recover, seal_recovered, AppendOptions, AppendWriter, GroupColumns, StoreFollower, StoreReader,
@@ -53,24 +55,6 @@ const OVERLAP_PAIRS: usize = 9;
 /// threads overlap); with one core free it reads 0.92–0.95 (the hand-off's
 /// own cost). One `Record` per channel message read 0.66–0.76 either way.
 const MIN_INGEST_OVERLAP: f64 = 0.85;
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    median(&mut times)
-}
-
-fn median(times: &mut [f64]) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 /// The p-th quantile of a latency sample, by sorted rank.
 fn sample_quantile(samples: &[f64], p: f64) -> f64 {
@@ -214,36 +198,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         writer.seal().expect("seal");
     };
-    let timed = |f: &dyn Fn()| {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_secs_f64()
-    };
     run_inline(); // warmup
-    let mut samples: [Vec<f64>; 3] = Default::default(); // inline, ingest, ratio
-    for pair in 0..OVERLAP_PAIRS {
-        let (inline, threaded) = if pair % 2 == 0 {
-            let inline = timed(&run_inline);
-            (
-                inline,
-                timed(&|| {
-                    run_ingest();
-                }),
-            )
-        } else {
-            let threaded = timed(&|| {
+    let overlap = paired_secs(
+        OVERLAP_PAIRS,
+        || time_secs(run_inline),
+        || {
+            time_secs(|| {
                 run_ingest();
-            });
-            (timed(&run_inline), threaded)
-        };
-        for (side, secs) in samples
-            .iter_mut()
-            .zip([inline, threaded, inline / threaded])
-        {
-            side.push(secs);
-        }
-    }
-    let [inline_secs, ingest_secs, ingest_overlap] = samples.map(|mut side| median(&mut side));
+            })
+        },
+    );
+    let (inline_secs, ingest_secs, ingest_overlap) =
+        (overlap.a_secs, overlap.b_secs, overlap.a_over_b);
     // One final instrumented run; its sealed file feeds phase 2.
     let stats = run_ingest();
     let frames_per_sec = trace_rows as f64 / ingest_secs;

@@ -10,9 +10,13 @@
 //!
 //! plus criterion benches (`cargo bench`) for the same measurements and for
 //! the design-choice ablations listed in `DESIGN.md` (preselection,
-//! partition count, gateway dedup).
+//! partition count, gateway dedup), and the `*_probe` binaries that write
+//! the `BENCH_*.json` files. Every probe times through the one harness
+//! below: [`median_secs`] for a single side, [`paired_secs`] for a
+//! comparison of two.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use ivnt_core::prelude::*;
 use ivnt_simulator::prelude::*;
@@ -22,10 +26,78 @@ use ivnt_simulator::scenario;
 /// laptop-scale reproduction uses 10⁵–10⁶). Override with the
 /// `IVNT_BENCH_SCALE` environment variable (1.0 = default sizes).
 pub fn scale() -> f64 {
-    std::env::var("IVNT_BENCH_SCALE")
+    env_f64("IVNT_BENCH_SCALE", 1.0)
+}
+
+/// A float from the environment variable `key`, or `default` when it is
+/// unset or does not parse.
+pub fn env_f64(key: &str, default: f64) -> f64 {
+    std::env::var(key)
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+        .unwrap_or(default)
+}
+
+/// The median of a sample (the upper one for an even count).
+///
+/// # Panics
+///
+/// Panics on an empty sample.
+pub fn median(mut sample: Vec<f64>) -> f64 {
+    sample.sort_by(f64::total_cmp);
+    sample[sample.len() / 2]
+}
+
+/// Wall-clock seconds of one call of `f`.
+pub fn time_secs(f: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_secs_f64()
+}
+
+/// Median wall-clock seconds over `runs` executions (after one warmup).
+pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warmup
+    median((0..runs).map(|_| time_secs(&mut f)).collect())
+}
+
+/// The result of [`paired_secs`].
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median seconds of side `a`.
+    pub a_secs: f64,
+    /// Median seconds of side `b`.
+    pub b_secs: f64,
+    /// Median of the per-pair `a / b` ratios — not the ratio of the two
+    /// medians, which drift between the sides would skew.
+    pub a_over_b: f64,
+}
+
+/// Times two sides as `pairs` adjacent pairs, alternating which side runs
+/// first, so machine drift (thermal, background load, a neighbour taking
+/// a core) hits both sides equally. Each side returns its own seconds —
+/// usually [`time_secs`] of its work — so checks on a result can stay
+/// outside the measurement. Warm both sides up before calling.
+pub fn paired_secs(pairs: usize, mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Paired {
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for pair in 0..pairs {
+        let (sa, sb) = if pair % 2 == 0 {
+            let sa = a();
+            (sa, b())
+        } else {
+            let sb = b();
+            (a(), sb)
+        };
+        for (side, secs) in samples.iter_mut().zip([sa, sb, sa / sb.max(1e-12)]) {
+            side.push(secs);
+        }
+    }
+    let [a_secs, b_secs, a_over_b] = samples.map(median);
+    Paired {
+        a_secs,
+        b_secs,
+        a_over_b,
+    }
 }
 
 /// The full-vehicle workload behind Table 6: a large catalog in which any
@@ -216,6 +288,30 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_takes_the_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    fn paired_alternates_and_takes_ratio_medians() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let p = paired_secs(
+            4,
+            || {
+                order.borrow_mut().push('a');
+                2.0
+            },
+            || {
+                order.borrow_mut().push('b');
+                1.0
+            },
+        );
+        assert_eq!(order.into_inner(), "abbaabba".chars().collect::<Vec<_>>());
+        assert_eq!((p.a_secs, p.b_secs, p.a_over_b), (2.0, 1.0, 2.0));
+    }
 
     #[test]
     fn vehicle_spec_shape() {

@@ -335,7 +335,6 @@ pub struct RunOptions<'a, R: Read + Seek = BufReader<File>> {
     preselection: bool,
     time_window: Option<(u64, u64)>,
     subscriber: Option<Arc<ivnt_obs::Registry>>,
-    rules: Option<&'a RuleCatalog>,
 }
 
 impl<'a> RunOptions<'a> {
@@ -355,7 +354,6 @@ impl<'a, R: Read + Seek> RunOptions<'a, R> {
             preselection: true,
             time_window: None,
             subscriber: None,
-            rules: None,
         }
     }
 
@@ -407,17 +405,6 @@ impl<'a, R: Read + Seek> RunOptions<'a, R> {
         self.subscriber = Some(registry);
         self
     }
-
-    /// Substitutes `catalog` for the pipeline's rule tables for this
-    /// session only — the [`RuleSource`](crate::rules::RuleSource)
-    /// threading point: the same domain profile runs over authored,
-    /// inferred, or merged tables without rebuilding the pipeline. The
-    /// catalog's rules replace `U_rel`, and the profile's signal selection
-    /// is re-resolved against them to form `U_comb`.
-    pub fn with_rules(mut self, catalog: &'a RuleCatalog) -> RunOptions<'a, R> {
-        self.rules = Some(catalog);
-        self
-    }
 }
 
 /// What [`Session::extract`] produces: the interpreted `K_s` frame plus,
@@ -451,25 +438,17 @@ pub struct Session<'p, 'a, R: Read + Seek = BufReader<File>> {
     opts: RunOptions<'a, R>,
 }
 
-/// The pipeline with the session's rule-catalog and worker overrides
-/// applied (cloned only when an override actually changes something).
-fn effective_pipeline<'p>(
-    pipeline: &'p Pipeline,
-    workers: Option<usize>,
-    rules: Option<&RuleCatalog>,
-) -> Result<Cow<'p, Pipeline>> {
-    let base = match rules {
-        Some(catalog) => Cow::Owned(Pipeline::from_catalog(catalog, pipeline.profile.clone())?),
-        None => Cow::Borrowed(pipeline),
-    };
-    Ok(match workers {
-        Some(w) if base.profile.workers != Some(w) => {
-            let mut p = base.into_owned();
+/// The pipeline with the session's worker override applied (cloned only
+/// when the override actually changes something).
+fn effective_pipeline(pipeline: &Pipeline, workers: Option<usize>) -> Cow<'_, Pipeline> {
+    match workers {
+        Some(w) if pipeline.profile.workers != Some(w) => {
+            let mut p = pipeline.clone();
             p.profile.workers = Some(w);
             Cow::Owned(p)
         }
-        _ => base,
-    })
+        _ => Cow::Borrowed(pipeline),
+    }
 }
 
 impl<R: Read + Seek> Session<'_, '_, R> {
@@ -483,7 +462,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     pub fn extract(self) -> Result<Extraction> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
+        let p = effective_pipeline(pipeline, opts.workers);
         let (extraction, _) = p.extract_source(opts.source, opts.preselection, opts.time_window)?;
         Ok(extraction)
     }
@@ -499,7 +478,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     pub fn extract_reduced(self) -> Result<Vec<(SignalSequence, Dedup, usize)>> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
+        let p = effective_pipeline(pipeline, opts.workers);
         let (seqs, ..) = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         let task = |seq: SignalSequence| {
             let (dedup, rows_interpreted) = p.dedup_signal(Cow::Owned(seq))?;
@@ -528,7 +507,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     pub fn run(self) -> Result<PipelineOutput> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers, opts.rules)?;
+        let p = effective_pipeline(pipeline, opts.workers);
         let t_run = Instant::now();
         let (seqs, tabular_secs, split_secs) =
             p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;

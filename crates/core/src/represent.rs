@@ -6,7 +6,6 @@
 //! occurrence timestamp, missing cells filled with the signal's last value.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
 
@@ -199,16 +198,6 @@ pub fn render_state_table(state: &DataFrame, max_rows: usize) -> Result<String> 
         out.push_str(&format!("... ({} more rows)\n", rows.len() - shown));
     }
     Ok(out)
-}
-
-/// Shared `Arc<Schema>` of a state representation's time column plus the
-/// given signal columns (helper for tests and downstream crates).
-pub fn state_schema(signals: &[&str]) -> Result<Arc<Schema>> {
-    let mut fields = vec![Field::new(c::T, DataType::Float)];
-    for s in signals {
-        fields.push(Field::new(*s, DataType::Str));
-    }
-    Ok(Schema::new(fields)?.into_shared())
 }
 
 #[cfg(test)]

@@ -1199,11 +1199,6 @@ impl RuleCatalog {
     pub fn source(&self) -> &RuleSource {
         &self.source
     }
-
-    /// Consumes the catalog, yielding its rule table.
-    pub fn into_rules(self) -> RuleSet {
-        self.rules
-    }
 }
 
 /// Builds a rule for one signal occurrence, rebasing the packing spec onto

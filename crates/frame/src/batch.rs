@@ -131,11 +131,6 @@ impl Batch {
         self.columns.len()
     }
 
-    /// `true` if the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Column at position `i`.
     ///
     /// # Panics
@@ -212,50 +207,6 @@ impl Batch {
             columns: self.columns.iter().map(|c| c.slice(start, len)).collect(),
             rows: len,
         }
-    }
-
-    /// Keeps only `names`, in the given order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] for unknown names.
-    pub fn project(&self, names: &[&str]) -> Result<Batch> {
-        let schema = Arc::new(self.schema.project(names)?);
-        let columns = names
-            .iter()
-            .map(|n| self.column_by_name(n).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Batch {
-            schema,
-            columns,
-            rows: self.rows,
-        })
-    }
-
-    /// Appends a column, producing a widened batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DuplicateColumn`] if the name exists and
-    /// [`Error::LengthMismatch`] if the column length differs from the batch.
-    pub fn with_column(&self, name: &str, column: Column) -> Result<Batch> {
-        if column.len() != self.rows {
-            return Err(Error::LengthMismatch {
-                left: self.rows,
-                right: column.len(),
-            });
-        }
-        let schema = Arc::new(
-            self.schema
-                .with_field(crate::datatype::Field::new(name, column.data_type()))?,
-        );
-        let mut columns = self.columns.clone();
-        columns.push(column);
-        Ok(Batch {
-            schema,
-            columns,
-            rows: self.rows,
-        })
     }
 
     /// Replaces an existing column, keeping its position.
@@ -357,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_take_slice_project() {
+    fn filter_take_slice() {
         let b = sample();
         let f = b.filter(&[true, false, true]).unwrap();
         assert_eq!(f.num_rows(), 2);
@@ -366,22 +317,14 @@ mod tests {
         assert_eq!(t.row(0), vec![Value::Float(3.0), Value::Int(30)]);
         let s = b.slice(1, 1);
         assert_eq!(s.row(0), vec![Value::Float(2.0), Value::Int(20)]);
-        let p = b.project(&["id"]).unwrap();
-        assert_eq!(p.num_columns(), 1);
-        assert_eq!(p.row(0), vec![Value::Int(10)]);
     }
 
     #[test]
-    fn with_and_replace_column() {
-        let b = sample();
-        let extra = Column::Bool(vec![Some(true), Some(false), None]);
-        let w = b.with_column("flag", extra.clone()).unwrap();
-        assert_eq!(w.num_columns(), 3);
-        assert!(w.with_column("flag", extra).is_err());
-        let r = w
+    fn replace_column_retypes_in_place() {
+        let r = sample()
             .replace_column("id", Column::Str(vec![None, None, None]))
             .unwrap();
-        assert_eq!(r.schema().field("id").unwrap().data_type(), DataType::Str);
+        assert_eq!(r.schema().fields()[1].data_type(), DataType::Str);
         assert!(r.replace_column("id", Column::Int(vec![Some(1)])).is_err());
     }
 
@@ -409,6 +352,6 @@ mod tests {
             .unwrap()
             .into_shared();
         let b = Batch::empty(schema);
-        assert!(b.is_empty());
+        assert_eq!((b.num_rows(), b.num_columns()), (0, 1));
     }
 }

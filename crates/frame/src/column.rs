@@ -28,17 +28,12 @@ pub enum Column {
 impl Column {
     /// Creates an empty column of `data_type`.
     pub fn new_empty(data_type: DataType) -> Self {
-        Self::with_capacity(data_type, 0)
-    }
-
-    /// Creates an empty column of `data_type` with reserved capacity.
-    pub fn with_capacity(data_type: DataType, capacity: usize) -> Self {
         match data_type {
-            DataType::Bool => Column::Bool(Vec::with_capacity(capacity)),
-            DataType::Int => Column::Int(Vec::with_capacity(capacity)),
-            DataType::Float => Column::Float(Vec::with_capacity(capacity)),
-            DataType::Str => Column::Str(Vec::with_capacity(capacity)),
-            DataType::Bytes => Column::Bytes(Vec::with_capacity(capacity)),
+            DataType::Bool => Column::Bool(Vec::new()),
+            DataType::Int => Column::Int(Vec::new()),
+            DataType::Float => Column::Float(Vec::new()),
+            DataType::Str => Column::Str(Vec::new()),
+            DataType::Bytes => Column::Bytes(Vec::new()),
         }
     }
 
@@ -52,11 +47,6 @@ impl Column {
         Column::Int(values.into_iter().map(Some).collect())
     }
 
-    /// Builds a non-null boolean column without per-cell wrapping.
-    pub fn from_bools<I: IntoIterator<Item = bool>>(values: I) -> Self {
-        Column::Bool(values.into_iter().map(Some).collect())
-    }
-
     /// Builds a non-null string column from shared payloads.
     pub fn from_strs<I: IntoIterator<Item = Arc<str>>>(values: I) -> Self {
         Column::Str(values.into_iter().map(Some).collect())
@@ -65,24 +55,6 @@ impl Column {
     /// Builds a non-null bytes column from shared payloads.
     pub fn from_byte_payloads<I: IntoIterator<Item = Arc<[u8]>>>(values: I) -> Self {
         Column::Bytes(values.into_iter().map(Some).collect())
-    }
-
-    /// Builds a column of `data_type` from an iterator of values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TypeMismatch`] if a non-null value does not match
-    /// `data_type` (integers are accepted into float columns).
-    pub fn from_values<I>(data_type: DataType, values: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = Value>,
-    {
-        let iter = values.into_iter();
-        let mut col = Self::with_capacity(data_type, iter.size_hint().0);
-        for v in iter {
-            col.push(v)?;
-        }
-        Ok(col)
     }
 
     /// The column's data type.
@@ -397,21 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn from_values_checks_types() {
-        let c = Column::from_values(
-            DataType::Str,
-            vec![Value::from("a"), Value::Null, Value::from("b")],
-        )
-        .unwrap();
-        assert_eq!(c.len(), 3);
-        assert!(Column::from_values(DataType::Str, vec![Value::Int(1)]).is_err());
-    }
-
-    #[test]
     fn non_null_constructors() {
         assert_eq!(Column::from_ints([1, 2]), int_col(&[1, 2]));
         assert_eq!(Column::from_floats([1.5]), Column::Float(vec![Some(1.5)]));
-        assert_eq!(Column::from_bools([true]), Column::Bool(vec![Some(true)]));
         let s = Column::from_strs([Arc::from("a")]);
         assert_eq!(s.get(0), Value::from("a"));
         let b = Column::from_byte_payloads([Arc::from(&[7u8][..])]);

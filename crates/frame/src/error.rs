@@ -34,7 +34,8 @@ pub enum Error {
     SchemaMismatch(String),
     /// A malformed argument (empty key list, zero partitions, ...).
     InvalidArgument(String),
-    /// Expression evaluation failed (division by zero on ints, bad UDF output, ...).
+    /// Reading or writing CSV failed (unparsable cell, unterminated quote,
+    /// I/O error).
     Eval(String),
 }
 

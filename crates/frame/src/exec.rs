@@ -2,7 +2,7 @@
 //!
 //! The paper executes Algorithm 1 inside Apache Spark, whose essential
 //! property for this workload is *partition parallelism*: every row-wise
-//! operator (σ, row maps, per-partition joins) runs independently on
+//! operator (σ, row maps, join probes) runs independently on
 //! horizontal slices of the table. This module provides that property on a
 //! single machine via a **persistent worker pool** with **morsel-driven
 //! scheduling**: threads are spawned once per process and reused across
@@ -28,8 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-/// Global default worker count used by [`parallel_map`] when no explicit
-/// executor is supplied.
+/// Global default worker count behind [`Executor::default`].
 static DEFAULT_WORKERS: OnceLock<RwLock<usize>> = OnceLock::new();
 
 fn default_workers_lock() -> &'static RwLock<usize> {
@@ -305,11 +304,6 @@ impl Executor {
         }
     }
 
-    /// Worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Applies `f` to every item by reference, in parallel, returning
     /// outputs in input order — the zero-copy twin of [`Executor::map`]
     /// used by operators that only read their partitions.
@@ -442,16 +436,6 @@ impl Executor {
     }
 }
 
-/// Maps `f` over items with the process-default executor.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Send + Sync,
-{
-    Executor::default().map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +463,7 @@ mod tests {
 
     #[test]
     fn worker_count_clamped() {
-        assert_eq!(Executor::new(0).workers(), 1);
+        assert_eq!(Executor::new(0), Executor::new(1));
     }
 
     #[test]

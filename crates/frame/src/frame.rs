@@ -3,22 +3,18 @@
 use std::sync::Arc;
 
 use crate::batch::Batch;
-use crate::column::Column;
-use crate::datatype::{DataType, Field, Schema};
+use crate::datatype::Schema;
 use crate::error::{Error, Result};
 use crate::exec::Executor;
-use crate::expr::Expr;
-use crate::groupby::{group_by, Agg};
 use crate::join::{hash_join, JoinType};
 use crate::value::Value;
 
 /// A horizontally partitioned, immutable table.
 ///
 /// `DataFrame` is the embedded stand-in for a Spark DataFrame: a shared
-/// [`Schema`] plus a vector of [`Batch`] partitions. Row-wise operators
-/// (filter, projection, expression columns, join probes) execute on all
-/// partitions in parallel via the crate [`Executor`]; results keep partition
-/// order, so output is deterministic for any worker count.
+/// [`Schema`] plus a vector of [`Batch`] partitions. Join probes execute on
+/// all partitions in parallel via the crate [`Executor`]; results keep
+/// partition order, so output is deterministic for any worker count.
 ///
 /// # Examples
 ///
@@ -35,8 +31,8 @@ use crate::value::Value;
 ///         vec![Value::Float(2.6), Value::Int(7)],
 ///     ],
 /// )?;
-/// let relevant = df.filter(&col("m_id").eq(lit(3i64)))?;
-/// assert_eq!(relevant.num_rows(), 2);
+/// let by_id = df.sort_by(&["m_id", "t"], &[false, true])?;
+/// assert_eq!(by_id.column_values("t")?[0], Value::Float(2.6));
 /// # Ok(())
 /// # }
 /// ```
@@ -145,157 +141,6 @@ impl DataFrame {
         }
     }
 
-    fn map_partitions<F>(&self, f: F) -> Result<Vec<Batch>>
-    where
-        F: Fn(&Batch) -> Result<Batch> + Send + Sync,
-    {
-        self.executor
-            .map_ref(&self.partitions, |b| f(b))
-            .into_iter()
-            .collect()
-    }
-
-    /// Keeps rows for which `predicate` evaluates to `true` (σ).
-    ///
-    /// Runs partition-parallel; corresponds to the preselection step
-    /// (Algorithm 1 line 3) and constraint filtering (line 11).
-    ///
-    /// # Errors
-    ///
-    /// Propagates expression evaluation errors.
-    pub fn filter(&self, predicate: &Expr) -> Result<DataFrame> {
-        let parts = self.map_partitions(|b| {
-            let mask = predicate.eval_mask(b)?;
-            b.filter(&mask)
-        })?;
-        Ok(self.derive(self.schema.clone(), parts))
-    }
-
-    /// Keeps only `names`, in the given order (π).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] for unknown names.
-    pub fn select(&self, names: &[&str]) -> Result<DataFrame> {
-        let schema = Arc::new(self.schema.project(names)?);
-        let parts = self.map_partitions(|b| b.project(names))?;
-        Ok(self.derive(schema, parts))
-    }
-
-    /// Appends a computed column (row-wise map `F`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DuplicateColumn`] if `name` exists, plus expression
-    /// evaluation errors. Fails on an empty (zero-partition) frame whose
-    /// output type cannot be inferred; use
-    /// [`DataFrame::with_column_typed`] there.
-    pub fn with_column(&self, name: &str, expr: &Expr) -> Result<DataFrame> {
-        if self.schema.contains(name) {
-            return Err(Error::DuplicateColumn(name.to_string()));
-        }
-        if self.partitions.is_empty() {
-            return Err(Error::InvalidArgument(
-                "with_column on a zero-partition frame has no inferable type; use with_column_typed"
-                    .into(),
-            ));
-        }
-        // Evaluate in parallel, then unify the output type (partitions can
-        // disagree when some are all-null).
-        let cols: Vec<Column> = self
-            .executor
-            .map_ref(&self.partitions, |b| expr.eval(b))
-            .into_iter()
-            .collect::<Result<_>>()?;
-        let dtype = cols
-            .iter()
-            .find(|c| c.null_count() < c.len())
-            .map(Column::data_type)
-            .unwrap_or_else(|| {
-                cols.first()
-                    .map(Column::data_type)
-                    .unwrap_or(DataType::Bool)
-            });
-        let mut parts = Vec::with_capacity(self.partitions.len());
-        for (b, c) in self.partitions.iter().zip(cols) {
-            let c = if c.data_type() == dtype {
-                c
-            } else {
-                Column::from_values(dtype, c.iter())?
-            };
-            parts.push(b.with_column(name, c)?);
-        }
-        let schema = parts
-            .first()
-            .map(|b| b.schema().clone())
-            .unwrap_or_else(|| self.schema.clone());
-        Ok(self.derive(schema, parts))
-    }
-
-    /// Appends a computed column with an explicit output type.
-    ///
-    /// Unlike [`DataFrame::with_column`] this works on empty frames and
-    /// forces every partition to the same declared type.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DataFrame::with_column`], plus
-    /// [`Error::TypeMismatch`] if evaluated values do not fit `dtype`.
-    pub fn with_column_typed(&self, name: &str, dtype: DataType, expr: &Expr) -> Result<DataFrame> {
-        if self.schema.contains(name) {
-            return Err(Error::DuplicateColumn(name.to_string()));
-        }
-        let schema = Arc::new(self.schema.with_field(Field::new(name, dtype))?);
-        let parts = self.map_partitions(|b| {
-            let c = expr.eval(b)?;
-            let c = if c.data_type() == dtype {
-                c
-            } else {
-                Column::from_values(dtype, c.iter())?
-            };
-            b.with_column(name, c)
-        })?;
-        Ok(self.derive(schema, parts))
-    }
-
-    /// Drops a column.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] for unknown names.
-    pub fn drop_column(&self, name: &str) -> Result<DataFrame> {
-        self.schema.index_of(name)?;
-        let keep: Vec<&str> = self
-            .schema
-            .fields()
-            .iter()
-            .map(Field::name)
-            .filter(|n| *n != name)
-            .collect();
-        self.select(&keep)
-    }
-
-    /// Renames a column, keeping its position and data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] / [`Error::DuplicateColumn`].
-    pub fn rename_column(&self, from: &str, to: &str) -> Result<DataFrame> {
-        let idx = self.schema.index_of(from)?;
-        if self.schema.contains(to) {
-            return Err(Error::DuplicateColumn(to.to_string()));
-        }
-        let mut fields = self.schema.fields().to_vec();
-        fields[idx] = Field::new(to, fields[idx].data_type());
-        let schema = Schema::new(fields)?.into_shared();
-        let parts = self
-            .partitions
-            .iter()
-            .map(|b| Batch::new(schema.clone(), b.columns().to_vec()))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(self.derive(schema, parts))
-    }
-
     /// Joins with `other` on equally named key pairs (⋈).
     ///
     /// Builds a hash table on `other` and probes this frame's partitions in
@@ -316,38 +161,6 @@ impl DataFrame {
         join_type: JoinType,
     ) -> Result<DataFrame> {
         hash_join(self, other, self_keys, other_keys, join_type, self.executor)
-    }
-
-    /// Grouped aggregation; output is sorted by group key.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use ivnt_frame::prelude::*;
-    /// # fn main() -> ivnt_frame::Result<()> {
-    /// let schema = Schema::from_pairs([("s_id", DataType::Str), ("v", DataType::Float)])?
-    ///     .into_shared();
-    /// let df = DataFrame::from_rows(
-    ///     schema,
-    ///     vec![
-    ///         vec![Value::from("wpos"), Value::Float(45.0)],
-    ///         vec![Value::from("wpos"), Value::Float(60.0)],
-    ///         vec![Value::from("wvel"), Value::Float(1.0)],
-    ///     ],
-    /// )?;
-    /// // Instances per signal type — the per-signal statistics of Table 5.
-    /// let counts = df.group_by(&["s_id"], &[Agg::new(AggOp::Count, "v", "n")])?;
-    /// assert_eq!(counts.collect_rows()?[0][1], Value::Int(2));
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArgument`] on an empty key list plus
-    /// aggregation evaluation errors.
-    pub fn group_by(&self, keys: &[&str], aggs: &[Agg]) -> Result<DataFrame> {
-        group_by(self, keys, aggs, self.executor)
     }
 
     /// Globally sorts rows by `keys` (each ascending when `ascending` holds).
@@ -405,37 +218,6 @@ impl DataFrame {
             parts.push(Batch::new(self.schema.clone(), b.columns().to_vec())?);
         }
         Ok(self.derive(self.schema.clone(), parts))
-    }
-
-    /// Removes duplicate rows, keeping first occurrences in row order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partition merge errors.
-    pub fn distinct(&self) -> Result<DataFrame> {
-        let merged = self.to_single_batch()?;
-        let mut seen = std::collections::HashSet::new();
-        let mut keep = Vec::with_capacity(merged.num_rows());
-        for i in 0..merged.num_rows() {
-            keep.push(seen.insert(merged.row(i)));
-        }
-        let b = merged.filter(&keep)?;
-        Ok(self.derive(self.schema.clone(), vec![b]))
-    }
-
-    /// First `n` rows (in global row order) as a single-partition frame.
-    pub fn limit(&self, n: usize) -> DataFrame {
-        let mut remaining = n;
-        let mut parts = Vec::new();
-        for b in &self.partitions {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(b.num_rows());
-            parts.push(b.slice(0, take));
-            remaining -= take;
-        }
-        self.derive(self.schema.clone(), parts)
     }
 
     /// Redistributes rows into `n` evenly sized partitions, preserving
@@ -502,124 +284,12 @@ impl DataFrame {
         }
         Ok(out)
     }
-
-    /// Adds a lag column: for each row, the value of `column` `offset` rows
-    /// earlier in global row order (null for the first `offset` rows).
-    ///
-    /// The frame is assumed already ordered (e.g. by time); the lag crosses
-    /// partition boundaries. This is the "lag operation" the paper uses to
-    /// build gaps and the forward-filled state representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] / [`Error::DuplicateColumn`] and
-    /// [`Error::InvalidArgument`] for `offset == 0`.
-    pub fn with_lag(&self, column: &str, offset: usize, alias: &str) -> Result<DataFrame> {
-        if offset == 0 {
-            return Err(Error::InvalidArgument("lag offset must be > 0".into()));
-        }
-        if self.schema.contains(alias) {
-            return Err(Error::DuplicateColumn(alias.to_string()));
-        }
-        let dtype = self.schema.field(column)?.data_type();
-        let values = self.column_values(column)?;
-        let lagged = (0..values.len()).map(|i| {
-            if i < offset {
-                Value::Null
-            } else {
-                values[i - offset].clone()
-            }
-        });
-        self.attach_global_column(alias, dtype, lagged.collect())
-    }
-
-    /// Adds a difference column: `column[i] - column[i-1]` in global row
-    /// order (null for the first row). Useful for temporal gaps.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DataFrame::with_lag`]; requires a numeric column.
-    pub fn with_diff(&self, column: &str, alias: &str) -> Result<DataFrame> {
-        if self.schema.contains(alias) {
-            return Err(Error::DuplicateColumn(alias.to_string()));
-        }
-        let values = self.column_values(column)?;
-        let diffs: Vec<Value> = (0..values.len())
-            .map(|i| {
-                if i == 0 {
-                    return Value::Null;
-                }
-                match (values[i].as_float(), values[i - 1].as_float()) {
-                    (Some(a), Some(b)) => Value::Float(a - b),
-                    _ => Value::Null,
-                }
-            })
-            .collect();
-        self.attach_global_column(alias, DataType::Float, diffs)
-    }
-
-    /// Replaces nulls in `column` with the last non-null value above
-    /// (global row order). The paper's state representation fills each
-    /// signal column "with the value of its last occurrence".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] for unknown names.
-    pub fn forward_fill(&self, column: &str) -> Result<DataFrame> {
-        let dtype = self.schema.field(column)?.data_type();
-        let values = self.column_values(column)?;
-        let mut filled = Vec::with_capacity(values.len());
-        let mut last = Value::Null;
-        for v in values {
-            if v.is_null() {
-                filled.push(last.clone());
-            } else {
-                last = v.clone();
-                filled.push(v);
-            }
-        }
-        let col = Column::from_values(dtype, filled)?;
-        // Split back along existing partition boundaries.
-        let mut parts = Vec::with_capacity(self.partitions.len());
-        let mut start = 0;
-        for b in &self.partitions {
-            let len = b.num_rows();
-            parts.push(b.replace_column(column, col.slice(start, len))?);
-            start += len;
-        }
-        Ok(self.derive(self.schema.clone(), parts))
-    }
-
-    /// Attaches a globally computed column, splitting it along existing
-    /// partition boundaries.
-    fn attach_global_column(
-        &self,
-        alias: &str,
-        dtype: DataType,
-        values: Vec<Value>,
-    ) -> Result<DataFrame> {
-        debug_assert_eq!(values.len(), self.num_rows());
-        let col = Column::from_values(dtype, values)?;
-        let mut parts = Vec::with_capacity(self.partitions.len().max(1));
-        if self.partitions.is_empty() {
-            let schema = Arc::new(self.schema.with_field(Field::new(alias, dtype))?);
-            return Ok(self.derive(schema, vec![]));
-        }
-        let mut start = 0;
-        for b in &self.partitions {
-            let len = b.num_rows();
-            parts.push(b.with_column(alias, col.slice(start, len))?);
-            start += len;
-        }
-        let schema = parts[0].schema().clone();
-        Ok(self.derive(schema, parts))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
+    use crate::datatype::DataType;
 
     fn df() -> DataFrame {
         DataFrame::from_rows(
@@ -629,18 +299,6 @@ mod tests {
             (0..10).map(|i| vec![Value::Float(i as f64 * 0.5), Value::Int(i)]),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn filter_select_with_column() {
-        let d = df();
-        let f = d.filter(&col("v").ge(lit(5i64))).unwrap();
-        assert_eq!(f.num_rows(), 5);
-        let s = f.select(&["v"]).unwrap();
-        assert_eq!(s.schema().len(), 1);
-        let w = s.with_column("v2", &col("v").mul(lit(2i64))).unwrap();
-        assert_eq!(w.column_values("v2").unwrap()[0], Value::Int(10));
-        assert!(w.with_column("v2", &lit(1i64)).is_err());
     }
 
     #[test]
@@ -660,239 +318,21 @@ mod tests {
     }
 
     #[test]
-    fn union_and_distinct() {
+    fn union_appends_partitions() {
         let d = df();
         let u = d.union(&d).unwrap();
         assert_eq!(u.num_rows(), 20);
-        let dd = u.distinct().unwrap();
-        assert_eq!(dd.num_rows(), 10);
+        assert_eq!(u.num_partitions(), 2);
+        assert_eq!(u.column_values("v").unwrap()[10], Value::Int(0));
     }
 
     #[test]
     fn union_schema_checked() {
-        let other = df().rename_column("v", "w").unwrap();
+        let other = DataFrame::empty(
+            Schema::from_pairs([("t", DataType::Float), ("w", DataType::Int)])
+                .unwrap()
+                .into_shared(),
+        );
         assert!(df().union(&other).is_err());
-    }
-
-    #[test]
-    fn limit_crosses_partitions() {
-        let d = df().repartition(4).unwrap();
-        let l = d.limit(7);
-        assert_eq!(l.num_rows(), 7);
-        assert_eq!(
-            l.column_values("v").unwrap(),
-            (0..7).map(Value::Int).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn lag_and_diff_cross_partitions() {
-        let d = df().repartition(3).unwrap();
-        let l = d.with_lag("v", 1, "prev").unwrap();
-        let prev = l.column_values("prev").unwrap();
-        assert!(prev[0].is_null());
-        assert_eq!(prev[5], Value::Int(4));
-        let g = d.with_diff("t", "gap").unwrap();
-        let gaps = g.column_values("gap").unwrap();
-        assert!(gaps[0].is_null());
-        assert_eq!(gaps[3], Value::Float(0.5));
-        assert!(d.with_lag("v", 0, "x").is_err());
-    }
-
-    #[test]
-    fn forward_fill_fills_gaps() {
-        let schema = Schema::from_pairs([("v", DataType::Int)])
-            .unwrap()
-            .into_shared();
-        let d = DataFrame::from_rows(
-            schema,
-            vec![
-                vec![Value::Null],
-                vec![Value::Int(1)],
-                vec![Value::Null],
-                vec![Value::Null],
-                vec![Value::Int(2)],
-            ],
-        )
-        .unwrap()
-        .repartition(2)
-        .unwrap();
-        let f = d.forward_fill("v").unwrap();
-        assert_eq!(
-            f.column_values("v").unwrap(),
-            vec![
-                Value::Null,
-                Value::Int(1),
-                Value::Int(1),
-                Value::Int(1),
-                Value::Int(2)
-            ]
-        );
-    }
-
-    #[test]
-    fn rename_and_drop() {
-        let d = df().rename_column("v", "val").unwrap();
-        assert!(d.schema().contains("val"));
-        let d = d.drop_column("t").unwrap();
-        assert_eq!(d.schema().len(), 1);
-        assert!(d.drop_column("zz").is_err());
-    }
-
-    #[test]
-    fn with_column_typed_on_empty_frame() {
-        let schema = Schema::from_pairs([("a", DataType::Int)])
-            .unwrap()
-            .into_shared();
-        let d = DataFrame::empty(schema);
-        let d = d
-            .with_column_typed("b", DataType::Float, &lit(1.5))
-            .unwrap();
-        assert!(d.schema().contains("b"));
-        assert_eq!(d.num_rows(), 0);
-    }
-
-    #[test]
-    fn filter_deterministic_across_workers() {
-        let d = df().repartition(4).unwrap();
-        let a = d
-            .clone()
-            .with_executor(Executor::new(1))
-            .filter(&col("v").gt(lit(2i64)))
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        let b = d
-            .with_executor(Executor::new(8))
-            .filter(&col("v").gt(lit(2i64)))
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        assert_eq!(a, b);
-    }
-}
-
-impl DataFrame {
-    /// Summary statistics per numeric column: one row per column with
-    /// `(column, count, nulls, mean, std, min, max)` — a quick structural
-    /// look at extracted signal tables.
-    ///
-    /// Non-numeric columns are skipped; an all-null numeric column reports
-    /// null moments.
-    ///
-    /// # Errors
-    ///
-    /// Propagates partition merge failures.
-    pub fn describe(&self) -> Result<DataFrame> {
-        let schema = Schema::from_pairs([
-            ("column", DataType::Str),
-            ("count", DataType::Int),
-            ("nulls", DataType::Int),
-            ("mean", DataType::Float),
-            ("std", DataType::Float),
-            ("min", DataType::Float),
-            ("max", DataType::Float),
-        ])?
-        .into_shared();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for (ci, field) in self.schema.fields().iter().enumerate() {
-            if !matches!(field.data_type(), DataType::Int | DataType::Float) {
-                continue;
-            }
-            let mut values: Vec<f64> = Vec::new();
-            let mut nulls = 0usize;
-            for batch in &self.partitions {
-                for row in 0..batch.num_rows() {
-                    match batch.column(ci).get(row).as_float() {
-                        Some(v) => values.push(v),
-                        None => nulls += 1,
-                    }
-                }
-            }
-            let n = values.len();
-            let (mean, std, min, max) = if n == 0 {
-                (Value::Null, Value::Null, Value::Null, Value::Null)
-            } else {
-                let mean = values.iter().sum::<f64>() / n as f64;
-                let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-                let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                (
-                    Value::Float(mean),
-                    Value::Float(var.sqrt()),
-                    Value::Float(min),
-                    Value::Float(max),
-                )
-            };
-            rows.push(vec![
-                Value::from(field.name()),
-                Value::Int(n as i64),
-                Value::Int(nulls as i64),
-                mean,
-                std,
-                min,
-                max,
-            ]);
-        }
-        DataFrame::from_rows(schema, rows)
-    }
-}
-
-#[cfg(test)]
-mod describe_tests {
-    use super::*;
-
-    #[test]
-    fn describe_summarizes_numeric_columns() {
-        let schema = Schema::from_pairs([
-            ("v", DataType::Float),
-            ("label", DataType::Str),
-            ("n", DataType::Int),
-        ])
-        .unwrap()
-        .into_shared();
-        let df = DataFrame::from_rows(
-            schema,
-            vec![
-                vec![Value::Float(1.0), Value::from("a"), Value::Int(10)],
-                vec![Value::Float(3.0), Value::from("b"), Value::Null],
-                vec![Value::Null, Value::from("c"), Value::Int(20)],
-            ],
-        )
-        .unwrap()
-        .repartition(2)
-        .unwrap();
-        let d = df.describe().unwrap();
-        let rows = d.collect_rows().unwrap();
-        assert_eq!(rows.len(), 2); // v and n; label skipped
-        assert_eq!(rows[0][0], Value::from("v"));
-        assert_eq!(rows[0][1], Value::Int(2));
-        assert_eq!(rows[0][2], Value::Int(1));
-        assert_eq!(rows[0][3], Value::Float(2.0));
-        assert_eq!(rows[0][5], Value::Float(1.0));
-        assert_eq!(rows[0][6], Value::Float(3.0));
-        assert_eq!(rows[1][0], Value::from("n"));
-        assert_eq!(rows[1][3], Value::Float(15.0));
-    }
-
-    #[test]
-    fn describe_all_null_column() {
-        let schema = Schema::from_pairs([("v", DataType::Float)])
-            .unwrap()
-            .into_shared();
-        let df = DataFrame::from_rows(schema, vec![vec![Value::Null], vec![Value::Null]]).unwrap();
-        let rows = df.describe().unwrap().collect_rows().unwrap();
-        assert_eq!(rows[0][1], Value::Int(0));
-        assert_eq!(rows[0][2], Value::Int(2));
-        assert!(rows[0][3].is_null());
-    }
-
-    #[test]
-    fn describe_no_numeric_columns() {
-        let schema = Schema::from_pairs([("s", DataType::Str)])
-            .unwrap()
-            .into_shared();
-        let df = DataFrame::empty(schema);
-        assert_eq!(df.describe().unwrap().num_rows(), 0);
     }
 }

@@ -4,19 +4,20 @@
 //! Spark in the DAC'18 reproduction *"Automated Interpretation and Reduction
 //! of In-Vehicle Network Traces at a Large Scale"*. The paper's Algorithm 1
 //! is written in relational algebra (selection σ, join ⋈, row-wise map `F`,
-//! union ∪) over horizontally partitioned tables; this crate provides
-//! exactly those operators:
+//! union ∪) over horizontally partitioned tables. The pipeline compiles `F`
+//! into its own kernel; this crate holds the tables and the rest:
 //!
 //! * [`DataFrame`] — immutable, horizontally partitioned
 //!   table of typed [`Column`]s,
-//! * [`Expr`] — row-wise expressions and user-defined functions,
-//! * hash [`join`](frame::DataFrame::join), grouped
-//!   [`aggregation`](frame::DataFrame::group_by), sorting, window helpers
-//!   ([`lag`](frame::DataFrame::with_lag),
-//!   [`diff`](frame::DataFrame::with_diff),
-//!   [`forward_fill`](frame::DataFrame::forward_fill)),
-//! * an [`Executor`] that runs row-wise operators on all
-//!   partitions in parallel with deterministic output order.
+//! * [`Batch`] — one partition, with the mask [`filter`](Batch::filter)
+//!   (σ), [`take`](Batch::take), [`slice`](Batch::slice) and
+//!   [`concat`](Batch::concat) the pipeline's columnar stages build on,
+//! * hash [`join`](frame::DataFrame::join) (⋈),
+//!   [`union`](frame::DataFrame::union) (∪), a stable
+//!   [`sort_by`](frame::DataFrame::sort_by) and
+//!   [`repartition`](frame::DataFrame::repartition),
+//! * an [`Executor`] that runs per-partition work on a persistent worker
+//!   pool with deterministic output order, and [`csv`] import/export.
 //!
 //! # Examples
 //!
@@ -30,18 +31,19 @@
 //!     ("b_id", DataType::Str),
 //! ])?
 //! .into_shared();
-//! let trace = DataFrame::from_rows(
+//! let trace = Batch::from_rows(
 //!     schema,
 //!     vec![
 //!         vec![Value::Float(2.0), Value::Int(3), Value::from("FC")],
 //!         vec![Value::Float(2.5), Value::Int(3), Value::from("FC")],
 //!         vec![Value::Float(2.6), Value::Int(11), Value::from("K-LIN")],
 //!     ],
-//! )?
-//! .repartition(2)?;
+//! )?;
 //!
 //! // Preselection: keep only messages relevant to the wiper domain.
-//! let pre = trace.filter(&col("m_id").eq(lit(3i64)).and(col("b_id").eq(lit("FC"))))?;
+//! let ids = trace.column_by_name("m_id")?.as_int_slice().unwrap_or_default();
+//! let mask: Vec<bool> = ids.iter().map(|id| *id == Some(3)).collect();
+//! let pre = trace.filter(&mask)?;
 //! assert_eq!(pre.num_rows(), 2);
 //! # Ok(())
 //! # }
@@ -55,9 +57,7 @@ pub mod csv;
 pub mod datatype;
 pub mod error;
 pub mod exec;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
 pub mod join;
 pub mod value;
 
@@ -66,9 +66,7 @@ pub use column::Column;
 pub use datatype::{DataType, Field, Schema};
 pub use error::{Error, Result};
 pub use exec::Executor;
-pub use expr::{col, lit, udf, BinOp, Expr, UnaryOp};
 pub use frame::DataFrame;
-pub use groupby::{Agg, AggOp};
 pub use join::JoinType;
 pub use value::Value;
 
@@ -78,9 +76,7 @@ pub mod prelude {
     pub use crate::column::Column;
     pub use crate::datatype::{DataType, Field, Schema};
     pub use crate::exec::Executor;
-    pub use crate::expr::{col, lit, udf, Expr};
     pub use crate::frame::DataFrame;
-    pub use crate::groupby::{Agg, AggOp};
     pub use crate::join::JoinType;
     pub use crate::value::Value;
 }

@@ -9,8 +9,8 @@ use crate::datatype::DataType;
 
 /// A single dynamically typed cell of a [`Batch`](crate::batch::Batch).
 ///
-/// `Value` is the lingua franca of row-wise operations: expression
-/// evaluation, user-defined functions and join/group keys all operate on it.
+/// `Value` is the lingua franca of row-wise operations: row
+/// materialization, sort keys and general join keys all operate on it.
 /// Columnar storage keeps data in typed vectors ([`Column`](crate::column::Column));
 /// `Value` is only materialized at row boundaries.
 ///
@@ -84,14 +84,6 @@ impl Value {
         }
     }
 
-    /// Extracts the byte payload, if this is one.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            Value::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Total ordering across all values.
     ///
     /// Nulls sort first, then booleans, integers/floats (compared
@@ -141,7 +133,7 @@ impl PartialEq for Value {
 }
 
 // Float equality above is bitwise (NaN == NaN, -0.0 != 0.0), which makes the
-// relation reflexive and therefore a valid `Eq` for use as join/group keys.
+// relation reflexive and therefore a valid `Eq` for use as join keys.
 impl Eq for Value {}
 
 impl Hash for Value {
@@ -260,7 +252,10 @@ mod tests {
         assert_eq!(Value::from(3i64).as_int(), Some(3));
         assert_eq!(Value::from(1.5).as_float(), Some(1.5));
         assert_eq!(Value::from("abc").as_str(), Some("abc"));
-        assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
+        assert_eq!(
+            Value::from(vec![1u8, 2]),
+            Value::Bytes(Arc::from(&[1u8, 2][..]))
+        );
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert!(Value::from(None::<i64>).is_null());
     }

@@ -19,8 +19,8 @@
 //! `ivnt-store` and `ivnt-cluster` call [`with`]. When no subscriber is
 //! installed this compiles down to **one relaxed atomic load and a
 //! branch** — the closure is never built up, no lock is touched, nothing
-//! allocates. The `pipeline_e2e` bench measures this path and gates the
-//! end-to-end overhead under `IVNT_OBS_MAX_OVERHEAD`.
+//! allocates. The `pipeline_e2e` bench reports the end-to-end cost of a
+//! live subscriber against this path.
 //!
 //! ## Subscribing
 //!

@@ -138,13 +138,6 @@ impl Catalog {
             .ok_or_else(|| Error::UnknownSignal(name.to_string()))
     }
 
-    /// Iterates over `(message, signal)` pairs for every signal type.
-    pub fn iter_signals(&self) -> impl Iterator<Item = (&MessageSpec, &SignalSpec)> {
-        self.messages
-            .iter()
-            .flat_map(|m| m.signals().iter().map(move |s| (m, s)))
-    }
-
     /// Decodes all signals of a raw payload received as `(bus, id)`.
     ///
     /// This is the sequential "interpret everything on ingest" primitive

@@ -233,11 +233,6 @@ impl OptionalFieldLayout {
         OptionalFieldLayout { field_sizes }
     }
 
-    /// Number of declared fields.
-    pub fn num_fields(&self) -> usize {
-        self.field_sizes.len()
-    }
-
     /// Encodes present fields after a presence-mask byte.
     ///
     /// # Errors

@@ -137,11 +137,6 @@ pub fn sax_word(data: &[f64], word_len: usize, alphabet_size: usize) -> Vec<char
     approx.iter().map(|&v| symbol_for(v, &bps)).collect()
 }
 
-/// Symbolizes a single already-normalized value (used per SWAB segment).
-pub fn sax_symbol(value: f64, alphabet_size: usize) -> char {
-    symbol_for(value, &breakpoints(alphabet_size))
-}
-
 /// Minimum distance between two SAX words under the MINDIST lookup of the
 /// SAX paper, scaled for original series length `n`.
 ///

@@ -32,8 +32,8 @@ echo "==> cluster_scale smoke (distributed bit-identity + cluster tax + speedup 
 # 1 vs N subprocess workers; every run is checked bit-identical to the
 # single-process extraction, one worker may cost at most 2.5x the single
 # process (median of interleaved pairs; the probe's fixed gate, always
-# enforced), N workers must not lose to 1 (report-only when cores <
-# workers), compressed v3 result streaming must shrink wire bytes by
+# enforced), N workers must not lose to 1 (median of interleaved pairs
+# with both pools alive; report-only when cores < workers), compressed v3 result streaming must shrink wire bytes by
 # IVNT_CLUSTER_MIN_WIRE_RATIO (always enforced), and a straggler-slowed
 # worker plus a coordinator restart from its checkpoint are exercised
 # inline, both asserted bit-identical.
@@ -57,17 +57,13 @@ IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_INTERPRET_MIN_SPEEDUP="${IVNT_INTERPRET_MIN_SPEEDUP:-1.2}" \
   cargo run --release -q -p ivnt-bench --bin speed_probe
 
-echo "==> pipeline_e2e smoke (parallel bit-identity + SWAB kernel + obs overhead gates)"
+echo "==> pipeline_e2e smoke (parallel bit-identity + SWAB kernel gate)"
 # Serial vs parallel Algorithm 1; every parallel run is checked
-# bit-identical to the serial reference, the heap SWAB kernel must beat the
-# naive O(n²) reference, and (when BENCH_seed.json is present, on a machine
-# with cores >= workers) the end-to-end time must beat the seed baseline
-# while the disabled-subscriber obs hooks stay within IVNT_OBS_MAX_OVERHEAD
-# of it (report-only when cores < workers, like the speedup gate).
+# bit-identical to the serial reference, and the heap SWAB kernel must beat
+# the naive O(n²) reference. The parallel speedup and the obs overhead are
+# report-only.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_SWAB_MIN_SPEEDUP="${IVNT_SWAB_MIN_SPEEDUP:-1.0}" \
-IVNT_PIPELINE_MIN_SPEEDUP="${IVNT_PIPELINE_MIN_SPEEDUP:-1.0}" \
-IVNT_OBS_MAX_OVERHEAD="${IVNT_OBS_MAX_OVERHEAD:-0.02}" \
   cargo run --release -q -p ivnt-bench --bin pipeline_e2e
 
 echo "==> stream_ingest smoke (streaming bit-identity + kill-mid-stream recovery + ingest-overlap gate)"
