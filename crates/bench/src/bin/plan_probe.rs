@@ -23,10 +23,11 @@
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
+use std::cell::RefCell;
 use std::io::{Cursor, Read, Seek};
 
 use ivnt_bench::{
-    disjoint_domains, domain_pipeline, env_f64, median_secs, paired_secs, scale, time_secs,
+    disjoint_domains, domain_pipeline, env_f64, median, median_secs, paired_secs, scale, time_secs,
     vehicle_journey,
 };
 use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions};
@@ -64,6 +65,10 @@ struct FleetResult {
     /// the ratio of the two medians above).
     speedup: f64,
     cache_hit_secs: f64,
+    /// Σ over the queries of `StageTiming::merge` / `state`, median over
+    /// the shared runs.
+    merge_secs: f64,
+    state_secs: f64,
     shared_interpret: bool,
     scans_saved: usize,
     groups_scanned: u32,
@@ -86,6 +91,8 @@ impl FleetResult {
                 "      \"cache_hit_secs\": {:.6},\n",
                 "      \"cache_miss_secs\": {:.6},\n",
                 "      \"hit_over_miss\": {:.3},\n",
+                "      \"merge_secs\": {:.6},\n",
+                "      \"state_secs\": {:.6},\n",
                 "      \"shared_interpret\": {},\n",
                 "      \"scans_saved\": {},\n",
                 "      \"groups_scanned\": {}\n",
@@ -98,7 +105,9 @@ impl FleetResult {
             self.speedup(),
             self.cache_hit_secs,
             self.shared_secs,
-            self.shared_secs / self.cache_hit_secs.max(1e-12),
+            self.cache_hit_secs / self.shared_secs.max(1e-12),
+            self.merge_secs,
+            self.state_secs,
             self.shared_interpret,
             self.scans_saved,
             self.groups_scanned,
@@ -183,16 +192,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 solo_run(p, &mut reader);
             }
         };
+        // Each shared run's back half, summed over its queries.
+        let back_half = RefCell::new(Vec::new());
         let shared = || {
             let mut planner = Planner::new();
             let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
             let mut reader = open(&bytes);
-            planner.run(&queries, &mut reader).expect("shared");
+            let out = planner.run(&queries, &mut reader).expect("shared");
+            let timings = out.results.iter().map(|q| &q.output.timing);
+            let (merge, state) = timings.fold((0.0, 0.0), |(m, s), t| (m + t.merge, s + t.state));
+            back_half.borrow_mut().push((merge, state));
         };
         sequential(); // warmups
         shared();
         let pair = paired_secs(runs, || time_secs(sequential), || time_secs(shared));
         let (sequential_secs, shared_secs, speedup) = (pair.a_secs, pair.b_secs, pair.a_over_b);
+        let (merge, state): (Vec<f64>, Vec<f64>) = back_half.into_inner().into_iter().unzip();
+        let (merge_secs, state_secs) = (median(merge), median(state));
         // Warm planner: every query answered from the plan cache.
         let mut warm = Planner::new();
         let cache_hit_secs = median_secs(runs, || {
@@ -208,17 +224,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shared_secs,
             speedup,
             cache_hit_secs,
+            merge_secs,
+            state_secs,
             shared_interpret: plan.shared_interpret,
             scans_saved: plan.scans_saved,
             groups_scanned: plan.groups_scanned,
         };
         eprintln!(
             "{n} domains: sequential {:.1} ms, shared {:.1} ms ({:.2}x), \
-             cache hit {:.2} ms, strategy {}",
+             cache hit {:.2} ms, merge {:.2} ms, state {:.2} ms, strategy {}",
             sequential_secs * 1e3,
             shared_secs * 1e3,
             fleet.speedup(),
             cache_hit_secs * 1e3,
+            merge_secs * 1e3,
+            state_secs * 1e3,
             if plan.shared_interpret {
                 "shared-interpret"
             } else {

@@ -148,16 +148,16 @@ impl ExtensionRule {
 ///
 /// Propagates tabular-engine failures.
 pub fn extend_all(seqs: &[SignalSequence], rules: &[ExtensionRule]) -> Result<DataFrame> {
-    let mut out = DataFrame::empty(extension_schema());
+    let mut parts = Vec::new();
     for rule in rules {
         for seq in seqs {
             let w = rule.apply(seq)?;
             if !w.is_empty() {
-                out = out.union(&w)?;
+                parts.extend(w.into_partitions());
             }
         }
     }
-    Ok(out)
+    Ok(DataFrame::from_partitions(extension_schema(), parts)?)
 }
 
 #[cfg(test)]

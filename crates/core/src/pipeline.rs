@@ -985,17 +985,14 @@ impl Pipeline {
         };
 
         // Line 12 gather: reassemble the combined extension frame in the
-        // exact rule-major order `extend_all` produces serially.
+        // exact rule-major order `extend_all` produces serially, built once.
         let t = Instant::now();
-        let mut extensions = DataFrame::empty(extension_schema());
-        for rule_idx in 0..self.profile.extensions.len() {
-            for r in &results {
-                let w = &r.extensions[rule_idx];
-                if !w.is_empty() {
-                    extensions = extensions.union(w)?;
-                }
-            }
-        }
+        let parts = (0..self.profile.extensions.len())
+            .flat_map(|rule_idx| results.iter().map(move |r| &r.extensions[rule_idx]))
+            .filter(|w| !w.is_empty())
+            .flat_map(|w| w.partitions().iter().cloned())
+            .collect();
+        let extensions = DataFrame::from_partitions(extension_schema(), parts)?;
         let extend_gather_secs = t.elapsed().as_secs_f64();
 
         // Line 29 + Sec. 4.3: merge and pivot.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::column::Column;
-use crate::datatype::Schema;
+use crate::datatype::{DataType, Schema};
 use crate::error::{Error, Result};
 use crate::value::Value;
 
@@ -174,6 +174,60 @@ impl Batch {
             columns: self.columns.iter().map(|c| c.take(indices)).collect(),
             rows: indices.len(),
         }
+    }
+
+    /// Rows picked across `batches` by `(batch, row)` positions, in that
+    /// order: a [`take`](Batch::take) over their concatenation that never
+    /// builds the concatenation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SchemaMismatch`] if any batch's schema differs from
+    /// `schema`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any position is out of bounds.
+    pub fn gather(
+        schema: Arc<Schema>,
+        batches: &[&Batch],
+        rows: &[(usize, usize)],
+    ) -> Result<Batch> {
+        if let Some(b) = batches.iter().find(|b| b.schema != schema) {
+            return Err(Error::SchemaMismatch(format!(
+                "cannot gather {} into {schema}",
+                b.schema
+            )));
+        }
+        // Every batch's column `ci` has the field's type (`Batch::new`).
+        fn pick<'a, T: Clone + 'a>(
+            cols: impl Iterator<Item = &'a Column>,
+            slice: fn(&'a Column) -> Option<&'a [Option<T>]>,
+            rows: &[(usize, usize)],
+        ) -> Vec<Option<T>> {
+            let cells: Vec<_> = cols.flat_map(slice).collect();
+            rows.iter().map(|&(b, r)| cells[b][r].clone()).collect()
+        }
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(ci, field)| {
+                let cols = batches.iter().map(|b| &b.columns[ci]);
+                match field.data_type() {
+                    DataType::Bool => Column::Bool(pick(cols, Column::as_bool_slice, rows)),
+                    DataType::Int => Column::Int(pick(cols, Column::as_int_slice, rows)),
+                    DataType::Float => Column::Float(pick(cols, Column::as_float_slice, rows)),
+                    DataType::Str => Column::Str(pick(cols, Column::as_str_slice, rows)),
+                    DataType::Bytes => Column::Bytes(pick(cols, Column::as_bytes_slice, rows)),
+                }
+            })
+            .collect();
+        Ok(Batch {
+            schema,
+            columns,
+            rows: rows.len(),
+        })
     }
 
     /// Rows where `mask` is `true`.

@@ -17,6 +17,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use ivnt_core::rules::Rule;
 use ivnt_core::split::SignalSequence;
 use ivnt_frame::batch::Batch;
 
@@ -46,6 +47,10 @@ pub(crate) enum Answer {
 struct Entry {
     epoch: u64,
     answer: Answer,
+    /// The query's rules. The fingerprint hashes their addresses, so they
+    /// stay alive while the entry can hit: a freed address could go to a
+    /// rule with other decode parameters and hit this answer falsely.
+    _rules: Vec<Arc<Rule>>,
 }
 
 /// Bounded FIFO cache of shared answers.
@@ -80,9 +85,21 @@ impl PlanCache {
         }
     }
 
-    pub(crate) fn insert(&mut self, key: u64, kind: Kind, epoch: u64, answer: Answer) {
+    pub(crate) fn insert(
+        &mut self,
+        key: u64,
+        kind: Kind,
+        epoch: u64,
+        answer: Answer,
+        rules: &[Arc<Rule>],
+    ) {
         let slot = (key, kind);
-        if self.map.insert(slot, Entry { epoch, answer }).is_none() {
+        let entry = Entry {
+            epoch,
+            answer,
+            _rules: rules.to_vec(),
+        };
+        if self.map.insert(slot, entry).is_none() {
             self.order.push_back(slot);
             while self.order.len() > self.capacity {
                 if let Some(evict) = self.order.pop_front() {

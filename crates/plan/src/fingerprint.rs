@@ -44,7 +44,8 @@ impl Fnv {
 /// they were built from the same rule table in the same process — a
 /// conservative choice that can miss spuriously but never hit falsely
 /// (two same-named signals with different decode parameters never
-/// collide).
+/// collide). Each cache entry holds its rules, so no address it was keyed
+/// by is reused while it can hit.
 pub(crate) fn query_fingerprint(pipeline: &Pipeline, window: Option<(u64, u64)>) -> u64 {
     let mut h = Fnv::new();
 

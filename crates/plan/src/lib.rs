@@ -359,7 +359,9 @@ impl Planner {
             split_secs = outcome.split_secs;
             for (si, (&qi, answer)) in scan_set.iter().zip(outcome.answers).enumerate() {
                 // The cache and the batch share one `Arc`: nothing copied.
-                self.cache.insert(keys[qi], kind, epoch, answer.clone());
+                let rules = queries[qi].pipeline.u_comb().rules();
+                self.cache
+                    .insert(keys[qi], kind, epoch, answer.clone(), rules);
                 per_query[qi].rows_routed = outcome.rows_routed[si];
                 per_query[qi].groups = outcome.groups_hit[si];
                 answers[qi] = Some(answer);

@@ -408,6 +408,36 @@ fn cache_hits_replay_bit_identical_results() {
     assert_outputs_eq(&after.results[0].output, &solo_run(&pc, fx, None), "run");
 }
 
+/// A cache entry keeps its query's rules alive. The fingerprint hashes rule
+/// addresses; were a dropped pipeline's rules freed, a later rule with the
+/// same `(signal, bus, m_id)` but other decode parameters could take the
+/// address and hit the stale answer.
+#[test]
+fn cache_entries_keep_their_rules_alive() {
+    let fx = fixture();
+    let domains = disjoint_domains(&fx.data, 2);
+    let first = domain_pipeline(&fx.data, &domains[0][..4]).expect("pipeline a");
+    let rule = std::sync::Arc::downgrade(&first.u_comb().rules()[0]);
+    let mut planner = Planner::with_cache_capacity(1);
+    let mut r = reader(fx);
+    Pipeline::session_many(vec![Query::new(&first)], &mut r)
+        .with_planner(&mut planner)
+        .run()
+        .expect("first run");
+    drop(first);
+    assert!(rule.upgrade().is_some(), "the cached entry holds its rules");
+
+    // A second query evicts the first entry (capacity 1).
+    let second = domain_pipeline(&fx.data, &domains[1][..4]).expect("pipeline b");
+    let mut r = reader(fx);
+    Pipeline::session_many(vec![Query::new(&second)], &mut r)
+        .with_planner(&mut planner)
+        .run()
+        .expect("second run");
+    assert_eq!(planner.cached(), 1);
+    assert!(rule.upgrade().is_none(), "eviction releases them");
+}
+
 /// The serial oracle and the parallel fan-out agree (the planner's analog
 /// of the pipeline's own serial/parallel determinism guarantee).
 #[test]
