@@ -26,7 +26,7 @@ use ivnt_store::{ScanStats, StoreReader};
 
 use crate::branch::{process, BranchConfig};
 use crate::classify::{classify, Classification, ClassifyConfig};
-use crate::dedup::{check, Checked, Dedup};
+use crate::dedup::{check, Checked, Dedup, Deduplicator};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
 use crate::interpret::{Kernel, RecordSelector};
@@ -818,21 +818,22 @@ impl Pipeline {
             .max(1)
     }
 
-    /// Line 9: gateway dedup (or the configured passthrough) of the split
-    /// sequence, owned or borrowed. Returns the dedup report plus the
-    /// representative's pre-reduction length.
-    fn dedup_signal<'s>(&self, seq: Cow<'s, SignalSequence>) -> Result<(Checked<'s>, usize)> {
-        let dedup = if self.profile.dedup {
-            check(seq, &self.u_comb)?
+    /// Line 9's operator for `signal`: the equality check over `U_comb`,
+    /// copies bounded to `history_cap` rows, or the passthrough when the
+    /// profile turns dedup off.
+    pub fn deduplicator(&self, signal: &str, history_cap: usize) -> Deduplicator {
+        if self.profile.dedup {
+            Deduplicator::new(signal, &self.u_comb, history_cap)
         } else {
-            let representative_channel = seq.channels()?.into_iter().next().unwrap_or_default();
-            Checked {
-                representative: seq,
-                representative_channel,
-                corresponding: Vec::new(),
-                mismatched: Vec::new(),
-            }
-        };
+            Deduplicator::default()
+        }
+    }
+
+    /// Line 9 over the split sequence, owned or borrowed. Returns the dedup
+    /// report plus the representative's pre-reduction length.
+    fn dedup_signal<'s>(&self, seq: Cow<'s, SignalSequence>) -> Result<(Checked<'s>, usize)> {
+        let dedup = self.deduplicator(&seq.signal, usize::MAX);
+        let dedup = check(seq, dedup)?;
         let rows_interpreted = dedup.representative.len();
         Ok((dedup, rows_interpreted))
     }

@@ -16,7 +16,8 @@ use std::sync::Arc;
 use ivnt_frame::prelude::*;
 
 use crate::error::Result;
-use crate::split::SignalSequence;
+use crate::split::{Rows, SignalSequence};
+use crate::tabular::columns::VALUE_NUM;
 
 /// Context a custom condition function receives per row.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,10 +91,6 @@ impl std::fmt::Debug for ConditionFn {
 
 impl ConditionFn {
     /// Evaluates the condition against one row context.
-    ///
-    /// Public so the incremental (streaming) reducer evaluates *exactly*
-    /// this logic with carried-over `prev_*` state instead of duplicating
-    /// it — bit-identity between the paths falls out by construction.
     pub fn evaluate(&self, ctx: &RowCtx) -> bool {
         match self {
             ConditionFn::ValueChanged => {
@@ -143,20 +140,74 @@ impl Constraint {
         }
     }
 
-    /// Whether the constraint participates in reducing `signal` (enabled
-    /// and either global or bound to that signal). Public for the
-    /// streaming reducer, which must mirror the batch activity check.
+    /// Whether the constraint participates in reducing `signal`: enabled,
+    /// and either global or bound to that signal.
     pub fn applies_to(&self, signal: &str) -> bool {
         self.enabled && self.signal.as_deref().map(|s| s == signal).unwrap_or(true)
     }
 }
 
-/// Applies the constraint set to one sequence (lines 10–11): joins the
-/// matching constraints, computes the mark `e` per row (true when any `f`
-/// fires) and keeps marked rows.
-///
-/// A sequence no constraint applies to is returned unchanged (nothing marks
-/// it, so nothing can be dropped without a parameterized reduction).
+/// The constraint marks of lines 10–11 for one signal as an incremental
+/// operator: push the representative's rows in time order, a chunk at a
+/// time, and take each chunk's kept-row mask. The previous row and the row
+/// index carry across pushes, so any chunking gives the marks one push of
+/// the whole sequence gives.
+#[derive(Default)]
+pub struct Reducer {
+    /// The functions `F` of every constraint that applies, in order.
+    functions: Vec<ConditionFn>,
+    /// The previous row's `(t, v_num, v_text)`.
+    prev: Option<(f64, Option<f64>, Option<Arc<str>>)>,
+    rows_in: usize,
+    rows_kept: usize,
+}
+
+impl Reducer {
+    /// The reduction of `signal` under the constraints that apply to it.
+    pub fn new(signal: &str, constraints: &[Constraint]) -> Reducer {
+        let active = constraints.iter().filter(|c| c.applies_to(signal));
+        Reducer {
+            functions: active.flat_map(|c| c.functions.iter().cloned()).collect(),
+            ..Reducer::default()
+        }
+    }
+
+    /// Pushes the next chunk, one [`Rows`] per part, and returns the mark
+    /// `e` of each row in order: true when any `f` fires. A signal no
+    /// constraint applies to keeps every row.
+    pub fn push(&mut self, parts: &[Rows<'_>]) -> Vec<bool> {
+        let mut mask = Vec::with_capacity(parts.iter().map(|rows| rows.t.len()).sum());
+        for rows in parts {
+            for row in 0..rows.t.len() {
+                let index = self.rows_in + mask.len();
+                let prev = self.prev.take();
+                let ctx = RowCtx {
+                    t: rows.t[row].unwrap_or(f64::NAN),
+                    num: rows.num[row],
+                    text: rows.text[row].clone(),
+                    prev_t: prev.as_ref().map(|p| p.0),
+                    prev_num: prev.as_ref().and_then(|p| p.1),
+                    prev_text: prev.and_then(|p| p.2),
+                    index,
+                };
+                let functions = &self.functions;
+                mask.push(functions.is_empty() || functions.iter().any(|f| f.evaluate(&ctx)));
+                self.prev = Some((ctx.t, ctx.num, ctx.text));
+            }
+        }
+        self.rows_in += mask.len();
+        self.rows_kept += mask.iter().filter(|&&keep| keep).count();
+        mask
+    }
+
+    /// Rows pushed and rows kept.
+    pub fn finish(self) -> (usize, usize) {
+        (self.rows_in, self.rows_kept)
+    }
+}
+
+/// Applies the constraint set to one sequence (lines 10–11): one push of
+/// the whole sequence through a [`Reducer`], then the marked rows.
 ///
 /// # Errors
 ///
@@ -165,39 +216,11 @@ pub fn apply_constraints(
     seq: &SignalSequence,
     constraints: &[Constraint],
 ) -> Result<SignalSequence> {
-    let active: Vec<&Constraint> = constraints
-        .iter()
-        .filter(|c| c.applies_to(&seq.signal))
-        .collect();
-    if active.is_empty() || seq.is_empty() {
-        return Ok(seq.clone());
-    }
-    let times = seq.times()?;
-    let nums = seq.numeric_values()?;
-    let texts = seq.text_values()?;
-    let mut mask = Vec::with_capacity(times.len());
-    for i in 0..times.len() {
-        let ctx = RowCtx {
-            t: times[i],
-            num: nums[i],
-            text: texts[i].clone(),
-            prev_t: (i > 0).then(|| times[i - 1]),
-            prev_num: if i > 0 { nums[i - 1] } else { None },
-            prev_text: if i > 0 { texts[i - 1].clone() } else { None },
-            index: i,
-        };
-        let e = active
-            .iter()
-            .flat_map(|c| c.functions.iter())
-            .any(|f| f.evaluate(&ctx));
-        mask.push(e);
-    }
-    let batch = seq.frame.to_single_batch()?;
-    let reduced = batch.filter(&mask)?;
-    let frame = DataFrame::from_partitions(reduced.schema().clone(), vec![reduced])?;
+    let mask = Reducer::new(&seq.signal, constraints).push(&seq.rows()?);
+    let reduced = seq.frame.to_single_batch()?.filter(&mask)?;
     Ok(SignalSequence {
         signal: seq.signal.clone(),
-        frame,
+        frame: DataFrame::from_partitions(reduced.schema().clone(), vec![reduced])?,
     })
 }
 
@@ -213,6 +236,57 @@ pub fn reduce_all(
     seqs.iter()
         .map(|s| apply_constraints(s, constraints))
         .collect()
+}
+
+/// Which Sec. 4.1 reduction technique a domain uses.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum Reduction {
+    /// The lossless constraint formalism `C` (Eq. 1) — the paper's default.
+    #[default]
+    Constraints,
+    /// Lossy clustering onto `k` representative levels, then repeat
+    /// removal.
+    Cluster {
+        /// Number of representative levels.
+        k: usize,
+        /// k-means iteration cap.
+        max_iterations: usize,
+    },
+}
+
+/// Alternative reduction technique (Sec. 4.1: "by clustering"): quantizes a
+/// sequence's numeric values onto `k` cluster representatives
+/// (deterministic 1-D k-means), then removes unchanged repeats. Values
+/// collapse onto representative levels, so small jitter no longer defeats
+/// repeat-removal — the trade-off is lossy values (the representative
+/// replaces the original), which is why the paper's default reduction is
+/// the lossless constraint formalism.
+///
+/// Textual instances pass through untouched.
+///
+/// # Errors
+///
+/// Propagates tabular-engine failures.
+pub fn cluster_reduce(
+    seq: &SignalSequence,
+    k: usize,
+    max_iterations: usize,
+) -> Result<SignalSequence> {
+    let repeats = [Constraint::global(vec![ConditionFn::ValueChanged])];
+    let nums = seq.numeric_values()?;
+    let numeric: Vec<f64> = nums.iter().filter_map(|v| *v).collect();
+    if numeric.is_empty() {
+        return apply_constraints(seq, &repeats);
+    }
+    let mut levels = ivnt_series::cluster::quantize(&numeric, k, max_iterations).into_iter();
+    let replaced = nums.iter().map(|v| v.and_then(|_| levels.next())).collect();
+    let batch = seq.frame.to_single_batch()?;
+    let batch = batch.replace_column(VALUE_NUM, Column::Float(replaced))?;
+    let quantized = SignalSequence {
+        signal: seq.signal.clone(),
+        frame: DataFrame::from_partitions(batch.schema().clone(), vec![batch])?,
+    };
+    apply_constraints(&quantized, &repeats)
 }
 
 #[cfg(test)]
@@ -369,89 +443,6 @@ mod tests {
             "GapExceeds(0.5)"
         );
     }
-}
-
-/// Which Sec. 4.1 reduction technique a domain uses.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum Reduction {
-    /// The lossless constraint formalism `C` (Eq. 1) — the paper's default.
-    #[default]
-    Constraints,
-    /// Lossy clustering onto `k` representative levels, then repeat
-    /// removal.
-    Cluster {
-        /// Number of representative levels.
-        k: usize,
-        /// k-means iteration cap.
-        max_iterations: usize,
-    },
-}
-
-/// Alternative reduction technique (Sec. 4.1: "by clustering"): quantizes a
-/// sequence's numeric values onto `k` cluster representatives
-/// (deterministic 1-D k-means), then removes unchanged repeats. Values
-/// collapse onto representative levels, so small jitter no longer defeats
-/// repeat-removal — the trade-off is lossy values (the representative
-/// replaces the original), which is why the paper's default reduction is
-/// the lossless constraint formalism.
-///
-/// Textual instances pass through untouched.
-///
-/// # Errors
-///
-/// Propagates tabular-engine failures.
-pub fn cluster_reduce(
-    seq: &SignalSequence,
-    k: usize,
-    max_iterations: usize,
-) -> Result<SignalSequence> {
-    if seq.is_empty() {
-        return Ok(seq.clone());
-    }
-    let nums = seq.numeric_values()?;
-    let numeric: Vec<f64> = nums.iter().filter_map(|v| *v).collect();
-    if numeric.is_empty() {
-        return apply_constraints(seq, &[Constraint::global(vec![ConditionFn::ValueChanged])]);
-    }
-    let quantized = ivnt_series::cluster::quantize(&numeric, k, max_iterations);
-    let mut qi = 0usize;
-    let replaced: Vec<Option<f64>> = nums
-        .iter()
-        .map(|v| {
-            v.map(|_| {
-                let q = quantized[qi];
-                qi += 1;
-                q
-            })
-        })
-        .collect();
-    let batch = seq.frame.to_single_batch()?;
-    let v_num_idx = batch
-        .schema()
-        .index_of(crate::tabular::columns::VALUE_NUM)?;
-    let batch = batch.replace_column(
-        crate::tabular::columns::VALUE_NUM,
-        ivnt_frame::Column::Float(replaced),
-    )?;
-    debug_assert_eq!(
-        batch.schema().fields()[v_num_idx].name(),
-        crate::tabular::columns::VALUE_NUM
-    );
-    let frame = DataFrame::from_partitions(batch.schema().clone(), vec![batch])?;
-    let quantized_seq = SignalSequence {
-        signal: seq.signal.clone(),
-        frame,
-    };
-    apply_constraints(
-        &quantized_seq,
-        &[Constraint::global(vec![ConditionFn::ValueChanged])],
-    )
-}
-
-#[cfg(test)]
-mod cluster_tests {
-    use super::*;
-    use crate::interpret::signal_schema;
 
     fn noisy_seq() -> SignalSequence {
         // Two levels with jitter: plain repeat-removal keeps everything,
@@ -516,12 +507,44 @@ mod cluster_tests {
     }
 
     #[test]
-    fn empty_sequence_passthrough() {
+    fn cluster_empty_sequence_passthrough() {
         let frame = DataFrame::empty(signal_schema());
         let seq = SignalSequence {
             signal: "x".into(),
             frame,
         };
         assert!(cluster_reduce(&seq, 3, 10).unwrap().is_empty());
+    }
+
+    #[test]
+    fn any_chunking_gives_the_one_push_marks() {
+        // Values change every fourth row, time jumps every tenth.
+        let rows = (0..40).map(|i| (f64::from(i + i / 10 * 2), Some(f64::from(i / 4)), None));
+        let s = seq(rows.collect());
+        let constraints = [Constraint::global(vec![
+            ConditionFn::ValueChanged,
+            ConditionFn::GapExceeds { max_gap_s: 1.2 },
+            ConditionFn::EveryNth { n: 7 },
+        ])];
+        let rows = s.rows().unwrap()[0];
+        let whole = Reducer::new("x", &constraints).push(&[rows]);
+        let kept = whole.iter().filter(|&&keep| keep).count();
+        // Ten changes, then jumps at 10 and 30, every 7th at 7, 14, 21, 35.
+        assert_eq!(kept, 10 + 2 + 4);
+        for size in [1, 2, 3, 8] {
+            let mut reducer = Reducer::new("x", &constraints);
+            let mut mask = Vec::new();
+            for start in (0..40).step_by(size) {
+                let end = (start + size).min(40);
+                mask.extend(reducer.push(&[Rows {
+                    t: &rows.t[start..end],
+                    bus: &rows.bus[start..end],
+                    num: &rows.num[start..end],
+                    text: &rows.text[start..end],
+                }]));
+            }
+            assert_eq!(mask, whole);
+            assert_eq!(reducer.finish(), (40, kept));
+        }
     }
 }

@@ -34,6 +34,15 @@ impl SignalSequence {
         self.frame.is_empty()
     }
 
+    /// Each partition's columns, in order.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a column is missing or mistyped.
+    pub fn rows(&self) -> Result<Vec<Rows<'_>>> {
+        self.frame.partitions().iter().map(Rows::of).collect()
+    }
+
     /// Timestamps in seconds, in order.
     ///
     /// Reads the typed column slices directly — no per-cell `Value`
@@ -91,27 +100,6 @@ impl SignalSequence {
         Ok(out)
     }
 
-    /// Per-row channel names, in order (`None` where the cell is null).
-    ///
-    /// Shares the column's `Arc<str>` cells like [`text_values`]
-    /// (SignalSequence::text_values); used by equivalence tests comparing
-    /// streaming deltas against batch sequences row by row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    pub fn bus_values(&self) -> Result<Vec<Option<Arc<str>>>> {
-        let idx = self.frame.schema().index_of(c::BUS)?;
-        let mut out = Vec::with_capacity(self.len());
-        for batch in self.frame.partitions() {
-            match batch.column(idx).as_str_slice() {
-                Some(vals) => out.extend(vals.iter().cloned()),
-                None => out.extend(std::iter::repeat_n(None, batch.num_rows())),
-            }
-        }
-        Ok(out)
-    }
-
     /// Distinct channels the sequence was observed on, sorted.
     ///
     /// # Errors
@@ -133,6 +121,39 @@ impl SignalSequence {
         buses.sort_unstable();
         buses.dedup();
         Ok(buses.into_iter().map(|b| b.to_string()).collect())
+    }
+}
+
+/// One chunk of a signal's time-ordered rows as borrowed columns: a
+/// sequence partition, or the rows a stream has just released. Lines 9
+/// and 10 ([`Deduplicator`](crate::dedup::Deduplicator),
+/// [`Reducer`](crate::reduce::Reducer)) read their input this way.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// Timestamps in seconds.
+    pub t: &'a [Option<f64>],
+    /// Channels.
+    pub bus: &'a [Option<Arc<str>>],
+    /// Numeric values.
+    pub num: &'a [Option<f64>],
+    /// Textual values.
+    pub text: &'a [Option<Arc<str>>],
+}
+
+impl<'a> Rows<'a> {
+    /// The columns of one `K_s`-schema partition.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a column is missing or mistyped.
+    pub fn of(batch: &'a Batch) -> Result<Rows<'a>> {
+        let schema = batch.schema();
+        Ok(Rows {
+            t: float_column(batch, schema.index_of(c::T)?)?,
+            bus: str_column(batch, schema.index_of(c::BUS)?)?,
+            num: float_column(batch, schema.index_of(c::VALUE_NUM)?)?,
+            text: str_column(batch, schema.index_of(c::VALUE_TEXT)?)?,
+        })
     }
 }
 

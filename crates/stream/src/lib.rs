@@ -12,8 +12,10 @@
 //!   row-bounded queue, backpressure, graceful drain and crash-recoverable
 //!   micro-batched row groups.
 //! * [`session`] — [`StreamingSession`], the incremental variant of the
-//!   batch `extract_reduced` path: watermark reordering, bounded-history
-//!   gateway dedup, carried-state constraint reduction and optional
+//!   batch `extract_reduced` path: a watermark reorder buffer per signal
+//!   whose releases go through `ivnt-core`'s incremental dedup and reduce
+//!   operators (`Deduplicator`, `Reducer` — the ones batch runs push a
+//!   whole sequence through), late-row accounting and optional
 //!   incremental SWAB + SAX symbolization — emitting per-micro-batch
 //!   state deltas under a memory bound, bit-identical to the batch output
 //!   for closed in-tolerance streams.

@@ -313,3 +313,102 @@ proptest! {
         }
     }
 }
+
+/// The stream's three counted deviations from batch, as exact counts, on
+/// one gatewayed signal streamed alone with every row kept by reduction:
+/// (a) a row pushed behind the released watermark is counted late and
+/// still emitted; (b) a home channel held back past the first release
+/// leaves the other channel pinned, one conflict per held-back home row;
+/// (c) a mirror lagging its representative by more than `history_cap`
+/// rows is declared mismatched although batch calls it corresponding.
+#[test]
+fn counted_deviations_are_exact() {
+    let data = dataset();
+    let all = RuleSet::from_network(&data.network);
+    let p = pipeline(&data.network, DomainProfile::new("stream-deviations"));
+    let (_, gatewayed, _) = batch_reduced(&p, &data.trace)
+        .into_iter()
+        .find(|(_, d, _)| d.corresponding.len() == 1 && d.mismatched.is_empty())
+        .expect("a signal with exactly one faithful gateway copy");
+    let (home, mirror) = (
+        gatewayed.representative_channel.as_str(),
+        gatewayed.corresponding[0].as_str(),
+    );
+    let rules = all
+        .select(&[gatewayed.representative.signal.as_str()])
+        .expect("select");
+    let p = Pipeline::new(
+        rules.clone(),
+        DomainProfile::new("stream-deviations-1").with_constraints(Vec::new()),
+    )
+    .expect("pipeline");
+    let keys: Vec<(&str, u32)> = rules
+        .rules()
+        .iter()
+        .map(|r| (r.bus.as_str(), r.message_id))
+        .collect();
+    let on = |bus: &str| -> Vec<Record> {
+        records(&data.trace)
+            .into_iter()
+            .filter(|r| &*r.bus == bus && keys.contains(&(bus, r.message_id)))
+            .collect()
+    };
+    let (home_recs, mirror_recs) = (on(home), on(mirror));
+    let run = |options: StreamOptions, pushes: &[Vec<Record>]| {
+        let mut session = StreamingSession::new(&p, options).expect("session");
+        let mut rows = Vec::new();
+        for push in pushes {
+            for chunk in push.chunks(16) {
+                for delta in session.push_records(chunk).expect("push") {
+                    rows.extend(delta.rows);
+                }
+            }
+        }
+        let late = session.late_rows();
+        let close = session.close().expect("close");
+        rows.extend(close.deltas.into_iter().flat_map(|d| d.rows));
+        assert_eq!(close.summaries.len(), 1);
+        (rows, close.summaries[0].clone(), late)
+    };
+
+    // (a) One home record held back to the end of its own stream.
+    let mut early = home_recs.clone();
+    let late = early.remove(early.len() / 2);
+    let (rows, summary, late_rows) = run(StreamOptions::default(), &[early, vec![late.clone()]]);
+    assert_eq!(late_rows, 1);
+    assert_eq!(rows.len(), home_recs.len());
+    assert!(rows.iter().any(|r| r.t == late.timestamp_s()));
+    assert_eq!(summary.rep_conflicts, 0);
+
+    // (b) Every home record held back until the mirror has streamed.
+    let (rows, summary, _) = run(
+        StreamOptions::default(),
+        &[mirror_recs.clone(), home_recs.clone()],
+    );
+    assert_eq!(summary.representative_channel, mirror);
+    assert_eq!(summary.rep_conflicts, home_recs.len() as u64);
+    assert_eq!(rows.len(), mirror_recs.len());
+
+    // (c) The mirror's records run half a second behind the home's: inside
+    // the watermark, so both channels are observed before the first
+    // release, and dozens of rows behind the representative.
+    let shifted: Vec<Record> = mirror_recs
+        .iter()
+        .map(|r| Record {
+            timestamp_us: r.timestamp_us + 500_000,
+            ..r.clone()
+        })
+        .collect();
+    let mut merged: Vec<Record> = home_recs.iter().cloned().chain(shifted).collect();
+    merged.sort_by_key(|r| r.timestamp_us);
+    let capped = StreamOptions {
+        history_cap: 4,
+        ..StreamOptions::default()
+    };
+    let (_, summary, _) = run(capped, std::slice::from_ref(&merged));
+    assert_eq!(summary.representative_channel, home);
+    assert_eq!(summary.mismatched, [mirror]);
+    let (_, summary, _) = run(StreamOptions::default(), &[merged]);
+    assert_eq!(summary.corresponding, [mirror]);
+    assert!(summary.mismatched.is_empty());
+}
