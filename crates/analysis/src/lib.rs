@@ -5,8 +5,7 @@
 //! [`ivnt_core`](https://docs.rs/ivnt-core)'s pipeline:
 //!
 //! * [`apriori`] — association rule mining (IF-THEN error causes),
-//! * [`transition`] — transition graphs, rare transitions, prior-state
-//!   path analysis,
+//! * [`transition`] — transition graphs and their rare transitions,
 //! * [`anomaly`] — frequency-based hot-spot detection with severity
 //!   ranking, plus outlier-cell discovery,
 //! * [`diagnosis`] — the state of the car at an outlier and the chain of

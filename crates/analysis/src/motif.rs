@@ -84,23 +84,6 @@ pub fn rare_motifs(
     Ok(motifs)
 }
 
-/// Motifs whose windows *contain* the given symbol — e.g. every length-3
-/// context around `"outlier"` cells.
-///
-/// # Errors
-///
-/// Same conditions as [`count_motifs`].
-pub fn motifs_containing(
-    state: &DataFrame,
-    column: &str,
-    n: usize,
-    symbol: &str,
-) -> Result<Vec<Motif>> {
-    let mut motifs = count_motifs(state, column, n)?;
-    motifs.retain(|m| m.symbols.iter().any(|s| s.contains(symbol)));
-    Ok(motifs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,13 +119,6 @@ mod tests {
         let rare = rare_motifs(&st, "s", 2, 1).unwrap();
         assert!(rare.iter().all(|m| m.count == 1));
         assert_eq!(rare.len(), 3); // ba, bc, ca (ab occurs 3x)
-    }
-
-    #[test]
-    fn containing_filters() {
-        let st = state(&["ok", "ok", "outlier v = 9", "ok"]);
-        let around = motifs_containing(&st, "s", 2, "outlier").unwrap();
-        assert_eq!(around.len(), 2); // (ok, outlier..) and (outlier.., ok)
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Linking every state-representation row to its successor and counting
 //! occurrences yields a transition graph; rare transitions indicate
-//! potential errors, and path analysis isolates error causes.
+//! potential errors.
 
 use std::collections::HashMap;
 
 use ivnt_frame::prelude::*;
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 
 /// A directed transition graph with occurrence counts.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -54,31 +54,6 @@ impl TransitionGraph {
             .collect();
         for w in labels.windows(2) {
             graph.record(&w[0], &w[1]);
-        }
-        Ok(graph)
-    }
-
-    /// Builds the graph over full state rows (all columns but time),
-    /// formatting each row as a `|`-joined label.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    pub fn from_state_rows(state: &DataFrame) -> Result<TransitionGraph> {
-        let rows = state.collect_rows()?;
-        let mut graph = TransitionGraph::new();
-        let label = |r: &[Value]| {
-            r.iter()
-                .skip(1)
-                .map(|v| match v {
-                    Value::Null => "-".to_string(),
-                    other => other.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        };
-        for w in rows.windows(2) {
-            graph.record(&label(&w[0]), &label(&w[1]));
         }
         Ok(graph)
     }
@@ -140,84 +115,6 @@ impl TransitionGraph {
         });
         out
     }
-
-    /// Successor states of `from` with counts, most frequent first.
-    pub fn successors(&self, from: &str) -> Vec<(String, u64)> {
-        let Some(&fi) = self.index.get(from) else {
-            return Vec::new();
-        };
-        let mut out: Vec<(String, u64)> = self
-            .edges
-            .iter()
-            .filter(|(&(f, _), _)| f == fi)
-            .map(|(&(_, t), &c)| (self.nodes[t].clone(), c))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Renders the graph in Graphviz DOT format (visual inspection, as the
-    /// paper proposes).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = format!("digraph \"{name}\" {{\n");
-        for (&(f, t), &c) in &self.edges {
-            out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
-                self.nodes[f], self.nodes[t], c
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Paths of length `depth` ending in `target`, rarest-first by their
-    /// minimum edge count — the paper's "chain of states prior to an
-    /// error".
-    pub fn paths_into(&self, target: &str, depth: usize) -> Vec<Vec<String>> {
-        let Some(&ti) = self.index.get(target) else {
-            return Vec::new();
-        };
-        let mut paths: Vec<(Vec<usize>, u64)> = vec![(vec![ti], u64::MAX)];
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for (path, min_count) in &paths {
-                let head = path[0];
-                for (&(f, t), &c) in &self.edges {
-                    if t == head && !path.contains(&f) {
-                        let mut p = Vec::with_capacity(path.len() + 1);
-                        p.push(f);
-                        p.extend_from_slice(path);
-                        next.push((p, (*min_count).min(c)));
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            paths = next;
-        }
-        paths.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        paths
-            .into_iter()
-            .map(|(p, _)| p.into_iter().map(|i| self.nodes[i].clone()).collect())
-            .collect()
-    }
-}
-
-/// Validates a column exists before building (convenience wrapper that
-/// produces a clearer error).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidArgument`] for the time column and propagates
-/// unknown-column failures.
-pub fn column_graph(state: &DataFrame, column: &str) -> Result<TransitionGraph> {
-    if column == "t" {
-        return Err(Error::InvalidArgument(
-            "transition graphs are built over signal columns, not time".into(),
-        ));
-    }
-    TransitionGraph::from_column(state, column)
 }
 
 #[cfg(test)]
@@ -257,64 +154,5 @@ mod tests {
         assert_eq!(rare[0].to, "c");
         assert_eq!(rare[0].count, 1);
         assert!((rare[0].frequency - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn successors_sorted() {
-        let g = TransitionGraph::from_column(&state(), "s").unwrap();
-        let succ = g.successors("a");
-        assert_eq!(succ[0], ("b".to_string(), 2));
-        assert_eq!(succ[1], ("c".to_string(), 1));
-        assert!(g.successors("zzz").is_empty());
-    }
-
-    #[test]
-    fn full_state_rows_graph() {
-        let schema = Schema::from_pairs([
-            ("t", DataType::Float),
-            ("x", DataType::Str),
-            ("y", DataType::Str),
-        ])
-        .unwrap()
-        .into_shared();
-        let state = DataFrame::from_rows(
-            schema,
-            vec![
-                vec![Value::Float(0.0), Value::from("on"), Value::Null],
-                vec![Value::Float(1.0), Value::from("on"), Value::from("hi")],
-                vec![Value::Float(2.0), Value::from("off"), Value::from("hi")],
-            ],
-        )
-        .unwrap();
-        let g = TransitionGraph::from_state_rows(&state).unwrap();
-        assert_eq!(g.count("on|-", "on|hi"), 1);
-        assert_eq!(g.count("on|hi", "off|hi"), 1);
-    }
-
-    #[test]
-    fn dot_output() {
-        let g = TransitionGraph::from_column(&state(), "s").unwrap();
-        let dot = g.to_dot("test");
-        assert!(dot.starts_with("digraph \"test\""));
-        assert!(dot.contains("\"a\" -> \"c\" [label=\"1\"]"));
-    }
-
-    #[test]
-    fn paths_into_target() {
-        let g = TransitionGraph::from_column(&state(), "s").unwrap();
-        let paths = g.paths_into("c", 2);
-        assert!(!paths.is_empty());
-        // The chain b -> a -> c exists.
-        assert!(paths.contains(&vec!["b".to_string(), "a".to_string(), "c".to_string()]));
-        assert!(g.paths_into("zzz", 2).is_empty());
-    }
-
-    #[test]
-    fn time_column_rejected() {
-        assert!(matches!(
-            column_graph(&state(), "t"),
-            Err(Error::InvalidArgument(_))
-        ));
-        assert!(column_graph(&state(), "s").is_ok());
     }
 }

@@ -49,8 +49,9 @@ where
             let text = std::fs::read_to_string(path).map_err(|e| {
                 format!("--rules {path:?}: {e} (use authored|inferred|merged|FILE.dbc)")
             })?;
-            let catalog = ivnt_protocol::dbc::parse_dbc(&text, bus).map_err(err)?;
-            Ok(RuleCatalog::from_authored(RuleSet::from_catalog(&catalog)))
+            Ok(RuleCatalog::from_authored(
+                RuleSet::from_dbc(&text, bus).map_err(err)?,
+            ))
         }
     }
 }
@@ -1373,12 +1374,26 @@ pub fn dbc(args: &Args) -> CmdResult {
     let path = args.positional(0, "file.dbc")?;
     let bus = args.get_or("bus", "CAN");
     let text = std::fs::read_to_string(path).map_err(err)?;
-    let catalog = ivnt_protocol::dbc::parse_dbc(&text, bus).map_err(err)?;
+    let (catalog, mux) = ivnt_protocol::dbc::parse_dbc(&text, bus).map_err(err)?;
     println!(
-        "{path}: {} messages, {} signals on channel {bus}",
+        "{path}: {} messages, {} signals ({} multiplexed) on channel {bus}",
         catalog.num_messages(),
-        catalog.num_signals()
+        catalog.num_signals() + mux.len(),
+        mux.len()
     );
+    let describe = |s: &ivnt_protocol::SignalSpec| {
+        let kind = if s.is_enumerated() {
+            format!("enum[{}]", s.enumeration().len())
+        } else {
+            format!("num x{} {}", s.factor(), s.unit().unwrap_or(""))
+        };
+        format!(
+            "    SG_ {:<20} {:>3}|{:<2} {kind}",
+            s.name(),
+            s.start_bit(),
+            s.bit_len()
+        )
+    };
     for m in catalog.messages() {
         let cycle = m
             .cycle_time_ms()
@@ -1392,16 +1407,14 @@ pub fn dbc(args: &Args) -> CmdResult {
             cycle
         );
         for s in m.signals() {
-            let kind = if s.is_enumerated() {
-                format!("enum[{}]", s.enumeration().len())
-            } else {
-                format!("num x{} {}", s.factor(), s.unit().unwrap_or(""))
-            };
+            println!("{}", describe(s));
+        }
+        for e in mux.iter().filter(|e| e.message_id == m.id()) {
             println!(
-                "    SG_ {:<20} {:>3}|{:<2} {kind}",
-                s.name(),
-                s.start_bit(),
-                s.bit_len()
+                "{} when {} = {}",
+                describe(&e.signal).trim_end(),
+                e.selector.name(),
+                e.selector_value
             );
         }
     }

@@ -88,3 +88,45 @@ fn non_store_files_fail_with_a_typed_error() {
         std::fs::remove_file(file).ok();
     }
 }
+
+/// A communication matrix with a multiplexed message: `--rules FILE.dbc`
+/// and `ivnt dbc` take its paged signals as presence-conditional rules.
+const MUX_MATRIX: &str = r#"
+VERSION "integration matrix"
+
+BO_ 3 WiperStatus: 4 WiperEcu
+ SG_ wpos : 0|16@1+ (0.5,0) [0|180] "deg" Body
+ SG_ wvel : 16|16@1+ (1,0) [0|10] "rad/min" Body
+
+BO_ 96 Diagnostics: 3 Gateway
+ SG_ diag_page M : 0|8@1+ (1,0) [0|1] "" Tester
+ SG_ oil_temp m0 : 8|16@1+ (0.1,-40) [-40|150] "C" Tester
+ SG_ coolant_temp m1 : 8|16@1+ (0.1,-40) [-40|150] "C" Tester
+
+BA_ "GenMsgCycleTime" BO_ 3 100;
+"#;
+
+#[test]
+fn multiplexed_dbc_rules_load() {
+    let matrix = temp_path("mux.dbc");
+    std::fs::write(&matrix, MUX_MATRIX).expect("write dbc");
+    let trace = temp_path("mux.ivns");
+    ivnt_ok(&["record"], &[], &trace);
+
+    let out = ivnt(&["dbc", "--bus", "PT"], &matrix);
+    let listing = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "ivnt dbc failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(listing.contains("2 multiplexed"), "{listing}");
+    assert!(listing.contains("when diag_page = 1"), "{listing}");
+
+    let rules = matrix.to_str().expect("utf-8");
+    ivnt_ok(&["extract"], &["--rules", rules, "--bus", "PT"], &trace);
+
+    for path in [&matrix, &trace] {
+        std::fs::remove_file(path).ok();
+    }
+}

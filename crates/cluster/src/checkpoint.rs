@@ -27,6 +27,11 @@ use crate::wire::MAX_FRAME_LEN;
 /// File magic; the trailing digit is the checkpoint format revision.
 const MAGIC: &[u8; 8] = b"IVNTCKP1";
 
+/// Blob-encoding byte of every entry: 1 = v3 compressed batches
+/// ([`crate::codec::decode_batch_compressed`]), the only encoding entries
+/// hold. Any other byte fails decoding, so recovery stops there.
+const COMPRESSED: u8 = 1;
+
 /// One completed task's merged-state contribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
@@ -34,10 +39,7 @@ pub struct CheckpointEntry {
     pub group_start: u32,
     /// One past the last row group the entry covers.
     pub group_end: u32,
-    /// Whether `blobs` are v3 compressed batches
-    /// ([`crate::codec::decode_batch_compressed`]) or flat v2 ones.
-    pub compressed: bool,
-    /// Encoded result batches in group order.
+    /// Compressed result batches in group order.
     pub blobs: Vec<Vec<u8>>,
 }
 
@@ -46,7 +48,7 @@ impl CheckpointEntry {
         let mut out = Vec::new();
         varint::write_u64(&mut out, u64::from(self.group_start));
         varint::write_u64(&mut out, u64::from(self.group_end));
-        out.push(u8::from(self.compressed));
+        out.push(COMPRESSED);
         varint::write_u64(&mut out, self.blobs.len() as u64);
         for b in &self.blobs {
             varint::write_u64(&mut out, b.len() as u64);
@@ -64,11 +66,12 @@ impl CheckpointEntry {
                 "inverted checkpoint range {group_start}..{group_end}"
             )));
         }
-        let compressed = match cur.read_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(Error::Protocol(format!("bad compressed flag {other}"))),
-        };
+        let encoding = cur.read_u8()?;
+        if encoding != COMPRESSED {
+            return Err(Error::Protocol(format!(
+                "checkpoint blob encoding {encoding}"
+            )));
+        }
         let n = cur.read_u64()?;
         if n > MAX_FRAME_LEN {
             return Err(Error::Protocol(format!("{n} checkpoint blobs")));
@@ -90,7 +93,6 @@ impl CheckpointEntry {
         Ok(CheckpointEntry {
             group_start,
             group_end,
-            compressed,
             blobs,
         })
     }
@@ -232,7 +234,6 @@ mod tests {
         CheckpointEntry {
             group_start: start,
             group_end: end,
-            compressed: true,
             blobs: vec![vec![start as u8; 16], vec![end as u8; 9]],
         }
     }
@@ -292,6 +293,27 @@ mod tests {
         bytes[n - 10] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let (ckpt, recovered) = Checkpoint::resume_or_create(&path, 9).unwrap();
+        assert_eq!(recovered, vec![entry(0, 2)]);
+        ckpt.remove();
+    }
+
+    #[test]
+    fn unknown_blob_encoding_stops_recovery() {
+        let path = temp_path("encoding");
+        let (mut ckpt, _) = Checkpoint::resume_or_create(&path, 11).unwrap();
+        ckpt.append(&entry(0, 2)).unwrap();
+        drop(ckpt);
+        // A well-framed, checksummed second entry whose encoding byte (after
+        // the two one-byte range varints) is 0, as flat-v2 entries were.
+        let mut payload = entry(2, 5).encode();
+        assert_eq!(payload[2], COMPRESSED);
+        payload[2] = 0;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (ckpt, recovered) = Checkpoint::resume_or_create(&path, 11).unwrap();
         assert_eq!(recovered, vec![entry(0, 2)]);
         ckpt.remove();
     }

@@ -11,9 +11,10 @@
 //! Two encodings coexist:
 //!
 //! * [`encode_batch`]/[`decode_batch`] — the flat encoding of the retired
-//!   wire v2: no longer on the wire, but still the byte-level fingerprint
-//!   tests and benchmarks compare frames by, and what checkpoint entries
-//!   written by a v2-era coordinator hold.
+//!   wire v2. Neither the wire nor checkpoints carry it: it is the
+//!   byte-level fingerprint format tests and benchmarks compare frames
+//!   by, and the round-trip oracle the compressed codec is checked
+//!   against.
 //! * [`encode_batch_compressed`]/[`decode_batch_compressed`] — the v3
 //!   encoding, reusing the store's varint/zigzag-delta codecs on
 //!   numeric columns and dictionary encoding on low-cardinality

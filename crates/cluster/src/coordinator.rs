@@ -49,7 +49,7 @@ use ivnt_store::layout::checksum;
 use ivnt_store::{Footer, Predicate};
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
-use crate::codec::{decode_batch, decode_batch_compressed};
+use crate::codec::decode_batch_compressed;
 use crate::error::{Error, Result};
 use crate::job::JobSpec;
 use crate::plan::{plan_shards_filtered, split_range};
@@ -607,18 +607,13 @@ fn merge_entries(
 ) -> Result<DataFrame> {
     let mut ranges = completed;
     for e in recovered {
-        let decode = if e.compressed {
-            decode_batch_compressed
-        } else {
-            decode_batch
-        };
         ranges.push(MergeRange {
             group_start: e.group_start,
             group_end: e.group_end,
             batches: e
                 .blobs
                 .iter()
-                .map(|blob| decode(blob, schema))
+                .map(|blob| decode_batch_compressed(blob, schema))
                 .collect::<Result<_>>()?,
         });
     }
@@ -888,7 +883,6 @@ impl Driver<'_> {
             ckpt.append(&CheckpointEntry {
                 group_start: slot.task.group_start,
                 group_end: slot.task.group_end,
-                compressed: true,
                 blobs: blobs.into_iter().flat_map(|(_, b)| b).collect(),
             })?;
         }

@@ -759,12 +759,28 @@ impl RuleSet {
         RuleSet { rules }
     }
 
-    /// Adds the presence-conditional rule for one multiplexed DBC signal
-    /// (from [`ivnt_protocol::dbc::parse_dbc_extended`]); the payload-
-    /// relative spec is rebased onto its relevant bytes automatically.
-    pub fn push_dbc_mux(
+    /// Derives `U_rel` from DBC text describing channel `bus`: the
+    /// catalog's fixed rules plus one presence-conditional rule per
+    /// multiplexed signal, which inherits its message's cycle time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Protocol`] when the DBC does not parse.
+    pub fn from_dbc(text: &str, bus: &str) -> Result<RuleSet> {
+        let (catalog, mux) = ivnt_protocol::dbc::parse_dbc(text, bus)?;
+        let mut rules = RuleSet::from_catalog(&catalog);
+        for entry in &mux {
+            let cycle_ms = catalog.message(bus, entry.message_id)?.cycle_time_ms();
+            rules.push_dbc_mux(bus, entry, cycle_ms.map(|ms| ms as f64 / 1e3));
+        }
+        Ok(rules)
+    }
+
+    /// Adds the presence-conditional rule for one multiplexed DBC signal;
+    /// the payload-relative spec is rebased onto its relevant bytes.
+    fn push_dbc_mux(
         &mut self,
-        bus: impl Into<String>,
+        bus: &str,
         entry: &ivnt_protocol::dbc::MuxEntry,
         expected_cycle_s: Option<f64>,
     ) {
@@ -959,31 +975,6 @@ impl RuleSet {
         } else {
             Err(Error::UnknownSignal(signal.to_string()))
         }
-    }
-
-    /// The distinct `(b_id, m_id)` pairs the rules touch — the preselection
-    /// predicate of Algorithm 1 line 3.
-    pub fn message_keys(&self) -> Vec<(String, u32)> {
-        let mut keys: Vec<(String, u32)> = self
-            .rules
-            .iter()
-            .map(|r| (r.bus.clone(), r.message_id))
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        keys.sort();
-        keys
-    }
-
-    /// Groups rule indices by `(b_id, m_id)` for join-style lookup.
-    pub fn index_by_message(&self) -> HashMap<(String, u32), Vec<usize>> {
-        let mut map: HashMap<(String, u32), Vec<usize>> = HashMap::new();
-        for (i, r) in self.rules.iter().enumerate() {
-            map.entry((r.bus.clone(), r.message_id))
-                .or_default()
-                .push(i);
-        }
-        map
     }
 }
 
@@ -1327,9 +1318,13 @@ mod tests {
         // wpos and wvel on FC and DC, wtype on K-LIN only.
         assert_eq!(rs.len(), 5);
         assert_eq!(rs.signal_names(), vec!["wpos", "wtype", "wvel"]);
-        let keys = rs.message_keys();
+        let keys: std::collections::BTreeSet<_> = rs
+            .rules()
+            .iter()
+            .map(|r| (r.bus.clone(), r.message_id))
+            .collect();
         assert_eq!(
-            keys,
+            keys.into_iter().collect::<Vec<_>>(),
             vec![
                 ("DC".to_string(), 3),
                 ("FC".to_string(), 3),
@@ -1415,14 +1410,6 @@ mod tests {
             .unwrap();
         // start bit 19 = byte 2 bit 3; 12 bits walk into byte 3.
         assert_eq!(relevant_byte_range(&spec), (2, 2));
-    }
-
-    #[test]
-    fn index_by_message_groups() {
-        let rs = RuleSet::from_network(&network());
-        let idx = rs.index_by_message();
-        assert_eq!(idx[&("FC".to_string(), 3)].len(), 2);
-        assert_eq!(idx[&("K-LIN".to_string(), 11)].len(), 1);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Compiled decode plans against their scalar reference: for arbitrary
 //! signal specs (start bit, width, endianness, signedness, scaling,
-//! enumerations, multiplexors) and arbitrary payloads — including
+//! enumerations, multiplexors, SOME/IP optional-field layouts) and
+//! arbitrary payloads — including
 //! truncated and null ones — `DecodePlan::decode` must be bit-identical
 //! to the `Rule::relevant_bytes` + `Rule::decode_relevant` scalar path,
 //! reproducing its full error policy: decode errors yield null-valued
-//! instances, absent multiplex cases yield no instance.
+//! instances, absent multiplex cases and absent optional fields yield no
+//! instance.
 
 use std::sync::Arc;
 
 use ivnt_core::rules::{DecodePlan, Packing, PlanDecoded, Rule, RuleInfo};
 use ivnt_protocol::bits::ByteOrder;
 use ivnt_protocol::signal::{PhysicalValue, RawKind, SignalSpec};
+use ivnt_protocol::someip::OptionalFieldLayout;
 use proptest::prelude::*;
 
 /// The scalar oracle: `decode_instance`'s error policy, verbatim.
@@ -145,6 +148,34 @@ fn mux_rule_strategy() -> impl Strategy<Value = Rule> {
         )
 }
 
+/// SOME/IP optional-field rules: layouts of 1–8 fields of 1–8 bytes and
+/// any field index, in range or not. `OptionalFieldLayout::field_offset`
+/// is the parser that reads the presence mask out of trace bytes.
+fn optional_field_rule_strategy() -> impl Strategy<Value = Rule> {
+    (
+        prop::collection::vec(1usize..=8, 1..9),
+        any::<bool>(),
+        0usize..8,
+        any::<usize>(),
+        spec_strategy(),
+    )
+        .prop_map(|(sizes, in_range, near, far, spec)| Rule {
+            signal: "s".to_string(),
+            bus: "SOMEIP".to_string(),
+            message_id: 7,
+            info: RuleInfo {
+                spec,
+                packing: Packing::OptionalField {
+                    layout: OptionalFieldLayout::new(sizes),
+                    field: if in_range { near } else { far },
+                },
+                home_channel: true,
+                comparable: true,
+                expected_cycle_s: None,
+            },
+        })
+}
+
 /// Payloads 0–10 bytes (shorter than many generated windows, so truncation
 /// is common), or null.
 fn payload_strategy() -> impl Strategy<Value = Option<Vec<u8>>> {
@@ -166,6 +197,14 @@ proptest! {
     fn multiplexed_plans_match_scalar_decode(
         rule in mux_rule_strategy(),
         payload in payload_strategy(),
+    ) {
+        assert_bit_identical(&rule, payload.as_deref());
+    }
+
+    #[test]
+    fn optional_field_plans_match_scalar_decode(
+        rule in optional_field_rule_strategy(),
+        payload in prop::option::of(prop::collection::vec(any::<u8>(), 0..41)),
     ) {
         assert_bit_identical(&rule, payload.as_deref());
     }

@@ -106,16 +106,6 @@ pub fn extract(data: &[u8], start_bit: u16, bit_len: u16, order: ByteOrder) -> R
     Ok(value)
 }
 
-/// Extracts a signed raw value (two's complement over `bit_len` bits).
-///
-/// # Errors
-///
-/// Same conditions as [`extract`].
-pub fn extract_signed(data: &[u8], start_bit: u16, bit_len: u16, order: ByteOrder) -> Result<i64> {
-    let raw = extract(data, start_bit, bit_len, order)?;
-    Ok(sign_extend(raw, bit_len))
-}
-
 /// Sign-extends `raw` interpreted as a `bit_len`-bit two's complement value.
 pub fn sign_extend(raw: u64, bit_len: u16) -> i64 {
     if bit_len == 64 {
@@ -198,16 +188,6 @@ mod tests {
         let data = [0b0000_1010, 0xCD];
         let v = extract(&data, 3, 12, ByteOrder::Motorola).unwrap();
         assert_eq!(v, 0b1010_1100_1101);
-    }
-
-    #[test]
-    fn signed_extraction() {
-        let data = [0xFF];
-        assert_eq!(extract_signed(&data, 0, 8, ByteOrder::Intel).unwrap(), -1);
-        let data = [0x80];
-        assert_eq!(extract_signed(&data, 0, 8, ByteOrder::Intel).unwrap(), -128);
-        let data = [0x7F];
-        assert_eq!(extract_signed(&data, 0, 8, ByteOrder::Intel).unwrap(), 127);
     }
 
     #[test]

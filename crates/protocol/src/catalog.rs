@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
 use crate::message::MessageSpec;
-use crate::signal::{PhysicalValue, SignalSpec};
+use crate::signal::SignalSpec;
 
 /// A database of every message (and therefore signal) type on every channel,
 /// keyed by `(b_id, m_id)`.
@@ -84,18 +84,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Rebuilds the lookup indexes (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index.clear();
-        self.signal_index.clear();
-        for (mi, m) in self.messages.iter().enumerate() {
-            self.index.insert((m.bus().to_string(), m.id()), mi);
-            for (si, s) in m.signals().iter().enumerate() {
-                self.signal_index.insert(s.name().to_string(), (mi, si));
-            }
-        }
-    }
-
     /// All message definitions.
     pub fn messages(&self) -> &[MessageSpec] {
         &self.messages
@@ -136,24 +124,6 @@ impl Catalog {
             .get(name)
             .map(|&(mi, si)| (&self.messages[mi], &self.messages[mi].signals()[si]))
             .ok_or_else(|| Error::UnknownSignal(name.to_string()))
-    }
-
-    /// Decodes all signals of a raw payload received as `(bus, id)`.
-    ///
-    /// This is the sequential "interpret everything on ingest" primitive
-    /// that monitoring tools (and the baseline comparator) use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownMessage`] for unknown `(bus, id)` and
-    /// propagates decode failures.
-    pub fn decode_payload(
-        &self,
-        bus: &str,
-        id: u32,
-        payload: &[u8],
-    ) -> Result<Vec<(String, PhysicalValue)>> {
-        self.message(bus, id)?.decode_all(payload)
     }
 
     /// All distinct channel identifiers.
@@ -241,32 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn decode_payload_full_message() {
-        let c = catalog();
-        let decoded = c
-            .decode_payload("FC", 3, &[0x5A, 0x00, 0x01, 0x00])
-            .unwrap();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0].1, PhysicalValue::Num(45.0));
-    }
-
-    #[test]
     fn buses_sorted_unique() {
         let c = catalog();
         assert_eq!(c.buses(), vec!["FC", "K-LIN"]);
-    }
-
-    #[test]
-    fn rebuild_index_after_manual_construction() {
-        let c0 = catalog();
-        let mut c = Catalog {
-            messages: c0.messages.clone(),
-            index: HashMap::new(),
-            signal_index: HashMap::new(),
-        };
-        assert!(c.message("FC", 3).is_err());
-        c.rebuild_index();
-        assert!(c.message("FC", 3).is_ok());
-        assert_eq!(c.num_signals(), 3);
     }
 }

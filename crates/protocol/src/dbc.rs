@@ -17,8 +17,9 @@
 //! * `BA_ "GenMsgCycleTime" BO_ <id> <ms>;` — cycle times
 //! * `CM_ ...;` comments are skipped
 //!
-//! Multiplexed signals (`m0`/`M` indicators) are not supported and produce
-//! a clear error naming the line.
+//! Multiplexed signals (`M` selector, `m<k>` pages) are returned beside the
+//! catalog as [`MuxEntry`]s: their bytes are only valid on their page, so
+//! each becomes a presence-conditional rule instead of a catalog signal.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -45,7 +46,7 @@ enum MuxRole {
     Multiplexed(u64),
 }
 
-/// One multiplexed signal extracted by [`parse_dbc_extended`]: it is *not*
+/// One multiplexed signal extracted by [`parse_dbc`]: it is *not*
 /// part of the catalog message (its bytes are only valid on its page) and
 /// must be extracted with a presence-conditional rule.
 #[derive(Debug, Clone)]
@@ -86,11 +87,16 @@ struct PendingMessage {
 /// Parses DBC text into a [`Catalog`], assigning every message to channel
 /// `bus` (DBC files describe one bus each).
 ///
+/// The catalog holds each message's always-present signals (including the
+/// multiplexor); every `m<k>`-multiplexed signal is returned as a
+/// [`MuxEntry`] for presence-conditional extraction.
+///
 /// # Errors
 ///
 /// Returns [`Error::InvalidSpec`] with the offending line number for
-/// malformed statements, unsupported multiplexing, or inconsistent specs
-/// (duplicate ids, out-of-payload signals, ...).
+/// malformed statements, a multiplexed signal in a message without a
+/// multiplexor, or inconsistent specs (duplicate ids, out-of-payload
+/// signals, ...).
 ///
 /// # Examples
 ///
@@ -103,33 +109,13 @@ struct PendingMessage {
 ///  SG_ wpos : 0|16@1+ (0.5,0) [0|180] "deg" Receiver
 ///  SG_ wvel : 16|16@1+ (1,0) [0|10] "rad/min" Receiver
 /// "#;
-/// let catalog = dbc::parse_dbc(text, "FC")?;
+/// let (catalog, mux) = dbc::parse_dbc(text, "FC")?;
 /// assert_eq!(catalog.message("FC", 3)?.signals().len(), 2);
+/// assert!(mux.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-pub fn parse_dbc(text: &str, bus: &str) -> Result<Catalog> {
-    let (catalog, mux) = parse_dbc_extended(text, bus)?;
-    if let Some(entry) = mux.first() {
-        return Err(Error::InvalidSpec(format!(
-            "message {} carries multiplexed signal {}; use parse_dbc_extended",
-            entry.message_id,
-            entry.signal.name()
-        )));
-    }
-    Ok(catalog)
-}
-
-/// Like [`parse_dbc`], but supports multiplexed signals: the catalog holds
-/// each message's always-present signals (including the multiplexor), and
-/// every `m<k>`-multiplexed signal is returned as a [`MuxEntry`] for
-/// presence-conditional extraction.
-///
-/// # Errors
-///
-/// Same conditions as [`parse_dbc`], plus a clear error when a multiplexed
-/// signal appears in a message without a multiplexor.
-pub fn parse_dbc_extended(text: &str, bus: &str) -> Result<(Catalog, Vec<MuxEntry>)> {
+pub fn parse_dbc(text: &str, bus: &str) -> Result<(Catalog, Vec<MuxEntry>)> {
     let mut messages: Vec<PendingMessage> = Vec::new();
     let mut enums: HashMap<(u32, String), Vec<(u64, String)>> = HashMap::new();
     let mut cycle_times: HashMap<u32, u32> = HashMap::new();
@@ -482,7 +468,7 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn parses_messages_and_signals() {
-        let catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         assert_eq!(catalog.num_messages(), 2);
         let wiper = catalog.message("FC", 3).unwrap();
         assert_eq!(wiper.name(), "WiperStatus");
@@ -496,7 +482,7 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn parses_motorola_signed() {
-        let catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         let temp = catalog.message("FC", 120).unwrap().signal("temp").unwrap();
         assert_eq!(temp.byte_order(), ByteOrder::Motorola);
         assert_eq!(temp.raw_kind(), RawKind::Signed);
@@ -505,7 +491,7 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn parses_enumerations() {
-        let catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         let state = catalog.message("FC", 120).unwrap().signal("state").unwrap();
         assert!(state.is_enumerated());
         assert_eq!(state.enumeration().get(&2), Some(&"driving".to_string()));
@@ -513,7 +499,7 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn decoded_values_match_spec() {
-        let catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         let wpos = catalog.message("FC", 3).unwrap().signal("wpos").unwrap();
         assert_eq!(
             wpos.decode(&[0x5A, 0x00, 0x00, 0x00]).unwrap().as_num(),
@@ -522,16 +508,9 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
     }
 
     #[test]
-    fn plain_parse_rejects_multiplexing_with_hint() {
-        let text = "BO_ 1 Msg: 8 E\n SG_ page M : 0|8@1+ (1,0) [0|255] \"\" R\n SG_ sig m0 : 8|8@1+ (1,0) [0|255] \"\" R\n";
-        let err = parse_dbc(text, "B").unwrap_err();
-        assert!(err.to_string().contains("parse_dbc_extended"), "{err}");
-    }
-
-    #[test]
-    fn extended_parse_returns_mux_entries() {
+    fn parse_returns_mux_entries() {
         let text = "BO_ 1 Msg: 8 E\n SG_ page M : 0|8@1+ (1,0) [0|255] \"\" R\n SG_ oil m0 : 8|16@1+ (0.1,-40) [0|100] \"C\" R\n SG_ cool m1 : 8|16@1+ (0.1,-40) [0|100] \"C\" R\n";
-        let (catalog, mux) = parse_dbc_extended(text, "B").unwrap();
+        let (catalog, mux) = parse_dbc(text, "B").unwrap();
         // The catalog holds the multiplexor only.
         assert_eq!(catalog.message("B", 1).unwrap().signals().len(), 1);
         assert_eq!(mux.len(), 2);
@@ -545,14 +524,14 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
     #[test]
     fn multiplexed_without_multiplexor_rejected() {
         let text = "BO_ 1 Msg: 8 E\n SG_ sig m0 : 8|8@1+ (1,0) [0|255] \"\" R\n";
-        let err = parse_dbc_extended(text, "B").unwrap_err();
+        let err = parse_dbc(text, "B").unwrap_err();
         assert!(err.to_string().contains("no multiplexor"), "{err}");
     }
 
     #[test]
     fn bad_mux_indicator_reports_line() {
         let text = "BO_ 1 Msg: 8 E\n SG_ sig xyz : 8|8@1+ (1,0) [0|255] \"\" R\n";
-        let err = parse_dbc_extended(text, "B").unwrap_err();
+        let err = parse_dbc(text, "B").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 
@@ -578,9 +557,9 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn export_roundtrips() {
-        let catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         let text = to_dbc(&catalog, "FC");
-        let reparsed = parse_dbc(&text, "FC").unwrap();
+        let (reparsed, _) = parse_dbc(&text, "FC").unwrap();
         assert_eq!(reparsed.num_messages(), catalog.num_messages());
         for m in catalog.messages() {
             let rm = reparsed.message("FC", m.id()).unwrap();
@@ -600,7 +579,7 @@ VAL_ 120 state 0 "parking" 1 "standby" 2 "driving" ;
 
     #[test]
     fn other_buses_excluded_from_export() {
-        let mut catalog = parse_dbc(SAMPLE, "FC").unwrap();
+        let (mut catalog, _) = parse_dbc(SAMPLE, "FC").unwrap();
         catalog
             .add_message(
                 MessageSpec::builder(9, "Other", "LIN", Protocol::Lin)

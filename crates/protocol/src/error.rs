@@ -5,7 +5,7 @@ use std::fmt;
 /// Result alias used throughout [`ivnt_protocol`](crate).
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors produced by frame and signal codecs.
+/// Errors produced by the signal codecs and the catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// A signal's bit range does not fit into the payload.
@@ -40,19 +40,12 @@ pub enum Error {
         /// Unmatched label.
         label: String,
     },
-    /// A payload is shorter than the protocol header requires.
+    /// A payload is shorter than its layout requires.
     TruncatedFrame {
         /// Expected minimum size in bytes.
         expected: usize,
         /// Actual size in bytes.
         actual: usize,
-    },
-    /// A checksum did not verify (LIN).
-    ChecksumMismatch {
-        /// Checksum carried by the frame.
-        stored: u8,
-        /// Checksum recomputed from the data.
-        computed: u8,
     },
     /// Catalog lookup failed.
     UnknownMessage {
@@ -90,12 +83,6 @@ impl fmt::Display for Error {
             }
             Error::TruncatedFrame { expected, actual } => {
                 write!(f, "frame truncated: need {expected} bytes, got {actual}")
-            }
-            Error::ChecksumMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "checksum mismatch: stored {stored:#04x}, computed {computed:#04x}"
-                )
             }
             Error::UnknownMessage { bus, message_id } => {
                 write!(f, "no message {message_id} on channel {bus}")

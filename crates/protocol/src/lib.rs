@@ -1,11 +1,12 @@
 //! # ivnt-protocol — in-vehicle network protocol model
 //!
-//! Frame structures and bit-level signal codecs for the three protocol
-//! families the DAC'18 paper extracts signals from: **CAN**, **LIN** and
-//! **SOME/IP**. A [`Catalog`] plays the role of the
-//! vehicle's communication documentation (a DBC database): it defines every
-//! message type `m = (S, m_id, b_id)` and every signal type `s_id` with its
-//! packing geometry and physical coding.
+//! Bit-level signal codecs for the payloads of the three protocol families
+//! the DAC'18 paper extracts signals from: **CAN**, **LIN** and
+//! **SOME/IP**. Traces arrive as logged records `(t, b_id, m_id, payload)`,
+//! so no link-layer frame is built or parsed here. A [`Catalog`] plays the
+//! role of the vehicle's communication documentation (a DBC database): it
+//! defines every message type `m = (S, m_id, b_id)` and every signal type
+//! `s_id` with its packing geometry and physical coding.
 //!
 //! * [`bits`] — raw bit-field extraction/insertion (Intel and Motorola
 //!   start-bit conventions),
@@ -14,8 +15,8 @@
 //!   [`PhysicalValue`],
 //! * [`message`] — [`MessageSpec`]: the signal set
 //!   carried by a message type,
-//! * [`can`] / [`lin`] / [`someip`] — frame codecs, including SOME/IP
-//!   presence-conditional optional fields,
+//! * [`someip`] — SOME/IP presence-conditional optional fields,
+//! * [`dbc`] — DBC import (multiplexed signals included) and export,
 //! * [`catalog`] — the per-vehicle message/signal database.
 //!
 //! # Examples
@@ -36,31 +37,25 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod can;
 pub mod catalog;
 pub mod dbc;
 pub mod error;
-pub mod lin;
 pub mod message;
 pub mod signal;
 pub mod someip;
 
 pub use bits::ByteOrder;
-pub use can::{CanFdFrame, CanFrame, CanId};
 pub use catalog::Catalog;
 pub use error::{Error, Result};
-pub use lin::LinFrame;
 pub use message::{MessageSpec, Protocol};
 pub use signal::{PhysicalValue, RawKind, SignalSpec};
-pub use someip::{OptionalFieldLayout, SomeIpMessage};
+pub use someip::OptionalFieldLayout;
 
 /// Convenient glob import of the protocol model's common types.
 pub mod prelude {
     pub use crate::bits::ByteOrder;
-    pub use crate::can::{CanFdFrame, CanFrame, CanId};
     pub use crate::catalog::Catalog;
-    pub use crate::lin::LinFrame;
     pub use crate::message::{MessageSpec, Protocol};
     pub use crate::signal::{PhysicalValue, RawKind, SignalSpec};
-    pub use crate::someip::{OptionalFieldLayout, SomeIpMessage};
+    pub use crate::someip::OptionalFieldLayout;
 }

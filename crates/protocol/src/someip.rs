@@ -1,199 +1,7 @@
-//! SOME/IP messages (service-oriented payloads with optional fields).
-
-use bytes::Bytes;
+//! SOME/IP optional-field payloads: the presence-mask layout that
+//! `ivnt-core`'s `Packing::OptionalField` rules read.
 
 use crate::error::{Error, Result};
-
-/// SOME/IP message type field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageType {
-    /// Fire-and-forget request.
-    Notification,
-    /// Request expecting a response.
-    Request,
-    /// Response to a request.
-    Response,
-    /// Error response.
-    Error,
-}
-
-impl MessageType {
-    fn to_byte(self) -> u8 {
-        match self {
-            MessageType::Request => 0x00,
-            MessageType::Notification => 0x02,
-            MessageType::Response => 0x80,
-            MessageType::Error => 0x81,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<MessageType> {
-        Ok(match b {
-            0x00 => MessageType::Request,
-            0x02 => MessageType::Notification,
-            0x80 => MessageType::Response,
-            0x81 => MessageType::Error,
-            other => {
-                return Err(Error::InvalidSpec(format!(
-                    "unknown SOME/IP message type {other:#04x}"
-                )))
-            }
-        })
-    }
-}
-
-/// A SOME/IP message: the standard 16-byte header plus payload.
-///
-/// The *message id* (service id « 16 | method id) plays the role of the
-/// paper's `m_id` on SOME/IP channels.
-///
-/// # Examples
-///
-/// ```
-/// use ivnt_protocol::someip::{MessageType, SomeIpMessage};
-///
-/// # fn main() -> ivnt_protocol::Result<()> {
-/// let msg = SomeIpMessage::new(0x00D4, 0x0001, MessageType::Notification, &[0x0A, 0x0B]);
-/// let wire = msg.to_wire();
-/// let parsed = SomeIpMessage::from_wire(&wire)?;
-/// assert_eq!(parsed.message_id(), msg.message_id());
-/// assert_eq!(parsed.payload(), &[0x0A, 0x0B]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SomeIpMessage {
-    service_id: u16,
-    method_id: u16,
-    client_id: u16,
-    session_id: u16,
-    interface_version: u8,
-    message_type: MessageType,
-    return_code: u8,
-    payload: Bytes,
-}
-
-/// SOME/IP protocol version carried in every header.
-pub const PROTOCOL_VERSION: u8 = 0x01;
-/// Header length in bytes (after the length field's own coverage begins).
-pub const HEADER_LEN: usize = 16;
-
-impl SomeIpMessage {
-    /// Creates a notification/request message.
-    pub fn new(
-        service_id: u16,
-        method_id: u16,
-        message_type: MessageType,
-        payload: &[u8],
-    ) -> SomeIpMessage {
-        SomeIpMessage {
-            service_id,
-            method_id,
-            client_id: 0,
-            session_id: 0,
-            interface_version: 1,
-            message_type,
-            return_code: 0,
-            payload: Bytes::copy_from_slice(payload),
-        }
-    }
-
-    /// Combined message id: `service_id << 16 | method_id`.
-    pub fn message_id(&self) -> u32 {
-        (self.service_id as u32) << 16 | self.method_id as u32
-    }
-
-    /// Service identifier.
-    pub fn service_id(&self) -> u16 {
-        self.service_id
-    }
-
-    /// Method/event identifier.
-    pub fn method_id(&self) -> u16 {
-        self.method_id
-    }
-
-    /// Message type field.
-    pub fn message_type(&self) -> MessageType {
-        self.message_type
-    }
-
-    /// The payload bytes following the header.
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// Sets the request id (client and session).
-    pub fn with_request_id(mut self, client_id: u16, session_id: u16) -> SomeIpMessage {
-        self.client_id = client_id;
-        self.session_id = session_id;
-        self
-    }
-
-    /// Serializes to the standard SOME/IP on-wire layout (big endian).
-    pub fn to_wire(&self) -> Vec<u8> {
-        let length = 8 + self.payload.len() as u32; // request id .. payload
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.service_id.to_be_bytes());
-        out.extend_from_slice(&self.method_id.to_be_bytes());
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&self.client_id.to_be_bytes());
-        out.extend_from_slice(&self.session_id.to_be_bytes());
-        out.push(PROTOCOL_VERSION);
-        out.push(self.interface_version);
-        out.push(self.message_type.to_byte());
-        out.push(self.return_code);
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses the wire layout of [`SomeIpMessage::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TruncatedFrame`] when shorter than the header or the
-    /// declared length, and [`Error::InvalidSpec`] for unknown protocol
-    /// versions or message types.
-    pub fn from_wire(wire: &[u8]) -> Result<SomeIpMessage> {
-        if wire.len() < HEADER_LEN {
-            return Err(Error::TruncatedFrame {
-                expected: HEADER_LEN,
-                actual: wire.len(),
-            });
-        }
-        let service_id = u16::from_be_bytes([wire[0], wire[1]]);
-        let method_id = u16::from_be_bytes([wire[2], wire[3]]);
-        let length = u32::from_be_bytes([wire[4], wire[5], wire[6], wire[7]]) as usize;
-        if length < 8 || wire.len() < 8 + length {
-            return Err(Error::TruncatedFrame {
-                expected: 8 + length.max(8),
-                actual: wire.len(),
-            });
-        }
-        let client_id = u16::from_be_bytes([wire[8], wire[9]]);
-        let session_id = u16::from_be_bytes([wire[10], wire[11]]);
-        if wire[12] != PROTOCOL_VERSION {
-            return Err(Error::InvalidSpec(format!(
-                "unsupported SOME/IP protocol version {:#04x}",
-                wire[12]
-            )));
-        }
-        let interface_version = wire[13];
-        let message_type = MessageType::from_byte(wire[14])?;
-        let return_code = wire[15];
-        let payload = Bytes::copy_from_slice(&wire[16..8 + length]);
-        Ok(SomeIpMessage {
-            service_id,
-            method_id,
-            client_id,
-            session_id,
-            interface_version,
-            message_type,
-            return_code,
-            payload,
-        })
-    }
-}
 
 /// An optional-field payload: the first byte is a presence bitmask gating up
 /// to eight fixed-width fields that follow in mask-bit order.
@@ -321,43 +129,6 @@ impl OptionalFieldLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_roundtrip() {
-        let m = SomeIpMessage::new(0x00D4, 0x0001, MessageType::Notification, &[1, 2, 3])
-            .with_request_id(0x1111, 0x0007);
-        let parsed = SomeIpMessage::from_wire(&m.to_wire()).unwrap();
-        assert_eq!(parsed, m);
-        assert_eq!(parsed.message_id(), 0x00D4_0001);
-    }
-
-    #[test]
-    fn truncated_and_bad_version() {
-        assert!(matches!(
-            SomeIpMessage::from_wire(&[0; 10]),
-            Err(Error::TruncatedFrame { .. })
-        ));
-        let m = SomeIpMessage::new(1, 2, MessageType::Request, &[]);
-        let mut wire = m.to_wire();
-        wire[12] = 0x42;
-        assert!(matches!(
-            SomeIpMessage::from_wire(&wire),
-            Err(Error::InvalidSpec(_))
-        ));
-        let mut wire = m.to_wire();
-        wire[14] = 0x55;
-        assert!(SomeIpMessage::from_wire(&wire).is_err());
-    }
-
-    #[test]
-    fn declared_length_enforced() {
-        let m = SomeIpMessage::new(1, 2, MessageType::Response, &[9, 9, 9]);
-        let wire = m.to_wire();
-        assert!(matches!(
-            SomeIpMessage::from_wire(&wire[..wire.len() - 1]),
-            Err(Error::TruncatedFrame { .. })
-        ));
-    }
 
     #[test]
     fn optional_fields_shift_with_presence() {

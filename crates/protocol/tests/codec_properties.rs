@@ -1,10 +1,8 @@
-//! Property tests: every codec must roundtrip for arbitrary valid inputs.
+//! Property tests: the bit and signal codecs roundtrip for arbitrary valid
+//! inputs.
 
 use ivnt_protocol::bits::{self, ByteOrder};
-use ivnt_protocol::can::{CanFrame, CanId};
-use ivnt_protocol::lin::LinFrame;
 use ivnt_protocol::signal::{PhysicalValue, RawKind, SignalSpec};
-use ivnt_protocol::someip::{MessageType, SomeIpMessage};
 use proptest::prelude::*;
 
 proptest! {
@@ -100,47 +98,5 @@ proptest! {
         let mut payload = [0u8; 1];
         s.encode(&mut payload, &PhysicalValue::Num(raw as f64)).unwrap();
         prop_assert_eq!(s.decode(&payload).unwrap().as_num(), Some(raw as f64));
-    }
-
-    /// CAN frames roundtrip through the wire format.
-    #[test]
-    fn can_wire_roundtrip(id in 0u16..0x800, data in prop::collection::vec(any::<u8>(), 0..9)) {
-        let f = CanFrame::new(CanId::standard(id).unwrap(), &data).unwrap();
-        prop_assert_eq!(CanFrame::from_wire(&f.to_wire()).unwrap(), f);
-    }
-
-    /// LIN frames roundtrip and always carry a valid checksum.
-    #[test]
-    fn lin_wire_roundtrip(id in 0u8..0x40, data in prop::collection::vec(any::<u8>(), 0..9)) {
-        let f = LinFrame::new(id, &data).unwrap();
-        prop_assert!(f.verify_checksum());
-        prop_assert_eq!(LinFrame::from_wire(&f.to_wire()).unwrap(), f);
-    }
-
-    /// SOME/IP messages roundtrip through the wire format.
-    #[test]
-    fn someip_wire_roundtrip(
-        service in any::<u16>(),
-        method in any::<u16>(),
-        payload in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let m = SomeIpMessage::new(service, method, MessageType::Notification, &payload);
-        prop_assert_eq!(SomeIpMessage::from_wire(&m.to_wire()).unwrap(), m);
-    }
-
-    /// Single-bit corruption of a LIN frame body is always detected.
-    #[test]
-    fn lin_detects_single_bit_flips(
-        id in 0u8..0x40,
-        data in prop::collection::vec(any::<u8>(), 1..8),
-        flip_byte in 0usize..8,
-        flip_bit in 0usize..8,
-    ) {
-        let f = LinFrame::new(id, &data).unwrap();
-        let mut wire = f.to_wire();
-        // Only corrupt data or checksum bytes (pid corruption may trip parity instead).
-        let idx = 2 + flip_byte % (wire.len() - 2);
-        wire[idx] ^= 1 << flip_bit;
-        prop_assert!(LinFrame::from_wire(&wire).is_err());
     }
 }

@@ -108,7 +108,7 @@ proptest! {
 
         let catalog = build_catalog(&plans);
         let text = to_dbc(&catalog, "B");
-        let reparsed = parse_dbc(&text, "B").expect("reparse");
+        let (reparsed, _) = parse_dbc(&text, "B").expect("reparse");
 
         prop_assert_eq!(reparsed.num_messages(), catalog.num_messages());
         for m in catalog.messages() {

@@ -1,17 +1,13 @@
-//! Robustness: the DBC parser and frame decoders must never panic on
-//! arbitrary text/bytes.
+//! Robustness: the DBC parser must never panic on arbitrary text.
 
-use ivnt_protocol::can::{CanFdFrame, CanFrame};
-use ivnt_protocol::dbc::parse_dbc_extended;
-use ivnt_protocol::lin::LinFrame;
-use ivnt_protocol::someip::SomeIpMessage;
+use ivnt_protocol::dbc::parse_dbc;
 use proptest::prelude::*;
 
 proptest! {
     /// Arbitrary text never panics the DBC parser.
     #[test]
     fn dbc_parser_never_panics(text in "\\PC{0,400}") {
-        let _ = parse_dbc_extended(&text, "B");
+        let _ = parse_dbc(&text, "B");
     }
 
     /// DBC-looking garbage (keywords + junk) never panics either.
@@ -26,15 +22,6 @@ proptest! {
         )
     ) {
         let text: String = parts.concat();
-        let _ = parse_dbc_extended(&text, "B");
-    }
-
-    /// Arbitrary bytes never panic the frame wire parsers.
-    #[test]
-    fn wire_parsers_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        let _ = CanFrame::from_wire(&bytes);
-        let _ = CanFdFrame::from_wire(&bytes);
-        let _ = LinFrame::from_wire(&bytes);
-        let _ = SomeIpMessage::from_wire(&bytes);
+        let _ = parse_dbc(&text, "B");
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * [`swab`] — SWAB online segmentation (Keogh et al., ICDM 2001),
 //! * [`sax`] — PAA + SAX symbolization (Lin et al., DMKD 2003),
-//! * [`smooth`] — moving-average / exponential / median smoothing,
+//! * [`smooth`] — moving-average / exponential smoothing,
 //! * [`outlier`] — z-score, Hampel and IQR outlier detection,
 //! * [`trend`] — least-squares gradient and qualitative trend labels,
 //! * [`segment`] / [`stats`] — shared fitting and statistics primitives.

@@ -73,24 +73,6 @@ pub fn iqr_outliers(data: &[f64], k: f64) -> Vec<bool> {
     data.iter().map(|&x| x < lo || x > hi).collect()
 }
 
-/// Splits `values` by `mask` into `(marked, unmarked)` index lists.
-///
-/// # Panics
-///
-/// Panics in debug builds when lengths differ.
-pub fn partition_by_mask(mask: &[bool]) -> (Vec<usize>, Vec<usize>) {
-    let mut marked = Vec::new();
-    let mut unmarked = Vec::new();
-    for (i, &m) in mask.iter().enumerate() {
-        if m {
-            marked.push(i);
-        } else {
-            unmarked.push(i);
-        }
-    }
-    (marked, unmarked)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +121,5 @@ mod tests {
         let mask = iqr_outliers(&d, 1.5);
         assert!(mask[25]);
         assert!(iqr_outliers(&[], 1.5).is_empty());
-    }
-
-    #[test]
-    fn partition_splits_indices() {
-        let (out, inl) = partition_by_mask(&[true, false, false, true]);
-        assert_eq!(out, vec![0, 3]);
-        assert_eq!(inl, vec![1, 2]);
     }
 }

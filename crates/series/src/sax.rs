@@ -137,43 +137,6 @@ pub fn sax_word(data: &[f64], word_len: usize, alphabet_size: usize) -> Vec<char
     approx.iter().map(|&v| symbol_for(v, &bps)).collect()
 }
 
-/// Minimum distance between two SAX words under the MINDIST lookup of the
-/// SAX paper, scaled for original series length `n`.
-///
-/// # Panics
-///
-/// Panics if word lengths differ or a symbol is outside the alphabet.
-pub fn mindist(word_a: &[char], word_b: &[char], alphabet_size: usize, n: usize) -> f64 {
-    assert_eq!(word_a.len(), word_b.len(), "SAX words must align");
-    if word_a.is_empty() {
-        return 0.0;
-    }
-    let bps = breakpoints(alphabet_size);
-    let cell = |c: char| -> usize {
-        let idx = (c as u8 - b'a') as usize;
-        assert!(idx < alphabet_size, "symbol outside alphabet");
-        idx
-    };
-    let dist = |a: usize, b: usize| -> f64 {
-        if a.abs_diff(b) <= 1 {
-            0.0
-        } else {
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            bps[hi - 1] - bps[lo]
-        }
-    };
-    let w = word_a.len();
-    let sum: f64 = word_a
-        .iter()
-        .zip(word_b)
-        .map(|(&a, &b)| {
-            let d = dist(cell(a), cell(b));
-            d * d
-        })
-        .sum();
-    ((n as f64 / w as f64) * sum).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,18 +208,6 @@ mod tests {
         let word = sax_word(&[5.0; 32], 4, 4);
         // z-normalized constant = 0 -> symbol 'c' (first cell >= 0 boundary).
         assert!(word.iter().all(|&c| c == 'c'));
-    }
-
-    #[test]
-    fn mindist_properties() {
-        let a: Vec<char> = "aabb".chars().collect();
-        let b: Vec<char> = "aabb".chars().collect();
-        let c: Vec<char> = "ddda".chars().collect();
-        assert_eq!(mindist(&a, &b, 4, 64), 0.0);
-        assert!(mindist(&a, &c, 4, 64) > 0.0);
-        // Adjacent symbols have zero lower-bound distance.
-        let d: Vec<char> = "bbcc".chars().collect();
-        assert_eq!(mindist(&a, &d, 4, 64), 0.0);
     }
 
     #[test]

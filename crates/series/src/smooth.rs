@@ -41,23 +41,6 @@ pub fn exponential(data: &[f64], alpha: f64) -> Vec<f64> {
     out
 }
 
-/// Centered median filter; robust smoothing that preserves steps.
-///
-/// `window == 0` or `1` returns the input unchanged.
-pub fn median_filter(data: &[f64], window: usize) -> Vec<f64> {
-    if window <= 1 || data.is_empty() {
-        return data.to_vec();
-    }
-    let half = window / 2;
-    (0..data.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(data.len());
-            crate::stats::median(&data[lo..hi])
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,18 +77,5 @@ mod tests {
         assert_eq!(out, vec![0.0, 5.0]);
         let out = exponential(&[1.0, 2.0, 3.0], 1.0);
         assert_eq!(out, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn median_filter_removes_spike_keeps_step() {
-        let mut data = vec![1.0; 11];
-        data[5] = 100.0; // spike
-        let out = median_filter(&data, 3);
-        assert_eq!(out[5], 1.0);
-        // Step preserved:
-        let step: Vec<f64> = (0..10).map(|i| if i < 5 { 0.0 } else { 8.0 }).collect();
-        let out = median_filter(&step, 3);
-        assert_eq!(out[3], 0.0);
-        assert_eq!(out[6], 8.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use ivnt_series::sax::{breakpoints, paa, sax_word, symbol_for};
 use ivnt_series::segment::Segment;
-use ivnt_series::smooth::{exponential, median_filter, moving_average};
+use ivnt_series::smooth::{exponential, moving_average};
 use ivnt_series::stats;
 use ivnt_series::swab::{bottom_up, bottom_up_naive, is_contiguous, swab, swab_naive, SwabConfig};
 use ivnt_series::trend::{classify_slope, point_gradient, Trend};
@@ -98,7 +98,7 @@ proptest! {
     fn smoothing_bounded(data in prop::collection::vec(-100f64..100.0, 1..200), w in 0usize..9) {
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for out in [moving_average(&data, w), median_filter(&data, w), exponential(&data, 0.4)] {
+        for out in [moving_average(&data, w), exponential(&data, 0.4)] {
             prop_assert_eq!(out.len(), data.len());
             prop_assert!(out.iter().all(|&v| v >= lo - 1e-9 && v <= hi + 1e-9));
         }

@@ -5,48 +5,13 @@
 #   scripts/loc.sh FILE...    one line per file, then their sum
 #
 # Counts crates/*/src/**/*.rs minus blank lines, `//` comment lines and
-# `#[cfg(test)]` items. An item is skipped up to its matching closing brace
-# (or its `;` when it has no body), so code after a test module still
-# counts. `crates/bench` is reported apart from the library total. The
-# script reports; it gates nothing.
+# `#[cfg(test)]` items (scripts/code_lines.awk). `crates/bench` is reported
+# apart from the library total. The script reports; it gates nothing.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 count() {
-    awk '
-        function braces(line,    i, c, n) {
-            n = 0
-            for (i = 1; i <= length(line); i++) {
-                c = substr(line, i, 1)
-                if (c == "{") { n++; opened = 1 }
-                else if (c == "}") n--
-            }
-            return n
-        }
-        FNR == 1 { skipping = 0; pending = 0 }
-        {
-            line = $0
-            sub(/^[ \t]+/, "", line)
-            if (skipping) {
-                depth += braces(line)
-                if ((opened && depth <= 0) || (!opened && line ~ /;[ \t]*$/)) skipping = 0
-                next
-            }
-            if (line ~ /^#\[cfg\(test\)\]/) {
-                rest = line
-                sub(/^#\[cfg\(test\)\][ \t]*/, "", rest)
-                skipping = 1; depth = 0; opened = 0
-                if (rest != "") {
-                    depth += braces(rest)
-                    if ((opened && depth <= 0) || (!opened && rest ~ /;[ \t]*$/)) skipping = 0
-                }
-                next
-            }
-            if (line == "" || line ~ /^\/\//) next
-            total++
-        }
-        END { print total + 0 }
-    ' "$@"
+    awk -f scripts/code_lines.awk "$@" | wc -l
 }
 
 if [ "$#" -gt 0 ]; then

@@ -7,7 +7,8 @@
 //!
 //! * [`frame`] — the embedded partition-parallel DataFrame engine (the
 //!   Spark substitute),
-//! * [`protocol`] — CAN / LIN / SOME-IP frame model and signal codecs,
+//! * [`protocol`] — CAN / LIN / SOME-IP payload signal codecs, the signal
+//!   catalog and DBC import,
 //! * [`series`] — SWAB segmentation, SAX symbolization, smoothing,
 //!   outlier detection,
 //! * [`simulator`] — the in-vehicle network and trace generator (the data

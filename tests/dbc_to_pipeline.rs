@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use ivnt::core::prelude::*;
 use ivnt::core::tabular::columns as c;
-use ivnt::protocol::dbc;
 use ivnt::protocol::message::Protocol;
 use ivnt::simulator::prelude::*;
 
@@ -26,12 +25,7 @@ BA_ "GenMsgCycleTime" BO_ 3 100;
 "#;
 
 fn rules_from_matrix() -> RuleSet {
-    let (catalog, mux) = dbc::parse_dbc_extended(MATRIX, "PT").expect("matrix parses");
-    let mut rules = RuleSet::from_catalog(&catalog);
-    for entry in &mux {
-        rules.push_dbc_mux("PT", entry, None);
-    }
-    rules
+    RuleSet::from_dbc(MATRIX, "PT").expect("matrix parses")
 }
 
 fn trace() -> Trace {
