@@ -289,8 +289,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"straggler\": {{\n",
             "    \"workers\": {},\n",
             "    \"seconds\": {:.6},\n",
-            "    \"splits\": {},\n",
-            "    \"steals\": {}\n",
+            "    \"splits\": {}\n",
             "  }},\n",
             "  \"restart\": {{\n",
             "    \"resume_seconds\": {:.6},\n",
@@ -320,7 +319,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         straggler_workers,
         straggler_secs,
         straggler_stats.splits,
-        straggler_stats.steals,
         resume_secs,
         tasks_resumed,
     );
@@ -340,10 +338,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "straggler ({straggler_workers} workers, one slowed)  {:>6.1} ms  \
-         {} splits, {} steals",
+         {} splits",
         straggler_secs * 1e3,
         straggler_stats.splits,
-        straggler_stats.steals
     );
     println!(
         "restart resume        {:>9.1} ms  {tasks_resumed} tasks from checkpoint",

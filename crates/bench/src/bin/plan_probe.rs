@@ -4,9 +4,12 @@
 //! domains (N ∈ {1, 2, 4, 8}) — the paper's multi-tenant deployment shape,
 //! every domain watching different signals of the same traffic — and
 //! measures answering all N full runs from one shared store pass
-//! ([`Planner::run`], what `ivnt query` runs) against running them as N
-//! sequential [`Pipeline::session`] runs, plus the plan cache's
-//! hit-vs-miss latency. Results go to `BENCH_plan.json` (with a
+//! ([`QuerySet::run`], what `ivnt query` runs) against running them as N
+//! sequential [`Pipeline::session`] runs, and the same for the front half
+//! alone: one [`QuerySet::extract`] against N solo
+//! [`Session::extract`](ivnt_core::pipeline::Session::extract) calls
+//! (`extract_speedup`, the ceiling sharing the scan can reach while every
+//! back half still runs once per query). Results go to `BENCH_plan.json` (with a
 //! human-readable summary on stderr), following the `store_probe` /
 //! `BENCH_store.json` conventions.
 //!
@@ -16,7 +19,7 @@
 //!   bit-identical to the solo session's (sharing is an optimization, not
 //!   an approximation), and
 //! * the shared pass must actually pay off: the probe exits non-zero when
-//!   the 4-domain speedup of [`Planner::run`] over sequential session runs
+//!   the 4-domain speedup of [`QuerySet::run`] over sequential session runs
 //!   falls below `IVNT_PLAN_MIN_SPEEDUP` (default 1.5) — the planner's
 //!   whole point is amortizing the scan+decode, which needs no extra
 //!   cores.
@@ -27,11 +30,11 @@ use std::cell::RefCell;
 use std::io::{Cursor, Read, Seek};
 
 use ivnt_bench::{
-    disjoint_domains, domain_pipeline, env_f64, median, median_secs, paired_secs, scale, time_secs,
+    disjoint_domains, domain_pipeline, env_f64, median, paired_secs, scale, time_secs,
     vehicle_journey,
 };
 use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions};
-use ivnt_plan::{Planner, Query};
+use ivnt_plan::{Query, QuerySet, SessionMany};
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 fn open(bytes: &[u8]) -> StoreReader<Cursor<Vec<u8>>> {
@@ -49,6 +52,14 @@ fn solo_extract<R: Read + Seek>(
         .frame
 }
 
+/// One query per pipeline over `reader`, as `ivnt query` builds the batch.
+fn batch<'p, 'a, R: Read + Seek>(
+    pipelines: &'p [Pipeline],
+    reader: &'a mut StoreReader<R>,
+) -> QuerySet<'p, 'a, R> {
+    Pipeline::session_many(pipelines.iter().map(Query::new).collect(), reader)
+}
+
 fn solo_run<R: Read + Seek>(pipeline: &Pipeline, reader: &mut StoreReader<R>) -> PipelineOutput {
     pipeline
         .session(RunOptions::store(reader))
@@ -64,7 +75,11 @@ struct FleetResult {
     /// Median of per-round sequential/shared ratios (drift-robust; not
     /// the ratio of the two medians above).
     speedup: f64,
-    cache_hit_secs: f64,
+    /// The same paired rounds for the front half: N solo extracts against
+    /// one shared extract.
+    extract_sequential_secs: f64,
+    extract_shared_secs: f64,
+    extract_speedup: f64,
     /// Σ over the queries of `StageTiming::merge` / `state`, median over
     /// the shared runs.
     merge_secs: f64,
@@ -88,9 +103,9 @@ impl FleetResult {
                 "      \"sequential_secs\": {:.6},\n",
                 "      \"shared_secs\": {:.6},\n",
                 "      \"speedup\": {:.3},\n",
-                "      \"cache_hit_secs\": {:.6},\n",
-                "      \"cache_miss_secs\": {:.6},\n",
-                "      \"hit_over_miss\": {:.3},\n",
+                "      \"extract_sequential_secs\": {:.6},\n",
+                "      \"extract_shared_secs\": {:.6},\n",
+                "      \"extract_speedup\": {:.3},\n",
                 "      \"merge_secs\": {:.6},\n",
                 "      \"state_secs\": {:.6},\n",
                 "      \"shared_interpret\": {},\n",
@@ -103,9 +118,9 @@ impl FleetResult {
             self.sequential_secs,
             self.shared_secs,
             self.speedup(),
-            self.cache_hit_secs,
-            self.shared_secs,
-            self.cache_hit_secs / self.shared_secs.max(1e-12),
+            self.extract_sequential_secs,
+            self.extract_shared_secs,
+            self.extract_speedup,
             self.merge_secs,
             self.state_secs,
             self.shared_interpret,
@@ -145,7 +160,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // session then decodes nearly the full store; the shared pass decodes
     // it once. This is the paper's deployment shape, and the one sharing
     // is for — sparse domains that zone-map-prune most chunks have little
-    // scan left to share (the cache covers those).
+    // scan left to share.
     let mut fleets: Vec<FleetResult> = Vec::new();
     for n in [1usize, 2, 4, 8] {
         let domains: Vec<Vec<String>> = disjoint_domains(&data, n);
@@ -156,9 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Correctness first: the shared pass must reproduce each solo
         // session bit for bit before its timing means anything.
-        let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
         let mut reader = open(&bytes);
-        let multi = Planner::new().extract(&queries, &mut reader)?;
+        let multi = batch(&pipelines, &mut reader).extract()?;
         for (qi, (qx, p)) in multi.frames.iter().zip(&pipelines).enumerate() {
             let mut reader = open(&bytes);
             let want = solo_extract(p, &mut reader);
@@ -169,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         let mut reader = open(&bytes);
-        let multi = Planner::new().run(&queries, &mut reader)?;
+        let multi = batch(&pipelines, &mut reader).run()?;
         for (qi, (qr, p)) in multi.results.iter().zip(&pipelines).enumerate() {
             let mut reader = open(&bytes);
             let want = solo_run(p, &mut reader);
@@ -195,10 +209,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Each shared run's back half, summed over its queries.
         let back_half = RefCell::new(Vec::new());
         let shared = || {
-            let mut planner = Planner::new();
-            let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
             let mut reader = open(&bytes);
-            let out = planner.run(&queries, &mut reader).expect("shared");
+            let out = batch(&pipelines, &mut reader).run().expect("shared");
             let timings = out.results.iter().map(|q| &q.output.timing);
             let (merge, state) = timings.fold((0.0, 0.0), |(m, s), t| (m + t.merge, s + t.state));
             back_half.borrow_mut().push((merge, state));
@@ -209,13 +221,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (sequential_secs, shared_secs, speedup) = (pair.a_secs, pair.b_secs, pair.a_over_b);
         let (merge, state): (Vec<f64>, Vec<f64>) = back_half.into_inner().into_iter().unzip();
         let (merge_secs, state_secs) = (median(merge), median(state));
-        // Warm planner: every query answered from the plan cache.
-        let mut warm = Planner::new();
-        let cache_hit_secs = median_secs(runs, || {
-            let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
+
+        // The front half alone.
+        let sequential_extract = || {
+            for p in &pipelines {
+                let mut reader = open(&bytes);
+                solo_extract(p, &mut reader);
+            }
+        };
+        let shared_extract = || {
             let mut reader = open(&bytes);
-            warm.run(&queries, &mut reader).expect("warm");
-        });
+            batch(&pipelines, &mut reader)
+                .extract()
+                .expect("shared extract");
+        };
+        sequential_extract(); // warmups
+        shared_extract();
+        let extract = paired_secs(
+            runs,
+            || time_secs(sequential_extract),
+            || time_secs(shared_extract),
+        );
 
         let fleet = FleetResult {
             domains: n,
@@ -223,7 +249,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sequential_secs,
             shared_secs,
             speedup,
-            cache_hit_secs,
+            extract_sequential_secs: extract.a_secs,
+            extract_shared_secs: extract.b_secs,
+            extract_speedup: extract.a_over_b,
             merge_secs,
             state_secs,
             shared_interpret: plan.shared_interpret,
@@ -232,11 +260,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         eprintln!(
             "{n} domains: sequential {:.1} ms, shared {:.1} ms ({:.2}x), \
-             cache hit {:.2} ms, merge {:.2} ms, state {:.2} ms, strategy {}",
+             extract {:.1} -> {:.1} ms ({:.2}x), merge {:.2} ms, state {:.2} ms, strategy {}",
             sequential_secs * 1e3,
             shared_secs * 1e3,
             fleet.speedup(),
-            cache_hit_secs * 1e3,
+            extract.a_secs * 1e3,
+            extract.b_secs * 1e3,
+            extract.a_over_b,
             merge_secs * 1e3,
             state_secs * 1e3,
             if plan.shared_interpret {

@@ -806,9 +806,7 @@ pub fn query(args: &Args) -> CmdResult {
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
 
     let plan = &multi.plan;
-    let strategy = if plan.cache_misses == 0 {
-        "cache-only"
-    } else if plan.shared_interpret {
+    let strategy = if plan.shared_interpret {
         "shared-interpret"
     } else {
         "per-query"
@@ -820,8 +818,6 @@ pub fn query(args: &Args) -> CmdResult {
         w.begin_object(Some("plan"));
         w.field_u64("queries", plan.queries as u64);
         w.field_str("strategy", strategy);
-        w.field_u64("cache_hits", plan.cache_hits as u64);
-        w.field_u64("cache_misses", plan.cache_misses as u64);
         w.field_u64("scans_saved", plan.scans_saved as u64);
         w.field_u64("groups_scanned", u64::from(plan.groups_scanned));
         if let Some(s) = &plan.scan {
@@ -1295,7 +1291,6 @@ fn cluster_run(args: &Args) -> CmdResult {
         w.field_u64("groups_pruned", run.stats.groups_pruned as u64);
         w.field_u64("retries", run.stats.retries as u64);
         w.field_u64("workers_lost", run.stats.workers_lost as u64);
-        w.field_u64("steals", run.stats.steals);
         w.field_u64("splits", run.stats.splits);
         w.field_u64("tasks_resumed", run.stats.tasks_resumed as u64);
         w.field_u64("partial_frames", run.stats.partial_frames);
@@ -1312,13 +1307,12 @@ fn cluster_run(args: &Args) -> CmdResult {
         );
         println!(
             "schedule: {} tasks over {} groups ({} pruned), {} retries, {} workers lost, \
-             {} steals, {} splits, {} resumed",
+             {} splits, {} resumed",
             run.stats.tasks,
             run.stats.groups_total,
             run.stats.groups_pruned,
             run.stats.retries,
             run.stats.workers_lost,
-            run.stats.steals,
             run.stats.splits,
             run.stats.tasks_resumed,
         );

@@ -10,10 +10,10 @@
 //! blocking phase left is the initial serial connect/handshake, bounded
 //! by [`ClusterConfig::connect_timeout_ms`] per worker.
 //!
-//! Scheduling is dynamic. Planned tasks are striped across per-worker
-//! deques; a worker that runs dry claims from its own deque, then from
-//! the global requeue list, then **steals half** of the richest peer's
-//! backlog. A task that runs much longer than the completed-task median
+//! Scheduling is dynamic. Pending tasks wait in one FIFO queue in plan
+//! order; the event loop hands an idle worker the first task it may run.
+//! A requeued task goes to the front, a straggler's split-off tail to
+//! the back. A task that runs much longer than the completed-task median
 //! (a straggler) is *truncated*: the coordinator asks the worker to
 //! stop after the group in flight and re-plans the unfinished tail onto
 //! idle workers via [`split_range`]. Liveness is heartbeat-based as
@@ -132,8 +132,6 @@ pub struct ClusterStats {
     pub groups_pruned: u32,
     /// Interpreted signal rows in the merged result.
     pub rows: usize,
-    /// Steal events: a dry worker taking half of a peer's backlog.
-    pub steals: u64,
     /// Straggler splits: a slow shard's tail re-planned onto new tasks.
     pub splits: u64,
     /// Completed tasks recovered from a checkpoint instead of re-run.
@@ -495,8 +493,7 @@ pub fn run_job(job: &JobSpec, workers: &[String], config: &ClusterConfig) -> Res
         schema,
         conns: Vec::with_capacity(workers.len()),
         slots: plan.tasks.iter().map(|t| TaskSlot::new(*t)).collect(),
-        deques: vec![VecDeque::new(); workers.len()],
-        global: VecDeque::new(),
+        queue: TaskQueue(plan.tasks.iter().map(|t| t.task_id).collect()),
         durations: Vec::new(),
         failed: None,
         stats,
@@ -506,11 +503,6 @@ pub fn run_job(job: &JobSpec, workers: &[String], config: &ClusterConfig) -> Res
         completed_this_run: 0,
         restart_after,
     };
-    // Stripe tasks across workers; stealing rebalances from there.
-    for (i, t) in plan.tasks.iter().enumerate() {
-        driver.deques[i % workers.len()].push_back(t.task_id);
-    }
-
     driver.connect_all(job, workers);
     if !driver.conns.iter().any(Conn::alive) {
         return Err(Error::Job(format!(
@@ -578,7 +570,6 @@ fn record_run_counters(stats: &ClusterStats) {
             "cluster_groups_pruned_total",
             u64::from(stats.groups_pruned),
         );
-        r.add("cluster_steals_total", stats.steals);
         r.add("cluster_splits_total", stats.splits);
         r.add("cluster_tasks_resumed_total", stats.tasks_resumed as u64);
         r.add("cluster_partial_frames_total", stats.partial_frames);
@@ -643,10 +634,8 @@ struct Driver<'a> {
     schema: SharedSchema,
     conns: Vec<Conn>,
     slots: Vec<TaskSlot>,
-    /// Per-worker task backlogs; stealing moves ids between them.
-    deques: Vec<VecDeque<u32>>,
-    /// Requeued and split-off tasks, claimable by anyone.
-    global: VecDeque<u32>,
+    /// Pending tasks in claim order.
+    queue: TaskQueue,
     /// Completed-task durations, for the straggler median.
     durations: Vec<f64>,
     failed: Option<String>,
@@ -687,14 +676,6 @@ impl Driver<'_> {
                 }
             }
             self.conns.push(conn);
-        }
-        // Backlogs striped onto workers that never connected drain into
-        // the shared queue immediately.
-        for idx in 0..self.conns.len() {
-            if !self.conns[idx].alive() {
-                let orphaned: Vec<u32> = self.deques[idx].drain(..).collect();
-                self.global.extend(orphaned);
-            }
         }
     }
 
@@ -914,7 +895,7 @@ impl Driver<'_> {
             ));
             return;
         }
-        self.global.push_front(task_id);
+        self.queue.requeue(task_id);
         self.check_schedulable();
     }
 
@@ -947,8 +928,8 @@ impl Driver<'_> {
         }
     }
 
-    /// Declares worker `idx` dead: closes the socket, requeues its
-    /// in-flight task and hands its backlog to the shared queue.
+    /// Declares worker `idx` dead: closes the socket and requeues its
+    /// in-flight task.
     fn conn_failed(&mut self, idx: usize, why: &str) {
         if !self.conns[idx].alive() {
             return;
@@ -959,8 +940,6 @@ impl Driver<'_> {
         if let Some(task_id) = self.conns[idx].running.take() {
             self.requeue(task_id, idx, why);
         }
-        let orphaned: Vec<u32> = self.deques[idx].drain(..).collect();
-        self.global.extend(orphaned);
         self.check_schedulable();
     }
 
@@ -1022,7 +1001,7 @@ impl Driver<'_> {
     }
 
     /// The worker agreed to stop early: shrink its task and re-plan the
-    /// tail as fresh tasks on the shared queue.
+    /// tail as fresh tasks at the back of the queue.
     fn handle_truncated(&mut self, idx: usize, task_id: u32, group_end: u32) {
         let Some(slot) = self.slots.get_mut(task_id as usize) else {
             return;
@@ -1055,7 +1034,7 @@ impl Driver<'_> {
                 ..sub
             };
             self.slots.push(TaskSlot::new(task));
-            self.global.push_back(new_id);
+            self.queue.push(new_id);
         }
     }
 
@@ -1068,7 +1047,7 @@ impl Driver<'_> {
             if !self.conns[idx].alive() || self.conns[idx].running.is_some() {
                 continue;
             }
-            let Some(task_id) = self.claim(idx) else {
+            let Some(task_id) = self.queue.take_claimable(&self.slots, idx) else {
                 continue;
             };
             let slot = &mut self.slots[task_id as usize];
@@ -1081,28 +1060,6 @@ impl Driver<'_> {
             self.conns[idx].queue(&Message::Assign { task });
             *progress = true;
         }
-    }
-
-    /// Claims a task for worker `w`: own backlog first, then the shared
-    /// queue, then steal half of the richest peer's backlog.
-    fn claim(&mut self, w: usize) -> Option<u32> {
-        if let Some(id) = take_claimable(&mut self.deques[w], &self.slots, w) {
-            return Some(id);
-        }
-        if let Some(id) = take_claimable(&mut self.global, &self.slots, w) {
-            return Some(id);
-        }
-        // Steal-half: back half of the largest alive peer's backlog, so
-        // the victim keeps the front it is about to work through.
-        let victim = (0..self.conns.len())
-            .filter(|&v| v != w && self.conns[v].alive())
-            .max_by_key(|&v| self.deques[v].len())
-            .filter(|&v| !self.deques[v].is_empty())?;
-        let keep = self.deques[victim].len() / 2;
-        let stolen: Vec<u32> = self.deques[victim].split_off(keep).into();
-        self.deques[w].extend(stolen);
-        self.stats.steals += 1;
-        take_claimable(&mut self.deques[w], &self.slots, w)
     }
 
     /// End-of-run metrics pull, multiplexed like everything else: ask
@@ -1172,13 +1129,29 @@ impl Driver<'_> {
     }
 }
 
-/// Pops the first task in `queue` that worker `w` may run.
-fn take_claimable(queue: &mut VecDeque<u32>, slots: &[TaskSlot], w: usize) -> Option<u32> {
-    let pos = queue.iter().position(|&id| {
-        let slot = &slots[id as usize];
-        slot.status == TaskStatus::Pending && !slot.excluded.contains(&w)
-    })?;
-    queue.remove(pos)
+/// Pending task ids in claim order: plan order, requeues at the front,
+/// split tails at the back.
+struct TaskQueue(VecDeque<u32>);
+
+impl TaskQueue {
+    /// Queues a failed task ahead of every fresh one.
+    fn requeue(&mut self, task_id: u32) {
+        self.0.push_front(task_id);
+    }
+
+    /// Queues a split-off tail behind everything already queued.
+    fn push(&mut self, task_id: u32) {
+        self.0.push_back(task_id);
+    }
+
+    /// Pops the first task worker `w` may run.
+    fn take_claimable(&mut self, slots: &[TaskSlot], w: usize) -> Option<u32> {
+        let pos = self.0.iter().position(|&id| {
+            let slot = &slots[id as usize];
+            slot.status == TaskStatus::Pending && !slot.excluded.contains(&w)
+        })?;
+        self.0.remove(pos)
+    }
 }
 
 /// Blocking connect + version check + job preamble for one worker;
@@ -1272,6 +1245,37 @@ mod tests {
         accum.insert(0, 5, vec![]).unwrap();
         accum.insert(1, 5, vec![]).unwrap();
         assert!(matches!(accum.finish(2), Err(Error::Protocol(_))));
+    }
+
+    /// The queue rule: a requeued task is claimed before fresh ones, but
+    /// never by a worker that failed it; split tails queue behind both.
+    #[test]
+    fn requeues_go_first_split_tails_last() {
+        let mut slots: Vec<TaskSlot> = (0..4)
+            .map(|task_id| {
+                TaskSlot::new(crate::plan::ShardTask {
+                    task_id,
+                    group_start: task_id,
+                    group_end: task_id + 1,
+                    rows_estimated: 1,
+                })
+            })
+            .collect();
+        let mut queue = TaskQueue((0..3).collect());
+        // Worker 0 claims task 0 and fails it.
+        assert_eq!(queue.take_claimable(&slots, 0), Some(0));
+        slots[0].excluded.insert(0);
+        queue.requeue(0);
+        // A straggler's tail is split off as task 3.
+        queue.push(3);
+        assert_eq!(queue.take_claimable(&slots, 0), Some(1), "0 excluded");
+        assert_eq!(queue.take_claimable(&slots, 1), Some(0), "requeue first");
+        assert_eq!(queue.take_claimable(&slots, 1), Some(2));
+        assert_eq!(queue.take_claimable(&slots, 1), Some(3), "split last");
+        // An excluded task stays queued rather than go back to worker 0.
+        queue.requeue(0);
+        assert_eq!(queue.take_claimable(&slots, 0), None);
+        assert_eq!(queue.take_claimable(&slots, 1), Some(0));
     }
 
     #[test]

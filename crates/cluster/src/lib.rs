@@ -11,7 +11,7 @@
 //! event loop (no thread per worker); workers stream compressed
 //! per-group [`wire::Message::PartialResult`] frames — encoded beside
 //! the extraction, decoded on arrival — so the codec and the merge
-//! overlap compute; scheduling is dynamic (work-stealing deques plus
+//! overlap compute; scheduling is dynamic (one FIFO task queue plus
 //! straggler-triggered shard splitting); and a checkpoint file lets a
 //! restarted coordinator resume without re-fetching merged work. v3 is
 //! also the floor: older peers are refused at the handshake.
@@ -31,7 +31,7 @@
 //! - [`codec`] — bit-exact batch serialization: the compressed wire
 //!   encoding and the flat one fingerprints are taken in.
 //! - [`coordinator::run_job`] — the event loop: scheduling, liveness,
-//!   retry, stealing, splitting, merge.
+//!   retry, splitting, merge.
 //! - [`checkpoint`] — completed-task results on disk for
 //!   coordinator-restart recovery.
 //! - [`worker::WorkerServer`] — the task executor.

@@ -346,7 +346,7 @@ mod tests {
         let f = footer(20, 2, 50);
         // Resume path: a checkpointed task covered groups 9..18 — the
         // crash happened after a *middle* task completed (task finish
-        // order is not plan order under work stealing). No planned task
+        // order is not plan order with several workers). No planned task
         // may span the gap, or its worker would recompute those groups
         // and the merge would see them twice.
         let dropped = 9u32..18;

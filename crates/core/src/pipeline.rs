@@ -26,7 +26,7 @@ use ivnt_store::{ScanStats, StoreReader};
 
 use crate::branch::{process, BranchConfig};
 use crate::classify::{classify, Classification, ClassifyConfig};
-use crate::dedup::{check, Checked, Dedup, Deduplicator};
+use crate::dedup::{check, Dedup, Deduplicator};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
 use crate::interpret::{Kernel, RecordSelector};
@@ -481,9 +481,9 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let p = effective_pipeline(pipeline, opts.workers);
         let (seqs, ..) = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         let task = |seq: SignalSequence| {
-            let (dedup, rows_interpreted) = p.dedup_signal(Cow::Owned(seq))?;
+            let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
             let reduced = p.reduce_representative(&dedup.representative)?;
-            Ok((reduced, dedup.into_owned(), rows_interpreted))
+            Ok((reduced, dedup, rows_interpreted))
         };
         if opts.serial || p.effective_workers() == 1 {
             seqs.into_iter().map(task).collect()
@@ -515,7 +515,6 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         // A 1-worker scatter is pure overhead (channel round-trips, same
         // order): take the serial per-signal loop instead.
         let parallel = !opts.serial && p.effective_workers() > 1;
-        let seqs = seqs.into_iter().map(Cow::Owned).collect();
         let mut output = p.run_from_sequences(seqs, t_run, interpret_secs, split_secs, parallel)?;
         output.timing.tabular = tabular_secs;
         Ok(output)
@@ -829,11 +828,11 @@ impl Pipeline {
         }
     }
 
-    /// Line 9 over the split sequence, owned or borrowed. Returns the dedup
-    /// report plus the representative's pre-reduction length.
-    fn dedup_signal<'s>(&self, seq: Cow<'s, SignalSequence>) -> Result<(Checked<'s>, usize)> {
+    /// Line 9 over the split sequence. Returns the dedup report plus the
+    /// representative's pre-reduction length.
+    fn dedup_signal(&self, seq: SignalSequence) -> Result<(Dedup, usize)> {
         let dedup = self.deduplicator(&seq.signal, usize::MAX);
-        let dedup = check(seq, dedup)?;
+        let dedup = check(Cow::Owned(seq), dedup)?.into_owned();
         let rows_interpreted = dedup.representative.len();
         Ok((dedup, rows_interpreted))
     }
@@ -856,7 +855,7 @@ impl Pipeline {
     /// independent after the split, so running these units in any order
     /// (or concurrently) and gathering in input order reproduces the
     /// serial pipeline exactly.
-    fn process_signal(&self, seq: Cow<'_, SignalSequence>, epoch: Instant) -> Result<SignalResult> {
+    fn process_signal(&self, seq: SignalSequence, epoch: Instant) -> Result<SignalResult> {
         // Stage intervals are offsets from the shared run epoch, so the
         // gather can compute per-stage makespans across signals.
         let offset = || epoch.elapsed().as_secs_f64();
@@ -918,7 +917,7 @@ impl Pipeline {
             branch: branch_span,
         };
         ivnt_obs::with(|r| {
-            let sig = &reduced.signal;
+            let sig = ivnt_obs::escape_label(&reduced.signal);
             r.add(
                 &format!("pipeline_rows_total{{signal=\"{sig}\",stage=\"interpreted\"}}"),
                 rows_interpreted as u64,
@@ -955,13 +954,12 @@ impl Pipeline {
     /// Lines 9–29 + Sec. 4.3 from the per-signal sequences: the shared
     /// back half of every run, regardless of source. `epoch` is the
     /// session's start (stage spans are offsets from it), `interpret_secs`
-    /// and `split_secs` the time already spent getting here. A session
-    /// hands its sequences over; the multi-query planner (hence public,
-    /// hidden) lends the ones its cache entry holds.
+    /// and `split_secs` the time already spent getting here. Public but
+    /// hidden: the multi-query planner hands each query its sequences.
     #[doc(hidden)]
     pub fn run_from_sequences(
         &self,
-        seqs: Vec<Cow<'_, SignalSequence>>,
+        seqs: Vec<SignalSequence>,
         epoch: Instant,
         interpret_secs: f64,
         split_secs: f64,

@@ -44,7 +44,7 @@ pub mod snapshot;
 
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{Registry, SpanTimer};
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanStat};
+pub use snapshot::{escape_label, HistogramSnapshot, Snapshot, SpanStat};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};

@@ -304,8 +304,9 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Escapes a Prometheus label value.
-fn escape_label(s: &str) -> String {
+/// Escapes a Prometheus label value: user text (a query label, a signal
+/// name) embedded in a counter name must go through it.
+pub fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")

@@ -38,7 +38,23 @@ use ivnt_core::{Error, Pipeline, Result};
 use ivnt_frame::batch::Batch;
 use ivnt_store::{CompiledPredicate, ScanStats, StoreReader};
 
-use crate::cache::{Answer, Kind};
+/// Which answer the pass builds for every query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// `K_s` partitions ([`Answer::Frame`]).
+    Frame,
+    /// Per-signal sequences ([`Answer::Sequences`]).
+    Sequences,
+}
+
+/// One query's answer from a shared pass, owned by that query.
+pub(crate) enum Answer {
+    /// `K_s` partitions, padded to one empty partition when the scan
+    /// emitted none (the store source's semantics).
+    Frame(Vec<Batch>),
+    /// Per-signal sequences in signal-name order.
+    Sequences(Vec<SignalSequence>),
+}
 
 /// One query as the executor sees it.
 pub(crate) struct QuerySpec<'p> {
@@ -220,10 +236,7 @@ pub(crate) fn route_shared<R: Read + Seek>(
     }
     let split_secs = t.elapsed().as_secs_f64();
     let answers = match kind {
-        Kind::Sequences => seqs
-            .into_iter()
-            .map(|s| Answer::Sequences(Arc::new(s)))
-            .collect(),
+        Kind::Sequences => seqs.into_iter().map(Answer::Sequences).collect(),
         Kind::Frame => parts
             .into_iter()
             .map(|mut parts| {
@@ -232,7 +245,7 @@ pub(crate) fn route_shared<R: Read + Seek>(
                 if parts.is_empty() {
                     parts.push(Batch::empty(signal_schema()));
                 }
-                Answer::Frame(Arc::new(parts))
+                Answer::Frame(parts)
             })
             .collect(),
     };

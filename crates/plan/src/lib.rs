@@ -6,13 +6,9 @@
 //! passes for N tenants; this crate answers all N from **one** pass:
 //!
 //! 1. **Plan** — each query contributes a normalized preselection
-//!    predicate (its `U_comb`'s `(bus, mid)` pairs, plus an optional time
-//!    window) and a cache fingerprint.
-//! 2. **Cache probe** — queries whose `(fingerprint, store epoch)` is
-//!    cached skip the scan entirely. The epoch hashes the store's
-//!    [`generation`](ivnt_store::Footer::generation) (advanced by every
-//!    append-mode flush), so a growing store invalidates naturally.
-//! 3. **Shared scan** — remaining queries are merged into one union
+//!    predicate: its `U_comb`'s `(bus, mid)` pairs, plus an optional time
+//!    window.
+//! 2. **Shared scan** — the queries are merged into one union
 //!    predicate; the store is scanned once, zone maps pruning chunks no
 //!    query needs. When queries are signal-disjoint and windowless the
 //!    vectorized interpret kernel also runs once per row group over the
@@ -22,10 +18,10 @@
 //!    per-signal sequences as a solo
 //!    [`Session::run`](ivnt_core::pipeline::Session::run) does — `K_s` is
 //!    never built; an `extract` builds each query's `K_s` partitions.
-//! 4. **Per-query back half** — dedup → reduce → extend → classify →
-//!    branch runs per query on its sequences, borrowed from the shared
-//!    cache entry rather than copied out of it, so every answer is
-//!    **bit-identical** to running that query as its own session.
+//! 3. **Per-query back half** — dedup → reduce → extend → classify →
+//!    branch runs per query on the sequences the shared pass handed it,
+//!    so every answer is **bit-identical** to running that query as its
+//!    own session.
 //!
 //! ```no_run
 //! # fn demo(p1: &ivnt_core::Pipeline, p2: &ivnt_core::Pipeline,
@@ -41,11 +37,8 @@
 
 #![warn(missing_docs)]
 
-mod cache;
 mod exec;
-mod fingerprint;
 
-use std::borrow::Cow;
 use std::io::{Read, Seek};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,9 +48,7 @@ use ivnt_core::{Pipeline, Result};
 use ivnt_frame::frame::DataFrame;
 use ivnt_store::{ScanStats, StoreReader};
 
-pub use cache::DEFAULT_CACHE_CAPACITY;
-use cache::{Answer, Kind, PlanCache};
-use exec::{route_shared, QuerySpec};
+use exec::{route_shared, Answer, Kind, QuerySpec};
 
 /// One query of a multi-query batch: a domain pipeline plus optional
 /// planner-level restrictions.
@@ -106,13 +97,10 @@ impl<'p> Query<'p> {
 /// Per-query planner statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Raw store rows routed to this query (0 on a cache hit — nothing
-    /// was scanned).
+    /// Raw store rows routed to this query.
     pub rows_routed: u64,
     /// Row groups that contributed rows to this query.
     pub groups: u32,
-    /// Whether the answer came from the plan cache.
-    pub cache_hit: bool,
 }
 
 /// Batch-level planner statistics.
@@ -120,19 +108,14 @@ pub struct QueryStats {
 pub struct PlanStats {
     /// Queries in the batch.
     pub queries: usize,
-    /// Queries answered from the plan cache.
-    pub cache_hits: usize,
-    /// Queries that joined the shared scan.
-    pub cache_misses: usize,
     /// Whether the union-kernel fast path applied to the shared scan.
     pub shared_interpret: bool,
-    /// Store passes avoided versus sequential sessions: `misses − 1`
-    /// scans saved by sharing plus one per cache hit.
+    /// Store passes avoided versus sequential sessions: `queries − 1`.
     pub scans_saved: usize,
     /// Row groups the shared scan emitted.
     pub groups_scanned: u32,
-    /// The shared scan's pushdown statistics (`None` when every query
-    /// was a cache hit and no scan ran).
+    /// The shared scan's pushdown statistics (`None` for an empty batch:
+    /// no scan ran).
     pub scan: Option<ScanStats>,
 }
 
@@ -172,209 +155,55 @@ pub struct MultiExtraction {
     pub plan: PlanStats,
 }
 
-/// A reusable planner: holds the plan-keyed result cache across batches.
-/// Drop-and-recreate is equivalent to clearing the cache.
-#[derive(Debug, Default)]
-pub struct Planner {
-    cache: PlanCache,
+/// What one shared pass answered, aligned with the batch's queries.
+struct Answered {
+    answers: Vec<Answer>,
+    plan: PlanStats,
+    per_query: Vec<QueryStats>,
+    /// Seconds the pass's sequence builders spent in `finish`.
+    split_secs: f64,
 }
 
-impl Planner {
-    /// A planner with the default cache capacity
-    /// ([`DEFAULT_CACHE_CAPACITY`] answers).
-    pub fn new() -> Planner {
-        Planner::with_cache_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// A planner caching at most `capacity` answers (FIFO eviction); a
-    /// query's `extract` and `run` answers are separate entries.
-    pub fn with_cache_capacity(capacity: usize) -> Planner {
-        Planner {
-            cache: PlanCache::with_capacity(capacity),
-        }
-    }
-
-    /// Cached answers currently held.
-    pub fn cached(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Answers every query's extraction (`K_s`) from one shared pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store corruption/I/O and tabular-engine errors; the
-    /// batch fails as a whole.
-    pub fn extract<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-    ) -> Result<MultiExtraction> {
-        let (answers, plan, per_query, _) = self.answer(queries, reader, Kind::Frame)?;
-        let frames = queries
-            .iter()
-            .zip(answers)
-            .zip(per_query)
-            .map(|((q, answer), stats)| {
-                let Answer::Frame(parts) = answer else {
-                    unreachable!("frame lookups return frame answers")
-                };
-                Ok(QueryExtraction {
-                    label: q.label().to_string(),
-                    // The frame owns its partitions: copied out of the entry.
-                    frame: q.pipeline.signal_frame(Arc::unwrap_or_clone(parts))?,
-                    stats,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MultiExtraction { frames, plan })
-    }
-
-    /// Answers every query's full pipeline run from one shared pass.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::extract`].
-    pub fn run<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-    ) -> Result<MultiOutput> {
-        self.run_with(queries, reader, false)
-    }
-
-    /// [`Planner::run`] with the per-signal fan-out forced serial — the
-    /// reference oracle, mirroring
-    /// [`RunOptions::serial`](ivnt_core::pipeline::RunOptions::serial).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::extract`].
-    pub fn run_serial<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-    ) -> Result<MultiOutput> {
-        self.run_with(queries, reader, true)
-    }
-
-    fn run_with<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-        serial: bool,
-    ) -> Result<MultiOutput> {
-        let t_shared = Instant::now();
-        let (answers, plan, per_query, finish_secs) =
-            self.answer(queries, reader, Kind::Sequences)?;
-        // The shared pass is attributed evenly: its builders' `finish` as
-        // the split of the queries that missed, the rest as every query's
-        // interpret — per-query stage timings stay comparable to solo runs.
-        let interpret_secs =
-            (t_shared.elapsed().as_secs_f64() - finish_secs) / queries.len().max(1) as f64;
-        let split_secs = finish_secs / plan.cache_misses.max(1) as f64;
-        let results = queries
-            .iter()
-            .zip(answers)
-            .zip(per_query)
-            .map(|((q, answer), stats)| {
-                let Answer::Sequences(seqs) = answer else {
-                    unreachable!("sequence lookups return sequence answers")
-                };
-                let epoch = Instant::now();
-                let parallel = !serial && q.pipeline.effective_workers() > 1;
-                let output = q.pipeline.run_from_sequences(
-                    seqs.iter().map(Cow::Borrowed).collect(),
-                    epoch,
-                    interpret_secs,
-                    if stats.cache_hit { 0.0 } else { split_secs },
-                    parallel,
-                )?;
-                Ok(QueryResult {
-                    label: q.label().to_string(),
-                    output,
-                    stats,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MultiOutput { results, plan })
-    }
-
-    /// The planner core: cache probe → shared scan → routing → cache
-    /// fill, answering every query with an answer of `kind`. The `f64` is
-    /// the seconds the shared pass's sequence builders spent in `finish`.
-    fn answer<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-        kind: Kind,
-    ) -> Result<(Vec<Answer>, PlanStats, Vec<QueryStats>, f64)> {
-        let epoch = fingerprint::store_epoch(reader.footer());
-        let keys: Vec<u64> = queries
-            .iter()
-            .map(|q| fingerprint::query_fingerprint(q.pipeline, q.window))
-            .collect();
-
-        // Cache probe: split the batch into hits and the scan set.
-        let mut answers: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
-        let mut split_secs = 0.0;
-        let mut per_query: Vec<QueryStats> = Vec::with_capacity(queries.len());
-        let mut scan_set: Vec<usize> = Vec::new();
-        for (qi, key) in keys.iter().enumerate() {
-            let cached = self.cache.get(*key, kind, epoch);
-            if cached.is_none() {
-                scan_set.push(qi);
-            }
-            per_query.push(QueryStats {
-                rows_routed: 0,
-                groups: 0,
-                cache_hit: cached.is_some(),
-            });
-            answers.push(cached);
-        }
-        let cache_hits = queries.len() - scan_set.len();
-
-        let mut plan = PlanStats {
+/// The shared pass: one scan answers every query with an answer of `kind`.
+fn answer<R: Read + Seek>(
+    queries: &[Query<'_>],
+    reader: &mut StoreReader<R>,
+    kind: Kind,
+) -> Result<Answered> {
+    let mut answered = Answered {
+        answers: Vec::new(),
+        plan: PlanStats {
             queries: queries.len(),
-            cache_hits,
-            cache_misses: scan_set.len(),
-            shared_interpret: false,
-            scans_saved: cache_hits + scan_set.len().saturating_sub(1),
-            groups_scanned: 0,
-            scan: None,
-        };
-
-        if !scan_set.is_empty() {
-            let specs: Vec<QuerySpec<'_>> = scan_set
-                .iter()
-                .map(|&qi| QuerySpec {
-                    pipeline: queries[qi].pipeline,
-                    window: queries[qi].window,
-                })
-                .collect();
-            let outcome = route_shared(&specs, reader, kind)?;
-            plan.shared_interpret = outcome.shared_interpret;
-            plan.groups_scanned = outcome.groups_scanned;
-            plan.scan = Some(outcome.stats);
-            split_secs = outcome.split_secs;
-            for (si, (&qi, answer)) in scan_set.iter().zip(outcome.answers).enumerate() {
-                // The cache and the batch share one `Arc`: nothing copied.
-                let rules = queries[qi].pipeline.u_comb().rules();
-                self.cache
-                    .insert(keys[qi], kind, epoch, answer.clone(), rules);
-                per_query[qi].rows_routed = outcome.rows_routed[si];
-                per_query[qi].groups = outcome.groups_hit[si];
-                answers[qi] = Some(answer);
-            }
-        }
-
-        flush_plan_obs(&plan, queries, &per_query);
-        let answers = answers
-            .into_iter()
-            .map(|a| a.expect("every query resolved by cache or scan"))
+            scans_saved: queries.len().saturating_sub(1),
+            ..PlanStats::default()
+        },
+        per_query: Vec::new(),
+        split_secs: 0.0,
+    };
+    if !queries.is_empty() {
+        let specs: Vec<QuerySpec<'_>> = queries
+            .iter()
+            .map(|q| QuerySpec {
+                pipeline: q.pipeline,
+                window: q.window,
+            })
             .collect();
-        Ok((answers, plan, per_query, split_secs))
+        let outcome = route_shared(&specs, reader, kind)?;
+        answered.plan.shared_interpret = outcome.shared_interpret;
+        answered.plan.groups_scanned = outcome.groups_scanned;
+        answered.plan.scan = Some(outcome.stats);
+        answered.split_secs = outcome.split_secs;
+        answered.answers = outcome.answers;
+        answered.per_query = (outcome.rows_routed.into_iter())
+            .zip(outcome.groups_hit)
+            .map(|(rows_routed, groups)| QueryStats {
+                rows_routed,
+                groups,
+            })
+            .collect();
     }
+    flush_plan_obs(&answered.plan, queries, &answered.per_query);
+    Ok(answered)
 }
 
 /// One registry interaction per batch, mirroring the store scan's pattern.
@@ -382,16 +211,9 @@ fn flush_plan_obs(plan: &PlanStats, queries: &[Query<'_>], per_query: &[QuerySta
     ivnt_obs::with(|r| {
         r.add("plan_batches_total", 1);
         r.add("plan_queries_total", plan.queries as u64);
-        r.add("plan_cache_total{result=\"hit\"}", plan.cache_hits as u64);
-        r.add(
-            "plan_cache_total{result=\"miss\"}",
-            plan.cache_misses as u64,
-        );
         r.add("plan_scans_saved_total", plan.scans_saved as u64);
         r.add("plan_groups_scanned_total", u64::from(plan.groups_scanned));
-        let strategy = if plan.cache_misses == 0 {
-            "cache-only"
-        } else if plan.shared_interpret {
+        let strategy = if plan.shared_interpret {
             "shared-interpret"
         } else {
             "per-query"
@@ -401,8 +223,9 @@ fn flush_plan_obs(plan: &PlanStats, queries: &[Query<'_>], per_query: &[QuerySta
             1,
         );
         for (q, s) in queries.iter().zip(per_query) {
+            let label = ivnt_obs::escape_label(q.label());
             r.add(
-                &format!("plan_rows_routed_total{{query=\"{}\"}}", q.label()),
+                &format!("plan_rows_routed_total{{query=\"{label}\"}}"),
                 s.rows_routed,
             );
         }
@@ -412,21 +235,14 @@ fn flush_plan_obs(plan: &PlanStats, queries: &[Query<'_>], per_query: &[QuerySta
 /// A batch of queries bound to one store reader — the multi-query
 /// counterpart of [`Pipeline::session`]. Built with
 /// [`Pipeline::session_many`] (via the [`SessionMany`] extension trait).
-pub struct QuerySet<'p, 'a, 'c, R: Read + Seek> {
+pub struct QuerySet<'p, 'a, R: Read + Seek> {
     queries: Vec<Query<'p>>,
     reader: &'a mut StoreReader<R>,
-    planner: Option<&'c mut Planner>,
     serial: bool,
     subscriber: Option<Arc<ivnt_obs::Registry>>,
 }
 
-impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
-    /// Reuses `planner` (and its result cache) instead of a throwaway one.
-    pub fn with_planner(mut self, planner: &'c mut Planner) -> Self {
-        self.planner = Some(planner);
-        self
-    }
-
+impl<R: Read + Seek> QuerySet<'_, '_, R> {
     /// Forces every query's per-signal fan-out serial (reference oracle).
     pub fn serial(mut self) -> Self {
         self.serial = true;
@@ -439,38 +255,75 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
         self
     }
 
-    /// Runs every query's full pipeline from one shared pass.
+    /// Runs every query's full pipeline from one shared pass; each query
+    /// owns the sequences the pass routed to it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Planner::run`].
+    /// Propagates store corruption/I/O and tabular-engine errors; the
+    /// batch fails as a whole.
     pub fn run(self) -> Result<MultiOutput> {
-        let serial = self.serial;
-        self.drive(|planner, queries, reader| planner.run_with(queries, reader, serial))
+        let _guard = self.subscriber.map(ivnt_obs::install);
+        let t_shared = Instant::now();
+        let answered = answer(&self.queries, self.reader, Kind::Sequences)?;
+        // The shared pass is attributed evenly: its builders' `finish` as
+        // every query's split, the rest as its interpret — per-query stage
+        // timings stay comparable to solo runs.
+        let n = self.queries.len().max(1) as f64;
+        let split_secs = answered.split_secs / n;
+        let interpret_secs = (t_shared.elapsed().as_secs_f64() - answered.split_secs) / n;
+        let results = (self.queries.iter().zip(answered.answers))
+            .zip(answered.per_query)
+            .map(|((q, answer), stats)| {
+                let Answer::Sequences(seqs) = answer else {
+                    unreachable!("a sequence pass returns sequence answers")
+                };
+                let parallel = !self.serial && q.pipeline.effective_workers() > 1;
+                let output = q.pipeline.run_from_sequences(
+                    seqs,
+                    Instant::now(),
+                    interpret_secs,
+                    split_secs,
+                    parallel,
+                )?;
+                Ok(QueryResult {
+                    label: q.label().to_string(),
+                    output,
+                    stats,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MultiOutput {
+            results,
+            plan: answered.plan,
+        })
     }
 
     /// Extracts every query's `K_s` from one shared pass.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Planner::extract`].
+    /// Same conditions as [`QuerySet::run`].
     pub fn extract(self) -> Result<MultiExtraction> {
-        self.drive(|planner, queries, reader| planner.extract(queries, reader))
-    }
-
-    /// Runs `f` on the batch under its subscriber, with the borrowed
-    /// planner or a throwaway one.
-    fn drive<T>(
-        self,
-        f: impl FnOnce(&mut Planner, &[Query<'p>], &mut StoreReader<R>) -> Result<T>,
-    ) -> Result<T> {
         let _guard = self.subscriber.map(ivnt_obs::install);
-        let mut local = Planner::new();
-        f(
-            self.planner.unwrap_or(&mut local),
-            &self.queries,
-            self.reader,
-        )
+        let answered = answer(&self.queries, self.reader, Kind::Frame)?;
+        let frames = (self.queries.iter().zip(answered.answers))
+            .zip(answered.per_query)
+            .map(|((q, answer), stats)| {
+                let Answer::Frame(parts) = answer else {
+                    unreachable!("a frame pass returns frame answers")
+                };
+                Ok(QueryExtraction {
+                    label: q.label().to_string(),
+                    frame: q.pipeline.signal_frame(parts)?,
+                    stats,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MultiExtraction {
+            frames,
+            plan: answered.plan,
+        })
     }
 }
 
@@ -478,21 +331,20 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
 /// scope and call `Pipeline::session_many(queries, reader)`.
 pub trait SessionMany {
     /// Binds a batch of queries to one store reader.
-    fn session_many<'p, 'a, 'c, R: Read + Seek>(
+    fn session_many<'p, 'a, R: Read + Seek>(
         queries: Vec<Query<'p>>,
         reader: &'a mut StoreReader<R>,
-    ) -> QuerySet<'p, 'a, 'c, R>;
+    ) -> QuerySet<'p, 'a, R>;
 }
 
 impl SessionMany for Pipeline {
-    fn session_many<'p, 'a, 'c, R: Read + Seek>(
+    fn session_many<'p, 'a, R: Read + Seek>(
         queries: Vec<Query<'p>>,
         reader: &'a mut StoreReader<R>,
-    ) -> QuerySet<'p, 'a, 'c, R> {
+    ) -> QuerySet<'p, 'a, R> {
         QuerySet {
             queries,
             reader,
-            planner: None,
             serial: false,
             subscriber: None,
         }

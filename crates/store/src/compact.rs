@@ -14,8 +14,8 @@
 //! in the same trace order ([`StoreReader::read_all`] on input and output
 //! agree), only the physical grouping changes. The output's
 //! [`generation`](crate::layout::Footer::generation) restarts at its own
-//! group count, so plan caches keyed on (generation, rows, chunk count)
-//! treat the compacted file as a new store.
+//! group count, so a cache keyed on (generation, rows, chunk count)
+//! treats the compacted file as a new store.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, Write};

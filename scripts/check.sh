@@ -89,8 +89,9 @@ IVNT_INFER_MIN_F1="${IVNT_INFER_MIN_F1:-0.85}" \
 echo "==> plan_probe smoke (multi-query shared-scan bit-identity + speedup gate)"
 # N concurrent domains from one shared store pass; every shared answer is
 # checked bit-identical to its solo session inline, and 4 domains' full
-# runs from one `Planner::run` must beat 4 sequential `Session::run`s by
-# IVNT_PLAN_MIN_SPEEDUP on one core. Last, so that every step above runs
+# runs from one `QuerySet::run` must beat 4 sequential `Session::run`s by
+# IVNT_PLAN_MIN_SPEEDUP on one core (`extract_speedup`, the front half
+# alone, is reported beside it). Last, so that every step above runs
 # while this gate is out of reach (ROADMAP, the dictionary-column item).
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_PLAN_MIN_SPEEDUP="${IVNT_PLAN_MIN_SPEEDUP:-1.5}" \

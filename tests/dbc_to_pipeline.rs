@@ -98,3 +98,24 @@ fn cycle_time_flows_from_dbc_attribute() {
         .expect("wpos rule");
     assert_eq!(wpos.info.expected_cycle_s, Some(0.1));
 }
+
+/// A DBC signal name is user text; the per-signal counters must escape it
+/// into a valid label value.
+#[test]
+fn dbc_signal_names_are_escaped_in_metrics() {
+    let matrix =
+        "BO_ 3 WiperStatus: 4 WiperEcu\n SG_ x\"y : 0|16@1+ (0.5,0) [0|180] \"deg\" Body\n";
+    let rules = RuleSet::from_dbc(matrix, "PT").expect("matrix parses");
+    assert_eq!(rules.rules()[0].signal, "x\"y");
+    let registry = Arc::new(ivnt::obs::Registry::new());
+    Pipeline::new(rules, DomainProfile::new("escape"))
+        .expect("pipeline")
+        .session(RunOptions::trace(&trace()).with_subscriber(Arc::clone(&registry)))
+        .run()
+        .expect("run");
+    let text = registry.snapshot().to_prometheus();
+    assert!(
+        text.contains(r#"pipeline_rows_total{signal="x\"y",stage="reduced"} "#),
+        "signal name not escaped:\n{text}"
+    );
+}

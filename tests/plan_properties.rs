@@ -1,15 +1,14 @@
 //! Property tests for the multi-query planner: for arbitrary small
 //! networks and arbitrary query batches — overlapping, disjoint, windowed,
 //! empty, any mix — the shared scan's per-query extraction and full run
-//! are bit-identical to the solo session's, and a reused [`Planner`]
-//! replays the same bytes from its cache.
+//! are bit-identical to the solo session's.
 
 use std::io::Cursor;
 
 use ivnt::core::pipeline::{DomainProfile, Pipeline, PipelineOutput, RunOptions};
 use ivnt::core::rules::RuleSet;
 use ivnt::frame::frame::DataFrame;
-use ivnt::plan::{Planner, Query, SessionMany};
+use ivnt::plan::{Query, SessionMany};
 use ivnt::simulator::scenario::{generate, DataSetSpec, GeneratedDataSet};
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use proptest::prelude::*;
@@ -137,9 +136,7 @@ proptest! {
     /// Merged-predicate shared extraction ≡ per-query solo extraction, for
     /// random query sets over random networks: signals assigned randomly
     /// (some domains overlap, some stay disjoint, some end up empty) and
-    /// optionally windowed (sometimes to an empty range). A second pass
-    /// through the same planner must be answered entirely from cache with
-    /// the same bytes.
+    /// optionally windowed (sometimes to an empty range).
     #[test]
     fn shared_extraction_equals_solo_sessions(
         spec in arb_spec(),
@@ -190,22 +187,17 @@ proptest! {
             })
             .collect();
 
-        let make_queries = || -> Vec<Query<'_>> {
-            pipelines
-                .iter()
-                .zip(&windows)
-                .map(|(p, w)| match w {
-                    Some((from, to)) => Query::new(p).with_window(*from, *to),
-                    None => Query::new(p),
-                })
-                .collect()
-        };
-
-        let mut planner = Planner::new();
+        let queries: Vec<Query<'_>> = pipelines
+            .iter()
+            .zip(&windows)
+            .map(|(p, w)| match w {
+                Some((from, to)) => Query::new(p).with_window(*from, *to),
+                None => Query::new(p),
+            })
+            .collect();
         let mut reader =
             StoreReader::from_reader(Cursor::new(bytes.clone())).expect("open store");
-        let multi = Pipeline::session_many(make_queries(), &mut reader)
-            .with_planner(&mut planner)
+        let multi = Pipeline::session_many(queries, &mut reader)
             .extract()
             .expect("shared extract");
         prop_assert_eq!(multi.frames.len(), n_queries);
@@ -226,40 +218,18 @@ proptest! {
                 qi
             );
         }
-
-        // Identical batch, same store: answered entirely from cache, with
-        // the same bytes. (Duplicate queries in the first batch may have
-        // filled distinct-fingerprint slots only once; every fingerprint
-        // present is now cached.)
-        let mut reader =
-            StoreReader::from_reader(Cursor::new(bytes)).expect("open store");
-        let warm = Pipeline::session_many(make_queries(), &mut reader)
-            .with_planner(&mut planner)
-            .extract()
-            .expect("warm extract");
-        prop_assert_eq!(warm.plan.cache_hits, n_queries, "all queries must hit");
-        prop_assert!(warm.plan.scan.is_none(), "no scan on an all-hit batch");
-        for (w, c) in warm.frames.iter().zip(&multi.frames) {
-            prop_assert!(w.stats.cache_hit);
-            prop_assert_eq!(
-                w.frame.collect_rows().expect("warm rows"),
-                c.frame.collect_rows().expect("cold rows")
-            );
-        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `Planner::run` ≡ each query's solo `Session::run`, for random query
+    /// `QuerySet::run` ≡ each query's solo `Session::run`, for random query
     /// sets of three shapes — signal-disjoint and windowless (the shared
     /// union builder), overlapping, windowed — each plus a query whose
     /// message the store never saw (every group pruned), and, outside the
-    /// disjoint shape, empty selections (the whole catalog). The cold
-    /// batch runs serial or parallel; the same planner then answers it
-    /// twice more from cache, the other way round and then the same way,
-    /// so every entry is lent out twice and must come back intact.
+    /// disjoint shape, empty selections (the whole catalog). The batch
+    /// runs serial or parallel.
     #[test]
     fn shared_run_equals_solo_sessions(
         spec in arb_spec(),
@@ -328,42 +298,34 @@ proptest! {
             })
             .collect();
 
-        let mut planner = Planner::new();
-        for (pass, serial) in [serial, !serial, serial].into_iter().enumerate() {
-            let queries: Vec<Query<'_>> = pipelines
-                .iter()
-                .zip(&windows)
-                .map(|(p, w)| match w {
-                    Some((from, to)) => Query::new(p).with_window(*from, *to),
-                    None => Query::new(p),
-                })
-                .collect();
-            let mut reader =
-                StoreReader::from_reader(Cursor::new(bytes.clone())).expect("open store");
-            let set = Pipeline::session_many(queries, &mut reader).with_planner(&mut planner);
-            let set = if serial { set.serial() } else { set };
-            let multi = set.run().expect("shared run");
+        let queries: Vec<Query<'_>> = pipelines
+            .iter()
+            .zip(&windows)
+            .map(|(p, w)| match w {
+                Some((from, to)) => Query::new(p).with_window(*from, *to),
+                None => Query::new(p),
+            })
+            .collect();
+        let mut reader = StoreReader::from_reader(Cursor::new(bytes)).expect("open store");
+        let set = Pipeline::session_many(queries, &mut reader);
+        let set = if serial { set.serial() } else { set };
+        let multi = set.run().expect("shared run");
 
-            let warm = pass > 0;
-            prop_assert_eq!(multi.plan.cache_hits, if warm { domains.len() } else { 0 });
-            prop_assert_eq!(multi.plan.scan.is_none(), warm);
-            if disjoint && !warm {
-                prop_assert!(multi.plan.shared_interpret, "disjoint queries share the kernel");
-            }
-            prop_assert_eq!(multi.results[pruned].stats.rows_routed, 0);
-            prop_assert!(multi.results[pruned].output.signals.is_empty());
-            for (qi, result) in multi.results.iter().enumerate() {
-                prop_assert_eq!(result.stats.cache_hit, warm);
-                let diff = first_difference(&output_lines(&result.output), &want[qi]);
-                prop_assert!(
-                    diff.is_none(),
-                    "pass {} (serial {}): query {} diverged from its solo session at {}",
-                    pass,
-                    serial,
-                    qi,
-                    diff.unwrap_or_default()
-                );
-            }
+        prop_assert!(multi.plan.scan.is_some());
+        if disjoint {
+            prop_assert!(multi.plan.shared_interpret, "disjoint queries share the kernel");
+        }
+        prop_assert_eq!(multi.results[pruned].stats.rows_routed, 0);
+        prop_assert!(multi.results[pruned].output.signals.is_empty());
+        for (qi, result) in multi.results.iter().enumerate() {
+            let diff = first_difference(&output_lines(&result.output), &want[qi]);
+            prop_assert!(
+                diff.is_none(),
+                "serial {}: query {} diverged from its solo session at {}",
+                serial,
+                qi,
+                diff.unwrap_or_default()
+            );
         }
     }
 }

@@ -5,14 +5,14 @@
 //! every answer must be bit-identical to running the same query as its own
 //! [`Pipeline::session`]. Covered here: the signal-disjoint union-kernel
 //! fast path, the overlapping-signal fallback, windowed queries, queries
-//! the zone maps prune entirely, and cache hits on a reused [`Planner`].
+//! the zone maps prune entirely.
 
 use std::io::Cursor;
 use std::sync::OnceLock;
 
 use ivnt::core::pipeline::{Pipeline, PipelineOutput, RunOptions};
 use ivnt::frame::frame::DataFrame;
-use ivnt::plan::{Planner, Query, SessionMany};
+use ivnt::plan::{Query, SessionMany};
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use ivnt_bench::{disjoint_domains, domain_pipeline, vehicle_journey};
 
@@ -141,12 +141,10 @@ fn disjoint_domains_share_one_interpret_pass_bit_identically() {
 
     assert!(multi.plan.shared_interpret, "disjoint domains must share");
     assert_eq!(multi.plan.queries, 4);
-    assert_eq!(multi.plan.cache_misses, 4);
     assert_eq!(multi.plan.scans_saved, 3, "4 queries, 1 scan");
     assert!(multi.plan.scan.is_some(), "a scan must have run");
     for (i, (qx, p)) in multi.frames.iter().zip(&pipelines).enumerate() {
         assert_eq!(qx.label, format!("dom{i}"));
-        assert!(!qx.stats.cache_hit);
         assert!(qx.stats.rows_routed > 0, "dom{i} routed no rows");
         let want = solo_extract(p, fx, None);
         assert_frames_eq(&qx.frame, &want, &format!("dom{i} K_s"));
@@ -308,136 +306,6 @@ fn fully_pruned_query_matches_solo_empty_extraction() {
     assert_frames_eq(&multi.frames[1].frame, &solo_extract(&pb, fx, None), "b");
 }
 
-/// A reused [`Planner`] answers repeated queries from its cache, and the
-/// cached answer is the same bytes the scan produced.
-#[test]
-fn cache_hits_replay_bit_identical_results() {
-    let fx = fixture();
-    let domains: Vec<Vec<String>> = disjoint_domains(&fx.data, 2)
-        .into_iter()
-        .map(|mut d| {
-            d.truncate(10);
-            d
-        })
-        .collect();
-    let pipelines: Vec<Pipeline> = domains
-        .iter()
-        .map(|d| domain_pipeline(&fx.data, d).expect("pipeline builds"))
-        .collect();
-
-    let mut planner = Planner::new();
-
-    let mut r = reader(fx);
-    let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
-    let cold = Pipeline::session_many(queries, &mut r)
-        .with_planner(&mut planner)
-        .run()
-        .expect("cold run");
-    assert_eq!(cold.plan.cache_hits, 0);
-    assert_eq!(cold.plan.cache_misses, 2);
-    assert_eq!(planner.cached(), 2);
-
-    let mut r = reader(fx);
-    let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
-    let warm = Pipeline::session_many(queries, &mut r)
-        .with_planner(&mut planner)
-        .run()
-        .expect("warm run");
-    assert_eq!(warm.plan.cache_hits, 2);
-    assert_eq!(warm.plan.cache_misses, 0);
-    assert_eq!(warm.plan.scans_saved, 2, "both scans came from the cache");
-    assert!(warm.plan.scan.is_none(), "no scan on an all-hit batch");
-    for (w, c) in warm.results.iter().zip(&cold.results) {
-        assert!(w.stats.cache_hit);
-        assert_outputs_eq(&w.output, &c.output, "warm vs cold");
-        // The split is the sequence builder's `finish`: the cold pass ran
-        // it, a hit replays finished sequences.
-        assert!(c.output.timing.split > 0.0, "cold split timed");
-        assert_eq!(w.output.timing.split, 0.0, "no split on a hit");
-    }
-
-    // A half-new batch: the known query hits, the new one joins the scan.
-    let third = {
-        let all = disjoint_domains(&fx.data, 3);
-        let mut d = all[2].clone();
-        d.truncate(7);
-        d
-    };
-    let pc = domain_pipeline(&fx.data, &third).expect("pipeline c");
-    let mut r = reader(fx);
-    let mixed = Pipeline::session_many(vec![Query::new(&pipelines[0]), Query::new(&pc)], &mut r)
-        .with_planner(&mut planner)
-        .run()
-        .expect("mixed run");
-    assert_eq!(mixed.plan.cache_hits, 1);
-    assert_eq!(mixed.plan.cache_misses, 1);
-    assert!(mixed.results[0].stats.cache_hit);
-    assert!(!mixed.results[1].stats.cache_hit);
-    assert_outputs_eq(&mixed.results[0].output, &cold.results[0].output, "hit");
-    assert_outputs_eq(&mixed.results[1].output, &solo_run(&pc, fx, None), "miss");
-
-    // Answers are cached per kind: the run above does not warm an
-    // `extract` of the same query, and an extract does not warm a run.
-    let mut r = reader(fx);
-    let extracted = Pipeline::session_many(vec![Query::new(&pc)], &mut r)
-        .with_planner(&mut planner)
-        .extract()
-        .expect("extract after run");
-    assert_eq!(
-        extracted.plan.cache_misses, 1,
-        "a run does not warm an extract"
-    );
-    assert_frames_eq(
-        &extracted.frames[0].frame,
-        &solo_extract(&pc, fx, None),
-        "extract",
-    );
-    let mut fresh = Planner::new();
-    let mut r = reader(fx);
-    Pipeline::session_many(vec![Query::new(&pc)], &mut r)
-        .with_planner(&mut fresh)
-        .extract()
-        .expect("extract");
-    let mut r = reader(fx);
-    let after = Pipeline::session_many(vec![Query::new(&pc)], &mut r)
-        .with_planner(&mut fresh)
-        .run()
-        .expect("run after extract");
-    assert_eq!(after.plan.cache_misses, 1, "an extract does not warm a run");
-    assert_eq!(fresh.cached(), 2, "one entry per answer kind");
-    assert_outputs_eq(&after.results[0].output, &solo_run(&pc, fx, None), "run");
-}
-
-/// A cache entry keeps its query's rules alive. The fingerprint hashes rule
-/// addresses; were a dropped pipeline's rules freed, a later rule with the
-/// same `(signal, bus, m_id)` but other decode parameters could take the
-/// address and hit the stale answer.
-#[test]
-fn cache_entries_keep_their_rules_alive() {
-    let fx = fixture();
-    let domains = disjoint_domains(&fx.data, 2);
-    let first = domain_pipeline(&fx.data, &domains[0][..4]).expect("pipeline a");
-    let rule = std::sync::Arc::downgrade(&first.u_comb().rules()[0]);
-    let mut planner = Planner::with_cache_capacity(1);
-    let mut r = reader(fx);
-    Pipeline::session_many(vec![Query::new(&first)], &mut r)
-        .with_planner(&mut planner)
-        .run()
-        .expect("first run");
-    drop(first);
-    assert!(rule.upgrade().is_some(), "the cached entry holds its rules");
-
-    // A second query evicts the first entry (capacity 1).
-    let second = domain_pipeline(&fx.data, &domains[1][..4]).expect("pipeline b");
-    let mut r = reader(fx);
-    Pipeline::session_many(vec![Query::new(&second)], &mut r)
-        .with_planner(&mut planner)
-        .run()
-        .expect("second run");
-    assert_eq!(planner.cached(), 1);
-    assert!(rule.upgrade().is_none(), "eviction releases them");
-}
-
 /// The serial oracle and the parallel fan-out agree (the planner's analog
 /// of the pipeline's own serial/parallel determinism guarantee).
 #[test]
@@ -469,4 +337,24 @@ fn serial_and_parallel_multi_runs_agree() {
     for (p, s) in parallel.results.iter().zip(&serial.results) {
         assert_outputs_eq(&p.output, &s.output, "serial vs parallel");
     }
+}
+
+/// A query label is user text (`ivnt query --domain NAME=…`); the
+/// per-query counter must escape it into a valid label value.
+#[test]
+fn query_labels_are_escaped_in_metrics() {
+    let fx = fixture();
+    let domain = &disjoint_domains(&fx.data, 1)[0][..3];
+    let pipeline = domain_pipeline(&fx.data, domain).expect("pipeline builds");
+    let registry = std::sync::Arc::new(ivnt::obs::Registry::new());
+    let mut r = reader(fx);
+    Pipeline::session_many(vec![Query::new(&pipeline).with_label("a\"b\\c")], &mut r)
+        .with_subscriber(std::sync::Arc::clone(&registry))
+        .run()
+        .expect("shared run");
+    let text = registry.snapshot().to_prometheus();
+    assert!(
+        text.contains(r#"plan_rows_routed_total{query="a\"b\\c"} "#),
+        "label not escaped:\n{text}"
+    );
 }
