@@ -100,11 +100,6 @@ impl IngestedTrace {
             })
             .collect()
     }
-
-    /// Total signal instances decoded on ingest.
-    pub fn total_instances(&self) -> usize {
-        self.per_signal.values().map(Vec::len).sum()
-    }
 }
 
 /// The sequential analyzer itself: owns the network documentation it
@@ -201,7 +196,8 @@ mod tests {
         // were "requested".
         assert_eq!(ingested.num_signals(), 8);
         assert_eq!(ingested.decode_failures(), 0);
-        assert!(ingested.total_instances() > trace.len());
+        let instances: usize = ingested.per_signal.values().map(Vec::len).sum();
+        assert!(instances > trace.len());
     }
 
     #[test]

@@ -31,7 +31,6 @@ use ivnt_core::prelude::*;
 use ivnt_series::swab::{bottom_up, bottom_up_naive};
 
 /// Re-encodes every output frame partition plus the per-signal metadata.
-/// Timing is measurement, not output, and is deliberately excluded.
 fn fingerprint(output: &PipelineOutput) -> Vec<Vec<u8>> {
     let mut fp = Vec::new();
     for frame in [&output.extensions, &output.merged, &output.state] {
@@ -107,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         expected_fp,
         "parallel pipeline diverged from the serial reference"
     );
-    let timing = parallel.timing;
 
     // Serial and parallel runs are interleaved as pairs; the speedup is
     // the median of the per-pair ratios. The runs above were the warmup.
@@ -143,8 +141,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // side prices the full counter/histogram/span path. The overhead is
     // the median of the per-pair ratios, floored at zero — a subscriber
     // cannot make the run faster, so a negative reading is noise by
-    // construction. One enabled run's snapshot is embedded in the JSON so
-    // BENCH_pipeline carries the stage-level breakdown.
+    // construction. One untimed enabled run's snapshot is embedded in the
+    // JSON, and its span tree is the `stage_seconds` breakdown.
     let obs_registry = std::sync::Arc::new(ivnt_obs::Registry::new());
     let run_parallel = || {
         pipeline
@@ -167,6 +165,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pipeline.session(RunOptions::trace(&data.trace)).run()?;
         registry.snapshot()
     };
+    // The run's span tree in pipeline order: `run` is the root, the
+    // per-signal stages are summed task time under `fan_out`.
+    let stage_seconds: Vec<String> = [
+        "tabular",
+        "interpret",
+        "split",
+        "fan_out",
+        "dedup",
+        "reduce",
+        "extend",
+        "classify",
+        "branch",
+        "extend_gather",
+        "merge",
+        "state",
+        "run",
+    ]
+    .iter()
+    .map(|name| {
+        let span = obs_snapshot.spans.values().find(|s| s.name == *name);
+        format!("    \"{name}\": {:.6}", span.map_or(0.0, |s| s.seconds))
+    })
+    .collect();
 
     // SWAB kernel: heap vs naive on a large window — the O(n log n) vs
     // O(n²) comparison the per-signal workload is too small to show.
@@ -203,19 +224,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"serial_seconds\": {:.6},\n",
             "  \"parallel_seconds\": {:.6},\n",
             "  \"parallel_vs_serial_speedup\": {:.3},\n",
-            "  \"stage_seconds\": {{\n",
-            "    \"tabular\": {:.6},\n",
-            "    \"interpret\": {:.6},\n",
-            "    \"split\": {:.6},\n",
-            "    \"dedup\": {:.6},\n",
-            "    \"reduce\": {:.6},\n",
-            "    \"extend\": {:.6},\n",
-            "    \"classify\": {:.6},\n",
-            "    \"branch\": {:.6},\n",
-            "    \"merge\": {:.6},\n",
-            "    \"state\": {:.6},\n",
-            "    \"total_wall\": {:.6}\n",
-            "  }},\n",
+            "  \"stage_seconds\": {{\n{}\n  }},\n",
             "  \"swab_kernel\": {{\n",
             "    \"n\": {},\n",
             "    \"heap_seconds\": {:.6},\n",
@@ -240,17 +249,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         serial_secs,
         parallel_secs,
         parallel_speedup,
-        timing.tabular,
-        timing.interpret,
-        timing.split,
-        timing.dedup,
-        timing.reduce,
-        timing.extend,
-        timing.classify,
-        timing.branch,
-        timing.merge,
-        timing.state,
-        timing.total,
+        stage_seconds.join(",\n"),
         swab_n,
         heap_secs,
         naive_secs,

@@ -26,8 +26,8 @@
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
-use std::cell::RefCell;
 use std::io::{Cursor, Read, Seek};
+use std::sync::Arc;
 
 use ivnt_bench::{
     disjoint_domains, domain_pipeline, env_f64, median, paired_secs, scale, time_secs,
@@ -80,8 +80,8 @@ struct FleetResult {
     extract_sequential_secs: f64,
     extract_shared_secs: f64,
     extract_speedup: f64,
-    /// Σ over the queries of `StageTiming::merge` / `state`, median over
-    /// the shared runs.
+    /// Σ over the queries of the `merge` / `state` spans, median over
+    /// untimed instrumented shared runs.
     merge_secs: f64,
     state_secs: f64,
     shared_interpret: bool,
@@ -206,20 +206,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 solo_run(p, &mut reader);
             }
         };
-        // Each shared run's back half, summed over its queries.
-        let back_half = RefCell::new(Vec::new());
         let shared = || {
             let mut reader = open(&bytes);
-            let out = batch(&pipelines, &mut reader).run().expect("shared");
-            let timings = out.results.iter().map(|q| &q.output.timing);
-            let (merge, state) = timings.fold((0.0, 0.0), |(m, s), t| (m + t.merge, s + t.state));
-            back_half.borrow_mut().push((merge, state));
+            batch(&pipelines, &mut reader).run().expect("shared");
         };
         sequential(); // warmups
         shared();
         let pair = paired_secs(runs, || time_secs(sequential), || time_secs(shared));
         let (sequential_secs, shared_secs, speedup) = (pair.a_secs, pair.b_secs, pair.a_over_b);
-        let (merge, state): (Vec<f64>, Vec<f64>) = back_half.into_inner().into_iter().unzip();
+        // Each shared run's back half, summed over its queries by the span
+        // aggregate, from untimed instrumented runs: the timed pairs above
+        // keep obs disabled on both sides.
+        let (merge, state): (Vec<f64>, Vec<f64>) = (0..runs)
+            .map(|_| {
+                let registry = Arc::new(ivnt_obs::Registry::new());
+                let _guard = ivnt_obs::install(Arc::clone(&registry));
+                shared();
+                let spans = registry.snapshot().spans;
+                (spans["run/merge"].seconds, spans["run/state"].seconds)
+            })
+            .unzip();
         let (merge_secs, state_secs) = (median(merge), median(state));
 
         // The front half alone.

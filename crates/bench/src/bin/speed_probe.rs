@@ -10,7 +10,7 @@ use ivnt_bench::{
     covered_fraction, env_f64, median_secs, scale, select_signals_for_fraction, u_rel_with_hints,
 };
 use ivnt_core::interpret::{
-    interpret, interpret_fused, interpret_fused_scalar, preselect, run_length_histogram,
+    extract_signals, interpret, interpret_fused_scalar, preselect, run_length_histogram,
 };
 use ivnt_core::prelude::*;
 use ivnt_core::tabular::trace_to_frame;
@@ -88,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows_out: pre.num_rows(),
     });
 
-    let fused = interpret_fused(&raw, &u_comb)?;
+    let fused = extract_signals(&raw, &u_comb)?;
     let secs = median_secs(runs, || {
-        interpret_fused(&raw, &u_comb).expect("interpret_fused");
+        extract_signals(&raw, &u_comb).expect("extract_signals");
     });
     measurements.push(Measurement {
         name: "interpret_fused",

@@ -172,57 +172,36 @@ fn store_catalog(
     Ok((catalog, reader))
 }
 
+/// A domain profile named `name` with the shared `--workers` cap — every
+/// profile the CLI builds goes through here.
+fn profile(name: impl Into<String>, shared: &SharedOptions) -> DomainProfile {
+    let profile = DomainProfile::new(name);
+    match shared.workers {
+        Some(workers) => profile.with_workers(workers),
+        None => profile,
+    }
+}
+
 /// The `cli` domain profile, narrowed to `--signals a,b` when given.
-fn signal_profile(args: &Args) -> DomainProfile {
-    let profile = DomainProfile::new("cli");
+fn signal_profile(args: &Args, shared: &SharedOptions) -> DomainProfile {
+    let profile = profile("cli", shared);
     match args.get("signals") {
         Some(list) => profile.with_signals(list.split(',').map(str::trim).map(String::from)),
         None => profile,
     }
 }
 
-/// Applies the shared `--serial`/`--workers` flags and the `--metrics`
-/// subscriber to a session's options.
+/// A store session's options under the shared `--serial` flag.
 fn session_options<'a, R: std::io::Read + std::io::Seek>(
-    mut opts: RunOptions<'a, R>,
+    reader: &'a mut ivnt_store::StoreReader<R>,
     shared: &SharedOptions,
-    registry: Option<&std::sync::Arc<ivnt_obs::Registry>>,
 ) -> RunOptions<'a, R> {
+    let opts = RunOptions::store(reader);
     if shared.serial {
-        opts = opts.serial();
+        opts.serial()
+    } else {
+        opts
     }
-    if let Some(workers) = shared.workers {
-        opts = opts.with_workers(workers);
-    }
-    if let Some(r) = registry {
-        opts = opts.with_subscriber(std::sync::Arc::clone(r));
-    }
-    opts
-}
-
-/// Prints the per-stage timing table of one run: `busy` is the summed
-/// per-signal task time, `wall` the stage's elapsed makespan — they only
-/// differ for the fan-out stages, where `busy / wall` approximates the
-/// stage's effective parallelism.
-fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
-    let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let fan_out = |name: &str, busy: f64, wall: f64| {
-        println!("  {:<22} {:>10} {:>10}", name, ms(busy), ms(wall));
-    };
-    let serial = |name: &str, busy: f64| fan_out(name, busy, busy);
-    println!("\nstage timing (busy = summed per-signal task time, wall = stage makespan):");
-    println!("  {:<22} {:>10} {:>10}", "stage", "busy ms", "wall ms");
-    serial("tabular (ingest)", t.tabular);
-    serial("interpret (fused)", t.interpret);
-    serial("split", t.split);
-    fan_out("dedup", t.dedup, t.wall.dedup);
-    fan_out("reduce", t.reduce, t.wall.reduce);
-    fan_out("extend", t.extend, t.wall.extend);
-    fan_out("classify", t.classify, t.wall.classify);
-    fan_out("branch", t.branch, t.wall.branch);
-    serial("merge", t.merge);
-    serial("state", t.state);
-    println!("  {:<22} {:>10} {:>10}", "total", "", ms(t.total));
 }
 
 /// Renders per-signal run summaries as the `signals` JSON array.
@@ -239,28 +218,56 @@ fn signals_json(w: &mut JsonWriter, signals: &[ivnt_core::pipeline::SignalOutput
     w.end_array();
 }
 
-/// Renders one run's timing as a JSON object (seconds, not ms).
-fn timing_json(w: &mut JsonWriter, t: &ivnt_core::pipeline::StageTiming) {
-    w.begin_object(Some("timing"));
-    w.field_f64("tabular", t.tabular);
-    w.field_f64("interpret", t.interpret);
-    w.field_f64("split", t.split);
-    w.field_f64("dedup", t.dedup);
-    w.field_f64("reduce", t.reduce);
-    w.field_f64("extend", t.extend);
-    w.field_f64("classify", t.classify);
-    w.field_f64("branch", t.branch);
-    w.field_f64("merge", t.merge);
-    w.field_f64("state", t.state);
-    w.field_f64("total", t.total);
-    w.begin_object(Some("wall"));
-    w.field_f64("dedup", t.wall.dedup);
-    w.field_f64("reduce", t.wall.reduce);
-    w.field_f64("extend", t.wall.extend);
-    w.field_f64("classify", t.wall.classify);
-    w.field_f64("branch", t.wall.branch);
-    w.end_object();
-    w.end_object();
+/// `--timing`: the snapshot's span tree, depth-first with siblings in
+/// name order — printed as indented lines of calls and total ms, or, given
+/// a writer, as the `timing` array (seconds). A span's time includes its
+/// children's; `fan_out`'s children are summed per-signal task time, so
+/// their sum over `fan_out` reads as the fan-out's parallelism.
+fn render_timing(snapshot: &ivnt_obs::Snapshot, json: Option<&mut JsonWriter>) {
+    fn walk<'s>(
+        spans: &'s std::collections::BTreeMap<String, ivnt_obs::SpanStat>,
+        parent: &str,
+        depth: usize,
+        out: &mut Vec<(usize, &'s ivnt_obs::SpanStat)>,
+    ) {
+        // Spans name only their parent, so a span named like an ancestor
+        // would loop; no stage tree is deeper than this cap.
+        if depth == 8 {
+            return;
+        }
+        for span in spans.values().filter(|s| s.parent == parent) {
+            out.push((depth, span));
+            walk(spans, &span.name, depth + 1, out);
+        }
+    }
+    let mut tree = Vec::new();
+    walk(&snapshot.spans, "", 0, &mut tree);
+    match json {
+        Some(w) => {
+            w.begin_array(Some("timing"));
+            for (_, span) in tree {
+                w.begin_object(None);
+                w.field_str("span", &span.name);
+                w.field_str("parent", &span.parent);
+                w.field_u64("count", span.count);
+                w.field_f64("seconds", span.seconds);
+                w.end_object();
+            }
+            w.end_array();
+        }
+        None => {
+            println!("\nstage timing (span tree; a span includes its children):");
+            println!("  {:<24} {:>6} {:>10}", "span", "calls", "ms");
+            for (depth, span) in tree {
+                let name = format!("{:indent$}{}", "", span.name, indent = 2 * depth);
+                println!(
+                    "  {name:<24} {:>6} {:>10.3}",
+                    span.count,
+                    span.seconds * 1e3
+                );
+            }
+        }
+    }
 }
 
 /// `ivnt run --scenario syn --seed 7 [--signals a,b] [--workers N]
@@ -268,8 +275,8 @@ fn timing_json(w: &mut JsonWriter, t: &ivnt_core::pipeline::StageTiming) {
 /// <trace.ivns>`
 ///
 /// The full Algorithm 1 straight from the store (zone maps prune chunks
-/// the domain cannot match): `--timing` prints the per-stage busy/wall
-/// breakdown, `--serial` forces the sequential reference path,
+/// the domain cannot match): `--timing` prints the run's stage span tree,
+/// `--serial` forces the sequential reference path,
 /// `--workers` caps the per-signal fan-out, `--metrics` prints the run's
 /// observability snapshot (Prometheus text, or JSON with `--json`), and
 /// `--json` switches the whole summary to machine-readable output.
@@ -281,22 +288,24 @@ pub fn run(args: &Args) -> CmdResult {
     let path = args.positional(0, "trace.ivns")?;
     let shared = SharedOptions::parse(args)?;
     let (catalog, mut reader) = store_catalog(args, path)?;
-    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args)).map_err(err)?;
-    let registry = output::metrics_registry(&shared);
-    let opts = session_options(
-        RunOptions::store(&mut reader),
-        &shared,
-        registry.as_ref().map(|(r, _)| r),
-    );
-    let output = pipeline.session(opts).run().map_err(err)?;
+    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args, &shared)).map_err(err)?;
+    let registry = output::metrics_registry(shared.metrics || shared.timing);
+    let output = pipeline
+        .session(session_options(&mut reader, &shared))
+        .run()
+        .map_err(err)?;
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
+    let timing = snapshot.as_ref().filter(|_| shared.timing);
+    let metrics = snapshot.as_ref().filter(|_| shared.metrics);
 
     if shared.json {
         let mut w = JsonWriter::new();
         w.begin_object(None);
         signals_json(&mut w, &output.signals);
-        timing_json(&mut w, &output.timing);
-        w.field_metrics(snapshot.as_ref());
+        if let Some(s) = timing {
+            render_timing(s, Some(&mut w));
+        }
+        w.field_metrics(metrics);
         w.end_object();
         println!("{}", w.finish());
     } else {
@@ -307,10 +316,10 @@ pub fn run(args: &Args) -> CmdResult {
                 s.signal, s.classification.branch, s.rows_interpreted, s.rows_reduced
             );
         }
-        if shared.timing {
-            print_timing(&output.timing);
+        if let Some(s) = timing {
+            render_timing(s, None);
         }
-        output::print_metrics(snapshot.as_ref());
+        output::print_metrics(metrics);
     }
     if let Some(report_path) = args.get("report") {
         let md = ivnt_analysis::report::render_report(
@@ -581,14 +590,12 @@ pub fn extract(args: &Args) -> CmdResult {
     let path = args.positional(0, "trace.ivns")?;
     let shared = SharedOptions::parse(args)?;
     let (catalog, mut reader) = store_catalog(args, path)?;
-    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args)).map_err(err)?;
-    let registry = output::metrics_registry(&shared);
-    let opts = session_options(
-        RunOptions::store(&mut reader),
-        &shared,
-        registry.as_ref().map(|(r, _)| r),
-    );
-    let extraction = pipeline.session(opts).extract().map_err(err)?;
+    let pipeline = Pipeline::from_catalog(&catalog, signal_profile(args, &shared)).map_err(err)?;
+    let registry = output::metrics_registry(shared.metrics);
+    let extraction = pipeline
+        .session(session_options(&mut reader, &shared))
+        .extract()
+        .map_err(err)?;
     let frame = extraction.frame;
     let stats = extraction.scan.unwrap_or_default();
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
@@ -776,7 +783,7 @@ pub fn query(args: &Args) -> CmdResult {
     let pipelines: Vec<Pipeline> = specs
         .iter()
         .map(|d| {
-            let profile = DomainProfile::new(d.name.clone()).with_signals(d.signals.clone());
+            let profile = profile(d.name.clone(), &shared).with_signals(d.signals.clone());
             Pipeline::from_catalog(&catalog, profile).map_err(err)
         })
         .collect::<Result<_, _>>()?;
@@ -793,14 +800,11 @@ pub fn query(args: &Args) -> CmdResult {
         })
         .collect();
 
-    let registry = output::metrics_registry(&shared);
+    let registry = output::metrics_registry(shared.metrics);
     use ivnt_plan::SessionMany as _;
     let mut set = Pipeline::session_many(queries, &mut reader);
     if shared.serial {
         set = set.serial();
-    }
-    if let Some((r, _)) = &registry {
-        set = set.with_subscriber(std::sync::Arc::clone(r));
     }
     let multi = set.run().map_err(err)?;
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
@@ -948,7 +952,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
     }
     options.seal = !args.has("no-seal");
 
-    let registry = output::metrics_registry(&shared);
+    let registry = output::metrics_registry(shared.metrics);
     let writer = ivnt_store::AppendWriter::create(out_path, append).map_err(err)?;
     let stop = ivnt_stream::StopFlag::new();
     let (_, stats) = if args.has("stdin") {
@@ -1026,8 +1030,8 @@ fn stream_follow(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse_switches(args);
 
-    let pipeline =
-        Pipeline::from_catalog(&authored_catalog(args)?, signal_profile(args)).map_err(err)?;
+    let pipeline = Pipeline::from_catalog(&authored_catalog(args)?, signal_profile(args, &shared))
+        .map_err(err)?;
 
     let mut options = ivnt_stream::StreamOptions::default();
     if let Some(ms) = args.get_parsed::<u64>("watermark-ms")? {
@@ -1044,7 +1048,7 @@ fn stream_follow(args: &Args) -> CmdResult {
     }
     let poll_ms = args.get_parsed::<u64>("poll-ms")?.unwrap_or(200);
 
-    let registry = output::metrics_registry(&shared);
+    let registry = output::metrics_registry(shared.metrics);
     let mut session = ivnt_stream::StreamingSession::new(&pipeline, options).map_err(err)?;
     let mut follower = ivnt_store::StoreFollower::open(path).map_err(err)?;
     let mut groups = 0u64;
@@ -1271,7 +1275,7 @@ fn cluster_run(args: &Args) -> CmdResult {
     // The coordinator's own instrumentation (heartbeat gaps, retries,
     // per-shard wall clock) lands in this registry; worker snapshots
     // arrive over the wire in `run.worker_metrics` and are merged below.
-    let registry = output::metrics_registry(&shared);
+    let registry = output::metrics_registry(shared.metrics);
     let run = ivnt_cluster::run_job(&job, &addrs, &config).map_err(err)?;
     drop(locals);
     let snapshot = registry.as_ref().map(|(r, _)| {
@@ -1592,7 +1596,7 @@ TRACE FILES:
 SHARED FLAGS (run, extract, query):
   --workers N   cap the per-signal fan-out executor
   --serial      force the sequential reference path
-  --timing      print the per-stage busy/wall timing table (run)
+  --timing      print the run's stage span tree: calls and ms (run)
   --metrics     print an ivnt-obs snapshot of the run (Prometheus text)
   --json        machine-readable output; with --metrics, the snapshot
                 is embedded as JSON

@@ -1,4 +1,4 @@
-//! The flags shared by `run`, `extract` and `cluster run`, parsed
+//! The flags shared by `run`, `extract`, `query` and `cluster run`, parsed
 //! once so every command interprets them identically.
 
 use crate::args::Args;
@@ -15,7 +15,7 @@ pub struct SharedOptions {
     pub workers: Option<usize>,
     /// Force the sequential reference path (`--serial`).
     pub serial: bool,
-    /// Print the per-stage busy/wall timing table (`--timing`).
+    /// Print the run's stage span tree (`--timing`, `run` only).
     pub timing: bool,
     /// Collect and print an observability snapshot (`--metrics`).
     pub metrics: bool,

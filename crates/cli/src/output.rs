@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use crate::options::SharedOptions;
-
 /// Escapes a string for a JSON literal (quotes, backslashes, controls).
 pub fn json_str(s: &str) -> String {
     ivnt_obs::snapshot::json_string(s)
@@ -165,13 +163,14 @@ pub fn print_metrics(snapshot: Option<&ivnt_obs::Snapshot>) {
     }
 }
 
-/// Installs a fresh registry when `--metrics` was given, returning the
-/// registry (to snapshot later) and the uninstall guard that must stay
-/// alive for the instrumented region.
+/// Installs a fresh process-wide registry when `install` is set (by
+/// `--metrics`, or `--timing` on `run`), returning the registry (to
+/// snapshot later) and the uninstall guard that must stay alive for the
+/// instrumented region.
 pub fn metrics_registry(
-    opts: &SharedOptions,
+    install: bool,
 ) -> Option<(Arc<ivnt_obs::Registry>, ivnt_obs::InstallGuard)> {
-    if !opts.metrics {
+    if !install {
         return None;
     }
     let registry = Arc::new(ivnt_obs::Registry::new());

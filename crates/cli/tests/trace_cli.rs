@@ -1,7 +1,8 @@
 //! Trace-file smoke test over the real binary: `record` writes an `.ivns`
 //! store that `inspect`, `run` and `extract` read back, the parallel and
-//! serial runs agree byte for byte, and files that are not stores fail
-//! with a typed `error:` line instead of a panic.
+//! serial runs agree byte for byte, `run --timing` adds its span tree and
+//! changes nothing else, `query` honours `--workers`, and files that are
+//! not stores fail with a typed `error:` line instead of a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -45,7 +46,7 @@ fn record_inspect_run_extract_roundtrip() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("top message streams"));
 
-    ivnt_ok(&["run"], &["--state-csv", a_arg], &trace);
+    let plain = ivnt_ok(&["run"], &["--state-csv", a_arg], &trace);
     ivnt_ok(&["run", "--serial"], &["--state-csv", b_arg], &trace);
     let parallel = std::fs::read(&a).expect("parallel csv");
     assert!(!parallel.is_empty());
@@ -53,6 +54,71 @@ fn record_inspect_run_extract_roundtrip() {
         parallel == std::fs::read(&b).expect("serial csv"),
         "parallel and serial state CSVs differ"
     );
+
+    // `--timing` prints the span tree between the signal list and the
+    // rest, which stays byte-identical.
+    let timed = ivnt_ok(&["run", "--timing"], &["--state-csv", a_arg], &trace);
+    assert!(parallel == std::fs::read(&a).expect("timed csv"));
+    let lines: Vec<&str> = timed.lines().collect();
+    let start = (lines.iter())
+        .position(|l| l.starts_with("stage timing"))
+        .expect("timing block");
+    let end = (lines[start + 1..].iter())
+        .position(|l| !l.starts_with("  "))
+        .map_or(lines.len(), |i| start + 1 + i);
+    let rest = [&lines[..start - 1], &lines[end..]].concat();
+    assert_eq!(
+        rest.join("\n"),
+        plain.trim_end(),
+        "--timing changed other output"
+    );
+    let tree = &lines[start + 2..end];
+    assert!(tree[0].starts_with("  run "), "{timed}");
+    for (indent, stages) in [
+        (
+            4,
+            &[
+                "interpret",
+                "split",
+                "fan_out",
+                "extend_gather",
+                "merge",
+                "state",
+            ][..],
+        ),
+        (6, &["dedup", "reduce", "extend", "classify", "branch"][..]),
+    ] {
+        for stage in stages {
+            let line = format!("{:indent$}{stage} ", "");
+            assert!(
+                tree.iter().any(|l| l.starts_with(&line)),
+                "{stage}: {timed}"
+            );
+        }
+    }
+
+    // The JSON form: the same tree as a `timing` array, the only member
+    // `--timing` adds; the stages under `run` sum to no more than `run`.
+    let json = ivnt_ok(&["run"], &["--json"], &trace);
+    let timed = ivnt_ok(&["run", "--timing"], &["--json"], &trace);
+    let (head, timing) = timed
+        .split_once(",\n  \"timing\": [")
+        .expect("timing member");
+    assert_eq!(format!("{head}\n}}\n"), json, "--timing changed other JSON");
+    let spans = timing_entries(timing);
+    assert_eq!((spans[0].0.as_str(), spans[0].1.as_str()), ("run", ""));
+    let signals = json.matches("\"signal\": ").count() as u64;
+    for (name, parent, count, _) in &spans {
+        if parent == "fan_out" {
+            assert_eq!(*count, signals, "{name}");
+        }
+    }
+    let run = spans[0].3;
+    let children: f64 = (spans.iter())
+        .filter(|(_, parent, ..)| parent == "run")
+        .map(|s| s.3)
+        .sum();
+    assert!(children <= run, "children {children} s exceed run {run} s");
 
     let json = ivnt_ok(&["extract"], &["--signals", "syn_s0000", "--json"], &trace);
     let skipped: u64 = json
@@ -65,6 +131,51 @@ fn record_inspect_run_extract_roundtrip() {
     for path in [&trace, &a, &b] {
         std::fs::remove_file(path).ok();
     }
+}
+
+/// `(span, parent, count, seconds)` per entry of a `timing` JSON array.
+fn timing_entries(json: &str) -> Vec<(String, String, u64, f64)> {
+    let mut entries = Vec::new();
+    let (mut span, mut parent, mut count) = (String::new(), String::new(), 0);
+    for line in json.lines().map(str::trim) {
+        let value = |key: &str| {
+            let v = line.strip_prefix(&format!("\"{key}\": "))?;
+            Some(v.trim_end_matches(',').trim_matches('"').to_string())
+        };
+        if let Some(v) = value("span") {
+            span = v;
+        } else if let Some(v) = value("parent") {
+            parent = v;
+        } else if let Some(v) = value("count") {
+            count = v.parse().expect("count");
+        } else if let Some(v) = value("seconds") {
+            let seconds = v.parse().expect("seconds");
+            entries.push((span.clone(), parent.clone(), count, seconds));
+        }
+    }
+    entries
+}
+
+#[test]
+fn query_workers_flag_reaches_every_domain() {
+    let trace = temp_path("query.ivns");
+    ivnt_ok(&["record"], &[], &trace);
+    // `pipeline_scatter_total` counts per-signal fan-outs through the
+    // executor, which a 1-worker query skips.
+    let scatters = |workers: &str| {
+        let domains = [
+            "--signal",
+            "syn_s0000",
+            "--domain",
+            "pair=syn_s0001+syn_s0002",
+        ];
+        let flags = ["--workers", workers, "--metrics", "--json"];
+        ivnt_ok(&["query"], &[&domains[..], &flags].concat(), &trace)
+            .contains("\"pipeline_scatter_total\"")
+    };
+    assert!(!scatters("1"), "--workers 1 still scattered");
+    assert!(scatters("2"), "--workers 2 did not scatter");
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!   mirroring the paper's Spark plan operator by operator. The join
 //!   materializes `K_pre ⋈ U_comb`, duplicating each payload row once per
 //!   matching rule.
-//! * [`Kernel`] ([`interpret_fused`]) — the production kernel: one pass
+//! * [`Kernel`] ([`extract_signals`]) — the production kernel: one pass
 //!   per partition that probes the broadcast rule table and decodes in
 //!   place, so neither `K_pre` nor the joined intermediate ever hits
 //!   memory. Property tests assert it stays bit-identical to the reference
@@ -498,7 +498,7 @@ fn decode_instance(rule: &Rule, payload: Option<&[u8]>) -> Option<Option<Physica
 /// The `u1`/`u2` mappings run as one fused columnar pass per partition:
 /// logically `u1` (relevant-byte slice) feeds `u2` (value decode) per row,
 /// but the intermediate `l_rel` never hits a column. The join output
-/// itself *is* materialized here, which is what [`interpret_fused`]
+/// itself *is* materialized here, which is what [`extract_signals`]
 /// additionally avoids; this path is kept as the executable specification
 /// the fused kernel is tested against.
 ///
@@ -590,10 +590,10 @@ pub fn interpret(pre: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
 }
 
 /// Row-at-a-time fused interpretation: the pre-vectorization kernel,
-/// retained as the scalar baseline the batch-columnar [`interpret_fused`]
+/// retained as the scalar baseline the batch-columnar [`extract_signals`]
 /// is benchmarked (and property-tested) against.
 ///
-/// Same contract as [`interpret_fused`]: bit-identical to
+/// Same contract as [`extract_signals`]: bit-identical to
 /// `interpret(&preselect(raw)?, u_comb)`.
 ///
 /// # Errors
@@ -1208,31 +1208,6 @@ impl Kernel {
     }
 }
 
-/// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules
-/// are compiled to [`DecodePlan`]s once per query, rows are grouped into
-/// `(bus, m_id)` runs probed once each, and all signals of a message
-/// decode from a single loaded payload word where the layout allows.
-/// Output columns are built dictionary-encoded (signal/bus as `u32`
-/// indices) and materialized to shared `Arc<str>`s once per batch.
-///
-/// Feeding it the *raw* trace is the intended use — rows without a
-/// matching `(b_id, m_id)` rule are skipped inline, which is exactly
-/// preselection — so neither `K_pre` nor the joined intermediate (which
-/// duplicates each payload once per matching rule) is ever materialized.
-/// Output is bit-identical to `interpret(&preselect(raw)?, u_comb)`:
-/// rule hits are emitted in ascending rule order, matching the reference
-/// join's build-insertion order.
-///
-/// Compiles a [`Kernel`] per call; hold one (as [`Pipeline`]
-/// (crate::pipeline::Pipeline) does) to decode many frames.
-///
-/// # Errors
-///
-/// Propagates tabular-engine failures.
-pub fn interpret_fused(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
-    Kernel::compile(u_comb).extract(raw)
-}
-
 /// One raw batch through the batch-columnar kernel into `out`, told the
 /// batch's emission bound first. Generic over the sink so the table,
 /// routed and per-signal paths share every decode line.
@@ -1386,14 +1361,29 @@ pub fn run_length_histogram(raw: &DataFrame, u_comb: &RuleSet) -> Result<Vec<u64
     Ok(hist)
 }
 
-/// Convenience: preselection followed by interpretation (lines 3–6),
-/// executed by the fused kernel.
+/// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules
+/// are compiled to [`DecodePlan`]s once per query, rows are grouped into
+/// `(bus, m_id)` runs probed once each, and all signals of a message
+/// decode from a single loaded payload word where the layout allows.
+/// Output columns are built dictionary-encoded (signal/bus as `u32`
+/// indices) and materialized to shared `Arc<str>`s once per batch.
+///
+/// Feeding it the *raw* trace is the intended use — rows without a
+/// matching `(b_id, m_id)` rule are skipped inline, which is exactly
+/// preselection — so neither `K_pre` nor the joined intermediate (which
+/// duplicates each payload once per matching rule) is ever materialized.
+/// Output is bit-identical to `interpret(&preselect(raw)?, u_comb)`:
+/// rule hits are emitted in ascending rule order, matching the reference
+/// join's build-insertion order.
+///
+/// Compiles a [`Kernel`] per call; hold one (as [`Pipeline`]
+/// (crate::pipeline::Pipeline) does) to decode many frames.
 ///
 /// # Errors
 ///
 /// Propagates tabular-engine failures.
 pub fn extract_signals(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
-    interpret_fused(raw, u_comb)
+    Kernel::compile(u_comb).extract(raw)
 }
 
 #[cfg(test)]
@@ -1571,7 +1561,7 @@ mod tests {
         let u_comb = u_rel.select(&["wpos", "wvel"]).unwrap();
         for parts in [1usize, 2, 3] {
             let raw = trace_to_frame(&trace(), parts).unwrap();
-            let fused = interpret_fused(&raw, &u_comb).unwrap();
+            let fused = extract_signals(&raw, &u_comb).unwrap();
             let scalar = interpret_fused_scalar(&raw, &u_comb).unwrap();
             let reference = interpret(&preselect(&raw, &u_comb).unwrap(), &u_comb).unwrap();
             let reference = reference.collect_rows().unwrap();

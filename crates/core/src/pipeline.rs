@@ -18,9 +18,9 @@ use std::fs::File;
 use std::io::{BufReader, Read, Seek};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use ivnt_frame::prelude::*;
+use ivnt_obs::Stopwatch;
 use ivnt_simulator::trace::Trace;
 use ivnt_store::{ScanStats, StoreReader};
 
@@ -152,69 +152,6 @@ pub struct SignalOutput {
     pub frame: DataFrame,
 }
 
-/// Elapsed (makespan) seconds per fan-out stage: for each stage,
-/// `max(end) − min(start)` across all per-signal tasks, measured against
-/// the run's epoch. Under parallel execution this is the stage's actual
-/// wall-clock footprint, while the matching [`StageTiming`] field is the
-/// summed busy time — `busy / wall` approximates the stage's effective
-/// parallelism. Tasks of different stages interleave, so the five walls
-/// can overlap and their sum may exceed the run total.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageWall {
-    /// Gateway dedup (line 9).
-    pub dedup: f64,
-    /// Constraint/cluster reduction (line 10).
-    pub reduce: f64,
-    /// Extension rules (line 12), per-signal portion only (the rule-major
-    /// gather is serial and lives in [`StageTiming::extend`]).
-    pub extend: f64,
-    /// Classification (line 13).
-    pub classify: f64,
-    /// α/β/γ branch processing (lines 14–28).
-    pub branch: f64,
-}
-
-/// Wall-clock seconds spent per Algorithm 1 stage during one
-/// [`Session::run`], so perf regressions can be attributed to a stage
-/// without a profiler (`ivnt run --timing` prints this table).
-///
-/// The fan-out stages (`dedup` through `branch`) run per signal, possibly
-/// concurrently, so those fields are the *summed busy time* across signals
-/// — under parallel execution they can exceed the elapsed wall clock. The
-/// per-stage elapsed makespans live in [`StageTiming::wall`].
-/// `interpret` covers the fused preselect + interpretation kernel
-/// (lines 3–6), which is not separable per stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageTiming {
-    /// Trace→frame ingest: record-level preselection (line 3) plus the
-    /// column-wise build of the survivors. 0 for store sources.
-    pub tabular: f64,
-    /// Fused preselection + interpretation kernel (lines 3–6); for store
-    /// sources incl. the scan.
-    pub interpret: f64,
-    /// Per-signal split (line 7).
-    pub split: f64,
-    /// Gateway dedup (line 9), summed across signals.
-    pub dedup: f64,
-    /// Constraint/cluster reduction (line 10), summed across signals.
-    pub reduce: f64,
-    /// Extension rules (line 12), summed across signals plus the gather.
-    pub extend: f64,
-    /// Classification (line 13), summed across signals.
-    pub classify: f64,
-    /// α/β/γ branch processing (lines 14–28), summed across signals.
-    pub branch: f64,
-    /// Merging into `K_rep` (line 29).
-    pub merge: f64,
-    /// State-representation pivot (Sec. 4.3).
-    pub state: f64,
-    /// End-to-end wall clock of the run.
-    pub total: f64,
-    /// Per-stage elapsed makespans for the fan-out stages (`busy` lives
-    /// in the flat fields above).
-    pub wall: StageWall,
-}
-
 /// Everything the pipeline produces for one trace.
 #[derive(Debug, Clone)]
 pub struct PipelineOutput {
@@ -226,9 +163,6 @@ pub struct PipelineOutput {
     pub merged: DataFrame,
     /// The forward-filled state representation (Table 4).
     pub state: DataFrame,
-    /// Per-stage wall-clock breakdown of this run. Timing is measurement,
-    /// not output: it is excluded from determinism comparisons.
-    pub timing: StageTiming,
 }
 
 impl PipelineOutput {
@@ -256,42 +190,14 @@ impl PipelineOutput {
     }
 }
 
-/// One stage's `[start, end]` interval within a per-signal task, as
-/// offsets (seconds) from the run epoch. Busy time is `end − start`;
-/// the makespan across signals is `max(end) − min(start)`.
-#[derive(Debug, Clone, Copy, Default)]
-struct StageSpanSecs {
-    start: f64,
-    end: f64,
-}
-
-impl StageSpanSecs {
-    fn busy(self) -> f64 {
-        self.end - self.start
-    }
-}
-
-/// Per-signal stage intervals for the fan-out stages, accumulated into
-/// [`StageTiming`] (busy sums) and [`StageWall`] (makespans) at gather
-/// time.
-#[derive(Debug, Clone, Copy, Default)]
-struct SignalStageSecs {
-    dedup: StageSpanSecs,
-    reduce: StageSpanSecs,
-    extend: StageSpanSecs,
-    classify: StageSpanSecs,
-    branch: StageSpanSecs,
-}
-
 /// Everything one per-signal task produces: the signal's output (its frame
 /// moved in, not cloned), one extension frame per profile rule (aligned
 /// index-wise with `profile.extensions`, empty where the rule targets
-/// another signal), and the task's stage timings.
+/// another signal).
 #[derive(Debug)]
 struct SignalResult {
     output: SignalOutput,
     extensions: Vec<DataFrame>,
-    stages: SignalStageSecs,
 }
 
 /// Scans `reader` under `pred`, handing each surviving row group to `each`
@@ -330,7 +236,6 @@ pub enum Source<'a, R: Read + Seek = BufReader<File>> {
 /// [`RunOptions::store_shard`], then chain the setters.
 pub struct RunOptions<'a, R: Read + Seek = BufReader<File>> {
     source: Source<'a, R>,
-    workers: Option<usize>,
     serial: bool,
     preselection: bool,
     time_window: Option<(u64, u64)>,
@@ -349,7 +254,6 @@ impl<'a, R: Read + Seek> RunOptions<'a, R> {
     pub fn from_source(source: Source<'a, R>) -> RunOptions<'a, R> {
         RunOptions {
             source,
-            workers: None,
             serial: false,
             preselection: true,
             time_window: None,
@@ -365,13 +269,6 @@ impl<'a, R: Read + Seek> RunOptions<'a, R> {
     /// Options over one row-group shard of a store file.
     pub fn store_shard(reader: &'a mut StoreReader<R>, groups: Range<u32>) -> RunOptions<'a, R> {
         RunOptions::from_source(Source::StoreShard { reader, groups })
-    }
-
-    /// Caps the session's worker count, overriding the profile's cap for
-    /// this session only (minimum 1).
-    pub fn with_workers(mut self, workers: usize) -> RunOptions<'a, R> {
-        self.workers = Some(workers.max(1));
-        self
     }
 
     /// Runs the per-signal fan-out as a plain sequential loop — the
@@ -438,19 +335,6 @@ pub struct Session<'p, 'a, R: Read + Seek = BufReader<File>> {
     opts: RunOptions<'a, R>,
 }
 
-/// The pipeline with the session's worker override applied (cloned only
-/// when the override actually changes something).
-fn effective_pipeline(pipeline: &Pipeline, workers: Option<usize>) -> Cow<'_, Pipeline> {
-    match workers {
-        Some(w) if pipeline.profile.workers != Some(w) => {
-            let mut p = pipeline.clone();
-            p.profile.workers = Some(w);
-            Cow::Owned(p)
-        }
-        _ => Cow::Borrowed(pipeline),
-    }
-}
-
 impl<R: Read + Seek> Session<'_, '_, R> {
     /// Lines 3–6: preselection and interpretation, producing `K_s` (plus
     /// scan statistics for store-backed sources).
@@ -462,9 +346,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     pub fn extract(self) -> Result<Extraction> {
         let Session { pipeline, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers);
-        let (extraction, _) = p.extract_source(opts.source, opts.preselection, opts.time_window)?;
-        Ok(extraction)
+        pipeline.extract_source(opts.source, opts.preselection, opts.time_window)
     }
 
     /// Lines 3–11: extraction, splitting, gateway dedup and constraint
@@ -476,10 +358,9 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     ///
     /// Same conditions as [`Session::extract`].
     pub fn extract_reduced(self) -> Result<Vec<(SignalSequence, Dedup, usize)>> {
-        let Session { pipeline, opts } = self;
+        let Session { pipeline: p, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers);
-        let (seqs, ..) = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
+        let seqs = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         let task = |seq: SignalSequence| {
             let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
             let reduced = p.reduce_representative(&dedup.representative)?;
@@ -499,25 +380,35 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     /// whole pipeline out-of-core — the raw trace is never materialized.
     ///
     /// Output is bit-identical across worker counts and serial/parallel
-    /// modes (timing excluded).
+    /// modes. With a subscriber installed the run records its stage times
+    /// as one span tree rooted at `run` (see [`close_run`]).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Session::extract`].
     pub fn run(self) -> Result<PipelineOutput> {
-        let Session { pipeline, opts } = self;
+        let Session { pipeline: p, opts } = self;
         let _guard = opts.subscriber.map(ivnt_obs::install);
-        let p = effective_pipeline(pipeline, opts.workers);
-        let t_run = Instant::now();
-        let (seqs, tabular_secs, split_secs) =
-            p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
-        let interpret_secs = t_run.elapsed().as_secs_f64() - tabular_secs - split_secs;
+        let clock = Stopwatch::start();
+        let seqs = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
         // A 1-worker scatter is pure overhead (channel round-trips, same
         // order): take the serial per-signal loop instead.
         let parallel = !opts.serial && p.effective_workers() > 1;
-        let mut output = p.run_from_sequences(seqs, t_run, interpret_secs, split_secs, parallel)?;
-        output.timing.tabular = tabular_secs;
+        let output = p.run_from_sequences(seqs, parallel)?;
+        close_run(clock);
         Ok(output)
+    }
+}
+
+/// Closes a run's root `run` span — its children are `tabular`,
+/// `interpret`, `split`, `fan_out` (whose children are the per-signal
+/// `dedup` … `branch` tasks), `extend_gather`, `merge` and `state` — and
+/// observes it into `pipeline_run_seconds`. Public (hidden) for the
+/// multi-query planner, whose whole batch is one run.
+#[doc(hidden)]
+pub fn close_run(mut clock: Stopwatch) {
+    if let Some(seconds) = clock.lap("run", "") {
+        ivnt_obs::with(|r| r.observe("pipeline_run_seconds", ivnt_obs::SECONDS_BUCKETS, seconds));
     }
 }
 
@@ -640,23 +531,22 @@ impl Pipeline {
     }
 
     /// The trace as a raw frame holding only what preselection (line 3)
-    /// and the window keep, with the seconds the ingest took.
+    /// and the window keep: the run's `tabular` stage.
     fn ingest_trace(
         &self,
         trace: &Trace,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<(DataFrame, f64)> {
-        let t = Instant::now();
+    ) -> Result<DataFrame> {
+        let mut clock = Stopwatch::start();
         let selector = RecordSelector::new(preselection.then(|| self.kernel()), time_window);
         let raw = self.raw_frame(trace, Some(&selector))?;
-        let tabular_secs = t.elapsed().as_secs_f64();
+        clock.lap("tabular", "run");
         ivnt_obs::with(|r| {
-            r.record_span("tabular", "run", tabular_secs);
             r.add("tabular_rows_in_total", trace.len() as u64);
             r.add("tabular_rows_kept_total", raw.num_rows() as u64);
         });
-        Ok((raw, tabular_secs))
+        Ok(raw)
     }
 
     /// The scan predicate of a store session: the domain's preselection,
@@ -676,26 +566,25 @@ impl Pipeline {
         pred
     }
 
-    /// Source-dispatched extraction (lines 3–6) into the table `K_s`, with
-    /// the seconds the trace→frame ingest took (0 for store sources, whose
-    /// ingest is part of the scan). Both preselect before materializing:
-    /// store sources by zone-map predicate, trace sources by the same
-    /// record predicate per partition slice.
+    /// Source-dispatched extraction (lines 3–6) into the table `K_s`. Both
+    /// preselect before materializing: store sources by zone-map
+    /// predicate, trace sources by the same record predicate per partition
+    /// slice.
     fn extract_source<R: Read + Seek>(
         &self,
         source: Source<'_, R>,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<(Extraction, f64)> {
+    ) -> Result<Extraction> {
         let (reader, groups) = match source {
             Source::Trace(trace) => {
-                let (raw, tabular_secs) = self.ingest_trace(trace, preselection, time_window)?;
+                let raw = self.ingest_trace(trace, preselection, time_window)?;
                 let frame = if preselection {
                     self.kernel().extract(&raw)?
                 } else {
                     crate::interpret::interpret(&raw, &self.u_comb)?
                 };
-                return Ok((Extraction { frame, scan: None }, tabular_secs));
+                return Ok(Extraction { frame, scan: None });
             }
             Source::Store(reader) => (reader, None),
             Source::StoreShard { reader, groups } => (reader, Some(groups)),
@@ -716,7 +605,7 @@ impl Pipeline {
             parts.push(Batch::empty(crate::interpret::signal_schema()));
         }
         let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
-        Ok((Extraction { frame, scan }, 0.0))
+        Ok(Extraction { frame, scan })
     }
 
     /// Lines 3–8 with the split fused into the kernel's emission: the
@@ -725,22 +614,29 @@ impl Pipeline {
     /// per-partition sinks appended in partition order; store row groups
     /// decode one after another into the builder itself. Only the
     /// no-preselection ablation, whose reference join is not the kernel,
-    /// goes through `K_s`. Returns the sequences with the seconds of the
-    /// trace→frame ingest (0 for store sources) and of the builder's
-    /// `finish` — the split that is left: ordering check + column assembly.
+    /// goes through `K_s`. The run's `tabular` stage is the trace→frame
+    /// ingest (none for store sources), `interpret` the decode (for store
+    /// sources incl. the scan), and `split` the builder's `finish`: the
+    /// ordering check + column assembly left after routing.
     fn extract_sequences<R: Read + Seek>(
         &self,
         source: Source<'_, R>,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<(Vec<SignalSequence>, f64, f64)> {
+    ) -> Result<Vec<SignalSequence>> {
+        let (raw, store) = match source {
+            Source::Trace(trace) => {
+                let raw = self.ingest_trace(trace, preselection, time_window)?;
+                (Some(raw), None)
+            }
+            Source::Store(reader) => (None, Some((reader, None))),
+            Source::StoreShard { reader, groups } => (None, Some((reader, Some(groups)))),
+        };
+        let mut clock = Stopwatch::start();
         let kernel = self.kernel();
         let mut builder = kernel.sequence_builder();
-        let mut tabular = 0.0;
-        let store = match source {
-            Source::Trace(trace) if preselection => {
-                let (raw, secs) = self.ingest_trace(trace, true, time_window)?;
-                tabular = secs;
+        match raw {
+            Some(raw) if preselection => {
                 let decoded =
                     raw.executor()
                         .try_map_ref(raw.partitions(), |batch| -> Result<_> {
@@ -751,29 +647,25 @@ impl Pipeline {
                 for runs in decoded {
                     builder.append(runs);
                 }
-                None
             }
-            Source::Trace(trace) => {
-                let (ks, secs) =
-                    self.extract_source(Source::<R>::Trace(trace), false, time_window)?;
-                tabular = secs;
-                for batch in ks.frame.partitions() {
+            Some(raw) => {
+                let ks = crate::interpret::interpret(&raw, &self.u_comb)?;
+                for batch in ks.partitions() {
                     builder.push(batch)?;
                 }
-                None
             }
-            Source::Store(reader) => Some((reader, None)),
-            Source::StoreShard { reader, groups } => Some((reader, Some(groups))),
-        };
+            None => {}
+        }
         if let Some((reader, groups)) = store {
             let pred = self.scan_predicate(time_window, groups);
             scan_groups(reader, &pred, |raw| {
                 kernel.decode_runs(&raw, builder.runs_mut())
             })?;
         }
-        let t = Instant::now();
+        clock.lap("interpret", "run");
         let seqs = builder.finish()?;
-        Ok((seqs, tabular, t.elapsed().as_secs_f64()))
+        clock.lap("split", "run");
+        Ok(seqs)
     }
 
     /// Assembles interpreted partitions into a `K_s` frame carrying the
@@ -855,34 +747,24 @@ impl Pipeline {
     /// independent after the split, so running these units in any order
     /// (or concurrently) and gathering in input order reproduces the
     /// serial pipeline exactly.
-    fn process_signal(&self, seq: SignalSequence, epoch: Instant) -> Result<SignalResult> {
-        // Stage intervals are offsets from the shared run epoch, so the
-        // gather can compute per-stage makespans across signals.
-        let offset = || epoch.elapsed().as_secs_f64();
-        let span = |start: f64| StageSpanSecs {
-            start,
-            end: offset(),
-        };
-
-        let t = offset();
+    fn process_signal(&self, seq: SignalSequence) -> Result<SignalResult> {
+        let mut clock = Stopwatch::start();
         let (dedup, rows_interpreted) = self.dedup_signal(seq)?;
-        let dedup_span = span(t);
+        clock.lap("dedup", "fan_out");
 
-        let t = offset();
         let reduced = self.reduce_representative(&dedup.representative)?;
-        let reduce_span = span(t);
+        clock.lap("reduce", "fan_out");
 
         // Line 12: one frame per extension rule, aligned index-wise with
         // `profile.extensions` so the gather can reassemble the combined
         // frame in `extend_all`'s rule-major order.
-        let t = offset();
         let extensions: Vec<DataFrame> = self
             .profile
             .extensions
             .iter()
             .map(|rule| rule.apply(&reduced))
             .collect::<Result<_>>()?;
-        let extend_span = span(t);
+        clock.lap("extend", "fan_out");
 
         // The signal's rules: the first decides comparability, the home
         // channel's (else the first) drives branch processing.
@@ -892,12 +774,10 @@ impl Pipeline {
                 .iter()
                 .filter(|r| r.signal == reduced.signal)
         };
-        let t = offset();
         let comparable = rules().next().is_none_or(|r| r.info.comparable);
         let classification = classify(&reduced, comparable, &self.profile.classify)?;
-        let classify_span = span(t);
+        clock.lap("classify", "fan_out");
 
-        let t = offset();
         let home_rule = rules()
             .find(|r| r.info.home_channel)
             .or_else(|| rules().next());
@@ -907,15 +787,8 @@ impl Pipeline {
             home_rule.map(|r| r.as_ref()),
             &self.profile.branch,
         )?;
-        let branch_span = span(t);
+        clock.lap("branch", "fan_out");
 
-        let stages = SignalStageSecs {
-            dedup: dedup_span,
-            reduce: reduce_span,
-            extend: extend_span,
-            classify: classify_span,
-            branch: branch_span,
-        };
         ivnt_obs::with(|r| {
             let sig = ivnt_obs::escape_label(&reduced.signal);
             r.add(
@@ -926,13 +799,6 @@ impl Pipeline {
                 &format!("pipeline_rows_total{{signal=\"{sig}\",stage=\"reduced\"}}"),
                 reduced.len() as u64,
             );
-            // Explicit parents: these tasks run on pool threads, so the
-            // thread-local span stack cannot attribute them.
-            r.record_span("dedup", "run", stages.dedup.busy());
-            r.record_span("reduce", "run", stages.reduce.busy());
-            r.record_span("extend", "run", stages.extend.busy());
-            r.record_span("classify", "run", stages.classify.busy());
-            r.record_span("branch", "run", stages.branch.busy());
         });
 
         Ok(SignalResult {
@@ -947,101 +813,54 @@ impl Pipeline {
                 frame,
             },
             extensions,
-            stages,
         })
     }
 
     /// Lines 9–29 + Sec. 4.3 from the per-signal sequences: the shared
-    /// back half of every run, regardless of source. `epoch` is the
-    /// session's start (stage spans are offsets from it), `interpret_secs`
-    /// and `split_secs` the time already spent getting here. Public but
-    /// hidden: the multi-query planner hands each query its sequences.
+    /// back half of every run, regardless of source. The per-signal tasks
+    /// record their stages under one `fan_out` span timing the whole
+    /// scatter/gather, so Σ children ÷ `fan_out` reads as its parallelism.
+    /// Public but hidden: the multi-query planner hands each query its
+    /// sequences.
     #[doc(hidden)]
     pub fn run_from_sequences(
         &self,
         seqs: Vec<SignalSequence>,
-        epoch: Instant,
-        interpret_secs: f64,
-        split_secs: f64,
         parallel: bool,
     ) -> Result<PipelineOutput> {
         ivnt_obs::with(|r| {
-            r.record_span("interpret", "run", interpret_secs);
             r.add("pipeline_runs_total", 1);
             r.add("pipeline_signals_total", seqs.len() as u64);
-            r.record_span("split", "run", split_secs);
         });
 
         // Lines 9–28: scatter per signal, gather in signal order.
+        let mut clock = Stopwatch::start();
         let results: Vec<SignalResult> = if parallel {
             ivnt_obs::with(|r| r.add("pipeline_scatter_total", 1));
             self.signal_executor()
-                .try_map(seqs, |seq| self.process_signal(seq, epoch))?
+                .try_map(seqs, |seq| self.process_signal(seq))?
         } else {
             seqs.into_iter()
-                .map(|seq| self.process_signal(seq, epoch))
+                .map(|seq| self.process_signal(seq))
                 .collect::<Result<_>>()?
         };
+        clock.lap("fan_out", "run");
 
         // Line 12 gather: reassemble the combined extension frame in the
         // exact rule-major order `extend_all` produces serially, built once.
-        let t = Instant::now();
         let parts = (0..self.profile.extensions.len())
             .flat_map(|rule_idx| results.iter().map(move |r| &r.extensions[rule_idx]))
             .filter(|w| !w.is_empty())
             .flat_map(|w| w.partitions().iter().cloned())
             .collect();
         let extensions = DataFrame::from_partitions(extension_schema(), parts)?;
-        let extend_gather_secs = t.elapsed().as_secs_f64();
+        clock.lap("extend_gather", "run");
 
         // Line 29 + Sec. 4.3: merge and pivot.
-        let t = Instant::now();
         let merged = merge_results(results.iter().map(|r| &r.output.frame), &extensions)?;
-        let merge_secs = t.elapsed().as_secs_f64();
-        let t = Instant::now();
+        clock.lap("merge", "run");
         let state = state_representation(&merged)?;
-        let state_secs = t.elapsed().as_secs_f64();
-
-        let mut timing = StageTiming {
-            interpret: interpret_secs,
-            split: split_secs,
-            extend: extend_gather_secs,
-            merge: merge_secs,
-            state: state_secs,
-            ..StageTiming::default()
-        };
-        // Fan-out stages: sum busy time per stage, and derive each
-        // stage's makespan (`max(end) − min(start)`) across signals.
-        let fold = |pick: fn(&SignalStageSecs) -> StageSpanSecs| -> (f64, f64) {
-            let mut busy = 0.0;
-            let mut start = f64::INFINITY;
-            let mut end = f64::NEG_INFINITY;
-            for r in &results {
-                let s = pick(&r.stages);
-                busy += s.busy();
-                start = start.min(s.start);
-                end = end.max(s.end);
-            }
-            // No signals: start = +∞, end = −∞, so no wall time.
-            (busy, (end - start).max(0.0))
-        };
-        (timing.dedup, timing.wall.dedup) = fold(|s| s.dedup);
-        (timing.reduce, timing.wall.reduce) = fold(|s| s.reduce);
-        (timing.extend, timing.wall.extend) = fold(|s| s.extend);
-        (timing.classify, timing.wall.classify) = fold(|s| s.classify);
-        (timing.branch, timing.wall.branch) = fold(|s| s.branch);
-        timing.total = epoch.elapsed().as_secs_f64();
-
-        ivnt_obs::with(|r| {
-            r.record_span("extend_gather", "run", extend_gather_secs);
-            r.record_span("merge", "run", merge_secs);
-            r.record_span("state", "run", state_secs);
-            r.observe(
-                "pipeline_run_seconds",
-                ivnt_obs::SECONDS_BUCKETS,
-                timing.total,
-            );
-        });
+        clock.lap("state", "run");
 
         let signals = results.into_iter().map(|r| r.output).collect();
         Ok(PipelineOutput {
@@ -1049,7 +868,6 @@ impl Pipeline {
             extensions,
             merged,
             state,
-            timing,
         })
     }
 

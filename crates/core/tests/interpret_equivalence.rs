@@ -1,10 +1,10 @@
 //! The fused interpretation kernel against its executable specification:
-//! `interpret_fused(raw)` must be *bit-identical* to
+//! `extract_signals(raw)` must be *bit-identical* to
 //! `interpret(&preselect(raw)?)` — same rows, same order — for arbitrary
 //! catalogs, traces (including null keys, truncated payloads and unlabeled
 //! raw values), partition counts and worker counts.
 
-use ivnt_core::interpret::{interpret, interpret_fused, preselect};
+use ivnt_core::interpret::{extract_signals, interpret, preselect};
 use ivnt_core::rules::RuleSet;
 use ivnt_core::tabular::{raw_schema, trace_to_frame};
 use ivnt_frame::prelude::*;
@@ -88,7 +88,7 @@ fn reference_rows(raw: &DataFrame, u_comb: &RuleSet) -> Vec<Vec<Value>> {
 }
 
 fn fused_rows(raw: &DataFrame, u_comb: &RuleSet) -> Vec<Vec<Value>> {
-    interpret_fused(raw, u_comb)
+    extract_signals(raw, u_comb)
         .unwrap()
         .collect_rows()
         .unwrap()
@@ -193,7 +193,7 @@ fn arc_sharing_in_output_does_not_change_values() {
         .map(|i| (i % 2, 1 + (i as i64 % 3), Some(vec![i as u8; 8]), i as f64))
         .collect();
     let raw = raw_frame(&rows, 3);
-    let fused = interpret_fused(&raw, &u_comb).unwrap();
+    let fused = extract_signals(&raw, &u_comb).unwrap();
     let reference = interpret(&preselect(&raw, &u_comb).unwrap(), &u_comb).unwrap();
     let sort = |df: &DataFrame| {
         df.sort_by(&["t", "s_id"], &[true, true])

@@ -7,8 +7,8 @@
 //! * a lock-cheap metrics [`Registry`] — monotonic [`Counter`]s (sharded
 //!   per worker thread, merged on snapshot), [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s,
-//! * lightweight span tracing with explicit or thread-local parent/child
-//!   stage attribution ([`Registry::record_span`], [`SpanTimer`]),
+//! * lightweight span tracing with explicit parent/child stage
+//!   attribution ([`Stopwatch`], [`Registry::record_span`]),
 //! * an immutable [`Snapshot`] with deterministic ordering, delta
 //!   ([`Snapshot::since`]) and cross-process merge ([`Snapshot::merge`]),
 //!   rendered as Prometheus text or JSON.
@@ -43,7 +43,7 @@ pub mod registry;
 pub mod snapshot;
 
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::{Registry, SpanTimer};
+pub use registry::Registry;
 pub use snapshot::{escape_label, HistogramSnapshot, Snapshot, SpanStat};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,6 +92,39 @@ pub fn current() -> Option<Arc<Registry>> {
         return None;
     }
     CURRENT.read().unwrap_or_else(|e| e.into_inner()).clone()
+}
+
+/// A clock for explicitly parented spans that is read only while a
+/// subscriber is installed: with none, [`Stopwatch::start`] is one relaxed
+/// load and [`Stopwatch::lap`] a branch.
+///
+/// ```
+/// let mut clock = ivnt_obs::Stopwatch::start();
+/// // ... the stage ...
+/// assert_eq!(clock.lap("interpret", "run"), None); // no subscriber
+/// ```
+#[derive(Debug)]
+pub struct Stopwatch(Option<std::time::Instant>);
+
+impl Stopwatch {
+    /// Starts the clock if a subscriber is installed.
+    #[inline]
+    pub fn start() -> Stopwatch {
+        Stopwatch(enabled().then(std::time::Instant::now))
+    }
+
+    /// Records the time since the start or the previous lap as span
+    /// `name` under `parent` (empty = root), restarts the clock, and
+    /// returns the seconds; `None` when the clock was not started.
+    /// Explicit parents attribute spans recorded on pool threads.
+    pub fn lap(&mut self, name: &str, parent: &str) -> Option<f64> {
+        let start = self.0.as_mut()?;
+        let now = std::time::Instant::now();
+        let seconds = now.duration_since(*start).as_secs_f64();
+        *start = now;
+        with(|r| r.record_span(name, parent, seconds));
+        Some(seconds)
+    }
 }
 
 /// Installs `registry` as the process-wide subscriber, returning a guard
@@ -159,5 +192,21 @@ mod tests {
         assert!(!enabled());
         assert_eq!(outer.snapshot().counters["hits"], 3);
         assert_eq!(inner.snapshot().counters["hits"], 10);
+    }
+
+    #[test]
+    fn stopwatch_records_laps_only_when_started_subscribed() {
+        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut idle = Stopwatch::start();
+        let registry = Arc::new(Registry::new());
+        let _guard = install(registry.clone());
+        assert_eq!(idle.lap("idle", "run"), None);
+        let mut clock = Stopwatch::start();
+        let a = clock.lap("a", "run").expect("started subscribed");
+        let b = clock.lap("b", "run").expect("started subscribed");
+        let spans = registry.snapshot().spans;
+        assert!(!spans.contains_key("run/idle"));
+        assert_eq!((spans["run/a"].count, spans["run/a"].seconds), (1, a));
+        assert_eq!((spans["run/b"].count, spans["run/b"].seconds), (1, b));
     }
 }

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{HistogramSnapshot, Snapshot, SpanStat};
@@ -116,7 +115,8 @@ impl Registry {
 
     /// Records a finished span of `seconds` under `name`, attributed to
     /// `parent` (empty string = root). Explicit attribution works across
-    /// threads — the pipeline's fan-out stages use it.
+    /// threads — the pipeline's fan-out stages use it (through
+    /// [`Stopwatch`](crate::Stopwatch)).
     pub fn record_span(&self, name: &str, parent: &str, seconds: f64) {
         self.ops.add(1);
         let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
@@ -125,23 +125,6 @@ impl Registry {
             parent: parent.to_string(),
             seconds,
         });
-    }
-
-    /// Starts a guard-scoped span whose parent is the innermost
-    /// [`SpanTimer`] still open *on this thread*. The span is recorded
-    /// when the timer drops.
-    pub fn span(self: &Arc<Self>, name: &str) -> SpanTimer {
-        let parent = SPAN_STACK.with(|stack| {
-            let stack = stack.borrow();
-            stack.last().cloned().unwrap_or_default()
-        });
-        SPAN_STACK.with(|stack| stack.borrow_mut().push(name.to_string()));
-        SpanTimer {
-            registry: Arc::clone(self),
-            name: name.to_string(),
-            parent,
-            start: Instant::now(),
-        }
     }
 
     /// Instrumentation operations recorded so far.
@@ -210,31 +193,6 @@ impl Registry {
     }
 }
 
-thread_local! {
-    /// Open guard-scoped span names on this thread, innermost last.
-    static SPAN_STACK: std::cell::RefCell<Vec<String>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// A guard measuring one span; records into its registry on drop.
-#[derive(Debug)]
-pub struct SpanTimer {
-    registry: Arc<Registry>,
-    name: String,
-    parent: String,
-    start: Instant,
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().pop();
-        });
-        self.registry
-            .record_span(&self.name, &self.parent, self.start.elapsed().as_secs_f64());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,19 +218,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.histograms["h"].bounds, vec![1.0, 2.0]);
         assert_eq!(snap.histograms["h"].buckets, vec![1, 1, 0]);
-    }
-
-    #[test]
-    fn span_timers_nest_on_one_thread() {
-        let r = Arc::new(Registry::new());
-        {
-            let _outer = r.span("run");
-            let _inner = r.span("interpret");
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.spans["run"].parent, "");
-        assert_eq!(snap.spans["run/interpret"].parent, "run");
-        assert_eq!(snap.spans["run/interpret"].count, 1);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 use std::collections::HashMap;
 use std::io::{Read, Seek};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ivnt_core::interpret::{signal_schema, Kernel};
 use ivnt_core::rules::{Rule, RuleSet};
@@ -66,9 +65,6 @@ pub(crate) struct QuerySpec<'p> {
 pub(crate) struct RouteOutcome {
     /// Per-query answers of the kind asked for.
     pub answers: Vec<Answer>,
-    /// Seconds of the sequence builders' `finish` (the split left after
-    /// the kernel); 0 for frames.
-    pub split_secs: f64,
     /// Raw store rows routed to each query.
     pub rows_routed: Vec<u64>,
     /// Row groups that contributed at least one raw row to each query.
@@ -101,7 +97,8 @@ fn signal_owners<'s>(specs: &[QuerySpec<'s>]) -> Option<HashMap<&'s str, usize>>
 }
 
 /// Runs one shared pass over `reader` answering every query in `specs`
-/// with an answer of `kind`.
+/// with an answer of `kind`. A sequence pass records the batch's
+/// `interpret` (scan + decode) and `split` (the builders' `finish`) spans.
 pub(crate) fn route_shared<R: Read + Seek>(
     specs: &[QuerySpec<'_>],
     reader: &mut StoreReader<R>,
@@ -156,6 +153,7 @@ pub(crate) fn route_shared<R: Read + Seek>(
     // Per-query row masks of the group under routing, query-major.
     let mut row_masks: Vec<bool> = Vec::new();
 
+    let mut clock = ivnt_obs::Stopwatch::start();
     let stats = reader.scan_columns::<Error, _>(&preds, |group| {
         groups_scanned += 1;
         let rows = group.len();
@@ -225,7 +223,10 @@ pub(crate) fn route_shared<R: Read + Seek>(
         Ok(())
     })?;
 
-    let t = Instant::now();
+    let sequences = kind == Kind::Sequences;
+    if sequences {
+        clock.lap("interpret", "run");
+    }
     let mut seqs: Vec<Vec<SignalSequence>> = vec![Vec::new(); n];
     for (qi, builder) in builders.into_iter().enumerate() {
         // The union builder's sequences go to their signal's owner; `owner`
@@ -234,7 +235,9 @@ pub(crate) fn route_shared<R: Read + Seek>(
             seqs[owner.get(seq.signal.as_str()).copied().unwrap_or(qi)].push(seq);
         }
     }
-    let split_secs = t.elapsed().as_secs_f64();
+    if sequences {
+        clock.lap("split", "run");
+    }
     let answers = match kind {
         Kind::Sequences => seqs.into_iter().map(Answer::Sequences).collect(),
         Kind::Frame => parts
@@ -252,7 +255,6 @@ pub(crate) fn route_shared<R: Read + Seek>(
 
     Ok(RouteOutcome {
         answers,
-        split_secs,
         rows_routed,
         groups_hit,
         stats,

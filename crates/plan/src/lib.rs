@@ -41,9 +41,8 @@ mod exec;
 
 use std::io::{Read, Seek};
 use std::sync::Arc;
-use std::time::Instant;
 
-use ivnt_core::pipeline::PipelineOutput;
+use ivnt_core::pipeline::{close_run, PipelineOutput};
 use ivnt_core::{Pipeline, Result};
 use ivnt_frame::frame::DataFrame;
 use ivnt_store::{ScanStats, StoreReader};
@@ -160,8 +159,6 @@ struct Answered {
     answers: Vec<Answer>,
     plan: PlanStats,
     per_query: Vec<QueryStats>,
-    /// Seconds the pass's sequence builders spent in `finish`.
-    split_secs: f64,
 }
 
 /// The shared pass: one scan answers every query with an answer of `kind`.
@@ -178,7 +175,6 @@ fn answer<R: Read + Seek>(
             ..PlanStats::default()
         },
         per_query: Vec::new(),
-        split_secs: 0.0,
     };
     if !queries.is_empty() {
         let specs: Vec<QuerySpec<'_>> = queries
@@ -192,7 +188,6 @@ fn answer<R: Read + Seek>(
         answered.plan.shared_interpret = outcome.shared_interpret;
         answered.plan.groups_scanned = outcome.groups_scanned;
         answered.plan.scan = Some(outcome.stats);
-        answered.split_secs = outcome.split_secs;
         answered.answers = outcome.answers;
         answered.per_query = (outcome.rows_routed.into_iter())
             .zip(outcome.groups_hit)
@@ -256,7 +251,9 @@ impl<R: Read + Seek> QuerySet<'_, '_, R> {
     }
 
     /// Runs every query's full pipeline from one shared pass; each query
-    /// owns the sequences the pass routed to it.
+    /// owns the sequences the pass routed to it. With a subscriber
+    /// installed the batch is one `run` span: the shared pass records its
+    /// `interpret` and `split` once, every query its back half.
     ///
     /// # Errors
     ///
@@ -264,14 +261,8 @@ impl<R: Read + Seek> QuerySet<'_, '_, R> {
     /// batch fails as a whole.
     pub fn run(self) -> Result<MultiOutput> {
         let _guard = self.subscriber.map(ivnt_obs::install);
-        let t_shared = Instant::now();
+        let clock = ivnt_obs::Stopwatch::start();
         let answered = answer(&self.queries, self.reader, Kind::Sequences)?;
-        // The shared pass is attributed evenly: its builders' `finish` as
-        // every query's split, the rest as its interpret — per-query stage
-        // timings stay comparable to solo runs.
-        let n = self.queries.len().max(1) as f64;
-        let split_secs = answered.split_secs / n;
-        let interpret_secs = (t_shared.elapsed().as_secs_f64() - answered.split_secs) / n;
         let results = (self.queries.iter().zip(answered.answers))
             .zip(answered.per_query)
             .map(|((q, answer), stats)| {
@@ -279,13 +270,7 @@ impl<R: Read + Seek> QuerySet<'_, '_, R> {
                     unreachable!("a sequence pass returns sequence answers")
                 };
                 let parallel = !self.serial && q.pipeline.effective_workers() > 1;
-                let output = q.pipeline.run_from_sequences(
-                    seqs,
-                    Instant::now(),
-                    interpret_secs,
-                    split_secs,
-                    parallel,
-                )?;
+                let output = q.pipeline.run_from_sequences(seqs, parallel)?;
                 Ok(QueryResult {
                     label: q.label().to_string(),
                     output,
@@ -293,6 +278,7 @@ impl<R: Read + Seek> QuerySet<'_, '_, R> {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
+        close_run(clock);
         Ok(MultiOutput {
             results,
             plan: answered.plan,

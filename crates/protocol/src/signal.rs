@@ -169,19 +169,6 @@ impl SignalSpec {
         &self.enumeration
     }
 
-    /// Number of distinct decodable values (`z_num` in the paper's
-    /// classification): enumeration size for labeled signals, raw range for
-    /// numeric ones (saturating).
-    pub fn cardinality(&self) -> u64 {
-        if self.is_enumerated() {
-            self.enumeration.len() as u64
-        } else if self.bit_len >= 64 {
-            u64::MAX
-        } else {
-            1u64 << self.bit_len
-        }
-    }
-
     /// Extracts the raw (unscaled) value from a payload.
     ///
     /// # Errors
@@ -476,16 +463,6 @@ mod tests {
             s.encode(&mut payload, &PhysicalValue::Text("HALF".into())),
             Err(Error::UnknownEnumLabel { .. })
         ));
-    }
-
-    #[test]
-    fn cardinality() {
-        assert_eq!(wpos().cardinality(), 1 << 16);
-        let e = SignalSpec::builder("x", 0, 4)
-            .labels([(0u64, "a"), (1, "b"), (2, "c")])
-            .build()
-            .unwrap();
-        assert_eq!(e.cardinality(), 3);
     }
 
     #[test]

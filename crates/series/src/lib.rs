@@ -24,7 +24,7 @@
 //! speed.extend(vec![99.0; 100]);
 //!
 //! let segments = swab::swab(&speed, swab::SwabConfig { max_error: 5.0, buffer_len: 64 });
-//! let trends = trend::classify_segments(&segments, 0.05);
+//! let trends: Vec<_> = segments.iter().map(|s| trend::classify_slope(s.slope, 0.05)).collect();
 //! assert!(trends.contains(&trend::Trend::Increasing));
 //! assert!(trends.contains(&trend::Trend::Steady));
 //!

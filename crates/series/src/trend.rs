@@ -60,14 +60,6 @@ pub fn classify(data: &[f64], threshold: f64) -> Trend {
     classify_slope(gradient(data), threshold)
 }
 
-/// Classifies each fitted segment's slope.
-pub fn classify_segments(segments: &[Segment], threshold: f64) -> Vec<Trend> {
-    segments
-        .iter()
-        .map(|s| classify_slope(s.slope, threshold))
-        .collect()
-}
-
 /// Point-wise discrete gradient (`x[i] - x[i-1]`; first element `0.0`).
 pub fn point_gradient(data: &[f64]) -> Vec<f64> {
     if data.is_empty() {
@@ -108,8 +100,8 @@ mod tests {
     #[test]
     fn segment_classification() {
         let data = [0.0, 1.0, 2.0, 2.0, 2.0, 2.0];
-        let segs = vec![Segment::fit(&data, 0, 3), Segment::fit(&data, 3, 6)];
-        let trends = classify_segments(&segs, 0.1);
+        let segs = [Segment::fit(&data, 0, 3), Segment::fit(&data, 3, 6)];
+        let trends: Vec<Trend> = segs.iter().map(|s| classify_slope(s.slope, 0.1)).collect();
         assert_eq!(trends, vec![Trend::Increasing, Trend::Steady]);
     }
 

@@ -182,14 +182,6 @@ impl GeneratedDataSet {
         names
     }
 
-    /// Number of signals designed for the given branch.
-    pub fn count_branch(&self, branch: BranchHint) -> usize {
-        self.signal_classes
-            .values()
-            .filter(|(b, _)| *b == branch)
-            .count()
-    }
-
     /// The ground-truth signal packings of this data set, one entry per
     /// signal per observable channel (home channel plus gateway copies),
     /// sorted by `(bus, message id, start bit)`. Boundary inference is
@@ -430,12 +422,20 @@ mod tests {
         generate(&spec.with_duration_s(5.0)).unwrap()
     }
 
+    /// Signals designed for `branch` (Table 5's per-branch counts).
+    fn branch_count(d: &GeneratedDataSet, branch: BranchHint) -> usize {
+        d.signal_classes
+            .values()
+            .filter(|(b, _)| *b == branch)
+            .count()
+    }
+
     #[test]
     fn syn_shape_matches_table5() {
         let d = small(DataSetSpec::syn());
-        assert_eq!(d.count_branch(BranchHint::Alpha), 6);
-        assert_eq!(d.count_branch(BranchHint::Beta), 4);
-        assert_eq!(d.count_branch(BranchHint::Gamma), 3);
+        assert_eq!(branch_count(&d, BranchHint::Alpha), 6);
+        assert_eq!(branch_count(&d, BranchHint::Beta), 4);
+        assert_eq!(branch_count(&d, BranchHint::Gamma), 3);
         assert_eq!(d.signal_classes.len(), 13);
         assert!(!d.trace.is_empty());
     }
@@ -444,10 +444,10 @@ mod tests {
     fn lig_and_sta_shapes() {
         let d = small(DataSetSpec::lig());
         assert_eq!(d.signal_classes.len(), 180);
-        assert_eq!(d.count_branch(BranchHint::Beta), 71);
+        assert_eq!(branch_count(&d, BranchHint::Beta), 71);
         let d = small(DataSetSpec::sta());
         assert_eq!(d.signal_classes.len(), 78);
-        assert_eq!(d.count_branch(BranchHint::Gamma), 71);
+        assert_eq!(branch_count(&d, BranchHint::Gamma), 71);
     }
 
     #[test]

@@ -130,8 +130,7 @@ proptest! {
     }
 
     /// The scatter/gather path is bit-identical to the sequential
-    /// reference for arbitrary generated networks and worker counts
-    /// (timing excluded — it is measurement, not output).
+    /// reference for arbitrary generated networks and worker counts.
     #[test]
     fn parallel_run_matches_serial_reference(spec in arb_spec(), workers in 1usize..5) {
         let data = generate(&spec).expect("generate");

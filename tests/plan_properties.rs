@@ -94,8 +94,8 @@ fn last_timestamp_us(data: &GeneratedDataSet) -> u64 {
         .unwrap_or(0)
 }
 
-/// A run's output minus its timing: one comparable line per signal and
-/// per combined frame.
+/// A run's output as one comparable line per signal and per combined
+/// frame.
 fn output_lines(out: &PipelineOutput) -> Vec<String> {
     let frame = |f: &DataFrame| {
         let rows = f.collect_rows().expect("rows");

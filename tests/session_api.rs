@@ -2,8 +2,7 @@
 //! switch a [`RunOptions`] can name must produce the same bits as its
 //! reference session — trace vs `.serial()`, trace vs store (for extraction,
 //! the reduced sequences and the full run), the store's row-group shards vs
-//! the whole store, profile workers vs `with_workers`, and an installed
-//! observability subscriber vs none.
+//! the whole store, and an installed observability subscriber vs none.
 //!
 //! The subscriber is process-wide, so every test holds [`SUBSCRIBER`]:
 //! a concurrent session would add to the subscriber test's counters.
@@ -35,8 +34,7 @@ fn pipeline(data: &GeneratedDataSet, workers: Option<usize>) -> Pipeline {
     Pipeline::new(u_rel, profile).expect("pipeline")
 }
 
-/// Re-encodes every output frame partition plus the per-signal metadata;
-/// timing is measurement, not output, and is deliberately excluded.
+/// Re-encodes every output frame partition plus the per-signal metadata.
 fn fingerprint(output: &PipelineOutput) -> Vec<Vec<u8>> {
     let mut fp = Vec::new();
     for frame in [&output.extensions, &output.merged, &output.state] {
@@ -105,25 +103,6 @@ fn parallel_session_matches_serial_reference() {
             .expect("serial run"),
     );
     assert_eq!(parallel, serial, "parallel != serial reference");
-}
-
-#[test]
-fn session_with_workers_matches_profile_workers() {
-    let _alone = alone();
-    let data = dataset();
-    let via_profile = fingerprint(
-        &pipeline(&data, Some(3))
-            .session(RunOptions::trace(&data.trace))
-            .run()
-            .expect("run"),
-    );
-    let via_session = fingerprint(
-        &pipeline(&data, None)
-            .session(RunOptions::trace(&data.trace).with_workers(3))
-            .run()
-            .expect("session run"),
-    );
-    assert_eq!(via_session, via_profile);
 }
 
 /// The reduced per-signal sequences, their dedup reports and pre-reduction
@@ -234,9 +213,9 @@ fn store_shards_tile_the_store_scan() {
 fn subscriber_changes_no_output_bit_and_counters_are_deterministic() {
     let _alone = alone();
     let data = dataset();
-    let p = pipeline(&data, Some(2));
     let bare = fingerprint(
-        &p.session(RunOptions::trace(&data.trace))
+        &pipeline(&data, Some(2))
+            .session(RunOptions::trace(&data.trace))
             .run()
             .expect("bare run"),
     );
@@ -244,11 +223,9 @@ fn subscriber_changes_no_output_bit_and_counters_are_deterministic() {
     let mut row_counters = Vec::new();
     for workers in [1usize, 2, 8] {
         let registry = std::sync::Arc::new(ivnt::obs::Registry::new());
-        let run = p
+        let run = pipeline(&data, Some(workers))
             .session(
-                RunOptions::trace(&data.trace)
-                    .with_workers(workers)
-                    .with_subscriber(std::sync::Arc::clone(&registry)),
+                RunOptions::trace(&data.trace).with_subscriber(std::sync::Arc::clone(&registry)),
             )
             .run()
             .expect("instrumented run");
