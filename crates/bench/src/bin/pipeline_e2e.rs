@@ -1,11 +1,12 @@
 //! Machine-readable end-to-end probe of the parallel branch pipeline.
 //!
-//! Runs the full Algorithm 1 on the Table 6 vehicle workload twice — the
+//! Runs the full Algorithm 1 on the Table 6 vehicle workload through the
 //! sequential reference path (`RunOptions::serial`) and the scatter/gather
-//! path (`Session::run`) — plus the O(n log n) heap SWAB kernel against its
-//! retained O(n²) reference, and writes `BENCH_pipeline.json` following the
-//! `speed_probe`/`cluster_scale` conventions. `IVNT_BENCH_SCALE` scales the
-//! workload.
+//! path (`Session::run`), records one instrumented run's span tree and
+//! metrics snapshot, times the O(n log n) heap SWAB kernel against its
+//! retained O(n²) reference, and writes `BENCH_pipeline.json` following
+//! the `speed_probe`/`cluster_scale` conventions. `IVNT_BENCH_SCALE`
+//! scales the workload.
 //!
 //! Two invariants are enforced:
 //!
@@ -16,14 +17,12 @@
 //!   it by `IVNT_SWAB_MIN_SPEEDUP` (default 1.0) — the algorithmic win
 //!   does not need spare cores.
 //!
-//! The parallel-vs-serial speedup and the observability overhead are
-//! report-only.
-
-use std::time::Instant;
+//! The run itself takes a few milliseconds, too short for a serial vs
+//! parallel or a subscriber on vs off timing to mean anything, so the
+//! probe times neither.
 
 use ivnt_bench::{
-    covered_fraction, env_f64, median_secs, paired_secs, scale, select_signals_for_fraction,
-    time_secs, u_rel_with_hints,
+    covered_fraction, env_f64, median_secs, scale, select_signals_for_fraction, u_rel_with_hints,
 };
 use ivnt_cluster::codec::encode_batch;
 use ivnt_core::pipeline::PipelineOutput;
@@ -89,80 +88,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     eprintln!(
         "workload: {trace_rows} rows, 9/{} signals ({:.1}% of traffic), \
-         {workers} workers on {cores} core(s), {runs} runs per point",
+         {workers} workers on {cores} core(s), {runs} parallel runs checked",
         u_rel.len(),
         fraction * 100.0
     );
 
-    // Serial reference: the timing baseline and bit-identity oracle. The
-    // initial untimed runs double as warmup for both paths.
+    // Serial reference: the bit-identity oracle every parallel run is
+    // held to.
     let expected = pipeline
         .session(RunOptions::trace(&data.trace).serial())
         .run()?;
     let expected_fp = fingerprint(&expected);
-    let parallel = pipeline.session(RunOptions::trace(&data.trace)).run()?;
-    assert_eq!(
-        fingerprint(&parallel),
-        expected_fp,
-        "parallel pipeline diverged from the serial reference"
-    );
+    for _ in 0..runs {
+        let parallel = pipeline.session(RunOptions::trace(&data.trace)).run()?;
+        assert_eq!(
+            fingerprint(&parallel),
+            expected_fp,
+            "parallel pipeline diverged from the serial reference"
+        );
+    }
 
-    // Serial and parallel runs are interleaved as pairs; the speedup is
-    // the median of the per-pair ratios. The runs above were the warmup.
-    let sp = paired_secs(
-        runs,
-        || {
-            time_secs(|| {
-                pipeline
-                    .session(RunOptions::trace(&data.trace).serial())
-                    .run()
-                    .expect("run_serial");
-            })
-        },
-        || {
-            let t0 = Instant::now();
-            let run = pipeline
-                .session(RunOptions::trace(&data.trace))
-                .run()
-                .expect("run");
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                fingerprint(&run),
-                expected_fp,
-                "parallel pipeline diverged from the serial reference"
-            );
-            secs
-        },
-    );
-    let (serial_secs, parallel_secs, parallel_speedup) = (sp.a_secs, sp.b_secs, sp.a_over_b);
-
-    // Observability cost, both sides of the subscriber branch: with no
-    // subscriber every hook is one relaxed load and a branch; the enabled
-    // side prices the full counter/histogram/span path. The overhead is
-    // the median of the per-pair ratios, floored at zero — a subscriber
-    // cannot make the run faster, so a negative reading is noise by
-    // construction. One untimed enabled run's snapshot is embedded in the
-    // JSON, and its span tree is the `stage_seconds` breakdown.
-    let obs_registry = std::sync::Arc::new(ivnt_obs::Registry::new());
-    let run_parallel = || {
-        pipeline
-            .session(RunOptions::trace(&data.trace))
-            .run()
-            .expect("run");
-    };
-    let run_observed = || {
-        let _guard = ivnt_obs::install(std::sync::Arc::clone(&obs_registry));
-        time_secs(run_parallel)
-    };
-    run_parallel(); // warmup, disabled
-    run_observed(); // warmup, enabled
-    let obs = paired_secs(runs, run_observed, || time_secs(run_parallel));
-    let obs_enabled_secs = obs.a_secs;
-    let obs_enabled_overhead = (obs.a_over_b - 1.0).max(0.0);
+    // One instrumented run: its snapshot is embedded in the JSON, and its
+    // span tree is the `stage_seconds` breakdown.
     let obs_snapshot = {
         let registry = std::sync::Arc::new(ivnt_obs::Registry::new());
         let _guard = ivnt_obs::install(std::sync::Arc::clone(&registry));
-        pipeline.session(RunOptions::trace(&data.trace)).run()?;
+        let run = pipeline.session(RunOptions::trace(&data.trace)).run()?;
+        assert_eq!(
+            fingerprint(&run),
+            expected_fp,
+            "instrumented run diverged from the serial reference"
+        );
         registry.snapshot()
     };
     // The run's span tree in pipeline order: `run` is the root, the
@@ -221,9 +177,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"cores\": {},\n",
             "    \"runs\": {}\n",
             "  }},\n",
-            "  \"serial_seconds\": {:.6},\n",
-            "  \"parallel_seconds\": {:.6},\n",
-            "  \"parallel_vs_serial_speedup\": {:.3},\n",
             "  \"stage_seconds\": {{\n{}\n  }},\n",
             "  \"swab_kernel\": {{\n",
             "    \"n\": {},\n",
@@ -233,9 +186,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"min_speedup_gate\": {:.2}\n",
             "  }},\n",
             "  \"observability\": {{\n",
-            "    \"disabled_seconds\": {:.6},\n",
-            "    \"enabled_seconds\": {:.6},\n",
-            "    \"enabled_overhead\": {:.4},\n",
             "    \"metrics\": {}\n",
             "  }}\n",
             "}}\n"
@@ -246,38 +196,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workers,
         cores,
         runs,
-        serial_secs,
-        parallel_secs,
-        parallel_speedup,
         stage_seconds.join(",\n"),
         swab_n,
         heap_secs,
         naive_secs,
         swab_speedup,
         swab_gate,
-        parallel_secs,
-        obs_enabled_secs,
-        obs_enabled_overhead,
         obs_snapshot.to_json(),
     );
     std::fs::write("BENCH_pipeline.json", &json)?;
 
     println!(
-        "serial   (reference)  {:>9.1} ms  {:>12.0} rows/s",
-        serial_secs * 1e3,
-        trace_rows as f64 / serial_secs
-    );
-    println!(
-        "parallel ({workers} workers)  {:>9.1} ms  {:>12.0} rows/s",
-        parallel_secs * 1e3,
-        trace_rows as f64 / parallel_secs
-    );
-    println!("parallel vs serial: {parallel_speedup:.2}x; all runs bit-identical");
-    println!(
-        "obs: disabled {:.1} ms, subscriber enabled {:.1} ms ({:+.1}% when live)",
-        parallel_secs * 1e3,
-        obs_enabled_secs * 1e3,
-        obs_enabled_overhead * 100.0,
+        "parallel ({workers} workers): {runs} runs + 1 instrumented, all bit-identical to serial"
     );
     println!(
         "swab heap vs naive (n={swab_n}): {swab_speedup:.2}x \

@@ -33,8 +33,8 @@ use ivnt_bench::{
     disjoint_domains, domain_pipeline, env_f64, median, paired_secs, scale, time_secs,
     vehicle_journey,
 };
-use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions};
-use ivnt_plan::{Query, QuerySet, SessionMany};
+use ivnt_core::pipeline::{Pipeline, PipelineOutput, RunOptions, Session};
+use ivnt_core::query::Query;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 fn open(bytes: &[u8]) -> StoreReader<Cursor<Vec<u8>>> {
@@ -56,8 +56,8 @@ fn solo_extract<R: Read + Seek>(
 fn batch<'p, 'a, R: Read + Seek>(
     pipelines: &'p [Pipeline],
     reader: &'a mut StoreReader<R>,
-) -> QuerySet<'p, 'a, R> {
-    Pipeline::session_many(pipelines.iter().map(Query::new).collect(), reader)
+) -> Session<'p, 'a, R> {
+    Session::many(pipelines.iter().map(Query::new).collect(), reader)
 }
 
 fn solo_run<R: Read + Seek>(pipeline: &Pipeline, reader: &mut StoreReader<R>) -> PipelineOutput {
@@ -172,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Correctness first: the shared pass must reproduce each solo
         // session bit for bit before its timing means anything.
         let mut reader = open(&bytes);
-        let multi = batch(&pipelines, &mut reader).extract()?;
+        let multi = batch(&pipelines, &mut reader).extract_each()?;
         for (qi, (qx, p)) in multi.frames.iter().zip(&pipelines).enumerate() {
             let mut reader = open(&bytes);
             let want = solo_extract(p, &mut reader);
@@ -183,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         let mut reader = open(&bytes);
-        let multi = batch(&pipelines, &mut reader).run()?;
+        let multi = batch(&pipelines, &mut reader).run_each()?;
         for (qi, (qr, p)) in multi.results.iter().zip(&pipelines).enumerate() {
             let mut reader = open(&bytes);
             let want = solo_run(p, &mut reader);
@@ -208,7 +208,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let shared = || {
             let mut reader = open(&bytes);
-            batch(&pipelines, &mut reader).run().expect("shared");
+            batch(&pipelines, &mut reader).run_each().expect("shared");
         };
         sequential(); // warmups
         shared();
@@ -238,7 +238,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let shared_extract = || {
             let mut reader = open(&bytes);
             batch(&pipelines, &mut reader)
-                .extract()
+                .extract_each()
                 .expect("shared extract");
         };
         sequential_extract(); // warmups

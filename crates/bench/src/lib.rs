@@ -219,7 +219,7 @@ pub fn covered_fraction(data: &GeneratedDataSet, signals: &[String]) -> f64 {
 
 /// Splits the catalog's signals into `n_domains` pairwise-disjoint subsets
 /// by round-robin over the catalog in message-id order — the multi-tenant
-/// shape `ivnt-plan` amortizes: every domain watches different signals of
+/// shape `Session::many` amortizes: every domain watches different signals of
 /// largely the same messages, so their preselection predicates overlap
 /// heavily at the chunk level while their signal sets never collide.
 pub fn disjoint_domains(data: &GeneratedDataSet, n_domains: usize) -> Vec<Vec<String>> {

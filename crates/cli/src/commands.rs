@@ -5,6 +5,7 @@ use std::io::{BufReader, BufWriter};
 
 use ivnt_core::prelude::*;
 use ivnt_core::represent::render_state_table;
+use ivnt_core::{Query, Session};
 use ivnt_protocol::ByteOrder;
 use ivnt_simulator::prelude::*;
 use ivnt_simulator::scenario;
@@ -751,10 +752,10 @@ fn parse_domain_spec(spec: &str) -> Result<DomainSpec, String> {
 /// [--json] <trace.ivns>`
 ///
 /// Answers N domain queries over one store from a single shared pass via
-/// the `ivnt-plan` planner: preselection predicates are merged into one
-/// union scan, signal-disjoint windowless batches share the interpret
-/// kernel, and every per-query answer is bit-identical to running that
-/// domain as its own `ivnt extract`-style session. `--signal SIG`
+/// `Session::many`: preselection predicates are merged into one union
+/// scan, signal-disjoint windowless batches share the interpret kernel,
+/// and every per-query answer is bit-identical to running that domain as
+/// its own `ivnt run`-style session. `--signal SIG`
 /// is shorthand for `--domain SIG=SIG`.
 ///
 /// # Errors
@@ -788,11 +789,11 @@ pub fn query(args: &Args) -> CmdResult {
         })
         .collect::<Result<_, _>>()?;
 
-    let queries: Vec<ivnt_plan::Query<'_>> = pipelines
+    let queries: Vec<Query<'_>> = pipelines
         .iter()
         .zip(&specs)
         .map(|(p, d)| {
-            let q = ivnt_plan::Query::new(p).with_label(d.name.clone());
+            let q = Query::new(p).with_label(d.name.clone());
             match d.window {
                 Some((from, to)) => q.with_window(from, to),
                 None => q,
@@ -801,12 +802,11 @@ pub fn query(args: &Args) -> CmdResult {
         .collect();
 
     let registry = output::metrics_registry(shared.metrics);
-    use ivnt_plan::SessionMany as _;
-    let mut set = Pipeline::session_many(queries, &mut reader);
+    let mut session = Session::many(queries, &mut reader);
     if shared.serial {
-        set = set.serial();
+        session = session.serial();
     }
-    let multi = set.run().map_err(err)?;
+    let multi = session.run_each().map_err(err)?;
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
 
     let plan = &multi.plan;
@@ -1580,7 +1580,7 @@ RULE SOURCES (run, extract, query):
   width, byte order, constant/counter/sensor class and confidence.
 
 MULTI-QUERY:
-  `query` answers N domain queries from ONE store pass (`ivnt-plan`):
+  `query` answers N domain queries from ONE store pass (`Session::many`):
   predicates merge into a union zone-map scan, signal-disjoint windowless
   batches share the vectorized interpret kernel, and each answer is
   bit-identical to a solo session. `store compact` rewrites micro-batched

@@ -1147,7 +1147,7 @@ impl Kernel {
     /// # Errors
     ///
     /// Propagates tabular-engine failures.
-    pub fn extract_routed(
+    pub(crate) fn extract_routed(
         &self,
         raw: &Batch,
         n_routes: usize,
@@ -1174,16 +1174,13 @@ impl Kernel {
     }
 
     /// One raw batch decoded into `runs`, a sink of this kernel's
-    /// [`sequence_builder`](Kernel::sequence_builder). Public (hidden) for
-    /// the multi-query planner, whose shared pass decodes into builders.
-    #[doc(hidden)]
-    pub fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
+    /// [`sequence_builder`](Kernel::sequence_builder).
+    pub(crate) fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
         Ok(decode_batch(self, raw, runs)?)
     }
 
     /// A [`SequenceBuilder`] over this kernel's signal and bus codes.
-    #[doc(hidden)]
-    pub fn sequence_builder(&self) -> SequenceBuilder {
+    pub(crate) fn sequence_builder(&self) -> SequenceBuilder {
         SequenceBuilder::with_dictionaries(&self.signal_names, &self.lut.interner.buses)
     }
 

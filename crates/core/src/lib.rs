@@ -60,6 +60,7 @@ pub mod error;
 pub mod extend;
 pub mod interpret;
 pub mod pipeline;
+pub mod query;
 pub mod reduce;
 pub mod represent;
 pub mod rules;
@@ -71,6 +72,7 @@ pub use classify::{Branch, Classification, ClassifyConfig, Criteria, DataClass};
 pub use error::{Error, Result};
 pub use extend::ExtensionRule;
 pub use pipeline::{DomainProfile, Pipeline, PipelineOutput, RunOptions, Session, SignalOutput};
+pub use query::Query;
 pub use reduce::{ConditionFn, Constraint, Reduction};
 pub use rules::{InferParams, Rule, RuleCatalog, RuleInfo, RuleSet, RuleSource};
 pub use split::SignalSequence;

@@ -9,9 +9,10 @@
 //! All entry points funnel through one [`Session`]: pick a [`Source`]
 //! (in-memory trace, store file, or one store shard), set the run
 //! options once ([`RunOptions`]), and call [`Session::extract`],
-//! [`Session::extract_reduced`] or [`Session::run`]. The historical
-//! per-combination methods (`run_serial`, `extract_from_store`, …)
-//! remain as thin delegating wrappers.
+//! [`Session::extract_reduced`] or [`Session::run`]. [`Session::many`]
+//! binds N domains to one store, answered by [`Session::run_each`] /
+//! [`Session::extract_each`] from one routed scan ([`crate::query`]);
+//! every store session, one query or N, scans through that code.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -30,6 +31,10 @@ use crate::dedup::{check, Dedup, Deduplicator};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
 use crate::interpret::{Kernel, RecordSelector};
+use crate::query::{
+    flush_plan_obs, scan_store, Answers, MultiExtraction, MultiOutput, Query, QueryExtraction,
+    QueryResult, QueryStats,
+};
 use crate::reduce::{apply_constraints, ConditionFn, Constraint};
 use crate::represent::{merge_results, state_representation};
 use crate::rules::{RuleCatalog, RuleSet};
@@ -200,20 +205,6 @@ struct SignalResult {
     extensions: Vec<DataFrame>,
 }
 
-/// Scans `reader` under `pred`, handing each surviving row group to `each`
-/// as one raw batch, in group order.
-fn scan_groups<R: Read + Seek>(
-    reader: &mut StoreReader<R>,
-    pred: &ivnt_store::Predicate,
-    mut each: impl FnMut(Batch) -> Result<()>,
-) -> Result<ScanStats> {
-    let raw_schema = crate::tabular::raw_schema();
-    let compiled = pred.compile(reader.footer());
-    reader.scan_columns::<Error, _>(std::slice::from_ref(&compiled), |group| {
-        each(group.to_batch(raw_schema.clone())?)
-    })
-}
-
 /// Where a [`Session`] reads its input rows from.
 pub enum Source<'a, R: Read + Seek = BufReader<File>> {
     /// An in-memory trace (simulated or recorded).
@@ -315,10 +306,14 @@ pub struct Extraction {
     pub scan: Option<ScanStats>,
 }
 
-/// One configured pipeline invocation: a [`Pipeline`] bound to a
+/// One configured pipeline invocation: a list of [`Query`]s bound to a
 /// [`Source`] and [`RunOptions`] — the only way into the pipeline, so
 /// extraction, reduction and full runs behave identically whatever the
-/// source.
+/// source. [`Pipeline::session`] binds one query; [`Session::many`] binds
+/// N domains to one store, answered from one routed scan (see
+/// [`query`](crate::query)). [`Session::run`], [`Session::extract`] and
+/// [`Session::extract_reduced`] answer the session's one query;
+/// [`Session::run_each`] and [`Session::extract_each`] answer every query.
 ///
 /// # Examples
 ///
@@ -330,9 +325,45 @@ pub struct Extraction {
 /// # let _ = output; Ok(())
 /// # }
 /// ```
+///
+/// ```no_run
+/// # fn demo(p1: &ivnt_core::Pipeline, p2: &ivnt_core::Pipeline,
+/// #         reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>)
+/// # -> ivnt_core::Result<()> {
+/// use ivnt_core::pipeline::Session;
+/// use ivnt_core::query::Query;
+/// let out = Session::many(vec![Query::new(p1), Query::new(p2)], reader).run_each()?;
+/// assert_eq!(out.results.len(), 2);
+/// # Ok(())
+/// # }
+/// ```
 pub struct Session<'p, 'a, R: Read + Seek = BufReader<File>> {
-    pipeline: &'p Pipeline,
+    queries: Vec<Query<'p>>,
+    /// The source and switches; the time window lives in the queries.
     opts: RunOptions<'a, R>,
+}
+
+impl<'p, 'a, R: Read + Seek> Session<'p, 'a, R> {
+    /// Binds N domain queries to one store reader: every answer comes from
+    /// one routed scan of it.
+    pub fn many(queries: Vec<Query<'p>>, reader: &'a mut StoreReader<R>) -> Session<'p, 'a, R> {
+        Session {
+            queries,
+            opts: RunOptions::store(reader),
+        }
+    }
+
+    /// Forces every query's per-signal fan-out serial (reference oracle).
+    pub fn serial(mut self) -> Self {
+        self.opts.serial = true;
+        self
+    }
+
+    /// Installs `registry` as the metrics subscriber for the session call.
+    pub fn with_subscriber(mut self, registry: Arc<ivnt_obs::Registry>) -> Self {
+        self.opts.subscriber = Some(registry);
+        self
+    }
 }
 
 impl<R: Read + Seek> Session<'_, '_, R> {
@@ -342,11 +373,37 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     /// # Errors
     ///
     /// Propagates tabular-engine failures and, for store sources, store
-    /// corruption/I/O errors ([`Error::Store`]).
-    pub fn extract(self) -> Result<Extraction> {
-        let Session { pipeline, opts } = self;
-        let _guard = opts.subscriber.map(ivnt_obs::install);
-        pipeline.extract_source(opts.source, opts.preselection, opts.time_window)
+    /// corruption/I/O errors ([`Error::Store`]); fails with
+    /// [`Error::InvalidProfile`] for a session without queries.
+    pub fn extract(mut self) -> Result<Extraction> {
+        let _guard = self.opts.subscriber.take().map(ivnt_obs::install);
+        let answers = self.answer(false)?;
+        let frame = only(answers.frames)?;
+        let scan = answers.plan.scan;
+        Ok(Extraction { frame, scan })
+    }
+
+    /// Lines 3–6 for every query from one pass: each query's `K_s`.
+    /// Records the `plan_*` counters.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Session::extract`] (an empty session answers
+    /// nothing); the session fails as a whole.
+    pub fn extract_each(mut self) -> Result<MultiExtraction> {
+        let _guard = self.opts.subscriber.take().map(ivnt_obs::install);
+        let answers = self.answer(false)?;
+        flush_plan_obs(&answers.plan, &self.queries, &answers.stats);
+        let frames = (self.queries.iter().zip(answers.frames))
+            .zip(answers.stats)
+            .map(|((q, frame), stats)| QueryExtraction {
+                label: q.label().to_string(),
+                frame,
+                stats,
+            })
+            .collect();
+        let plan = answers.plan;
+        Ok(MultiExtraction { frames, plan })
     }
 
     /// Lines 3–11: extraction, splitting, gateway dedup and constraint
@@ -357,16 +414,16 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     /// # Errors
     ///
     /// Same conditions as [`Session::extract`].
-    pub fn extract_reduced(self) -> Result<Vec<(SignalSequence, Dedup, usize)>> {
-        let Session { pipeline: p, opts } = self;
-        let _guard = opts.subscriber.map(ivnt_obs::install);
-        let seqs = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
+    pub fn extract_reduced(mut self) -> Result<Vec<(SignalSequence, Dedup, usize)>> {
+        let _guard = self.opts.subscriber.take().map(ivnt_obs::install);
+        let seqs = only(self.answer(true)?.seqs)?;
+        let p = self.queries[0].pipeline;
         let task = |seq: SignalSequence| {
             let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
             let reduced = p.reduce_representative(&dedup.representative)?;
             Ok((reduced, dedup, rows_interpreted))
         };
-        if opts.serial || p.effective_workers() == 1 {
+        if self.opts.serial || p.effective_workers() == 1 {
             seqs.into_iter().map(task).collect()
         } else {
             ivnt_obs::with(|r| r.add("pipeline_scatter_total", 1));
@@ -387,26 +444,87 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     ///
     /// Same conditions as [`Session::extract`].
     pub fn run(self) -> Result<PipelineOutput> {
-        let Session { pipeline: p, opts } = self;
-        let _guard = opts.subscriber.map(ivnt_obs::install);
+        only(self.run_queries(false)?.results).map(|r| r.output)
+    }
+
+    /// The full Algorithm 1 for every query: one pass hands each query its
+    /// sequences, then each runs its own back half. The session is one
+    /// `run` span: the pass records `interpret` and `split` once, every
+    /// query its back half. Records the `plan_*` counters.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Session::extract_each`].
+    pub fn run_each(self) -> Result<MultiOutput> {
+        self.run_queries(true)
+    }
+
+    /// Runs every query; `each` records the `plan_*` counters.
+    fn run_queries(mut self, each: bool) -> Result<MultiOutput> {
+        let _guard = self.opts.subscriber.take().map(ivnt_obs::install);
         let clock = Stopwatch::start();
-        let seqs = p.extract_sequences(opts.source, opts.preselection, opts.time_window)?;
-        // A 1-worker scatter is pure overhead (channel round-trips, same
-        // order): take the serial per-signal loop instead.
-        let parallel = !opts.serial && p.effective_workers() > 1;
-        let output = p.run_from_sequences(seqs, parallel)?;
+        let answers = self.answer(true)?;
+        if each {
+            flush_plan_obs(&answers.plan, &self.queries, &answers.stats);
+        }
+        let results = (self.queries.iter().zip(answers.seqs))
+            .zip(answers.stats)
+            .map(|((q, seqs), stats)| {
+                // A 1-worker scatter is pure overhead (channel round-trips,
+                // same order): take the serial per-signal loop instead.
+                let parallel = !self.opts.serial && q.pipeline.effective_workers() > 1;
+                Ok(QueryResult {
+                    label: q.label().to_string(),
+                    output: q.pipeline.run_from_sequences(seqs, parallel)?,
+                    stats,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         close_run(clock);
-        Ok(output)
+        let plan = answers.plan;
+        Ok(MultiOutput { results, plan })
+    }
+
+    /// One pass over the source answering every query, with sequences when
+    /// `sequences` is set and `K_s` otherwise. Store sources go through the
+    /// routed scan; an in-memory trace answers its one query on its own
+    /// path, the independent oracle of the scan.
+    fn answer(&mut self, sequences: bool) -> Result<Answers> {
+        let (reader, groups) = match &mut self.opts.source {
+            Source::Trace(trace) => {
+                let q = self.queries.first().ok_or_else(no_query)?;
+                let (p, pre, window) = (q.pipeline, self.opts.preselection, q.window);
+                let mut answers = Answers::default();
+                if sequences {
+                    answers.seqs.push(p.trace_sequences(trace, pre, window)?);
+                } else {
+                    answers.frames.push(p.trace_extract(trace, pre, window)?);
+                }
+                answers.stats.push(QueryStats::default());
+                answers.plan.queries = 1;
+                return Ok(answers);
+            }
+            Source::Store(reader) => (reader, None),
+            Source::StoreShard { reader, groups } => (reader, Some(groups.clone())),
+        };
+        scan_store(&self.queries, reader, groups, sequences)
     }
 }
 
-/// Closes a run's root `run` span — its children are `tabular`,
-/// `interpret`, `split`, `fan_out` (whose children are the per-signal
-/// `dedup` … `branch` tasks), `extend_gather`, `merge` and `state` — and
-/// observes it into `pipeline_run_seconds`. Public (hidden) for the
-/// multi-query planner, whose whole batch is one run.
-#[doc(hidden)]
-pub fn close_run(mut clock: Stopwatch) {
+/// The answer of a single-query session.
+fn only<T>(answers: Vec<T>) -> Result<T> {
+    answers.into_iter().next().ok_or_else(no_query)
+}
+
+fn no_query() -> Error {
+    Error::InvalidProfile("the session has no query".into())
+}
+
+/// Closes a session's root `run` span — its children are `tabular`
+/// (trace sources only), `interpret`, `split`, `fan_out` (whose children
+/// are the per-signal `dedup` … `branch` tasks), `extend_gather`, `merge`
+/// and `state` — and observes it into `pipeline_run_seconds`.
+fn close_run(mut clock: Stopwatch) {
     if let Some(seconds) = clock.lap("run", "") {
         ivnt_obs::with(|r| r.observe("pipeline_run_seconds", ivnt_obs::SECONDS_BUCKETS, seconds));
     }
@@ -439,7 +557,6 @@ pub fn close_run(mut clock: Stopwatch) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline {
-    u_rel: RuleSet,
     u_comb: RuleSet,
     profile: DomainProfile,
     /// `u_comb` compiled, on first use; clones (a session's worker
@@ -457,7 +574,7 @@ impl Pipeline {
     /// and [`Error::InvalidProfile`] for an empty resulting `U_comb`.
     pub fn new(u_rel: RuleSet, profile: DomainProfile) -> Result<Pipeline> {
         let u_comb = if profile.signals.is_empty() {
-            u_rel.clone()
+            u_rel
         } else {
             let names: Vec<&str> = profile.signals.iter().map(String::as_str).collect();
             u_rel.select(&names)?
@@ -469,7 +586,6 @@ impl Pipeline {
             )));
         }
         Ok(Pipeline {
-            u_rel,
             u_comb,
             profile,
             kernel: Arc::default(),
@@ -486,11 +602,6 @@ impl Pipeline {
     /// Same conditions as [`Pipeline::new`].
     pub fn from_catalog(catalog: &RuleCatalog, profile: DomainProfile) -> Result<Pipeline> {
         Pipeline::new(catalog.rules().clone(), profile)
-    }
-
-    /// The full rule table.
-    pub fn u_rel(&self) -> &RuleSet {
-        &self.u_rel
     }
 
     /// The domain's selected rules.
@@ -519,13 +630,16 @@ impl Pipeline {
     }
 
     /// Binds this pipeline to a source and options, producing the
-    /// [`Session`] every entry point runs through.
+    /// one-query [`Session`] every entry point runs through; the options'
+    /// time window becomes the query's.
     pub fn session<'p, 'a, R: Read + Seek>(
         &'p self,
         opts: RunOptions<'a, R>,
     ) -> Session<'p, 'a, R> {
+        let mut query = Query::new(self);
+        query.window = opts.time_window;
         Session {
-            pipeline: self,
+            queries: vec![query],
             opts,
         }
     }
@@ -549,9 +663,9 @@ impl Pipeline {
         Ok(raw)
     }
 
-    /// The scan predicate of a store session: the domain's preselection,
-    /// the session's window and, for a shard, its row-group range.
-    fn scan_predicate(
+    /// The scan predicate of a store query: the domain's preselection, the
+    /// query's window and, for a shard, its row-group range.
+    pub(crate) fn scan_predicate(
         &self,
         time_window: Option<(u64, u64)>,
         groups: Option<Range<u32>>,
@@ -566,101 +680,57 @@ impl Pipeline {
         pred
     }
 
-    /// Source-dispatched extraction (lines 3–6) into the table `K_s`. Both
-    /// preselect before materializing: store sources by zone-map
-    /// predicate, trace sources by the same record predicate per partition
-    /// slice.
-    fn extract_source<R: Read + Seek>(
+    /// Lines 3–6 over an in-memory trace into the table `K_s`, preselecting
+    /// by the same record predicate per partition slice that a store scan
+    /// pushes down as its zone-map predicate.
+    fn trace_extract(
         &self,
-        source: Source<'_, R>,
+        trace: &Trace,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<Extraction> {
-        let (reader, groups) = match source {
-            Source::Trace(trace) => {
-                let raw = self.ingest_trace(trace, preselection, time_window)?;
-                let frame = if preselection {
-                    self.kernel().extract(&raw)?
-                } else {
-                    crate::interpret::interpret(&raw, &self.u_comb)?
-                };
-                return Ok(Extraction { frame, scan: None });
-            }
-            Source::Store(reader) => (reader, None),
-            Source::StoreShard { reader, groups } => (reader, Some(groups)),
-        };
-        // No empty-batch padding for a shard: its partitions concatenate
-        // with its siblings', and only the whole must be non-empty.
-        let pad = groups.is_none();
-        // Each surviving row group is one morsel through the kernel and
-        // one output partition, in group order; pruned groups contribute
-        // nothing (matching the in-memory path, which never sees them).
-        let kernel = self.kernel();
-        let mut parts: Vec<Batch> = Vec::new();
-        let stats = scan_groups(reader, &self.scan_predicate(time_window, groups), |raw| {
-            parts.push(kernel.extract_batch(&raw)?);
-            Ok(())
-        })?;
-        if parts.is_empty() && pad {
-            parts.push(Batch::empty(crate::interpret::signal_schema()));
+    ) -> Result<DataFrame> {
+        let raw = self.ingest_trace(trace, preselection, time_window)?;
+        if preselection {
+            self.kernel().extract(&raw)
+        } else {
+            crate::interpret::interpret(&raw, &self.u_comb)
         }
-        let (frame, scan) = (self.signal_frame(parts)?, Some(stats));
-        Ok(Extraction { frame, scan })
     }
 
-    /// Lines 3–8 with the split fused into the kernel's emission: the
-    /// source's rows decode straight into per-signal sequences, so `K_s`
-    /// is never built. Trace partitions decode in parallel into
-    /// per-partition sinks appended in partition order; store row groups
-    /// decode one after another into the builder itself. Only the
-    /// no-preselection ablation, whose reference join is not the kernel,
-    /// goes through `K_s`. The run's `tabular` stage is the trace→frame
-    /// ingest (none for store sources), `interpret` the decode (for store
-    /// sources incl. the scan), and `split` the builder's `finish`: the
-    /// ordering check + column assembly left after routing.
-    fn extract_sequences<R: Read + Seek>(
+    /// Lines 3–8 over an in-memory trace with the split fused into the
+    /// kernel's emission: partitions decode in parallel straight into
+    /// per-partition sinks appended in partition order, so `K_s` is never
+    /// built. Only the no-preselection ablation, whose reference join is
+    /// not the kernel, goes through `K_s`. The run's `tabular` stage is
+    /// the trace→frame ingest, `interpret` the decode, and `split` the
+    /// builder's `finish`: the ordering check + column assembly left after
+    /// routing.
+    fn trace_sequences(
         &self,
-        source: Source<'_, R>,
+        trace: &Trace,
         preselection: bool,
         time_window: Option<(u64, u64)>,
     ) -> Result<Vec<SignalSequence>> {
-        let (raw, store) = match source {
-            Source::Trace(trace) => {
-                let raw = self.ingest_trace(trace, preselection, time_window)?;
-                (Some(raw), None)
-            }
-            Source::Store(reader) => (None, Some((reader, None))),
-            Source::StoreShard { reader, groups } => (None, Some((reader, Some(groups)))),
-        };
+        let raw = self.ingest_trace(trace, preselection, time_window)?;
         let mut clock = Stopwatch::start();
         let kernel = self.kernel();
         let mut builder = kernel.sequence_builder();
-        match raw {
-            Some(raw) if preselection => {
-                let decoded =
-                    raw.executor()
-                        .try_map_ref(raw.partitions(), |batch| -> Result<_> {
-                            let mut runs = builder.new_runs();
-                            kernel.decode_runs(batch, &mut runs)?;
-                            Ok(runs)
-                        })?;
-                for runs in decoded {
-                    builder.append(runs);
-                }
+        if preselection {
+            let decoded = raw
+                .executor()
+                .try_map_ref(raw.partitions(), |batch| -> Result<_> {
+                    let mut runs = builder.new_runs();
+                    kernel.decode_runs(batch, &mut runs)?;
+                    Ok(runs)
+                })?;
+            for runs in decoded {
+                builder.append(runs);
             }
-            Some(raw) => {
-                let ks = crate::interpret::interpret(&raw, &self.u_comb)?;
-                for batch in ks.partitions() {
-                    builder.push(batch)?;
-                }
+        } else {
+            let ks = crate::interpret::interpret(&raw, &self.u_comb)?;
+            for batch in ks.partitions() {
+                builder.push(batch)?;
             }
-            None => {}
-        }
-        if let Some((reader, groups)) = store {
-            let pred = self.scan_predicate(time_window, groups);
-            scan_groups(reader, &pred, |raw| {
-                kernel.decode_runs(&raw, builder.runs_mut())
-            })?;
         }
         clock.lap("interpret", "run");
         let seqs = builder.finish()?;
@@ -669,10 +739,8 @@ impl Pipeline {
     }
 
     /// Assembles interpreted partitions into a `K_s` frame carrying the
-    /// profile's executor. Public (hidden) for the multi-query planner,
-    /// which builds per-query partition lists from a shared scan.
-    #[doc(hidden)]
-    pub fn signal_frame(&self, parts: Vec<Batch>) -> Result<DataFrame> {
+    /// profile's executor.
+    pub(crate) fn signal_frame(&self, parts: Vec<Batch>) -> Result<DataFrame> {
         let frame = DataFrame::from_partitions(crate::interpret::signal_schema(), parts)?;
         Ok(match self.profile.workers {
             Some(workers) => frame.with_executor(Executor::new(workers)),
@@ -701,8 +769,7 @@ impl Pipeline {
     /// cap, or the process-wide default. When this is 1, sessions skip the
     /// scatter/gather machinery entirely — a 1-worker pool only adds
     /// channel round-trips over the plain serial loop.
-    #[doc(hidden)]
-    pub fn effective_workers(&self) -> usize {
+    fn effective_workers(&self) -> usize {
         self.profile
             .workers
             .unwrap_or_else(ivnt_frame::exec::default_workers)
@@ -820,10 +887,7 @@ impl Pipeline {
     /// back half of every run, regardless of source. The per-signal tasks
     /// record their stages under one `fan_out` span timing the whole
     /// scatter/gather, so Σ children ÷ `fan_out` reads as its parallelism.
-    /// Public but hidden: the multi-query planner hands each query its
-    /// sequences.
-    #[doc(hidden)]
-    pub fn run_from_sequences(
+    fn run_from_sequences(
         &self,
         seqs: Vec<SignalSequence>,
         parallel: bool,

@@ -173,8 +173,7 @@ struct SignalColumns {
 /// The per-signal column sets of one partition, row group or micro-batch,
 /// indexed by signal code: the sink the interpretation kernel emits into
 /// when nobody needs `K_s` as a table.
-#[doc(hidden)]
-pub struct SignalRuns {
+pub(crate) struct SignalRuns {
     cols: Vec<SignalColumns>,
 }
 
@@ -317,8 +316,7 @@ impl SequenceBuilder {
     }
 
     /// The builder's own sink, for decoding straight into it.
-    #[doc(hidden)]
-    pub fn runs_mut(&mut self) -> &mut SignalRuns {
+    pub(crate) fn runs_mut(&mut self) -> &mut SignalRuns {
         &mut self.runs
     }
 

@@ -26,7 +26,6 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
-use std::time::Instant;
 
 /// Global default worker count behind [`Executor::default`].
 static DEFAULT_WORKERS: OnceLock<RwLock<usize>> = OnceLock::new();
@@ -124,7 +123,7 @@ fn pool() -> &'static Pool {
         for i in 0..threads {
             std::thread::Builder::new()
                 .name(format!("ivnt-worker-{i}"))
-                .spawn(move || worker_loop(i))
+                .spawn(worker_loop)
                 .expect("spawning pool worker");
         }
         Pool {
@@ -135,12 +134,9 @@ fn pool() -> &'static Pool {
     })
 }
 
-fn worker_loop(index: usize) {
+fn worker_loop() {
     let pool = pool();
     loop {
-        // Timestamps are only taken while a subscriber is installed, so the
-        // unobserved loop stays a bare condvar wait.
-        let idle_from = ivnt_obs::enabled().then(Instant::now);
         let job = {
             let mut queue = pool.queue.lock().expect("pool queue lock poisoned");
             loop {
@@ -156,25 +152,7 @@ fn worker_loop(index: usize) {
                 queue = pool.work.wait(queue).expect("pool queue lock poisoned");
             }
         };
-        if let Some(from) = idle_from {
-            ivnt_obs::with(|r| {
-                r.add(
-                    &format!("frame_worker_idle_us{{worker=\"{index}\"}}"),
-                    from.elapsed().as_micros() as u64,
-                );
-            });
-        }
-        let busy_from = ivnt_obs::enabled().then(Instant::now);
         job.run_as_helper();
-        if let Some(from) = busy_from {
-            ivnt_obs::with(|r| {
-                r.add(
-                    &format!("frame_worker_busy_us{{worker=\"{index}\"}}"),
-                    from.elapsed().as_micros() as u64,
-                );
-                r.add(&format!("frame_worker_jobs_total{{worker=\"{index}\"}}"), 1);
-            });
-        }
     }
 }
 
@@ -534,8 +512,50 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that install a subscriber: it is process-wide,
+    /// and a second install diverts the first one's counters.
+    static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn pool_workers_record_no_counters_of_their_own() {
+        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let registry = Arc::new(ivnt_obs::Registry::new());
+        let _guard = ivnt_obs::install(Arc::clone(&registry));
+        // Run jobs until some pool worker has helped twice while the
+        // registry was installed: a worker records anything it records
+        // about a job before that job can finish, except on its first job
+        // after starting to wait.
+        let mut helped_jobs = 0;
+        for _ in 0..100_000 {
+            if helped_jobs > pool().threads {
+                break;
+            }
+            let helped = std::sync::atomic::AtomicBool::new(false);
+            Executor::new(2).map_ref(&[0u8; 16], |_| {
+                let name = std::thread::current().name().map(str::to_owned);
+                if name.is_some_and(|n| n.starts_with("ivnt-worker")) {
+                    helped.store(true, Ordering::Relaxed);
+                }
+                std::thread::yield_now();
+            });
+            helped_jobs += usize::from(helped.into_inner());
+        }
+        assert!(
+            helped_jobs > pool().threads,
+            "pool workers joined {helped_jobs} jobs"
+        );
+        // Which worker joined which job is up to the scheduler, so
+        // per-worker counters (`frame_worker_*_us` timings, job counts)
+        // would make two identical runs' metrics differ.
+        let per_worker: Vec<String> = (registry.snapshot().counters.into_keys())
+            .filter(|k| k.starts_with("frame_worker_"))
+            .collect();
+        assert!(per_worker.is_empty(), "per-worker counters: {per_worker:?}");
+    }
+
     #[test]
     fn obs_snapshot_is_deterministic_under_try_map_concurrency() {
+        let _lock = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Uniquely-named metrics: other tests in this binary share the
         // process-global subscriber, so only keys no one else writes can
         // be asserted exactly.

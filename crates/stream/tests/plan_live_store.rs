@@ -8,9 +8,9 @@
 
 use std::sync::OnceLock;
 
-use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions};
+use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions, Session};
+use ivnt_core::query::Query;
 use ivnt_core::rules::RuleSet;
-use ivnt_plan::{Query, SessionMany};
 use ivnt_simulator::prelude::*;
 use ivnt_store::{open_recovered, AppendOptions, AppendWriter, Record, StoreReader};
 
@@ -58,8 +58,8 @@ fn shared_and_solo(
     reader: &mut FileReader,
     solo_reader: &mut FileReader,
 ) -> (Rows, Rows) {
-    let shared = Pipeline::session_many(vec![Query::new(p)], reader)
-        .extract()
+    let shared = Session::many(vec![Query::new(p)], reader)
+        .extract_each()
         .expect("shared extract");
     let solo = p
         .session(RunOptions::store(solo_reader))

@@ -17,6 +17,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> benchmark/ harness check (its own workspace, built against crates/)"
+# Nothing else compiles benchmark/: it imports the workspace crates by
+# path, so an API change there would otherwise only show when it runs.
+CARGO_TARGET_DIR=target/benchmark \
+  cargo check --locked --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> store_probe smoke (zone-map pushdown + in-memory/from-store + columnar-scan ratio gates)"
 # Small workload; fails if chunk skipping degenerates below the gate, if
 # the in-memory extraction costs more than 1.5x the from-store one (a loose
@@ -60,8 +66,8 @@ IVNT_INTERPRET_MIN_SPEEDUP="${IVNT_INTERPRET_MIN_SPEEDUP:-1.2}" \
 echo "==> pipeline_e2e smoke (parallel bit-identity + SWAB kernel gate)"
 # Serial vs parallel Algorithm 1; every parallel run is checked
 # bit-identical to the serial reference, and the heap SWAB kernel must beat
-# the naive O(n²) reference. The parallel speedup and the obs overhead are
-# report-only.
+# the naive O(n²) reference. The run is a few milliseconds, so the probe
+# times neither serial vs parallel nor the obs subscriber.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_SWAB_MIN_SPEEDUP="${IVNT_SWAB_MIN_SPEEDUP:-1.0}" \
   cargo run --release -q -p ivnt-bench --bin pipeline_e2e
@@ -89,7 +95,7 @@ IVNT_INFER_MIN_F1="${IVNT_INFER_MIN_F1:-0.85}" \
 echo "==> plan_probe smoke (multi-query shared-scan bit-identity + speedup gate)"
 # N concurrent domains from one shared store pass; every shared answer is
 # checked bit-identical to its solo session inline, and 4 domains' full
-# runs from one `QuerySet::run` must beat 4 sequential `Session::run`s by
+# runs from one `Session::run_each` must beat 4 sequential `Session::run`s by
 # IVNT_PLAN_MIN_SPEEDUP on one core (`extract_speedup`, the front half
 # alone, is reported beside it). Last, so that every step above runs
 # while this gate is out of reach (ROADMAP, the dictionary-column item).

@@ -60,7 +60,6 @@ pub use ivnt_core as core;
 pub use ivnt_frame as frame;
 pub use ivnt_infer as infer;
 pub use ivnt_obs as obs;
-pub use ivnt_plan as plan;
 pub use ivnt_protocol as protocol;
 pub use ivnt_series as series;
 pub use ivnt_simulator as simulator;

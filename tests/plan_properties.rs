@@ -1,15 +1,19 @@
-//! Property tests for the multi-query planner: for arbitrary small
+//! Property tests for the multi-query session: for arbitrary small
 //! networks and arbitrary query batches — overlapping, disjoint, windowed,
 //! empty, any mix — the shared scan's per-query extraction and full run
-//! are bit-identical to the solo session's.
+//! are bit-identical to the solo store session's and to the in-memory
+//! trace session's. A solo store session runs the same routed scan as the
+//! batch; the in-memory trace path shares none of its code, so it is the
+//! independent oracle.
 
 use std::io::Cursor;
 
-use ivnt::core::pipeline::{DomainProfile, Pipeline, PipelineOutput, RunOptions};
+use ivnt::core::pipeline::{DomainProfile, Pipeline, PipelineOutput, RunOptions, Session};
+use ivnt::core::query::Query;
 use ivnt::core::rules::RuleSet;
 use ivnt::frame::frame::DataFrame;
-use ivnt::plan::{Query, SessionMany};
 use ivnt::simulator::scenario::{generate, DataSetSpec, GeneratedDataSet};
+use ivnt::simulator::trace::Trace;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use proptest::prelude::*;
 
@@ -65,24 +69,23 @@ fn messages(data: &GeneratedDataSet) -> Vec<(u32, Vec<String>)> {
     messages
 }
 
-fn write_store(data: &GeneratedDataSet) -> Vec<u8> {
-    write_store_without(data, None)
-}
-
-/// The trace as a store, minus every record of message `absent`.
-fn write_store_without(data: &GeneratedDataSet, absent: Option<u32>) -> Vec<u8> {
+fn write_store(trace: &Trace) -> Vec<u8> {
     let options = WriterOptions {
         chunk_rows: 128,
         chunks_per_group: 2,
         cluster: true,
     };
     let mut writer = StoreWriter::new(Vec::new(), options).expect("create store");
-    for r in data.trace.records() {
-        if Some(r.message_id) != absent {
-            writer.append(r).expect("append");
-        }
+    for r in trace.records() {
+        writer.append(r).expect("append");
     }
     writer.finish().expect("finish")
+}
+
+/// The trace minus every record of message `absent`.
+fn trace_without(trace: &Trace, absent: u32) -> Trace {
+    let kept = trace.records().iter().filter(|r| r.message_id != absent);
+    Trace::from_records(kept.cloned().collect())
 }
 
 fn last_timestamp_us(data: &GeneratedDataSet) -> u64 {
@@ -133,7 +136,8 @@ fn first_difference(got: &[String], want: &[String]) -> Option<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Merged-predicate shared extraction ≡ per-query solo extraction, for
+    /// Merged-predicate shared extraction ≡ per-query solo extraction (from
+    /// the store and from the in-memory trace), for
     /// random query sets over random networks: signals assigned randomly
     /// (some domains overlap, some stay disjoint, some end up empty) and
     /// optionally windowed (sometimes to an empty range).
@@ -145,7 +149,7 @@ proptest! {
         windowed in any::<bool>(),
     ) {
         let data = generate(&spec).expect("generate");
-        let bytes = write_store(&data);
+        let bytes = write_store(&data.trace);
         let names = signal_names(&data);
         let last_us = last_timestamp_us(&data);
 
@@ -197,26 +201,36 @@ proptest! {
             .collect();
         let mut reader =
             StoreReader::from_reader(Cursor::new(bytes.clone())).expect("open store");
-        let multi = Pipeline::session_many(queries, &mut reader)
-            .extract()
+        let multi = Session::many(queries, &mut reader)
+            .extract_each()
             .expect("shared extract");
         prop_assert_eq!(multi.frames.len(), n_queries);
 
         for (qi, qx) in multi.frames.iter().enumerate() {
             let mut solo_reader =
                 StoreReader::from_reader(Cursor::new(bytes.clone())).expect("open store");
-            let mut opts = RunOptions::store(&mut solo_reader);
+            let mut store = RunOptions::store(&mut solo_reader);
+            let mut mem = RunOptions::trace(&data.trace);
             if let Some((from, to)) = windows[qi] {
-                opts = opts.with_time_window(from, to);
+                store = store.with_time_window(from, to);
+                mem = mem.with_time_window(from, to);
             }
-            let want = pipelines[qi].session(opts).extract().expect("solo").frame;
-            prop_assert_eq!(qx.frame.schema(), want.schema(), "query {} schema", qi);
-            prop_assert_eq!(
-                qx.frame.collect_rows().expect("shared rows"),
-                want.collect_rows().expect("solo rows"),
-                "query {} diverged from its solo session",
-                qi
-            );
+            let p = &pipelines[qi];
+            let solo = [
+                ("store", p.session(store).extract().expect("solo store").frame),
+                ("trace", p.session(mem).extract().expect("solo trace").frame),
+            ];
+            let rows = qx.frame.collect_rows().expect("shared rows");
+            for (source, want) in solo {
+                prop_assert_eq!(qx.frame.schema(), want.schema(), "query {} schema", qi);
+                prop_assert_eq!(
+                    &rows,
+                    &want.collect_rows().expect("solo rows"),
+                    "query {} diverged from its solo {} session",
+                    qi,
+                    source
+                );
+            }
         }
     }
 }
@@ -224,7 +238,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `QuerySet::run` ≡ each query's solo `Session::run`, for random query
+    /// `Session::run_each` ≡ each query's solo `Session::run`, from the
+    /// store and from the in-memory trace, for random query
     /// sets of three shapes — signal-disjoint and windowless (the shared
     /// union builder), overlapping, windowed — each plus a query whose
     /// message the store never saw (every group pruned), and, outside the
@@ -242,7 +257,8 @@ proptest! {
         let data = generate(&spec).expect("generate");
         let mut by_message = messages(&data);
         let (absent_id, absent_signals) = by_message.pop().expect("a message");
-        let bytes = write_store_without(&data, Some(absent_id));
+        let trace = trace_without(&data.trace, absent_id);
+        let bytes = write_store(&trace);
         let last_us = last_timestamp_us(&data);
 
         let mut s = shape_seed | 1;
@@ -284,17 +300,24 @@ proptest! {
                     .expect("pipeline builds")
             })
             .collect();
-        let want: Vec<Vec<String>> = pipelines
+        // Per query, its solo store session's and in-memory trace
+        // session's output.
+        let want: Vec<[(&str, Vec<String>); 2]> = pipelines
             .iter()
             .zip(&windows)
             .map(|(p, w)| {
                 let mut reader =
                     StoreReader::from_reader(Cursor::new(bytes.clone())).expect("open store");
-                let mut opts = RunOptions::store(&mut reader);
+                let mut store = RunOptions::store(&mut reader);
+                let mut mem = RunOptions::trace(&trace);
                 if let Some((from, to)) = *w {
-                    opts = opts.with_time_window(from, to);
+                    store = store.with_time_window(from, to);
+                    mem = mem.with_time_window(from, to);
                 }
-                output_lines(&p.session(opts).run().expect("solo run"))
+                [
+                    ("store", output_lines(&p.session(store).run().expect("solo run"))),
+                    ("trace", output_lines(&p.session(mem).run().expect("trace run"))),
+                ]
             })
             .collect();
 
@@ -307,9 +330,9 @@ proptest! {
             })
             .collect();
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).expect("open store");
-        let set = Pipeline::session_many(queries, &mut reader);
+        let set = Session::many(queries, &mut reader);
         let set = if serial { set.serial() } else { set };
-        let multi = set.run().expect("shared run");
+        let multi = set.run_each().expect("shared run");
 
         prop_assert!(multi.plan.scan.is_some());
         if disjoint {
@@ -318,14 +341,18 @@ proptest! {
         prop_assert_eq!(multi.results[pruned].stats.rows_routed, 0);
         prop_assert!(multi.results[pruned].output.signals.is_empty());
         for (qi, result) in multi.results.iter().enumerate() {
-            let diff = first_difference(&output_lines(&result.output), &want[qi]);
-            prop_assert!(
-                diff.is_none(),
-                "serial {}: query {} diverged from its solo session at {}",
-                serial,
-                qi,
-                diff.unwrap_or_default()
-            );
+            let got = output_lines(&result.output);
+            for (source, want) in &want[qi] {
+                let diff = first_difference(&got, want);
+                prop_assert!(
+                    diff.is_none(),
+                    "serial {}: query {} diverged from its solo {} session at {}",
+                    serial,
+                    qi,
+                    source,
+                    diff.unwrap_or_default()
+                );
+            }
         }
     }
 }

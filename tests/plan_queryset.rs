@@ -10,9 +10,9 @@
 use std::io::Cursor;
 use std::sync::OnceLock;
 
-use ivnt::core::pipeline::{Pipeline, PipelineOutput, RunOptions};
+use ivnt::core::pipeline::{Pipeline, PipelineOutput, RunOptions, Session};
+use ivnt::core::query::Query;
 use ivnt::frame::frame::DataFrame;
-use ivnt::plan::{Query, SessionMany};
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use ivnt_bench::{disjoint_domains, domain_pipeline, vehicle_journey};
 
@@ -135,8 +135,8 @@ fn disjoint_domains_share_one_interpret_pass_bit_identically() {
         .enumerate()
         .map(|(i, p)| Query::new(p).with_label(format!("dom{i}")))
         .collect();
-    let multi = Pipeline::session_many(queries, &mut r)
-        .extract()
+    let multi = Session::many(queries, &mut r)
+        .extract_each()
         .expect("shared extract");
 
     assert!(multi.plan.shared_interpret, "disjoint domains must share");
@@ -152,8 +152,8 @@ fn disjoint_domains_share_one_interpret_pass_bit_identically() {
 
     let mut r = reader(fx);
     let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
-    let multi = Pipeline::session_many(queries, &mut r)
-        .run()
+    let multi = Session::many(queries, &mut r)
+        .run_each()
         .expect("shared run");
     for (i, (qr, p)) in multi.results.iter().zip(&pipelines).enumerate() {
         let want = solo_run(p, fx, None);
@@ -176,8 +176,8 @@ fn overlapping_domains_fall_back_and_stay_identical() {
     let pb = domain_pipeline(&fx.data, &b).expect("pipeline b");
 
     let mut r = reader(fx);
-    let multi = Pipeline::session_many(vec![Query::new(&pa), Query::new(&pb)], &mut r)
-        .extract()
+    let multi = Session::many(vec![Query::new(&pa), Query::new(&pb)], &mut r)
+        .extract_each()
         .expect("shared extract");
     assert!(
         !multi.plan.shared_interpret,
@@ -195,8 +195,8 @@ fn overlapping_domains_fall_back_and_stay_identical() {
     );
 
     let mut r = reader(fx);
-    let multi = Pipeline::session_many(vec![Query::new(&pa), Query::new(&pb)], &mut r)
-        .run()
+    let multi = Session::many(vec![Query::new(&pa), Query::new(&pb)], &mut r)
+        .run_each()
         .expect("shared run");
     assert_outputs_eq(&multi.results[0].output, &solo_run(&pa, fx, None), "a");
     assert_outputs_eq(&multi.results[1].output, &solo_run(&pb, fx, None), "b");
@@ -231,8 +231,8 @@ fn windowed_queries_match_windowed_solo_sessions() {
         Query::new(&pa).with_window(window.0, window.1),
         Query::new(&pb),
     ];
-    let multi = Pipeline::session_many(queries, &mut r)
-        .extract()
+    let multi = Session::many(queries, &mut r)
+        .extract_each()
         .expect("shared extract");
     assert!(
         !multi.plan.shared_interpret,
@@ -250,8 +250,8 @@ fn windowed_queries_match_windowed_solo_sessions() {
         Query::new(&pa).with_window(window.0, window.1),
         Query::new(&pb),
     ];
-    let multi = Pipeline::session_many(queries, &mut r)
-        .run()
+    let multi = Session::many(queries, &mut r)
+        .run_each()
         .expect("shared run");
     assert_outputs_eq(
         &multi.results[0].output,
@@ -289,8 +289,8 @@ fn fully_pruned_query_matches_solo_empty_extraction() {
         Query::new(&pa).with_window(window.0, window.1),
         Query::new(&pb),
     ];
-    let multi = Pipeline::session_many(queries, &mut r)
-        .extract()
+    let multi = Session::many(queries, &mut r)
+        .extract_each()
         .expect("shared extract");
     assert_eq!(multi.frames[0].stats.rows_routed, 0);
     assert_eq!(
@@ -325,14 +325,14 @@ fn serial_and_parallel_multi_runs_agree() {
 
     let mut r = reader(fx);
     let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
-    let parallel = Pipeline::session_many(queries, &mut r)
-        .run()
+    let parallel = Session::many(queries, &mut r)
+        .run_each()
         .expect("parallel run");
     let mut r = reader(fx);
     let queries: Vec<Query<'_>> = pipelines.iter().map(Query::new).collect();
-    let serial = Pipeline::session_many(queries, &mut r)
+    let serial = Session::many(queries, &mut r)
         .serial()
-        .run()
+        .run_each()
         .expect("serial run");
     for (p, s) in parallel.results.iter().zip(&serial.results) {
         assert_outputs_eq(&p.output, &s.output, "serial vs parallel");
@@ -348,9 +348,9 @@ fn query_labels_are_escaped_in_metrics() {
     let pipeline = domain_pipeline(&fx.data, domain).expect("pipeline builds");
     let registry = std::sync::Arc::new(ivnt::obs::Registry::new());
     let mut r = reader(fx);
-    Pipeline::session_many(vec![Query::new(&pipeline).with_label("a\"b\\c")], &mut r)
+    Session::many(vec![Query::new(&pipeline).with_label("a\"b\\c")], &mut r)
         .with_subscriber(std::sync::Arc::clone(&registry))
-        .run()
+        .run_each()
         .expect("shared run");
     let text = registry.snapshot().to_prometheus();
     assert!(

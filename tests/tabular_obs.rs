@@ -13,7 +13,7 @@ use std::io::Cursor;
 use std::sync::{Arc, Mutex};
 
 use ivnt::core::prelude::*;
-use ivnt::plan::{Query, SessionMany};
+use ivnt::core::{Query, Session};
 use ivnt::simulator::prelude::*;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 
@@ -136,9 +136,9 @@ fn a_query_batch_is_one_run_sharing_one_interpret_and_split() {
         })
         .collect();
     let registry = Arc::new(ivnt::obs::Registry::new());
-    let multi = Pipeline::session_many(pipelines.iter().map(Query::new).collect(), &mut reader)
+    let multi = Session::many(pipelines.iter().map(Query::new).collect(), &mut reader)
         .with_subscriber(Arc::clone(&registry))
-        .run()
+        .run_each()
         .expect("shared run");
     let spans = registry.snapshot().spans;
 
