@@ -1,17 +1,18 @@
-//! Machine-readable probe of the multi-query planner (`ivnt-plan`).
+//! Machine-readable probe of the multi-query session (`Session::many`).
 //!
 //! Splits the Table 6 vehicle workload's catalog into N pairwise-disjoint
 //! domains (N ∈ {1, 2, 4, 8}) — the paper's multi-tenant deployment shape,
 //! every domain watching different signals of the same traffic — and
 //! measures answering all N full runs from one shared store pass
-//! ([`QuerySet::run`], what `ivnt query` runs) against running them as N
+//! ([`Session::run_each`], what `ivnt query` runs) against running them as N
 //! sequential [`Pipeline::session`] runs, and the same for the front half
-//! alone: one [`QuerySet::extract`] against N solo
+//! alone: one [`Session::extract_each`] against N solo
 //! [`Session::extract`](ivnt_core::pipeline::Session::extract) calls
 //! (`extract_speedup`, the ceiling sharing the scan can reach while every
-//! back half still runs once per query). Results go to `BENCH_plan.json` (with a
-//! human-readable summary on stderr), following the `store_probe` /
-//! `BENCH_store.json` conventions.
+//! back half still runs once per query). A solo store session runs the
+//! same routed scan as the batch, so at N = 1 both ratios read ≈ 1.
+//! Results go to `BENCH_plan.json` (with a human-readable summary on
+//! stderr), following the `store_probe` / `BENCH_store.json` conventions.
 //!
 //! Two invariants are enforced, not just reported:
 //!
@@ -19,7 +20,7 @@
 //!   bit-identical to the solo session's (sharing is an optimization, not
 //!   an approximation), and
 //! * the shared pass must actually pay off: the probe exits non-zero when
-//!   the 4-domain speedup of [`QuerySet::run`] over sequential session runs
+//!   the 4-domain speedup of [`Session::run_each`] over sequential session runs
 //!   falls below `IVNT_PLAN_MIN_SPEEDUP` (default 1.5) — the planner's
 //!   whole point is amortizing the scan+decode, which needs no extra
 //!   cores.

@@ -438,7 +438,9 @@ impl<R: Read + Seek> Session<'_, '_, R> {
     ///
     /// Output is bit-identical across worker counts and serial/parallel
     /// modes. With a subscriber installed the run records its stage times
-    /// as one span tree rooted at `run` (see [`close_run`]).
+    /// as one span tree rooted at `run`: `tabular` (trace sources only),
+    /// `interpret`, `split`, `fan_out` (over the per-signal `dedup` …
+    /// `branch` tasks), `extend_gather`, `merge` and `state`.
     ///
     /// # Errors
     ///

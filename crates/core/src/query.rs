@@ -22,7 +22,7 @@
 //!      signal's rows come out exactly as the query's own kernel emits
 //!      them. A `run` decodes into one sequence builder whose finished
 //!      sequences go to their signal's owner; an `extract` routes `K_s`
-//!      rows at emission ([`Kernel::extract_routed`]).
+//!      rows at emission (`Kernel::extract_routed`).
 //!    - *Per-query interpret* — otherwise the same emitted row may belong
 //!      to several queries, or to none inside a window. The scan and chunk
 //!      decode are still shared; each query then interprets its own row

@@ -278,7 +278,7 @@ impl ArcDict {
 /// Builds the per-signal sequences of line 8 incrementally: feed it one
 /// partition, row group or micro-batch at a time, then [`finish`]
 /// (SequenceBuilder::finish). Two feeders share it — the interpretation
-/// kernel emitting [`SignalRuns`] by signal code, and [`push`]
+/// kernel emitting `SignalRuns` by signal code, and [`push`]
 /// (SequenceBuilder::push) routing the rows of an interpreted `K_s` batch.
 ///
 /// Rows of a signal append in feed order. At `finish` a sequence whose

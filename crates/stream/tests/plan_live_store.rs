@@ -51,7 +51,7 @@ fn rows_of(frame: &ivnt_frame::frame::DataFrame) -> Rows {
 type Rows = Vec<Vec<ivnt_frame::value::Value>>;
 type FileReader = StoreReader<std::io::BufReader<std::fs::File>>;
 
-/// `QuerySet::extract` of `p` alone over `reader`, and a solo session's
+/// `Session::extract_each` of `p` alone over `reader`, and a solo session's
 /// extraction over a second reader of the same file; both as rows.
 fn shared_and_solo(
     p: &Pipeline,

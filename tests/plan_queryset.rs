@@ -1,7 +1,7 @@
 //! Cross-crate integration: the multi-query planner's bit-identity
 //! contract.
 //!
-//! `Pipeline::session_many` answers N queries from one shared store pass;
+//! `Session::many` answers N queries from one shared store pass;
 //! every answer must be bit-identical to running the same query as its own
 //! [`Pipeline::session`]. Covered here: the signal-disjoint union-kernel
 //! fast path, the overlapping-signal fallback, windowed queries, queries
