@@ -456,6 +456,7 @@ proptest! {
 
     /// `new == oracle`, byte for byte, over random batches of every
     /// layout — including the empty and the one-row batch.
+    #[test]
     fn size_then_write_equals_the_race(seed in 0u64..u64::MAX, rows in 0usize..300) {
         assert_matches_oracle(&batch_from(seed, rows));
         assert_matches_oracle(&batch_from(seed, rows.min(1)));

@@ -10,7 +10,6 @@
 //! pushes a whole sequence once, a stream each chunk its watermark
 //! releases.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -18,13 +17,15 @@ use ivnt_frame::prelude::*;
 
 use crate::error::Result;
 use crate::rules::RuleSet;
-use crate::split::{Rows, SignalSequence};
+use crate::split::{CodedRow, CodedRows, CodedSequence, SignalSequence};
+
+pub use crate::split::Selection;
 
 /// Outcome of the equality check `e` for one signal.
 #[derive(Debug, Clone)]
-pub struct Dedup<S = SignalSequence> {
+pub struct Dedup {
     /// The representative sequence `K_rep` (single channel, time-ordered).
-    pub representative: S,
+    pub representative: SignalSequence,
     /// Channel chosen as representative.
     pub representative_channel: String,
     /// Channels whose copies matched the representative (`K_cor`).
@@ -32,6 +33,18 @@ pub struct Dedup<S = SignalSequence> {
     /// Channels whose copies disagreed — kept out of `K_cor`, reported for
     /// diagnosis (a forwarding fault is itself a finding).
     pub mismatched: Vec<String>,
+}
+
+impl Dedup {
+    /// The report's verdicts around a representative.
+    pub(crate) fn new(representative: SignalSequence, report: DedupReport) -> Dedup {
+        Dedup {
+            representative,
+            representative_channel: report.representative_channel,
+            corresponding: report.corresponding,
+            mismatched: report.mismatched,
+        }
+    }
 }
 
 /// Runs the equality check for one signal's multi-channel sequence: one
@@ -42,25 +55,31 @@ pub struct Dedup<S = SignalSequence> {
 ///
 /// Propagates tabular-engine failures.
 pub fn deduplicate(seq: &SignalSequence, rules: &RuleSet) -> Result<Dedup> {
-    let dedup = Deduplicator::new(&seq.signal, rules, usize::MAX);
-    Ok(check(Cow::Borrowed(seq), dedup)?.into_owned())
-}
-
-/// A [`Dedup`] whose representative is still a [`Cow`]: a single-channel
-/// sequence (every signal no gateway forwards) is its own representative,
-/// moved when the caller handed it over and borrowed when it lent it — a
-/// deep copy only when an owned [`Dedup`] is asked for.
-pub(crate) type Checked<'a> = Dedup<Cow<'a, SignalSequence>>;
-
-impl Checked<'_> {
-    pub(crate) fn into_owned(self) -> Dedup {
-        Dedup {
-            representative: self.representative.into_owned(),
-            representative_channel: self.representative_channel,
-            corresponding: self.corresponding,
-            mismatched: self.mismatched,
+    let coded = CodedSequence::from_sequence(seq)?;
+    let mut dedup = Deduplicator::new(&seq.signal, rules, usize::MAX);
+    let representative = match dedup.push(coded.view(), &[]) {
+        Selection::All => seq.clone(),
+        Selection::Rows(rows) => {
+            // The global positions, cut back into the input's partitions.
+            let mut rows = rows.into_iter().peekable();
+            let mut start = 0;
+            let mut parts = Vec::with_capacity(seq.frame.num_partitions());
+            for batch in seq.frame.partitions() {
+                let end = start + batch.num_rows();
+                let mut take = Vec::new();
+                while let Some(row) = rows.next_if(|&row| row < end) {
+                    take.push(row - start);
+                }
+                parts.push(batch.take(&take));
+                start = end;
+            }
+            SignalSequence {
+                signal: seq.signal.clone(),
+                frame: DataFrame::from_partitions(seq.frame.schema().clone(), parts)?,
+            }
         }
-    }
+    };
+    Ok(Dedup::new(representative, dedup.finish()))
 }
 
 /// Runs [`deduplicate`] over every sequence.
@@ -70,43 +89,6 @@ impl Checked<'_> {
 /// Propagates tabular-engine failures.
 pub fn deduplicate_all(seqs: &[SignalSequence], rules: &RuleSet) -> Result<Vec<Dedup>> {
     seqs.iter().map(|s| deduplicate(s, rules)).collect()
-}
-
-/// `dedup` over the whole of `seq` in one push. Where the push keeps every
-/// row, the sequence is its own representative, moved or borrowed as handed
-/// over; otherwise the representative's rows are gathered partition by
-/// partition.
-pub(crate) fn check<'a>(
-    seq: Cow<'a, SignalSequence>,
-    mut dedup: Deduplicator,
-) -> Result<Checked<'a>> {
-    let representative = match dedup.push(&seq.rows()?, &[]) {
-        Selection::All => seq,
-        Selection::Rows(rows) => {
-            let parts = seq.frame.partitions().iter().zip(rows);
-            let parts = parts.map(|(batch, rows)| batch.take(&rows)).collect();
-            Cow::Owned(SignalSequence {
-                signal: seq.signal.clone(),
-                frame: DataFrame::from_partitions(seq.frame.schema().clone(), parts)?,
-            })
-        }
-    };
-    let report = dedup.finish();
-    Ok(Checked {
-        representative,
-        representative_channel: report.representative_channel,
-        corresponding: report.corresponding,
-        mismatched: report.mismatched,
-    })
-}
-
-/// The rows of a pushed chunk a [`Deduplicator`] keeps.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Selection {
-    /// Every row: dedup is off, or the signal has one channel so far.
-    All,
-    /// The representative's rows, ascending, one list per pushed part.
-    Rows(Vec<Vec<usize>>),
 }
 
 /// What [`Deduplicator::finish`] reports.
@@ -127,7 +109,7 @@ pub struct DedupReport {
     pub rep_conflicts: u64,
 }
 
-/// Channel code of a row whose `b_id` cell is null: it belongs to no copy.
+/// Channel index of a row whose `b_id` is null: it belongs to no copy.
 const NO_CHANNEL: u32 = u32::MAX;
 
 /// The compared element of `e`: `v_num` bits and the `v_text` cell, whose
@@ -138,17 +120,17 @@ fn borrowed((num, text): &Elem<Arc<str>>) -> Elem<&Arc<str>> {
     (*num, text.as_ref())
 }
 
-/// The compared elements of `channel`'s rows in a pushed chunk, in order.
+/// The compared elements of the rows whose channel `of` gives as
+/// `channel`, in order.
 fn values<'a>(
-    parts: &'a [Rows<'a>],
-    codes: &'a [Vec<u32>],
+    rows: CodedRows<'a>,
+    of: impl Fn(&CodedRow) -> u32 + 'a,
     channel: usize,
 ) -> impl Iterator<Item = Elem<&'a Arc<str>>> + 'a {
-    parts.iter().zip(codes).flat_map(move |(rows, codes)| {
-        (0..codes.len())
-            .filter(move |&row| codes[row] as usize == channel)
-            .map(move |row| (rows.num[row].map(f64::to_bits), rows.text[row].as_ref()))
-    })
+    rows.rows
+        .iter()
+        .filter(move |row| of(row) as usize == channel)
+        .map(move |row| (row.num().map(f64::to_bits), rows.text(row)))
 }
 
 /// Where one channel stands in the equality check.
@@ -166,6 +148,10 @@ struct Channel {
 /// the signal's rows in time order, a chunk at a time, and take each
 /// chunk's representative rows; [`finish`](Deduplicator::finish) reports
 /// the channels.
+///
+/// Rows arrive coded ([`CodedRows`]): a channel is a code into the caller's
+/// dictionary, resolved to a name once per code. Codes must keep their
+/// meaning across pushes; the dictionary may grow.
 ///
 /// The representative is pinned at the first push: the signal's home
 /// channel when the rules name one and it has been seen, otherwise the
@@ -185,8 +171,11 @@ pub struct Deduplicator {
     home: Option<String>,
     enabled: bool,
     history_cap: usize,
-    /// Every channel seen, by code.
+    /// Every channel seen, in order of first sight.
     channels: Vec<Channel>,
+    /// The caller's channel code → index in `channels` (`NO_CHANNEL`: not
+    /// seen yet).
+    by_code: Vec<u32>,
     rep: Option<usize>,
     rows_in: usize,
     rows_kept: usize,
@@ -208,48 +197,52 @@ impl Deduplicator {
         }
     }
 
-    /// A channel's code, by `Arc` pointer (a split sequence shares one per
-    /// channel) or else by content.
-    fn code(&mut self, bus: &Arc<str>) -> u32 {
-        let channels = &self.channels;
-        let code = channels
-            .iter()
-            .position(|c| Arc::ptr_eq(&c.name, bus))
-            .or_else(|| channels.iter().position(|c| c.name == *bus))
-            .unwrap_or_else(|| {
-                let name = bus.clone();
+    /// Resolves the caller's channel `code`, named in `names`: the
+    /// channel's index, by content the first time the code is seen.
+    fn resolve(&mut self, code: u32, names: &[Arc<str>]) {
+        let code = code as usize;
+        if self.by_code.get(code).is_some_and(|&c| c != NO_CHANNEL) {
+            return;
+        }
+        let name = &names[code];
+        let index = match self.channels.iter().position(|c| c.name == *name) {
+            Some(index) => index,
+            None => {
                 let mismatched = self.rows_kept > 0;
                 self.channels.push(Channel {
-                    name,
+                    name: name.clone(),
                     mismatched,
                     ..Channel::default()
                 });
                 self.channels.len() - 1
-            });
-        code as u32
+            }
+        };
+        if self.by_code.len() <= code {
+            self.by_code.resize(code + 1, NO_CHANNEL);
+        }
+        self.by_code[code] = index as u32;
     }
 
-    /// Pushes the next chunk of the signal's rows, one [`Rows`] per part,
-    /// and returns the rows it keeps. `seen` names channels the caller has
-    /// seen upstream whose rows may be yet to come (a stream's reorder
-    /// buffer): they count for the pin and get the representative's values
-    /// kept for them. An empty push changes nothing.
-    pub fn push(&mut self, parts: &[Rows<'_>], seen: &[Arc<str>]) -> Selection {
-        if parts.iter().all(|rows| rows.bus.is_empty()) {
+    /// Pushes the next chunk of the signal's rows and returns the rows it
+    /// keeps. `seen` codes channels the caller has seen upstream whose rows
+    /// may be yet to come (a stream's reorder buffer): they count for the
+    /// pin and get the representative's values kept for them. An empty push
+    /// changes nothing.
+    pub fn push(&mut self, rows: CodedRows<'_>, seen: &[u32]) -> Selection {
+        if rows.rows.is_empty() {
             return Selection::All;
         }
-        let codes: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|rows| {
-                let code =
-                    |bus: &Option<Arc<str>>| bus.as_ref().map_or(NO_CHANNEL, |b| self.code(b));
-                rows.bus.iter().map(code).collect()
-            })
-            .collect();
-        for bus in seen {
-            self.code(bus);
+        let mut last = None;
+        for code in rows.rows.iter().filter_map(CodedRow::channel) {
+            if last != Some(code) {
+                self.resolve(code, rows.channels);
+                last = Some(code);
+            }
         }
-        let pushed: usize = codes.iter().map(Vec::len).sum();
+        for &code in seen {
+            self.resolve(code, rows.channels);
+        }
+        let pushed = rows.rows.len();
         self.rows_in += pushed;
         if !self.enabled || self.channels.len() <= 1 {
             if self.enabled && !self.channels.is_empty() {
@@ -266,9 +259,17 @@ impl Deduplicator {
         let smallest = (0..self.channels.len()).min_by_key(|&c| &self.channels[c].name);
         let canonical = home.or(smallest).unwrap_or(0);
         let rep = *self.rep.get_or_insert(canonical);
+        let by_code = &self.by_code;
+        let of = move |row: &CodedRow| row.channel().map_or(NO_CHANNEL, |c| by_code[c as usize]);
         // Rows of the channel one push would have pinned instead.
-        let canon = codes.iter().flatten().filter(|&&c| c as usize == canonical);
-        let conflicts = if canonical == rep { 0 } else { canon.count() };
+        let conflicts = if canonical == rep {
+            0
+        } else {
+            rows.rows
+                .iter()
+                .filter(|row| of(row) as usize == canonical)
+                .count()
+        };
         self.rep_conflicts += conflicts as u64;
 
         let owned = |(num, text): Elem<&Arc<str>>| (num, text.cloned());
@@ -284,12 +285,12 @@ impl Deduplicator {
                     .pending
                     .range(..mine)
                     .map(borrowed)
-                    .chain(values(parts, &codes, rep));
+                    .chain(values(rows, of, rep));
                 let mut copy = channel
                     .pending
                     .range(..theirs)
                     .map(borrowed)
-                    .chain(values(parts, &codes, code));
+                    .chain(values(rows, of, code));
                 loop {
                     match (ours.next(), copy.next()) {
                         (Some(a), Some(b)) if a == b => {}
@@ -321,16 +322,12 @@ impl Deduplicator {
                 r.add("dedup_overflow_total", overflows);
             });
         }
-        let rows: Vec<Vec<usize>> = codes
-            .iter()
-            .map(|codes| {
-                (0..codes.len())
-                    .filter(|&row| codes[row] as usize == rep)
-                    .collect()
-            })
+        let kept: Vec<usize> = (rows.rows.iter().enumerate())
+            .filter(|(_, row)| of(row) as usize == rep)
+            .map(|(i, _)| i)
             .collect();
-        self.rows_kept += rows.iter().map(Vec::len).sum::<usize>();
-        Selection::Rows(rows)
+        self.rows_kept += kept.len();
+        Selection::Rows(kept)
     }
 
     /// Values held between pushes, over all copies.
@@ -540,9 +537,9 @@ mod tests {
         }
     }
 
-    /// `check` on a borrowed and an owned sequence against the oracle: channel
-    /// verdicts, and the representative partition by partition, cell by
-    /// cell (floats by bit pattern).
+    /// `deduplicate` against the oracle: channel verdicts, and the
+    /// representative partition by partition, cell by cell (floats by bit
+    /// pattern).
     fn checked(seq: &SignalSequence, rules: &RuleSet) -> Dedup {
         let cells = |d: &Dedup| -> Vec<Vec<Vec<String>>> {
             let parts = d.representative.frame.partitions().iter();
@@ -559,17 +556,13 @@ mod tests {
                 .collect()
         };
         let expect = oracle(seq, rules);
-        let borrowed = deduplicate(seq, rules).unwrap();
-        let dedup = Deduplicator::new(&seq.signal, rules, usize::MAX);
-        let owned = check(Cow::Owned(seq.clone()), dedup).unwrap().into_owned();
-        for got in [&borrowed, &owned] {
-            assert_eq!(got.representative_channel, expect.representative_channel);
-            assert_eq!(got.corresponding, expect.corresponding);
-            assert_eq!(got.mismatched, expect.mismatched);
-            assert_eq!(got.representative.signal, expect.representative.signal);
-            assert_eq!(cells(got), cells(&expect));
-        }
-        borrowed
+        let got = deduplicate(seq, rules).unwrap();
+        assert_eq!(got.representative_channel, expect.representative_channel);
+        assert_eq!(got.corresponding, expect.corresponding);
+        assert_eq!(got.mismatched, expect.mismatched);
+        assert_eq!(got.representative.signal, expect.representative.signal);
+        assert_eq!(cells(&got), cells(&expect));
+        got
     }
 
     /// A `wpos` sequence from `(t, bus, v_num, v_text)` rows, one inner
@@ -715,26 +708,14 @@ mod tests {
     }
 
     #[test]
-    fn owned_single_channel_sequence_is_moved_not_copied() {
+    fn single_channel_push_selects_every_row() {
         let s = seq(vec![(1.0, "FC", Some(1.0)), (2.0, "FC", Some(2.0))]);
-        let cell = |s: &SignalSequence| {
-            s.frame.partitions()[0]
-                .column(0)
-                .as_float_slice()
-                .unwrap()
-                .as_ptr()
-        };
-        let before = cell(&s);
-        let d = check(Cow::Owned(s), unbounded()).unwrap();
-        assert_eq!(cell(&d.representative), before, "same column buffer");
-    }
-
-    #[test]
-    fn lent_single_channel_sequence_stays_borrowed() {
-        let s = seq(vec![(1.0, "FC", Some(1.0)), (2.0, "FC", Some(2.0))]);
-        let d = check(Cow::Borrowed(&s), unbounded()).unwrap();
-        assert!(matches!(d.representative, Cow::Borrowed(_)));
-        assert_eq!(d.representative_channel, "FC");
+        let coded = CodedSequence::from_sequence(&s).unwrap();
+        let mut dedup = unbounded();
+        assert_eq!(dedup.push(coded.view(), &[]), Selection::All);
+        let report = dedup.finish();
+        assert_eq!(report.representative_channel, "FC");
+        assert_eq!((report.rows_in, report.rows_kept), (2, 2));
     }
 
     #[test]
@@ -744,32 +725,30 @@ mod tests {
         assert_eq!(ds.len(), 2);
     }
 
-    /// `rows[range]`, column by column.
-    fn slice<'a>(rows: &Rows<'a>, range: std::ops::Range<usize>) -> Rows<'a> {
-        Rows {
-            t: &rows.t[range.clone()],
-            bus: &rows.bus[range.clone()],
-            num: &rows.num[range.clone()],
-            text: &rows.text[range],
-        }
-    }
-
-    /// Pushes `seq` in chunks of `size` rows, announcing `seen` each time:
-    /// the kept rows (as sequence positions) and the report.
+    /// Pushes `seq` in chunks of `size` rows, announcing the channels
+    /// named `seen` each time: the kept rows (as sequence positions) and
+    /// the report.
     fn chunked(
         seq: &SignalSequence,
         mut dedup: Deduplicator,
         size: usize,
-        seen: &[Arc<str>],
+        seen: &[&str],
     ) -> (Vec<usize>, DedupReport) {
-        let rows = seq.rows().unwrap()[0];
+        let coded = CodedSequence::from_sequence(seq).unwrap();
+        let code = |name: &&str| {
+            coded
+                .view()
+                .channels
+                .iter()
+                .position(|c| &**c == *name)
+                .unwrap()
+        };
+        let seen: Vec<u32> = seen.iter().map(|name| code(name) as u32).collect();
         let mut kept = Vec::new();
-        for start in (0..rows.t.len()).step_by(size) {
-            let end = (start + size).min(rows.t.len());
-            match dedup.push(&[slice(&rows, start..end)], seen) {
-                Selection::All => kept.extend(start..end),
-                Selection::Rows(parts) => kept.extend(parts[0].iter().map(|row| start + row)),
-            }
+        for start in (0..coded.len()).step_by(size) {
+            let end = (start + size).min(coded.len());
+            let sel = dedup.push(coded.view().slice(start..end), &seen);
+            kept.extend(sel.positions(end - start).map(|row| start + row));
         }
         (kept, dedup.finish())
     }
@@ -813,7 +792,7 @@ mod tests {
         assert_eq!(report.corresponding, ["DC"]);
         assert_eq!(report.mismatched, ["AC", "BC"]);
         assert_eq!((report.rows_in, report.rows_kept), (s.len(), 60));
-        let seen: Vec<Arc<str>> = ["AC", "BC", "DC", "FC"].map(Arc::from).to_vec();
+        let seen = ["AC", "BC", "DC", "FC"];
         for size in [1, 2, 3, 5, 16, 64] {
             assert_eq!(
                 chunked(&s, new(), size, &seen),
@@ -826,7 +805,7 @@ mod tests {
     fn history_bound_declares_a_lagging_copy_mismatched() {
         let s = gatewayed();
         let rules = rules_with_home("FC");
-        let seen: Vec<Arc<str>> = ["AC", "BC", "DC", "FC"].map(Arc::from).to_vec();
+        let seen = ["AC", "BC", "DC", "FC"];
         let bounded = |cap| chunked(&s, Deduplicator::new("wpos", &rules, cap), 4, &seen).1;
         // DC trails FC by three rows plus what one chunk holds.
         assert_eq!(bounded(8).corresponding, ["DC"]);

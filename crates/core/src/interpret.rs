@@ -31,7 +31,7 @@ use ivnt_store::Record;
 
 use crate::error::Result;
 use crate::rules::{load_window, DecodePlan, PlanDecoded, Rule, RuleSet};
-use crate::split::{SequenceBuilder, SignalRuns, SignalSequence};
+use crate::split::{CodedSequence, Selection, SequenceBuilder, SignalRuns, SignalSequence};
 use crate::tabular::columns as c;
 
 /// Internal column: the joined rule index.
@@ -1024,10 +1024,11 @@ impl EmitSink for RoutedBuilders<'_> {
     }
 }
 
-/// The per-signal sink: rows land in their signal's columns as they are
-/// decoded, so line 8's split costs nothing after the kernel. Unsized up
-/// front — an even share of `upper` per signal would over-allocate every
-/// slow signal, and the columns grow across a whole job, not per batch.
+/// The per-signal sink: rows land in their signal's row stream as they are
+/// decoded, one [`CodedRow`](crate::split::CodedRow) each, so line 8's
+/// split costs nothing after the kernel. Unsized up front — an even share
+/// of `upper` per signal would over-allocate every slow signal, and the
+/// streams grow across a whole job, not per batch.
 impl EmitSink for SignalRuns {
     fn reserve(&mut self, _upper: usize) {}
 
@@ -1185,16 +1186,30 @@ impl Kernel {
     }
 
     /// Lines 3–8 of one raw batch (a stream micro-batch): decoded straight
-    /// into per-signal sequences, identical to
+    /// into per-signal coded sequences, the rows of
     /// `split_by_signal(&extract_signals(..))` without the table between.
     ///
     /// # Errors
     ///
     /// Propagates tabular-engine failures.
-    pub fn sequences(&self, raw: &Batch) -> Result<Vec<SignalSequence>> {
+    pub fn coded_sequences(&self, raw: &Batch) -> Result<Vec<CodedSequence>> {
         let mut builder = self.sequence_builder();
         self.decode_runs(raw, builder.runs_mut())?;
-        builder.finish()
+        Ok(builder.finish())
+    }
+
+    /// [`coded_sequences`](Kernel::coded_sequences) as frames, identical
+    /// to `split_by_signal(&extract_signals(..))`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn sequences(&self, raw: &Batch) -> Result<Vec<SignalSequence>> {
+        let coded = self.coded_sequences(raw)?;
+        coded
+            .iter()
+            .map(|s| s.to_sequence(&Selection::All))
+            .collect()
     }
 
     /// Preselection (line 3) on records: the ones whose `(b_id, m_id)`

@@ -55,6 +55,8 @@
 
 pub mod branch;
 pub mod classify;
+#[cfg(test)]
+mod coded_oracle;
 pub mod dedup;
 pub mod error;
 pub mod extend;

@@ -14,7 +14,6 @@
 //! [`Session::extract_each`] from one routed scan ([`crate::query`]);
 //! every store session, one query or N, scans through that code.
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek};
 use std::ops::Range;
@@ -27,7 +26,7 @@ use ivnt_store::{ScanStats, StoreReader};
 
 use crate::branch::{process, BranchConfig};
 use crate::classify::{classify, Classification, ClassifyConfig};
-use crate::dedup::{check, Dedup, Deduplicator};
+use crate::dedup::{Dedup, DedupReport, Deduplicator, Selection};
 use crate::error::{Error, Result};
 use crate::extend::{extension_schema, ExtensionRule};
 use crate::interpret::{Kernel, RecordSelector};
@@ -35,10 +34,10 @@ use crate::query::{
     flush_plan_obs, scan_store, Answers, MultiExtraction, MultiOutput, Query, QueryExtraction,
     QueryResult, QueryStats,
 };
-use crate::reduce::{apply_constraints, ConditionFn, Constraint};
+use crate::reduce::{ConditionFn, Constraint, Reducer, Reduction};
 use crate::represent::{merge_results, state_representation};
 use crate::rules::{RuleCatalog, RuleSet};
-use crate::split::SignalSequence;
+use crate::split::{CodedSequence, SignalSequence};
 
 /// One domain's one-time parameterization of the framework.
 #[derive(Debug, Clone)]
@@ -49,9 +48,9 @@ pub struct DomainProfile {
     /// signals in `U_rel`.
     pub signals: Vec<String>,
     /// Which reduction technique to apply (constraints or clustering).
-    pub reduction: crate::reduce::Reduction,
+    pub reduction: Reduction,
     /// Reduction constraint set `C` (used by
-    /// [`Reduction::Constraints`](crate::reduce::Reduction::Constraints)).
+    /// [`Reduction::Constraints`](Reduction::Constraints)).
     pub constraints: Vec<Constraint>,
     /// Extension rules `E`.
     pub extensions: Vec<ExtensionRule>,
@@ -76,7 +75,7 @@ impl DomainProfile {
         DomainProfile {
             name: name.into(),
             signals: Vec::new(),
-            reduction: crate::reduce::Reduction::Constraints,
+            reduction: Reduction::Constraints,
             constraints: vec![Constraint::global(vec![ConditionFn::ValueChanged])],
             extensions: Vec::new(),
             classify: ClassifyConfig::default(),
@@ -104,7 +103,7 @@ impl DomainProfile {
     }
 
     /// Switches the reduction technique.
-    pub fn with_reduction(mut self, reduction: crate::reduce::Reduction) -> DomainProfile {
+    pub fn with_reduction(mut self, reduction: Reduction) -> DomainProfile {
         self.reduction = reduction;
         self
     }
@@ -418,11 +417,7 @@ impl<R: Read + Seek> Session<'_, '_, R> {
         let _guard = self.opts.subscriber.take().map(ivnt_obs::install);
         let seqs = only(self.answer(true)?.seqs)?;
         let p = self.queries[0].pipeline;
-        let task = |seq: SignalSequence| {
-            let (dedup, rows_interpreted) = p.dedup_signal(seq)?;
-            let reduced = p.reduce_representative(&dedup.representative)?;
-            Ok((reduced, dedup, rows_interpreted))
-        };
+        let task = |seq: CodedSequence| p.reduce_signal(&seq);
         if self.opts.serial || p.effective_workers() == 1 {
             seqs.into_iter().map(task).collect()
         } else {
@@ -712,7 +707,7 @@ impl Pipeline {
         trace: &Trace,
         preselection: bool,
         time_window: Option<(u64, u64)>,
-    ) -> Result<Vec<SignalSequence>> {
+    ) -> Result<Vec<CodedSequence>> {
         let raw = self.ingest_trace(trace, preselection, time_window)?;
         let mut clock = Stopwatch::start();
         let kernel = self.kernel();
@@ -735,7 +730,7 @@ impl Pipeline {
             }
         }
         clock.lap("interpret", "run");
-        let seqs = builder.finish()?;
+        let seqs = builder.finish();
         clock.lap("split", "run");
         Ok(seqs)
     }
@@ -789,25 +784,48 @@ impl Pipeline {
         }
     }
 
-    /// Line 9 over the split sequence. Returns the dedup report plus the
-    /// representative's pre-reduction length.
-    fn dedup_signal(&self, seq: SignalSequence) -> Result<(Dedup, usize)> {
-        let dedup = self.deduplicator(&seq.signal, usize::MAX);
-        let dedup = check(Cow::Owned(seq), dedup)?.into_owned();
-        let rows_interpreted = dedup.representative.len();
-        Ok((dedup, rows_interpreted))
+    /// Line 9 over a signal's coded rows: the representative's rows and
+    /// the check's report.
+    fn dedup_rows(&self, seq: &CodedSequence) -> (Selection, DedupReport) {
+        let mut dedup = self.deduplicator(&seq.signal, usize::MAX);
+        let representative = dedup.push(seq.view(), &[]);
+        (representative, dedup.finish())
     }
 
-    /// Line 10: the configured reduction applied to the representative.
-    fn reduce_representative(&self, representative: &SignalSequence) -> Result<SignalSequence> {
+    /// Lines 10–11: the configured reduction of the representative's rows,
+    /// materialized as the reduced sequence. Constraint reduction selects
+    /// among the coded rows, so only the rows it keeps become a frame;
+    /// cluster reduction quantizes the representative's frame.
+    fn reduce_rows(
+        &self,
+        seq: &CodedSequence,
+        representative: &Selection,
+    ) -> Result<SignalSequence> {
         match &self.profile.reduction {
-            crate::reduce::Reduction::Constraints => {
-                apply_constraints(representative, &self.profile.constraints)
+            Reduction::Constraints => {
+                let mut reducer = Reducer::new(&seq.signal, &self.profile.constraints);
+                seq.to_sequence(&reducer.push(seq.view(), representative))
             }
-            crate::reduce::Reduction::Cluster { k, max_iterations } => {
-                crate::reduce::cluster_reduce(representative, *k, *max_iterations)
-            }
+            Reduction::Cluster { k, max_iterations } => crate::reduce::cluster_reduce(
+                &seq.to_sequence(representative)?,
+                *k,
+                *max_iterations,
+            ),
         }
+    }
+
+    /// Lines 9–11 for one signal as [`Session::extract_reduced`] reports
+    /// them: the reduced sequence, the dedup report around the
+    /// materialized representative, and the representative's length.
+    pub(crate) fn reduce_signal(
+        &self,
+        seq: &CodedSequence,
+    ) -> Result<(SignalSequence, Dedup, usize)> {
+        let (representative, report) = self.dedup_rows(seq);
+        let reduced = self.reduce_rows(seq, &representative)?;
+        let rows_interpreted = report.rows_kept;
+        let dedup = Dedup::new(seq.to_sequence(&representative)?, report);
+        Ok((reduced, dedup, rows_interpreted))
     }
 
     /// Lines 9–28 for one signal: dedup, reduction, extension rules,
@@ -815,13 +833,16 @@ impl Pipeline {
     /// scatter/gather in [`Session::run`] distributes. Signals are
     /// independent after the split, so running these units in any order
     /// (or concurrently) and gathering in input order reproduces the
-    /// serial pipeline exactly.
-    fn process_signal(&self, seq: SignalSequence) -> Result<SignalResult> {
+    /// serial pipeline exactly. Dedup and reduction select among the coded
+    /// rows; the reduced rows are the first frame built.
+    fn process_signal(&self, seq: CodedSequence) -> Result<SignalResult> {
         let mut clock = Stopwatch::start();
-        let (dedup, rows_interpreted) = self.dedup_signal(seq)?;
+        let (representative, dedup) = self.dedup_rows(&seq);
+        let rows_interpreted = dedup.rows_kept;
         clock.lap("dedup", "fan_out");
 
-        let reduced = self.reduce_representative(&dedup.representative)?;
+        let reduced = self.reduce_rows(&seq, &representative)?;
+        drop(seq);
         clock.lap("reduce", "fan_out");
 
         // Line 12: one frame per extension rule, aligned index-wise with
@@ -891,7 +912,7 @@ impl Pipeline {
     /// scatter/gather, so Σ children ÷ `fan_out` reads as its parallelism.
     fn run_from_sequences(
         &self,
-        seqs: Vec<SignalSequence>,
+        seqs: Vec<CodedSequence>,
         parallel: bool,
     ) -> Result<PipelineOutput> {
         ivnt_obs::with(|r| {

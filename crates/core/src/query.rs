@@ -49,7 +49,7 @@ use crate::error::{Error, Result};
 use crate::interpret::{signal_schema, Kernel};
 use crate::pipeline::{Pipeline, PipelineOutput};
 use crate::rules::{Rule, RuleSet};
-use crate::split::{SequenceBuilder, SignalSequence};
+use crate::split::{CodedSequence, SequenceBuilder};
 
 /// One query of a session: a domain pipeline plus optional restrictions.
 pub struct Query<'p> {
@@ -158,7 +158,7 @@ pub struct MultiExtraction {
 #[derive(Default)]
 pub(crate) struct Answers {
     pub frames: Vec<DataFrame>,
-    pub seqs: Vec<Vec<SignalSequence>>,
+    pub seqs: Vec<Vec<CodedSequence>>,
     pub stats: Vec<QueryStats>,
     pub plan: PlanStats,
 }
@@ -182,6 +182,33 @@ fn signal_owners<'p>(queries: &[Query<'p>]) -> Option<HashMap<&'p str, usize>> {
         }
     }
     Some(owner)
+}
+
+/// `(bus, mid)` → its per-query predicate matches, decided once per
+/// distinct key instead of testing every predicate per row. Only a
+/// windowless predicate's entry holds for every row of the key: a windowed
+/// one also depends on each row's time, so its entry goes unread.
+#[derive(Default)]
+struct KeyMemo {
+    index: HashMap<(u32, u32), usize>,
+    /// Key-major, one entry per query.
+    matches: Vec<bool>,
+}
+
+impl KeyMemo {
+    /// The index of the key's entry, decided on its first row.
+    fn index(&mut self, preds: &[CompiledPredicate], bus: u32, mid: u32, t: u64) -> usize {
+        *self.index.entry((bus, mid)).or_insert_with(|| {
+            self.matches
+                .extend(preds.iter().map(|p| p.matches(bus, mid, t)));
+            self.matches.len() / preds.len() - 1
+        })
+    }
+
+    /// Entry `key`'s match per query, for `n` queries.
+    fn matches(&self, key: usize, n: usize) -> &[bool] {
+        &self.matches[key * n..(key + 1) * n]
+    }
 }
 
 /// The routed scan: one pass over `reader` (restricted to `groups` for a
@@ -244,15 +271,14 @@ pub(crate) fn scan_store<R: Read + Seek>(
     let mut stats = vec![QueryStats::default(); n];
 
     let raw_schema = crate::tabular::raw_schema();
-    // `(bus, mid)` → index of its per-query pair-match vector in `pairs`,
-    // decided once per distinct key instead of hashing every predicate per
-    // row. The time component (window queries only) stays a per-row
-    // compare.
-    let mut memo: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut pairs: Vec<bool> = Vec::new();
-    // Per-query row masks of the group under routing, query-major, and
-    // whether the group has rows for each query. With one query every row
-    // and every emitted group is its own.
+    let mut memo = KeyMemo::default();
+    // The shared path routes by signal inside the kernel, so it only needs
+    // each query's row count: rows per memo key, `touched` keys first.
+    let mut key_rows: Vec<u64> = Vec::new();
+    let mut touched: Vec<usize> = Vec::new();
+    // Per-query row masks of the group under routing, query-major, filled
+    // only where a query interprets its own row subset. With one query
+    // every row and every emitted group is its own.
     let mut masks: Vec<bool> = Vec::new();
     let mut hit = vec![n == 1; n];
 
@@ -262,23 +288,45 @@ pub(crate) fn scan_store<R: Read + Seek>(
         let rows = group.len();
         if n == 1 {
             stats[0].rows_routed += rows as u64;
+        } else if union.is_some() {
+            // Windowless predicates are pure pair tests: the memo answers
+            // them per key.
+            hit.fill(false);
+            let mut last = None;
+            for (bus, mid, t) in group.keys() {
+                let mi = match last {
+                    Some((key, mi)) if key == (bus, mid) => mi,
+                    _ => memo.index(&preds, bus, mid, t),
+                };
+                last = Some(((bus, mid), mi));
+                if key_rows.len() <= mi {
+                    key_rows.resize(mi + 1, 0);
+                }
+                if key_rows[mi] == 0 {
+                    touched.push(mi);
+                }
+                key_rows[mi] += 1;
+            }
+            for mi in touched.drain(..) {
+                let count = std::mem::take(&mut key_rows[mi]);
+                let matches = memo.matches(mi, n);
+                for qi in (0..n).filter(|&qi| matches[qi]) {
+                    hit[qi] = true;
+                    stats[qi].rows_routed += count;
+                }
+            }
         } else {
             hit.fill(false);
             masks.clear();
             masks.resize(n * rows, false);
             for (i, (bus, mid, t)) in group.keys().enumerate() {
-                let mi = *memo.entry((bus, mid)).or_insert_with(|| {
-                    pairs.extend(preds.iter().map(|p| p.matches(bus, mid, t)));
-                    pairs.len() / n - 1
-                });
+                let mi = memo.index(&preds, bus, mid, t);
                 for qi in 0..n {
-                    // Windowless predicates are pure pair tests — the memo
-                    // answers them. A windowed predicate's match depends
-                    // on the row's timestamp too, so it is evaluated
-                    // directly.
+                    // A windowed predicate's match depends on the row's
+                    // timestamp too, so it is evaluated directly.
                     let matches = match queries[qi].window {
                         Some(_) => preds[qi].matches(bus, mid, t),
-                        None => pairs[mi * n + qi],
+                        None => memo.matches(mi, n)[qi],
                     };
                     if matches {
                         hit[qi] = true;
@@ -347,8 +395,8 @@ pub(crate) fn scan_store<R: Read + Seek>(
             // The union builder's sequences go to their signal's owner;
             // `owner` is empty off the shared path (and for one query),
             // where builder `qi` is query `qi`'s.
-            for seq in builder.finish()? {
-                answers.seqs[owner.get(seq.signal.as_str()).copied().unwrap_or(qi)].push(seq);
+            for seq in builder.finish() {
+                answers.seqs[owner.get(&*seq.signal).copied().unwrap_or(qi)].push(seq);
             }
         }
         clock.lap("split", "run");

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use ivnt_frame::prelude::*;
 
 use crate::error::Result;
-use crate::split::{Rows, SignalSequence};
+use crate::split::{CodedRows, CodedSequence, Selection, SignalSequence};
 use crate::tabular::columns::VALUE_NUM;
 
 /// Context a custom condition function receives per row.
@@ -147,9 +147,50 @@ impl Constraint {
     }
 }
 
+/// The previous row a condition compares against.
+#[derive(Clone, Copy)]
+struct Prev<'a> {
+    t: f64,
+    num: Option<f64>,
+    text: Option<&'a Arc<str>>,
+}
+
+impl ConditionFn {
+    /// Whether the condition fires on the row `(t, num, text)`, the
+    /// `index`-th of its sequence, after `prev`: [`evaluate`]
+    /// (ConditionFn::evaluate) over typed values, a [`RowCtx`] built only
+    /// for a custom function.
+    #[inline]
+    fn fires(
+        &self,
+        index: usize,
+        t: f64,
+        num: Option<f64>,
+        text: Option<&Arc<str>>,
+        prev: Option<Prev<'_>>,
+    ) -> bool {
+        match self {
+            // Only the first row has no previous row.
+            ConditionFn::ValueChanged => prev.is_none_or(|p| num != p.num || text != p.text),
+            ConditionFn::GapExceeds { max_gap_s } => prev.is_some_and(|p| t - p.t > *max_gap_s),
+            ConditionFn::OutOfRange { min, max } => num.is_some_and(|v| v < *min || v > *max),
+            ConditionFn::EveryNth { n } => index.is_multiple_of((*n).max(1)),
+            ConditionFn::Custom { func, .. } => func(&RowCtx {
+                t,
+                num,
+                text: text.cloned(),
+                prev_t: prev.map(|p| p.t),
+                prev_num: prev.and_then(|p| p.num),
+                prev_text: prev.and_then(|p| p.text.cloned()),
+                index,
+            }),
+        }
+    }
+}
+
 /// The constraint marks of lines 10–11 for one signal as an incremental
 /// operator: push the representative's rows in time order, a chunk at a
-/// time, and take each chunk's kept-row mask. The previous row and the row
+/// time, and take each chunk's kept rows. The previous row and the row
 /// index carry across pushes, so any chunking gives the marks one push of
 /// the whole sequence gives.
 #[derive(Default)]
@@ -172,32 +213,38 @@ impl Reducer {
         }
     }
 
-    /// Pushes the next chunk, one [`Rows`] per part, and returns the mark
-    /// `e` of each row in order: true when any `f` fires. A signal no
-    /// constraint applies to keeps every row.
-    pub fn push(&mut self, parts: &[Rows<'_>]) -> Vec<bool> {
-        let mut mask = Vec::with_capacity(parts.iter().map(|rows| rows.t.len()).sum());
-        for rows in parts {
-            for row in 0..rows.t.len() {
-                let index = self.rows_in + mask.len();
-                let prev = self.prev.take();
-                let ctx = RowCtx {
-                    t: rows.t[row].unwrap_or(f64::NAN),
-                    num: rows.num[row],
-                    text: rows.text[row].clone(),
-                    prev_t: prev.as_ref().map(|p| p.0),
-                    prev_num: prev.as_ref().and_then(|p| p.1),
-                    prev_text: prev.and_then(|p| p.2),
-                    index,
-                };
-                let functions = &self.functions;
-                mask.push(functions.is_empty() || functions.iter().any(|f| f.evaluate(&ctx)));
-                self.prev = Some((ctx.t, ctx.num, ctx.text));
-            }
+    /// Pushes the `within` rows of the next chunk — the representative's,
+    /// as [`Deduplicator`](crate::dedup::Deduplicator) selected them — and
+    /// returns the rows whose mark `e` is set: those where any `f` fires.
+    /// A signal no constraint applies to keeps every row.
+    pub fn push(&mut self, rows: CodedRows<'_>, within: &Selection) -> Selection {
+        let n = rows.rows.len();
+        let pushed = within.count(n);
+        self.rows_in += pushed;
+        if self.functions.is_empty() {
+            self.rows_kept += pushed;
+            return within.clone();
         }
-        self.rows_in += mask.len();
-        self.rows_kept += mask.iter().filter(|&&keep| keep).count();
-        mask
+        let carried = self.prev.take();
+        let mut prev = carried.as_ref().map(|(t, num, text)| Prev {
+            t: *t,
+            num: *num,
+            text: text.as_ref(),
+        });
+        let first = self.rows_in - pushed;
+        let mut kept = Vec::new();
+        for (k, i) in within.positions(n).enumerate() {
+            let row = &rows.rows[i];
+            let (t, num, text) = (row.t().unwrap_or(f64::NAN), row.num(), rows.text(row));
+            let index = first + k;
+            if (self.functions.iter()).any(|f| f.fires(index, t, num, text, prev)) {
+                kept.push(i);
+            }
+            prev = Some(Prev { t, num, text });
+        }
+        self.prev = prev.map(|p| (p.t, p.num, p.text.cloned()));
+        self.rows_kept += kept.len();
+        Selection::Rows(kept)
     }
 
     /// Rows pushed and rows kept.
@@ -207,7 +254,7 @@ impl Reducer {
 }
 
 /// Applies the constraint set to one sequence (lines 10–11): one push of
-/// the whole sequence through a [`Reducer`], then the marked rows.
+/// the whole sequence through a [`Reducer`], then the kept rows.
 ///
 /// # Errors
 ///
@@ -216,8 +263,10 @@ pub fn apply_constraints(
     seq: &SignalSequence,
     constraints: &[Constraint],
 ) -> Result<SignalSequence> {
-    let mask = Reducer::new(&seq.signal, constraints).push(&seq.rows()?);
-    let reduced = seq.frame.to_single_batch()?.filter(&mask)?;
+    let coded = CodedSequence::from_sequence(seq)?;
+    let keep = Reducer::new(&seq.signal, constraints).push(coded.view(), &Selection::All);
+    let rows: Vec<usize> = keep.positions(coded.len()).collect();
+    let reduced = seq.frame.to_single_batch()?.take(&rows);
     Ok(SignalSequence {
         signal: seq.signal.clone(),
         frame: DataFrame::from_partitions(reduced.schema().clone(), vec![reduced])?,
@@ -526,24 +575,22 @@ mod tests {
             ConditionFn::GapExceeds { max_gap_s: 1.2 },
             ConditionFn::EveryNth { n: 7 },
         ])];
-        let rows = s.rows().unwrap()[0];
-        let whole = Reducer::new("x", &constraints).push(&[rows]);
-        let kept = whole.iter().filter(|&&keep| keep).count();
+        let coded = CodedSequence::from_sequence(&s).unwrap();
+        let whole = Reducer::new("x", &constraints).push(coded.view(), &Selection::All);
+        let whole: Vec<usize> = whole.positions(40).collect();
+        let kept = whole.len();
         // Ten changes, then jumps at 10 and 30, every 7th at 7, 14, 21, 35.
         assert_eq!(kept, 10 + 2 + 4);
         for size in [1, 2, 3, 8] {
             let mut reducer = Reducer::new("x", &constraints);
-            let mut mask = Vec::new();
+            let mut rows = Vec::new();
             for start in (0..40).step_by(size) {
                 let end = (start + size).min(40);
-                mask.extend(reducer.push(&[Rows {
-                    t: &rows.t[start..end],
-                    bus: &rows.bus[start..end],
-                    num: &rows.num[start..end],
-                    text: &rows.text[start..end],
-                }]));
+                let chunk = coded.view().slice(start..end);
+                let keep = reducer.push(chunk, &Selection::All);
+                rows.extend(keep.positions(end - start).map(|row| start + row));
             }
-            assert_eq!(mask, whole);
+            assert_eq!(rows, whole);
             assert_eq!(reducer.finish(), (40, kept));
         }
     }

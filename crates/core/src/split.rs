@@ -3,6 +3,11 @@
 //! The interpreted table `K_s` is split into one time-ordered sequence per
 //! signal type (`K_s^{s_id}` in the paper), since all further processing —
 //! reduction, extension, classification, symbolization — is per signal.
+//!
+//! Until reduction has thrown most rows away, a sequence is a
+//! [`CodedSequence`]: one 24-byte [`CodedRow`] per row, channels coded
+//! against a shared dictionary. Only the rows lines 9–11 keep become a
+//! [`SignalSequence`] frame with per-row `s_id` / `b_id` cells.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -124,10 +129,7 @@ impl SignalSequence {
     }
 }
 
-/// One chunk of a signal's time-ordered rows as borrowed columns: a
-/// sequence partition, or the rows a stream has just released. Lines 9
-/// and 10 ([`Deduplicator`](crate::dedup::Deduplicator),
-/// [`Reducer`](crate::reduce::Reducer)) read their input this way.
+/// One partition of a signal sequence as borrowed columns.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
     /// Timestamps in seconds.
@@ -157,30 +159,295 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// Bus code of a row whose `b_id` cell is null: past every dictionary.
-const NULL_BUS: u32 = u32::MAX;
-
-/// One signal's columns while its sequence is being built; `bus` holds
-/// dictionary codes, materialized once at [`SequenceBuilder::finish`].
-#[derive(Default)]
-struct SignalColumns {
-    t: Vec<Option<f64>>,
-    bus: Vec<u32>,
-    num: Vec<Option<f64>>,
-    text: Vec<Option<Arc<str>>>,
+/// One interpreted row of a signal in 24 bytes: `t`, `v_num`, the channel
+/// as a code into a dictionary its holder keeps, and `v_text` as an index
+/// into a text stream beside the rows. Lines 8–11 carry rows in this form;
+/// a `K_s`-schema frame is built only for the rows reduction keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedRow {
+    /// The timestamp, `NaN` when null: the order key as it is.
+    t: f64,
+    num: f64,
+    /// The channel code in the low 30 bits (`NO_CHANNEL` for a null
+    /// `b_id`); bit 31 set when `t` is present, bit 30 when `v_num` is.
+    bus: u32,
+    /// 1 + the `v_text` cell's index in the text stream; 0 for null.
+    text: u32,
 }
 
-/// The per-signal column sets of one partition, row group or micro-batch,
+impl CodedRow {
+    const HAS_T: u32 = 1 << 31;
+    const HAS_NUM: u32 = 1 << 30;
+    const NO_CHANNEL: u32 = Self::HAS_NUM - 1;
+
+    /// A row from its cells: `channel` a code below 2³⁰ − 1, `text` the
+    /// index of its cell in the text stream.
+    ///
+    /// # Panics
+    ///
+    /// When the code or the index does not fit its field.
+    pub fn new(
+        t: Option<f64>,
+        channel: Option<u32>,
+        num: Option<f64>,
+        text: Option<usize>,
+    ) -> Self {
+        let code = channel.unwrap_or(Self::NO_CHANNEL);
+        assert!(
+            channel.is_none() || code < Self::NO_CHANNEL,
+            "channel code {code} past the 30-bit field"
+        );
+        let text = text.map_or(0, |i| {
+            u32::try_from(i + 1).expect("text index fits 32 bits")
+        });
+        CodedRow {
+            t: t.unwrap_or(f64::NAN),
+            num: num.unwrap_or(0.0),
+            bus: code
+                | if t.is_some() { Self::HAS_T } else { 0 }
+                | if num.is_some() { Self::HAS_NUM } else { 0 },
+            text,
+        }
+    }
+
+    /// The timestamp.
+    #[inline]
+    pub fn t(&self) -> Option<f64> {
+        (self.bus & Self::HAS_T != 0).then_some(self.t)
+    }
+
+    /// The order key of line 8: the timestamp, `NaN` when null, compared
+    /// under `f64::total_cmp`.
+    #[inline]
+    pub fn time_key(&self) -> f64 {
+        self.t
+    }
+
+    /// The numeric value.
+    #[inline]
+    pub fn num(&self) -> Option<f64> {
+        (self.bus & Self::HAS_NUM != 0).then_some(self.num)
+    }
+
+    /// The channel's code, `None` for a null `b_id`.
+    #[inline]
+    pub fn channel(&self) -> Option<u32> {
+        let code = self.bus & Self::NO_CHANNEL;
+        (code != Self::NO_CHANNEL).then_some(code)
+    }
+
+    /// The textual value's index in the text stream.
+    #[inline]
+    pub fn text_index(&self) -> Option<usize> {
+        (self.text as usize).checked_sub(1)
+    }
+}
+
+/// A borrowed run of one signal's coded rows, as lines 9 and 10
+/// ([`Deduplicator`](crate::dedup::Deduplicator),
+/// [`Reducer`](crate::reduce::Reducer)) read them: the rows, the text
+/// stream their text indices point into, and the channel dictionary their
+/// codes point into.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedRows<'a> {
+    /// The rows, in time order.
+    pub rows: &'a [CodedRow],
+    /// The text cells the rows index.
+    pub texts: &'a [Arc<str>],
+    /// Channel names by code.
+    pub channels: &'a [Arc<str>],
+}
+
+impl<'a> CodedRows<'a> {
+    /// The textual value of `row`.
+    #[inline]
+    pub fn text(&self, row: &CodedRow) -> Option<&'a Arc<str>> {
+        row.text_index().map(|i| &self.texts[i])
+    }
+
+    /// The channel name of `row`.
+    #[inline]
+    pub fn channel(&self, row: &CodedRow) -> Option<&'a Arc<str>> {
+        row.channel().map(|c| &self.channels[c as usize])
+    }
+
+    /// The rows in `range`, with the same text stream and dictionary.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> CodedRows<'a> {
+        CodedRows {
+            rows: &self.rows[range],
+            ..*self
+        }
+    }
+}
+
+/// Rows of a pushed chunk an operator keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Selection {
+    /// Every row.
+    All,
+    /// These rows, ascending positions in the chunk.
+    Rows(Vec<usize>),
+}
+
+impl Selection {
+    /// The selected positions among `n` rows, ascending.
+    pub fn positions(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let (all, rows) = match self {
+            Selection::All => (0..n, &[][..]),
+            Selection::Rows(rows) => (0..0, &rows[..]),
+        };
+        all.chain(rows.iter().copied())
+    }
+
+    /// How many of `n` rows are selected.
+    pub fn count(&self, n: usize) -> usize {
+        match self {
+            Selection::All => n,
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+}
+
+/// One signal's interpreted rows in time order, channels coded: what
+/// line 8 hands lines 9–11. [`to_sequence`](CodedSequence::to_sequence)
+/// builds the `K_s`-schema frame of the rows a caller keeps.
+#[derive(Debug, Clone)]
+pub struct CodedSequence {
+    /// Signal identifier.
+    pub signal: Arc<str>,
+    /// The rows, in time order.
+    rows: Vec<CodedRow>,
+    /// The text cells the rows index.
+    texts: Vec<Arc<str>>,
+    /// Channel names by code, shared by every sequence of one builder.
+    channels: Arc<[Arc<str>]>,
+}
+
+impl CodedSequence {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` when the sequence holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows as the operators read them, with the text stream and the
+    /// channel dictionary their indices and codes point into.
+    pub fn view(&self) -> CodedRows<'_> {
+        CodedRows {
+            rows: &self.rows,
+            texts: &self.texts,
+            channels: &self.channels,
+        }
+    }
+
+    /// The sequence of the `keep` rows, in order: one `K_s`-schema
+    /// partition whose `s_id` / `b_id` cells share the dictionaries' `Arc`s.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tabular-engine failures.
+    pub fn to_sequence(&self, keep: &Selection) -> Result<SignalSequence> {
+        let n = keep.count(self.rows.len());
+        let (mut t, mut bus) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let (mut num, mut text) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let view = self.view();
+        for row in keep.positions(self.rows.len()).map(|i| &self.rows[i]) {
+            t.push(row.t());
+            bus.push(view.channel(row).cloned());
+            num.push(row.num());
+            text.push(view.text(row).cloned());
+        }
+        let schema = signal_schema();
+        let batch = Batch::new(
+            schema.clone(),
+            vec![
+                Column::Float(t),
+                Column::Str(vec![Some(self.signal.clone()); n]),
+                Column::Str(bus),
+                Column::Float(num),
+                Column::Str(text),
+            ],
+        )?;
+        Ok(SignalSequence {
+            signal: self.signal.to_string(),
+            frame: DataFrame::from_partitions(schema, vec![batch])?,
+        })
+    }
+
+    /// A sequence's rows in their order (no sort), channels coded by
+    /// content: the form the staged functions over frames hand the
+    /// operators.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a column is missing or mistyped.
+    pub fn from_sequence(seq: &SignalSequence) -> Result<CodedSequence> {
+        let mut channels = ArcDict::default();
+        let mut coded = SignalRows::default();
+        for rows in seq.rows()? {
+            for i in 0..rows.t.len() {
+                let bus = rows.bus[i].as_ref().map(|b| channels.code(b));
+                coded.push(rows.t[i], bus, rows.num[i], rows.text[i].clone());
+            }
+        }
+        Ok(CodedSequence {
+            signal: Arc::from(seq.signal.as_str()),
+            rows: coded.rows,
+            texts: coded.texts,
+            channels: channels.entries.into(),
+        })
+    }
+}
+
+/// One signal's row stream while its sequence is being built.
+#[derive(Default)]
+struct SignalRows {
+    rows: Vec<CodedRow>,
+    texts: Vec<Arc<str>>,
+}
+
+impl SignalRows {
+    #[inline]
+    fn push(&mut self, t: Option<f64>, bus: Option<u32>, num: Option<f64>, text: Option<Arc<str>>) {
+        let text = text.map(|label| {
+            self.texts.push(label);
+            self.texts.len() - 1
+        });
+        self.rows.push(CodedRow::new(t, bus, num, text));
+    }
+
+    /// Appends `other`'s rows, their text indices moved past ours.
+    fn append(&mut self, mut other: SignalRows) {
+        if self.rows.is_empty() {
+            *self = other;
+            return;
+        }
+        if !other.texts.is_empty() {
+            let base = u32::try_from(self.texts.len()).expect("text index fits 32 bits");
+            for row in other.rows.iter_mut().filter(|row| row.text != 0) {
+                row.text = row.text.checked_add(base).expect("text index fits 32 bits");
+            }
+            self.texts.append(&mut other.texts);
+        }
+        self.rows.append(&mut other.rows);
+    }
+}
+
+/// The per-signal row streams of one partition, row group or micro-batch,
 /// indexed by signal code: the sink the interpretation kernel emits into
 /// when nobody needs `K_s` as a table.
 pub(crate) struct SignalRuns {
-    cols: Vec<SignalColumns>,
+    signals: Vec<SignalRows>,
 }
 
 impl SignalRuns {
     fn new(signals: usize) -> SignalRuns {
         SignalRuns {
-            cols: (0..signals).map(|_| SignalColumns::default()).collect(),
+            signals: (0..signals).map(|_| SignalRows::default()).collect(),
         }
     }
 
@@ -193,11 +460,7 @@ impl SignalRuns {
         num: Option<f64>,
         text: Option<Arc<str>>,
     ) {
-        let cols = &mut self.cols[signal as usize];
-        cols.t.push(t);
-        cols.bus.push(bus);
-        cols.num.push(num);
-        cols.text.push(text);
+        self.signals[signal as usize].push(t, Some(bus), num, text);
     }
 }
 
@@ -281,10 +544,10 @@ impl ArcDict {
 /// kernel emitting `SignalRuns` by signal code, and [`push`]
 /// (SequenceBuilder::push) routing the rows of an interpreted `K_s` batch.
 ///
-/// Rows of a signal append in feed order. At `finish` a sequence whose
-/// timestamps are already non-decreasing (under `f64::total_cmp`, nulls as
-/// NaN) is emitted as is; any other is stable-sorted by that key, so ties
-/// keep feed order.
+/// Each signal keeps one stream of [`CodedRow`]s, its rows appended in
+/// feed order. At `finish` a stream whose timestamps are already
+/// non-decreasing (under `f64::total_cmp`, nulls as NaN) is emitted as is;
+/// any other is stable-sorted by that key, so ties keep feed order.
 pub struct SequenceBuilder {
     signals: ArcDict,
     buses: ArcDict,
@@ -312,7 +575,7 @@ impl SequenceBuilder {
     /// decoded on another thread; hand it back through [`append`]
     /// (SequenceBuilder::append).
     pub(crate) fn new_runs(&self) -> SignalRuns {
-        SignalRuns::new(self.runs.cols.len())
+        SignalRuns::new(self.runs.signals.len())
     }
 
     /// The builder's own sink, for decoding straight into it.
@@ -322,15 +585,8 @@ impl SequenceBuilder {
 
     /// Appends one partition's runs after everything fed so far.
     pub(crate) fn append(&mut self, runs: SignalRuns) {
-        for (mine, theirs) in self.runs.cols.iter_mut().zip(runs.cols) {
-            if mine.t.is_empty() {
-                *mine = theirs;
-            } else {
-                mine.t.extend(theirs.t);
-                mine.bus.extend(theirs.bus);
-                mine.num.extend(theirs.num);
-                mine.text.extend(theirs.text);
-            }
+        for (mine, theirs) in self.runs.signals.iter_mut().zip(runs.signals) {
+            mine.append(theirs);
         }
     }
 
@@ -349,76 +605,52 @@ impl SequenceBuilder {
         let texts = str_column(batch, schema.index_of(c::VALUE_TEXT)?)?;
         for (row, name) in names.iter().enumerate() {
             let Some(name) = name else { continue };
-            let signal = self.signals.code(name);
-            if signal as usize == self.runs.cols.len() {
-                self.runs.cols.push(SignalColumns::default());
+            let signal = self.signals.code(name) as usize;
+            if signal == self.runs.signals.len() {
+                self.runs.signals.push(SignalRows::default());
             }
-            let bus = match &buses[row] {
-                Some(bus) => self.buses.code(bus),
-                None => NULL_BUS,
-            };
-            self.runs
-                .push_row(signal, ts[row], bus, nums[row], texts[row].clone());
+            let bus = buses[row].as_ref().map(|bus| self.buses.code(bus));
+            self.runs.signals[signal].push(ts[row], bus, nums[row], texts[row].clone());
         }
         Ok(())
     }
 
-    /// The sequences of every signal that received a row, sorted by name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    pub fn finish(self) -> Result<Vec<SignalSequence>> {
-        let schema = signal_schema();
-        let mut fed: Vec<(&Arc<str>, SignalColumns)> = self
+    /// The coded sequences of every signal that received a row, sorted by
+    /// name; their codes point into one shared bus dictionary.
+    pub fn finish(self) -> Vec<CodedSequence> {
+        let channels: Arc<[Arc<str>]> = self.buses.entries.into();
+        let mut fed: Vec<(Arc<str>, SignalRows)> = self
             .signals
             .entries
-            .iter()
-            .zip(self.runs.cols)
-            .filter(|(_, cols)| !cols.t.is_empty())
+            .into_iter()
+            .zip(self.runs.signals)
+            .filter(|(_, rows)| !rows.rows.is_empty())
             .collect();
-        fed.sort_by(|a, b| a.0.cmp(b.0));
+        fed.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut sorted_runs = 0u64;
         let mut out = Vec::with_capacity(fed.len());
-        for (name, cols) in fed {
-            let key = |t: &Option<f64>| t.unwrap_or(f64::NAN);
-            let monotone = cols
-                .t
+        for (signal, SignalRows { mut rows, texts }) in fed {
+            let key = |row: &CodedRow| row.time_key();
+            let monotone = rows
                 .windows(2)
                 .all(|w| key(&w[0]).total_cmp(&key(&w[1])).is_le());
-            let b_id = cols
-                .bus
-                .iter()
-                .map(|&code| self.buses.entries.get(code as usize).cloned())
-                .collect();
-            let mut batch = Batch::new(
-                schema.clone(),
-                vec![
-                    Column::Float(cols.t),
-                    Column::Str(vec![Some(name.clone()); cols.bus.len()]),
-                    Column::Str(b_id),
-                    Column::Float(cols.num),
-                    Column::Str(cols.text),
-                ],
-            )?;
             if !monotone {
                 sorted_runs += 1;
-                let times = batch.column(0).as_float_slice().unwrap_or(&[]);
-                let mut order: Vec<usize> = (0..times.len()).collect();
-                order.sort_by(|&a, &b| key(&times[a]).total_cmp(&key(&times[b])));
-                batch = batch.take(&order);
+                rows.sort_by(|a, b| key(a).total_cmp(&key(b)));
             }
-            out.push(SignalSequence {
-                signal: name.to_string(),
-                frame: DataFrame::from_partitions(schema.clone(), vec![batch])?,
+            out.push(CodedSequence {
+                signal,
+                rows,
+                texts,
+                channels: channels.clone(),
             });
         }
         ivnt_obs::with(|r| {
             r.add("split_runs_monotone_total", out.len() as u64 - sorted_runs);
             r.add("split_runs_sorted_total", sorted_runs);
         });
-        Ok(out)
+        out
     }
 }
 
@@ -434,7 +666,10 @@ pub fn split_by_signal(ks: &DataFrame) -> Result<Vec<SignalSequence>> {
     for batch in ks.partitions() {
         builder.push(batch)?;
     }
-    builder.finish()
+    let seqs = builder.finish();
+    seqs.iter()
+        .map(|s| s.to_sequence(&Selection::All))
+        .collect()
 }
 
 #[cfg(test)]

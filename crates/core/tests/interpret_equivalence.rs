@@ -97,6 +97,7 @@ fn fused_rows(raw: &DataFrame, u_comb: &RuleSet) -> Vec<Vec<Value>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    #[test]
     fn fused_is_bit_identical_to_reference(
         n_msgs in 1usize..=3,
         sigs_per_msg in 1usize..=3,

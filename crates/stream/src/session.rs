@@ -34,10 +34,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use ivnt_core::dedup::{Dedup, Deduplicator, Selection};
+use ivnt_core::dedup::{Dedup, Deduplicator};
 use ivnt_core::pipeline::Pipeline;
 use ivnt_core::reduce::{Reducer, Reduction};
-use ivnt_core::split::{Rows, SignalSequence};
+use ivnt_core::split::{CodedRow, CodedRows, CodedSequence, SignalSequence};
 use ivnt_frame::prelude::*;
 use ivnt_store::schema::{raw_trace_schema, records_to_batch};
 use ivnt_store::Record;
@@ -133,7 +133,8 @@ pub struct StreamClose {
 struct PendingRow {
     t: f64,
     seqno: u64,
-    bus: Option<Arc<str>>,
+    /// The channel's code in the signal's `observed` dictionary.
+    bus: Option<u32>,
     num: Option<f64>,
     text: Option<Arc<str>>,
 }
@@ -147,7 +148,8 @@ struct SignalState {
     /// Largest timestamp released so far (late-arrival detection).
     released_t: f64,
     next_seqno: u64,
-    /// Channels observed among pushed rows.
+    /// Channels observed among pushed rows, in order of first sight: the
+    /// dictionary the buffered rows' channel codes point into.
     observed: Vec<Arc<str>>,
     dedup: Deduplicator,
     reducer: Reducer,
@@ -206,12 +208,12 @@ impl<'p> StreamingSession<'p> {
         let selected = kernel.select_records(records);
         let batch = records_to_batch(self.raw_schema.clone(), selected.iter().copied())
             .map_err(Error::Store)?;
-        let seqs = kernel.sequences(&batch)?;
+        let seqs = kernel.coded_sequences(&batch)?;
 
         let mut deltas = Vec::new();
         for seq in seqs {
-            self.push_sequence(&seq)?;
-            let delta = self.release(&seq.signal, false)?;
+            self.push_sequence(&seq);
+            let delta = self.release(&seq.signal, false);
             if !delta.rows.is_empty() || !delta.segments.is_empty() {
                 deltas.push(delta);
             }
@@ -233,7 +235,7 @@ impl<'p> StreamingSession<'p> {
         let mut deltas = Vec::new();
         let mut summaries = Vec::new();
         for signal in names {
-            let mut delta = self.release(&signal, true)?;
+            let mut delta = self.release(&signal, true);
             let state = self.signals.remove(&signal).expect("state exists");
             if let Some(sym) = state.symbolizer {
                 delta.segments.extend(sym.close());
@@ -268,10 +270,10 @@ impl<'p> StreamingSession<'p> {
     }
 
     /// Inserts one interpreted sequence into its signal's reorder buffer.
-    fn push_sequence(&mut self, seq: &SignalSequence) -> Result<()> {
+    fn push_sequence(&mut self, seq: &CodedSequence) {
         let state = self
             .signals
-            .entry(seq.signal.clone())
+            .entry(seq.signal.to_string())
             .or_insert_with(|| SignalState {
                 buffer: VecDeque::new(),
                 max_t: f64::NEG_INFINITY,
@@ -284,43 +286,56 @@ impl<'p> StreamingSession<'p> {
                 reducer: Reducer::new(&seq.signal, &self.pipeline.profile().constraints),
                 symbolizer: self.options.symbolize.map(IncrementalSymbolizer::new),
             });
-        for rows in seq.rows()? {
-            for i in 0..rows.t.len() {
-                let t = rows.t[i].unwrap_or(f64::NAN);
-                let row = PendingRow {
-                    t,
-                    seqno: state.next_seqno,
-                    bus: rows.bus[i].clone(),
-                    num: rows.num[i],
-                    text: rows.text[i].clone(),
-                };
-                state.next_seqno += 1;
-                if let Some(bus) = row.bus.as_ref().filter(|b| !state.observed.contains(b)) {
-                    state.observed.push(bus.clone());
+        let view = seq.view();
+        // The sequence's channel code → its code in `observed`.
+        let mut last: Option<(u32, u32)> = None;
+        for coded in view.rows {
+            let t = coded.time_key();
+            let bus = coded.channel().map(|code| match last {
+                Some((from, to)) if from == code => to,
+                _ => {
+                    let name = &view.channels[code as usize];
+                    let observed = &mut state.observed;
+                    let to = match observed.iter().position(|b| b == name) {
+                        Some(to) => to,
+                        None => {
+                            observed.push(name.clone());
+                            observed.len() - 1
+                        }
+                    } as u32;
+                    last = Some((code, to));
+                    to
                 }
-                // Stable insert: first position whose (t, seqno) exceeds
-                // ours. Within a micro-batch seqnos ascend, and across
-                // batches a tie's arrival order is the batch stable-sort
-                // order.
-                let pos = state.buffer.partition_point(|r| {
-                    r.t.total_cmp(&row.t).then(r.seqno.cmp(&row.seqno)).is_lt()
-                });
-                if t.is_finite() {
-                    if t < state.released_t {
-                        self.late_rows += 1;
-                        ivnt_obs::with(|r| r.add("stream_late_rows_total", 1));
-                    }
-                    state.max_t = state.max_t.max(t);
+            });
+            let row = PendingRow {
+                t,
+                seqno: state.next_seqno,
+                bus,
+                num: coded.num(),
+                text: view.text(coded).cloned(),
+            };
+            state.next_seqno += 1;
+            // Stable insert: first position whose (t, seqno) exceeds
+            // ours. Within a micro-batch seqnos ascend, and across
+            // batches a tie's arrival order is the batch stable-sort
+            // order.
+            let pos = state
+                .buffer
+                .partition_point(|r| r.t.total_cmp(&row.t).then(r.seqno.cmp(&row.seqno)).is_lt());
+            if t.is_finite() {
+                if t < state.released_t {
+                    self.late_rows += 1;
+                    ivnt_obs::with(|r| r.add("stream_late_rows_total", 1));
                 }
-                state.buffer.insert(pos, row);
+                state.max_t = state.max_t.max(t);
             }
+            state.buffer.insert(pos, row);
         }
-        Ok(())
     }
 
     /// Releases ripe rows (all rows when closing) through the signal's
     /// dedup and reduction operators, producing the signal's delta.
-    fn release(&mut self, signal: &str, all: bool) -> Result<SignalDelta> {
+    fn release(&mut self, signal: &str, all: bool) -> SignalDelta {
         let state = self.signals.get_mut(signal).expect("state exists");
         let horizon = state.max_t - self.options.watermark_s;
         let ripe = state
@@ -340,53 +355,50 @@ impl<'p> StreamingSession<'p> {
                 );
             }
         });
-        // Column-wise, as the operators read them; every cell is moved.
-        let ((mut t, mut bus), (mut num, mut text)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) = state
+        // Coded, as the operators read them; every text cell is moved.
+        let mut texts = Vec::new();
+        let rows: Vec<CodedRow> = state
             .buffer
             .drain(..ripe)
-            .map(|r| ((Some(r.t), r.bus), (r.num, r.text)))
-            .unzip();
-        let released = [Rows {
-            t: &t,
-            bus: &bus,
-            num: &num,
-            text: &text,
-        }];
-        if let Selection::Rows(picked) = state.dedup.push(&released, &state.observed) {
-            // Keep the representative's rows, moving their cells.
-            let mut picked = picked[0].iter().peekable();
-            let cells = t.into_iter().zip(bus).zip(num).zip(text).enumerate();
-            ((t, bus), (num, text)) = cells
-                .filter(|(row, _)| picked.next_if_eq(&row).is_some())
-                .map(|(_, (((t, bus), num), text))| ((t, bus), (num, text)))
-                .unzip();
-        }
-        let mask = state.reducer.push(&[Rows {
-            t: &t,
-            bus: &bus,
-            num: &num,
-            text: &text,
-        }]);
-        let mut rows = Vec::new();
-        for ((((keep, t), bus), num), text) in mask.into_iter().zip(t).zip(bus).zip(num).zip(text) {
-            if keep {
-                rows.push(DeltaRow {
-                    t: t.unwrap_or(f64::NAN),
-                    bus,
-                    num,
-                    text,
+            .map(|r| {
+                let text = r.text.map(|label| {
+                    texts.push(label);
+                    texts.len() - 1
                 });
-            }
-        }
+                CodedRow::new(Some(r.t), r.bus, r.num, text)
+            })
+            .collect();
+        let released = CodedRows {
+            rows: &rows,
+            texts: &texts,
+            channels: &state.observed,
+        };
+        // Every observed channel counts as seen: rows of one may still sit
+        // in the reorder buffer.
+        let seen: Vec<u32> = (0..state.observed.len() as u32).collect();
+        let representative = state.dedup.push(released, &seen);
+        let keep = state.reducer.push(released, &representative);
+        let rows: Vec<DeltaRow> = keep
+            .positions(rows.len())
+            .map(|i| {
+                let row = &rows[i];
+                DeltaRow {
+                    t: row.time_key(),
+                    bus: released.channel(row).cloned(),
+                    num: row.num(),
+                    text: released.text(row).cloned(),
+                }
+            })
+            .collect();
         let segments = match &mut state.symbolizer {
             Some(sym) => sym.feed(&rows.iter().filter_map(|r| r.num).collect::<Vec<_>>()),
             None => Vec::new(),
         };
-        Ok(SignalDelta {
+        SignalDelta {
             signal: signal.to_string(),
             rows,
             segments,
-        })
+        }
     }
 
     fn note_buffered(&mut self) {

@@ -294,6 +294,7 @@ proptest! {
 
     /// The core identity property: ANY micro-batch boundary placement
     /// (sizes 1..=120, cycled) reproduces the batch output bit-for-bit.
+    #[test]
     fn randomized_micro_batch_boundaries_match_batch(
         sizes in prop::collection::vec(1usize..120, 1..12),
     ) {

@@ -504,6 +504,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Round trip of arbitrary synthetic records through the line format.
+    #[test]
     fn line_format_round_trips(
         t in 0u64..u64::MAX / 2,
         mid in 0u32..1 << 29,

@@ -328,6 +328,7 @@ fn line() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    #[test]
     fn byte_parser_matches_oracle(
         lines in prop::collection::vec(line(), 1..24),
         newline_at_end in any::<bool>(),

@@ -98,6 +98,7 @@ fn boundary_exactly_on_the_buffer_multiple_matches() {
 proptest! {
     /// Any feed boundary placement — including mid-segment — reproduces
     /// the batch segmentation exactly.
+    #[test]
     fn incremental_swab_matches_batch(
         len in 0usize..600,
         seed in 1u64..10_000,
@@ -122,6 +123,7 @@ proptest! {
 
     /// The full symbolizer (SWAB + per-segment mean → SAX) is likewise
     /// boundary-invariant against its batch oracle.
+    #[test]
     fn incremental_symbolizer_matches_batch(
         len in 0usize..500,
         seed in 1u64..10_000,

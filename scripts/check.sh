@@ -17,11 +17,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> benchmark/ harness check (its own workspace, built against crates/)"
+echo "==> benchmark/ harness unit tests (its own workspace, built against crates/)"
 # Nothing else compiles benchmark/: it imports the workspace crates by
-# path, so an API change there would otherwise only show when it runs.
+# path, so an API change there would otherwise only show when it runs;
+# its unit tests exercise the staged core functions its layers call.
 CARGO_TARGET_DIR=target/benchmark \
-  cargo check --locked --offline --manifest-path benchmark/Cargo.toml
+  cargo test --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> store_probe smoke (zone-map pushdown + in-memory/from-store + columnar-scan ratio gates)"
 # Small workload; fails if chunk skipping degenerates below the gate, if

@@ -202,6 +202,72 @@ fn overlapping_domains_fall_back_and_stay_identical() {
     assert_outputs_eq(&multi.results[1].output, &solo_run(&pb, fx, None), "b");
 }
 
+/// The union-kernel path counts each query's rows per `(bus, mid)` key
+/// instead of marking them row by row; its per-query statistics equal each
+/// query's solo pass and the per-query path's (forced by a window spanning
+/// the whole trace), for extraction and full runs alike.
+#[test]
+fn shared_routing_counts_rows_like_solo_and_per_query_passes() {
+    let fx = fixture();
+    // Signals from different parts of the catalog, so that each domain
+    // reads a different share of the messages.
+    let pipelines: Vec<Pipeline> = disjoint_domains(&fx.data, 3)
+        .into_iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let d: Vec<String> = d.into_iter().skip(12 * i).take(6).collect();
+            domain_pipeline(&fx.data, &d).expect("pipeline builds")
+        })
+        .collect();
+    let solo: Vec<_> = pipelines
+        .iter()
+        .map(|p| {
+            let mut r = reader(fx);
+            let one = Session::many(vec![Query::new(p)], &mut r)
+                .extract_each()
+                .expect("solo extract");
+            one.frames[0].stats.clone()
+        })
+        .collect();
+
+    let mut r = reader(fx);
+    let shared = Session::many(pipelines.iter().map(Query::new).collect(), &mut r)
+        .extract_each()
+        .expect("shared extract");
+    assert!(shared.plan.shared_interpret, "disjoint domains must share");
+    let mut r = reader(fx);
+    let full_window = |p| Query::new(p).with_window(0, u64::MAX);
+    let per_query = Session::many(pipelines.iter().map(full_window).collect(), &mut r)
+        .extract_each()
+        .expect("per-query extract");
+    assert!(!per_query.plan.shared_interpret, "windows must not share");
+    let mut r = reader(fx);
+    let run = Session::many(pipelines.iter().map(Query::new).collect(), &mut r)
+        .run_each()
+        .expect("shared run");
+    assert!(run.plan.shared_interpret);
+
+    for (i, want) in solo.iter().enumerate() {
+        assert!(
+            want.rows_routed > 0 && want.groups > 0,
+            "dom{i} routed nothing"
+        );
+        assert_eq!(&shared.frames[i].stats, want, "dom{i}: shared extract");
+        assert_eq!(
+            &per_query.frames[i].stats, want,
+            "dom{i}: per-query extract"
+        );
+        assert_eq!(&run.results[i].stats, want, "dom{i}: shared run");
+    }
+    // The scan emits a row when any query's predicate matches it.
+    let scanned = shared.plan.scan.as_ref().expect("a scan ran").rows_emitted;
+    let routed: u64 = solo.iter().map(|s| s.rows_routed).sum();
+    assert!(scanned <= routed, "{scanned} emitted rows, {routed} routed");
+    for (i, s) in solo.iter().enumerate() {
+        assert!(s.rows_routed < scanned, "dom{i}: {s:?} of {scanned}");
+    }
+}
+
 /// A windowed query matches a solo session restricted by
 /// [`RunOptions::with_time_window`]; mixing windowed and full queries in
 /// one batch disables the union kernel but not the shared scan.
