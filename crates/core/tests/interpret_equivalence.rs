@@ -2,7 +2,8 @@
 //! `extract_signals(raw)` must be *bit-identical* to
 //! `interpret(&preselect(raw)?)` — same rows, same order — for arbitrary
 //! catalogs, traces (including null keys, truncated payloads and unlabeled
-//! raw values), partition counts and worker counts.
+//! raw values), rule id bands narrow and wide, partition counts and worker
+//! counts.
 
 use ivnt_core::interpret::{extract_signals, interpret, preselect};
 use ivnt_core::rules::RuleSet;
@@ -13,13 +14,22 @@ use ivnt_protocol::message::{MessageSpec, Protocol};
 use ivnt_protocol::signal::SignalSpec;
 use proptest::prelude::*;
 
-/// A small catalog: `n_msgs` messages (ids 1..), alternating FC/DC buses,
-/// `sigs_per_msg` 12-bit signals each. Odd signal slots carry sparse labels
-/// so most instances hit the unlabeled-raw decode-error path.
-fn catalog(n_msgs: usize, sigs_per_msg: usize, factor: f64) -> Catalog {
+/// Message id of catalog slot `slot` (0-based): `slot + 1`, moved up by
+/// `offset` for every slot but the first, so a non-zero offset spreads the
+/// rule ids of a multi-message catalog over a band wider than the kernel's
+/// cache-resident id table.
+fn message_id(slot: i64, offset: i64) -> i64 {
+    slot + 1 + if slot > 0 { offset } else { 0 }
+}
+
+/// A small catalog: `n_msgs` messages (ids from [`message_id`]),
+/// alternating FC/DC buses, `sigs_per_msg` 12-bit signals each. Odd signal
+/// slots carry sparse labels so most instances hit the unlabeled-raw
+/// decode-error path.
+fn catalog(n_msgs: usize, sigs_per_msg: usize, factor: f64, offset: i64) -> Catalog {
     let mut cat = Catalog::new();
     for m in 0..n_msgs {
-        let id = m as u32 + 1;
+        let id = u32::try_from(message_id(m as i64, offset)).unwrap();
         let bus = if m % 2 == 0 { "FC" } else { "DC" };
         let mut builder = MessageSpec::builder(id, format!("Msg{id}"), bus, Protocol::Can).dlc(8);
         for k in 0..sigs_per_msg {
@@ -105,16 +115,27 @@ proptest! {
         rows in prop::collection::vec(
             (
                 0usize..=4,                                    // bus: FC/DC/unknown/null, 4 = null mid
-                0i64..10,                                      // ids 4..10 never match
+                0i64..10,                                      // slots 0 and 4..10 never match
                 prop::option::of(prop::collection::vec(0u8..=255u8, 0usize..10)),
                 0.0f64..100.0,
             ),
             0..200usize,
         ),
         partitions in 1usize..=4,
+        // 0: ids 1..=3, one narrow band; 1 << 17: ids past the first sit
+        // 131 072 above it, a union band wider than the id table covers.
+        id_offset in prop::sample::select(vec![0i64, 1 << 17]),
     ) {
         let factor = [1.0, 0.5, 0.1][factor_idx];
-        let u_comb = RuleSet::from_catalog(&catalog(n_msgs, sigs_per_msg, factor));
+        let u_comb = RuleSet::from_catalog(&catalog(n_msgs, sigs_per_msg, factor, id_offset));
+        // Row ids are catalog slots; slot 0 stays an id no catalog uses.
+        let rows: Vec<_> = rows
+            .into_iter()
+            .map(|(bus, slot, payload, t)| {
+                let mid = if slot == 0 { 0 } else { message_id(slot - 1, id_offset) };
+                (bus, mid, payload, t)
+            })
+            .collect();
         let raw = raw_frame(&rows, partitions);
 
         let reference = reference_rows(&raw, &u_comb);
@@ -168,7 +189,7 @@ fn fused_matches_reference_on_conditional_fields() {
 /// identically in both paths.
 #[test]
 fn fused_keeps_null_payload_instances() {
-    let u_comb = RuleSet::from_catalog(&catalog(1, 2, 1.0));
+    let u_comb = RuleSet::from_catalog(&catalog(1, 2, 1.0, 0));
     let rows = vec![
         (0usize, 1i64, None, 0.5),       // null payload, matching key
         (0, 1, Some(vec![0u8; 8]), 1.0), // decodable
@@ -189,7 +210,7 @@ fn arc_sharing_in_output_does_not_change_values() {
     // The fused kernel shares one Arc<str> per signal name; equality with
     // the reference (fresh Arc per row) must be by value, and sorting the
     // fused output must behave identically.
-    let u_comb = RuleSet::from_catalog(&catalog(2, 2, 0.5));
+    let u_comb = RuleSet::from_catalog(&catalog(2, 2, 0.5, 0));
     let rows: Vec<(usize, i64, Option<Vec<u8>>, f64)> = (0..50)
         .map(|i| (i % 2, 1 + (i as i64 % 3), Some(vec![i as u8; 8]), i as f64))
         .collect();
