@@ -9,9 +9,7 @@
 use ivnt_bench::{
     covered_fraction, env_f64, median_secs, scale, select_signals_for_fraction, u_rel_with_hints,
 };
-use ivnt_core::interpret::{
-    extract_signals, interpret, interpret_fused_scalar, preselect, run_length_histogram,
-};
+use ivnt_core::interpret::{extract_signals, interpret, interpret_fused_scalar, preselect};
 use ivnt_core::prelude::*;
 use ivnt_core::tabular::trace_to_frame;
 
@@ -164,15 +162,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let speedup = by_name("interpret_reference").secs / by_name("interpret_fused").secs;
     let kernel_speedup = by_name("interpret_fused_scalar").secs / by_name("interpret_fused").secs;
 
-    // Run-length structure of the workload: how well cyclic traffic
-    // amortizes the kernel's per-run LUT probes.
-    let hist = run_length_histogram(&raw, &u_comb)?;
-    let hist_json = hist
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-
     // Kernel gate: the vectorized kernel must beat the retained scalar
     // fused path. Both sides run on the same executor so the ratio is
     // mostly core-independent, but on an oversubscribed machine
@@ -199,7 +188,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "    \"runs\": {}\n",
             "  }},\n",
             "  \"measurements\": [\n{}\n  ],\n",
-            "  \"run_length_histogram_log2\": [{}],\n",
             "  \"vectorized_vs_scalar_speedup\": {:.2},\n",
             "  \"interpret_min_speedup_gate\": {:.2},\n",
             "  \"interpret_effective_gate\": {:.2},\n",
@@ -212,7 +200,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         partitions,
         runs,
         entries.join(",\n"),
-        hist_json,
         kernel_speedup,
         interpret_gate,
         effective_interpret_gate,
@@ -240,7 +227,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!(", relaxed: {partitions} partitions on {cores} core(s)")
         }
     );
-    println!("run-length histogram (log2 buckets): [{hist_json}]");
     println!("wrote BENCH_interpret.json");
 
     if kernel_speedup < effective_interpret_gate {

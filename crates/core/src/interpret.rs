@@ -19,7 +19,10 @@
 //!   place, so neither `K_pre` nor the joined intermediate ever hits
 //!   memory. Property tests assert it stays bit-identical to the reference
 //!   path. It is compiled once per pipeline and emits either `K_s` or, for
-//!   sessions, straight into the per-signal sequences of line 8.
+//!   sessions, straight into the per-signal sequences of line 8. Its one
+//!   decode loop serves every rule id band: a narrow band prefilters rows
+//!   through a cache-resident id table, a wide one (ids spread over more
+//!   than 65 536 values) sends every row with an id to the exact probe.
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
@@ -31,7 +34,7 @@ use ivnt_store::Record;
 
 use crate::error::Result;
 use crate::rules::{load_window, DecodePlan, PlanDecoded, Rule, RuleSet};
-use crate::split::{CodedSequence, Selection, SequenceBuilder, SignalRuns, SignalSequence};
+use crate::split::{CodedSequence, SequenceBuilder, SignalRuns};
 use crate::tabular::columns as c;
 
 /// Internal column: the joined rule index.
@@ -39,9 +42,7 @@ const RULE_IDX: &str = "rule_idx";
 
 /// Per-query interning of the (few) bus names occurring in `U_comb`, so
 /// per-row lookups compare a handful of short strings instead of hashing
-/// `(&str, i64)` tuples. Callers thread a position hint through lookups:
-/// traces run the same bus for stretches, making the common case a single
-/// pointer-or-memcmp comparison.
+/// `(&str, i64)` tuples.
 struct BusInterner {
     buses: Vec<Arc<str>>,
 }
@@ -62,22 +63,6 @@ impl BusInterner {
             .iter()
             .position(|b| b.as_ref() == bus)
             .map(|i| i as u32)
-    }
-
-    /// Looks up `bus`, trying `hint` first (updated on success).
-    fn lookup(&self, bus: &Arc<str>, hint: &mut usize) -> Option<u32> {
-        if let Some(candidate) = self.buses.get(*hint) {
-            if Arc::ptr_eq(candidate, bus) || candidate.as_ref() == bus.as_ref() {
-                return Some(*hint as u32);
-            }
-        }
-        for (i, candidate) in self.buses.iter().enumerate() {
-            if candidate.as_ref() == bus.as_ref() {
-                *hint = i;
-                return Some(i as u32);
-            }
-        }
-        None
     }
 }
 
@@ -147,7 +132,8 @@ enum MidFilter {
     /// the admit test is a single indexed load with no shift/mask chain,
     /// and the scan is instruction-bound, not footprint-bound.
     Band { min: i64, set: Vec<u8> },
-    /// Id band too wide for a cache-resident table: probe every row.
+    /// Id band too wide for a cache-resident table: admit every row with
+    /// an id and let the exact probe decide.
     Wide,
 }
 
@@ -210,17 +196,23 @@ struct RuleLut {
     prefilter: MidFilter,
 }
 
-/// Per-partition probe state: a learned table of bus `Arc` data pointers.
-/// Records share one interned `Arc<str>` per bus and `records_to_batch`
-/// clones those `Arc`s into the frame (a store scan clones the footer
-/// dictionary's), so a partition sees only a handful
-/// of distinct pointers — each resolved by string lookup once and by
-/// pointer comparison ever after, even when adjacent rows alternate
-/// between buses (gateway copies). Unknown buses are learned too, so
-/// their rows stay on the pointer path.
+/// Per-partition probe state, two memos deep.
+///
+/// * The last key and its result: cyclic traffic repeats one
+///   `(bus, m_id)` key for stretches, so every later row of such a run
+///   costs one pointer-and-int compare and no LUT probe.
+/// * A learned table of bus `Arc` data pointers. Records share one
+///   interned `Arc<str>` per bus and `records_to_batch` clones those
+///   `Arc`s into the frame (a store scan clones the footer dictionary's),
+///   so a partition sees only a handful of distinct pointers — each
+///   resolved by string lookup once and by pointer comparison ever after,
+///   even when adjacent rows alternate between buses (gateway copies).
+///   Unknown buses are learned too, so their rows stay on the pointer
+///   path.
 struct ProbeState {
+    last: (*const u8, usize, i64),
+    last_hit: Option<(u32, u32)>,
     seen: Vec<(*const u8, usize, Option<u32>)>,
-    hint: usize,
 }
 
 /// Cap on learned bus pointers per partition; beyond it (a frame built
@@ -230,8 +222,10 @@ const PROBE_PTR_LIMIT: usize = 32;
 impl ProbeState {
     fn new() -> ProbeState {
         ProbeState {
+            // No `Arc<str>` has a null data pointer, so no row hits this.
+            last: (std::ptr::null(), 0, 0),
+            last_hit: None,
             seen: Vec::new(),
-            hint: 0,
         }
     }
 }
@@ -282,26 +276,30 @@ impl RuleLut {
     }
 
     /// Like [`RuleLut::probe`] but returns the `(group, bus_id)` pair, so
-    /// run-length dispatch can carry the interned bus through to emission.
+    /// the kernel can carry the interned bus through to emission. Tries
+    /// the last key, then the learned bus pointers, then the interner.
     #[inline]
     fn probe_group(&self, bus: &Arc<str>, mid: i64, state: &mut ProbeState) -> Option<(u32, u32)> {
+        let key = (bus.as_ptr(), bus.len(), mid);
+        if state.last == key {
+            return state.last_hit;
+        }
         let learned = state
             .seen
             .iter()
             .find(|&&(p, l, _)| p == bus.as_ptr() && l == bus.len())
             .map(|&(_, _, id)| id);
-        let bid = match learned {
-            Some(id) => id?,
-            None => {
-                let id = self.interner.lookup(bus, &mut state.hint);
-                if state.seen.len() < PROBE_PTR_LIMIT {
-                    state.seen.push((bus.as_ptr(), bus.len(), id));
-                }
-                id?
+        let bid = learned.unwrap_or_else(|| {
+            let id = self.interner.id_of(bus);
+            if state.seen.len() < PROBE_PTR_LIMIT {
+                state.seen.push((bus.as_ptr(), bus.len(), id));
             }
-        };
-        let group = self.by_bus[bid as usize].get(mid)?;
-        Some((group, bid))
+            id
+        });
+        let hit = bid.and_then(|bid| Some((self.by_bus[bid as usize].get(mid)?, bid)));
+        state.last = key;
+        state.last_hit = hit;
+        hit
     }
 }
 
@@ -679,17 +677,6 @@ pub fn interpret_fused_scalar(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataF
     Ok(DataFrame::from_partitions(out_schema, parts)?.with_executor(raw.executor()))
 }
 
-/// A maximal stretch of consecutive rows sharing one matched `(bus, m_id)`
-/// key. Cyclic in-vehicle traffic produces long runs, letting the kernel
-/// probe once and decode in a tight per-run loop.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: usize,
-    len: usize,
-    group: u32,
-    bus: u32,
-}
-
 /// All signals of one message fused onto a single payload window: one LE
 /// load (plus at most one byte-swap) per row feeds every signal's
 /// shift/mask program. Built only when every rule in the group compiled to
@@ -789,61 +776,6 @@ impl Kernel {
         })
     }
 
-    /// Pass 1 of the kernel: scan only the key columns and emit the run
-    /// list. ~95+% of rows miss the LUT (that is what preselection is
-    /// for), so the miss path is the one that must be near-free: with a
-    /// banded id set the scan reads *only* the `m_id` column and rejects
-    /// misses on a single bitset test, touching the bus column (and the
-    /// exact per-bus probe) for admitted rows alone. Rows rejected by the
-    /// prefilter are guaranteed probe misses, so run boundaries are
-    /// identical to the probe-every-row scan.
-    fn scan_runs(&self, buses: &[Option<Arc<str>>], mids: &[Option<i64>], dense: bool) -> Vec<Run> {
-        let mut scan = RunScanner::new(&self.lut);
-        match &self.lut.prefilter {
-            MidFilter::Band { min, set } => {
-                // Admit loop: one branchless table load per row, ids only.
-                // Admitted rows land in a (small) candidate list so the
-                // hot loop carries no probe state or bus access at all.
-                let min = *min;
-                let mut cand: Vec<usize> = Vec::new();
-                for (row, mid) in mids.iter().enumerate() {
-                    // Null ids fold to a sentinel that is never admitted
-                    // (see `MidFilter::build`), keeping the loop free of
-                    // a validity branch.
-                    if band_admits(min, set, mid.unwrap_or(i64::MIN)) {
-                        cand.push(row);
-                    }
-                }
-                for &row in &cand {
-                    if let (Some(bus), Some(mid)) = (buses[row].as_ref(), mids[row]) {
-                        scan.step(row, bus, mid);
-                    }
-                }
-            }
-            MidFilter::Wide if dense => {
-                // Null-free fast path: both key columns are fully valid,
-                // so skip the per-row Option match.
-                for (row, (bus, mid)) in buses.iter().zip(mids).enumerate() {
-                    let (Some(bus), Some(mid)) = (bus.as_ref(), mid) else {
-                        debug_assert!(false, "dense scan saw a null key");
-                        continue;
-                    };
-                    scan.step(row, bus, *mid);
-                }
-            }
-            MidFilter::Wide => {
-                for (row, (bus, mid)) in buses.iter().zip(mids).enumerate() {
-                    // Null bus or m_id never matches a rule (inner-join
-                    // semantics); unknown pairs are preselection drops.
-                    if let (Some(bus), Some(mid)) = (bus.as_ref(), mid) {
-                        scan.step(row, bus, *mid);
-                    }
-                }
-            }
-        }
-        scan.runs
-    }
-
     /// Dispatches one matched row to the cheapest applicable decode path:
     /// the group's fused single-word program, the per-rule plans, or the
     /// null-payload emission.
@@ -857,63 +789,32 @@ impl Kernel {
         out: &mut S,
     ) {
         let group_rules = self.lut.groups[group as usize].as_slice();
+        let signal = |ri: u32| self.signal_idx[ri as usize];
         match (self.fused[group as usize].as_ref(), payload) {
+            // The payload covers the fused window: one word load, then a
+            // shift/mask program per signal.
             (Some(f), Some(p)) if p.len() >= f.first + f.span => {
-                self.decode_row_fused(f, group_rules, p, t, bus, out);
+                let (le, be) = load_window(p, f.first, f.span, f.needs_be);
+                for (op, &ri) in f.ops.iter().zip(group_rules) {
+                    out.push(t, signal(ri), bus, op.eval(le, be));
+                }
             }
-            (_, Some(p)) => self.decode_row_plans(group_rules, p, t, bus, out),
-            (_, None) => self.emit_null_row(group_rules, t, bus, out),
-        }
-    }
-
-    /// Decodes one row whose payload covers the group's fused window: one
-    /// word load, then a shift/mask program per signal.
-    #[inline]
-    fn decode_row_fused<S: EmitSink>(
-        &self,
-        f: &FusedGroup,
-        group_rules: &[u32],
-        p: &[u8],
-        t: Option<f64>,
-        bus: u32,
-        out: &mut S,
-    ) {
-        let (le, be) = load_window(p, f.first, f.span, f.needs_be);
-        for (op, &ri) in f.ops.iter().zip(group_rules) {
-            out.push(t, self.signal_idx[ri as usize], bus, op.eval(le, be));
-        }
-    }
-
-    /// Decodes one row through the per-rule plans (gated signals, scalar
-    /// fallbacks, payloads shorter than the fused window).
-    #[inline]
-    fn decode_row_plans<S: EmitSink>(
-        &self,
-        group_rules: &[u32],
-        p: &[u8],
-        t: Option<f64>,
-        bus: u32,
-        out: &mut S,
-    ) {
-        for &ri in group_rules {
-            match self.plans[ri as usize].decode_slice(p) {
-                PlanDecoded::Absent => {}
-                decoded => out.push(t, self.signal_idx[ri as usize], bus, decoded),
+            // Gated signals, scalar fallbacks, payloads shorter than the
+            // fused window.
+            (_, Some(p)) => {
+                for &ri in group_rules {
+                    match self.plans[ri as usize].decode_slice(p) {
+                        PlanDecoded::Absent => {}
+                        decoded => out.push(t, signal(ri), bus, decoded),
+                    }
+                }
             }
-        }
-    }
-
-    /// Null payload: a null-valued instance per rule of the group.
-    #[inline]
-    fn emit_null_row<S: EmitSink>(
-        &self,
-        group_rules: &[u32],
-        t: Option<f64>,
-        bus: u32,
-        out: &mut S,
-    ) {
-        for &ri in group_rules {
-            out.push(t, self.signal_idx[ri as usize], bus, PlanDecoded::Null);
+            // Null payload: a null-valued instance per rule of the group.
+            (_, None) => {
+                for &ri in group_rules {
+                    out.push(t, signal(ri), bus, PlanDecoded::Null);
+                }
+            }
         }
     }
 }
@@ -1043,68 +944,6 @@ impl EmitSink for SignalRuns {
     }
 }
 
-/// Streaming run detector: memoizes the last key's probe result so a run
-/// of identical `(bus, m_id)` rows costs one pointer-and-int compare per
-/// row, with the LUT probed only on key changes.
-struct RunScanner<'a> {
-    lut: &'a RuleLut,
-    probe: ProbeState,
-    runs: Vec<Run>,
-    last_ptr: *const u8,
-    last_len: usize,
-    last_mid: i64,
-    last_hit: Option<(u32, u32)>,
-}
-
-impl<'a> RunScanner<'a> {
-    fn new(lut: &'a RuleLut) -> RunScanner<'a> {
-        RunScanner {
-            lut,
-            probe: ProbeState::new(),
-            runs: Vec::new(),
-            last_ptr: std::ptr::null(),
-            last_len: 0,
-            last_mid: 0,
-            last_hit: None,
-        }
-    }
-
-    /// The memoized probe alone: one `(bus, m_id)` LUT probe per run of
-    /// identical keys, a three-compare no-op for every later row of it.
-    #[inline]
-    fn probe_memo(&mut self, bus: &Arc<str>, mid: i64) -> Option<(u32, u32)> {
-        let same =
-            self.last_ptr == bus.as_ptr() && self.last_len == bus.len() && self.last_mid == mid;
-        if same {
-            self.last_hit
-        } else {
-            let hit = self.lut.probe_group(bus, mid, &mut self.probe);
-            self.last_ptr = bus.as_ptr();
-            self.last_len = bus.len();
-            self.last_mid = mid;
-            self.last_hit = hit;
-            hit
-        }
-    }
-
-    #[inline]
-    fn step(&mut self, row: usize, bus: &Arc<str>, mid: i64) {
-        if let Some((group, bus_id)) = self.probe_memo(bus, mid) {
-            match self.runs.last_mut() {
-                // Same group ⇒ same key; extend only over gapless rows so
-                // skipped (null-key) rows break runs.
-                Some(run) if run.group == group && run.start + run.len == row => run.len += 1,
-                _ => self.runs.push(Run {
-                    start: row,
-                    len: 1,
-                    group,
-                    bus: bus_id,
-                }),
-            }
-        }
-    }
-}
-
 impl Kernel {
     /// `K_s` of `raw`, one output partition per input partition, mapped
     /// over `raw`'s executor.
@@ -1198,20 +1037,6 @@ impl Kernel {
         Ok(builder.finish())
     }
 
-    /// [`coded_sequences`](Kernel::coded_sequences) as frames, identical
-    /// to `split_by_signal(&extract_signals(..))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures.
-    pub fn sequences(&self, raw: &Batch) -> Result<Vec<SignalSequence>> {
-        let coded = self.coded_sequences(raw)?;
-        coded
-            .iter()
-            .map(|s| s.to_sequence(&Selection::All))
-            .collect()
-    }
-
     /// Preselection (line 3) on records: the ones whose `(b_id, m_id)`
     /// some rule decodes, in order — the record selector trace runs use,
     /// so a caller builds cells only for rows the kernel would admit.
@@ -1223,159 +1048,86 @@ impl Kernel {
 /// One raw batch through the batch-columnar kernel into `out`, told the
 /// batch's emission bound first. Generic over the sink so the table,
 /// routed and per-signal paths share every decode line.
+///
+/// Two passes. The admit pass reads the id column alone: a banded
+/// prefilter rejects the ~95+% misses on a single cache-hot table load,
+/// with no bus access and no probe state; a wide one admits every row
+/// with an id. The decode pass then walks the (short) candidate list with
+/// a two-stage software-prefetch pipeline: admitted rows sit ~dozens of
+/// rows apart, a stride the hardware prefetcher cannot follow, so the
+/// `t`/payload cells (and the payload heap block behind the `Arc`) are
+/// pulled in ahead of use instead of serializing four cache misses per
+/// hit. Each candidate is probed through the [`ProbeState`] memo, so a
+/// run of equal `(bus, m_id)` keys costs one LUT probe.
 fn decode_batch<S: EmitSink>(
     kernel: &Kernel,
     batch: &Batch,
     out: &mut S,
 ) -> ivnt_frame::Result<()> {
     let schema = batch.schema();
-    let (idx_bus, idx_mid) = (schema.index_of(c::BUS)?, schema.index_of(c::MESSAGE_ID)?);
-    let idx_payload = schema.index_of(c::PAYLOAD)?;
     let ts = float_column(batch, schema.index_of(c::T)?)?;
-    let buses = str_column(batch, idx_bus)?;
-    let mids = int_column(batch, idx_mid)?;
-    let payloads = bytes_column(batch, idx_payload)?;
+    let buses = str_column(batch, schema.index_of(c::BUS)?)?;
+    let mids = int_column(batch, schema.index_of(c::MESSAGE_ID)?)?;
+    let payloads = bytes_column(batch, schema.index_of(c::PAYLOAD)?)?;
 
+    let mut cand: Vec<(u32, i64)> = Vec::new();
     match &kernel.lut.prefilter {
-        // Banded ids, two passes. The admit pass rejects the
-        // ~95+% misses on a single cache-hot bitset test over the
-        // id column alone — no bus access, no probe state. The
-        // decode pass then walks the (short) candidate list with a
-        // two-stage software-prefetch pipeline: admitted rows sit
-        // ~dozens of rows apart, a stride the hardware prefetcher
-        // cannot follow, so the `t`/payload cells (and the payload
-        // heap block behind the `Arc`) are pulled in ahead of use
-        // instead of serializing four cache misses per hit.
         MidFilter::Band { min, set } => {
             let min = *min;
-            let mut cand: Vec<(u32, i64)> = Vec::new();
             for (row, mid) in mids.iter().enumerate() {
                 // Branchless null fold: the sentinel can never be
-                // admitted (see `MidFilter::build`), so admitted
-                // `m` is always the row's real id.
+                // admitted (see `MidFilter::build`), so admitted `m` is
+                // always the row's real id.
                 let m = mid.unwrap_or(i64::MIN);
                 if band_admits(min, set, m) {
                     cand.push((row as u32, m));
                 }
             }
-
-            let widest = kernel.lut.groups.iter().map(Vec::len).max().unwrap_or(0);
-            out.reserve(cand.len() * widest);
-            let mut scan = RunScanner::new(&kernel.lut);
-            // Far stage: request the column cells of the row
-            // `FAR` candidates ahead; near stage: their cells are
-            // warm by now, so chase the payload `Arc` and request
-            // its heap block.
-            const FAR: usize = 32;
-            const NEAR: usize = 16;
-            for (i, &(row, mid)) in cand.iter().enumerate() {
-                let row = row as usize;
-                if let Some(&(ahead, _)) = cand.get(i + FAR) {
-                    let ahead = ahead as usize;
-                    prefetch(&raw const payloads[ahead]);
-                    prefetch(&raw const ts[ahead]);
-                    prefetch(&raw const buses[ahead]);
-                }
-                if let Some(&(near, _)) = cand.get(i + NEAR) {
-                    if let Some(p) = payloads[near as usize].as_ref() {
-                        prefetch(p.as_ptr());
-                    }
-                }
-                let Some(bus) = buses[row].as_ref() else {
-                    continue;
-                };
-                // Probe once per (bus, m_id) run; the memo makes
-                // every later row of a run a three-compare no-op.
-                if let Some((group, bus_id)) = scan.probe_memo(bus, mid) {
-                    kernel.dispatch_row(group, payloads[row].as_deref(), ts[row], bus_id, out);
-                }
-            }
-            Ok(())
         }
-        // Wide ids: no cache-resident prefilter exists, so scan
-        // with the probe-every-row pass into a run list, then
-        // decode runs. Null-free fast paths are gated on an O(n)
-        // column scan (`Column::has_nulls`), so they only run
-        // where they can amortize: keys always (every row probes),
-        // payloads only when a sizeable share of rows decodes.
         MidFilter::Wide => {
-            let keys_dense =
-                !batch.column(idx_bus).has_nulls() && !batch.column(idx_mid).has_nulls();
-            let runs = kernel.scan_runs(buses, mids, keys_dense);
-            let hit_rows: usize = runs.iter().map(|r| r.len).sum();
-            let payloads_dense =
-                hit_rows * 4 >= batch.num_rows() && !batch.column(idx_payload).has_nulls();
-            let upper: usize = runs
-                .iter()
-                .map(|r| r.len * kernel.lut.groups[r.group as usize].len())
-                .sum();
-            out.reserve(upper);
-            for run in &runs {
-                let group_rules = kernel.lut.groups[run.group as usize].as_slice();
-                let rows = run.start..run.start + run.len;
-                match kernel.fused[run.group as usize].as_ref() {
-                    // Whole-group fast path: one word load per row
-                    // serves every signal of the message.
-                    Some(f) if payloads_dense => {
-                        let end = f.first + f.span;
-                        for row in rows {
-                            let p = payloads[row].as_deref().unwrap_or_default();
-                            if p.len() >= end {
-                                kernel.decode_row_fused(f, group_rules, p, ts[row], run.bus, out);
-                            } else {
-                                kernel.decode_row_plans(group_rules, p, ts[row], run.bus, out);
-                            }
-                        }
-                    }
-                    _ => {
-                        for row in rows {
-                            kernel.dispatch_row(
-                                run.group,
-                                payloads[row].as_deref(),
-                                ts[row],
-                                run.bus,
-                                out,
-                            );
-                        }
-                    }
+            for (row, mid) in mids.iter().enumerate() {
+                if let Some(m) = *mid {
+                    cand.push((row as u32, m));
                 }
             }
-            Ok(())
         }
     }
-}
 
-/// Run-length diagnostics for the batch-columnar kernel: counts matched
-/// `(bus, m_id)` runs bucketed by `floor(log2(len))` — index 0 counts
-/// runs of length 1, index 1 lengths 2–3, index 2 lengths 4–7, and so on.
-/// Long runs mean the workload amortizes LUT probes well.
-///
-/// # Errors
-///
-/// Propagates tabular-engine failures (missing/mistyped key columns).
-pub fn run_length_histogram(raw: &DataFrame, u_comb: &RuleSet) -> Result<Vec<u64>> {
-    let schema = raw.schema();
-    let idx_bus = schema.index_of(c::BUS)?;
-    let idx_mid = schema.index_of(c::MESSAGE_ID)?;
-    let kernel = Kernel::compile(u_comb);
-    let mut hist: Vec<u64> = Vec::new();
-    for batch in raw.partitions() {
-        let buses = str_column(batch, idx_bus)?;
-        let mids = int_column(batch, idx_mid)?;
-        for run in kernel.scan_runs(buses, mids, false) {
-            let bucket = usize::BITS as usize - 1 - run.len.leading_zeros() as usize;
-            if hist.len() <= bucket {
-                hist.resize(bucket + 1, 0);
+    let widest = kernel.lut.groups.iter().map(Vec::len).max().unwrap_or(0);
+    out.reserve(cand.len() * widest);
+    let mut probe = ProbeState::new();
+    // Far stage: request the column cells of the row `FAR` candidates
+    // ahead; near stage: their cells are warm by now, so chase the
+    // payload `Arc` and request its heap block.
+    const FAR: usize = 32;
+    const NEAR: usize = 16;
+    for (i, &(row, mid)) in cand.iter().enumerate() {
+        let row = row as usize;
+        if let Some(&(ahead, _)) = cand.get(i + FAR) {
+            let ahead = ahead as usize;
+            prefetch(&raw const payloads[ahead]);
+            prefetch(&raw const ts[ahead]);
+            prefetch(&raw const buses[ahead]);
+        }
+        if let Some(&(near, _)) = cand.get(i + NEAR) {
+            if let Some(p) = payloads[near as usize].as_ref() {
+                prefetch(p.as_ptr());
             }
-            hist[bucket] += 1;
+        }
+        // Null buses never match a rule (inner-join semantics).
+        let Some(bus) = buses[row].as_ref() else {
+            continue;
+        };
+        if let Some((group, bus_id)) = kernel.lut.probe_group(bus, mid, &mut probe) {
+            kernel.dispatch_row(group, payloads[row].as_deref(), ts[row], bus_id, out);
         }
     }
-    Ok(hist)
+    Ok(())
 }
 
 /// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules
-/// are compiled to [`DecodePlan`]s once per query, rows are grouped into
-/// `(bus, m_id)` runs probed once each, and all signals of a message
+/// are compiled to [`DecodePlan`]s once per query, each run of rows with
+/// one `(bus, m_id)` key is probed once, and all signals of a message
 /// decode from a single loaded payload word where the layout allows.
 /// Output columns are built dictionary-encoded (signal/bus as `u32`
 /// indices) and materialized to shared `Arc<str>`s once per batch.
@@ -1606,16 +1358,5 @@ mod tests {
         let names: Vec<&str> = kernel.signal_names.iter().map(|s| s.as_ref()).collect();
         assert_eq!(names, ["wvel", "noise", "wpos"]);
         assert_eq!(kernel.signal_idx, [0, 1, 0, 2, 1, 2]);
-    }
-
-    #[test]
-    fn run_length_histogram_buckets_by_log2() {
-        let u_rel = RuleSet::from_network(&network());
-        let u_comb = u_rel.select(&["wpos", "wvel"]).unwrap();
-        // trace(): one id-3 row, one id-9 row (miss), one id-3 row — two
-        // runs of length 1 on the matched key.
-        let raw = trace_to_frame(&trace(), 1).unwrap();
-        let hist = run_length_histogram(&raw, &u_comb).unwrap();
-        assert_eq!(hist, vec![2]);
     }
 }

@@ -10,7 +10,6 @@
 //! [`SignalSequence`] frame with per-row `s_id` / `b_id` cells.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
@@ -386,7 +385,7 @@ impl CodedSequence {
     ///
     /// Fails when a column is missing or mistyped.
     pub fn from_sequence(seq: &SignalSequence) -> Result<CodedSequence> {
-        let mut channels = ArcDict::default();
+        let mut channels = Dict::default();
         let mut coded = SignalRows::default();
         for rows in seq.rows()? {
             for i in 0..rows.t.len() {
@@ -464,76 +463,33 @@ impl SignalRuns {
     }
 }
 
-/// Hasher of [`ArcDict`]'s pointer keys, looked up once per row: heap
-/// addresses differ in their middle bits already, so one multiply spreads
-/// them where SipHash would cost more than the rest of the row. The keys
-/// are addresses this process allocated, never outside input.
+/// Names coded by content: a code is the index of the name that
+/// introduced it. Seeded entries (a kernel's dictionary) are indexed on
+/// first need, so a kernel-fed builder never builds the map.
 #[derive(Default)]
-struct PtrHasher(u64);
-
-impl Hasher for PtrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("pointer keys hash through write_usize");
-    }
-
-    fn write_usize(&mut self, address: usize) {
-        // The product's low bits only see the address's (aligned, zero)
-        // low bits; rotate its well-mixed high half down to where the
-        // table takes its bucket index from.
-        self.0 = (address as u64)
-            .wrapping_mul(0x517c_c1b7_2722_0a95)
-            .rotate_left(32);
-    }
-}
-
-/// A dictionary of `Arc<str>` cells. A cell resolves to its code by
-/// pointer, by content the first time a pointer is seen. The pointer table
-/// is hashed: per-group kernels mint thousands of distinct `Arc`s for a few
-/// dozen names, which a linear table would walk on every row.
-#[derive(Default)]
-struct ArcDict {
-    /// Code → the cell that introduced it.
+struct Dict {
     entries: Vec<Arc<str>>,
-    by_content: HashMap<Arc<str>, u32>,
-    /// Keyed by the cell's data address, which no other live `Arc` shares.
-    by_ptr: HashMap<usize, u32, BuildHasherDefault<PtrHasher>>,
-    /// Every cell behind a `by_ptr` key, kept alive so its address cannot
-    /// be handed to another string while the key exists.
-    held: Vec<Arc<str>>,
+    codes: HashMap<Arc<str>, u32>,
 }
 
-impl ArcDict {
-    fn from_entries(entries: &[Arc<str>]) -> ArcDict {
-        ArcDict {
+impl Dict {
+    fn from_entries(entries: &[Arc<str>]) -> Dict {
+        Dict {
             entries: entries.to_vec(),
-            ..ArcDict::default()
+            codes: HashMap::new(),
         }
     }
 
-    fn code(&mut self, cell: &Arc<str>) -> u32 {
-        let key = cell.as_ptr() as usize;
-        if let Some(&code) = self.by_ptr.get(&key) {
+    fn code(&mut self, name: &Arc<str>) -> u32 {
+        for (code, entry) in self.entries.iter().enumerate().skip(self.codes.len()) {
+            self.codes.entry(entry.clone()).or_insert(code as u32);
+        }
+        if let Some(&code) = self.codes.get(name) {
             return code;
         }
-        // Seeded entries (a kernel's dictionary) are indexed on first need.
-        for (code, entry) in self.entries.iter().enumerate().skip(self.by_content.len()) {
-            self.by_content.entry(entry.clone()).or_insert(code as u32);
-        }
-        let code = match self.by_content.get(cell.as_ref()) {
-            Some(&code) => code,
-            None => {
-                let code = self.entries.len() as u32;
-                self.entries.push(cell.clone());
-                self.by_content.insert(cell.clone(), code);
-                code
-            }
-        };
-        self.by_ptr.insert(key, code);
-        self.held.push(cell.clone());
+        let code = self.entries.len() as u32;
+        self.entries.push(name.clone());
+        self.codes.insert(name.clone(), code);
         code
     }
 }
@@ -549,8 +505,8 @@ impl ArcDict {
 /// non-decreasing (under `f64::total_cmp`, nulls as NaN) is emitted as is;
 /// any other is stable-sorted by that key, so ties keep feed order.
 pub struct SequenceBuilder {
-    signals: ArcDict,
-    buses: ArcDict,
+    signals: Dict,
+    buses: Dict,
     runs: SignalRuns,
 }
 
@@ -565,8 +521,8 @@ impl SequenceBuilder {
     /// dictionaries (the kernel's).
     pub(crate) fn with_dictionaries(signals: &[Arc<str>], buses: &[Arc<str>]) -> SequenceBuilder {
         SequenceBuilder {
-            signals: ArcDict::from_entries(signals),
-            buses: ArcDict::from_entries(buses),
+            signals: Dict::from_entries(signals),
+            buses: Dict::from_entries(buses),
             runs: SignalRuns::new(signals.len()),
         }
     }

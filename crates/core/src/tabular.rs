@@ -73,17 +73,6 @@ pub(crate) fn ingest(
     Ok(DataFrame::from_partitions(schema, batches)?)
 }
 
-/// Per-column null counts of a batch, in schema order (via
-/// [`Column::null_count`]). The interpretation kernel gates its null-free
-/// fast paths on columns reporting zero here — `bus`/`m_id`/`payload` are
-/// null-free by construction for every frame built by [`trace_to_frame`]
-/// or scanned from an `.ivns` store.
-pub fn null_counts(batch: &Batch) -> Vec<usize> {
-    (0..batch.schema().len())
-        .map(|i| batch.column(i).null_count())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,8 +115,7 @@ mod tests {
     fn trace_frames_are_null_free() {
         let df = trace_to_frame(&trace(6), 2).unwrap();
         for batch in df.partitions() {
-            assert!(null_counts(batch).iter().all(|&n| n == 0));
-            assert!((0..batch.schema().len()).all(|i| !batch.column(i).has_nulls()));
+            assert!(batch.columns().iter().all(|col| col.null_count() == 0));
         }
     }
 

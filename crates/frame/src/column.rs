@@ -240,21 +240,6 @@ impl Column {
         }
     }
 
-    /// `true` if any cell is null. Early-exits on the first null, so
-    /// kernels can cheaply gate a null-free fast path.
-    pub fn has_nulls(&self) -> bool {
-        fn any_null<T>(v: &[Option<T>]) -> bool {
-            v.iter().any(|x| x.is_none())
-        }
-        match self {
-            Column::Bool(v) => any_null(v),
-            Column::Int(v) => any_null(v),
-            Column::Float(v) => any_null(v),
-            Column::Str(v) => any_null(v),
-            Column::Bytes(v) => any_null(v),
-        }
-    }
-
     /// Borrows the boolean cells, if this is a bool column.
     pub fn as_bool_slice(&self) -> Option<&[Option<bool>]> {
         match self {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use ivnt::cluster::codec::encode_batch;
 use ivnt::core::interpret::{extract_signals, signal_schema};
 use ivnt::core::prelude::*;
-use ivnt::core::split::split_by_signal;
+use ivnt::core::split::{split_by_signal, Selection};
 use ivnt::core::tabular::{columns as c, raw_schema, trace_to_frame};
 use ivnt::frame::prelude::*;
 use ivnt::protocol::message::Protocol;
@@ -315,7 +315,14 @@ fn kernel_sequences_match_split_of_extract() {
         for chunk in [records.len(), 97, 1] {
             for (i, slice) in records.chunks(chunk).take(40).enumerate() {
                 let batch = records_to_batch(raw_schema(), slice).expect("batch");
-                let got = p.kernel().sequences(&batch).expect("sequences");
+                let got = p
+                    .kernel()
+                    .coded_sequences(&batch)
+                    .expect("coded sequences")
+                    .iter()
+                    .map(|s| s.to_sequence(&Selection::All))
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("sequences");
                 let raw = DataFrame::from_partitions(raw_schema(), vec![batch]).expect("raw");
                 let ks = extract_signals(&raw, p.u_comb()).expect("extract");
                 let tag = format!("{} chunk {chunk} #{i}", case.name);

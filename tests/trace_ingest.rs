@@ -11,7 +11,7 @@ use std::sync::Arc;
 use ivnt::cluster::codec::encode_batch;
 use ivnt::core::interpret::{extract_signals, interpret};
 use ivnt::core::prelude::*;
-use ivnt::core::tabular::{null_counts, raw_schema, trace_to_frame};
+use ivnt::core::tabular::{raw_schema, trace_to_frame};
 use ivnt::frame::prelude::*;
 use ivnt::protocol::message::Protocol;
 use ivnt::protocol::SignalSpec;
@@ -324,7 +324,7 @@ fn columnar_frame_equals_the_row_wise_frame() {
         assert!(frame
             .partitions()
             .iter()
-            .all(|batch| null_counts(batch).iter().all(|&n| n == 0)));
+            .all(|batch| batch.columns().iter().all(|col| col.null_count() == 0)));
     }
 
     // Every row of one bus shares the trace's `Arc` (the kernel learns
