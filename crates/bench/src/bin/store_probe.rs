@@ -23,13 +23,14 @@
 //!   per-call cost dominates both sides, so this ratio barely moves when
 //!   the scan does), and
 //! * the store scan must test keys before it materializes payloads:
-//!   `store_scan_columns` — the row-materializing scan the columnar core
-//!   replaced (every admitted chunk decoded to records, filtered, sorted,
-//!   `records_to_batch`) over the columnar scan (`scan_columns` +
-//!   `GroupColumns::to_batch`) under the domain's predicate, the median
-//!   ratio of interleaved pairs — must stay at or above
-//!   [`MIN_SCAN_COLUMNS_SPEEDUP`]. The public row views (`scan`,
-//!   `scan_indexed`) sit over the core, so they cannot be the baseline.
+//!   `store_scan_columns` — scan plus kernel through the row-materializing
+//!   scan the columnar core replaced (every admitted chunk decoded to
+//!   records, filtered, sorted, `records_to_batch`, kernel) over what a
+//!   session runs (`scan_columns`, the kernel over each group's columns)
+//!   under the domain's predicate, the median ratio of interleaved pairs —
+//!   must stay at or above [`MIN_SCAN_COLUMNS_SPEEDUP`]. The public row
+//!   views (`scan`, `scan_indexed`) sit over the core, so they cannot be
+//!   the baseline.
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
@@ -42,6 +43,7 @@ use ivnt_bench::{
     covered_fraction, domain_pipeline, env_f64, median_secs, paired_secs, scale,
     select_signals_for_fraction, time_secs,
 };
+use ivnt_core::interpret::Kernel;
 use ivnt_core::pipeline::RunOptions;
 use ivnt_frame::batch::Batch;
 use ivnt_store::layout::{checksum, decode_chunk};
@@ -66,10 +68,12 @@ const SCAN_PAIRS: usize = 15;
 /// decoded row again would read about 1.
 const MIN_SCAN_COLUMNS_SPEEDUP: f64 = 2.0;
 
-/// Seconds to scan `path` under `pred` into one raw batch per group,
-/// through the columnar core (`columns`) or the row-materializing scan it
-/// replaced; both sides also return their batches, which must agree.
-fn scan_secs(path: &Path, pred: &Predicate, columns: bool) -> (f64, Vec<Batch>) {
+/// Seconds to scan `path` under `pred` and decode each group's rows into
+/// `K_s` with `kernel`, through the columnar core (`columns`: the kernel
+/// reads the scan's columns) or the row-materializing scan it replaced
+/// (the kernel reads a raw batch per group); both sides also return their
+/// `K_s` batches, which must agree.
+fn scan_secs(path: &Path, pred: &Predicate, kernel: &Kernel, columns: bool) -> (f64, Vec<Batch>) {
     let schema = raw_trace_schema();
     let t0 = Instant::now();
     let mut reader = StoreReader::open(path).expect("open");
@@ -78,7 +82,7 @@ fn scan_secs(path: &Path, pred: &Predicate, columns: bool) -> (f64, Vec<Batch>) 
     if columns {
         reader
             .scan_columns::<Error, _>(std::slice::from_ref(&compiled), |group| {
-                batches.push(group.to_batch(schema.clone())?);
+                batches.push(kernel.extract_batch(group).expect("kernel"));
                 Ok(())
             })
             .expect("columnar scan");
@@ -92,7 +96,8 @@ fn scan_secs(path: &Path, pred: &Predicate, columns: bool) -> (f64, Vec<Batch>) 
             if !pending.is_empty() {
                 pending.sort_by_key(|r| r.index);
                 let rows = pending.iter().map(|r| &r.record);
-                batches.push(records_to_batch(schema.clone(), rows).expect("batch"));
+                let raw = records_to_batch(schema.clone(), rows).expect("batch");
+                batches.push(kernel.extract_batch(&raw).expect("kernel"));
                 pending.clear();
             }
         };
@@ -266,18 +271,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows_out: frame.num_rows(),
     });
 
-    // The scan alone, columnar core vs the row-materializing scan, same
-    // predicate, same batches.
+    // Scan plus kernel, columnar core vs the row-materializing scan, same
+    // predicate, same `K_s`.
     let pred = pipeline.store_predicate();
+    let kernel = pipeline.kernel();
     assert_eq!(
-        scan_secs(&path, &pred, true).1,
-        scan_secs(&path, &pred, false).1,
-        "columnar and row scans diverged"
+        scan_secs(&path, &pred, kernel, true).1,
+        scan_secs(&path, &pred, kernel, false).1,
+        "columnar and row scans decoded different K_s"
     );
     let scan = paired_secs(
         SCAN_PAIRS,
-        || scan_secs(&path, &pred, false).0,
-        || scan_secs(&path, &pred, true).0,
+        || scan_secs(&path, &pred, kernel, false).0,
+        || scan_secs(&path, &pred, kernel, true).0,
     );
     let (row_scan_secs, columns_scan_secs, scan_columns_speedup) =
         (scan.a_secs, scan.b_secs, scan.a_over_b);

@@ -16,7 +16,7 @@ use crate::output::{self, JsonWriter};
 
 /// Valueless flags; everything else is `--key value`.
 pub const SWITCHES: &[&str] = &[
-    "json", "once", "verify", "timing", "serial", "metrics", "stdin", "no-seal",
+    "json", "once", "verify", "timing", "serial", "metrics", "stdin", "no-seal", "help",
 ];
 
 type CmdResult = Result<(), String>;

@@ -21,6 +21,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // `--help` after a command asks for the usage `ivnt --help` prints.
+    if parsed.has("help") {
+        print!("{}", commands::usage());
+        return;
+    }
     let result = match command.as_str() {
         "record" => commands::record(&parsed),
         "inspect" => commands::inspect(&parsed),

@@ -1,8 +1,9 @@
 //! Trace-file smoke test over the real binary: `record` writes an `.ivns`
 //! store that `inspect`, `run` and `extract` read back, the parallel and
 //! serial runs agree byte for byte, `run --timing` adds its span tree and
-//! changes nothing else, `query` honours `--workers`, and files that are
-//! not stores fail with a typed `error:` line instead of a panic.
+//! changes nothing else, `query` honours `--workers`, `--help` after a
+//! command prints the usage, and files that are not stores fail with a
+//! typed `error:` line instead of a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -33,6 +34,25 @@ fn ivnt_ok(verb: &[&str], extra: &[&str], file: &Path) -> String {
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ivnt-trace-cli-{tag}-{}", std::process::id()))
+}
+
+#[test]
+fn help_after_a_command_prints_the_usage() {
+    let usage = Command::new(env!("CARGO_BIN_EXE_ivnt"))
+        .arg("--help")
+        .output()
+        .expect("ivnt runs");
+    assert!(usage.status.success());
+    assert!(String::from_utf8_lossy(&usage.stdout).starts_with("ivnt — "));
+    for command in ["run", "query"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ivnt"))
+            .args([command, "--help"])
+            .output()
+            .expect("ivnt runs");
+        assert!(out.status.success(), "{command} --help: {out:?}");
+        assert_eq!(out.stdout, usage.stdout, "{command} --help");
+        assert!(out.stderr.is_empty(), "{command} --help: {out:?}");
+    }
 }
 
 #[test]

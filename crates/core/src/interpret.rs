@@ -23,6 +23,9 @@
 //!   decode loop serves every rule id band: a narrow band prefilters rows
 //!   through a cache-resident id table, a wide one (ids spread over more
 //!   than 65 536 values) sends every row with an id to the exact probe.
+//!   The same loop reads either row container ([`RawRows`]): a raw-trace
+//!   [`Batch`] (in-memory traces, the public `K_s` API) or the store's
+//!   [`GroupColumns`] (scans, stream micro-batches), decoded in place.
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
@@ -30,7 +33,7 @@ use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
 use ivnt_protocol::signal::PhysicalValue;
-use ivnt_store::Record;
+use ivnt_store::{GroupColumns, Record};
 
 use crate::error::Result;
 use crate::rules::{load_window, DecodePlan, PlanDecoded, Rule, RuleSet};
@@ -196,17 +199,17 @@ struct RuleLut {
     prefilter: MidFilter,
 }
 
-/// Per-partition probe state, two memos deep.
+/// Probe state of a raw batch or record slice, two memos deep.
 ///
 /// * The last key and its result: cyclic traffic repeats one
 ///   `(bus, m_id)` key for stretches, so every later row of such a run
 ///   costs one pointer-and-int compare and no LUT probe.
 /// * A learned table of bus `Arc` data pointers. Records share one
 ///   interned `Arc<str>` per bus and `records_to_batch` clones those
-///   `Arc`s into the frame (a store scan clones the footer dictionary's),
-///   so a partition sees only a handful of distinct pointers — each
-///   resolved by string lookup once and by pointer comparison ever after,
-///   even when adjacent rows alternate between buses (gateway copies).
+///   `Arc`s into the frame, so a partition sees only a handful of
+///   distinct pointers — each resolved by string lookup once and by
+///   pointer comparison ever after, even when adjacent rows alternate
+///   between buses (gateway copies).
 ///   Unknown buses are learned too, so their rows stay on the pointer
 ///   path.
 struct ProbeState {
@@ -945,6 +948,24 @@ impl EmitSink for SignalRuns {
 }
 
 impl Kernel {
+    /// `rows` decoded into `out`.
+    ///
+    /// # Panics
+    ///
+    /// When a mask's length differs from its container's row count.
+    fn decode<S: EmitSink>(&self, rows: RawRows<'_>, out: &mut S) -> ivnt_frame::Result<()> {
+        match rows {
+            RawRows::Batch(batch) => decode_rows(self, BatchRows::new(batch)?, out),
+            RawRows::Columns(rows, mask) => {
+                if let Some(mask) = mask {
+                    assert_eq!(mask.len(), rows.len(), "one mask flag per row");
+                }
+                decode_rows(self, ColumnRows::new(rows, mask, &self.lut), out);
+            }
+        }
+        Ok(())
+    }
+
     /// `K_s` of `raw`, one output partition per input partition, mapped
     /// over `raw`'s executor.
     ///
@@ -958,14 +979,14 @@ impl Kernel {
         Ok(DataFrame::from_partitions(signal_schema(), parts)?.with_executor(raw.executor()))
     }
 
-    /// `K_s` of one raw batch.
+    /// `K_s` of one raw batch or store row container.
     ///
     /// # Errors
     ///
-    /// Propagates tabular-engine failures.
-    pub fn extract_batch(&self, raw: &Batch) -> Result<Batch> {
+    /// Propagates tabular-engine failures (a batch of another shape).
+    pub fn extract_batch<'a>(&self, raw: impl Into<RawRows<'a>>) -> Result<Batch> {
         let mut out = Builders::default();
-        decode_batch(self, raw, &mut out)?;
+        self.decode(raw.into(), &mut out)?;
         Ok(out.into_batch(&signal_schema(), self)?)
     }
 
@@ -987,9 +1008,9 @@ impl Kernel {
     /// # Errors
     ///
     /// Propagates tabular-engine failures.
-    pub(crate) fn extract_routed(
+    pub(crate) fn extract_routed<'a>(
         &self,
-        raw: &Batch,
+        raw: impl Into<RawRows<'a>>,
         n_routes: usize,
         route_of: impl Fn(&str) -> usize,
     ) -> Result<Vec<Batch>> {
@@ -1004,7 +1025,7 @@ impl Kernel {
             route: &route,
             outs: (0..=n_routes).map(|_| Builders::default()).collect(),
         };
-        decode_batch(self, raw, &mut out)?;
+        self.decode(raw.into(), &mut out)?;
         out.outs.pop(); // discard lane
         let schema = signal_schema();
         out.outs
@@ -1013,10 +1034,14 @@ impl Kernel {
             .collect()
     }
 
-    /// One raw batch decoded into `runs`, a sink of this kernel's
-    /// [`sequence_builder`](Kernel::sequence_builder).
-    pub(crate) fn decode_runs(&self, raw: &Batch, runs: &mut SignalRuns) -> Result<()> {
-        Ok(decode_batch(self, raw, runs)?)
+    /// One raw batch or store row container decoded into `runs`, a sink
+    /// of this kernel's [`sequence_builder`](Kernel::sequence_builder).
+    pub(crate) fn decode_runs<'a>(
+        &self,
+        raw: impl Into<RawRows<'a>>,
+        runs: &mut SignalRuns,
+    ) -> Result<()> {
+        Ok(self.decode(raw.into(), runs)?)
     }
 
     /// A [`SequenceBuilder`] over this kernel's signal and bus codes.
@@ -1024,14 +1049,15 @@ impl Kernel {
         SequenceBuilder::with_dictionaries(&self.signal_names, &self.lut.interner.buses)
     }
 
-    /// Lines 3–8 of one raw batch (a stream micro-batch): decoded straight
-    /// into per-signal coded sequences, the rows of
-    /// `split_by_signal(&extract_signals(..))` without the table between.
+    /// Lines 3–8 of one raw batch or store row container (a stream
+    /// micro-batch): decoded straight into per-signal coded sequences, the
+    /// rows of `split_by_signal(&extract_signals(..))` without the table
+    /// between.
     ///
     /// # Errors
     ///
     /// Propagates tabular-engine failures.
-    pub fn coded_sequences(&self, raw: &Batch) -> Result<Vec<CodedSequence>> {
+    pub fn coded_sequences<'a>(&self, raw: impl Into<RawRows<'a>>) -> Result<Vec<CodedSequence>> {
         let mut builder = self.sequence_builder();
         self.decode_runs(raw, builder.runs_mut())?;
         Ok(builder.finish())
@@ -1045,84 +1071,234 @@ impl Kernel {
     }
 }
 
-/// One raw batch through the batch-columnar kernel into `out`, told the
-/// batch's emission bound first. Generic over the sink so the table,
-/// routed and per-signal paths share every decode line.
-///
-/// Two passes. The admit pass reads the id column alone: a banded
-/// prefilter rejects the ~95+% misses on a single cache-hot table load,
-/// with no bus access and no probe state; a wide one admits every row
-/// with an id. The decode pass then walks the (short) candidate list with
-/// a two-stage software-prefetch pipeline: admitted rows sit ~dozens of
-/// rows apart, a stride the hardware prefetcher cannot follow, so the
-/// `t`/payload cells (and the payload heap block behind the `Arc`) are
-/// pulled in ahead of use instead of serializing four cache misses per
-/// hit. Each candidate is probed through the [`ProbeState`] memo, so a
-/// run of equal `(bus, m_id)` keys costs one LUT probe.
-fn decode_batch<S: EmitSink>(
-    kernel: &Kernel,
-    batch: &Batch,
-    out: &mut S,
-) -> ivnt_frame::Result<()> {
-    let schema = batch.schema();
-    let ts = float_column(batch, schema.index_of(c::T)?)?;
-    let buses = str_column(batch, schema.index_of(c::BUS)?)?;
-    let mids = int_column(batch, schema.index_of(c::MESSAGE_ID)?)?;
-    let payloads = bytes_column(batch, schema.index_of(c::PAYLOAD)?)?;
+/// The row containers the kernel decodes. Both go through one decode
+/// loop, compiled once per container.
+#[derive(Debug, Clone, Copy)]
+pub enum RawRows<'a> {
+    /// A raw-trace batch (`raw_trace_schema`).
+    Batch(&'a Batch),
+    /// A store row container, restricted to the rows a mask (one flag per
+    /// row) sets when one is given: rows keep their codes and their
+    /// payloads stay slices of its arena.
+    Columns(&'a GroupColumns, Option<&'a [bool]>),
+}
 
-    let mut cand: Vec<(u32, i64)> = Vec::new();
-    match &kernel.lut.prefilter {
+impl<'a> From<&'a Batch> for RawRows<'a> {
+    fn from(batch: &'a Batch) -> RawRows<'a> {
+        RawRows::Batch(batch)
+    }
+}
+
+impl<'a> From<&'a GroupColumns> for RawRows<'a> {
+    fn from(rows: &'a GroupColumns) -> RawRows<'a> {
+        RawRows::Columns(rows, None)
+    }
+}
+
+/// One row container as the decode loop reads it, with its probe memo.
+trait RowSource {
+    /// The admit pass: appends `(row, id)` for every row whose message id
+    /// `filter` admits.
+    fn admit(&self, filter: &MidFilter, cand: &mut Vec<(u32, i64)>);
+    /// The row's `(rule group, kernel bus id)`, or `None` when no rule
+    /// reads its `(bus, m_id)`.
+    fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)>;
+    /// The row's timestamp (s) and payload.
+    fn cells(&self, row: usize) -> (Option<f64>, Option<&[u8]>);
+    /// Requests the row's cells ahead of use.
+    fn prefetch_cells(&self, row: usize);
+    /// Requests the row's payload bytes ahead of use.
+    fn prefetch_payload(&self, row: usize);
+}
+
+/// The admit pass over a container's message ids (`None`: a null id or a
+/// masked-out row). A banded prefilter rejects the ~95+% misses on a
+/// single cache-hot table load; a wide one admits every row with an id.
+#[inline(always)]
+fn admit_ids(
+    filter: &MidFilter,
+    ids: impl Iterator<Item = Option<i64>>,
+    cand: &mut Vec<(u32, i64)>,
+) {
+    match filter {
         MidFilter::Band { min, set } => {
-            let min = *min;
-            for (row, mid) in mids.iter().enumerate() {
+            for (row, id) in ids.enumerate() {
                 // Branchless null fold: the sentinel can never be
                 // admitted (see `MidFilter::build`), so admitted `m` is
                 // always the row's real id.
-                let m = mid.unwrap_or(i64::MIN);
-                if band_admits(min, set, m) {
+                let m = id.unwrap_or(i64::MIN);
+                if band_admits(*min, set, m) {
                     cand.push((row as u32, m));
                 }
             }
         }
         MidFilter::Wide => {
-            for (row, mid) in mids.iter().enumerate() {
-                if let Some(m) = *mid {
+            for (row, id) in ids.enumerate() {
+                if let Some(m) = id {
                     cand.push((row as u32, m));
                 }
             }
         }
     }
+}
 
+/// A raw batch's columns, probed through the learned bus pointers.
+struct BatchRows<'a> {
+    ts: &'a [Option<f64>],
+    buses: &'a [Option<Arc<str>>],
+    mids: &'a [Option<i64>],
+    payloads: &'a [Option<Arc<[u8]>>],
+    probe: ProbeState,
+}
+
+impl<'a> BatchRows<'a> {
+    fn new(batch: &'a Batch) -> ivnt_frame::Result<BatchRows<'a>> {
+        let schema = batch.schema();
+        Ok(BatchRows {
+            ts: float_column(batch, schema.index_of(c::T)?)?,
+            buses: str_column(batch, schema.index_of(c::BUS)?)?,
+            mids: int_column(batch, schema.index_of(c::MESSAGE_ID)?)?,
+            payloads: bytes_column(batch, schema.index_of(c::PAYLOAD)?)?,
+            probe: ProbeState::new(),
+        })
+    }
+}
+
+impl RowSource for BatchRows<'_> {
+    fn admit(&self, filter: &MidFilter, cand: &mut Vec<(u32, i64)>) {
+        admit_ids(filter, self.mids.iter().copied(), cand);
+    }
+
+    #[inline]
+    fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)> {
+        // Null buses never match a rule (inner-join semantics).
+        lut.probe_group(self.buses[row].as_ref()?, mid, &mut self.probe)
+    }
+
+    #[inline]
+    fn cells(&self, row: usize) -> (Option<f64>, Option<&[u8]>) {
+        (self.ts[row], self.payloads[row].as_deref())
+    }
+
+    #[inline]
+    fn prefetch_cells(&self, row: usize) {
+        prefetch(&raw const self.payloads[row]);
+        prefetch(&raw const self.ts[row]);
+        prefetch(&raw const self.buses[row]);
+    }
+
+    #[inline]
+    fn prefetch_payload(&self, row: usize) {
+        // The cell is warm by now: chase the `Arc` to its heap block.
+        if let Some(p) = self.payloads[row].as_ref() {
+            prefetch(p.as_ptr());
+        }
+    }
+}
+
+/// A store container's rows (those of `mask` only, when given). Each
+/// dictionary code's kernel bus id is resolved by name once per decode
+/// call, behind a last-key memo on `(code, m_id)`.
+struct ColumnRows<'a> {
+    rows: &'a GroupColumns,
+    mask: Option<&'a [bool]>,
+    bus_ids: Vec<Option<u32>>,
+    last: (u32, i64),
+    last_hit: Option<(u32, u32)>,
+}
+
+impl<'a> ColumnRows<'a> {
+    fn new(rows: &'a GroupColumns, mask: Option<&'a [bool]>, lut: &RuleLut) -> ColumnRows<'a> {
+        let bus_ids = rows.buses().iter().map(|b| lut.interner.id_of(b));
+        ColumnRows {
+            rows,
+            mask,
+            bus_ids: bus_ids.collect(),
+            // Message ids are `u32`, so no row's key equals this one.
+            last: (0, i64::MIN),
+            last_hit: None,
+        }
+    }
+}
+
+impl RowSource for ColumnRows<'_> {
+    fn admit(&self, filter: &MidFilter, cand: &mut Vec<(u32, i64)>) {
+        let ids = self.rows.message_ids().iter().map(|&m| i64::from(m));
+        match self.mask {
+            None => admit_ids(filter, ids.map(Some), cand),
+            Some(mask) => {
+                let kept = ids.zip(mask).map(|(m, &keep)| keep.then_some(m));
+                admit_ids(filter, kept, cand);
+            }
+        }
+    }
+
+    #[inline]
+    fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)> {
+        let key = (self.rows.bus_codes()[row], mid);
+        if self.last != key {
+            let bid = self.bus_ids.get(key.0 as usize).copied().flatten();
+            self.last_hit = bid.and_then(|bid| Some((lut.by_bus[bid as usize].get(mid)?, bid)));
+            self.last = key;
+        }
+        self.last_hit
+    }
+
+    #[inline]
+    fn cells(&self, row: usize) -> (Option<f64>, Option<&[u8]>) {
+        // The seconds `Record::timestamp_s` gives.
+        let t = self.rows.t_us()[row] as f64 / 1e6;
+        (Some(t), Some(self.rows.payload(row)))
+    }
+
+    #[inline]
+    fn prefetch_cells(&self, row: usize) {
+        prefetch(&raw const self.rows.t_us()[row]);
+        prefetch(&raw const self.rows.bus_codes()[row]);
+    }
+
+    #[inline]
+    fn prefetch_payload(&self, row: usize) {
+        prefetch(self.rows.payload(row).as_ptr());
+    }
+}
+
+/// One row container through the batch-columnar kernel into `out`, told
+/// the container's emission bound first. Generic over the sink so the
+/// table, routed and per-signal paths share every decode line, and over
+/// the container so both decode in place.
+///
+/// Two passes. The admit pass reads the id column alone, with no bus
+/// access and no probe state (`admit_ids`). The decode pass then walks
+/// the (short) candidate list with a two-stage software-prefetch
+/// pipeline: admitted rows sit ~dozens of rows apart, a stride the
+/// hardware prefetcher cannot follow, so a row's cells (and then its
+/// payload bytes) are pulled in ahead of use instead of serializing
+/// several cache misses per hit. Each candidate is probed through the
+/// container's memo, so a run of equal `(bus, m_id)` keys costs one LUT
+/// probe.
+fn decode_rows<R: RowSource, S: EmitSink>(kernel: &Kernel, mut rows: R, out: &mut S) {
+    let mut cand: Vec<(u32, i64)> = Vec::new();
+    rows.admit(&kernel.lut.prefilter, &mut cand);
     let widest = kernel.lut.groups.iter().map(Vec::len).max().unwrap_or(0);
     out.reserve(cand.len() * widest);
-    let mut probe = ProbeState::new();
-    // Far stage: request the column cells of the row `FAR` candidates
-    // ahead; near stage: their cells are warm by now, so chase the
-    // payload `Arc` and request its heap block.
+    // Far stage: request the cells of the row `FAR` candidates ahead;
+    // near stage: those are warm by now, so request the payload.
     const FAR: usize = 32;
     const NEAR: usize = 16;
     for (i, &(row, mid)) in cand.iter().enumerate() {
-        let row = row as usize;
         if let Some(&(ahead, _)) = cand.get(i + FAR) {
-            let ahead = ahead as usize;
-            prefetch(&raw const payloads[ahead]);
-            prefetch(&raw const ts[ahead]);
-            prefetch(&raw const buses[ahead]);
+            rows.prefetch_cells(ahead as usize);
         }
         if let Some(&(near, _)) = cand.get(i + NEAR) {
-            if let Some(p) = payloads[near as usize].as_ref() {
-                prefetch(p.as_ptr());
-            }
+            rows.prefetch_payload(near as usize);
         }
-        // Null buses never match a rule (inner-join semantics).
-        let Some(bus) = buses[row].as_ref() else {
-            continue;
-        };
-        if let Some((group, bus_id)) = kernel.lut.probe_group(bus, mid, &mut probe) {
-            kernel.dispatch_row(group, payloads[row].as_deref(), ts[row], bus_id, out);
+        let row = row as usize;
+        if let Some((group, bus_id)) = rows.probe(&kernel.lut, row, mid) {
+            let (t, payload) = rows.cells(row);
+            kernel.dispatch_row(group, payload, t, bus_id, out);
         }
     }
-    Ok(())
 }
 
 /// Fused interpretation (lines 3–6 in one kernel), batch-columnar: rules
@@ -1338,6 +1514,125 @@ mod tests {
                 scalar.collect_rows().unwrap(),
                 reference,
                 "scalar fused != reference at {parts} partitions"
+            );
+        }
+    }
+
+    /// `n_msgs` messages of two 12-bit signals each (the second labeled,
+    /// so most of its instances take the unlabeled-raw path), alternating
+    /// buses FC and DC; ids past the first sit `offset` higher, so `1 <<
+    /// 17` spreads them past the id band table.
+    fn banded_rules(n_msgs: u32, offset: u32) -> RuleSet {
+        let mut catalog = Catalog::new();
+        for m in 0..n_msgs {
+            let id = m + 1 + if m > 0 { offset } else { 0 };
+            let bus = ["FC", "DC"][m as usize % 2];
+            let message = MessageSpec::builder(id, format!("M{id}"), bus, Protocol::Can)
+                .dlc(8)
+                .signal(
+                    SignalSpec::builder(format!("a{m}"), 0, 12)
+                        .factor(0.5)
+                        .build()
+                        .unwrap(),
+                )
+                .signal(
+                    SignalSpec::builder(format!("b{m}"), 16, 12)
+                        .labels([(0u64, "A"), (1, "B")])
+                        .build()
+                        .unwrap(),
+                )
+                .build()
+                .unwrap();
+            catalog.add_message(message).unwrap();
+        }
+        RuleSet::from_catalog(&catalog)
+    }
+
+    /// Bus names in the store dictionary's code order, which differs from
+    /// the kernel's (FC, DC) and holds buses no rule names.
+    const DICTIONARY: [&str; 4] = ["GW", "DC", "XX", "FC"];
+
+    /// Every sink's output of `rows` under `kernel`: `K_s`, the routed
+    /// partitions and the per-signal sequences as frames.
+    fn sink_outputs(
+        kernel: &Kernel,
+        rows: RawRows<'_>,
+    ) -> (Batch, Vec<Batch>, Vec<Vec<Vec<Value>>>) {
+        let ks = kernel.extract_batch(rows).unwrap();
+        // Two routes by the signal's message, the rest to the discard lane.
+        let routed = kernel
+            .extract_routed(rows, 2, |name| usize::from(name.as_bytes()[1] - b'0'))
+            .unwrap();
+        let seqs = kernel
+            .coded_sequences(rows)
+            .unwrap()
+            .iter()
+            .map(|seq| {
+                let frame = seq
+                    .to_sequence(&crate::split::Selection::All)
+                    .unwrap()
+                    .frame;
+                frame.collect_rows().unwrap()
+            })
+            .collect();
+        (ks, routed, seqs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The kernel over a store row container equals the kernel over
+        /// `records_to_batch` of the same rows through all three sinks,
+        /// whole and under a row mask.
+        #[test]
+        fn columns_decode_like_their_batch(
+            n_msgs in 1u32..=3,
+            offset in proptest::sample::select(vec![0u32, 1 << 17]),
+            rows in proptest::collection::vec(
+                (
+                    0usize..DICTIONARY.len(),
+                    // Slot 0: an id no rule reads; slot k: message k's id.
+                    0u32..=4,
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..10),
+                    0u64..10_000_000,
+                    proptest::prelude::any::<bool>(),
+                ),
+                0..120,
+            ),
+        ) {
+            use ivnt_store::schema::{raw_trace_schema, records_to_batch};
+            let kernel = Kernel::compile(&banded_rules(n_msgs, offset));
+            let names: Vec<Arc<str>> = DICTIONARY.iter().map(|&b| Arc::from(b)).collect();
+            let records: Vec<Record> = rows
+                .iter()
+                .map(|(bus, slot, payload, t_us, _)| Record {
+                    timestamp_us: *t_us,
+                    bus: names[*bus].clone(),
+                    message_id: if *slot == 0 { 0 } else { slot + if *slot > 1 { offset } else { 0 } },
+                    payload: payload.clone(),
+                    protocol: Protocol::Can,
+                })
+                .collect();
+            let mut columns = GroupColumns::default();
+            for name in DICTIONARY {
+                columns.intern_bus(name);
+            }
+            for r in &records {
+                let bus = columns.intern_bus(&r.bus);
+                columns.push_row(r.timestamp_us, bus, r.message_id, r.protocol, &r.payload);
+            }
+            let batch = records_to_batch(raw_trace_schema(), &records).unwrap();
+            proptest::prop_assert_eq!(
+                sink_outputs(&kernel, RawRows::Columns(&columns, None)),
+                sink_outputs(&kernel, RawRows::Batch(&batch))
+            );
+
+            let mask: Vec<bool> = rows.iter().map(|row| row.4).collect();
+            let kept = records.iter().zip(&mask).filter(|(_, &keep)| keep).map(|(r, _)| r);
+            let batch = records_to_batch(raw_trace_schema(), kept).unwrap();
+            proptest::prop_assert_eq!(
+                sink_outputs(&kernel, RawRows::Columns(&columns, Some(&mask))),
+                sink_outputs(&kernel, RawRows::Batch(&batch))
             );
         }
     }

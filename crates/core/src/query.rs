@@ -46,7 +46,7 @@ use ivnt_obs::Stopwatch;
 use ivnt_store::{CompiledPredicate, ScanStats, StoreReader};
 
 use crate::error::{Error, Result};
-use crate::interpret::{signal_schema, Kernel};
+use crate::interpret::{signal_schema, Kernel, RawRows};
 use crate::pipeline::{Pipeline, PipelineOutput};
 use crate::rules::{Rule, RuleSet};
 use crate::split::{CodedSequence, SequenceBuilder};
@@ -270,7 +270,6 @@ pub(crate) fn scan_store<R: Read + Seek>(
     let mut parts: Vec<Vec<Batch>> = vec![Vec::new(); n];
     let mut stats = vec![QueryStats::default(); n];
 
-    let raw_schema = crate::tabular::raw_schema();
     let mut memo = KeyMemo::default();
     // The shared path routes by signal inside the kernel, so it only needs
     // each query's row count: rows per memo key, `touched` keys first.
@@ -340,17 +339,16 @@ pub(crate) fn scan_store<R: Read + Seek>(
             stats.groups += u32::from(*h);
         }
 
-        let raw = group.to_batch(raw_schema.clone())?;
         match &union {
             // One union-kernel pass into the one builder; the signals are
             // handed to their owners once the scan is done.
-            Some(union) if sequences => union.decode_runs(&raw, builders[0].runs_mut())?,
+            Some(union) if sequences => union.decode_runs(group, builders[0].runs_mut())?,
             // One union-kernel pass, emissions routed by signal owner
             // inside the kernel (see `Kernel::extract_routed`).
             Some(union) => {
                 // `n` is the discard lane; unreachable for union rules.
                 let routed =
-                    union.extract_routed(&raw, n, |name| owner.get(name).copied().unwrap_or(n))?;
+                    union.extract_routed(group, n, |name| owner.get(name).copied().unwrap_or(n))?;
                 for (qi, batch) in routed.into_iter().enumerate() {
                     // A query gets a (possibly empty) partition exactly
                     // when its solo scan would have emitted this group.
@@ -363,13 +361,8 @@ pub(crate) fn scan_store<R: Read + Seek>(
             // row subset (with one query: every row) with its own kernel.
             None => {
                 for qi in (0..n).filter(|&qi| hit[qi]) {
-                    let filtered;
-                    let own = if n == 1 {
-                        &raw
-                    } else {
-                        filtered = raw.filter(&masks[qi * rows..(qi + 1) * rows])?;
-                        &filtered
-                    };
+                    let mask = (n > 1).then(|| &masks[qi * rows..(qi + 1) * rows]);
+                    let own = RawRows::Columns(group, mask);
                     let kernel = queries[qi].pipeline.kernel();
                     if sequences {
                         kernel.decode_runs(own, builders[qi].runs_mut())?;

@@ -847,7 +847,7 @@ impl<R: Read + Seek> StoreFollower<R> {
             let bytes = &self.chunks[at..at + meta.len as usize];
             at += bytes.len();
             match decode_chunk_columns(bytes, self.rows.buses.len()) {
-                Ok(chunk) => (0..chunk.len()).for_each(|i| self.rows.push_decoded(&chunk, i)),
+                Ok(chunk) => self.rows.push_decoded(&chunk, 0..chunk.len()),
                 Err(e) => {
                     self.rows.clear();
                     self.rows.buses.truncate(known);
@@ -855,7 +855,8 @@ impl<R: Read + Seek> StoreFollower<R> {
                 }
             }
         }
-        self.rows.restore_order();
+        // Every row of the frame was decoded, so each may take a slot.
+        self.rows.restore_order(self.rows.len());
         let records = self.rows.records();
         self.rows.clear();
         Ok(records)

@@ -4,16 +4,18 @@
 //! against the container's own dictionary. The same type carries a scan's
 //! surviving rows, a live source's batch on its way to the writer, the
 //! writers' pending groups and the follower's decoded frame, so no row
-//! becomes a per-row struct before a caller asks for records.
+//! becomes a per-row struct before a caller asks for records. The
+//! interpretation kernel decodes it in place: its accessors are the
+//! kernel's row source, so no raw-trace batch sits between a scan and
+//! `K_s`.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use ivnt_frame::prelude::{Batch, Column, Schema};
 use ivnt_protocol::message::Protocol;
 
-use crate::error::Result;
 use crate::layout::{ChunkColumns, IndexedRecord};
-use crate::record::{protocol_tag, Record};
+use crate::record::Record;
 
 /// Rows as key columns plus one payload arena — a scan's surviving rows
 /// of one row group (in original trace order once emitted), or a batch of
@@ -27,8 +29,8 @@ pub struct GroupColumns {
     pub(crate) bus: Vec<u32>,
     pub(crate) mid: Vec<u32>,
     pub(crate) protocol: Vec<Protocol>,
-    /// `[start, end)` of each row's payload in `arena`, which batches and
-    /// row views each copy out of once.
+    /// `[start, end)` of each row's payload in `arena`, which row views
+    /// copy out of and the kernel reads in place.
     spans: Vec<(usize, usize)>,
     arena: Vec<u8>,
     /// The dictionary `bus` codes index.
@@ -51,6 +53,31 @@ impl GroupColumns {
     /// tests.
     pub fn keys(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         (0..self.len()).map(|i| (self.bus[i], self.mid[i], self.t_us[i]))
+    }
+
+    /// Each row's timestamp (µs).
+    pub fn t_us(&self) -> &[u64] {
+        &self.t_us
+    }
+
+    /// Each row's bus code, an index into [`GroupColumns::buses`].
+    pub fn bus_codes(&self) -> &[u32] {
+        &self.bus
+    }
+
+    /// Each row's message id.
+    pub fn message_ids(&self) -> &[u32] {
+        &self.mid
+    }
+
+    /// The bus dictionary the row codes index.
+    pub fn buses(&self) -> &[Arc<str>] {
+        &self.buses
+    }
+
+    /// Row `i`'s payload bytes, a slice of the arena.
+    pub fn payload(&self, i: usize) -> &[u8] {
+        &self.arena[self.spans[i].0..self.spans[i].1]
     }
 
     /// The dictionary code of bus `name`, added in first-seen order when
@@ -94,31 +121,41 @@ impl GroupColumns {
         self.spans.push((start, self.arena.len()));
     }
 
-    /// Copies row `i` of `chunk`, its trace position included.
-    pub(crate) fn push_decoded(&mut self, chunk: &ChunkColumns<'_>, i: usize) {
-        self.index.push(chunk.index[i]);
-        self.push_row(
-            chunk.t_us[i],
-            chunk.bus[i],
-            chunk.mid[i],
-            chunk.protocol[i],
-            chunk.payload(i),
-        );
-    }
-
-    /// Row `i`'s payload bytes.
-    pub(crate) fn payload(&self, i: usize) -> &[u8] {
-        &self.arena[self.spans[i].0..self.spans[i].1]
+    /// Copies the `rows` of `chunk`, trace positions included, a column
+    /// at a time. The chunk's bus codes index this container's dictionary.
+    pub(crate) fn push_decoded(&mut self, chunk: &ChunkColumns<'_>, rows: Range<usize>) {
+        self.index.extend_from_slice(&chunk.index[rows.clone()]);
+        self.t_us.extend_from_slice(&chunk.t_us[rows.clone()]);
+        self.bus.extend_from_slice(&chunk.bus[rows.clone()]);
+        self.mid.extend_from_slice(&chunk.mid[rows.clone()]);
+        self.protocol
+            .extend_from_slice(&chunk.protocol[rows.clone()]);
+        let (bytes, offsets) = chunk.payloads(rows);
+        // Chunk offsets rebased from the first row's onto the arena's end.
+        let (start, first) = (self.arena.len(), offsets[0]);
+        self.arena.extend_from_slice(bytes);
+        let cuts = offsets.windows(2);
+        self.spans
+            .extend(cuts.map(|w| (start + w[0] - first, start + w[1] - first)));
     }
 
     /// Restores trace order: a stable permutation by `index`, skipped when
-    /// the rows are already in order.
-    pub(crate) fn restore_order(&mut self) {
+    /// the rows are already in order. Positions are untrusted file
+    /// content, so placement by offset (`GroupColumns::placement`) may
+    /// take at most `slots` slots, the group's rows as the file backs
+    /// them; otherwise `(index, row)` pairs are sorted — rows are
+    /// distinct, so the unstable sort keeps equal positions in row order.
+    pub(crate) fn restore_order(&mut self, slots: usize) {
         if self.index.is_sorted() {
             return;
         }
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_by_key(|&i| self.index[i as usize]);
+        let perm = self.placement(slots).unwrap_or_else(|| {
+            let mut pairs: Vec<(u64, u32)> = (self.index.iter().copied())
+                .zip(0..self.len() as u32)
+                .collect();
+            pairs.sort_unstable();
+            pairs.into_iter().map(|(_, row)| row).collect()
+        });
         fn gather<T: Copy>(v: &mut Vec<T>, perm: &[u32]) {
             *v = perm.iter().map(|&i| v[i as usize]).collect();
         }
@@ -128,6 +165,28 @@ impl GroupColumns {
         gather(&mut self.mid, &perm);
         gather(&mut self.protocol, &perm);
         gather(&mut self.spans, &perm);
+    }
+
+    /// The trace-order permutation built by placing each row at its
+    /// position's offset in the group's index span: `None` when the span
+    /// exceeds `slots` or two rows share a position.
+    fn placement(&self, slots: usize) -> Option<Vec<u32>> {
+        let min = *self.index.iter().min()?;
+        let max = *self.index.iter().max()?;
+        let span = usize::try_from(max - min).ok()?.checked_add(1)?;
+        if span > slots {
+            return None;
+        }
+        let mut at = vec![u32::MAX; span];
+        for (row, &i) in self.index.iter().enumerate() {
+            let slot = &mut at[(i - min) as usize];
+            if *slot != u32::MAX {
+                return None;
+            }
+            *slot = row as u32;
+        }
+        at.retain(|&row| row != u32::MAX);
+        Some(at)
     }
 
     /// Keeps the first `rows` rows.
@@ -154,30 +213,6 @@ impl GroupColumns {
         self.protocol.clear();
         self.spans.clear();
         self.arena.clear();
-    }
-
-    /// The rows as one raw-trace batch under `schema`
-    /// ([`raw_trace_schema`](crate::schema::raw_trace_schema)), cell for
-    /// cell what [`records_to_batch`](crate::schema::records_to_batch)
-    /// builds from the same rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tabular-engine failures (a schema of another shape).
-    pub fn to_batch(&self, schema: Arc<Schema>) -> Result<Batch> {
-        // Protocol display names interned per batch, as records_to_batch does.
-        let mut names: [Option<Arc<str>>; 4] = Default::default();
-        let columns = vec![
-            Column::from_floats(self.t_us.iter().map(|&t| t as f64 / 1e6)),
-            Column::from_byte_payloads((0..self.len()).map(|i| Arc::from(self.payload(i)))),
-            Column::from_strs(self.bus.iter().map(|&b| self.buses[b as usize].clone())),
-            Column::from_ints(self.mid.iter().map(|&m| i64::from(m))),
-            Column::from_strs(self.protocol.iter().map(|&p| {
-                let name = &mut names[usize::from(protocol_tag(p))];
-                name.get_or_insert_with(|| Arc::from(p.to_string())).clone()
-            })),
-        ];
-        Ok(Batch::new(schema, columns)?)
     }
 
     /// Rows decoded from chunks materialized as indexed records — the row
@@ -228,5 +263,48 @@ mod tests {
         assert_eq!(rows.arena.len(), 2, "truncate drops the cut rows' payloads");
         rows.clear();
         assert!(rows.is_empty() && rows.buses.len() == 2);
+    }
+
+    /// Rows at trace positions `index`: row `k` carries `k` as its message
+    /// id and in its payload, so any mix-up shows.
+    fn at_positions(index: &[u64]) -> GroupColumns {
+        let mut rows = GroupColumns::default();
+        let bus = rows.intern_bus("FC");
+        for (k, &i) in index.iter().enumerate() {
+            rows.index.push(i);
+            rows.push_row(i, bus, k as u32, Protocol::Can, &vec![k as u8; k % 3]);
+        }
+        rows
+    }
+
+    #[test]
+    fn restore_order_is_a_stable_sort_by_position() {
+        // The writer clusters a group by key, so a scan decodes each key's
+        // rows in trace order, key after key.
+        let clustered: Vec<u64> = (0..3u64)
+            .flat_map(|key| (100..160u64).filter(move |i| i % 3 == key))
+            .collect();
+        let cases: [(Vec<u64>, usize); 5] = [
+            // Placed by offset: the span fits the decoded rows.
+            (clustered.clone(), 60),
+            // Span beyond the slot budget: sorted pairs.
+            (clustered, 40),
+            // Already in order: untouched.
+            ((500..540).collect(), 0),
+            // A span no budget covers.
+            (vec![9, 1 << 40, 3, 7], 4),
+            // Shared positions: sorted pairs, ties in row order.
+            (vec![5, 3, 5, 4, 3], 100),
+        ];
+        for (index, slots) in cases {
+            let original = at_positions(&index);
+            let mut perm: Vec<usize> = (0..index.len()).collect();
+            perm.sort_by_key(|&k| index[k]);
+            let want: Vec<Record> = perm.iter().map(|&k| original.record(k)).collect();
+            let mut rows = at_positions(&index);
+            rows.restore_order(slots);
+            assert_eq!(rows.records(), want, "positions {index:?}");
+            assert!(rows.index.is_sorted(), "positions {index:?}");
+        }
     }
 }

@@ -24,6 +24,7 @@
 //! reader touching only surviving chunks still detects corruption in what it
 //! reads — and never pays for what it skips.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ivnt_protocol::message::Protocol;
@@ -46,12 +47,54 @@ pub const TRAILER_LEN: usize = 8 + 8 + 8 + 8;
 /// FNV-1a 64 — the store's checksum. Not cryptographic; it detects the
 /// bit rot and truncation flaky capture hardware produces.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 of `bytes`, continuing from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// [`checksum`] of each of `bodies`, four FNV-1a chains at a time. Each
+/// byte's multiply waits on the previous one's, so a single chain leaves
+/// the multiplier idle most cycles; four independent bodies keep it busy.
+/// A lane whose body ends takes the next body, and the last (at most
+/// three) remainders finish one chain each.
+pub(crate) fn checksums(bodies: &[&[u8]]) -> Vec<u64> {
+    let mut sums = vec![FNV_OFFSET; bodies.len()];
+    let mut queue = bodies.iter().enumerate();
+    // In flight: (body, bytes not yet hashed).
+    let mut lanes: Vec<(usize, &[u8])> = Vec::with_capacity(4);
+    loop {
+        lanes.retain(|(_, rest)| !rest.is_empty());
+        lanes.extend(queue.by_ref().take(4 - lanes.len()).map(|(j, b)| (j, *b)));
+        let [a, b, c, d] = lanes.as_mut_slice() else {
+            break;
+        };
+        let step = a.1.len().min(b.1.len()).min(c.1.len()).min(d.1.len());
+        let mut h = [sums[a.0], sums[b.0], sums[c.0], sums[d.0]];
+        let bytes = a.1[..step].iter().zip(&b.1[..step]);
+        for (((&x0, &x1), &x2), &x3) in bytes.zip(&c.1[..step]).zip(&d.1[..step]) {
+            h[0] = (h[0] ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+            h[1] = (h[1] ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+            h[2] = (h[2] ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+            h[3] = (h[3] ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
+        }
+        for (lane, hash) in [a, b, c, d].into_iter().zip(h) {
+            sums[lane.0] = hash;
+            lane.1 = &lane.1[step..];
+        }
+    }
+    for (j, rest) in lanes {
+        sums[j] = fnv1a(sums[j], rest);
+    }
+    sums
 }
 
 /// Per-chunk statistics a scan consults *instead of* decoding the chunk.
@@ -294,6 +337,13 @@ impl<'a> ChunkColumns<'a> {
 
     pub(crate) fn payload(&self, i: usize) -> &'a [u8] {
         &self.payloads[self.payload_offsets[i]..self.payload_offsets[i + 1]]
+    }
+
+    /// The payload bytes of `rows`, back to back, and the `rows.len() + 1`
+    /// offsets that cut them (relative to the chunk's payload region).
+    pub(crate) fn payloads(&self, rows: Range<usize>) -> (&'a [u8], &[usize]) {
+        let offsets = &self.payload_offsets[rows.start..=rows.end];
+        (&self.payloads[offsets[0]..offsets[rows.len()]], offsets)
     }
 }
 
@@ -688,6 +738,22 @@ mod tests {
             decode_chunk(&encoded, &buses),
             Err(Error::Format(_))
         ));
+    }
+
+    #[test]
+    fn interleaved_checksums_match_one_chain_each() {
+        // Lengths cover empty bodies, lanes ending at once and refills
+        // after the queue runs dry.
+        let bodies: Vec<Vec<u8>> = [0usize, 5, 64, 3, 3, 0, 17, 1, 200, 9, 2]
+            .iter()
+            .enumerate()
+            .map(|(k, &len)| (0..len).map(|i| (i * 31 + k * 7) as u8).collect())
+            .collect();
+        for n in 0..=bodies.len() {
+            let slices: Vec<&[u8]> = bodies[..n].iter().map(Vec::as_slice).collect();
+            let one_each: Vec<u64> = slices.iter().map(|b| checksum(b)).collect();
+            assert_eq!(checksums(&slices), one_each, "{n} bodies");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   [`Error::Truncated`], checksum variants), [`Predicate`]-driven
 //!   [`StoreReader::scan_columns`] with [`ScanStats`]: keys are tested on
 //!   decoded key columns before any payload is copied, and each row
-//!   group's survivors arrive as [`GroupColumns`] (one raw-trace batch via
-//!   [`GroupColumns::to_batch`]); [`StoreReader::scan`] and
+//!   group's survivors arrive as [`GroupColumns`], which the
+//!   interpretation kernel decodes in place; [`StoreReader::scan`] and
 //!   [`StoreReader::read_all`] are row views over it.
 //! - [`append`] — live-session mode: [`AppendWriter`] flushes
 //!   crash-recoverable micro-batched group frames, [`recover`] rebuilds
@@ -451,6 +451,50 @@ mod tests {
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let err = reader.read_all().unwrap_err();
         assert!(matches!(err, Error::ChunkChecksum { chunk: 0 }));
+    }
+
+    #[test]
+    fn first_corrupt_chunk_of_a_group_names_the_error() {
+        let options = WriterOptions {
+            chunk_rows: 16,
+            chunks_per_group: 8,
+            cluster: true,
+        };
+        let bytes = write_store(&cyclic_trace(512, 8), options);
+        let reader = StoreReader::from_reader(Cursor::new(bytes.clone())).unwrap();
+        let chunks = reader.footer().chunks.clone();
+        let group: Vec<usize> = (0..chunks.len())
+            .filter(|&i| chunks[i].group == 1)
+            .collect();
+        assert_eq!(group.len(), 8, "group 1 holds a full set of chunks");
+        let last = group[7];
+        // One damaged chunk among many, then two in one group: the first
+        // in file order names the error, as a chunk-at-a-time scan does.
+        for damaged in [
+            vec![group[4]],
+            vec![group[5], group[2]],
+            vec![last, group[1]],
+        ] {
+            let mut bytes = bytes.clone();
+            for &chunk in &damaged {
+                let meta = &chunks[chunk];
+                bytes[(meta.offset + u64::from(meta.len) / 2) as usize] ^= 0xFF;
+            }
+            let first = *damaged.iter().min().unwrap();
+            let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
+            let mut emitted = 0;
+            let err = reader
+                .scan::<Error, _>(&Predicate::all(), |_| {
+                    emitted += 1;
+                    Ok(())
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::ChunkChecksum { chunk } if chunk == first),
+                "damaged {damaged:?}: {err}"
+            );
+            assert_eq!(emitted, 1, "group 0 is emitted before the damage");
+        }
     }
 
     /// Replaces the footer of `bytes` by `forge(footer bytes)` under a

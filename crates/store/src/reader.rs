@@ -17,8 +17,8 @@ use std::path::Path;
 
 use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
-use crate::layout::{checksum, decode_chunk_columns, decode_footer, ChunkColumns, Footer};
-use crate::layout::{ChunkMeta, IndexedRecord, END_MAGIC, MAGIC, TRAILER_LEN};
+use crate::layout::{checksum, checksums, decode_chunk_columns, decode_footer, ChunkColumns};
+use crate::layout::{ChunkMeta, Footer, IndexedRecord, END_MAGIC, MAGIC, TRAILER_LEN};
 use crate::record::Record;
 
 /// What a scan is looking for. Conservative by construction: `None`
@@ -310,7 +310,10 @@ impl<R: Read + Seek> StoreReader<R> {
     /// calling `on_group` once per row group with the rows that match *at
     /// least one* predicate, as columns in original trace order. A chunk
     /// is decoded when any predicate's zone-map test admits it, so N
-    /// queries pay one pass. Within a chunk, each row's keys are tested
+    /// queries pay one pass. A group's admitted chunk bodies are read into
+    /// one buffer and their checksums verified four at a time; chunks then
+    /// decode in file order, so the first damaged one names the error.
+    /// Within a chunk, each row's keys are tested
     /// before its payload is copied; the `(bus, m_id)` test runs once per
     /// run of equal keys (clustered groups hold long runs), the time test
     /// per row. Groups without survivors are not emitted. `rows_emitted`
@@ -335,61 +338,75 @@ impl<R: Read + Seek> StoreReader<R> {
         // Observability counters are accumulated locally and flushed once
         // per scan, so the per-chunk loop never touches the registry.
         let mut bytes_read: u64 = 0;
+        let chunks = &self.footer.chunks;
+        let bus_count = self.footer.buses.len();
+        // The surviving chunks of the group under assembly: their indices,
+        // and their bodies read back to back into `buf`.
+        let mut live: Vec<usize> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
+        let mut spans: Vec<(usize, usize)> = Vec::new();
         // Surviving rows of the group under assembly.
         let mut group = GroupColumns::default();
         group.buses = self.footer.buses.clone();
-        let mut pending_group: Option<u32> = None;
-        // Windows of the predicates selecting the current `(bus, m_id)`
-        // run, decided once per run; a windowless predicate admits all time.
-        let mut run_key: Option<(u32, u32)> = None;
-        let mut run_windows: Vec<(u64, u64)> = Vec::new();
-        for (idx, meta) in self.footer.chunks.iter().enumerate() {
-            if pending_group.is_some_and(|g| g != meta.group) {
-                emit_group(&mut group, &mut stats, &mut on_group)?;
-            }
-            pending_group = Some(meta.group);
-            if !preds.iter().any(|p| p.chunk_may_match(meta)) {
-                stats.chunks_skipped += 1;
-                continue;
-            }
-            stats.chunks_scanned += 1;
-            bytes_read += u64::from(meta.len);
-            let bus_count = self.footer.buses.len();
-            let chunk = match read_chunk(&mut self.inner, meta, idx, bus_count, &mut buf) {
-                Ok(chunk) => chunk,
-                Err(e) => {
-                    if matches!(e, Error::ChunkChecksum { .. }) {
-                        ivnt_obs::with(|r| r.add("store_scan_checksum_failures_total", 1));
+        let mut runs = RunWindows::default();
+        let mut start = 0;
+        while start < chunks.len() {
+            let id = chunks[start].group;
+            let end = start + chunks[start..].iter().take_while(|m| m.group == id).count();
+            live.clear();
+            live.extend(
+                (start..end).filter(|&i| preds.iter().any(|p| p.chunk_may_match(&chunks[i]))),
+            );
+            stats.chunks_skipped += end - start - live.len();
+            // Trace-order slots the group may take: its rows as the footer
+            // declares them, each chunk's capped by its bytes (a row takes
+            // at least one), so a forged count cannot size an allocation.
+            let slots = (chunks[start..end].iter())
+                .map(|m| m.rows.min(m.len) as usize)
+                .sum();
+            start = end;
+            buf.clear();
+            spans.clear();
+            // A read failure surfaces after the chunks read before it, so
+            // the first damaged chunk in file order names the error.
+            let mut failure = None;
+            for &idx in &live {
+                let meta = &chunks[idx];
+                stats.chunks_scanned += 1;
+                bytes_read += u64::from(meta.len);
+                match read_body(&mut self.inner, meta, &mut buf) {
+                    Ok(span) => spans.push(span),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
                     }
-                    flush_scan_obs(&stats, bytes_read);
-                    return Err(E::from(e));
-                }
-            };
-            stats.rows_decoded += chunk.len() as u64;
-            stats.peak_rows_buffered = stats.peak_rows_buffered.max(group.len() + chunk.len());
-            for i in 0..chunk.len() {
-                let key = (chunk.bus[i], chunk.mid[i]);
-                if run_key != Some(key) {
-                    run_key = Some(key);
-                    run_windows.clear();
-                    run_windows.extend(
-                        preds
-                            .iter()
-                            .filter(|p| p.pair_matches(key.0, key.1))
-                            .map(|p| p.time_range_us.unwrap_or((0, u64::MAX))),
-                    );
-                }
-                let t = chunk.t_us[i];
-                if run_windows
-                    .iter()
-                    .any(|&(from, to)| (from..=to).contains(&t))
-                {
-                    group.push_decoded(&chunk, i);
                 }
             }
+            let bodies: Vec<&[u8]> = spans.iter().map(|&(from, to)| &buf[from..to]).collect();
+            for ((&idx, body), sum) in live.iter().zip(&bodies).zip(checksums(&bodies)) {
+                let chunk = if sum == chunks[idx].checksum {
+                    decode_chunk_columns(body, bus_count)
+                } else {
+                    ivnt_obs::with(|r| r.add("store_scan_checksum_failures_total", 1));
+                    Err(Error::ChunkChecksum { chunk: idx })
+                };
+                let chunk = match chunk {
+                    Ok(chunk) => chunk,
+                    Err(e) => {
+                        flush_scan_obs(&stats, bytes_read);
+                        return Err(E::from(e));
+                    }
+                };
+                stats.rows_decoded += chunk.len() as u64;
+                stats.peak_rows_buffered = stats.peak_rows_buffered.max(group.len() + chunk.len());
+                runs.push_survivors(preds, &chunk, &mut group);
+            }
+            if let Some(e) = failure {
+                flush_scan_obs(&stats, bytes_read);
+                return Err(E::from(e));
+            }
+            emit_group(&mut group, slots, &mut stats, &mut on_group)?;
         }
-        emit_group(&mut group, &mut stats, &mut on_group)?;
         flush_scan_obs(&stats, bytes_read);
         Ok(stats)
     }
@@ -409,24 +426,65 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 }
 
-/// Reads chunk `idx` into `buf`, verifies its checksum and decodes its
-/// columns. The footer's extents were checked at open, so `meta.len` is
-/// bounded by the file.
-fn read_chunk<'b, R: Read + Seek>(
+/// The windows of the predicates selecting the current `(bus, m_id)` run
+/// of rows, decided once per run; a windowless predicate admits all time.
+#[derive(Default)]
+struct RunWindows {
+    key: Option<(u32, u32)>,
+    windows: Vec<(u64, u64)>,
+}
+
+impl RunWindows {
+    /// Copies the rows of `chunk` some predicate admits into `group`, a
+    /// run of consecutive survivors at a time.
+    fn push_survivors(
+        &mut self,
+        preds: &[CompiledPredicate],
+        chunk: &ChunkColumns<'_>,
+        group: &mut GroupColumns,
+    ) {
+        let mut survivors: Option<usize> = None;
+        for i in 0..chunk.len() {
+            let key = (chunk.bus[i], chunk.mid[i]);
+            if self.key != Some(key) {
+                self.key = Some(key);
+                self.windows.clear();
+                self.windows.extend(
+                    (preds.iter())
+                        .filter(|p| p.pair_matches(key.0, key.1))
+                        .map(|p| p.time_range_us.unwrap_or((0, u64::MAX))),
+                );
+            }
+            let t = chunk.t_us[i];
+            let keep = (self.windows.iter()).any(|&(from, to)| (from..=to).contains(&t));
+            match (keep, survivors) {
+                (true, None) => survivors = Some(i),
+                (false, Some(from)) => {
+                    group.push_decoded(chunk, from..i);
+                    survivors = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(from) = survivors {
+            group.push_decoded(chunk, from..chunk.len());
+        }
+    }
+}
+
+/// Appends the body of the chunk `meta` describes to `buf` and returns
+/// its `[start, end)` there. The footer's extents were checked at open, so
+/// `meta.len` is bounded by the file.
+fn read_body<R: Read + Seek>(
     inner: &mut R,
     meta: &ChunkMeta,
-    idx: usize,
-    bus_count: usize,
-    buf: &'b mut Vec<u8>,
-) -> Result<ChunkColumns<'b>> {
+    buf: &mut Vec<u8>,
+) -> Result<(usize, usize)> {
     inner.seek(SeekFrom::Start(meta.offset))?;
-    buf.clear();
-    buf.resize(meta.len as usize, 0);
-    read_exact_or_truncated(inner, buf, "chunk body")?;
-    if checksum(buf) != meta.checksum {
-        return Err(Error::ChunkChecksum { chunk: idx });
-    }
-    decode_chunk_columns(buf, bus_count)
+    let from = buf.len();
+    buf.resize(from + meta.len as usize, 0);
+    read_exact_or_truncated(inner, &mut buf[from..], "chunk body")?;
+    Ok((from, buf.len()))
 }
 
 /// Flushes one scan's accumulated counters to the installed subscriber
@@ -453,10 +511,12 @@ fn flush_scan_obs(stats: &ScanStats, bytes_read: u64) {
 }
 
 /// Restores one group's rows to trace order, hands them to the callback
-/// and empties the group for the next one. Groups without survivors are
-/// not emitted.
+/// and empties the group for the next one; `slots` bounds the trace
+/// positions its order restoration may place by offset. Groups without
+/// survivors are not emitted.
 fn emit_group<E, F>(
     group: &mut GroupColumns,
+    slots: usize,
     stats: &mut ScanStats,
     on_group: &mut F,
 ) -> std::result::Result<(), E>
@@ -466,7 +526,7 @@ where
     if group.is_empty() {
         return Ok(());
     }
-    group.restore_order();
+    group.restore_order(slots);
     stats.rows_emitted += group.len() as u64;
     let result = on_group(group);
     group.clear();

@@ -4,9 +4,9 @@
 //! the on-disk store, the simulator's repository and the interpretation
 //! engine all agree on one definition (`ivnt_core::tabular` re-exports
 //! these) — and so does [`records_to_batch`], the column-wise
-//! record→frame builder of in-memory and streamed rows. Store scans never
-//! build records: [`GroupColumns::to_batch`](crate::GroupColumns::to_batch)
-//! emits the same cells straight from decoded columns.
+//! record→frame builder of in-memory traces. Store scans and stream
+//! micro-batches build neither records nor batches: the interpretation
+//! kernel reads their [`GroupColumns`](crate::GroupColumns) in place.
 
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub fn raw_trace_schema() -> Arc<Schema> {
 }
 
 /// Converts records into one raw-trace [`Batch`], column-wise — the
-/// record→frame ingest behind the stream tier and in-memory traces. Takes
+/// record→frame ingest behind in-memory traces. Takes
 /// any re-iterable source of `&Record` (a slice, or preselected
 /// survivors), so filtering never copies a record.
 ///

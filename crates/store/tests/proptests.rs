@@ -164,13 +164,14 @@ fn oracle_scan(bytes: &[u8], preds: &[Predicate]) -> Result<ScanOut, Error> {
     Ok((batches, stats))
 }
 
-/// The scan under test: `scan_columns`, one `to_batch` per group.
+/// The scan under test: `scan_columns`, each group's rows built into a
+/// batch as the oracle builds its own.
 fn columnar_scan(bytes: &[u8], preds: &[Predicate]) -> Result<ScanOut, Error> {
     let mut reader = StoreReader::from_reader(Cursor::new(bytes.to_vec()))?;
     let preds: Vec<_> = preds.iter().map(|p| p.compile(reader.footer())).collect();
     let mut batches = Vec::new();
     let stats = reader.scan_columns::<Error, _>(&preds, |group| {
-        batches.push(group.to_batch(raw_trace_schema())?);
+        batches.push(records_to_batch(raw_trace_schema(), &group.records())?);
         Ok(())
     })?;
     Ok((batches, stats))
@@ -388,12 +389,9 @@ proptest! {
             Err(_) => {}
             Ok(mut reader) => {
                 prop_assert!(reader.read_all().is_err());
-                // The columnar core hits the same damage through `to_batch`.
+                // The columnar core hits the same damage.
                 let all = [Predicate::all().compile(reader.footer())];
-                let scanned = reader.scan_columns::<Error, _>(&all, |group| {
-                    group.to_batch(raw_trace_schema())?;
-                    Ok(())
-                });
+                let scanned = reader.scan_columns::<Error, _>(&all, |_| Ok(()));
                 prop_assert!(scanned.is_err());
             }
         }

@@ -38,9 +38,7 @@ use ivnt_core::dedup::{Dedup, Deduplicator};
 use ivnt_core::pipeline::Pipeline;
 use ivnt_core::reduce::{Reducer, Reduction};
 use ivnt_core::split::{CodedRow, CodedRows, CodedSequence, SignalSequence};
-use ivnt_frame::prelude::*;
-use ivnt_store::schema::{raw_trace_schema, records_to_batch};
-use ivnt_store::Record;
+use ivnt_store::{GroupColumns, Record};
 
 use crate::error::{Error, Result};
 use crate::symbolize::{IncrementalSymbolizer, SymbolizeOptions, SymbolizedSegment};
@@ -161,7 +159,9 @@ struct SignalState {
 pub struct StreamingSession<'p> {
     pipeline: &'p Pipeline,
     options: StreamOptions,
-    raw_schema: Arc<Schema>,
+    /// The micro-batch's selected rows; its bus dictionary and buffers
+    /// carry over between batches.
+    rows: GroupColumns,
     signals: HashMap<String, SignalState>,
     peak_buffered: usize,
     late_rows: u64,
@@ -183,7 +183,7 @@ impl<'p> StreamingSession<'p> {
         Ok(StreamingSession {
             pipeline,
             options,
-            raw_schema: raw_trace_schema(),
+            rows: GroupColumns::default(),
             signals: HashMap::new(),
             peak_buffered: 0,
             late_rows: 0,
@@ -203,12 +203,15 @@ impl<'p> StreamingSession<'p> {
         ivnt_obs::with(|r| r.add("stream_frames_total", records.len() as u64));
         // The pipeline's kernel, compiled once for the whole session,
         // preselects the records it decodes and emits the micro-batch's
-        // per-signal sequences directly.
+        // per-signal sequences directly from their columns.
         let kernel = self.pipeline.kernel();
-        let selected = kernel.select_records(records);
-        let batch = records_to_batch(self.raw_schema.clone(), selected.iter().copied())
-            .map_err(Error::Store)?;
-        let seqs = kernel.coded_sequences(&batch)?;
+        self.rows.clear();
+        for r in kernel.select_records(records) {
+            let bus = self.rows.intern_bus(&r.bus);
+            self.rows
+                .push_row(r.timestamp_us, bus, r.message_id, r.protocol, &r.payload);
+        }
+        let seqs = kernel.coded_sequences(&self.rows)?;
 
         let mut deltas = Vec::new();
         for seq in seqs {
