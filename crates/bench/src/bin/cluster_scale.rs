@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for r in data.trace.records() {
         writer.append(r)?;
     }
-    writer.finish()?;
+    writer.seal()?;
 
     let job = JobSpec::new("syn", path.display().to_string()).with_seed(SEED);
     eprintln!(

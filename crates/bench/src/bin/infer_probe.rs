@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for r in data.trace.records() {
             writer.append(r)?;
         }
-        let bytes = writer.finish()?;
+        let bytes = writer.seal()?;
 
         let mut reader = StoreReader::from_reader(Cursor::new(bytes.clone()))?;
         let tables = infer_store(&mut reader, &params)?;

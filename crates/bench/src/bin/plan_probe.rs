@@ -147,7 +147,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for r in data.trace.records() {
         writer.append(r)?;
     }
-    let bytes = writer.finish()?;
+    let bytes = writer.seal()?;
 
     eprintln!(
         "workload: {trace_rows} rows, {} bytes, {total_signals} catalog signals, \

@@ -191,7 +191,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for r in data.trace.records() {
             writer.append(r).expect("append");
         }
-        writer.finish().expect("finish");
+        writer.seal().expect("seal");
     };
     let secs = median_secs(runs, write_store);
     measurements.push(Measurement {

@@ -37,7 +37,7 @@ use ivnt_bench::{
 };
 use ivnt_core::pipeline::RunOptions;
 use ivnt_store::{
-    recover, seal_recovered, AppendOptions, AppendWriter, GroupColumns, StoreFollower, StoreReader,
+    recover, seal_recovered, AppendOptions, GroupColumns, StoreFollower, StoreReader, StoreWriter,
     WriterOptions,
 };
 use ivnt_stream::{
@@ -86,7 +86,7 @@ fn append_options() -> AppendOptions {
 /// given path forever (no seal) until the parent kills this process.
 fn run_child(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let data = ivnt_bench::vehicle_journey(20_000, 1)?;
-    let writer = AppendWriter::create(path, append_options())?;
+    let writer = StoreWriter::create(path, append_options())?;
     let options = IngestOptions {
         seal: false,
         ..IngestOptions::default()
@@ -171,7 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_bytes()
         .into();
     let run_ingest = || -> IngestStats {
-        let writer = AppendWriter::create(&path, append_options()).expect("create");
+        let writer = StoreWriter::create(&path, append_options()).expect("create");
         let (_, stats) = ingest(
             LineSource::new(Cursor::new(lines.clone())),
             writer,
@@ -185,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // The same lines parsed and appended on one thread.
     let run_inline = || {
-        let mut writer = AppendWriter::create(&path, append_options()).expect("create");
+        let mut writer = StoreWriter::create(&path, append_options()).expect("create");
         let mut source = LineSource::new(Cursor::new(lines.clone()));
         let mut batch = GroupColumns::default();
         loop {

@@ -119,7 +119,7 @@ fn write_store(out_path: &str, trace: &Trace, args: &Args) -> CmdResult {
     for r in trace.records() {
         writer.append(r).map_err(err)?;
     }
-    writer.finish().map_err(err)?;
+    writer.seal().map_err(err)?;
     Ok(())
 }
 
@@ -405,18 +405,13 @@ fn store_ingest(args: &Args) -> CmdResult {
 }
 
 /// Resolves a store file to its footer plus lifecycle state: a sealed
-/// file opens through the normal reader; an appendable (unsealed) one
-/// gets its index rebuilt by walking the checksummed group frames, which
-/// also measures any torn tail left by a crash.
+/// file's footer comes from its seal; an appendable (unsealed) one gets
+/// its index rebuilt by walking the checksummed group frames, which also
+/// measures any torn tail left by a crash.
 fn store_state(path: &str) -> Result<(ivnt_store::Footer, bool, u64), String> {
-    match ivnt_store::StoreReader::open(path) {
-        Ok(reader) => Ok((reader.footer().clone(), true, 0)),
-        Err(_) => {
-            let recovered = ivnt_store::recover(path).map_err(err)?;
-            let torn = recovered.torn_bytes();
-            Ok((recovered.footer, recovered.sealed, torn))
-        }
-    }
+    let recovered = ivnt_store::recover(path).map_err(err)?;
+    let torn = recovered.torn_bytes();
+    Ok((recovered.footer, recovered.sealed, torn))
 }
 
 /// Min/max record timestamps of one group's chunk range.
@@ -953,7 +948,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
     options.seal = !args.has("no-seal");
 
     let registry = output::metrics_registry(shared.metrics);
-    let writer = ivnt_store::AppendWriter::create(out_path, append).map_err(err)?;
+    let writer = ivnt_store::StoreWriter::create(out_path, append).map_err(err)?;
     let stop = ivnt_stream::StopFlag::new();
     let (_, stats) = if args.has("stdin") {
         let source = ivnt_stream::LineSource::new(BufReader::new(std::io::stdin()));
@@ -1015,17 +1010,18 @@ fn stream_ingest(args: &Args) -> CmdResult {
 }
 
 /// `ivnt stream follow --scenario syn|lig|sta [--seed S] [--signals a,b]
-/// [--watermark-ms N] [--history-cap N] [--sax K] [--poll-ms N] [--once]
+/// [--watermark-ms N] [--history-cap N] [--poll-ms N] [--once]
 /// [--metrics] [--json] <trace.ivns>`
 ///
-/// Tails a store being written by `ivnt stream ingest`, pushing each
-/// completed row group through the incremental pipeline and printing the
-/// reduced state deltas as they materialize. Runs until the writer seals
-/// the file; `--once` instead stops at the first poll that makes no
-/// progress (use it on finished files). `--sax K` adds incremental
-/// SWAB + SAX symbolization with a K-letter alphabet. On a closed stream
-/// the concatenated deltas are bit-identical to the batch pipeline's
-/// reduced output over the same records.
+/// Tails a store as it is written — by `ivnt stream ingest`, or any other
+/// command that writes a store — pushing each completed row group through
+/// the incremental pipeline and printing the reduced state deltas as they
+/// materialize. Runs until the writer seals the file; `--once` instead
+/// stops at the first poll that makes no progress (use it on finished
+/// files). On a closed stream the concatenated deltas are bit-identical
+/// to the batch pipeline's reduced output over the same records. A store
+/// written before every store was framed is refused with the follower's
+/// error.
 fn stream_follow(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse_switches(args);
@@ -1039,12 +1035,6 @@ fn stream_follow(args: &Args) -> CmdResult {
     }
     if let Some(cap) = args.get_parsed::<usize>("history-cap")? {
         options.history_cap = cap;
-    }
-    if let Some(alphabet) = args.get_parsed::<usize>("sax")? {
-        options.symbolize = Some(ivnt_stream::SymbolizeOptions {
-            alphabet_size: alphabet,
-            ..ivnt_stream::SymbolizeOptions::default()
-        });
     }
     let poll_ms = args.get_parsed::<u64>("poll-ms")?.unwrap_or(200);
 
@@ -1146,14 +1136,8 @@ fn print_deltas(shared: &SharedOptions, deltas: &[ivnt_stream::SignalDelta], row
             continue;
         }
         let last_t = d.rows.last().map_or(0.0, |r| r.t);
-        let sax = if d.segments.is_empty() {
-            String::new()
-        } else {
-            let word: String = d.segments.iter().map(|s| s.symbol).collect();
-            format!("  sax \"{word}\"")
-        };
         println!(
-            "  {:<14} +{:>5} rows (t <= {last_t:.3}s){sax}",
+            "  {:<14} +{:>5} rows (t <= {last_t:.3}s)",
             d.signal,
             d.rows.len(),
         );
@@ -1558,9 +1542,8 @@ USAGE:
                       [--chunks-per-group N] [--cluster true|false]
                       [--metrics] [--json] <out.ivns>
   ivnt stream follow --scenario syn|lig|sta [--seed S] [--signals a,b,..]
-                      [--watermark-ms N] [--history-cap N] [--sax K]
-                      [--poll-ms N] [--once] [--metrics] [--json]
-                      <trace.ivns>
+                      [--watermark-ms N] [--history-cap N] [--poll-ms N]
+                      [--once] [--metrics] [--json] <trace.ivns>
   ivnt cluster worker [--listen ADDR] [--once]
   ivnt cluster run   --scenario syn|lig|sta [--seed S] [--signals a,b,..]
                       (--workers A,B,.. | --local N) [--heartbeat-ms N]
@@ -1605,12 +1588,13 @@ SHARED FLAGS (run, extract, query):
   worker ADDRESS LIST and the snapshot merges coordinator and workers.
 
 STREAMING:
-  `stream ingest` appends micro-batched, checksummed row groups; a killed
-  writer loses at most the unflushed tail and `store info` still indexes
-  the file. Frames move from source to writer in batches; `--queue N`
-  (default 1024) bounds the rows in flight, and a batch that would exceed
-  it waits (counted once per blocked hand-off as a backpressure wait).
-  Lines longer than 64 KiB are rejected. `stream follow` tails such a store through the incremental
+  Every store is written as checksummed row groups; `stream ingest`
+  appends them micro-batched, a killed writer loses at most the unflushed
+  tail and `store info` still indexes the file. Frames move from source
+  to writer in batches; `--queue N` (default 1024) bounds the rows in
+  flight, and a batch that would exceed it waits (counted once per
+  blocked hand-off as a backpressure wait). Lines longer than 64 KiB are
+  rejected. `stream follow` tails any store through the incremental
   pipeline; on a sealed stream its concatenated output is bit-identical
   to the batch `run` over the same records. Frame-line stdin format:
   `<timestamp_us> <bus> <message_id> <payload_hex|-> [can|canfd|lin|someip]`

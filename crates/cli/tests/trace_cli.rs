@@ -2,8 +2,9 @@
 //! store that `inspect`, `run` and `extract` read back, the parallel and
 //! serial runs agree byte for byte, `run --timing` adds its span tree and
 //! changes nothing else, `query` honours `--workers`, `--help` after a
-//! command prints the usage, and files that are not stores fail with a
-//! typed `error:` line instead of a panic.
+//! command prints the usage, `stream follow` follows a recorded store
+//! (and refuses one written before stores were framed), and files that
+//! are not stores fail with a typed `error:` line instead of a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -196,6 +197,74 @@ fn query_workers_flag_reaches_every_domain() {
     assert!(!scatters("1"), "--workers 1 still scattered");
     assert!(scatters("2"), "--workers 2 did not scatter");
     std::fs::remove_file(&trace).ok();
+}
+
+/// The number after `"key": ` in a JSON document.
+fn json_u64(json: &str, key: &str) -> u64 {
+    let at = json.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect(key)
+}
+
+/// Rewrites the store at `framed` to `out` as stores were written before
+/// every store was framed: the chunks back to back after the header, then
+/// the footer and trailer.
+fn unframe(framed: &Path, out: &Path) {
+    use ivnt_store::layout::{checksum, encode_footer, END_MAGIC, MAGIC};
+    let bytes = std::fs::read(framed).expect("read store");
+    let reader = ivnt_store::StoreReader::open(framed).expect("open store");
+    let mut footer = reader.footer().clone();
+    let mut file = MAGIC.to_vec();
+    for chunk in &mut footer.chunks {
+        let at = chunk.offset as usize;
+        chunk.offset = file.len() as u64;
+        file.extend_from_slice(&bytes[at..at + chunk.len as usize]);
+    }
+    let footer_at = file.len() as u64;
+    let footer_bytes = encode_footer(&footer).expect("encode footer");
+    file.extend_from_slice(&footer_bytes);
+    file.extend_from_slice(&footer_at.to_le_bytes());
+    file.extend_from_slice(&(footer_bytes.len() as u64).to_le_bytes());
+    file.extend_from_slice(&checksum(&footer_bytes).to_le_bytes());
+    file.extend_from_slice(END_MAGIC);
+    std::fs::write(out, file).expect("write unframed store");
+}
+
+#[test]
+fn stream_follow_follows_a_recorded_store() {
+    let trace = temp_path("follow.ivns");
+    let layout = ["--chunk-rows", "256", "--chunks-per-group", "2"];
+    ivnt_ok(&["record"], &layout, &trace);
+    let info = ivnt_ok(&["store", "info"], &["--json"], &trace);
+    let follow = ["--signals", "syn_s0000,syn_s0003", "--once", "--json"];
+    let followed = ivnt_ok(&["stream", "follow"], &follow, &trace);
+    assert!(json_u64(&info, "groups") > 1, "{info}");
+    assert_eq!(
+        json_u64(&followed, "groups"),
+        json_u64(&info, "groups"),
+        "{followed}"
+    );
+    assert!(json_u64(&followed, "rows_emitted") > 0, "{followed}");
+    assert!(followed.contains("\"sealed\": true"), "{followed}");
+
+    // A store without frames still reads, but cannot be followed.
+    let unframed = temp_path("unframed.ivns");
+    unframe(&trace, &unframed);
+    let info = ivnt_ok(&["store", "info"], &["--json"], &unframed);
+    assert!(info.contains("\"state\": \"sealed\""), "{info}");
+    ivnt_ok(&["extract"], &["--signals", "syn_s0000"], &unframed);
+    let args = [&["stream", "follow"][..], &SCENARIO, &follow].concat();
+    let out = ivnt(&args, &unframed);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("without group frames"), "{stderr}");
+
+    for path in [&trace, &unframed] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

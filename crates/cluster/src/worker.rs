@@ -689,7 +689,7 @@ mod tests {
         for r in data.trace.records() {
             writer.append(r).expect("store append");
         }
-        writer.finish().expect("store finish");
+        writer.seal().expect("store seal");
         let job = JobSpec::new("syn", path.display().to_string()).with_seed(53);
         let pipeline = job.pipeline().expect("pipeline rebuilds");
         let mut reader = ivnt_store::StoreReader::open(&path).expect("store opens");

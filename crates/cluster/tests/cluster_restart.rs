@@ -41,7 +41,7 @@ fn write_store(path: &Path, seed: u64) {
     for r in data.trace.records() {
         writer.append(r).expect("store append");
     }
-    writer.finish().expect("store finish");
+    writer.seal().expect("store seal");
 }
 
 fn single_process_fingerprint(job: &JobSpec) -> Vec<Vec<u8>> {

@@ -39,7 +39,7 @@ fn write_store(path: &Path, seed: u64) -> Vec<String> {
     for r in data.trace.records() {
         writer.append(r).expect("store append");
     }
-    writer.finish().expect("store finish");
+    writer.seal().expect("store seal");
     data.signal_names()
 }
 

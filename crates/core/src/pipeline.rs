@@ -1191,7 +1191,7 @@ mod tests {
         for r in trace.records() {
             writer.append(r).unwrap();
         }
-        let bytes = writer.finish().unwrap();
+        let bytes = writer.seal().unwrap();
         let mut reader = StoreReader::from_reader(std::io::Cursor::new(bytes)).unwrap();
 
         let ex = p.session(RunOptions::store(&mut reader)).extract().unwrap();
@@ -1230,7 +1230,7 @@ mod tests {
         for r in trace.records() {
             writer.append(r).unwrap();
         }
-        let bytes = writer.finish().unwrap();
+        let bytes = writer.seal().unwrap();
         let mut reader = StoreReader::from_reader(std::io::Cursor::new(bytes)).unwrap();
         let groups = reader.footer().groups;
         assert!(groups >= 3, "need several groups, got {groups}");

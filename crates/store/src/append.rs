@@ -1,365 +1,38 @@
-//! Append-mode `.ivns`: live ingest with crash-recoverable group frames.
+//! Framed-store readers: crash recovery and live following.
 //!
-//! The batch [`StoreWriter`](crate::StoreWriter) places its entire index in
-//! a footer written at `finish()`; kill the process mid-trace and the file
-//! is unreadable. Live-session ingest needs the opposite durability shape:
-//! every flushed micro-batch must survive a crash, and a concurrent reader
-//! must be able to tail the file while it grows.
+//! Every store is written as checksummed group frames (see
+//! [`writer`](crate::writer)), so every store — recorded by a batch job or
+//! appended by a live session — is self-describing as it grows. This
+//! module reads that framing:
 //!
-//! [`AppendWriter`] keeps the chunk encoding, clustering and zone maps of
-//! the batch writer but makes the file *self-describing as it grows*: each
-//! flushed row group is preceded by a checksummed **group frame header**
-//! ([`GROUP_MAGIC`], varint-encoded chunk index for just that group, newly
-//! interned bus names) followed by the ordinary chunk bytes. Flushes are
-//! triggered by row count ([`AppendOptions::flush_rows`]), by record-time
-//! advance ([`AppendOptions::flush_interval_us`]) or explicitly.
-//!
-//! * [`AppendWriter::seal`] appends the standard footer + trailer, so a
-//!   cleanly closed append file is read by [`StoreReader`] unchanged — the
-//!   interleaved frame headers are simply never consulted (chunk offsets in
-//!   the footer are absolute and skip over them).
-//! * [`recover`] walks the frames of a torn (unsealed) file, validating
-//!   header and chunk checksums, truncating the torn tail group and
-//!   rebuilding the footer index — at most the unflushed tail is lost.
+//! * [`recover`] takes a file's seal when it has a valid one (the store's
+//!   one seal check, shared with [`StoreReader`]), and only otherwise
+//!   walks the group frames, validating header and chunk checksums,
+//!   cutting off the torn tail group and rebuilding the footer index — at
+//!   most the unflushed tail is lost. A sealed file is never walked.
 //! * [`seal_recovered`] turns a recovered file back into a standard sealed
-//!   store in place.
+//!   store in place; a sealed file is left byte-identical.
 //! * [`StoreFollower`] tails a growing file, emitting each newly completed
 //!   group's records in trace order — the reader half of a live session.
-//!
-//! The pending group is held column-wise ([`GroupColumns`]: key columns,
-//! one payload arena, a row's trace index implied by its position), so
-//! appending a frame copies its payload once and allocates nothing per
-//! row; [`AppendWriter::append_batch`] takes a whole source batch.
+//!   A sealed store written before every store was framed holds no frames
+//!   to follow; the follower refuses it with [`Error::Unframed`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
-
-use ivnt_protocol::message::Protocol;
 
 use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
-use crate::layout::{
-    checksum, decode_chunk_columns, ChunkMeta, Footer, ZoneMap, END_MAGIC, MAGIC, TRAILER_LEN,
-};
-use crate::reader::StoreReader;
+use crate::layout::{checksum, decode_chunk_columns, ChunkMeta, Footer, ZoneMap, MAGIC};
+use crate::reader::{read_seal, StoreReader};
 use crate::record::Record;
 use crate::varint;
-use crate::writer::{encode_group, write_seal, WriterOptions};
-
-/// Marker opening every appended group frame.
-pub const GROUP_MAGIC: &[u8; 8] = b"IVNSGRP\0";
+use crate::writer::{write_seal, GROUP_MAGIC};
 
 /// Upper bound on one frame header (sanity cap while walking; a header
 /// indexes at most one group's chunks and bus names).
 const MAX_HEADER_LEN: u32 = 16 << 20;
-
-/// Tuning knobs for [`AppendWriter`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppendOptions {
-    /// Chunk layout of each flushed group (clustering, chunk rows).
-    pub writer: WriterOptions,
-    /// Row-count flush trigger: a group is flushed once this many rows are
-    /// buffered. `0` falls back to [`WriterOptions::group_rows`].
-    pub flush_rows: usize,
-    /// Record-time flush trigger in microseconds: a group is flushed when
-    /// the newest buffered record's timestamp is this far past the oldest's.
-    /// `0` disables the time trigger.
-    pub flush_interval_us: u64,
-}
-
-impl AppendOptions {
-    /// Effective row-count trigger.
-    pub fn effective_flush_rows(&self) -> usize {
-        if self.flush_rows == 0 {
-            self.writer.group_rows()
-        } else {
-            self.flush_rows
-        }
-    }
-}
-
-/// Report of one flushed group frame, for flush-latency accounting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupFlush {
-    /// Flushed group id.
-    pub group: u32,
-    /// Rows in the group.
-    pub rows: usize,
-    /// Frame bytes written (header + chunks).
-    pub bytes: u64,
-    /// Wall-clock seconds spent encoding and writing the frame.
-    pub seconds: f64,
-}
-
-/// Streaming append-mode writer for the `.ivns` format.
-pub struct AppendWriter<W: Write> {
-    out: W,
-    options: AppendOptions,
-    /// Bytes written so far == offset of the next write.
-    offset: u64,
-    /// Buffered rows of the current (unflushed) group, in append order;
-    /// its dictionary is the file's bus dictionary in first-seen order.
-    group: GroupColumns,
-    /// Buses already persisted in earlier frame headers.
-    buses_written: usize,
-    /// Chunk index accumulated for the seal-time footer.
-    chunks: Vec<ChunkMeta>,
-    rows_total: u64,
-    groups: u32,
-    /// Oldest buffered record timestamp (time-trigger anchor).
-    oldest_buffered_us: u64,
-    /// Batch bus code → file bus code, filled row by row in
-    /// [`AppendWriter::append_batch`] (`u32::MAX` = not seen yet).
-    bus_codes: Vec<u32>,
-}
-
-impl AppendWriter<BufWriter<File>> {
-    /// Creates `path` and writes the store header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] on filesystem failure.
-    pub fn create<P: AsRef<Path>>(path: P, options: AppendOptions) -> Result<Self> {
-        AppendWriter::new(BufWriter::new(File::create(path)?), options)
-    }
-}
-
-impl<W: Write> AppendWriter<W> {
-    /// Wraps `out` and writes the store header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if the header write fails.
-    pub fn new(mut out: W, options: AppendOptions) -> Result<Self> {
-        out.write_all(MAGIC)?;
-        out.flush()?;
-        Ok(AppendWriter {
-            out,
-            options,
-            offset: MAGIC.len() as u64,
-            group: GroupColumns::default(),
-            buses_written: 0,
-            chunks: Vec::new(),
-            rows_total: 0,
-            groups: 0,
-            oldest_buffered_us: 0,
-            bus_codes: Vec::new(),
-        })
-    }
-
-    /// Appends one record, flushing a micro-batched group frame when the
-    /// row-count or record-time trigger fires. Returns the flush report
-    /// when a frame was written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if a frame flush fails.
-    pub fn append(&mut self, record: &Record) -> Result<Option<GroupFlush>> {
-        let bus = self.group.intern_bus(&record.bus);
-        self.push(
-            record.timestamp_us,
-            bus,
-            record.message_id,
-            record.protocol,
-            &record.payload,
-        )
-    }
-
-    /// Appends every row of `batch` in order, exactly as [`append`]ing
-    /// them one by one would: the flush triggers fire at the same rows and
-    /// a bus new to the file is interned when its first row is appended,
-    /// so frame headers and zone maps come out byte-identical. Calls
-    /// `on_flush` with each frame written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] if a frame flush fails; rows before the
-    /// failing flush stay appended.
-    ///
-    /// [`append`]: AppendWriter::append
-    pub fn append_batch(
-        &mut self,
-        batch: &GroupColumns,
-        mut on_flush: impl FnMut(GroupFlush),
-    ) -> Result<()> {
-        self.bus_codes.clear();
-        self.bus_codes.resize(batch.buses.len(), u32::MAX);
-        for i in 0..batch.len() {
-            let code = &mut self.bus_codes[batch.bus[i] as usize];
-            if *code == u32::MAX {
-                *code = self.group.intern_bus(&batch.buses[batch.bus[i] as usize]);
-            }
-            let bus = *code;
-            let flushed = self.push(
-                batch.t_us[i],
-                bus,
-                batch.mid[i],
-                batch.protocol[i],
-                batch.payload(i),
-            )?;
-            if let Some(flush) = flushed {
-                on_flush(flush);
-            }
-        }
-        Ok(())
-    }
-
-    /// Buffers one row coded against the file dictionary and fires the
-    /// flush triggers.
-    fn push(
-        &mut self,
-        t_us: u64,
-        bus: u32,
-        message_id: u32,
-        protocol: Protocol,
-        payload: &[u8],
-    ) -> Result<Option<GroupFlush>> {
-        if self.group.is_empty() {
-            self.oldest_buffered_us = t_us;
-        }
-        self.group
-            .push_row(t_us, bus, message_id, protocol, payload);
-        self.rows_total += 1;
-        let rows_due = self.group.len() >= self.options.effective_flush_rows();
-        let time_due = self.options.flush_interval_us > 0
-            && t_us.saturating_sub(self.oldest_buffered_us) >= self.options.flush_interval_us;
-        if rows_due || time_due {
-            return self.flush();
-        }
-        Ok(None)
-    }
-
-    /// Flushes the buffered rows as one group frame (no-op when empty).
-    ///
-    /// After this returns, the frame is recoverable: the inner writer has
-    /// been flushed through to its sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] on write failure.
-    pub fn flush(&mut self) -> Result<Option<GroupFlush>> {
-        if self.group.is_empty() {
-            return Ok(None);
-        }
-        let started = Instant::now();
-        let group_id = self.groups;
-        self.groups += 1;
-        // Cut chunks first: the frame header indexes them, so their bytes
-        // and metadata must exist before the header can be written.
-        let first_index = self.rows_total - self.group.len() as u64;
-        let (mut metas, chunk_bytes) =
-            encode_group(&self.group, first_index, &self.options.writer, group_id);
-        self.group.clear();
-
-        let header = encode_frame_header(
-            group_id,
-            self.options.writer.cluster,
-            &self.group.buses[self.buses_written..],
-            &metas,
-        );
-        self.out.write_all(GROUP_MAGIC)?;
-        self.out.write_all(&(header.len() as u32).to_le_bytes())?;
-        self.out.write_all(&header)?;
-        self.out.write_all(&checksum(&header).to_le_bytes())?;
-        let mut chunk_offset = self.offset + (GROUP_MAGIC.len() + 4 + header.len() + 8) as u64;
-        for (meta, bytes) in metas.iter_mut().zip(&chunk_bytes) {
-            meta.offset = chunk_offset;
-            self.out.write_all(bytes)?;
-            chunk_offset += bytes.len() as u64;
-        }
-        let frame_bytes = chunk_offset - self.offset;
-        self.offset = chunk_offset;
-        self.buses_written = self.group.buses.len();
-        let group_rows: usize = metas.iter().map(|m| m.rows as usize).sum();
-        self.chunks.extend(metas);
-        // Durability point: push the frame through to the sink so a crash
-        // after this call loses nothing.
-        self.out.flush()?;
-        Ok(Some(GroupFlush {
-            group: group_id,
-            rows: group_rows,
-            bytes: frame_bytes,
-            seconds: started.elapsed().as_secs_f64(),
-        }))
-    }
-
-    /// Flushes any buffered rows, writes the standard footer and trailer
-    /// (making the file a plain sealed `.ivns`), and returns the inner
-    /// writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] / [`Error::Format`] on write or encoding
-    /// failure.
-    pub fn seal(mut self) -> Result<W> {
-        self.flush()?;
-        let footer = Footer {
-            buses: std::mem::take(&mut self.group.buses),
-            rows: self.rows_total,
-            groups: self.groups,
-            group_rows: self.options.effective_flush_rows() as u32,
-            clustered: self.options.writer.cluster,
-            generation: u64::from(self.groups),
-            chunks: std::mem::take(&mut self.chunks),
-        };
-        write_seal(&mut self.out, self.offset, &footer)?;
-        Ok(self.out)
-    }
-
-    /// Rows appended so far (flushed + buffered).
-    pub fn rows(&self) -> u64 {
-        self.rows_total
-    }
-
-    /// Bytes written so far (header + flushed frames; excludes buffered
-    /// rows and any future seal).
-    pub fn bytes_written(&self) -> u64 {
-        self.offset
-    }
-
-    /// Group frames flushed so far.
-    pub fn groups(&self) -> u32 {
-        self.groups
-    }
-
-    /// Rows buffered in the not-yet-flushed tail group.
-    pub fn buffered_rows(&self) -> usize {
-        self.group.len()
-    }
-}
-
-/// Varint frame header: group id, flags, newly interned buses, chunk index.
-fn encode_frame_header(
-    group: u32,
-    clustered: bool,
-    new_buses: &[Arc<str>],
-    metas: &[ChunkMeta],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + metas.len() * 32);
-    varint::write_u64(&mut out, u64::from(group));
-    out.push(u8::from(clustered));
-    varint::write_u64(&mut out, new_buses.len() as u64);
-    for bus in new_buses {
-        varint::write_u64(&mut out, bus.len() as u64);
-        out.extend_from_slice(bus.as_bytes());
-    }
-    varint::write_u64(&mut out, metas.len() as u64);
-    for meta in metas {
-        varint::write_u64(&mut out, u64::from(meta.rows));
-        varint::write_u64(&mut out, u64::from(meta.len));
-        out.extend_from_slice(&meta.checksum.to_le_bytes());
-        varint::write_u64(&mut out, meta.zone.min_t_us);
-        varint::write_u64(&mut out, meta.zone.max_t_us);
-        varint::write_u64(&mut out, u64::from(meta.zone.min_mid));
-        varint::write_u64(&mut out, u64::from(meta.zone.max_mid));
-        varint::write_u64(&mut out, meta.zone.bus_bits.len() as u64);
-        out.extend_from_slice(&meta.zone.bus_bits);
-    }
-    out
-}
 
 /// One validated group frame; its chunk bytes are left in the buffer the
 /// caller passed to [`read_frame`].
@@ -548,27 +221,28 @@ impl Recovered {
     }
 }
 
-/// Walks the group frames of `inner`, rebuilding the footer index from
-/// checksummed frame headers and truncating (logically) any torn tail.
-///
-/// Works on sealed files too: the walk stops at the footer, whose
-/// validated contents are then preferred.
+/// Recovers the index of `inner`: the footer of a valid seal, else the
+/// index rebuilt from its checksummed group frames with any torn tail
+/// (logically) cut off.
 ///
 /// # Errors
 ///
 /// Returns [`Error::BadMagic`] when the file is not an `.ivns` store, and
 /// [`Error::Io`] on read failure. A torn or corrupt tail is *not* an
-/// error — it is truncated and reported via [`Recovered::torn_bytes`].
+/// error — it is cut off and reported via [`Recovered::torn_bytes`].
 pub fn recover_reader<R: Read + Seek>(inner: &mut R) -> Result<Recovered> {
-    let file_len = inner.seek(SeekFrom::End(0))?;
-    inner.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    if file_len < MAGIC.len() as u64 {
-        return Err(Error::BadMagic);
-    }
-    inner.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(Error::BadMagic);
+    let file_len = check_magic(inner)?;
+    match read_seal(inner) {
+        Ok((footer, _)) => {
+            return Ok(Recovered {
+                footer,
+                sealed: true,
+                valid_len: file_len,
+                file_len,
+            })
+        }
+        Err(Error::Io(e)) => return Err(Error::Io(e)),
+        Err(_) => {}
     }
 
     let mut buses: Vec<Arc<str>> = Vec::new();
@@ -590,18 +264,6 @@ pub fn recover_reader<R: Read + Seek>(inner: &mut R) -> Result<Recovered> {
         chunks.extend(frame.metas);
         pos = frame.end;
     }
-
-    // A sealed file's footer begins exactly where its frames end; prefer
-    // the validated footer when the trailer checks out.
-    if let Some(footer) = try_read_footer(inner, pos, file_len)? {
-        return Ok(Recovered {
-            footer,
-            sealed: true,
-            valid_len: file_len,
-            file_len,
-        });
-    }
-
     Ok(Recovered {
         footer: Footer {
             buses,
@@ -618,42 +280,19 @@ pub fn recover_reader<R: Read + Seek>(inner: &mut R) -> Result<Recovered> {
     })
 }
 
-/// Validates the trailer + footer of a sealed file whose frames end at
-/// `frames_end`. Returns `None` when no valid seal is present.
-fn try_read_footer<R: Read + Seek>(
-    inner: &mut R,
-    frames_end: u64,
-    file_len: u64,
-) -> Result<Option<Footer>> {
-    if file_len < frames_end + TRAILER_LEN as u64 {
-        return Ok(None);
+/// Checks the store header of `inner` and returns the file length.
+fn check_magic<R: Read + Seek>(inner: &mut R) -> Result<u64> {
+    let file_len = inner.seek(SeekFrom::End(0))?;
+    if file_len < MAGIC.len() as u64 {
+        return Err(Error::BadMagic);
     }
-    inner.seek(SeekFrom::Start(file_len - TRAILER_LEN as u64))?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    inner.read_exact(&mut trailer)?;
-    if &trailer[24..32] != END_MAGIC {
-        return Ok(None);
+    inner.seek(SeekFrom::Start(0))?;
+    let mut magic = [0u8; 8];
+    inner.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(Error::BadMagic);
     }
-    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    let footer_sum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
-    let trailer_start = file_len - TRAILER_LEN as u64;
-    if footer_offset != frames_end || footer_offset.saturating_add(footer_len) != trailer_start {
-        return Ok(None);
-    }
-    inner.seek(SeekFrom::Start(footer_offset))?;
-    let mut footer_bytes = vec![0u8; footer_len as usize];
-    inner.read_exact(&mut footer_bytes)?;
-    if checksum(&footer_bytes) != footer_sum {
-        return Ok(None);
-    }
-    match crate::layout::decode_footer(&footer_bytes)
-        .and_then(|footer| footer.check_extents(footer_offset).map(|()| footer))
-    {
-        Ok(footer) => Ok(Some(footer)),
-        Err(Error::Io(e)) => Err(Error::Io(e)),
-        Err(_) => Ok(None),
-    }
+    Ok(file_len)
 }
 
 /// Recovers the index of the store at `path` (sealed or torn).
@@ -683,7 +322,7 @@ pub fn open_recovered<P: AsRef<Path>>(
 
 /// Seals a recovered store in place: truncates the torn tail and appends
 /// the standard footer + trailer, after which [`StoreReader::open`] works
-/// unchanged. Already-sealed files are left untouched.
+/// unchanged. A file with a valid seal is left byte-identical.
 ///
 /// # Errors
 ///
@@ -723,9 +362,10 @@ pub struct TailBatch {
     pub sealed: bool,
 }
 
-/// Tails a growing append-mode store, emitting each completed group once.
+/// Tails a growing store, emitting each completed group once.
 ///
-/// Safe to run concurrently with an [`AppendWriter`] on the same file:
+/// Safe to run concurrently with a [`StoreWriter`](crate::StoreWriter) on
+/// the same file:
 /// frames are append-only and a frame is only surfaced once its header and
 /// every chunk checksum validate, so a partially written tail is simply
 /// not yet visible.
@@ -759,16 +399,7 @@ impl<R: Read + Seek> StoreFollower<R> {
     ///
     /// Returns [`Error::BadMagic`] when the header is absent or wrong.
     pub fn new(mut inner: R) -> Result<Self> {
-        let len = inner.seek(SeekFrom::End(0))?;
-        if len < MAGIC.len() as u64 {
-            return Err(Error::BadMagic);
-        }
-        inner.seek(SeekFrom::Start(0))?;
-        let mut magic = [0u8; 8];
-        inner.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(Error::BadMagic);
-        }
+        check_magic(&mut inner)?;
         Ok(StoreFollower {
             inner,
             pos: MAGIC.len() as u64,
@@ -786,11 +417,13 @@ impl<R: Read + Seek> StoreFollower<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on read failure and
+    /// Returns [`Error::Io`] on read failure,
     /// [`Error::Format`] / [`Error::ChunkChecksum`]-shaped corruption as
-    /// [`Error::Format`] when a *complete* frame fails validation (an
-    /// appender never rewrites flushed bytes, so this is real corruption,
-    /// not a race).
+    /// [`Error::Format`] when a *complete* frame fails validation (a
+    /// writer never rewrites flushed bytes, so this is real corruption,
+    /// not a race), and [`Error::Unframed`] when a valid seal follows bytes
+    /// that are no group frame — a store written before every store was
+    /// framed.
     pub fn poll(&mut self) -> Result<TailBatch> {
         if self.sealed {
             return Ok(TailBatch {
@@ -814,9 +447,16 @@ impl<R: Read + Seek> StoreFollower<R> {
                 }
                 FrameRead::Incomplete => break,
                 FrameRead::NotAFrame => {
-                    if try_read_footer(&mut self.inner, self.pos, file_len)?.is_some() {
-                        self.sealed = true;
-                        out.sealed = true;
+                    match read_seal(&mut self.inner) {
+                        // The seal follows the last frame directly.
+                        Ok((_, footer_at)) if footer_at == self.pos => {
+                            self.sealed = true;
+                            out.sealed = true;
+                        }
+                        Ok(_) => return Err(Error::Unframed),
+                        Err(Error::Io(e)) => return Err(Error::Io(e)),
+                        // No valid seal yet: a frame still being written.
+                        Err(_) => {}
                     }
                     break;
                 }

@@ -1,14 +1,15 @@
 //! Store compaction: rewrite a sealed store into full-size row groups.
 //!
-//! Live-session ingest ([`AppendWriter`](crate::append::AppendWriter))
-//! flushes a group frame per micro-batch for durability, so a long session
-//! seals into a file of many *small* row groups. Small groups hurt readers
-//! twice: the chunk index grows (more zone-map probes per scan) and
-//! clustering only sorts within a group, so narrow groups barely separate
-//! message ids and pruning stops firing. Compaction streams the sealed
-//! file through a fresh [`StoreWriter`] in exact trace order, re-buffering
-//! rows into full `chunks_per_group × chunk_rows` groups and re-clustering
-//! each one — the rerun-style "merge many small batches" rewrite.
+//! Live-session ingest flushes a group frame per micro-batch for
+//! durability, so a long session seals into a file of many *small* row
+//! groups. Small groups hurt readers twice: the chunk index grows (more
+//! zone-map probes per scan) and clustering only sorts within a group, so
+//! narrow groups barely separate message ids and pruning stops firing.
+//! Compaction streams the sealed file's columns through a fresh
+//! [`StoreWriter`] in exact trace order, re-buffering rows into full
+//! `chunks_per_group × chunk_rows` groups and re-clustering each one — the
+//! rerun-style "merge many small batches" rewrite. Like every store, the
+//! output is framed: it can be recovered and followed.
 //!
 //! The rewritten file holds **bit-identical contents**: the same records
 //! in the same trace order ([`StoreReader::read_all`] on input and output
@@ -56,14 +57,12 @@ pub fn compact<R: Read + Seek, W: Write>(
     let groups_before = reader.footer().groups;
     let chunks_before = reader.footer().chunks.len();
     let mut writer = StoreWriter::new(out, options)?;
-    reader.scan::<Error, _>(&Predicate::all(), |group| {
-        for r in &group {
-            writer.append(r)?;
-        }
-        Ok(())
+    let all = Predicate::all().compile(reader.footer());
+    reader.scan_columns::<Error, _>(std::slice::from_ref(&all), |group| {
+        writer.append_batch(group, |_| {})
     })?;
     let rows = writer.rows();
-    let out = writer.finish()?;
+    let out = writer.seal()?;
     // The writer cuts full groups of `group_rows` rows plus one partial
     // tail, and `chunk_rows` divides `group_rows`, so the output geometry
     // is exactly the ceiling division — no need to re-read the sink.

@@ -33,6 +33,9 @@ pub enum Error {
     Format(String),
     /// Failure converting decoded chunks into tabular batches.
     Frame(ivnt_frame::Error),
+    /// A sealed store whose chunks are not group frames — written before
+    /// every store was framed. It reads, but cannot be followed.
+    Unframed,
 }
 
 impl fmt::Display for Error {
@@ -47,6 +50,11 @@ impl fmt::Display for Error {
             Error::FooterChecksum => write!(f, "footer failed its checksum (corrupt index)"),
             Error::Format(msg) => write!(f, "malformed store file: {msg}"),
             Error::Frame(e) => write!(f, "frame error: {e}"),
+            Error::Unframed => write!(
+                f,
+                "sealed store without group frames (written before every store was framed): \
+                 it reads, but cannot be followed; compact it to rewrite it framed"
+            ),
         }
     }
 }

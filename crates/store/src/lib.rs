@@ -17,7 +17,11 @@
 //! positions so scans restore exact trace order per group — pruning that
 //! actually fires, at the cost of ~1 byte/row.
 //!
-//! - [`StoreWriter`] — streaming append, bounded by one row group.
+//! - [`StoreWriter`] — the one writer, bounded by one row group. Every
+//!   group reaches the file as a checksummed group frame, and
+//!   [`StoreWriter::seal`] appends the footer index. So every store, batch
+//!   or live, is framed: a crash loses at most the unflushed group, and a
+//!   reader can tail the file while it grows.
 //! - [`StoreReader`] — validated open ([`Error::BadMagic`],
 //!   [`Error::Truncated`], checksum variants), [`Predicate`]-driven
 //!   [`StoreReader::scan_columns`] with [`ScanStats`]: keys are tested on
@@ -25,10 +29,9 @@
 //!   group's survivors arrive as [`GroupColumns`], which the
 //!   interpretation kernel decodes in place; [`StoreReader::scan`] and
 //!   [`StoreReader::read_all`] are row views over it.
-//! - [`append`] — live-session mode: [`AppendWriter`] flushes
-//!   crash-recoverable micro-batched group frames, [`recover`] rebuilds
-//!   the index of a torn file by walking checksummed frames, and
-//!   [`StoreFollower`] tails a growing file group by group.
+//! - [`append`] — the frame readers: [`recover`] takes a valid seal or
+//!   else rebuilds the index of a torn file by walking its checksummed
+//!   frames, and [`StoreFollower`] tails a growing file group by group.
 //! - [`schema`] — the canonical tabular form of a raw trace, shared with
 //!   the interpretation pipeline.
 
@@ -46,8 +49,8 @@ pub mod varint;
 pub mod writer;
 
 pub use append::{
-    open_recovered, recover, recover_reader, seal_recovered, AppendOptions, AppendWriter,
-    GroupFlush, Recovered, StoreFollower, TailBatch, TailGroup,
+    open_recovered, recover, recover_reader, seal_recovered, Recovered, StoreFollower, TailBatch,
+    TailGroup,
 };
 pub use columns::GroupColumns;
 pub use compact::{compact, compact_file, CompactReport};
@@ -55,7 +58,7 @@ pub use error::{Error, Result};
 pub use layout::{ChunkMeta, Footer, GroupSpan, IndexedRecord, ZoneMap};
 pub use reader::{CompiledPredicate, Predicate, ScanStats, StoreReader};
 pub use record::Record;
-pub use writer::{StoreWriter, WriterOptions};
+pub use writer::{AppendOptions, AppendWriter, GroupFlush, StoreWriter, WriterOptions};
 
 /// Canonical file extension of store files.
 pub const FILE_EXTENSION: &str = "ivns";
@@ -101,7 +104,7 @@ mod tests {
         for r in records {
             writer.append(r).unwrap();
         }
-        writer.finish().unwrap()
+        writer.seal().unwrap()
     }
 
     #[test]
@@ -350,7 +353,7 @@ mod tests {
     fn compact_merges_micro_groups_bit_identically() {
         // A sealed live session: many tiny append-mode group frames.
         let records = cyclic_trace(2_000, 24);
-        let mut aw = AppendWriter::new(
+        let mut aw = StoreWriter::new(
             Vec::new(),
             AppendOptions {
                 writer: WriterOptions {
@@ -445,9 +448,14 @@ mod tests {
                 cluster: true,
             },
         );
-        // Flip a byte inside the first chunk's payload region (after the
-        // 8-byte magic and the chunk's row-count word).
-        bytes[16] ^= 0xFF;
+        // Flip a byte inside the first chunk's payload region (past the
+        // chunk's row-count word).
+        let first = StoreReader::from_reader(Cursor::new(bytes.clone()))
+            .unwrap()
+            .footer()
+            .chunks[0]
+            .offset;
+        bytes[first as usize + 8] ^= 0xFF;
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let err = reader.read_all().unwrap_err();
         assert!(matches!(err, Error::ChunkChecksum { chunk: 0 }));
@@ -563,5 +571,106 @@ mod tests {
             let err = StoreReader::from_reader(Cursor::new(forged)).unwrap_err();
             assert!(matches!(err, Error::Format(_)), "{what}: {err}");
         }
+    }
+
+    /// A sealed store as written before every store was framed: each
+    /// group's chunks back to back after the header, then the seal.
+    fn unframed_store(records: &[Record], options: WriterOptions) -> Vec<u8> {
+        let mut out = layout::MAGIC.to_vec();
+        let mut rows = GroupColumns::default();
+        let mut chunks = Vec::new();
+        let mut first_index = 0;
+        for (group, part) in records.chunks(options.group_rows()).enumerate() {
+            rows.clear();
+            for r in part {
+                let bus = rows.intern_bus(&r.bus);
+                rows.push_row(r.timestamp_us, bus, r.message_id, r.protocol, &r.payload);
+            }
+            let (metas, bytes) = writer::encode_group(&rows, first_index, &options, group as u32);
+            first_index += part.len() as u64;
+            for (mut meta, bytes) in metas.into_iter().zip(bytes) {
+                meta.offset = out.len() as u64;
+                out.extend_from_slice(&bytes);
+                chunks.push(meta);
+            }
+        }
+        let groups = records.len().div_ceil(options.group_rows()) as u32;
+        let footer = Footer {
+            buses: rows.buses,
+            rows: records.len() as u64,
+            groups,
+            group_rows: options.group_rows() as u32,
+            clustered: options.cluster,
+            generation: u64::from(groups),
+            chunks,
+        };
+        let offset = out.len() as u64;
+        writer::write_seal(&mut out, offset, &footer).unwrap();
+        out
+    }
+
+    fn temp_store(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "ivnt-store-{tag}-{}-{:?}.ivns",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn unframed_sealed_store_reads_recovers_sealed_and_is_refused_by_the_follower() {
+        let records = cyclic_trace(200, 8);
+        let options = WriterOptions {
+            chunk_rows: 16,
+            chunks_per_group: 4,
+            cluster: true,
+        };
+        let bytes = unframed_store(&records, options);
+        let mut reader = StoreReader::from_reader(Cursor::new(bytes.clone())).unwrap();
+        assert_eq!(reader.read_all().unwrap(), records);
+
+        let recovered = recover_reader(&mut Cursor::new(&bytes)).unwrap();
+        assert!(recovered.sealed);
+        assert_eq!(&recovered.footer, reader.footer());
+        assert_eq!(recovered.torn_bytes(), 0);
+
+        let path = temp_store("unframed", &bytes);
+        assert!(seal_recovered(&path).unwrap().sealed);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the seal is kept");
+        std::fs::remove_file(&path).ok();
+
+        let mut follower = StoreFollower::new(Cursor::new(bytes)).unwrap();
+        assert!(matches!(follower.poll(), Err(Error::Unframed)));
+    }
+
+    #[test]
+    fn written_store_recovers_its_footer_and_follows_every_group() {
+        let records = cyclic_trace(1_000, 40);
+        let bytes = write_store(
+            &records,
+            WriterOptions {
+                chunk_rows: 64,
+                chunks_per_group: 4,
+                cluster: true,
+            },
+        );
+        let reader = StoreReader::from_reader(Cursor::new(bytes.clone())).unwrap();
+        let recovered = recover_reader(&mut Cursor::new(&bytes)).unwrap();
+        assert!(recovered.sealed);
+        assert_eq!(&recovered.footer, reader.footer());
+
+        let path = temp_store("framed", &bytes);
+        assert!(seal_recovered(&path).unwrap().sealed);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the seal is kept");
+        std::fs::remove_file(&path).ok();
+
+        let mut follower = StoreFollower::new(Cursor::new(bytes)).unwrap();
+        let batch = follower.poll().unwrap();
+        assert!(batch.sealed);
+        assert_eq!(batch.groups.len() as u32, reader.footer().groups);
+        let followed: Vec<Record> = batch.groups.into_iter().flat_map(|g| g.records).collect();
+        assert_eq!(followed, records);
     }
 }

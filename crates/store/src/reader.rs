@@ -211,37 +211,7 @@ impl<R: Read + Seek> StoreReader<R> {
         if &magic != MAGIC {
             return Err(Error::BadMagic);
         }
-        let file_len = inner.seek(SeekFrom::End(0))?;
-        if file_len < (MAGIC.len() + TRAILER_LEN) as u64 {
-            return Err(Error::Truncated("no room for a trailer".into()));
-        }
-        inner.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        let mut trailer = [0u8; TRAILER_LEN];
-        read_exact_or_truncated(&mut inner, &mut trailer, "trailer")?;
-        if &trailer[24..32] != END_MAGIC {
-            return Err(Error::Truncated("trailer magic missing".into()));
-        }
-        let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-        let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-        let footer_checksum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
-        let trailer_start = file_len - TRAILER_LEN as u64;
-        if footer_offset
-            .checked_add(footer_len)
-            .is_none_or(|end| end != trailer_start)
-            || footer_offset < MAGIC.len() as u64
-        {
-            return Err(Error::Truncated("trailer points outside the file".into()));
-        }
-        let footer_len = usize::try_from(footer_len)
-            .map_err(|_| Error::Format("footer length overflow".into()))?;
-        inner.seek(SeekFrom::Start(footer_offset))?;
-        let mut footer_bytes = vec![0u8; footer_len];
-        read_exact_or_truncated(&mut inner, &mut footer_bytes, "footer")?;
-        if checksum(&footer_bytes) != footer_checksum {
-            return Err(Error::FooterChecksum);
-        }
-        let footer = decode_footer(&footer_bytes)?;
-        footer.check_extents(footer_offset)?;
+        let (footer, _) = read_seal(&mut inner)?;
         Ok(StoreReader { inner, footer })
     }
 
@@ -531,6 +501,50 @@ where
     let result = on_group(group);
     group.clear();
     result
+}
+
+/// The store's one seal check: validates the trailer and footer of the
+/// file behind `inner` (its header magic already checked) and returns the
+/// decoded footer with the offset it starts at.
+///
+/// # Errors
+///
+/// [`Error::Truncated`], [`Error::FooterChecksum`] and [`Error::Format`]
+/// as listed on [`StoreReader::from_reader`]; [`Error::Io`] on read
+/// failure.
+pub(crate) fn read_seal<R: Read + Seek>(inner: &mut R) -> Result<(Footer, u64)> {
+    let file_len = inner.seek(SeekFrom::End(0))?;
+    if file_len < (MAGIC.len() + TRAILER_LEN) as u64 {
+        return Err(Error::Truncated("no room for a trailer".into()));
+    }
+    inner.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
+    let mut trailer = [0u8; TRAILER_LEN];
+    read_exact_or_truncated(inner, &mut trailer, "trailer")?;
+    if &trailer[24..32] != END_MAGIC {
+        return Err(Error::Truncated("trailer magic missing".into()));
+    }
+    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
+    let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
+    let footer_checksum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
+    let trailer_start = file_len - TRAILER_LEN as u64;
+    if footer_offset
+        .checked_add(footer_len)
+        .is_none_or(|end| end != trailer_start)
+        || footer_offset < MAGIC.len() as u64
+    {
+        return Err(Error::Truncated("trailer points outside the file".into()));
+    }
+    let footer_len =
+        usize::try_from(footer_len).map_err(|_| Error::Format("footer length overflow".into()))?;
+    inner.seek(SeekFrom::Start(footer_offset))?;
+    let mut footer_bytes = vec![0u8; footer_len];
+    read_exact_or_truncated(inner, &mut footer_bytes, "footer")?;
+    if checksum(&footer_bytes) != footer_checksum {
+        return Err(Error::FooterChecksum);
+    }
+    let footer = decode_footer(&footer_bytes)?;
+    footer.check_extents(footer_offset)?;
+    Ok((footer, footer_offset))
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<()> {

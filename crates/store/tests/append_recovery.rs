@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ivnt_protocol::message::Protocol;
 use ivnt_store::{
-    recover, seal_recovered, AppendOptions, AppendWriter, Record, StoreFollower, StoreReader,
+    recover, seal_recovered, AppendOptions, Record, StoreFollower, StoreReader, StoreWriter,
     WriterOptions,
 };
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ fn append_options(chunk_rows: usize, flush_rows: usize) -> AppendOptions {
 /// Writes `n` records through an append writer, returning the raw bytes
 /// (unsealed) plus per-flushed-group `(rows, end byte offset)`.
 fn append_bytes(n: u64, options: AppendOptions) -> (Vec<u8>, Vec<(usize, u64)>) {
-    let mut writer = AppendWriter::new(Vec::new(), options).unwrap();
+    let mut writer = StoreWriter::new(Vec::new(), options).unwrap();
     let mut groups = Vec::new();
     for i in 0..n {
         if let Some(flush) = writer.append(&record(i)).unwrap() {
@@ -66,7 +66,7 @@ fn append_bytes(n: u64, options: AppendOptions) -> (Vec<u8>, Vec<(usize, u64)>) 
 #[test]
 fn sealed_append_file_reads_like_a_batch_store() {
     let records: Vec<Record> = (0..500).map(record).collect();
-    let mut writer = AppendWriter::new(Vec::new(), append_options(16, 100)).unwrap();
+    let mut writer = StoreWriter::new(Vec::new(), append_options(16, 100)).unwrap();
     for r in &records {
         writer.append(r).unwrap();
     }
@@ -81,7 +81,7 @@ fn sealed_append_file_reads_like_a_batch_store() {
 
 #[test]
 fn time_trigger_flushes_between_row_triggers() {
-    let mut writer = AppendWriter::new(
+    let mut writer = StoreWriter::new(
         Vec::new(),
         AppendOptions {
             writer: WriterOptions {
@@ -127,7 +127,7 @@ fn follower_tails_groups_as_they_complete_and_sees_the_seal() {
         std::process::id(),
         std::thread::current().id()
     ));
-    let mut writer = AppendWriter::create(&path, append_options(16, 50)).unwrap();
+    let mut writer = StoreWriter::create(&path, append_options(16, 50)).unwrap();
     let mut follower = StoreFollower::open(&path).unwrap();
     let mut tailed: Vec<Record> = Vec::new();
     for i in 0..500u64 {

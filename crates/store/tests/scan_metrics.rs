@@ -34,7 +34,7 @@ fn rows_decoded_and_emitted_are_pinned_on_a_clustered_store() {
             })
             .unwrap();
     }
-    let mut reader = StoreReader::from_reader(Cursor::new(writer.finish().unwrap())).unwrap();
+    let mut reader = StoreReader::from_reader(Cursor::new(writer.seal().unwrap())).unwrap();
     let pred = Predicate::for_messages([("FC", 2u32)]).compile(reader.footer());
 
     let registry = Arc::new(ivnt_obs::Registry::new());

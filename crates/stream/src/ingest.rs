@@ -3,7 +3,7 @@
 //! A producer thread fills column batches ([`GroupColumns`]) from a
 //! [`FrameSource`] and hands each one over whole through a bounded
 //! channel; the caller's thread appends each batch to an
-//! [`AppendWriter`], which flushes micro-batched row groups. The bound is
+//! [`StoreWriter`], which flushes micro-batched row groups. The bound is
 //! in rows: the channel holds as many batches as `queue_capacity` rows
 //! allow. When the writer falls behind, the producer blocks on its next
 //! hand-off (counted as `stream_backpressure_total`) instead of growing
@@ -24,7 +24,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ivnt_store::{AppendWriter, GroupColumns};
+use ivnt_store::{GroupColumns, StoreWriter};
 
 use crate::error::{Error, Result};
 use crate::source::{FrameSource, SourceEvent};
@@ -128,7 +128,7 @@ struct Shared {
 /// until the source ends, `options.max_frames` is reached or `stop` is
 /// set. Returns the writer (sealed or still appendable) with the run's
 /// statistics. The file is byte-identical to appending the same frames
-/// one [`AppendWriter::append`] at a time.
+/// one [`StoreWriter::append`] at a time.
 ///
 /// # Errors
 ///
@@ -136,7 +136,7 @@ struct Shared {
 /// recoverable in the store.
 pub fn ingest<W, S>(
     mut source: S,
-    mut writer: AppendWriter<W>,
+    mut writer: StoreWriter<W>,
     options: &IngestOptions,
     stop: &StopFlag,
 ) -> Result<(Option<W>, IngestStats)>
@@ -237,7 +237,7 @@ where
 /// asks for a drain.
 fn drain<W: std::io::Write>(
     rx: &Receiver<GroupColumns>,
-    writer: &mut AppendWriter<W>,
+    writer: &mut StoreWriter<W>,
     options: &IngestOptions,
     stop: &StopFlag,
     shared: &Shared,
@@ -277,7 +277,7 @@ fn drain<W: std::io::Write>(
 /// `max_frames` is reached.
 fn write_batch<W: std::io::Write>(
     mut batch: GroupColumns,
-    writer: &mut AppendWriter<W>,
+    writer: &mut StoreWriter<W>,
     options: &IngestOptions,
     shared: &Shared,
     stats: &mut IngestStats,

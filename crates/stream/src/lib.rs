@@ -8,17 +8,16 @@
 //!   frame-line stream on stdin, or a TCP socket ([`FrameSource`]), each
 //!   filling column batches (`ivnt_store::GroupColumns`).
 //! * ingest ([`ingest()`]) — a driver handing those batches to the
-//!   appendable `.ivns` store (`ivnt_store::AppendWriter`), with a
+//!   appendable `.ivns` store (`ivnt_store::StoreWriter`), with a
 //!   row-bounded queue, backpressure, graceful drain and crash-recoverable
 //!   micro-batched row groups.
 //! * [`session`] — [`StreamingSession`], the incremental variant of the
 //!   batch `extract_reduced` path: a watermark reorder buffer per signal
 //!   whose releases go through `ivnt-core`'s incremental dedup and reduce
 //!   operators (`Deduplicator`, `Reducer` — the ones batch runs push a
-//!   whole sequence through), late-row accounting and optional
-//!   incremental SWAB + SAX symbolization — emitting per-micro-batch
-//!   state deltas under a memory bound, bit-identical to the batch output
-//!   for closed in-tolerance streams.
+//!   whole sequence through) and late-row accounting — emitting
+//!   per-micro-batch state deltas under a memory bound, bit-identical to
+//!   the batch output for closed in-tolerance streams.
 //!
 //! Everything reports through `ivnt-obs` (`stream_*` counters, queue
 //! depth, watermark lag, flush latency), merging with pipeline metrics in
@@ -30,7 +29,6 @@ pub mod error;
 pub mod ingest;
 pub mod session;
 pub mod source;
-pub mod symbolize;
 
 pub use error::{Error, Result};
 pub use ingest::{ingest, IngestOptions, IngestStats, StopFlag};
@@ -41,7 +39,4 @@ pub use session::{
 pub use source::{
     format_line, parse_line, FrameSource, LineSource, SimulatorSource, SourceEvent, TcpLineSource,
     MAX_LINE_LEN,
-};
-pub use symbolize::{
-    symbolize_batch, IncrementalSwab, IncrementalSymbolizer, SymbolizeOptions, SymbolizedSegment,
 };

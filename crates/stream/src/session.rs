@@ -41,7 +41,6 @@ use ivnt_core::split::{CodedRow, CodedRows, CodedSequence, SignalSequence};
 use ivnt_store::{GroupColumns, Record};
 
 use crate::error::{Error, Result};
-use crate::symbolize::{IncrementalSymbolizer, SymbolizeOptions, SymbolizedSegment};
 
 /// Knobs of the incremental pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -56,9 +55,6 @@ pub struct StreamOptions {
     /// its signal's representative is declared mismatched instead of
     /// growing the buffer.
     pub history_cap: usize,
-    /// When set, reduced numeric values additionally flow through the
-    /// incremental SWAB + SAX symbolizer and deltas carry segments.
-    pub symbolize: Option<SymbolizeOptions>,
 }
 
 impl Default for StreamOptions {
@@ -66,7 +62,6 @@ impl Default for StreamOptions {
         StreamOptions {
             watermark_s: 1.0,
             history_cap: 4096,
-            symbolize: None,
         }
     }
 }
@@ -91,9 +86,6 @@ pub struct SignalDelta {
     pub signal: String,
     /// Newly reduced representative rows, in final (batch) order.
     pub rows: Vec<DeltaRow>,
-    /// Newly completed SWAB segments with SAX symbols (empty unless
-    /// [`StreamOptions::symbolize`] is set).
-    pub segments: Vec<SymbolizedSegment>,
 }
 
 /// Close-time per-signal report, mirroring one element of the batch
@@ -151,7 +143,6 @@ struct SignalState {
     observed: Vec<Arc<str>>,
     dedup: Deduplicator,
     reducer: Reducer,
-    symbolizer: Option<IncrementalSymbolizer>,
 }
 
 /// The incremental pipeline: push micro-batches of records, receive
@@ -217,7 +208,7 @@ impl<'p> StreamingSession<'p> {
         for seq in seqs {
             self.push_sequence(&seq);
             let delta = self.release(&seq.signal, false);
-            if !delta.rows.is_empty() || !delta.segments.is_empty() {
+            if !delta.rows.is_empty() {
                 deltas.push(delta);
             }
         }
@@ -238,12 +229,9 @@ impl<'p> StreamingSession<'p> {
         let mut deltas = Vec::new();
         let mut summaries = Vec::new();
         for signal in names {
-            let mut delta = self.release(&signal, true);
+            let delta = self.release(&signal, true);
             let state = self.signals.remove(&signal).expect("state exists");
-            if let Some(sym) = state.symbolizer {
-                delta.segments.extend(sym.close());
-            }
-            if !delta.rows.is_empty() || !delta.segments.is_empty() {
+            if !delta.rows.is_empty() {
                 deltas.push(delta);
             }
             let dedup = state.dedup.finish();
@@ -287,7 +275,6 @@ impl<'p> StreamingSession<'p> {
                     .pipeline
                     .deduplicator(&seq.signal, self.options.history_cap.max(1)),
                 reducer: Reducer::new(&seq.signal, &self.pipeline.profile().constraints),
-                symbolizer: self.options.symbolize.map(IncrementalSymbolizer::new),
             });
         let view = seq.view();
         // The sequence's channel code → its code in `observed`.
@@ -393,14 +380,9 @@ impl<'p> StreamingSession<'p> {
                 }
             })
             .collect();
-        let segments = match &mut state.symbolizer {
-            Some(sym) => sym.feed(&rows.iter().filter_map(|r| r.num).collect::<Vec<_>>()),
-            None => Vec::new(),
-        };
         SignalDelta {
             signal: signal.to_string(),
             rows,
-            segments,
         }
     }
 

@@ -3,9 +3,6 @@
 //! `Pipeline::session(..).extract_reduced()` output for closed streams,
 //! under arbitrary micro-batch boundaries (including single-row batches),
 //! with arrival jitter inside the watermark, and with dedup on or off.
-//! The SWAB + SAX carry-over is additionally proven at the kernel level
-//! against the batch segmenter, including boundaries that land
-//! mid-segment.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -19,7 +16,6 @@ use ivnt_simulator::prelude::*;
 use ivnt_store::{Record, StoreReader, StoreWriter, WriterOptions};
 use ivnt_stream::{
     flatten_reduced, summarize_batch, DeltaRow, SignalSummary, StreamOptions, StreamingSession,
-    SymbolizeOptions,
 };
 use proptest::prelude::*;
 
@@ -185,7 +181,7 @@ fn jittered_arrival_matches_batch_over_store() {
     for r in &recs {
         writer.append(r).expect("append");
     }
-    writer.finish().expect("finish");
+    writer.seal().expect("seal");
     let mut reader = StoreReader::open(&path).expect("open");
     let batch = p
         .session(RunOptions::store(&mut reader))
@@ -245,48 +241,6 @@ fn memory_stays_bounded_over_many_windows() {
         peak <= warmup_peak * 3 / 2,
         "buffer kept growing after warm-up: {warmup_peak} -> {peak}"
     );
-}
-
-#[test]
-fn symbolized_segments_tile_the_reduced_rows() {
-    let data = dataset();
-    let p = pipeline(&data.network, DomainProfile::new("stream-sym"));
-    let recs = records(&data.trace);
-    let options = StreamOptions {
-        symbolize: Some(SymbolizeOptions::default()),
-        ..StreamOptions::default()
-    };
-    let mut session = StreamingSession::new(&p, options).expect("session");
-    let mut covered: HashMap<String, usize> = HashMap::new();
-    let mut numeric_rows: HashMap<String, usize> = HashMap::new();
-    for chunk in recs.chunks(128) {
-        for delta in session.push_records(chunk).expect("push") {
-            let c = covered.entry(delta.signal.clone()).or_default();
-            for seg in &delta.segments {
-                assert_eq!(*c, seg.segment.start, "segments tile contiguously");
-                *c = seg.segment.end;
-            }
-            *numeric_rows.entry(delta.signal).or_default() +=
-                delta.rows.iter().filter(|r| r.num.is_some()).count();
-        }
-    }
-    let close = session.close().expect("close");
-    for delta in close.deltas {
-        let c = covered.entry(delta.signal.clone()).or_default();
-        for seg in &delta.segments {
-            assert_eq!(*c, seg.segment.start, "segments tile contiguously");
-            *c = seg.segment.end;
-        }
-        *numeric_rows.entry(delta.signal).or_default() +=
-            delta.rows.iter().filter(|r| r.num.is_some()).count();
-    }
-    let mut saw_segments = false;
-    for (signal, rows) in &numeric_rows {
-        let end = covered.get(signal).copied().unwrap_or(0);
-        assert_eq!(end, *rows, "segments cover every numeric row of {signal}");
-        saw_segments |= end > 0;
-    }
-    assert!(saw_segments, "at least one signal was symbolized");
 }
 
 proptest! {

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use ivnt_protocol::message::Protocol;
 use ivnt_simulator::prelude::*;
 use ivnt_store::{
-    open_recovered, AppendOptions, AppendWriter, GroupColumns, Record, StoreFollower, StoreReader,
+    open_recovered, AppendOptions, GroupColumns, Record, StoreFollower, StoreReader, StoreWriter,
     WriterOptions,
 };
 use ivnt_stream::{
@@ -243,10 +243,10 @@ fn varied_records(count: usize) -> Vec<Record> {
         .collect()
 }
 
-/// The sealed file of `records` appended one [`AppendWriter::append`] at
+/// The sealed file of `records` appended one [`StoreWriter::append`] at
 /// a time.
 fn appended(records: &[Record], options: AppendOptions) -> Vec<u8> {
-    let mut writer = AppendWriter::new(Vec::new(), options).expect("writer");
+    let mut writer = StoreWriter::new(Vec::new(), options).expect("writer");
     for r in records {
         writer.append(r).expect("append");
     }
@@ -258,7 +258,7 @@ fn ingested(
     append: AppendOptions,
     options: &IngestOptions,
 ) -> (Vec<u8>, IngestStats) {
-    let writer = AppendWriter::new(Vec::new(), append).expect("writer");
+    let writer = StoreWriter::new(Vec::new(), append).expect("writer");
     let (bytes, stats) = ingest(source, writer, options, &StopFlag::new()).expect("ingest");
     (bytes.expect("sealed"), stats)
 }
@@ -376,7 +376,7 @@ fn delivered_rows_become_visible_while_the_peer_idles() {
     let source = TcpLineSource::new(stream, Duration::from_millis(10)).expect("tcp source");
     let path = temp_path("latency");
     // 256-row groups: only the idle flush can publish three rows.
-    let writer = AppendWriter::create(&path, append_options()).expect("writer");
+    let writer = StoreWriter::create(&path, append_options()).expect("writer");
     let options = IngestOptions {
         poll_timeout: Duration::from_millis(10),
         ..IngestOptions::default()
@@ -414,7 +414,7 @@ fn ingest_seals_a_store_identical_to_the_source() {
     let data = dataset();
     let records: Vec<Record> = data.trace.records().to_vec();
     let path = temp_path("seal");
-    let writer = AppendWriter::create(&path, append_options()).expect("writer");
+    let writer = StoreWriter::create(&path, append_options()).expect("writer");
     let stop = StopFlag::new();
     let (_, stats) = ingest(
         SimulatorSource::new(&data.trace),
@@ -441,7 +441,7 @@ fn ingest_seals_a_store_identical_to_the_source() {
 fn ingest_stops_at_max_frames_and_leaves_a_recoverable_store() {
     let data = dataset();
     let path = temp_path("maxframes");
-    let writer = AppendWriter::create(&path, append_options()).expect("writer");
+    let writer = StoreWriter::create(&path, append_options()).expect("writer");
     let stop = StopFlag::new();
     let options = IngestOptions {
         max_frames: Some(700),
@@ -472,7 +472,7 @@ fn ingest_stops_at_max_frames_and_leaves_a_recoverable_store() {
 fn stop_flag_drains_gracefully() {
     let data = dataset();
     let path = temp_path("stop");
-    let writer = AppendWriter::create(&path, append_options()).expect("writer");
+    let writer = StoreWriter::create(&path, append_options()).expect("writer");
     let stop = StopFlag::new();
     // A slow source that stops producing only when asked: loop the trace
     // and trip the flag from another thread shortly after start.

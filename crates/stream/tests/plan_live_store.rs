@@ -12,7 +12,7 @@ use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions, Session};
 use ivnt_core::query::Query;
 use ivnt_core::rules::RuleSet;
 use ivnt_simulator::prelude::*;
-use ivnt_store::{open_recovered, AppendOptions, AppendWriter, Record, StoreReader};
+use ivnt_store::{open_recovered, AppendOptions, Record, StoreReader, StoreWriter};
 
 fn dataset() -> &'static GeneratedDataSet {
     static DATA: OnceLock<GeneratedDataSet> = OnceLock::new();
@@ -77,7 +77,7 @@ fn extract_matches_solo_across_an_append_and_seal_cycle() {
     let p = pipeline(&data.network);
 
     // Phase 1: half the session has landed; the file is live (unsealed).
-    let mut writer = AppendWriter::create(&path, append_options()).expect("create");
+    let mut writer = StoreWriter::create(&path, append_options()).expect("create");
     for r in &records[..half] {
         writer.append(r).expect("append");
     }

@@ -26,7 +26,7 @@ fn build_store(tag: &str) -> PathBuf {
     for r in data.trace.records() {
         writer.append(r).expect("store append");
     }
-    writer.finish().expect("store finish");
+    writer.seal().expect("store seal");
     path
 }
 

@@ -19,8 +19,8 @@ fn temp_store(tag: &str) -> PathBuf {
 fn write_empty_store(path: &Path) {
     StoreWriter::create(path, WriterOptions::default())
         .expect("store create")
-        .finish()
-        .expect("store finish");
+        .seal()
+        .expect("store seal");
 }
 
 /// A store holding only STA-scenario traffic — every chunk's zone map
@@ -32,7 +32,7 @@ fn write_foreign_store(path: &Path) {
     for r in data.trace.records() {
         writer.append(r).expect("store append");
     }
-    writer.finish().expect("store finish");
+    writer.seal().expect("store seal");
 }
 
 fn assert_empty_signal_frame(frame: &ivnt::frame::frame::DataFrame) {

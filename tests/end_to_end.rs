@@ -121,7 +121,7 @@ fn trace_persistence_roundtrips_through_pipeline() {
     for r in trace.records() {
         writer.append(r).expect("append");
     }
-    let bytes = writer.finish().expect("finish");
+    let bytes = writer.seal().expect("seal");
     let mut reader =
         ivnt::store::StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("open");
     let reloaded = Trace::from_records(reader.read_all().expect("read"));

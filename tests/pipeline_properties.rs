@@ -175,7 +175,7 @@ proptest! {
         for r in data.trace.records() {
             writer.append(r).expect("append");
         }
-        let bytes = writer.finish().expect("finish");
+        let bytes = writer.seal().expect("seal");
         let mut reader =
             ivnt::store::StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("open");
         let reloaded = Trace::from_records(reader.read_all().expect("read"));

@@ -79,7 +79,7 @@ fn write_store(trace: &Trace) -> Vec<u8> {
     for r in trace.records() {
         writer.append(r).expect("append");
     }
-    writer.finish().expect("finish")
+    writer.seal().expect("seal")
 }
 
 /// The trace minus every record of message `absent`.

@@ -35,7 +35,7 @@ fn fixture() -> &'static Fixture {
         for r in data.trace.records() {
             writer.append(r).expect("append");
         }
-        let bytes = writer.finish().expect("finish");
+        let bytes = writer.seal().expect("seal");
         Fixture { data, bytes }
     })
 }

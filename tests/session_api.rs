@@ -80,7 +80,7 @@ fn store_bytes(data: &GeneratedDataSet) -> Vec<u8> {
     for r in data.trace.records() {
         writer.append(r).expect("append");
     }
-    writer.finish().expect("finish")
+    writer.seal().expect("seal")
 }
 
 fn open(bytes: &[u8]) -> StoreReader<std::io::Cursor<&[u8]>> {

@@ -271,7 +271,7 @@ fn store_and_shard_sessions_match_the_oracle() {
         for r in case.trace.records() {
             writer.append(r).expect("append");
         }
-        let bytes = writer.finish().expect("finish");
+        let bytes = writer.seal().expect("seal");
         let mut reader = StoreReader::from_reader(std::io::Cursor::new(bytes)).expect("reader");
         let groups = reader.footer().groups;
         assert!(groups >= 4, "{}: {groups} groups", case.name);

@@ -19,7 +19,7 @@ fn write_store(
     for r in trace.records() {
         writer.append(r).expect("append");
     }
-    writer.finish().expect("finish");
+    writer.seal().expect("seal");
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn a_query_batch_is_one_run_sharing_one_interpret_and_split() {
         writer.append(r).expect("append");
     }
     let mut reader =
-        StoreReader::from_reader(Cursor::new(writer.finish().expect("finish"))).expect("open");
+        StoreReader::from_reader(Cursor::new(writer.seal().expect("seal"))).expect("open");
 
     // Two signal-disjoint domains: the shared pass decodes for both once.
     let names = data.signal_names();

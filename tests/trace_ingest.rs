@@ -375,7 +375,7 @@ fn time_window_gives_the_same_rows_from_trace_and_store() {
     for r in data.trace.records() {
         writer.append(r).expect("append");
     }
-    let bytes = writer.finish().expect("finish");
+    let bytes = writer.seal().expect("seal");
 
     let full = session_frame(&pipeline, &data.trace, true);
     // Bounds that fall exactly on the timestamps of selected records: both
