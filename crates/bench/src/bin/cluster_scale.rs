@@ -32,13 +32,20 @@
 //!   speedup is report-only (the speedup over the single process is
 //!   reported beside it, ungated).
 //!
+//! Beside `cluster_tax` it reports where a 1-worker run's time went —
+//! the worker's extract and encode seconds and the coordinator's decode
+//! seconds (`cluster_worker_{extract,encode}_seconds`,
+//! `cluster_decode_seconds`, medians over the 1-worker runs) — so a tax
+//! regression names its stage.
+//!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::cell::RefCell;
 use std::io::Write;
+use std::sync::Arc;
 use std::time::Instant;
 
-use ivnt_bench::{env_f64, paired_secs, scale, time_secs};
+use ivnt_bench::{env_f64, median, paired_secs, scale, time_secs};
 use ivnt_cluster::codec::encode_batch;
 use ivnt_cluster::{
     run_job, spawn_local_workers, ClusterConfig, ClusterRun, JobSpec, LocalSpawnSpec, WorkerServer,
@@ -137,13 +144,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ClusterConfig::default()
     };
     // One timed cluster run over `addrs`; the bit-identity check and the
-    // wire stats stay outside the measurement.
+    // wire stats stay outside the measurement. A 1-worker run also
+    // records its stage seconds: [worker extract, worker encode,
+    // coordinator decode].
     let wire_stats = RefCell::new(None);
+    let one_worker_stages: RefCell<Vec<[f64; 3]>> = RefCell::new(Vec::new());
     let time_cluster = |addrs: &[String], label: &str| {
+        let registry = Arc::new(ivnt_obs::Registry::new());
+        let guard = ivnt_obs::install(Arc::clone(&registry));
         let t0 = Instant::now();
         let run = run_job(&job, addrs, &config).expect("cluster run");
         let secs = t0.elapsed().as_secs_f64();
+        drop(guard);
         check(&run, label);
+        if label == "1-worker" {
+            let sum = |snapshot: &ivnt_obs::Snapshot, name: &str| {
+                snapshot.histograms.get(name).map_or(0.0, |h| h.sum)
+            };
+            let worker = &run.worker_metrics;
+            one_worker_stages.borrow_mut().push([
+                sum(worker, "cluster_worker_extract_seconds"),
+                sum(worker, "cluster_worker_encode_seconds"),
+                sum(&registry.snapshot(), "cluster_decode_seconds"),
+            ]);
+        }
         *wire_stats.borrow_mut() = Some(run.stats);
         secs
     };
@@ -193,6 +217,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     drop(one_worker);
     let wire = wire_stats.take().expect("at least one cluster run");
+    let stages = one_worker_stages.take();
+    let [extract_secs, encode_secs, decode_secs] =
+        [0, 1, 2].map(|i| median(stages.iter().map(|s| s[i]).collect()));
+    let stages_note = format!(
+        "1-worker stages: worker extract {:.1} ms, encode {:.1} ms, coordinator decode {:.1} ms",
+        extract_secs * 1e3,
+        encode_secs * 1e3,
+        decode_secs * 1e3
+    );
 
     // Straggler phase: worker 0 crawls (slow-task fault via the child's
     // env) while the rest are healthy; straggler truncation + tail
@@ -269,7 +302,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  \"cluster_tax\": {{\n",
             "    \"pairs\": {},\n",
             "    \"median\": {:.3},\n",
-            "    \"max_gate\": {:.2}\n",
+            "    \"max_gate\": {:.2},\n",
+            "    \"worker_extract_seconds\": {:.6},\n",
+            "    \"worker_encode_seconds\": {:.6},\n",
+            "    \"cluster_decode_seconds\": {:.6}\n",
             "  }},\n",
             "  \"cluster\": [\n{}\n  ],\n",
             "  \"scaling\": {{\n",
@@ -305,6 +341,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TAX_PAIRS,
         cluster_tax,
         MAX_CLUSTER_TAX,
+        extract_secs,
+        encode_secs,
+        decode_secs,
         point_entries.join(",\n"),
         n_max,
         speedup,
@@ -352,7 +391,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "cluster tax: {cluster_tax:.2}x the single process for 1 worker \
-         (median of {TAX_PAIRS} interleaved pairs, gate <= {MAX_CLUSTER_TAX:.2})"
+         (median of {TAX_PAIRS} interleaved pairs, gate <= {MAX_CLUSTER_TAX:.2}); {stages_note}"
     );
     let gate_note = if gated {
         format!("gate {effective_gate:.2}x")
@@ -376,7 +415,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if cluster_tax > MAX_CLUSTER_TAX {
         eprintln!(
             "FAIL: 1-worker cluster costs {cluster_tax:.2}x the single process \
-             (gate {MAX_CLUSTER_TAX:.2}) — codec or merge work is back on the critical path"
+             (gate {MAX_CLUSTER_TAX:.2}) — codec or merge work is back on the critical path; \
+             {stages_note}"
         );
         failed = true;
     }

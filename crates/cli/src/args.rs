@@ -46,6 +46,11 @@ impl Args {
         Ok(args)
     }
 
+    /// Every `--flag` and `--switch` given, by name.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().chain(&self.switches).map(String::as_str)
+    }
+
     /// Whether a valueless `--switch` was present.
     pub fn has(&self, key: &str) -> bool {
         self.switches.contains(key)

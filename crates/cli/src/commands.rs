@@ -21,6 +21,73 @@ pub const SWITCHES: &[&str] = &[
 
 type CmdResult = Result<(), String>;
 
+/// The flags `ivnt COMMAND [SUBCOMMAND]` reads, switches included;
+/// `None` for a command or subcommand the dispatcher refuses itself.
+fn known_flags(command: &str, sub: Option<&str>) -> Option<Vec<&'static str>> {
+    const SCENARIO: &str = "scenario seed examples";
+    const RULES: &str = "rules bus";
+    const SHARED: &str = "workers serial timing metrics json";
+    const GEOMETRY: &str = "chunk-rows chunks-per-group cluster";
+    let parts: &[&str] = match (command, sub) {
+        ("record", _) => &[SCENARIO, GEOMETRY],
+        ("inspect", _) => &[],
+        ("run", _) => &[SCENARIO, RULES, SHARED, "signals state-csv report rows"],
+        ("extract", _) => &[SCENARIO, RULES, SHARED, "signals csv"],
+        ("query", _) => &[SCENARIO, RULES, SHARED, "domain signal"],
+        ("infer", _) => &["store mid min-samples json"],
+        ("dbc", _) => &["bus"],
+        ("store", Some("ingest")) => &[GEOMETRY, "from"],
+        ("store", Some("info")) => &["chunks groups json"],
+        ("store", Some("compact")) => &[GEOMETRY, "json"],
+        ("stream", Some("ingest")) => &[
+            SCENARIO,
+            GEOMETRY,
+            "stdin listen frames flush-rows flush-ms queue poll-ms no-seal metrics json",
+        ],
+        ("stream", Some("follow")) => &[
+            SCENARIO,
+            "signals watermark-ms history-cap poll-ms once metrics json",
+        ],
+        ("cluster", Some("worker")) => &["listen once"],
+        ("cluster", Some("run")) => &[
+            SCENARIO,
+            "signals workers local heartbeat-ms timeout-ms retries tasks checkpoint",
+            "straggler-factor csv verify metrics json",
+        ],
+        _ => return None,
+    };
+    Some(parts.iter().flat_map(|p| p.split_whitespace()).collect())
+}
+
+/// Refuses a `--flag` that `ivnt COMMAND` does not read (`--help` goes
+/// everywhere), naming it; a misspelt flag would otherwise be ignored
+/// without a word.
+///
+/// # Errors
+///
+/// The unknown flag and the command it was given to.
+pub fn check_flags(command: &str, args: &Args) -> CmdResult {
+    let sub = match command {
+        "store" | "stream" | "cluster" => args.positional(0, "subcommand").ok(),
+        _ => None,
+    };
+    let Some(known) = known_flags(command, sub) else {
+        return Ok(());
+    };
+    let mut unknown: Vec<&str> = args
+        .names()
+        .filter(|name| *name != "help" && !known.contains(name))
+        .collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        None => Ok(()),
+        Some(flag) => {
+            let command = sub.map_or(command.to_string(), |sub| format!("{command} {sub}"));
+            Err(format!("unknown flag --{flag} for `ivnt {command}`"))
+        }
+    }
+}
+
 fn err(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
@@ -100,7 +167,7 @@ pub fn record(args: &Args) -> CmdResult {
     let spec = scenario_spec(args)?;
     let data = scenario::generate(&spec).map_err(err)?;
     write_store(out_path, &data.trace, args)?;
-    println!(
+    outln!(
         "recorded {}: {} records, {:.1} s, {} signal types ({})",
         out_path,
         data.trace.len(),
@@ -134,18 +201,26 @@ pub fn inspect(args: &Args) -> CmdResult {
     let trace = Trace::from_records(reader.read_all().map_err(err)?);
 
     let stats = ivnt_simulator::stats::trace_stats(&trace);
-    println!(
+    outln!(
         "{path}: {} records over {:.1} s ({:.0} msg/s, {} payload bytes)",
-        stats.records, stats.duration_s, stats.rate_hz, stats.payload_bytes,
+        stats.records,
+        stats.duration_s,
+        stats.rate_hz,
+        stats.payload_bytes,
     );
-    println!("channels: {}", stats.channels.join(", "));
-    println!("top message streams:");
-    println!(
+    outln!("channels: {}", stats.channels.join(", "));
+    outln!("top message streams:");
+    outln!(
         "  {:<10} {:<12} {:>8} {:>12} {:>12} {:>12}",
-        "m_id", "bus", "count", "mean gap", "max gap", "jitter"
+        "m_id",
+        "bus",
+        "count",
+        "mean gap",
+        "max gap",
+        "jitter"
     );
     for m in stats.top_talkers(12) {
-        println!(
+        outln!(
             "  {:<10} {:<12} {:>8} {:>10.1}ms {:>10.1}ms {:>10.2}ms",
             m.message_id,
             m.bus,
@@ -257,11 +332,11 @@ fn render_timing(snapshot: &ivnt_obs::Snapshot, json: Option<&mut JsonWriter>) {
             w.end_array();
         }
         None => {
-            println!("\nstage timing (span tree; a span includes its children):");
-            println!("  {:<24} {:>6} {:>10}", "span", "calls", "ms");
+            outln!("\nstage timing (span tree; a span includes its children):");
+            outln!("  {:<24} {:>6} {:>10}", "span", "calls", "ms");
             for (depth, span) in tree {
                 let name = format!("{:indent$}{}", "", span.name, indent = 2 * depth);
-                println!(
+                outln!(
                     "  {name:<24} {:>6} {:>10.3}",
                     span.count,
                     span.seconds * 1e3
@@ -308,13 +383,16 @@ pub fn run(args: &Args) -> CmdResult {
         }
         w.field_metrics(metrics);
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
-        println!("extracted {} signals:", output.signals.len());
+        outln!("extracted {} signals:", output.signals.len());
         for s in &output.signals {
-            println!(
+            outln!(
                 "  {:<14} branch {:<6} {:>8} -> {:>8} rows",
-                s.signal, s.classification.branch, s.rows_interpreted, s.rows_reduced
+                s.signal,
+                s.classification.branch,
+                s.rows_interpreted,
+                s.rows_reduced
             );
         }
         if let Some(s) = timing {
@@ -331,18 +409,18 @@ pub fn run(args: &Args) -> CmdResult {
         .map_err(err)?;
         std::fs::write(report_path, md).map_err(err)?;
         if !shared.json {
-            println!("report written to {report_path}");
+            outln!("report written to {report_path}");
         }
     }
     if let Some(csv_path) = args.get("state-csv") {
         let file = File::create(csv_path).map_err(err)?;
         ivnt_frame::csv::write_csv(&output.state, BufWriter::new(file)).map_err(err)?;
         if !shared.json {
-            println!("state representation written to {csv_path}");
+            outln!("state representation written to {csv_path}");
         }
     } else if !shared.json {
         let rows = args.get_parsed::<usize>("rows")?.unwrap_or(15);
-        println!(
+        outln!(
             "\n{}",
             render_state_table(&output.state, rows).map_err(err)?
         );
@@ -395,7 +473,7 @@ fn store_ingest(args: &Args) -> CmdResult {
     let file = File::open(from).map_err(err)?;
     let trace = ivnt_simulator::store::read_csv_trace(BufReader::new(file)).map_err(err)?;
     write_store(out_path, &trace, args)?;
-    println!(
+    outln!(
         "ingested {out_path}: {} records over {:.1} s ({} rows/group)",
         trace.len(),
         trace.duration_s(),
@@ -486,7 +564,7 @@ fn store_info_json(path: &str, footer: &ivnt_store::Footer, sealed: bool, torn: 
     }
     w.end_array();
     w.end_object();
-    println!("{}", w.finish());
+    outln!("{}", w.finish());
     Ok(())
 }
 
@@ -509,7 +587,7 @@ fn store_info(args: &Args) -> CmdResult {
         "time-ordered"
     };
     let state = if sealed { "sealed" } else { "appendable" };
-    println!(
+    outln!(
         "{path}: {} records in {} chunks / {} groups ({state}, {layout}, {} rows/group)",
         footer.rows,
         footer.chunks.len(),
@@ -517,14 +595,14 @@ fn store_info(args: &Args) -> CmdResult {
         footer.group_rows,
     );
     if torn > 0 {
-        println!("torn tail: {torn} bytes past the last complete group");
+        outln!("torn tail: {torn} bytes past the last complete group");
     }
     let buses: Vec<&str> = footer.buses.iter().map(AsRef::as_ref).collect();
-    println!("buses: {}", buses.join(", "));
+    outln!("buses: {}", buses.join(", "));
     if let (Some(first), Some(last)) = (footer.chunks.first(), footer.chunks.last()) {
         let min_t = footer.chunks.iter().map(|c| c.zone.min_t_us).min();
         let max_t = footer.chunks.iter().map(|c| c.zone.max_t_us).max();
-        println!(
+        outln!(
             "time span: {:.3} s – {:.3} s, payload region {} bytes",
             min_t.unwrap_or(first.zone.min_t_us) as f64 / 1e6,
             max_t.unwrap_or(last.zone.max_t_us) as f64 / 1e6,
@@ -533,13 +611,17 @@ fn store_info(args: &Args) -> CmdResult {
     }
     let groups_listed = args.get_parsed::<usize>("groups")?.unwrap_or(0);
     if groups_listed > 0 {
-        println!(
+        outln!(
             "  {:<6} {:>8} {:>6} {:>12} {:>12}",
-            "group", "rows", "chunks", "min t", "max t"
+            "group",
+            "rows",
+            "chunks",
+            "min t",
+            "max t"
         );
         for span in footer.group_spans().iter().take(groups_listed) {
             let (min_t, max_t) = group_time_span(footer, span);
-            println!(
+            outln!(
                 "  {:<6} {:>8} {:>6} {:>10.3}s {:>10.3}s",
                 span.group,
                 span.rows,
@@ -551,12 +633,17 @@ fn store_info(args: &Args) -> CmdResult {
     }
     let listed = args.get_parsed::<usize>("chunks")?.unwrap_or(0);
     if listed > 0 {
-        println!(
+        outln!(
             "  {:<6} {:<6} {:>6} {:>12} {:>12} {:>10}",
-            "chunk", "group", "rows", "min t", "max t", "m_id range"
+            "chunk",
+            "group",
+            "rows",
+            "min t",
+            "max t",
+            "m_id range"
         );
         for (i, c) in footer.chunks.iter().take(listed).enumerate() {
-            println!(
+            outln!(
                 "  {:<6} {:<6} {:>6} {:>10.3}s {:>10.3}s {:>4}..{}",
                 i,
                 c.group,
@@ -612,10 +699,10 @@ pub fn extract(args: &Args) -> CmdResult {
         w.end_object();
         w.field_metrics(snapshot.as_ref());
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
-        println!("interpreted {} signal rows from {path}", frame.num_rows());
-        println!(
+        outln!("interpreted {} signal rows from {path}", frame.num_rows());
+        outln!(
             "scan: {}/{} chunks decoded, {} skipped by zone maps ({:.0}% pruned), \
              {} of {} decoded rows kept, peak {} rows buffered",
             stats.chunks_scanned,
@@ -631,7 +718,7 @@ pub fn extract(args: &Args) -> CmdResult {
         let file = File::create(csv_path).map_err(err)?;
         ivnt_frame::csv::write_csv(&frame, BufWriter::new(file)).map_err(err)?;
         if !shared.json {
-            println!("interpreted signals written to {csv_path}");
+            outln!("interpreted signals written to {csv_path}");
         }
     } else if !shared.json {
         let mut by_name = std::collections::BTreeMap::<String, usize>::new();
@@ -648,7 +735,7 @@ pub fn extract(args: &Args) -> CmdResult {
         let mut counts: Vec<(String, usize)> = by_name.into_iter().collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for (name, count) in counts {
-            println!("  {name:<14} {count:>8} rows");
+            outln!("  {name:<14} {count:>8} rows");
         }
     }
     if !shared.json {
@@ -681,9 +768,9 @@ fn store_compact(args: &Args) -> CmdResult {
         w.field_u64("chunks_before", report.chunks_before as u64);
         w.field_u64("chunks_after", report.chunks_after as u64);
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
-        println!(
+        outln!(
             "compacted {in_path} -> {out_path}: {} rows, {} -> {} groups, {} -> {} chunks",
             report.rows,
             report.groups_before,
@@ -841,7 +928,7 @@ pub fn query(args: &Args) -> CmdResult {
         w.end_array();
         w.field_metrics(snapshot.as_ref());
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
         let scan = plan
             .scan
@@ -855,20 +942,26 @@ pub fn query(args: &Args) -> CmdResult {
                 )
             })
             .unwrap_or_default();
-        println!(
+        outln!(
             "answered {} queries from one pass over {path} ({strategy}, \
              {} store scans saved{scan})",
-            plan.queries, plan.scans_saved,
+            plan.queries,
+            plan.scans_saved,
         );
         for qr in &multi.results {
-            println!(
+            outln!(
                 "  {:<14} {:>8} raw rows over {:>4} groups",
-                qr.label, qr.stats.rows_routed, qr.stats.groups,
+                qr.label,
+                qr.stats.rows_routed,
+                qr.stats.groups,
             );
             for s in &qr.output.signals {
-                println!(
+                outln!(
                     "    {:<14} branch {:<6} {:>8} -> {:>8} rows",
-                    s.signal, s.classification.branch, s.rows_interpreted, s.rows_reduced,
+                    s.signal,
+                    s.classification.branch,
+                    s.rows_interpreted,
+                    s.rows_reduced,
                 );
             }
         }
@@ -955,7 +1048,7 @@ fn stream_ingest(args: &Args) -> CmdResult {
         ivnt_stream::ingest(source, writer, &options, &stop).map_err(err)?
     } else if let Some(addr) = args.get("listen") {
         if !shared.json {
-            println!("waiting for one peer on {addr} ...");
+            outln!("waiting for one peer on {addr} ...");
         }
         let source =
             ivnt_stream::TcpLineSource::accept_on(addr, options.poll_timeout).map_err(err)?;
@@ -987,22 +1080,26 @@ fn stream_ingest(args: &Args) -> CmdResult {
         w.field_u64("dropped_frames", stats.dropped_frames);
         w.field_metrics(snapshot.as_ref());
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
         let state = if stats.sealed { "sealed" } else { "appendable" };
-        println!(
+        outln!(
             "ingested {out_path}: {} frames in {} groups, {} bytes ({state})",
-            stats.frames, stats.groups, stats.bytes,
+            stats.frames,
+            stats.groups,
+            stats.bytes,
         );
-        println!(
+        outln!(
             "flush latency over {} flushes: p50 {:.3} ms, p99 {:.3} ms",
             stats.flush_seconds.len(),
             p50 * 1e3,
             p99 * 1e3,
         );
-        println!(
+        outln!(
             "queue: peak depth {} rows, {} backpressure waits, {} dropped frames",
-            stats.peak_queue_depth, stats.backpressure_waits, stats.dropped_frames,
+            stats.peak_queue_depth,
+            stats.backpressure_waits,
+            stats.dropped_frames,
         );
         output::print_metrics(snapshot.as_ref());
     }
@@ -1100,10 +1197,10 @@ fn stream_follow(args: &Args) -> CmdResult {
         w.end_array();
         w.field_metrics(snapshot.as_ref());
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
         let ending = if sealed { "sealed" } else { "stopped" };
-        println!(
+        outln!(
             "{ending}: {} signals, {rows} reduced rows over {groups} groups \
              (peak {peak_buffered} rows buffered, {late_rows} late)",
             close.summaries.len(),
@@ -1118,9 +1215,12 @@ fn stream_follow(args: &Args) -> CmdResult {
                     s.mismatched.join(", "),
                 )
             };
-            println!(
+            outln!(
                 "  {:<14} rep {:<12} {:>8} -> {:>8} rows{lists}",
-                s.signal, s.representative_channel, s.rows_interpreted, s.rows_emitted,
+                s.signal,
+                s.representative_channel,
+                s.rows_interpreted,
+                s.rows_emitted,
             );
         }
         output::print_metrics(snapshot.as_ref());
@@ -1136,7 +1236,7 @@ fn print_deltas(shared: &SharedOptions, deltas: &[ivnt_stream::SignalDelta], row
             continue;
         }
         let last_t = d.rows.last().map_or(0.0, |r| r.t);
-        println!(
+        outln!(
             "  {:<14} +{:>5} rows (t <= {last_t:.3}s)",
             d.signal,
             d.rows.len(),
@@ -1173,7 +1273,7 @@ fn cluster_worker(args: &Args) -> CmdResult {
         .map_err(err)?
         .with_faults(faults);
     let addr = server.local_addr().map_err(err)?;
-    println!("{}{addr}", ivnt_cluster::LISTEN_PREFIX);
+    outln!("{}{addr}", ivnt_cluster::LISTEN_PREFIX);
     std::io::stdout().flush().map_err(err)?;
     if args.has("once") {
         server.serve_once().map_err(err)
@@ -1287,13 +1387,14 @@ fn cluster_run(args: &Args) -> CmdResult {
         w.field_f64("wire_compression_ratio", run.stats.compression_ratio());
         w.field_metrics(snapshot.as_ref());
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
-        println!(
+        outln!(
             "cluster extracted {} signal rows from {store_path} across {} workers",
-            run.stats.rows, run.stats.workers,
+            run.stats.rows,
+            run.stats.workers,
         );
-        println!(
+        outln!(
             "schedule: {} tasks over {} groups ({} pruned), {} retries, {} workers lost, \
              {} splits, {} resumed",
             run.stats.tasks,
@@ -1304,7 +1405,7 @@ fn cluster_run(args: &Args) -> CmdResult {
             run.stats.splits,
             run.stats.tasks_resumed,
         );
-        println!(
+        outln!(
             "wire: {} partial frames, {} result bytes ({} raw, {:.2}x compression)",
             run.stats.partial_frames,
             run.stats.wire_result_bytes,
@@ -1333,7 +1434,7 @@ fn cluster_run(args: &Args) -> CmdResult {
             return Err("verify FAILED: distributed result differs from single-process".into());
         }
         if !shared.json {
-            println!("verify: bit-identical to single-process extraction");
+            outln!("verify: bit-identical to single-process extraction");
         }
     }
 
@@ -1341,7 +1442,7 @@ fn cluster_run(args: &Args) -> CmdResult {
         let file = File::create(csv_path).map_err(err)?;
         ivnt_frame::csv::write_csv(&run.frame, BufWriter::new(file)).map_err(err)?;
         if !shared.json {
-            println!("interpreted signals written to {csv_path}");
+            outln!("interpreted signals written to {csv_path}");
         }
     }
     Ok(())
@@ -1357,7 +1458,7 @@ pub fn dbc(args: &Args) -> CmdResult {
     let bus = args.get_or("bus", "CAN");
     let text = std::fs::read_to_string(path).map_err(err)?;
     let (catalog, mux) = ivnt_protocol::dbc::parse_dbc(&text, bus).map_err(err)?;
-    println!(
+    outln!(
         "{path}: {} messages, {} signals ({} multiplexed) on channel {bus}",
         catalog.num_messages(),
         catalog.num_signals() + mux.len(),
@@ -1381,7 +1482,7 @@ pub fn dbc(args: &Args) -> CmdResult {
             .cycle_time_ms()
             .map(|ms| format!("{ms} ms"))
             .unwrap_or_else(|| "event".into());
-        println!(
+        outln!(
             "  BO_ {:<6} {:<24} dlc {} cycle {}",
             m.id(),
             m.name(),
@@ -1389,10 +1490,10 @@ pub fn dbc(args: &Args) -> CmdResult {
             cycle
         );
         for s in m.signals() {
-            println!("{}", describe(s));
+            outln!("{}", describe(s));
         }
         for e in mux.iter().filter(|e| e.message_id == m.id()) {
-            println!(
+            outln!(
                 "{} when {} = {}",
                 describe(&e.signal).trim_end(),
                 e.selector.name(),
@@ -1474,20 +1575,29 @@ pub fn infer(args: &Args) -> CmdResult {
         }
         w.end_array();
         w.end_object();
-        println!("{}", w.finish());
+        outln!("{}", w.finish());
     } else {
-        println!(
+        outln!(
             "{path}: {} signals recovered from {} message streams (min {} samples/key)",
             signals.len(),
             tables.profiled_keys(),
             tables.params.min_samples,
         );
-        println!(
+        outln!(
             "  {:<12} {:<8} {:<16} {:>5} {:>4} {:<9} {:<9} {:>5} {:>8} {:>8}",
-            "bus", "m_id", "name", "start", "len", "order", "class", "conf", "samples", "entropy"
+            "bus",
+            "m_id",
+            "name",
+            "start",
+            "len",
+            "order",
+            "class",
+            "conf",
+            "samples",
+            "entropy"
         );
         for s in &signals {
-            println!(
+            outln!(
                 "  {:<12} {:<8} {:<16} {:>5} {:>4} {:<9} {:<9} {:>5.2} {:>8} {:>8.3}",
                 s.bus,
                 format!("0x{:03x}", s.message_id),

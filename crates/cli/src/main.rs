@@ -1,9 +1,10 @@
 //! `ivnt` — command-line front end for the trace-preprocessing pipeline.
 
+#[macro_use]
+mod output;
 mod args;
 mod commands;
 mod options;
-mod output;
 
 use args::Args;
 
@@ -23,8 +24,12 @@ fn main() {
     };
     // `--help` after a command asks for the usage `ivnt --help` prints.
     if parsed.has("help") {
-        print!("{}", commands::usage());
+        out!("{}", commands::usage());
         return;
+    }
+    if let Err(e) = commands::check_flags(&command, &parsed) {
+        eprint!("error: {e}\n\n{}", commands::usage());
+        std::process::exit(2);
     }
     let result = match command.as_str() {
         "record" => commands::record(&parsed),
@@ -38,7 +43,7 @@ fn main() {
         "dbc" => commands::dbc(&parsed),
         "infer" => commands::infer(&parsed),
         "help" | "--help" | "-h" => {
-            print!("{}", commands::usage());
+            out!("{}", commands::usage());
             Ok(())
         }
         other => Err(format!(

@@ -1,11 +1,43 @@
-//! Shared output plumbing: the one JSON writer every `--json`/`--metrics`
-//! surface uses, and the metrics-snapshot printer.
+//! Shared output plumbing: the one stdout writer every command prints
+//! through, the one JSON writer every `--json`/`--metrics` surface uses,
+//! and the metrics-snapshot printer.
 //!
 //! Commands build documents through [`JsonWriter`] instead of hand-rolling
-//! `println!("{{")` pyramids, so quoting, escaping, comma placement and
+//! `outln!("{{")` pyramids, so quoting, escaping, comma placement and
 //! indentation behave identically everywhere.
 
+use std::io::Write;
 use std::sync::Arc;
+
+/// Writes to stdout — the path all command output takes ([`out!`],
+/// [`outln!`]). A reader that closed early (`ivnt … | head`) is a quiet,
+/// clean end: the process exits 0 instead of panicking on the next print.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::output::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::output::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::output::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Escapes a string for a JSON literal (quotes, backslashes, controls).
 pub fn json_str(s: &str) -> String {
@@ -158,8 +190,8 @@ impl JsonWriter {
 /// [`JsonWriter::field_metrics`] instead).
 pub fn print_metrics(snapshot: Option<&ivnt_obs::Snapshot>) {
     if let Some(s) = snapshot {
-        println!();
-        print!("{}", s.to_prometheus());
+        outln!();
+        out!("{}", s.to_prometheus());
     }
 }
 

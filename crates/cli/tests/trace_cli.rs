@@ -3,11 +3,13 @@
 //! serial runs agree byte for byte, `run --timing` adds its span tree and
 //! changes nothing else, `query` honours `--workers`, `--help` after a
 //! command prints the usage, `stream follow` follows a recorded store
-//! (and refuses one written before stores were framed), and files that
-//! are not stores fail with a typed `error:` line instead of a panic.
+//! (and refuses one written before stores were framed), files that are
+//! not stores fail with a typed `error:` line instead of a panic, a flag
+//! the command does not read is refused by name, and a reader that
+//! closes early ends the output quietly.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SCENARIO: [&str; 6] = ["--scenario", "syn", "--seed", "7", "--examples", "5000"];
 
@@ -31,6 +33,13 @@ fn ivnt_ok(verb: &[&str], extra: &[&str], file: &Path) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     stdout
+}
+
+/// `store info --json` of `file` (it reads no scenario flags).
+fn store_info(file: &Path) -> String {
+    let out = ivnt(&["store", "info", "--json"], file);
+    assert!(out.status.success(), "store info: {out:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -238,7 +247,7 @@ fn stream_follow_follows_a_recorded_store() {
     let trace = temp_path("follow.ivns");
     let layout = ["--chunk-rows", "256", "--chunks-per-group", "2"];
     ivnt_ok(&["record"], &layout, &trace);
-    let info = ivnt_ok(&["store", "info"], &["--json"], &trace);
+    let info = store_info(&trace);
     let follow = ["--signals", "syn_s0000,syn_s0003", "--once", "--json"];
     let followed = ivnt_ok(&["stream", "follow"], &follow, &trace);
     assert!(json_u64(&info, "groups") > 1, "{info}");
@@ -253,7 +262,7 @@ fn stream_follow_follows_a_recorded_store() {
     // A store without frames still reads, but cannot be followed.
     let unframed = temp_path("unframed.ivns");
     unframe(&trace, &unframed);
-    let info = ivnt_ok(&["store", "info"], &["--json"], &unframed);
+    let info = store_info(&unframed);
     assert!(info.contains("\"state\": \"sealed\""), "{info}");
     ivnt_ok(&["extract"], &["--signals", "syn_s0000"], &unframed);
     let args = [&["stream", "follow"][..], &SCENARIO, &follow].concat();
@@ -329,4 +338,50 @@ fn multiplexed_dbc_rules_load() {
     for path in [&matrix, &trace] {
         std::fs::remove_file(path).ok();
     }
+}
+
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let trace = temp_path("flags.ivns");
+    ivnt_ok(&["record"], &[], &trace);
+    for (args, flag) in [
+        (&["extract", "--signal", "x"][..], "--signal"),
+        (&["stream", "follow", "--sax", "5"][..], "--sax"),
+    ] {
+        let out = ivnt(args, &trace);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("USAGE:"),
+            "{args:?} prints the usage: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    // The flags a command does read still pass.
+    ivnt_ok(&["extract"], &["--signals", "syn_s0010", "--json"], &trace);
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn a_reader_closing_early_ends_the_output_quietly() {
+    let trace = temp_path("pipe.ivns");
+    ivnt_ok(&["record"], &[], &trace);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ivnt"))
+        .args(["extract", "--scenario", "syn", "--seed", "7", "--json"])
+        .arg(&trace)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ivnt runs");
+    // The reader is gone before the first line is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("ivnt exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&trace).ok();
 }

@@ -27,13 +27,14 @@
 //!   winner; the race that materialized every candidate body survives
 //!   as the test oracle (`tests/codec_oracle.rs`).
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use ivnt_frame::batch::Batch;
-use ivnt_frame::column::Column;
+use ivnt_frame::column::{Column, DictColumn, StrCells};
 use ivnt_frame::datatype::{DataType, Schema};
 use ivnt_store::varint::{self, Cursor};
 
@@ -85,13 +86,35 @@ fn type_tag(dt: DataType) -> u8 {
     }
 }
 
-/// Appends the validity bitmap of `cells`.
-fn write_bitmap<T>(out: &mut Vec<u8>, cells: &[Option<T>]) {
-    let base = out.len();
-    out.resize(base + cells.len().div_ceil(8), 0);
-    for (i, c) in cells.iter().enumerate() {
-        if c.is_some() {
-            out[base + i / 8] |= 1 << (i % 8);
+/// Appends a validity bitmap, one `valid` flag per cell.
+fn write_bitmap(out: &mut Vec<u8>, valid: impl Iterator<Item = bool>) {
+    let (mut byte, mut filled) = (0u8, 0u32);
+    for v in valid {
+        byte |= u8::from(v) << filled;
+        filled += 1;
+        if filled == 8 {
+            out.push(byte);
+            (byte, filled) = (0, 0);
+        }
+    }
+    if filled > 0 {
+        out.push(byte);
+    }
+}
+
+fn validity<T>(cells: &[Option<T>]) -> impl Iterator<Item = bool> + '_ {
+    cells.iter().map(Option::is_some)
+}
+
+/// [`write_bitmap`] of `rows` cells that skips the walk when none is
+/// null.
+fn write_validity(out: &mut Vec<u8>, rows: usize, nulls: bool, valid: impl Iterator<Item = bool>) {
+    if nulls {
+        write_bitmap(out, valid);
+    } else {
+        out.resize(out.len() + rows / 8, 0xFF);
+        if !rows.is_multiple_of(8) {
+            out.push((1u8 << (rows % 8)) - 1);
         }
     }
 }
@@ -102,45 +125,43 @@ fn write_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Encodes one batch into bytes decodable by [`decode_batch`].
+/// Encodes one batch into bytes decodable by [`decode_batch`]. The two
+/// string forms encode alike: only cell content travels.
 pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     let rows = batch.num_rows();
     let mut out = Vec::new();
     varint::write_u64(&mut out, rows as u64);
     varint::write_u64(&mut out, batch.columns().len() as u64);
     for col in batch.columns() {
+        out.push(type_tag(col.data_type()));
         match col {
             Column::Bool(cells) => {
-                out.push(type_tag(DataType::Bool));
-                write_bitmap(&mut out, cells);
+                write_bitmap(&mut out, validity(cells));
                 for c in cells.iter().flatten() {
                     out.push(u8::from(*c));
                 }
             }
             Column::Int(cells) => {
-                out.push(type_tag(DataType::Int));
-                write_bitmap(&mut out, cells);
+                write_bitmap(&mut out, validity(cells));
                 for c in cells.iter().flatten() {
                     varint::write_i64(&mut out, *c);
                 }
             }
             Column::Float(cells) => {
-                out.push(type_tag(DataType::Float));
-                write_bitmap(&mut out, cells);
+                write_bitmap(&mut out, validity(cells));
                 for c in cells.iter().flatten() {
                     out.extend_from_slice(&c.to_bits().to_le_bytes());
                 }
             }
-            Column::Str(cells) => {
-                out.push(type_tag(DataType::Str));
-                write_bitmap(&mut out, cells);
+            Column::Str(_) | Column::Dict(_) => {
+                let cells = col.str_cells().expect("a string column");
+                write_bitmap(&mut out, cells.iter().map(|c| c.is_some()));
                 for c in cells.iter().flatten() {
                     write_blob(&mut out, c.as_bytes());
                 }
             }
             Column::Bytes(cells) => {
-                out.push(type_tag(DataType::Bytes));
-                write_bitmap(&mut out, cells);
+                write_bitmap(&mut out, validity(cells));
                 for c in cells.iter().flatten() {
                     write_blob(&mut out, c);
                 }
@@ -166,11 +187,14 @@ fn blob_len(len: usize) -> u64 {
 }
 
 /// Hasher for the `u64` keys of the encoder's lookup tables (float bit
-/// patterns, `Arc` addresses): a seeded multiply and fold instead of
-/// SipHash per cell. Float bits come from trace files, so the seed is
-/// drawn per table from [`RandomState`] — bucket placement cannot be
-/// predicted from the data. Table *contents* never depend on it:
-/// dictionaries are in first-appearance order.
+/// patterns, `Arc` addresses): a seeded folded multiply instead of
+/// SipHash per cell. The high half of the 128-bit product carries every
+/// key bit into the low bits that pick the bucket: quantized floats share
+/// their low mantissa bits and addresses their alignment, and a 64-bit
+/// product alone would pile them into a few buckets. Float bits come from
+/// trace files, so the seed is drawn per table from [`RandomState`] —
+/// bucket placement cannot be predicted from the data. Table *contents*
+/// never depend on it: dictionaries are in first-appearance order.
 struct BitsHasher(u64);
 
 impl Hasher for BitsHasher {
@@ -179,8 +203,8 @@ impl Hasher for BitsHasher {
     }
 
     fn write_u64(&mut self, v: u64) {
-        let h = (v ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
+        let product = u128::from(v ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -210,44 +234,189 @@ fn dict_code(len: usize) -> u32 {
     u32::try_from(len).expect("dictionary entries fit u32")
 }
 
-/// A string column's dictionary in first-appearance order, with every
-/// row's slot — the DICT body of the column itself and, for the batch's
-/// first string column, the key the keyed float modes chain on.
+/// A code whose slot is not assigned yet in [`StrDict::from_codes`].
+const UNSEEN: u32 = u32::MAX;
+
+/// A string column's dictionary in first-appearance order and every
+/// row's slot in it — 0 for a null, else 1 + the entry's index: the DICT
+/// body of the column itself and, for the batch's first string column,
+/// the key the keyed float modes chain on.
+///
+/// Rows are held as codes ([`DictColumn::NULL`] for a null) and reach
+/// their slot through `remap`, indexed by code + 1, so a null's code
+/// wraps onto slot 0. A [`Column::Dict`] lends its own codes; a plain
+/// column is coded here, with an identity remap.
 struct StrDict<'a> {
     entries: Vec<&'a str>,
-    /// Per row: 0 for a null, else the cell's index into `entries` + 1.
-    slots: Vec<u32>,
+    codes: Cow<'a, [u32]>,
+    remap: Vec<u32>,
+    /// Per slot: the rows holding it.
+    counts: Vec<u64>,
 }
 
 impl<'a> StrDict<'a> {
-    /// Cells are resolved by `Arc` address first: extracted and
-    /// dictionary-decoded columns share a handful of allocations, so
-    /// string content is hashed once per distinct allocation, not once
-    /// per row.
-    fn build(cells: &'a [Option<Arc<str>>]) -> StrDict<'a> {
-        let mut entries: Vec<&'a str> = Vec::new();
-        let mut by_content: HashMap<&'a str, u32> = HashMap::new();
-        let mut by_addr = BitsMap::default();
-        let slots = cells
-            .iter()
-            .map(|c| match c {
-                None => 0,
-                Some(s) => *by_addr
-                    .entry(Arc::as_ptr(s).cast::<u8>() as u64)
-                    .or_insert_with(|| {
-                        *by_content.entry(s).or_insert_with(|| {
-                            entries.push(s);
-                            dict_code(entries.len())
-                        })
-                    }),
-            })
-            .collect();
-        StrDict { entries, slots }
+    fn build(cells: StrCells<'a>) -> StrDict<'a> {
+        match cells {
+            StrCells::Plain(cells) => StrDict::from_cells(cells),
+            StrCells::Coded(dict) => StrDict::from_codes(dict),
+        }
     }
 
-    /// Dictionary indexes of the non-null cells, in row order.
-    fn indexes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().filter(|s| **s != 0).map(|s| s - 1)
+    /// Cells are resolved by `Arc` address first: columns share a handful
+    /// of allocations, so string content is hashed once per distinct
+    /// allocation, not once per row.
+    fn from_cells(cells: &'a [Option<Arc<str>>]) -> StrDict<'a> {
+        let mut dict = StrDict {
+            entries: Vec::new(),
+            codes: Cow::Owned(Vec::new()),
+            remap: Vec::new(),
+            counts: vec![0],
+        };
+        let mut by_content: HashMap<&'a str, u32> = HashMap::new();
+        let mut by_addr = BitsMap::default();
+        let codes = cells
+            .iter()
+            .map(|c| {
+                let code = match c {
+                    None => DictColumn::NULL,
+                    Some(s) => *by_addr
+                        .entry(Arc::as_ptr(s).cast::<u8>() as u64)
+                        .or_insert_with(|| dict.slot_of(&mut by_content, s) - 1),
+                };
+                dict.counts[code.wrapping_add(1) as usize] += 1;
+                code
+            })
+            .collect();
+        dict.codes = Cow::Owned(codes);
+        dict.remap = (0..=dict_code(dict.entries.len())).collect();
+        dict
+    }
+
+    /// A coded column never hashes a row: one histogram pass over its
+    /// codes, then a walk of the leading rows that stops once every code
+    /// in use has met its first row, resolving each by content — a remap
+    /// the size of the dictionary, content-equal entries merged.
+    fn from_codes(col: &'a DictColumn) -> StrDict<'a> {
+        let (values, codes) = (col.values(), col.codes());
+        let mut rows = vec![0u64; values.len() + 1];
+        for &code in codes {
+            rows[code.wrapping_add(1) as usize] += 1;
+        }
+        let mut dict = StrDict {
+            entries: Vec::new(),
+            codes: Cow::Borrowed(codes),
+            remap: vec![UNSEEN; values.len() + 1],
+            counts: vec![rows[0]],
+        };
+        dict.remap[0] = 0;
+        let mut by_content: HashMap<&'a str, u32> = HashMap::new();
+        let mut pending = rows[1..].iter().filter(|&&n| n > 0).count();
+        for &code in codes {
+            if pending == 0 {
+                break;
+            }
+            let at = code.wrapping_add(1) as usize;
+            if dict.remap[at] == UNSEEN {
+                let slot = dict.slot_of(&mut by_content, &values[code as usize]);
+                dict.remap[at] = slot;
+                dict.counts[slot as usize] += rows[at];
+                pending -= 1;
+            }
+        }
+        dict
+    }
+
+    /// The slot of `s`'s content, a new entry on its first appearance.
+    fn slot_of(&mut self, by_content: &mut HashMap<&'a str, u32>, s: &'a str) -> u32 {
+        *by_content.entry(s).or_insert_with(|| {
+            self.entries.push(s);
+            self.counts.push(0);
+            dict_code(self.entries.len())
+        })
+    }
+
+    /// Every row's slot, in row order.
+    fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.codes
+            .iter()
+            .map(|&code| self.remap[code.wrapping_add(1) as usize])
+    }
+}
+
+/// Bytes past a body's end [`Body::varint`] may scribble on.
+const BODY_SLACK: usize = 8;
+
+/// A column body written in place. The encoder sized it exactly, so the
+/// buffer grows once and every cell is a store at a known offset, with
+/// no capacity check per byte.
+struct Body<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Body<'_> {
+    /// Appends a body of exactly `len` bytes, written by `fill`.
+    ///
+    /// # Panics
+    ///
+    /// When `fill` writes another length than the one it was sized at.
+    fn write(out: &mut Vec<u8>, len: u64, fill: impl FnOnce(&mut Body<'_>)) {
+        let (base, len) = (out.len(), len as usize);
+        out.resize(base + len + BODY_SLACK, 0);
+        let mut body = Body {
+            buf: &mut out[base..],
+            pos: 0,
+        };
+        fill(&mut body);
+        assert_eq!(body.pos, len, "a body fills the size it was given");
+        out.truncate(base + len);
+    }
+
+    /// An LEB128 varint. Up to 56 bits it is one 8-byte store: the 7-bit
+    /// groups spread one to a byte, continuation bits on all but the last.
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        let n = varint_len(v) as usize;
+        if n > 8 {
+            let mut v = v;
+            while v >= 0x80 {
+                self.buf[self.pos] = v as u8 | 0x80;
+                v >>= 7;
+                self.pos += 1;
+            }
+            self.buf[self.pos] = v as u8;
+            self.pos += 1;
+            return;
+        }
+        let mut word = 0u64;
+        for group in 0..8 {
+            word |= (v << group) & (0x7F << (8 * group));
+        }
+        word |= 0x8080_8080_8080_8080 & ((1u64 << (8 * (n - 1))) - 1);
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
+        self.pos += n;
+    }
+
+    #[inline]
+    fn byte(&mut self, byte: u8) {
+        self.buf[self.pos] = byte;
+        self.pos += 1;
+    }
+
+    #[inline]
+    fn zigzag(&mut self, v: i64) {
+        self.varint(varint::zigzag(v));
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+
+    fn blob(&mut self, bytes: &[u8]) {
+        self.varint(bytes.len() as u64);
+        self.bytes(bytes);
     }
 }
 
@@ -267,7 +436,7 @@ pub fn encode_batch_compressed(batch: &Batch) -> Vec<u8> {
 /// Every mode a column could use is *sized* arithmetically first
 /// (sums of varint lengths, no candidate body is materialized); the
 /// shortest wins, ties break on the lower mode byte, and only the
-/// winner is written.
+/// winner is written, into a body of exactly its size.
 pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
     let rows = batch.num_rows();
     let mut out = Vec::new();
@@ -276,39 +445,19 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
     let mut raw_len = out.len() as u64;
     // Keyed float modes delta within the groups the first string column
     // defines; a float column may precede it, so it is coded up front.
-    let key_col = batch
-        .columns()
-        .iter()
-        .position(|c| matches!(c, Column::Str(_)));
-    let key = key_col.map(|i| match &batch.columns()[i] {
-        Column::Str(cells) => StrDict::build(cells),
-        _ => unreachable!("position matched a string column"),
-    });
+    let key_col = batch.columns().iter().position(|c| c.str_cells().is_some());
+    let key = key_col.and_then(|i| batch.columns()[i].str_cells().map(StrDict::build));
     for (i, col) in batch.columns().iter().enumerate() {
         raw_len += 1 + rows.div_ceil(8) as u64;
+        out.push(type_tag(col.data_type()));
         match col {
             Column::Bool(cells) => {
-                out.push(type_tag(DataType::Bool));
                 out.push(mode::PACKED);
-                write_bitmap(&mut out, cells);
-                let mut packed = 0u8;
-                let mut filled = 0u32;
-                for c in cells.iter().flatten() {
-                    packed |= u8::from(*c) << filled;
-                    filled += 1;
-                    raw_len += 1;
-                    if filled == 8 {
-                        out.push(packed);
-                        packed = 0;
-                        filled = 0;
-                    }
-                }
-                if filled > 0 {
-                    out.push(packed);
-                }
+                write_bitmap(&mut out, validity(cells));
+                raw_len += cells.iter().flatten().count() as u64;
+                write_bitmap(&mut out, cells.iter().flatten().copied());
             }
             Column::Int(cells) => {
-                out.push(type_tag(DataType::Int));
                 let (mut delta, mut raw) = (0u64, 0u64);
                 let mut prev = 0i64;
                 for c in cells.iter().flatten() {
@@ -319,24 +468,24 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
                 raw_len += raw;
                 let (len, m) = (raw, mode::RAW).min((delta, mode::DELTA));
                 out.push(m);
-                write_bitmap(&mut out, cells);
-                out.reserve(len as usize);
-                let mut prev = 0i64;
-                for c in cells.iter().flatten() {
-                    if m == mode::DELTA {
-                        varint::write_i64(&mut out, c.wrapping_sub(prev));
-                        prev = *c;
-                    } else {
-                        varint::write_i64(&mut out, *c);
+                write_bitmap(&mut out, validity(cells));
+                Body::write(&mut out, len, |body| {
+                    let mut prev = 0i64;
+                    for &c in cells.iter().flatten() {
+                        body.zigzag(if m == mode::DELTA {
+                            c.wrapping_sub(prev)
+                        } else {
+                            c
+                        });
+                        prev = c;
                     }
-                }
+                });
             }
             Column::Float(cells) => {
-                out.push(type_tag(DataType::Float));
                 raw_len += encode_float_column(&mut out, cells, key.as_ref());
             }
-            Column::Str(cells) => {
-                out.push(type_tag(DataType::Str));
+            Column::Str(_) | Column::Dict(_) => {
+                let cells = col.str_cells().expect("a string column");
                 let own;
                 let dict = match &key {
                     Some(key) if key_col == Some(i) => key,
@@ -348,9 +497,8 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
                 raw_len += encode_str_column(&mut out, cells, dict);
             }
             Column::Bytes(cells) => {
-                out.push(type_tag(DataType::Bytes));
                 out.push(mode::RAW);
-                write_bitmap(&mut out, cells);
+                write_bitmap(&mut out, validity(cells));
                 let base = out.len();
                 for c in cells.iter().flatten() {
                     write_blob(&mut out, c);
@@ -363,57 +511,75 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
 }
 
 /// Writes a string column's mode byte, bitmap and body; returns the
-/// size of its RAW body. Signal/bus/symbol columns carry a handful of
-/// distinct strings and go DICT; mostly-unique columns fall back to
-/// raw cells.
-fn encode_str_column(out: &mut Vec<u8>, cells: &[Option<Arc<str>>], dict: &StrDict<'_>) -> u64 {
-    let entry_len: Vec<u64> = dict.entries.iter().map(|s| blob_len(s.len())).collect();
+/// size of its RAW body. Both bodies are sized from the per-slot row
+/// counts. Signal/bus/symbol columns carry a handful of distinct strings
+/// and go DICT; mostly-unique columns fall back to raw cells.
+fn encode_str_column(out: &mut Vec<u8>, cells: StrCells<'_>, dict: &StrDict<'_>) -> u64 {
     let mut raw = 0u64;
-    let mut dict_body = varint_len(dict.entries.len() as u64) + entry_len.iter().sum::<u64>();
-    for code in dict.indexes() {
-        raw += entry_len[code as usize];
-        dict_body += varint_len(u64::from(code));
+    let mut dict_body = varint_len(dict.entries.len() as u64);
+    for (i, (s, &rows)) in dict.entries.iter().zip(&dict.counts[1..]).enumerate() {
+        let entry = blob_len(s.len());
+        raw += rows * entry;
+        dict_body += entry + rows * varint_len(i as u64);
     }
     let (len, m) = (raw, mode::RAW).min((dict_body, mode::DICT));
     out.push(m);
-    write_bitmap(out, cells);
-    out.reserve(len as usize);
-    if m == mode::DICT {
-        varint::write_u64(out, dict.entries.len() as u64);
-        for s in &dict.entries {
-            write_blob(out, s.as_bytes());
+    let nulls = dict.counts[0] != 0;
+    write_validity(
+        out,
+        dict.codes.len(),
+        nulls,
+        dict.codes.iter().map(|&c| c != DictColumn::NULL),
+    );
+    Body::write(out, len, |body| {
+        if m == mode::DICT {
+            body.varint(dict.entries.len() as u64);
+            for s in &dict.entries {
+                body.blob(s.as_bytes());
+            }
+            let slots = dict.slots().filter(|&slot| !nulls || slot != 0);
+            if dict.entries.len() <= 0x80 {
+                // Every index is a one-byte varint.
+                slots.for_each(|slot| body.byte((slot - 1) as u8));
+            } else {
+                slots.for_each(|slot| body.varint(u64::from(slot - 1)));
+            }
+        } else {
+            for c in cells.iter().flatten() {
+                body.blob(c.as_bytes());
+            }
         }
-        for code in dict.indexes() {
-            varint::write_u64(out, u64::from(code));
-        }
-    } else {
-        for c in cells.iter().flatten() {
-            write_blob(out, c.as_bytes());
-        }
-    }
+    });
     raw
 }
 
-/// Walks a float column's non-null cells as raw bit patterns chained
-/// per slot (`slot_of(row)`, below `slots`): `f` receives the cell's
-/// first- and second-order wrapping delta against the previous cell of
-/// the same slot (both start at 0). One slot is the plain
+/// One step of a bit-pattern delta chain: `bits`' first- and
+/// second-order wrapping deltas against the chain's previous cell (both
+/// start at 0).
+#[inline]
+fn chain_step(chain: &mut (i64, i64), bits: i64) -> (i64, i64) {
+    let (prev, prev_d) = chain;
+    let d = bits.wrapping_sub(*prev);
+    let d2 = d.wrapping_sub(*prev_d);
+    (*prev, *prev_d) = (bits, d);
+    (d, d2)
+}
+
+/// Walks a float column's non-null cells as raw bit patterns chained by
+/// `slots` (one per row, each below `chains`): `f` receives the cell's
+/// first- and second-order delta. A constant slot is the plain
 /// BITS_DELTA/BITS_DELTA2 chain; one slot per key is the keyed pair.
 fn float_deltas(
     cells: &[Option<f64>],
-    slots: usize,
-    slot_of: impl Fn(usize) -> usize,
+    chains: usize,
+    slots: impl Iterator<Item = u32>,
     mut f: impl FnMut(i64, i64),
 ) {
-    let mut state = vec![(0i64, 0i64); slots];
-    for (row, c) in cells.iter().enumerate() {
+    let mut state = vec![(0i64, 0i64); chains];
+    for (c, slot) in cells.iter().zip(slots) {
         let Some(c) = c else { continue };
-        let bits = c.to_bits() as i64;
-        let (prev, prev_d) = &mut state[slot_of(row)];
-        let d = bits.wrapping_sub(*prev);
-        f(d, d.wrapping_sub(*prev_d));
-        *prev = bits;
-        *prev_d = d;
+        let (d, d2) = chain_step(&mut state[slot as usize], c.to_bits() as i64);
+        f(d, d2);
     }
 }
 
@@ -423,27 +589,25 @@ fn float_deltas(
 /// The keyed modes only exist when the batch has a string column to key
 /// on; interpreted traces key on the signal-id column, which turns an
 /// interleaved many-signal column back into the smooth per-signal
-/// series the delta codecs were built for.
+/// series the delta codecs were built for. One walk sizes RAW and the
+/// plain chains, one the keyed chains (two tight loops outrun one that
+/// carries both), and the dictionary is sized last, against the best.
 fn encode_float_column(out: &mut Vec<u8>, cells: &[Option<f64>], key: Option<&StrDict<'_>>) -> u64 {
-    let raw = 8 * cells.iter().flatten().count() as u64;
-    let (mut delta, mut delta2) = (0u64, 0u64);
-    float_deltas(
-        cells,
-        1,
-        |_| 0,
-        |d, d2| {
-            delta += zigzag_len(d);
-            delta2 += zigzag_len(d2);
-        },
-    );
+    let (mut non_null, mut delta, mut delta2) = (0u64, 0u64, 0u64);
+    float_deltas(cells, 1, std::iter::repeat(0), |d, d2| {
+        non_null += 1;
+        delta += zigzag_len(d);
+        delta2 += zigzag_len(d2);
+    });
+    let raw = 8 * non_null;
     let mut best = (raw, mode::RAW)
         .min((delta, mode::BITS_DELTA))
         .min((delta2, mode::BITS_DELTA2));
     // Null keys chain together, in a slot of their own.
-    let keyed = key.map(|k| (k.entries.len() + 1, |row: usize| k.slots[row] as usize));
-    if let Some((slots, slot_of)) = &keyed {
+    let chains = key.map_or(0, |k| k.entries.len() + 1);
+    if let Some(key) = key {
         let (mut keyed, mut keyed2) = (0u64, 0u64);
-        float_deltas(cells, *slots, slot_of, |d, d2| {
+        float_deltas(cells, chains, key.slots(), |d, d2| {
             keyed += zigzag_len(d);
             keyed2 += zigzag_len(d2);
         });
@@ -451,80 +615,134 @@ fn encode_float_column(out: &mut Vec<u8>, cells: &[Option<f64>], key: Option<&St
             .min((keyed, mode::BITS_KEYED))
             .min((keyed2, mode::BITS_KEYED2));
     }
-    let dict = float_dict(cells, best.0);
+    let dict = match key {
+        Some(key) => float_dict(cells, chains, key.slots(), non_null, best.0),
+        None => float_dict(cells, 1, std::iter::repeat(0), non_null, best.0),
+    };
     if let Some((_, _, len)) = &dict {
         best = best.min((*len, mode::DICT_BITS));
     }
 
     let (len, m) = best;
     out.push(m);
-    write_bitmap(out, cells);
-    out.reserve(len as usize);
-    match m {
+    write_validity(
+        out,
+        cells.len(),
+        non_null != cells.len() as u64,
+        validity(cells),
+    );
+    Body::write(out, len, |body| match m {
         mode::RAW => {
             for c in cells.iter().flatten() {
-                out.extend_from_slice(&c.to_bits().to_le_bytes());
+                body.bytes(&c.to_bits().to_le_bytes());
             }
         }
-        mode::BITS_DELTA => float_deltas(cells, 1, |_| 0, |d, _| varint::write_i64(out, d)),
-        mode::BITS_DELTA2 => float_deltas(cells, 1, |_| 0, |_, d2| varint::write_i64(out, d2)),
+        mode::BITS_DELTA => float_deltas(cells, 1, std::iter::repeat(0), |d, _| body.zigzag(d)),
+        mode::BITS_DELTA2 => {
+            float_deltas(cells, 1, std::iter::repeat(0), |_, d2| body.zigzag(d2));
+        }
         mode::BITS_KEYED | mode::BITS_KEYED2 => {
-            let (slots, slot_of) = keyed.expect("keyed modes are only sized with a key column");
-            float_deltas(cells, slots, slot_of, |d, d2| {
-                varint::write_i64(out, if m == mode::BITS_KEYED { d } else { d2 });
+            let key = key.expect("keyed modes are only sized with a key column");
+            let second = m == mode::BITS_KEYED2;
+            float_deltas(cells, chains, key.slots(), |d, d2| {
+                body.zigzag(if second { d2 } else { d });
             });
         }
         mode::DICT_BITS => {
             let (entries, indexes, _) = dict.expect("dictionary mode won, so it was completed");
-            varint::write_u64(out, entries.len() as u64);
+            body.varint(entries.len() as u64);
             for bits in entries {
-                out.extend_from_slice(&bits.to_le_bytes());
+                body.bytes(&bits.to_le_bytes());
             }
             for idx in indexes {
-                varint::write_u64(out, u64::from(idx));
+                body.varint(u64::from(idx));
             }
         }
         other => unreachable!("float mode {other} is never sized"),
-    }
+    });
     raw
 }
 
-/// First-appearance dictionary of a float column's raw bit patterns:
-/// `(entries, per-cell indexes, DICT_BITS body size)`. Abandoned (`None`)
-/// as soon as entries plus indexes alone outgrow `budget`, the best
-/// other mode — a dictionary that large can no longer win or tie, and
-/// an all-distinct column stops hashing after a fraction of its cells.
-fn float_dict(cells: &[Option<f64>], budget: u64) -> Option<(Vec<u64>, Vec<u32>, u64)> {
+/// First-appearance dictionary of a float column's `non_null` raw bit
+/// patterns: `(entries, per-cell indexes, DICT_BITS body size)`.
+/// Abandoned (`None`) as soon as a lower bound on that size — the
+/// entries and indexes so far, at least one byte for the entry count and
+/// one index byte per cell still to come — exceeds `budget`, the best
+/// other mode: a dictionary that large can no longer win or tie, and an
+/// all-distinct column stops hashing after a sliver of its cells.
+///
+/// A cell equal to the previous cell, or to the previous cell of its
+/// chain (`slots`, as the keyed modes walk them), takes that cell's
+/// index without a table probe: sampled signals repeat themselves.
+fn float_dict(
+    cells: &[Option<f64>],
+    chains: usize,
+    slots: impl Iterator<Item = u32>,
+    non_null: u64,
+    budget: u64,
+) -> Option<(Vec<u64>, Vec<u32>, u64)> {
+    let mut floor = 1 + non_null;
+    if floor > budget {
+        return None;
+    }
     // More than `budget / 8` entries end the walk, so a table sized for
     // that many never has to grow and rehash.
-    let cap = cells.len().min((budget / 8) as usize + 1);
+    let cap = (non_null as usize).min((budget / 8) as usize + 1);
     let mut entries: Vec<u64> = Vec::with_capacity(cap);
-    let mut seen = BitsMap::with_capacity_and_hasher(cap, BitsState::default());
-    let mut indexes: Vec<u32> = Vec::with_capacity(cells.len());
-    let mut index_bytes = 0u64;
-    for c in cells.iter().flatten() {
-        let idx = *seen.entry(c.to_bits()).or_insert_with(|| {
-            entries.push(c.to_bits());
-            dict_code(entries.len() - 1)
-        });
+    // Built on the first cell below the largest pattern so far: while
+    // the patterns never fall (a time column), a new one is one larger
+    // than every entry and a repeat is the previous cell's.
+    let mut seen: Option<BitsMap> = None;
+    let mut indexes: Vec<u32> = Vec::with_capacity(non_null as usize);
+    let mut last: Option<(u64, u32)> = None;
+    let mut chain_last: Vec<Option<(u64, u32)>> = vec![None; chains];
+    for (c, slot) in cells.iter().zip(slots) {
+        let Some(c) = c else { continue };
+        let bits = c.to_bits();
+        let chain = &mut chain_last[slot as usize];
+        let idx = match (last, *chain) {
+            (Some((b, idx)), _) | (_, Some((b, idx))) if b == bits => idx,
+            _ => {
+                let top = entries.last().copied();
+                if seen.is_none() && top.is_some_and(|top| bits < top) {
+                    let mut map = BitsMap::with_capacity_and_hasher(cap, BitsState::default());
+                    map.extend(entries.iter().zip(0..).map(|(&b, i)| (b, i)));
+                    seen = Some(map);
+                }
+                let next = dict_code(entries.len());
+                let idx = match &mut seen {
+                    Some(map) => *map.entry(bits).or_insert(next),
+                    None if top == Some(bits) => next - 1,
+                    None => next,
+                };
+                if idx == next {
+                    entries.push(bits);
+                    floor += 8;
+                }
+                idx
+            }
+        };
+        (last, *chain) = (Some((bits, idx)), Some((bits, idx)));
         indexes.push(idx);
-        index_bytes += varint_len(u64::from(idx));
-        if 8 * entries.len() as u64 + index_bytes > budget {
+        // The floor already counted this cell's first index byte.
+        floor += varint_len(u64::from(idx)) - 1;
+        if floor > budget {
             return None;
         }
     }
+    let index_bytes = floor - 1 - 8 * entries.len() as u64;
     let len = varint_len(entries.len() as u64) + 8 * entries.len() as u64 + index_bytes;
     Some((entries, indexes, len))
 }
 
-fn read_dict_index(cur: &mut Cursor<'_>, dict_len: usize) -> Result<usize> {
+fn read_dict_index(cur: &mut Cursor<'_>, dict_len: usize) -> Result<u32> {
     let idx = cur.read_u64()?;
     if idx >= dict_len as u64 {
         return Err(Error::Protocol(format!(
             "dictionary index {idx} out of range ({dict_len} entries)"
         )));
     }
-    Ok(idx as usize)
+    Ok(idx as u32)
 }
 
 fn read_dict_len(cur: &mut Cursor<'_>, non_null: usize) -> Result<usize> {
@@ -538,8 +756,127 @@ fn read_dict_len(cur: &mut Cursor<'_>, non_null: usize) -> Result<usize> {
     Ok(n as usize)
 }
 
+fn read_str<'a>(cur: &mut Cursor<'a>, what: &str) -> Result<&'a str> {
+    let len = cur.read_u64()?;
+    if len > MAX_FRAME_LEN {
+        return Err(Error::Protocol(format!("{what} of {len} bytes")));
+    }
+    std::str::from_utf8(cur.read_slice(len as usize)?)
+        .map_err(|_| Error::Protocol(format!("{what} not UTF-8")))
+}
+
+/// A column's validity bitmap as read: its bytes, borrowed, and how
+/// many of its `rows` cells are set.
+struct Validity<'a> {
+    bits: &'a [u8],
+    rows: usize,
+    non_null: usize,
+}
+
+impl<'a> Validity<'a> {
+    fn read(cur: &mut Cursor<'a>, rows: usize) -> Result<Validity<'a>> {
+        let bits = cur.read_slice(rows.div_ceil(8))?;
+        // Bits past the last row are padding, never cells.
+        let full = rows / 8;
+        let tail = bits.get(full).map_or(0, |b| b & ((1u8 << (rows % 8)) - 1));
+        let non_null = bits[..full]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum::<usize>()
+            + tail.count_ones() as usize;
+        Ok(Validity {
+            bits,
+            rows,
+            non_null,
+        })
+    }
+
+    /// One cell per row: `next(row)` for a set one, `null` for the
+    /// rest. An all-valid column never tests a bit.
+    fn cells<T: Copy>(&self, null: T, mut next: impl FnMut(usize) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(self.rows);
+        if self.non_null == self.rows {
+            for row in 0..self.rows {
+                out.push(next(row)?);
+            }
+        } else {
+            for row in 0..self.rows {
+                out.push(if self.bits[row / 8] & (1 << (row % 8)) != 0 {
+                    next(row)?
+                } else {
+                    null
+                });
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`Validity::cells`] of `Option`s, for cells that are not `Copy`.
+    fn options<T>(&self, mut next: impl FnMut() -> Result<T>) -> Result<Vec<Option<T>>> {
+        let mut out = Vec::with_capacity(self.rows);
+        for row in 0..self.rows {
+            let set = self.non_null == self.rows || self.bits[row / 8] & (1 << (row % 8)) != 0;
+            out.push(if set { Some(next()?) } else { None });
+        }
+        Ok(out)
+    }
+}
+
+/// The keyed float chains' slot per row, from the batch's first string
+/// column: the slots the encoder chained on ([`StrDict`]), so
+/// equal-content keys share a chain whatever their code or allocation.
+struct KeySlots {
+    slots: Vec<u32>,
+    count: usize,
+}
+
+impl KeySlots {
+    fn of(col: &Column) -> KeySlots {
+        let dict = StrDict::build(col.str_cells().expect("the key is a string column"));
+        KeySlots {
+            count: dict.entries.len() + 1,
+            slots: dict.slots().collect(),
+        }
+    }
+
+    /// A keyed float column's cells, replayed from its deltas.
+    fn replay(&self, cur: &mut Cursor<'_>, valid: &Validity<'_>, m: u8) -> Result<Column> {
+        let mut chains = vec![(0i64, 0i64); self.count];
+        let second = m == mode::BITS_KEYED2;
+        let cells = valid.cells(None, |row| {
+            let (prev, prev_d) = &mut chains[self.slots[row] as usize];
+            let mut d = cur.read_i64()?;
+            if second {
+                d = prev_d.wrapping_add(d);
+            }
+            (*prev, *prev_d) = (prev.wrapping_add(d), d);
+            Ok(Some(f64::from_bits(*prev as u64)))
+        })?;
+        Ok(Column::Float(cells))
+    }
+}
+
+/// Advances `cur` past `n` varints; returns the bytes they span.
+fn skip_varints<'a>(cur: &mut Cursor<'a>, n: usize) -> Result<&'a [u8]> {
+    let rest = cur.peek_rest();
+    let mut left = n;
+    let len = if n == 0 {
+        0
+    } else {
+        rest.iter()
+            .position(|&b| {
+                left -= usize::from(b < 0x80);
+                left == 0
+            })
+            .ok_or_else(|| Error::Protocol(format!("{n} deltas expected")))?
+            + 1
+    };
+    Ok(cur.read_slice(len)?)
+}
+
 /// Decodes a batch written by [`encode_batch_compressed`] against the
-/// schema both peers agreed on.
+/// schema both peers agreed on. DICT string columns decode to
+/// [`Column::Dict`]: the dictionary is read once and each row is a code.
 ///
 /// # Errors
 ///
@@ -586,11 +923,16 @@ fn decode(bytes: &[u8], schema: &Arc<Schema>, compressed: bool) -> Result<Batch>
             schema.len()
         )));
     }
+    let key_col = schema
+        .fields()
+        .iter()
+        .position(|f| f.data_type() == DataType::Str);
+    let mut key: Option<KeySlots> = None;
     let mut columns = Vec::with_capacity(schema.len());
     // Keyed float columns may precede their key column (the first
-    // string column); their deltas are parsed in place and replayed
-    // once every column — including the key — has been decoded.
-    let mut keyed: Vec<(usize, u8, Vec<bool>, Vec<i64>)> = Vec::new();
+    // string column): their deltas are skipped and replayed once the key
+    // has been decoded.
+    let mut deferred: Vec<(usize, u8, Validity<'_>, &[u8])> = Vec::new();
     for field in schema.fields() {
         let tag = cur.read_u8()?;
         if tag != type_tag(field.data_type()) {
@@ -605,114 +947,68 @@ fn decode(bytes: &[u8], schema: &Arc<Schema>, compressed: bool) -> Result<Batch>
         } else {
             mode::RAW
         };
-        let valid = read_bitmap(&mut cur, rows)?;
-        let non_null = valid.iter().filter(|v| **v).count();
+        let valid = Validity::read(&mut cur, rows)?;
+        let non_null = valid.non_null;
         let col = match (field.data_type(), col_mode) {
             (DataType::Bool, mode::RAW) if !compressed => {
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        Some(match cur.read_u8()? {
-                            0 => false,
-                            1 => true,
-                            other => return Err(Error::Protocol(format!("bad bool byte {other}"))),
-                        })
-                    } else {
-                        None
-                    });
-                }
-                Column::Bool(cells)
+                Column::Bool(valid.cells(None, |_| match cur.read_u8()? {
+                    0 => Ok(Some(false)),
+                    1 => Ok(Some(true)),
+                    other => Err(Error::Protocol(format!("bad bool byte {other}"))),
+                })?)
             }
             (DataType::Bool, mode::PACKED) => {
                 let packed = cur.read_slice(non_null.div_ceil(8))?;
                 let mut taken = 0usize;
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        let bit = packed[taken / 8] & (1 << (taken % 8)) != 0;
-                        taken += 1;
-                        Some(bit)
-                    } else {
-                        None
-                    });
-                }
-                Column::Bool(cells)
+                Column::Bool(valid.cells(None, |_| {
+                    let bit = packed[taken / 8] & (1 << (taken % 8)) != 0;
+                    taken += 1;
+                    Ok(Some(bit))
+                })?)
             }
             (DataType::Int, mode::DELTA) => {
                 let mut prev = 0i64;
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        prev = prev.wrapping_add(cur.read_i64()?);
-                        Some(prev)
-                    } else {
-                        None
-                    });
-                }
-                Column::Int(cells)
+                Column::Int(valid.cells(None, |_| {
+                    prev = prev.wrapping_add(cur.read_i64()?);
+                    Ok(Some(prev))
+                })?)
             }
             (DataType::Int, mode::RAW) => {
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v { Some(cur.read_i64()?) } else { None });
-                }
-                Column::Int(cells)
+                Column::Int(valid.cells(None, |_| Ok(Some(cur.read_i64()?)))?)
             }
             (DataType::Float, mode::RAW) => {
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        Some(f64::from_bits(cur.read_u64_le()?))
-                    } else {
-                        None
-                    });
-                }
-                Column::Float(cells)
+                Column::Float(valid.cells(None, |_| Ok(Some(f64::from_bits(cur.read_u64_le()?))))?)
             }
             (DataType::Float, m @ (mode::BITS_KEYED | mode::BITS_KEYED2)) => {
-                if !schema
-                    .fields()
-                    .iter()
-                    .any(|f| f.data_type() == DataType::Str)
-                {
+                let Some(k) = key_col else {
                     return Err(Error::Protocol(
                         "keyed float mode in a schema with no string key column".into(),
                     ));
+                };
+                if k < columns.len() {
+                    let key = key.get_or_insert_with(|| KeySlots::of(&columns[k]));
+                    key.replay(&mut cur, &valid, m)?
+                } else {
+                    let body = skip_varints(&mut cur, non_null)?;
+                    deferred.push((columns.len(), m, valid, body));
+                    // Placeholder; replaced once the key is decoded.
+                    Column::Float(Vec::new())
                 }
-                let mut deltas = Vec::with_capacity(non_null);
-                for _ in 0..non_null {
-                    deltas.push(cur.read_i64()?);
-                }
-                keyed.push((columns.len(), m, valid, deltas));
-                // Placeholder; replaced once the key column is decoded.
-                Column::Float(vec![None; rows])
             }
             (DataType::Float, mode::BITS_DELTA) => {
                 let mut prev = 0i64;
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        prev = prev.wrapping_add(cur.read_i64()?);
-                        Some(f64::from_bits(prev as u64))
-                    } else {
-                        None
-                    });
-                }
-                Column::Float(cells)
+                Column::Float(valid.cells(None, |_| {
+                    prev = prev.wrapping_add(cur.read_i64()?);
+                    Ok(Some(f64::from_bits(prev as u64)))
+                })?)
             }
             (DataType::Float, mode::BITS_DELTA2) => {
                 let (mut prev, mut prev_d) = (0i64, 0i64);
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        prev_d = prev_d.wrapping_add(cur.read_i64()?);
-                        prev = prev.wrapping_add(prev_d);
-                        Some(f64::from_bits(prev as u64))
-                    } else {
-                        None
-                    });
-                }
-                Column::Float(cells)
+                Column::Float(valid.cells(None, |_| {
+                    prev_d = prev_d.wrapping_add(cur.read_i64()?);
+                    prev = prev.wrapping_add(prev_d);
+                    Ok(Some(f64::from_bits(prev as u64)))
+                })?)
             }
             (DataType::Float, mode::DICT_BITS) => {
                 let dict_len = read_dict_len(&mut cur, non_null)?;
@@ -720,70 +1016,34 @@ fn decode(bytes: &[u8], schema: &Arc<Schema>, compressed: bool) -> Result<Batch>
                 for _ in 0..dict_len {
                     dict.push(cur.read_u64_le()?);
                 }
-                let mut cells = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        Some(f64::from_bits(dict[read_dict_index(&mut cur, dict_len)?]))
-                    } else {
-                        None
-                    });
-                }
-                Column::Float(cells)
+                Column::Float(valid.cells(None, |_| {
+                    let idx = read_dict_index(&mut cur, dict_len)?;
+                    Ok(Some(f64::from_bits(dict[idx as usize])))
+                })?)
             }
             (DataType::Str, mode::DICT) => {
                 let dict_len = read_dict_len(&mut cur, non_null)?;
                 let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
                 for _ in 0..dict_len {
-                    let len = cur.read_u64()?;
-                    if len > MAX_FRAME_LEN {
-                        return Err(Error::Protocol(format!("dictionary string of {len} bytes")));
-                    }
-                    let s = std::str::from_utf8(cur.read_slice(len as usize)?)
-                        .map_err(|_| Error::Protocol("dictionary string not UTF-8".into()))?;
-                    dict.push(Arc::from(s));
+                    dict.push(Arc::from(read_str(&mut cur, "dictionary string")?));
                 }
-                let mut cells: Vec<Option<Arc<str>>> = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        Some(Arc::clone(&dict[read_dict_index(&mut cur, dict_len)?]))
-                    } else {
-                        None
-                    });
-                }
-                Column::Str(cells)
+                let codes =
+                    valid.cells(DictColumn::NULL, |_| read_dict_index(&mut cur, dict_len))?;
+                Column::Dict(
+                    DictColumn::new(codes, dict.into())
+                        .map_err(|e| Error::Protocol(e.to_string()))?,
+                )
             }
             (DataType::Str, mode::RAW) => {
-                let mut cells: Vec<Option<Arc<str>>> = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        let len = cur.read_u64()?;
-                        if len > MAX_FRAME_LEN {
-                            return Err(Error::Protocol(format!("string cell of {len} bytes")));
-                        }
-                        let s = std::str::from_utf8(cur.read_slice(len as usize)?)
-                            .map_err(|_| Error::Protocol("string cell not UTF-8".into()))?;
-                        Some(Arc::from(s))
-                    } else {
-                        None
-                    });
-                }
-                Column::Str(cells)
+                Column::Str(valid.options(|| Ok(Arc::from(read_str(&mut cur, "string cell")?)))?)
             }
-            (DataType::Bytes, mode::RAW) => {
-                let mut cells: Vec<Option<Arc<[u8]>>> = Vec::with_capacity(rows);
-                for v in valid {
-                    cells.push(if v {
-                        let len = cur.read_u64()?;
-                        if len > MAX_FRAME_LEN {
-                            return Err(Error::Protocol(format!("bytes cell of {len} bytes")));
-                        }
-                        Some(Arc::from(cur.read_slice(len as usize)?))
-                    } else {
-                        None
-                    });
+            (DataType::Bytes, mode::RAW) => Column::Bytes(valid.options(|| {
+                let len = cur.read_u64()?;
+                if len > MAX_FRAME_LEN {
+                    return Err(Error::Protocol(format!("bytes cell of {len} bytes")));
                 }
-                Column::Bytes(cells)
-            }
+                Ok(Arc::from(cur.read_slice(len as usize)?))
+            })?),
             (dt, m) => {
                 return Err(Error::Protocol(format!(
                     "column {:?} of type {dt} carries unknown mode {m}",
@@ -799,57 +1059,13 @@ fn decode(bytes: &[u8], schema: &Arc<Schema>, compressed: bool) -> Result<Batch>
             cur.remaining()
         )));
     }
-    if !keyed.is_empty() {
-        let replayed: Vec<(usize, Column)> = {
-            let key_cells = columns
-                .iter()
-                .find_map(|c| match c {
-                    Column::Str(cells) => Some(cells.as_slice()),
-                    _ => None,
-                })
-                .ok_or_else(|| {
-                    Error::Protocol("keyed float mode in a batch with no string key column".into())
-                })?;
-            // The same coding the encoder chained on: equal-content keys
-            // share a slot whatever allocation they sit in.
-            let key = StrDict::build(key_cells);
-            keyed
-                .into_iter()
-                .map(|(idx, m, valid, deltas)| {
-                    let mut state = vec![(0i64, 0i64); key.entries.len() + 1];
-                    let mut cells = Vec::with_capacity(rows);
-                    let mut next = deltas.into_iter();
-                    for (row, v) in valid.into_iter().enumerate() {
-                        cells.push(if v {
-                            let (prev, prev_d) = &mut state[key.slots[row] as usize];
-                            let mut d = next.next().expect("one delta per non-null cell");
-                            if m == mode::BITS_KEYED2 {
-                                d = prev_d.wrapping_add(d);
-                            }
-                            let bits = prev.wrapping_add(d);
-                            *prev = bits;
-                            *prev_d = d;
-                            Some(f64::from_bits(bits as u64))
-                        } else {
-                            None
-                        });
-                    }
-                    (idx, Column::Float(cells))
-                })
-                .collect()
-        };
-        for (idx, col) in replayed {
-            columns[idx] = col;
+    if let (Some(k), false) = (key_col, deferred.is_empty()) {
+        let key = key.get_or_insert_with(|| KeySlots::of(&columns[k]));
+        for (idx, m, valid, body) in deferred {
+            columns[idx] = key.replay(&mut Cursor::new(body), &valid, m)?;
         }
     }
     Ok(Batch::new(schema.clone(), columns)?)
-}
-
-fn read_bitmap(cur: &mut Cursor<'_>, rows: usize) -> Result<Vec<bool>> {
-    let bytes = cur.read_slice(rows.div_ceil(8))?;
-    Ok((0..rows)
-        .map(|i| bytes[i / 8] & (1 << (i % 8)) != 0)
-        .collect())
 }
 
 #[cfg(test)]

@@ -8,6 +8,11 @@
 //! same bytes — so nothing on the wire, in a checkpoint or in
 //! `bytes_per_row` moved — and the RAW sizes the new encoder reports
 //! are exactly what the flat encoding costs.
+//!
+//! The race reads plain string columns. Every batch is also encoded in
+//! its coded twin — each string column a `Column::Dict` over a shuffled
+//! dictionary with unused and content-duplicate entries — which must
+//! produce the very bytes the race gives the plain batch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +22,7 @@ use ivnt_cluster::codec::{
     encode_batch_compressed_with_raw_len,
 };
 use ivnt_frame::batch::Batch;
-use ivnt_frame::column::Column;
+use ivnt_frame::column::{Column, DictColumn};
 use ivnt_frame::datatype::{DataType, Schema};
 use ivnt_store::varint;
 use proptest::prelude::*;
@@ -143,6 +148,7 @@ fn oracle_encode(batch: &Batch) -> Vec<u8> {
                     out.extend_from_slice(c);
                 }
             }
+            Column::Dict(_) => unreachable!("the race reads plain twins"),
         }
     }
     out
@@ -437,13 +443,75 @@ fn batch_from(seed: u64, rows: usize) -> Batch {
     .expect("columns match the schema")
 }
 
-/// The whole claim for one batch.
+/// `batch` with every string column in the plain form.
+fn plain_twin(batch: &Batch) -> Batch {
+    let columns = batch
+        .columns()
+        .iter()
+        .map(|col| match col.str_cells() {
+            Some(cells) => Column::Str(cells.iter().map(Option::<&Arc<str>>::cloned).collect()),
+            None => col.clone(),
+        })
+        .collect();
+    Batch::new(batch.schema().clone(), columns).unwrap()
+}
+
+/// `batch` with every string column coded: the distinct strings in
+/// reverse first-appearance order, each twice (equal content, separate
+/// allocations, cells split between the two codes), behind an entry no
+/// cell uses.
+fn coded_twin(batch: &Batch) -> Batch {
+    let columns = batch
+        .columns()
+        .iter()
+        .map(|col| {
+            let Some(cells) = col.str_cells() else {
+                return col.clone();
+            };
+            let mut distinct: Vec<Arc<str>> = Vec::new();
+            for s in cells.iter().flatten() {
+                if !distinct.iter().any(|d| d == s) {
+                    distinct.push(s.clone());
+                }
+            }
+            distinct.reverse();
+            let mut values: Vec<Arc<str>> = vec![Arc::from("never-used")];
+            for s in &distinct {
+                values.push(s.clone());
+                values.push(Arc::from(&**s));
+            }
+            let codes = cells
+                .iter()
+                .enumerate()
+                .map(|(row, cell)| match cell {
+                    None => DictColumn::NULL,
+                    Some(s) => {
+                        let at = distinct.iter().position(|d| d == s).unwrap();
+                        (1 + 2 * at + row % 2) as u32
+                    }
+                })
+                .collect();
+            Column::Dict(DictColumn::new(codes, values.into()).unwrap())
+        })
+        .collect();
+    Batch::new(batch.schema().clone(), columns).unwrap()
+}
+
+/// The whole claim for one batch, in both string forms.
 fn assert_matches_oracle(batch: &Batch) {
-    let expected = oracle_encode(batch);
+    let plain = plain_twin(batch);
+    assert_form_matches_oracle(&plain, &plain);
+    assert_form_matches_oracle(&coded_twin(batch), &plain);
+}
+
+/// `batch` encodes to the race's bytes for `plain`, its plain twin.
+fn assert_form_matches_oracle(batch: &Batch, plain: &Batch) {
+    let expected = oracle_encode(plain);
     let (bytes, raw_len) = encode_batch_compressed_with_raw_len(batch);
     assert_eq!(bytes, expected, "size-then-write diverged from the race");
     assert_eq!(encode_batch_compressed(batch), expected);
     assert_eq!(raw_len, encode_batch(batch).len() as u64);
+    assert_eq!(encode_batch(batch), encode_batch(plain));
     let decoded = decode_batch_compressed(&bytes, batch.schema()).expect("own bytes decode");
     assert_eq!(encode_batch(&decoded), encode_batch(batch));
     // Decoding lands every cell in a fresh allocation pattern; the
@@ -502,6 +570,50 @@ fn float_dictionary_threshold_is_crossed_without_a_seam() {
         mode::DICT_BITS,
         "all-distinct must not go dictionary"
     );
+}
+
+/// The dictionary walk needs no table while the bit patterns rise; the
+/// first fall builds one from the entries so far, and a later repeat of
+/// an early pattern must find its index there. A rising prefix, then the
+/// same patterns again: the dictionary wins, and equals the race's.
+#[test]
+fn float_dictionary_finds_repeats_after_a_rising_prefix() {
+    for (levels, repeats) in [(3usize, 40usize), (40, 6), (200, 2)] {
+        let cells = (0..levels * repeats)
+            .map(|i| {
+                Some(f64::from_bits(
+                    0x4000_0000_0000_0000 + (i % levels) as u64 * 977,
+                ))
+            })
+            .collect();
+        let batch = float_batch(cells);
+        assert_matches_oracle(&batch);
+        if levels == 3 {
+            let m = mode_of_first_column(&encode_batch_compressed(&batch));
+            assert_eq!(m, mode::DICT_BITS, "three levels must go dictionary");
+        }
+    }
+}
+
+/// String dictionaries past 128 entries take multi-byte indexes, coded
+/// or plain; an all-null coded column is a bitmap and nothing else.
+#[test]
+fn wide_and_empty_string_dictionaries_match_the_race() {
+    let mut g = Gen(5);
+    let rows = 900;
+    for names in [120usize, 129, 300] {
+        let s = str_column(&mut g, rows, names, 9);
+        let f = float_column(&mut g, rows, Some(&s), 0);
+        let batch = Batch::new(
+            schema(&[("f", DataType::Float), ("s_id", DataType::Str)]),
+            vec![Column::Float(f), Column::Str(s)],
+        )
+        .unwrap();
+        assert_matches_oracle(&batch);
+    }
+    let nulls = Column::Dict(DictColumn::new(vec![DictColumn::NULL; 17], vec![].into()).unwrap());
+    let batch = Batch::new(schema(&[("s", DataType::Str)]), vec![nulls]).unwrap();
+    assert_matches_oracle(&batch);
 }
 
 #[test]

@@ -209,9 +209,9 @@ fn oracle_dedup(seq: &SignalSequence, rules: &RuleSet, enabled: bool) -> Dedup {
     let batch = seq.frame.to_single_batch().unwrap();
     let buses = batch.column(batch.schema().index_of(c::BUS).unwrap());
     let rows_of = |channel: &str| -> Vec<usize> {
-        let buses = buses.as_str_slice().unwrap();
+        let buses = buses.str_cells().unwrap();
         (0..buses.len())
-            .filter(|&i| buses[i].as_deref() == Some(channel))
+            .filter(|&i| buses.get(i).map(AsRef::as_ref) == Some(channel))
             .collect()
     };
     let nums = seq.numeric_values().unwrap();

@@ -498,8 +498,11 @@ mod tests {
         let bus_idx = schema.index_of(c::BUS).unwrap();
         let per_channel = |bus: &str| {
             let parts = seq.frame.partitions().iter().map(|batch| {
-                let buses = batch.column(bus_idx).as_str_slice().unwrap();
-                let mask: Vec<bool> = buses.iter().map(|b| b.as_deref() == Some(bus)).collect();
+                let buses = batch.column(bus_idx).str_cells().unwrap();
+                let mask: Vec<bool> = buses
+                    .iter()
+                    .map(|b| b.map(AsRef::as_ref) == Some(bus))
+                    .collect();
                 batch.filter(&mask).unwrap()
             });
             DataFrame::from_partitions(schema.clone(), parts.collect()).unwrap()

@@ -47,7 +47,8 @@ const RULE_IDX: &str = "rule_idx";
 /// per-row lookups compare a handful of short strings instead of hashing
 /// `(&str, i64)` tuples.
 struct BusInterner {
-    buses: Vec<Arc<str>>,
+    /// The `b_id` dictionary of every `K_s` batch the kernel emits.
+    buses: Arc<[Arc<str>]>,
 }
 
 impl BusInterner {
@@ -58,7 +59,9 @@ impl BusInterner {
                 buses.push(Arc::from(rule.bus.as_str()));
             }
         }
-        BusInterner { buses }
+        BusInterner {
+            buses: buses.into(),
+        }
     }
 
     fn id_of(&self, bus: &str) -> Option<u32> {
@@ -379,10 +382,10 @@ pub fn preselect(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
     Ok(DataFrame::from_partitions(raw.schema().clone(), parts)?.with_executor(raw.executor()))
 }
 
-pub(crate) fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&[Option<Arc<str>>]> {
+pub(crate) fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<StrCells<'_>> {
     batch
         .column(idx)
-        .as_str_slice()
+        .str_cells()
         .ok_or_else(|| ivnt_frame::Error::TypeMismatch {
             expected: "str".into(),
             actual: batch.column(idx).data_type().to_string(),
@@ -631,7 +634,7 @@ pub fn interpret_fused_scalar(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataF
             let mut v_num: Vec<Option<f64>> = Vec::new();
             let mut v_text: Vec<Option<Arc<str>>> = Vec::new();
             let mut probe = ProbeState::new();
-            for (((t, bus), mid), payload) in ts.iter().zip(buses).zip(mids).zip(payloads) {
+            for (((t, bus), mid), payload) in ts.iter().zip(buses.iter()).zip(mids).zip(payloads) {
                 // Null bus or m_id never matches a rule (inner-join
                 // semantics); unknown pairs are preselection drops.
                 let (Some(bus), Some(mid)) = (bus, mid) else {
@@ -705,7 +708,8 @@ pub struct Kernel {
     plans: Vec<DecodePlan>,
     /// Per rule: index into `signal_names`.
     signal_idx: Vec<u32>,
-    signal_names: Vec<Arc<str>>,
+    /// The `s_id` dictionary of every `K_s` batch the kernel emits.
+    signal_names: Arc<[Arc<str>]>,
     /// Per LUT group: the fused window, when expressible.
     fused: Vec<Option<FusedGroup>>,
 }
@@ -747,7 +751,7 @@ impl Kernel {
             lut,
             plans,
             signal_idx,
-            signal_names,
+            signal_names: signal_names.into(),
             fused,
         }
     }
@@ -833,8 +837,8 @@ trait EmitSink {
 }
 
 /// Pre-sized dictionary-encoded output builders for the signal table:
-/// signal and bus are `u32` dictionary indices while decoding, turned
-/// into shared `Arc<str>` columns once per batch.
+/// signal and bus are `u32` codes into the kernel's dictionaries, and stay
+/// codes in the batch.
 #[derive(Default)]
 struct Builders {
     t: Vec<Option<f64>>,
@@ -876,26 +880,18 @@ impl EmitSink for Builders {
 }
 
 impl Builders {
-    /// Materializes the dictionary columns — one shared `Arc<str>` per
-    /// distinct signal/bus, cloned in a tight index loop — and assembles
-    /// the output batch.
+    /// Assembles the output batch: `s_id` and `b_id` are
+    /// [`Column::Dict`]s over the kernel's dictionaries, so no row clones
+    /// a string.
     fn into_batch(self, schema: &Arc<Schema>, kernel: &Kernel) -> ivnt_frame::Result<Batch> {
-        let s_out: Vec<Option<Arc<str>>> = self
-            .s
-            .iter()
-            .map(|&i| Some(kernel.signal_names[i as usize].clone()))
-            .collect();
-        let b_out: Vec<Option<Arc<str>>> = self
-            .b
-            .iter()
-            .map(|&i| Some(kernel.lut.interner.buses[i as usize].clone()))
-            .collect();
+        let s_out = DictColumn::new(self.s, kernel.signal_names.clone())?;
+        let b_out = DictColumn::new(self.b, kernel.lut.interner.buses.clone())?;
         Batch::new(
             schema.clone(),
             vec![
                 Column::Float(self.t),
-                Column::Str(s_out),
-                Column::Str(b_out),
+                Column::Dict(s_out),
+                Column::Dict(b_out),
                 Column::Float(self.num),
                 Column::Str(self.text),
             ],
@@ -1145,7 +1141,7 @@ fn admit_ids(
 /// A raw batch's columns, probed through the learned bus pointers.
 struct BatchRows<'a> {
     ts: &'a [Option<f64>],
-    buses: &'a [Option<Arc<str>>],
+    buses: StrCells<'a>,
     mids: &'a [Option<i64>],
     payloads: &'a [Option<Arc<[u8]>>],
     probe: ProbeState,
@@ -1172,7 +1168,7 @@ impl RowSource for BatchRows<'_> {
     #[inline]
     fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)> {
         // Null buses never match a rule (inner-join semantics).
-        lut.probe_group(self.buses[row].as_ref()?, mid, &mut self.probe)
+        lut.probe_group(self.buses.get(row)?, mid, &mut self.probe)
     }
 
     #[inline]
@@ -1184,7 +1180,9 @@ impl RowSource for BatchRows<'_> {
     fn prefetch_cells(&self, row: usize) {
         prefetch(&raw const self.payloads[row]);
         prefetch(&raw const self.ts[row]);
-        prefetch(&raw const self.buses[row]);
+        if let StrCells::Plain(buses) = self.buses {
+            prefetch(&raw const buses[row]);
+        }
     }
 
     #[inline]

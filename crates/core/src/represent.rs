@@ -17,6 +17,7 @@ use ivnt_frame::prelude::*;
 use crate::branch::homogeneous_schema;
 use crate::error::Result;
 use crate::extend::extension_schema;
+use crate::interpret::{float_column, str_column};
 use crate::tabular::columns as c;
 
 /// Merges branch outputs and extension frames into the common sequence
@@ -51,10 +52,10 @@ where
     let mut keys: Vec<(Option<i64>, Option<&str>)> = Vec::new();
     let mut at: Vec<(usize, usize)> = Vec::new();
     for (p, b) in parts.iter().enumerate() {
-        let ts = b.column(0).as_float_slice().unwrap_or_default();
-        let ids = b.column(1).as_str_slice().unwrap_or_default();
-        for (t, id) in ts.iter().zip(ids) {
-            keys.push((t.map(total_order), id.as_deref()));
+        let ts = float_column(b, 0)?;
+        let ids = str_column(b, 1)?;
+        for (t, id) in ts.iter().zip(ids.iter()) {
+            keys.push((t.map(total_order), id.map(AsRef::as_ref)));
         }
         at.extend((0..b.num_rows()).map(|r| (p, r)));
     }
@@ -172,29 +173,27 @@ pub fn state_representation(merged: &DataFrame) -> Result<DataFrame> {
     let mut index: HashMap<&str, usize> = HashMap::new();
     let mut changes: Vec<Vec<(usize, Arc<str>)>> = Vec::new();
     for b in merged.partitions() {
-        let ts = b.column(0).as_float_slice().unwrap_or_default();
-        let ids = b.column(1).as_str_slice().unwrap_or_default();
-        let symbols = b.column(3).as_str_slice().unwrap_or_default();
-        let trends = b.column(4).as_str_slice().unwrap_or_default();
-        let values = b.column(5).as_float_slice().unwrap_or_default();
+        let ts = float_column(b, 0)?;
+        let (ids, symbols, trends) = (str_column(b, 1)?, str_column(b, 3)?, str_column(b, 4)?);
+        let values = float_column(b, 5)?;
         let outliers = b.column(6).as_bool_slice().unwrap_or_default();
         for (i, t) in ts.iter().enumerate() {
             if times.last().map(|last| last.map(f64::to_bits)) != Some(t.map(f64::to_bits)) {
                 times.push(*t);
             }
-            let Some(id) = ids[i].as_deref() else {
+            let Some(id) = ids.get(i).map(AsRef::as_ref) else {
                 continue;
             };
             let signal = *index.entry(id).or_insert_with(|| {
                 changes.push(Vec::new());
                 changes.len() - 1
             });
-            let (trend, outlier) = (trends[i].as_deref(), outliers[i] == Some(true));
-            let cell = match &symbols[i] {
+            let (trend, outlier) = (trends.get(i).map(AsRef::as_ref), outliers[i] == Some(true));
+            let cell = match symbols.get(i) {
                 // A bare symbol is its own cell: shared, not copied.
                 Some(symbol) if trend.is_none() && !outlier => symbol.clone(),
                 symbol => {
-                    let symbol = symbol.as_deref().unwrap_or("");
+                    let symbol = symbol.map_or("", AsRef::as_ref);
                     display_cell(symbol, trend, values[i], outlier).into()
                 }
             };

@@ -96,10 +96,11 @@ impl SignalSequence {
         let idx = self.frame.schema().index_of(c::VALUE_TEXT)?;
         let mut out = Vec::with_capacity(self.len());
         for batch in self.frame.partitions() {
-            match batch.column(idx).as_str_slice() {
-                Some(vals) => out.extend(vals.iter().cloned()),
-                None => out.extend(std::iter::repeat_n(None, batch.num_rows())),
-            }
+            out.extend(
+                str_column(batch, idx)?
+                    .iter()
+                    .map(Option::<&Arc<str>>::cloned),
+            );
         }
         Ok(out)
     }
@@ -115,8 +116,7 @@ impl SignalSequence {
         // collapsing pointer-equal cells first leaves a handful to sort.
         let mut buses: Vec<&Arc<str>> = Vec::new();
         for batch in self.frame.partitions() {
-            let cells = batch.column(idx).as_str_slice().unwrap_or(&[]);
-            for bus in cells.iter().flatten() {
+            for bus in str_column(batch, idx)?.iter().flatten() {
                 if !buses.iter().rev().take(8).any(|b| Arc::ptr_eq(b, bus)) {
                     buses.push(bus);
                 }
@@ -134,11 +134,11 @@ pub struct Rows<'a> {
     /// Timestamps in seconds.
     pub t: &'a [Option<f64>],
     /// Channels.
-    pub bus: &'a [Option<Arc<str>>],
+    pub bus: StrCells<'a>,
     /// Numeric values.
     pub num: &'a [Option<f64>],
     /// Textual values.
-    pub text: &'a [Option<Arc<str>>],
+    pub text: StrCells<'a>,
 }
 
 impl<'a> Rows<'a> {
@@ -389,8 +389,8 @@ impl CodedSequence {
         let mut coded = SignalRows::default();
         for rows in seq.rows()? {
             for i in 0..rows.t.len() {
-                let bus = rows.bus[i].as_ref().map(|b| channels.code(b));
-                coded.push(rows.t[i], bus, rows.num[i], rows.text[i].clone());
+                let bus = rows.bus.get(i).map(|b| channels.code(b));
+                coded.push(rows.t[i], bus, rows.num[i], rows.text.get(i).cloned());
             }
         }
         Ok(CodedSequence {
@@ -494,6 +494,38 @@ impl Dict {
     }
 }
 
+/// A string column's cells as codes of a [`Dict`], in row order. A coded
+/// column's entries are looked up once each, on the first row holding
+/// them, so codes keep first-appearance order and no later row hashes a
+/// string; a plain column's cells are looked up one by one.
+struct Recoder<'a> {
+    cells: StrCells<'a>,
+    /// Per entry of a coded column's dictionary: its code, once met.
+    entries: Vec<Option<u32>>,
+}
+
+impl<'a> Recoder<'a> {
+    fn new(cells: StrCells<'a>) -> Recoder<'a> {
+        let entries = match cells {
+            StrCells::Coded(d) => vec![None; d.values().len()],
+            StrCells::Plain(_) => Vec::new(),
+        };
+        Recoder { cells, entries }
+    }
+
+    #[inline]
+    fn code(&mut self, row: usize, dict: &mut Dict) -> Option<u32> {
+        match self.cells {
+            StrCells::Coded(d) => {
+                let at = d.codes()[row] as usize;
+                let entry = self.entries.get_mut(at)?;
+                Some(*entry.get_or_insert_with(|| dict.code(&d.values()[at])))
+            }
+            StrCells::Plain(cells) => cells[row].as_ref().map(|name| dict.code(name)),
+        }
+    }
+}
+
 /// Builds the per-signal sequences of line 8 incrementally: feed it one
 /// partition, row group or micro-batch at a time, then [`finish`]
 /// (SequenceBuilder::finish). Two feeders share it — the interpretation
@@ -555,18 +587,20 @@ impl SequenceBuilder {
     pub fn push(&mut self, batch: &Batch) -> Result<()> {
         let schema = batch.schema();
         let ts = float_column(batch, schema.index_of(c::T)?)?;
-        let names = str_column(batch, schema.index_of(c::SIGNAL)?)?;
-        let buses = str_column(batch, schema.index_of(c::BUS)?)?;
+        let mut names = Recoder::new(str_column(batch, schema.index_of(c::SIGNAL)?)?);
+        let mut buses = Recoder::new(str_column(batch, schema.index_of(c::BUS)?)?);
         let nums = float_column(batch, schema.index_of(c::VALUE_NUM)?)?;
         let texts = str_column(batch, schema.index_of(c::VALUE_TEXT)?)?;
-        for (row, name) in names.iter().enumerate() {
-            let Some(name) = name else { continue };
-            let signal = self.signals.code(name) as usize;
+        for row in 0..ts.len() {
+            let Some(signal) = names.code(row, &mut self.signals) else {
+                continue;
+            };
+            let signal = signal as usize;
             if signal == self.runs.signals.len() {
                 self.runs.signals.push(SignalRows::default());
             }
-            let bus = buses[row].as_ref().map(|bus| self.buses.code(bus));
-            self.runs.signals[signal].push(ts[row], bus, nums[row], texts[row].clone());
+            let bus = buses.code(row, &mut self.buses);
+            self.runs.signals[signal].push(ts[row], bus, nums[row], texts.get(row).cloned());
         }
         Ok(())
     }

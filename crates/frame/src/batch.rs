@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::column::Column;
+use crate::column::{gather_str, Column};
 use crate::datatype::{DataType, Schema};
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -218,7 +218,10 @@ impl Batch {
                     DataType::Bool => Column::Bool(pick(cols, Column::as_bool_slice, rows)),
                     DataType::Int => Column::Int(pick(cols, Column::as_int_slice, rows)),
                     DataType::Float => Column::Float(pick(cols, Column::as_float_slice, rows)),
-                    DataType::Str => Column::Str(pick(cols, Column::as_str_slice, rows)),
+                    DataType::Str => {
+                        let cols: Vec<&Column> = cols.collect();
+                        gather_str(&cols, rows.iter().map(|&pick| Some(pick)))
+                    }
                     DataType::Bytes => Column::Bytes(pick(cols, Column::as_bytes_slice, rows)),
                 }
             })
@@ -398,6 +401,33 @@ mod tests {
             .into_shared();
         let r = Batch::new(schema, vec![]);
         assert!(matches!(r, Err(Error::SchemaMismatch(_))));
+    }
+
+    #[test]
+    fn gather_keeps_a_shared_dictionary_coded() {
+        use crate::column::DictColumn;
+        let schema = Schema::from_pairs([("s", DataType::Str)])
+            .unwrap()
+            .into_shared();
+        let names: Arc<[Arc<str>]> = ["x", "y"].map(Arc::<str>::from).into();
+        let coded = |codes: Vec<u32>| {
+            let col = Column::Dict(DictColumn::new(codes, names.clone()).unwrap());
+            Batch::new(schema.clone(), vec![col]).unwrap()
+        };
+        let (a, b) = (coded(vec![0, 1]), coded(vec![DictColumn::NULL, 0]));
+        let picks = [(1, 1), (0, 1), (1, 0)];
+        let out = Batch::gather(schema.clone(), &[&a, &b], &picks).unwrap();
+        assert!(matches!(out.column(0), Column::Dict(_)));
+        let plain = Column::Str(vec![Some(Arc::from("x")), Some(Arc::from("y")), None]);
+        assert_eq!(out.column(0), &plain);
+        // A plain partition among coded ones gathers plain, same cells.
+        let c = Batch::new(schema.clone(), vec![plain.clone()]).unwrap();
+        let mixed = Batch::gather(schema, &[&a, &c], &[(1, 2), (0, 0)]).unwrap();
+        assert!(matches!(mixed.column(0), Column::Str(_)));
+        assert_eq!(
+            mixed.column(0),
+            &Column::Str(vec![None, Some(Arc::from("x"))])
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::batch::Batch;
-use crate::column::Column;
+use crate::column::{gather_str, Column};
 use crate::datatype::{DataType, Field, Schema};
 use crate::error::{Error, Result};
 use crate::exec::Executor;
@@ -72,7 +72,7 @@ fn build_table(right: &DataFrame, right_key_idx: &[usize], kinds: &[DataType]) -
             for (pi, batch) in right.partitions().iter().enumerate() {
                 let strs = batch
                     .column(right_key_idx[0])
-                    .as_str_slice()
+                    .str_cells()
                     .expect("schema-checked str key column");
                 let ints = batch
                     .column(right_key_idx[1])
@@ -221,7 +221,7 @@ fn probe_matches(
         BuildTable::StrInt { ids, table } => {
             let strs = lbatch
                 .column(left_key_idx[0])
-                .as_str_slice()
+                .str_cells()
                 .expect("schema-checked str key column");
             let ints = lbatch
                 .column(left_key_idx[1])
@@ -284,7 +284,14 @@ fn gather_right_column(
         DataType::Bool => gather!(Bool, as_bool_slice),
         DataType::Int => gather!(Int, as_int_slice),
         DataType::Float => gather!(Float, as_float_slice),
-        DataType::Str => gather!(Str, as_str_slice),
+        DataType::Str => {
+            let cols: Vec<&Column> = right_parts.iter().map(|b| b.column(column_idx)).collect();
+            gather_str(
+                &cols,
+                hits.iter()
+                    .map(|hit| hit.map(|(pi, ri)| (pi as usize, ri as usize))),
+            )
+        }
         DataType::Bytes => gather!(Bytes, as_bytes_slice),
     }
 }

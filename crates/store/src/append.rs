@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
-use crate::layout::{checksum, decode_chunk_columns, ChunkMeta, Footer, ZoneMap, MAGIC};
+use crate::layout::{checksum, ChunkBuffers, ChunkMeta, Footer, ZoneMap, MAGIC};
 use crate::reader::{read_seal, StoreReader};
 use crate::record::Record;
 use crate::varint;
@@ -483,10 +483,11 @@ impl<R: Read + Seek> StoreFollower<R> {
         let known = self.rows.buses.len();
         self.rows.buses.extend(new_buses);
         let mut at = 0;
+        let mut buffers = ChunkBuffers::default();
         for meta in metas {
             let bytes = &self.chunks[at..at + meta.len as usize];
             at += bytes.len();
-            match decode_chunk_columns(bytes, self.rows.buses.len()) {
+            match buffers.decode(bytes, self.rows.buses.len()) {
                 Ok(chunk) => self.rows.push_decoded(&chunk, 0..chunk.len()),
                 Err(e) => {
                     self.rows.clear();

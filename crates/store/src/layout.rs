@@ -316,17 +316,19 @@ pub struct IndexedRecord {
     pub record: Record,
 }
 
-/// One chunk decoded into key columns — the store's only chunk decoder.
-/// No row value is built: payloads stay in the checksummed chunk bytes
-/// this borrows, so a scan tests keys first and copies only survivors.
+/// One chunk decoded into key columns — the store's only chunk decoder's
+/// output. No row value is built: payloads stay in the checksummed chunk
+/// bytes this borrows, so a scan tests keys first and copies only
+/// survivors. The columns borrow the [`ChunkBuffers`] they were decoded
+/// into.
 pub(crate) struct ChunkColumns<'a> {
-    pub(crate) index: Vec<u64>,
-    pub(crate) t_us: Vec<u64>,
-    pub(crate) bus: Vec<u32>,
-    pub(crate) mid: Vec<u32>,
-    pub(crate) protocol: Vec<Protocol>,
+    pub(crate) index: &'a [u64],
+    pub(crate) t_us: &'a [u64],
+    pub(crate) bus: &'a [u32],
+    pub(crate) mid: &'a [u32],
+    pub(crate) protocol: &'a [Protocol],
     /// `rows + 1` offsets into `payloads`.
-    payload_offsets: Vec<usize>,
+    payload_offsets: &'a [usize],
     payloads: &'a [u8],
 }
 
@@ -341,100 +343,125 @@ impl<'a> ChunkColumns<'a> {
 
     /// The payload bytes of `rows`, back to back, and the `rows.len() + 1`
     /// offsets that cut them (relative to the chunk's payload region).
-    pub(crate) fn payloads(&self, rows: Range<usize>) -> (&'a [u8], &[usize]) {
+    pub(crate) fn payloads(&self, rows: Range<usize>) -> (&'a [u8], &'a [usize]) {
         let offsets = &self.payload_offsets[rows.start..=rows.end];
         (&self.payloads[offsets[0]..offsets[rows.len()]], offsets)
     }
 }
 
-/// Decodes an encoded chunk into [`ChunkColumns`]; bus codes must lie
-/// below `bus_count` (the footer dictionary's size). Malformed bytes and
-/// out-of-dictionary bus references are [`Error::Truncated`] /
-/// [`Error::Format`].
-pub(crate) fn decode_chunk_columns(bytes: &[u8], bus_count: usize) -> Result<ChunkColumns<'_>> {
-    let mut cur = Cursor::new(bytes);
-    let rows = cur.read_u32_le()? as usize;
-    // A chunk never holds more rows than bytes; reject sizes that a
-    // truncated-then-checksum-bypassed file could otherwise allocate.
-    if rows > bytes.len() {
-        return Err(Error::Format(format!(
-            "chunk declares {rows} rows in {} bytes",
-            bytes.len()
-        )));
-    }
-    // Indices and timestamps: absolute first value, zigzag deltas after.
-    let deltas = |cur: &mut Cursor<'_>| -> Result<Vec<u64>> {
-        let mut out = Vec::with_capacity(rows);
-        let mut prev: u64 = 0;
-        for i in 0..rows {
-            prev = if i == 0 {
-                cur.read_u64()?
-            } else {
-                prev.wrapping_add(cur.read_i64()? as u64)
-            };
-            out.push(prev);
+/// The column buffers chunks decode into. A scan keeps one across all
+/// its chunks, so a chunk's decode reuses the previous one's allocations.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkBuffers {
+    index: Vec<u64>,
+    t_us: Vec<u64>,
+    bus: Vec<u32>,
+    mid: Vec<u32>,
+    protocol: Vec<Protocol>,
+    payload_offsets: Vec<usize>,
+}
+
+impl ChunkBuffers {
+    /// Decodes an encoded chunk into these buffers; bus codes must lie
+    /// below `bus_count` (the footer dictionary's size). Malformed bytes
+    /// and out-of-dictionary bus references are [`Error::Truncated`] /
+    /// [`Error::Format`].
+    pub(crate) fn decode<'a>(
+        &'a mut self,
+        bytes: &'a [u8],
+        bus_count: usize,
+    ) -> Result<ChunkColumns<'a>> {
+        let mut cur = Cursor::new(bytes);
+        let rows = cur.read_u32_le()? as usize;
+        // A chunk never holds more rows than bytes; reject sizes that a
+        // truncated-then-checksum-bypassed file could otherwise allocate.
+        if rows > bytes.len() {
+            return Err(Error::Format(format!(
+                "chunk declares {rows} rows in {} bytes",
+                bytes.len()
+            )));
         }
-        Ok(out)
-    };
-    let index = deltas(&mut cur)?;
-    let t_us = deltas(&mut cur)?;
-    let mut bus = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let id = cur.read_u64()?;
-        if usize::try_from(id).ok().is_none_or(|i| i >= bus_count) {
-            return Err(Error::Format(format!("bus id {id} not in dictionary")));
+        // Indices and timestamps: absolute first value, zigzag deltas after.
+        let deltas = |cur: &mut Cursor<'_>, out: &mut Vec<u64>| -> Result<()> {
+            out.clear();
+            out.reserve(rows);
+            let mut prev: u64 = 0;
+            for i in 0..rows {
+                prev = if i == 0 {
+                    cur.read_u64()?
+                } else {
+                    prev.wrapping_add(cur.read_i64()? as u64)
+                };
+                out.push(prev);
+            }
+            Ok(())
+        };
+        deltas(&mut cur, &mut self.index)?;
+        deltas(&mut cur, &mut self.t_us)?;
+        self.bus.clear();
+        self.bus.reserve(rows);
+        for _ in 0..rows {
+            let id = cur.read_u64()?;
+            if usize::try_from(id).ok().is_none_or(|i| i >= bus_count) {
+                return Err(Error::Format(format!("bus id {id} not in dictionary")));
+            }
+            self.bus.push(id as u32);
         }
-        bus.push(id as u32);
+        self.mid.clear();
+        self.mid.reserve(rows);
+        for _ in 0..rows {
+            let m = cur.read_u64()?;
+            self.mid.push(
+                u32::try_from(m)
+                    .map_err(|_| Error::Format(format!("message id {m} exceeds u32")))?,
+            );
+        }
+        self.protocol.clear();
+        self.protocol.reserve(rows);
+        for _ in 0..rows {
+            self.protocol.push(protocol_from_tag(cur.read_u8()?)?);
+        }
+        self.payload_offsets.clear();
+        self.payload_offsets.reserve(rows + 1);
+        self.payload_offsets.push(0usize);
+        let mut total: usize = 0;
+        for _ in 0..rows {
+            let len = usize::try_from(cur.read_u64()?)
+                .map_err(|_| Error::Format("payload length overflow".into()))?;
+            total = total
+                .checked_add(len)
+                .ok_or_else(|| Error::Format("payload length overflow".into()))?;
+            self.payload_offsets.push(total);
+        }
+        if total != cur.remaining() {
+            return Err(Error::Format(format!(
+                "payload section is {} bytes, lengths sum to {total}",
+                cur.remaining()
+            )));
+        }
+        Ok(ChunkColumns {
+            index: &self.index,
+            t_us: &self.t_us,
+            bus: &self.bus,
+            mid: &self.mid,
+            protocol: &self.protocol,
+            payload_offsets: &self.payload_offsets,
+            payloads: cur.read_slice(total)?,
+        })
     }
-    let mut mid = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let m = cur.read_u64()?;
-        mid.push(
-            u32::try_from(m).map_err(|_| Error::Format(format!("message id {m} exceeds u32")))?,
-        );
-    }
-    let mut protocol = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        protocol.push(protocol_from_tag(cur.read_u8()?)?);
-    }
-    let mut payload_offsets = Vec::with_capacity(rows + 1);
-    payload_offsets.push(0usize);
-    let mut total: usize = 0;
-    for _ in 0..rows {
-        let len = usize::try_from(cur.read_u64()?)
-            .map_err(|_| Error::Format("payload length overflow".into()))?;
-        total = total
-            .checked_add(len)
-            .ok_or_else(|| Error::Format("payload length overflow".into()))?;
-        payload_offsets.push(total);
-    }
-    if total != cur.remaining() {
-        return Err(Error::Format(format!(
-            "payload section is {} bytes, lengths sum to {total}",
-            cur.remaining()
-        )));
-    }
-    Ok(ChunkColumns {
-        index,
-        t_us,
-        bus,
-        mid,
-        protocol,
-        payload_offsets,
-        payloads: cur.read_slice(total)?,
-    })
 }
 
 /// Decodes an encoded chunk into indexed records (chunk order), resolving
 /// bus ids through `buses` (the footer dictionary) — a row view over
-/// [`decode_chunk_columns`].
+/// [`ChunkBuffers::decode`].
 ///
 /// # Errors
 ///
 /// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes and
 /// out-of-dictionary bus references.
 pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecord>> {
-    let cols = decode_chunk_columns(bytes, buses.len())?;
+    let mut buffers = ChunkBuffers::default();
+    let cols = buffers.decode(bytes, buses.len())?;
     Ok((0..cols.len())
         .map(|i| IndexedRecord {
             index: cols.index[i],

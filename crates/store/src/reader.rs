@@ -17,7 +17,7 @@ use std::path::Path;
 
 use crate::columns::GroupColumns;
 use crate::error::{Error, Result};
-use crate::layout::{checksum, checksums, decode_chunk_columns, decode_footer, ChunkColumns};
+use crate::layout::{checksum, checksums, decode_footer, ChunkBuffers, ChunkColumns};
 use crate::layout::{ChunkMeta, Footer, IndexedRecord, END_MAGIC, MAGIC, TRAILER_LEN};
 use crate::record::Record;
 
@@ -319,6 +319,7 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut group = GroupColumns::default();
         group.buses = self.footer.buses.clone();
         let mut runs = RunWindows::default();
+        let mut buffers = ChunkBuffers::default();
         let mut start = 0;
         while start < chunks.len() {
             let id = chunks[start].group;
@@ -355,7 +356,7 @@ impl<R: Read + Seek> StoreReader<R> {
             let bodies: Vec<&[u8]> = spans.iter().map(|&(from, to)| &buf[from..to]).collect();
             for ((&idx, body), sum) in live.iter().zip(&bodies).zip(checksums(&bodies)) {
                 let chunk = if sum == chunks[idx].checksum {
-                    decode_chunk_columns(body, bus_count)
+                    buffers.decode(body, bus_count)
                 } else {
                     ivnt_obs::with(|r| r.add("store_scan_checksum_failures_total", 1));
                     Err(Error::ChunkChecksum { chunk: idx })

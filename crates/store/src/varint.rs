@@ -63,6 +63,11 @@ impl<'a> Cursor<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// The bytes not yet read, without consuming them.
+    pub fn peek_rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
     /// Reads one byte.
     ///
     /// # Errors
@@ -119,25 +124,35 @@ impl<'a> Cursor<'a> {
     ///
     /// Returns [`Error::Truncated`] at end of input and [`Error::Format`]
     /// for varints longer than 10 bytes (not produced by any writer).
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.read_u8()?;
-            if shift >= 64 {
-                return Err(Error::Format("overlong varint".into()));
+        match self.bytes.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
             }
+            _ => self.read_u64_long(),
+        }
+    }
+
+    /// [`Cursor::read_u64`] past its one-byte case, over a local slice.
+    fn read_u64_long(&mut self) -> Result<u64> {
+        let rest = &self.bytes[self.pos..];
+        let mut v: u64 = 0;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
             // The 10th byte may only contribute the low bit of the 64-bit
             // value; anything else overflows.
-            if shift == 63 && byte > 1 {
+            if i == 9 && byte > 1 {
                 return Err(Error::Format("varint overflows u64".into()));
             }
-            v |= u64::from(byte & 0x7F) << shift;
+            v |= u64::from(byte & 0x7F) << (7 * i);
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(v);
             }
-            shift += 7;
         }
+        // Ten bytes always end a varint or overflow it: fewer are left.
+        Err(Error::Truncated("byte expected".into()))
     }
 
     /// Reads a zigzag varint.

@@ -411,9 +411,9 @@ pub fn flatten_reduced(seq: &SignalSequence) -> Result<Vec<DeltaRow>> {
     for rows in seq.rows()? {
         out.extend((0..rows.t.len()).map(|i| DeltaRow {
             t: rows.t[i].unwrap_or(f64::NAN),
-            bus: rows.bus[i].clone(),
+            bus: rows.bus.get(i).cloned(),
             num: rows.num[i],
-            text: rows.text[i].clone(),
+            text: rows.text.get(i).cloned(),
         }));
     }
     Ok(out)

@@ -340,14 +340,14 @@ fn columnar_frame_equals_the_row_wise_frame() {
     let mut row = 0;
     for batch in frame.partitions() {
         let mut names: Vec<Arc<str>> = Vec::new();
-        let buses = batch.column(bus_col).as_str_slice().expect("bus column");
-        let infos = batch.column(info_col).as_str_slice().expect("info column");
-        for (bus, info) in buses.iter().zip(infos) {
-            let (bus, info) = (bus.as_ref().unwrap(), info.as_ref().unwrap());
+        let buses = batch.column(bus_col).str_cells().expect("bus column");
+        let infos = batch.column(info_col).str_cells().expect("info column");
+        for (bus, info) in buses.iter().zip(infos.iter()) {
+            let (bus, info) = (bus.unwrap(), info.unwrap());
             assert!(Arc::ptr_eq(bus, &trace.records()[row].bus), "row {row} bus");
-            match names.iter().find(|n| n.as_ref() == info.as_ref()) {
+            match names.iter().find(|n| *n == info) {
                 Some(first) => assert!(Arc::ptr_eq(first, info), "row {row} protocol name"),
-                None => names.push(info.clone()),
+                None => names.push(Arc::clone(info)),
             }
             row += 1;
         }
