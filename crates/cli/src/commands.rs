@@ -220,12 +220,17 @@ pub fn inspect(args: &Args) -> CmdResult {
         "jitter"
     );
     for m in stats.top_talkers(12) {
+        // A stream seen once has no gap.
+        let mean_gap = match m.mean_gap_s {
+            gap if gap.is_nan() => "-".to_string(),
+            gap => format!("{:.1}ms", gap * 1e3),
+        };
         outln!(
-            "  {:<10} {:<12} {:>8} {:>10.1}ms {:>10.1}ms {:>10.2}ms",
+            "  {:<10} {:<12} {:>8} {:>12} {:>10.1}ms {:>10.2}ms",
             m.message_id,
             m.bus,
             m.count,
-            m.mean_gap_s * 1e3,
+            mean_gap,
             m.max_gap_s * 1e3,
             m.jitter_s * 1e3,
         );

@@ -5,9 +5,12 @@
 //! command prints the usage, `stream follow` follows a recorded store
 //! (and refuses one written before stores were framed), files that are
 //! not stores fail with a typed `error:` line instead of a panic, a flag
-//! the command does not read is refused by name, and a reader that
-//! closes early ends the output quietly.
+//! the command does not read is refused by name, a reader that closes
+//! early ends the output quietly, `inspect` prints `-` for the gap of a
+//! stream seen once, and `stream ingest` counts its tail flush and keeps
+//! the rows a failing source accepted.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
@@ -384,4 +387,85 @@ fn a_reader_closing_early_ends_the_output_quietly() {
     assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn inspect_prints_no_gap_for_a_stream_seen_once() {
+    let csv = temp_path("once.csv");
+    let store = temp_path("once.ivns");
+    let rows = "t,l,b_id,m_id,m_info\n0.5,0102,FC,3,CAN\n0.6,0102,FC,4,CAN\n0.7,0304,FC,3,CAN\n";
+    std::fs::write(&csv, rows).expect("write csv");
+    let from = csv.to_str().expect("utf-8 path");
+    let out = ivnt(&["store", "ingest", "--from", from], &store);
+    assert!(out.status.success(), "store ingest: {out:?}");
+    let out = ivnt(&["inspect"], &store);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    std::fs::remove_file(&csv).ok();
+    std::fs::remove_file(&store).ok();
+    assert!(out.status.success(), "inspect: {out:?}");
+    assert!(!stdout.contains("NaN"), "{stdout}");
+    let once = stdout
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some("4"))
+        .expect("the m_id 4 stream");
+    assert_eq!(once.split_whitespace().nth(3), Some("-"), "{stdout}");
+    let twice = stdout
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some("3"))
+        .expect("the m_id 3 stream");
+    assert_eq!(twice.split_whitespace().nth(3), Some("200.0ms"), "{stdout}");
+}
+
+#[test]
+fn stream_ingest_counts_the_tail_flush() {
+    let store = temp_path("tail.ivns");
+    let args = [
+        "stream",
+        "ingest",
+        "--scenario",
+        "syn",
+        "--seed",
+        "7",
+        "--frames",
+        "5000",
+        "--flush-rows",
+        "1024",
+        "--metrics",
+    ];
+    let out = ivnt(&args, &store);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    std::fs::remove_file(&store).ok();
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout.contains("5000 frames in 5 groups"), "{stdout}");
+    assert!(stdout.contains("flush latency over 5 flushes"), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l == "stream_groups_flushed_total 5"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn a_failing_stdin_source_keeps_the_frames_before_it() {
+    let store = temp_path("bad-line.ivns");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ivnt"))
+        .args(["stream", "ingest", "--stdin"])
+        .arg(&store)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ivnt runs");
+    let lines = "1000 BUS-A 291 0102030405060708 can\n\
+                 2000 BUS-A 291 1112131415161718 can\n\
+                 3000 BUS-B 292 1112131415161718 can\n\
+                 bad line\n";
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin.write_all(lines.as_bytes()).expect("write lines");
+    drop(stdin);
+    let out = child.wait_with_output().expect("ivnt exits");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let info = store_info(&store);
+    std::fs::remove_file(&store).ok();
+    assert_eq!(json_u64(&info, "rows"), 3, "{info}");
+    assert!(info.contains("\"state\": \"appendable\""), "{info}");
 }

@@ -34,7 +34,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use ivnt_frame::batch::Batch;
-use ivnt_frame::column::{Column, DictColumn, StrCells};
+use ivnt_frame::column::{Column, DictColumn};
 use ivnt_frame::datatype::{DataType, Schema};
 use ivnt_store::varint::{self, Cursor};
 
@@ -125,8 +125,8 @@ fn write_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Encodes one batch into bytes decodable by [`decode_batch`]. The two
-/// string forms encode alike: only cell content travels.
+/// Encodes one batch into bytes decodable by [`decode_batch`]. Only
+/// string content travels, never a dictionary's codes.
 pub fn encode_batch(batch: &Batch) -> Vec<u8> {
     let rows = batch.num_rows();
     let mut out = Vec::new();
@@ -153,8 +153,7 @@ pub fn encode_batch(batch: &Batch) -> Vec<u8> {
                     out.extend_from_slice(&c.to_bits().to_le_bytes());
                 }
             }
-            Column::Str(_) | Column::Dict(_) => {
-                let cells = col.str_cells().expect("a string column");
+            Column::Str(cells) => {
                 write_bitmap(&mut out, cells.iter().map(|c| c.is_some()));
                 for c in cells.iter().flatten() {
                     write_blob(&mut out, c.as_bytes());
@@ -186,12 +185,11 @@ fn blob_len(len: usize) -> u64 {
     varint_len(len as u64) + len as u64
 }
 
-/// Hasher for the `u64` keys of the encoder's lookup tables (float bit
-/// patterns, `Arc` addresses): a seeded folded multiply instead of
-/// SipHash per cell. The high half of the 128-bit product carries every
-/// key bit into the low bits that pick the bucket: quantized floats share
-/// their low mantissa bits and addresses their alignment, and a 64-bit
-/// product alone would pile them into a few buckets. Float bits come from
+/// Hasher for the `u64` keys of the encoder's float dictionary (bit
+/// patterns): a seeded folded multiply instead of SipHash per cell. The
+/// high half of the 128-bit product carries every key bit into the low
+/// bits that pick the bucket: quantized floats share their low mantissa
+/// bits, and a 64-bit product alone would pile them into a few buckets. Float bits come from
 /// trace files, so the seed is drawn per table from [`RandomState`] —
 /// bucket placement cannot be predicted from the data. Table *contents*
 /// never depend on it: dictionaries are in first-appearance order.
@@ -242,10 +240,9 @@ const UNSEEN: u32 = u32::MAX;
 /// body of the column itself and, for the batch's first string column,
 /// the key the keyed float modes chain on.
 ///
-/// Rows are held as codes ([`DictColumn::NULL`] for a null) and reach
-/// their slot through `remap`, indexed by code + 1, so a null's code
-/// wraps onto slot 0. A [`Column::Dict`] lends its own codes; a plain
-/// column is coded here, with an identity remap.
+/// The column lends its codes ([`DictColumn::NULL`] for a null); they
+/// reach their slot through `remap`, indexed by code + 1, so a null's code
+/// wraps onto slot 0.
 struct StrDict<'a> {
     entries: Vec<&'a str>,
     codes: Cow<'a, [u32]>,
@@ -255,47 +252,10 @@ struct StrDict<'a> {
 }
 
 impl<'a> StrDict<'a> {
-    fn build(cells: StrCells<'a>) -> StrDict<'a> {
-        match cells {
-            StrCells::Plain(cells) => StrDict::from_cells(cells),
-            StrCells::Coded(dict) => StrDict::from_codes(dict),
-        }
-    }
-
-    /// Cells are resolved by `Arc` address first: columns share a handful
-    /// of allocations, so string content is hashed once per distinct
-    /// allocation, not once per row.
-    fn from_cells(cells: &'a [Option<Arc<str>>]) -> StrDict<'a> {
-        let mut dict = StrDict {
-            entries: Vec::new(),
-            codes: Cow::Owned(Vec::new()),
-            remap: Vec::new(),
-            counts: vec![0],
-        };
-        let mut by_content: HashMap<&'a str, u32> = HashMap::new();
-        let mut by_addr = BitsMap::default();
-        let codes = cells
-            .iter()
-            .map(|c| {
-                let code = match c {
-                    None => DictColumn::NULL,
-                    Some(s) => *by_addr
-                        .entry(Arc::as_ptr(s).cast::<u8>() as u64)
-                        .or_insert_with(|| dict.slot_of(&mut by_content, s) - 1),
-                };
-                dict.counts[code.wrapping_add(1) as usize] += 1;
-                code
-            })
-            .collect();
-        dict.codes = Cow::Owned(codes);
-        dict.remap = (0..=dict_code(dict.entries.len())).collect();
-        dict
-    }
-
-    /// A coded column never hashes a row: one histogram pass over its
-    /// codes, then a walk of the leading rows that stops once every code
-    /// in use has met its first row, resolving each by content — a remap
-    /// the size of the dictionary, content-equal entries merged.
+    /// No row is hashed: one histogram pass over the codes, then a walk of
+    /// the leading rows that stops once every code in use has met its
+    /// first row, resolving each by content — a remap the size of the
+    /// dictionary, content-equal entries merged.
     fn from_codes(col: &'a DictColumn) -> StrDict<'a> {
         let (values, codes) = (col.values(), col.codes());
         let mut rows = vec![0u64; values.len() + 1];
@@ -445,8 +405,8 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
     let mut raw_len = out.len() as u64;
     // Keyed float modes delta within the groups the first string column
     // defines; a float column may precede it, so it is coded up front.
-    let key_col = batch.columns().iter().position(|c| c.str_cells().is_some());
-    let key = key_col.and_then(|i| batch.columns()[i].str_cells().map(StrDict::build));
+    let key_col = batch.columns().iter().position(|c| c.as_dict().is_some());
+    let key = key_col.and_then(|i| batch.columns()[i].as_dict().map(StrDict::from_codes));
     for (i, col) in batch.columns().iter().enumerate() {
         raw_len += 1 + rows.div_ceil(8) as u64;
         out.push(type_tag(col.data_type()));
@@ -484,13 +444,12 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
             Column::Float(cells) => {
                 raw_len += encode_float_column(&mut out, cells, key.as_ref());
             }
-            Column::Str(_) | Column::Dict(_) => {
-                let cells = col.str_cells().expect("a string column");
+            Column::Str(cells) => {
                 let own;
                 let dict = match &key {
                     Some(key) if key_col == Some(i) => key,
                     _ => {
-                        own = StrDict::build(cells);
+                        own = StrDict::from_codes(cells);
                         &own
                     }
                 };
@@ -514,7 +473,7 @@ pub fn encode_batch_compressed_with_raw_len(batch: &Batch) -> (Vec<u8>, u64) {
 /// size of its RAW body. Both bodies are sized from the per-slot row
 /// counts. Signal/bus/symbol columns carry a handful of distinct strings
 /// and go DICT; mostly-unique columns fall back to raw cells.
-fn encode_str_column(out: &mut Vec<u8>, cells: StrCells<'_>, dict: &StrDict<'_>) -> u64 {
+fn encode_str_column(out: &mut Vec<u8>, cells: &DictColumn, dict: &StrDict<'_>) -> u64 {
     let mut raw = 0u64;
     let mut dict_body = varint_len(dict.entries.len() as u64);
     for (i, (s, &rows)) in dict.entries.iter().zip(&dict.counts[1..]).enumerate() {
@@ -832,7 +791,7 @@ struct KeySlots {
 
 impl KeySlots {
     fn of(col: &Column) -> KeySlots {
-        let dict = StrDict::build(col.str_cells().expect("the key is a string column"));
+        let dict = StrDict::from_codes(col.as_dict().expect("the key is a string column"));
         KeySlots {
             count: dict.entries.len() + 1,
             slots: dict.slots().collect(),
@@ -875,8 +834,9 @@ fn skip_varints<'a>(cur: &mut Cursor<'a>, n: usize) -> Result<&'a [u8]> {
 }
 
 /// Decodes a batch written by [`encode_batch_compressed`] against the
-/// schema both peers agreed on. DICT string columns decode to
-/// [`Column::Dict`]: the dictionary is read once and each row is a code.
+/// schema both peers agreed on. A DICT string column's dictionary is read
+/// once and each row is a code; a RAW one's dictionary is its cells in
+/// order, nothing hashed.
 ///
 /// # Errors
 ///
@@ -1029,13 +989,21 @@ fn decode(bytes: &[u8], schema: &Arc<Schema>, compressed: bool) -> Result<Batch>
                 }
                 let codes =
                     valid.cells(DictColumn::NULL, |_| read_dict_index(&mut cur, dict_len))?;
-                Column::Dict(
+                Column::Str(
                     DictColumn::new(codes, dict.into())
                         .map_err(|e| Error::Protocol(e.to_string()))?,
                 )
             }
             (DataType::Str, mode::RAW) => {
-                Column::Str(valid.options(|| Ok(Arc::from(read_str(&mut cur, "string cell")?)))?)
+                let mut cells: Vec<Arc<str>> = Vec::new();
+                let codes = valid.cells(DictColumn::NULL, |_| {
+                    cells.push(Arc::from(read_str(&mut cur, "string cell")?));
+                    Ok((cells.len() - 1) as u32)
+                })?;
+                Column::Str(
+                    DictColumn::new(codes, cells.into())
+                        .map_err(|e| Error::Protocol(e.to_string()))?,
+                )
             }
             (DataType::Bytes, mode::RAW) => Column::Bytes(valid.options(|| {
                 let len = cur.read_u64()?;
@@ -1109,7 +1077,7 @@ mod tests {
             schema.clone(),
             vec![
                 Column::Float(t),
-                Column::Str(bus),
+                Column::Str(DictColumn::from_cells(bus)),
                 Column::Int(n),
                 Column::Bool(flag),
                 Column::Bytes(blob),

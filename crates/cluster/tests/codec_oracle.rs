@@ -9,10 +9,11 @@
 //! `bytes_per_row` moved — and the RAW sizes the new encoder reports
 //! are exactly what the flat encoding costs.
 //!
-//! The race reads plain string columns. Every batch is also encoded in
-//! its coded twin — each string column a `Column::Dict` over a shuffled
-//! dictionary with unused and content-duplicate entries — which must
-//! produce the very bytes the race gives the plain batch.
+//! The race reads string columns by cell content. Every batch is encoded
+//! in two twins — each string column's dictionary its cells in order (the
+//! form a RAW column decodes to), and a shuffled dictionary with unused
+//! and content-duplicate entries — which must both produce the very bytes
+//! the race gives.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,10 +69,8 @@ fn oracle_encode(batch: &Batch) -> Vec<u8> {
     varint::write_u64(&mut out, rows as u64);
     varint::write_u64(&mut out, batch.columns().len() as u64);
     // Keyed float modes delta within the groups this column defines.
-    let keys = batch.columns().iter().find_map(|c| match c {
-        Column::Str(cells) => Some(cells.as_slice()),
-        _ => None,
-    });
+    let keys = batch.columns().iter().find_map(str_cells);
+    let keys = keys.as_deref();
     for col in batch.columns() {
         match col {
             Column::Bool(cells) => {
@@ -115,7 +114,8 @@ fn oracle_encode(batch: &Batch) -> Vec<u8> {
                 out.extend_from_slice(&bitmap(cells));
                 out.extend_from_slice(&body);
             }
-            Column::Str(cells) => {
+            Column::Str(_) => {
+                let cells = str_cells(col).expect("a string column");
                 out.push(type_tag(DataType::Str));
                 // Signal/bus/symbol columns carry a handful of distinct
                 // strings; mostly-unique columns fall back to raw cells.
@@ -136,7 +136,7 @@ fn oracle_encode(batch: &Batch) -> Vec<u8> {
                 }
                 let (m, body) = pick_mode(vec![(mode::DICT, dict_body), (mode::RAW, raw)]);
                 out.push(m);
-                out.extend_from_slice(&bitmap(cells));
+                out.extend_from_slice(&bitmap(&cells));
                 out.extend_from_slice(&body);
             }
             Column::Bytes(cells) => {
@@ -148,10 +148,15 @@ fn oracle_encode(batch: &Batch) -> Vec<u8> {
                     out.extend_from_slice(c);
                 }
             }
-            Column::Dict(_) => unreachable!("the race reads plain twins"),
         }
     }
     out
+}
+
+/// A string column's cells by content, `None` for another column.
+fn str_cells(col: &Column) -> Option<Vec<Option<Arc<str>>>> {
+    col.as_dict()
+        .map(|d| d.iter().map(Option::<&Arc<str>>::cloned).collect())
 }
 
 /// Shortest candidate body wins; ties break on the lower mode byte.
@@ -388,10 +393,10 @@ fn batch_from(seed: u64, rows: usize) -> Batch {
                 ]),
                 vec![
                     Column::Float(t),
-                    Column::Str(s),
-                    Column::Str(bus),
+                    cells_column(s),
+                    cells_column(bus),
                     Column::Float(v),
-                    Column::Str(text),
+                    cells_column(text),
                 ],
             )
         }
@@ -432,7 +437,7 @@ fn batch_from(seed: u64, rows: usize) -> Batch {
                     ("i", DataType::Int),
                 ]),
                 vec![
-                    Column::Str(s),
+                    cells_column(s),
                     Column::Float(f),
                     Column::Bytes(y),
                     Column::Int(i),
@@ -443,15 +448,17 @@ fn batch_from(seed: u64, rows: usize) -> Batch {
     .expect("columns match the schema")
 }
 
-/// `batch` with every string column in the plain form.
-fn plain_twin(batch: &Batch) -> Batch {
+/// A string column whose dictionary is `cells` in order.
+fn cells_column(cells: Vec<Option<Arc<str>>>) -> Column {
+    Column::Str(DictColumn::from_cells(cells))
+}
+
+/// `batch` with every string column's dictionary its cells in order.
+fn cells_twin(batch: &Batch) -> Batch {
     let columns = batch
         .columns()
         .iter()
-        .map(|col| match col.str_cells() {
-            Some(cells) => Column::Str(cells.iter().map(Option::<&Arc<str>>::cloned).collect()),
-            None => col.clone(),
-        })
+        .map(|col| str_cells(col).map_or_else(|| col.clone(), cells_column))
         .collect();
     Batch::new(batch.schema().clone(), columns).unwrap()
 }
@@ -465,7 +472,7 @@ fn coded_twin(batch: &Batch) -> Batch {
         .columns()
         .iter()
         .map(|col| {
-            let Some(cells) = col.str_cells() else {
+            let Some(cells) = str_cells(col) else {
                 return col.clone();
             };
             let mut distinct: Vec<Arc<str>> = Vec::new();
@@ -491,20 +498,21 @@ fn coded_twin(batch: &Batch) -> Batch {
                     }
                 })
                 .collect();
-            Column::Dict(DictColumn::new(codes, values.into()).unwrap())
+            Column::Str(DictColumn::new(codes, values.into()).unwrap())
         })
         .collect();
     Batch::new(batch.schema().clone(), columns).unwrap()
 }
 
-/// The whole claim for one batch, in both string forms.
+/// The whole claim for one batch, in both twins.
 fn assert_matches_oracle(batch: &Batch) {
-    let plain = plain_twin(batch);
+    let plain = cells_twin(batch);
     assert_form_matches_oracle(&plain, &plain);
     assert_form_matches_oracle(&coded_twin(batch), &plain);
 }
 
-/// `batch` encodes to the race's bytes for `plain`, its plain twin.
+/// `batch` encodes to the race's bytes for `plain`, its twin whose
+/// dictionaries are its cells.
 fn assert_form_matches_oracle(batch: &Batch, plain: &Batch) {
     let expected = oracle_encode(plain);
     let (bytes, raw_len) = encode_batch_compressed_with_raw_len(batch);
@@ -606,12 +614,12 @@ fn wide_and_empty_string_dictionaries_match_the_race() {
         let f = float_column(&mut g, rows, Some(&s), 0);
         let batch = Batch::new(
             schema(&[("f", DataType::Float), ("s_id", DataType::Str)]),
-            vec![Column::Float(f), Column::Str(s)],
+            vec![Column::Float(f), cells_column(s)],
         )
         .unwrap();
         assert_matches_oracle(&batch);
     }
-    let nulls = Column::Dict(DictColumn::new(vec![DictColumn::NULL; 17], vec![].into()).unwrap());
+    let nulls = Column::Str(DictColumn::new(vec![DictColumn::NULL; 17], vec![].into()).unwrap());
     let batch = Batch::new(schema(&[("s", DataType::Str)]), vec![nulls]).unwrap();
     assert_matches_oracle(&batch);
 }
@@ -661,7 +669,7 @@ fn equal_content_keys_in_distinct_allocations_share_a_chain() {
             .collect();
         let batch = Batch::new(
             schema(&[("v", DataType::Float), ("s_id", DataType::Str)]),
-            vec![Column::Float(values), Column::Str(keys)],
+            vec![Column::Float(values), cells_column(keys)],
         )
         .unwrap();
         assert_matches_oracle(&batch);
@@ -699,4 +707,27 @@ fn random_batches_exercise_every_mode() {
         (string, mode::DICT),
     ];
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+}
+
+/// A mostly-unique string column goes RAW, decodes to a column whose
+/// dictionary is its non-null cells in order, and re-encodes to the same
+/// bytes.
+#[test]
+fn a_raw_string_column_decodes_to_its_cells_and_reencodes() {
+    let cells: Vec<Option<Arc<str>>> = (0..300)
+        .map(|i| (i % 7 != 0).then(|| Arc::from(format!("cell-{i}"))))
+        .collect();
+    let batch = Batch::new(
+        schema(&[("s", DataType::Str)]),
+        vec![cells_column(cells.clone())],
+    )
+    .unwrap();
+    let bytes = encode_batch_compressed(&batch);
+    assert_eq!(bytes, oracle_encode(&batch));
+    assert_eq!(mode_of_first_column(&bytes), mode::RAW);
+    let decoded = decode_batch_compressed(&bytes, batch.schema()).expect("decodes");
+    let column = decoded.column(0).as_dict().expect("a string column");
+    assert_eq!(column.values().len(), cells.iter().flatten().count());
+    assert_eq!(decoded, batch);
+    assert_eq!(encode_batch_compressed(&decoded), bytes);
 }

@@ -17,7 +17,7 @@ use ivnt_cluster::plan::ShardTask;
 use ivnt_cluster::wire::{decode_message, encode_frame, read_frame, Message};
 use ivnt_cluster::{Error, JobSpec, PartialAccum};
 use ivnt_frame::batch::Batch;
-use ivnt_frame::column::Column;
+use ivnt_frame::column::{Column, DictColumn};
 use ivnt_frame::datatype::{DataType, Schema};
 use proptest::prelude::*;
 
@@ -241,12 +241,9 @@ proptest! {
                         .map(|c| c.map(f64::from_bits))
                         .collect(),
                 ),
-                Column::Str(
-                    strs[..rows]
-                        .iter()
-                        .map(|c| c.as_deref().map(Arc::from))
-                        .collect(),
-                ),
+                Column::Str(DictColumn::from_cells(
+                    strs[..rows].iter().map(|c| c.as_deref().map(Arc::from)),
+                )),
                 Column::Bytes(
                     blobs[..rows]
                         .iter()

@@ -154,7 +154,8 @@ struct ResRow {
 }
 
 /// Builds `K_res` directly as typed columns — one pass, no per-cell
-/// `Value` boxing.
+/// `Value` boxing. `s_id` and `b_id` are one dictionary entry each, trends
+/// three fixed ones, and symbols the rows' own cells in order.
 fn emit(seq: &SignalSequence, rows: Vec<ResRow>) -> Result<DataFrame> {
     let channel: Arc<str> = seq
         .channels()?
@@ -163,28 +164,24 @@ fn emit(seq: &SignalSequence, rows: Vec<ResRow>) -> Result<DataFrame> {
         .unwrap_or_default()
         .into();
     let signal: Arc<str> = seq.signal.as_str().into();
-    let trend_arcs: [Arc<str>; 3] = [
-        Trend::Decreasing.to_string().into(),
-        Trend::Steady.to_string().into(),
-        Trend::Increasing.to_string().into(),
-    ];
-    let trend_arc = |t: Trend| -> Arc<str> {
-        match t {
-            Trend::Decreasing => trend_arcs[0].clone(),
-            Trend::Steady => trend_arcs[1].clone(),
-            Trend::Increasing => trend_arcs[2].clone(),
-        }
+    let trends: Arc<[Arc<str>]> = [Trend::Decreasing, Trend::Steady, Trend::Increasing]
+        .map(|t| Arc::from(t.to_string()))
+        .into();
+    let trend_code = |t: Trend| match t {
+        Trend::Decreasing => 0,
+        Trend::Steady => 1,
+        Trend::Increasing => 2,
     };
     let n = rows.len();
     let mut t: Vec<Option<f64>> = Vec::with_capacity(n);
     let mut symbol: Vec<Option<Arc<str>>> = Vec::with_capacity(n);
-    let mut trend: Vec<Option<Arc<str>>> = Vec::with_capacity(n);
+    let mut trend: Vec<u32> = Vec::with_capacity(n);
     let mut value: Vec<Option<f64>> = Vec::with_capacity(n);
     let mut outlier: Vec<Option<bool>> = Vec::with_capacity(n);
     for r in rows {
         t.push(Some(r.t));
         symbol.push(Some(r.symbol));
-        trend.push(r.trend.map(trend_arc));
+        trend.push(r.trend.map_or(DictColumn::NULL, trend_code));
         value.push(r.value);
         outlier.push(Some(r.outlier));
     }
@@ -193,10 +190,10 @@ fn emit(seq: &SignalSequence, rows: Vec<ResRow>) -> Result<DataFrame> {
         schema.clone(),
         vec![
             Column::Float(t),
-            Column::Str(vec![Some(signal); n]),
-            Column::Str(vec![Some(channel); n]),
-            Column::Str(symbol),
-            Column::Str(trend),
+            Column::Str(DictColumn::new(vec![0; n], Arc::from([signal]))?),
+            Column::Str(DictColumn::new(vec![0; n], Arc::from([channel]))?),
+            Column::Str(DictColumn::from_cells(symbol)),
+            Column::Str(DictColumn::new(trend, trends)?),
             Column::Float(value),
             Column::Bool(outlier),
         ],

@@ -209,8 +209,8 @@ fn oracle_dedup(seq: &SignalSequence, rules: &RuleSet, enabled: bool) -> Dedup {
     let batch = seq.frame.to_single_batch().unwrap();
     let buses = batch.column(batch.schema().index_of(c::BUS).unwrap());
     let rows_of = |channel: &str| -> Vec<usize> {
-        let buses = buses.str_cells().unwrap();
-        (0..buses.len())
+        let buses = buses.as_dict().unwrap();
+        (0..buses.codes().len())
             .filter(|&i| buses.get(i).map(AsRef::as_ref) == Some(channel))
             .collect()
     };

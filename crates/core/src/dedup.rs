@@ -498,7 +498,7 @@ mod tests {
         let bus_idx = schema.index_of(c::BUS).unwrap();
         let per_channel = |bus: &str| {
             let parts = seq.frame.partitions().iter().map(|batch| {
-                let buses = batch.column(bus_idx).str_cells().unwrap();
+                let buses = batch.column(bus_idx).as_dict().unwrap();
                 let mask: Vec<bool> = buses
                     .iter()
                     .map(|b| b.map(AsRef::as_ref) == Some(bus))

@@ -202,14 +202,14 @@ struct RuleLut {
     prefilter: MidFilter,
 }
 
-/// Probe state of a raw batch or record slice, two memos deep.
+/// Probe state of a record slice (and of the scalar reference kernel),
+/// two memos deep: rows there carry bus names, not codes.
 ///
 /// * The last key and its result: cyclic traffic repeats one
 ///   `(bus, m_id)` key for stretches, so every later row of such a run
 ///   costs one pointer-and-int compare and no LUT probe.
 /// * A learned table of bus `Arc` data pointers. Records share one
-///   interned `Arc<str>` per bus and `records_to_batch` clones those
-///   `Arc`s into the frame, so a partition sees only a handful of
+///   interned `Arc<str>` per bus, so a slice sees only a handful of
 ///   distinct pointers — each resolved by string lookup once and by
 ///   pointer comparison ever after, even when adjacent rows alternate
 ///   between buses (gateway copies).
@@ -221,8 +221,8 @@ struct ProbeState {
     seen: Vec<(*const u8, usize, Option<u32>)>,
 }
 
-/// Cap on learned bus pointers per partition; beyond it (a frame built
-/// without interned bus strings) lookups fall back to the interner scan.
+/// Cap on learned bus pointers per slice; beyond it (buses without
+/// interned strings) lookups fall back to the interner scan.
 const PROBE_PTR_LIMIT: usize = 32;
 
 impl ProbeState {
@@ -309,6 +309,41 @@ impl RuleLut {
     }
 }
 
+/// The probe of a coded bus column — a raw batch's `b_id`, a store
+/// container's bus codes: each dictionary entry's kernel bus id is
+/// resolved by name once, behind a last-key memo on `(code, m_id)`, so a
+/// run of rows with one key costs one compare and no LUT probe.
+struct CodeProbe {
+    bus_ids: Vec<Option<u32>>,
+    last: (u32, i64),
+    last_hit: Option<(u32, u32)>,
+}
+
+impl CodeProbe {
+    /// The probe of codes into the bus dictionary `buses`.
+    fn new(buses: &[Arc<str>], lut: &RuleLut) -> CodeProbe {
+        CodeProbe {
+            bus_ids: buses.iter().map(|b| lut.interner.id_of(b)).collect(),
+            // A null code never hits, so this key's cached miss is right.
+            last: (DictColumn::NULL, i64::MIN),
+            last_hit: None,
+        }
+    }
+
+    /// The `(group, bus_id)` of a row's bus `code` and `mid`; a null code
+    /// matches no rule (inner-join semantics).
+    #[inline]
+    fn probe(&mut self, lut: &RuleLut, code: u32, mid: i64) -> Option<(u32, u32)> {
+        let key = (code, mid);
+        if self.last != key {
+            let bid = self.bus_ids.get(code as usize).copied().flatten();
+            self.last_hit = bid.and_then(|bid| Some((lut.by_bus[bid as usize].get(mid)?, bid)));
+            self.last = key;
+        }
+        self.last_hit
+    }
+}
+
 /// Record-level preselection (line 3) for in-memory traces, the twin of
 /// the store's scan predicate: keeps exactly the records the fused kernel
 /// would admit, within an inclusive µs window, before any becomes cells.
@@ -366,14 +401,12 @@ pub fn preselect(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
         .map_ref(raw.partitions(), |batch| {
             let buses = str_column(batch, bus_idx)?;
             let mids = int_column(batch, mid_idx)?;
-            let mut probe = ProbeState::new();
+            let mut probe = CodeProbe::new(buses.values(), &lut);
             let mask: Vec<bool> = buses
+                .codes()
                 .iter()
                 .zip(mids)
-                .map(|(b, m)| match (b, m) {
-                    (Some(b), Some(m)) => lut.probe(b, *m, &mut probe).is_some(),
-                    _ => false,
-                })
+                .map(|(&b, m)| m.is_some_and(|m| probe.probe(&lut, b, m).is_some()))
                 .collect();
             batch.filter(&mask)
         })
@@ -382,10 +415,10 @@ pub fn preselect(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
     Ok(DataFrame::from_partitions(raw.schema().clone(), parts)?.with_executor(raw.executor()))
 }
 
-pub(crate) fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<StrCells<'_>> {
+pub(crate) fn str_column(batch: &Batch, idx: usize) -> ivnt_frame::Result<&DictColumn> {
     batch
         .column(idx)
-        .str_cells()
+        .as_dict()
         .ok_or_else(|| ivnt_frame::Error::TypeMismatch {
             expected: "str".into(),
             actual: batch.column(idx).data_type().to_string(),
@@ -579,7 +612,7 @@ pub fn interpret(pre: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
                 batch.column(idx_sig).clone(),
                 batch.column(idx_bus).clone(),
                 Column::Float(v_num),
-                Column::Str(v_text),
+                Column::Str(DictColumn::from_cells(v_text)),
             ];
             let out = Batch::new(out_schema.clone(), columns)?;
             if present.iter().all(|&p| p) {
@@ -671,10 +704,10 @@ pub fn interpret_fused_scalar(raw: &DataFrame, u_comb: &RuleSet) -> Result<DataF
                 out_schema.clone(),
                 vec![
                     Column::Float(t_out),
-                    Column::Str(s_out),
-                    Column::Str(b_out),
+                    Column::Str(DictColumn::from_cells(s_out)),
+                    Column::Str(DictColumn::from_cells(b_out)),
                     Column::Float(v_num),
-                    Column::Str(v_text),
+                    Column::Str(DictColumn::from_cells(v_text)),
                 ],
             )
         })
@@ -696,8 +729,8 @@ struct FusedGroup {
 }
 
 /// The compiled broadcast side of the batch-columnar kernel: the probe LUT
-/// plus, per rule, its [`DecodePlan`] and dictionary-encoded signal name,
-/// and per group an optional fused payload window.
+/// plus, per rule, its [`DecodePlan`], signal code and label codes, and
+/// per group an optional fused payload window.
 ///
 /// Compiling is the expensive part of a small decode (every rule becomes a
 /// plan, every message a fused window), so a [`Pipeline`]
@@ -710,6 +743,11 @@ pub struct Kernel {
     signal_idx: Vec<u32>,
     /// The `s_id` dictionary of every `K_s` batch the kernel emits.
     signal_names: Arc<[Arc<str>]>,
+    /// Per rule: the code of its plan's first label.
+    label_base: Vec<u32>,
+    /// The `v_text` dictionary of every `K_s` batch the kernel emits:
+    /// every plan's labels, one after another.
+    labels: Arc<[Arc<str>]>,
     /// Per LUT group: the fused window, when expressible.
     fused: Vec<Option<FusedGroup>>,
 }
@@ -742,6 +780,15 @@ impl Kernel {
                 })
             })
             .collect();
+        let mut labels: Vec<Arc<str>> = Vec::new();
+        let label_base = plans
+            .iter()
+            .map(|plan| {
+                let base = u32::try_from(labels.len()).expect("label codes fit u32");
+                labels.extend_from_slice(plan.labels());
+                base
+            })
+            .collect();
         let fused = lut
             .groups
             .iter()
@@ -752,6 +799,8 @@ impl Kernel {
             plans,
             signal_idx,
             signal_names: signal_names.into(),
+            label_base,
+            labels: labels.into(),
             fused,
         }
     }
@@ -797,13 +846,18 @@ impl Kernel {
     ) {
         let group_rules = self.lut.groups[group as usize].as_slice();
         let signal = |ri: u32| self.signal_idx[ri as usize];
+        // A plan's label index becomes the kernel's label code.
+        let value = |ri: u32, decoded: PlanDecoded| match decoded {
+            PlanDecoded::Text(i) => PlanDecoded::Text(self.label_base[ri as usize] + i),
+            decoded => decoded,
+        };
         match (self.fused[group as usize].as_ref(), payload) {
             // The payload covers the fused window: one word load, then a
             // shift/mask program per signal.
             (Some(f), Some(p)) if p.len() >= f.first + f.span => {
                 let (le, be) = load_window(p, f.first, f.span, f.needs_be);
                 for (op, &ri) in f.ops.iter().zip(group_rules) {
-                    out.push(t, signal(ri), bus, op.eval(le, be));
+                    out.push(t, signal(ri), bus, value(ri, op.eval(le, be)));
                 }
             }
             // Gated signals, scalar fallbacks, payloads shorter than the
@@ -812,7 +866,7 @@ impl Kernel {
                 for &ri in group_rules {
                     match self.plans[ri as usize].decode_slice(p) {
                         PlanDecoded::Absent => {}
-                        decoded => out.push(t, signal(ri), bus, decoded),
+                        decoded => out.push(t, signal(ri), bus, value(ri, decoded)),
                     }
                 }
             }
@@ -829,7 +883,8 @@ impl Kernel {
 /// Emission sink of the batch-columnar kernel. The decode paths are
 /// generic over it so the single-table [`Builders`] and the multi-query
 /// [`RoutedBuilders`] monomorphize separately — the solo path pays
-/// nothing for routing support.
+/// nothing for routing support. Signal, bus and label arrive as codes
+/// into the kernel's dictionaries.
 trait EmitSink {
     /// Hint: the batch about to be decoded emits at most `upper` rows.
     fn reserve(&mut self, upper: usize);
@@ -837,15 +892,15 @@ trait EmitSink {
 }
 
 /// Pre-sized dictionary-encoded output builders for the signal table:
-/// signal and bus are `u32` codes into the kernel's dictionaries, and stay
-/// codes in the batch.
+/// signal, bus and label are `u32` codes into the kernel's dictionaries,
+/// and stay codes in the batch.
 #[derive(Default)]
 struct Builders {
     t: Vec<Option<f64>>,
     s: Vec<u32>,
     b: Vec<u32>,
     num: Vec<Option<f64>>,
-    text: Vec<Option<Arc<str>>>,
+    text: Vec<u32>,
 }
 
 impl EmitSink for Builders {
@@ -862,38 +917,31 @@ impl EmitSink for Builders {
         self.t.push(t);
         self.s.push(s);
         self.b.push(b);
-        match decoded {
-            PlanDecoded::Num(v) => {
-                self.num.push(Some(v));
-                self.text.push(None);
-            }
-            PlanDecoded::Text(label) => {
-                self.num.push(None);
-                self.text.push(Some(label));
-            }
-            PlanDecoded::Null | PlanDecoded::Absent => {
-                self.num.push(None);
-                self.text.push(None);
-            }
-        }
+        let (num, text) = match decoded {
+            PlanDecoded::Num(v) => (Some(v), DictColumn::NULL),
+            PlanDecoded::Text(label) => (None, label),
+            PlanDecoded::Null | PlanDecoded::Absent => (None, DictColumn::NULL),
+        };
+        self.num.push(num);
+        self.text.push(text);
     }
 }
 
 impl Builders {
-    /// Assembles the output batch: `s_id` and `b_id` are
-    /// [`Column::Dict`]s over the kernel's dictionaries, so no row clones
-    /// a string.
+    /// Assembles the output batch: `s_id`, `b_id` and `v_text` are codes
+    /// over the kernel's dictionaries, so no row clones a string.
     fn into_batch(self, schema: &Arc<Schema>, kernel: &Kernel) -> ivnt_frame::Result<Batch> {
         let s_out = DictColumn::new(self.s, kernel.signal_names.clone())?;
         let b_out = DictColumn::new(self.b, kernel.lut.interner.buses.clone())?;
+        let text = DictColumn::new(self.text, kernel.labels.clone())?;
         Batch::new(
             schema.clone(),
             vec![
                 Column::Float(self.t),
-                Column::Dict(s_out),
-                Column::Dict(b_out),
+                Column::Str(s_out),
+                Column::Str(b_out),
                 Column::Float(self.num),
-                Column::Str(self.text),
+                Column::Str(text),
             ],
         )
     }
@@ -951,7 +999,7 @@ impl Kernel {
     /// When a mask's length differs from its container's row count.
     fn decode<S: EmitSink>(&self, rows: RawRows<'_>, out: &mut S) -> ivnt_frame::Result<()> {
         match rows {
-            RawRows::Batch(batch) => decode_rows(self, BatchRows::new(batch)?, out),
+            RawRows::Batch(batch) => decode_rows(self, BatchRows::new(batch, &self.lut)?, out),
             RawRows::Columns(rows, mask) => {
                 if let Some(mask) = mask {
                     assert_eq!(mask.len(), rows.len(), "one mask flag per row");
@@ -1040,9 +1088,14 @@ impl Kernel {
         Ok(self.decode(raw.into(), runs)?)
     }
 
-    /// A [`SequenceBuilder`] over this kernel's signal and bus codes.
+    /// A [`SequenceBuilder`] over this kernel's signal, bus and label
+    /// codes.
     pub(crate) fn sequence_builder(&self) -> SequenceBuilder {
-        SequenceBuilder::with_dictionaries(&self.signal_names, &self.lut.interner.buses)
+        SequenceBuilder::with_dictionaries(
+            &self.signal_names,
+            &self.lut.interner.buses,
+            &self.labels,
+        )
     }
 
     /// Lines 3–8 of one raw batch or store row container (a stream
@@ -1138,24 +1191,25 @@ fn admit_ids(
     }
 }
 
-/// A raw batch's columns, probed through the learned bus pointers.
+/// A raw batch's columns, probed by bus code.
 struct BatchRows<'a> {
     ts: &'a [Option<f64>],
-    buses: StrCells<'a>,
+    buses: &'a [u32],
     mids: &'a [Option<i64>],
     payloads: &'a [Option<Arc<[u8]>>],
-    probe: ProbeState,
+    probe: CodeProbe,
 }
 
 impl<'a> BatchRows<'a> {
-    fn new(batch: &'a Batch) -> ivnt_frame::Result<BatchRows<'a>> {
+    fn new(batch: &'a Batch, lut: &RuleLut) -> ivnt_frame::Result<BatchRows<'a>> {
         let schema = batch.schema();
+        let buses = str_column(batch, schema.index_of(c::BUS)?)?;
         Ok(BatchRows {
             ts: float_column(batch, schema.index_of(c::T)?)?,
-            buses: str_column(batch, schema.index_of(c::BUS)?)?,
+            buses: buses.codes(),
             mids: int_column(batch, schema.index_of(c::MESSAGE_ID)?)?,
             payloads: bytes_column(batch, schema.index_of(c::PAYLOAD)?)?,
-            probe: ProbeState::new(),
+            probe: CodeProbe::new(buses.values(), lut),
         })
     }
 }
@@ -1167,8 +1221,7 @@ impl RowSource for BatchRows<'_> {
 
     #[inline]
     fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)> {
-        // Null buses never match a rule (inner-join semantics).
-        lut.probe_group(self.buses.get(row)?, mid, &mut self.probe)
+        self.probe.probe(lut, self.buses[row], mid)
     }
 
     #[inline]
@@ -1180,9 +1233,7 @@ impl RowSource for BatchRows<'_> {
     fn prefetch_cells(&self, row: usize) {
         prefetch(&raw const self.payloads[row]);
         prefetch(&raw const self.ts[row]);
-        if let StrCells::Plain(buses) = self.buses {
-            prefetch(&raw const buses[row]);
-        }
+        prefetch(&raw const self.buses[row]);
     }
 
     #[inline]
@@ -1194,27 +1245,20 @@ impl RowSource for BatchRows<'_> {
     }
 }
 
-/// A store container's rows (those of `mask` only, when given). Each
-/// dictionary code's kernel bus id is resolved by name once per decode
-/// call, behind a last-key memo on `(code, m_id)`.
+/// A store container's rows (those of `mask` only, when given), probed
+/// by bus code.
 struct ColumnRows<'a> {
     rows: &'a GroupColumns,
     mask: Option<&'a [bool]>,
-    bus_ids: Vec<Option<u32>>,
-    last: (u32, i64),
-    last_hit: Option<(u32, u32)>,
+    probe: CodeProbe,
 }
 
 impl<'a> ColumnRows<'a> {
     fn new(rows: &'a GroupColumns, mask: Option<&'a [bool]>, lut: &RuleLut) -> ColumnRows<'a> {
-        let bus_ids = rows.buses().iter().map(|b| lut.interner.id_of(b));
         ColumnRows {
             rows,
             mask,
-            bus_ids: bus_ids.collect(),
-            // Message ids are `u32`, so no row's key equals this one.
-            last: (0, i64::MIN),
-            last_hit: None,
+            probe: CodeProbe::new(rows.buses(), lut),
         }
     }
 }
@@ -1233,13 +1277,7 @@ impl RowSource for ColumnRows<'_> {
 
     #[inline]
     fn probe(&mut self, lut: &RuleLut, row: usize, mid: i64) -> Option<(u32, u32)> {
-        let key = (self.rows.bus_codes()[row], mid);
-        if self.last != key {
-            let bid = self.bus_ids.get(key.0 as usize).copied().flatten();
-            self.last_hit = bid.and_then(|bid| Some((lut.by_bus[bid as usize].get(mid)?, bid)));
-            self.last = key;
-        }
-        self.last_hit
+        self.probe.probe(lut, self.rows.bus_codes()[row], mid)
     }
 
     #[inline]
@@ -1303,8 +1341,8 @@ fn decode_rows<R: RowSource, S: EmitSink>(kernel: &Kernel, mut rows: R, out: &mu
 /// are compiled to [`DecodePlan`]s once per query, each run of rows with
 /// one `(bus, m_id)` key is probed once, and all signals of a message
 /// decode from a single loaded payload word where the layout allows.
-/// Output columns are built dictionary-encoded (signal/bus as `u32`
-/// indices) and materialized to shared `Arc<str>`s once per batch.
+/// Output columns are built dictionary-encoded: signal, bus and label as
+/// `u32` codes into the kernel's dictionaries.
 ///
 /// Feeding it the *raw* trace is the intended use — rows without a
 /// matching `(b_id, m_id)` rule are skipped inline, which is exactly

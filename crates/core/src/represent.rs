@@ -48,14 +48,31 @@ where
     }
     parts.extend(&lifted);
 
-    // Sort keys in concatenation order; `None` sorts first, as nulls do.
-    let mut keys: Vec<(Option<i64>, Option<&str>)> = Vec::new();
+    // Each part's `s_id` entries coded once across parts, then ranked by
+    // name: a row's key is its time and its entry's rank (0 for a null,
+    // which sorts first as nulls do), so no row compares a string.
+    let mut names = DictBuilder::default();
+    let mut ids = Vec::with_capacity(parts.len());
+    for b in &parts {
+        let col = str_column(b, 1)?;
+        let codes: Vec<u32> = col.values().iter().map(|s| names.code(s)).collect();
+        ids.push((col.codes(), codes));
+    }
+    let names = names.finish();
+    let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
+    by_name.sort_unstable_by_key(|&code| &names[code as usize]);
+    let mut rank = vec![0u32; by_name.len()];
+    for (r, &code) in by_name.iter().enumerate() {
+        rank[code as usize] = r as u32 + 1;
+    }
+    // Sort keys in concatenation order.
+    let mut keys: Vec<(Option<i64>, u32)> = Vec::new();
     let mut at: Vec<(usize, usize)> = Vec::new();
-    for (p, b) in parts.iter().enumerate() {
+    for (p, (b, (codes, entries))) in parts.iter().zip(&ids).enumerate() {
         let ts = float_column(b, 0)?;
-        let ids = str_column(b, 1)?;
-        for (t, id) in ts.iter().zip(ids.iter()) {
-            keys.push((t.map(total_order), id.map(AsRef::as_ref)));
+        for (t, &code) in ts.iter().zip(*codes) {
+            let id = entries.get(code as usize).map_or(0, |&c| rank[c as usize]);
+            keys.push((t.map(total_order), id));
         }
         at.extend((0..b.num_rows()).map(|r| (p, r)));
     }
@@ -116,8 +133,10 @@ fn lift_extensions(extensions: &DataFrame) -> Result<Vec<Batch>> {
             b.column(0).clone(), // t
             b.column(1).clone(), // w_id as s_id
             b.column(2).clone(), // b_id
-            Column::Str(symbols.map(|v| Some(format_value(*v).into())).collect()),
-            Column::Str(vec![None; n]), // trend
+            Column::Str(DictColumn::from_cells(
+                symbols.map(|v| Some(format_value(*v).into())),
+            )),
+            Column::Str(DictColumn::from_cells(std::iter::repeat_n(None, n))), // trend
             values.clone(),
             Column::Bool(vec![Some(false); n]), // outlier
         ];
@@ -177,16 +196,22 @@ pub fn state_representation(merged: &DataFrame) -> Result<DataFrame> {
         let (ids, symbols, trends) = (str_column(b, 1)?, str_column(b, 3)?, str_column(b, 4)?);
         let values = float_column(b, 5)?;
         let outliers = b.column(6).as_bool_slice().unwrap_or_default();
+        // Per `s_id` entry: its signal, found by name on the entry's first
+        // row.
+        let mut signal_of: Vec<Option<usize>> = vec![None; ids.values().len()];
         for (i, t) in ts.iter().enumerate() {
             if times.last().map(|last| last.map(f64::to_bits)) != Some(t.map(f64::to_bits)) {
                 times.push(*t);
             }
-            let Some(id) = ids.get(i).map(AsRef::as_ref) else {
+            let code = ids.codes()[i] as usize;
+            let Some(slot) = signal_of.get_mut(code) else {
                 continue;
             };
-            let signal = *index.entry(id).or_insert_with(|| {
-                changes.push(Vec::new());
-                changes.len() - 1
+            let signal = *slot.get_or_insert_with(|| {
+                *index.entry(&ids.values()[code]).or_insert_with(|| {
+                    changes.push(Vec::new());
+                    changes.len() - 1
+                })
             });
             let (trend, outlier) = (trends.get(i).map(AsRef::as_ref), outliers[i] == Some(true));
             let cell = match symbols.get(i) {
@@ -214,14 +239,16 @@ pub fn state_representation(merged: &DataFrame) -> Result<DataFrame> {
     let groups = times.len();
     let mut columns = vec![Column::Float(times)];
     for (_, signal) in signals {
-        // Null up to the first change point, then each cell up to the next.
-        let mut points = std::mem::take(&mut changes[signal]).into_iter().peekable();
-        let mut cells = Vec::with_capacity(groups);
-        cells.resize(points.peek().map_or(groups, |p| p.0), None);
-        while let Some((_, cell)) = points.next() {
-            cells.resize(points.peek().map_or(groups, |p| p.0), Some(cell));
+        // The change points' cells are the column's dictionary: null up to
+        // the first change point, then each one's code up to the next.
+        let points = std::mem::take(&mut changes[signal]);
+        let mut codes = Vec::with_capacity(groups);
+        codes.resize(points.first().map_or(groups, |p| p.0), DictColumn::NULL);
+        for k in 0..points.len() {
+            codes.resize(points.get(k + 1).map_or(groups, |p| p.0), k as u32);
         }
-        columns.push(Column::Str(cells));
+        let cells = points.into_iter().map(|(_, cell)| cell).collect();
+        columns.push(Column::Str(DictColumn::new(codes, cells)?));
     }
     let state = Batch::new(schema.clone(), columns)?;
     Ok(DataFrame::from_partitions(schema, vec![state])?)

@@ -233,12 +233,13 @@ impl Rule {
 /// null-valued instance that is kept — while *absence* of a
 /// presence-conditional field yields [`PlanDecoded::Absent`] — no
 /// instance at all.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanDecoded {
     /// Numeric physical value (`factor * raw + offset`).
     Num(f64),
-    /// Enumeration label (interned once at plan-compile time).
-    Text(Arc<str>),
+    /// Enumeration label, as its index in the plan's
+    /// [`labels`](DecodePlan::labels).
+    Text(u32),
     /// Instance kept with a null value.
     Null,
     /// No instance produced.
@@ -298,32 +299,30 @@ enum ValueEval {
         factor: f64,
         offset: f64,
     },
-    /// Dense raw → label table (small enumerations).
-    EnumDense(Vec<Option<Arc<str>>>),
-    /// Sorted `(raw, label)` pairs for sparse/large enumerations.
-    EnumSorted(Vec<(u64, Arc<str>)>),
+    /// Dense raw → label index table (small enumerations).
+    EnumDense(Vec<Option<u32>>),
+    /// The labeled raws, ascending: a raw's position is its label index
+    /// (sparse/large enumerations).
+    EnumSorted(Vec<u64>),
 }
 
 /// Raw values above this dense-table bound fall back to binary search.
 const ENUM_DENSE_LIMIT: u64 = 1024;
 
 impl ValueEval {
+    /// The evaluation of `spec`'s raw values; label indices follow the
+    /// enumeration's raw order, as [`DecodePlan::labels`] does.
     fn from_spec(spec: &SignalSpec) -> ValueEval {
         if spec.is_enumerated() {
             let max = *spec.enumeration().keys().next_back().expect("non-empty");
             if max < ENUM_DENSE_LIMIT {
-                let mut table: Vec<Option<Arc<str>>> = vec![None; max as usize + 1];
-                for (&raw, label) in spec.enumeration() {
-                    table[raw as usize] = Some(Arc::from(label.as_str()));
+                let mut table: Vec<Option<u32>> = vec![None; max as usize + 1];
+                for (i, &raw) in spec.enumeration().keys().enumerate() {
+                    table[raw as usize] = Some(i as u32);
                 }
                 ValueEval::EnumDense(table)
             } else {
-                ValueEval::EnumSorted(
-                    spec.enumeration()
-                        .iter()
-                        .map(|(&raw, label)| (raw, Arc::from(label.as_str())))
-                        .collect(),
-                )
+                ValueEval::EnumSorted(spec.enumeration().keys().copied().collect())
             }
         } else {
             ValueEval::Num {
@@ -352,11 +351,11 @@ impl ValueEval {
                 PlanDecoded::Num(v)
             }
             ValueEval::EnumDense(table) => match table.get(raw as usize) {
-                Some(Some(label)) => PlanDecoded::Text(label.clone()),
+                Some(&Some(label)) => PlanDecoded::Text(label),
                 _ => PlanDecoded::Null,
             },
-            ValueEval::EnumSorted(table) => match table.binary_search_by_key(&raw, |&(r, _)| r) {
-                Ok(i) => PlanDecoded::Text(table[i].1.clone()),
+            ValueEval::EnumSorted(raws) => match raws.binary_search(&raw) {
+                Ok(i) => PlanDecoded::Text(i as u32),
                 Err(_) => PlanDecoded::Null,
             },
         }
@@ -382,10 +381,11 @@ enum PlanKind {
         mask: u64,
         value: ValueEval,
     },
-    /// Fallback to the scalar reference path — presence-conditional
-    /// SOME/IP fields (dynamic offsets) and bit ranges a single `u64`
-    /// cannot hold (unaligned 64-bit fields spanning 9 bytes).
-    Scalar(Arc<Rule>),
+    /// Fallback to the scalar reference path's `u1` and raw extraction —
+    /// presence-conditional SOME/IP fields (dynamic offsets) and bit
+    /// ranges a single `u64` cannot hold (unaligned 64-bit fields spanning
+    /// 9 bytes) — with the raw value evaluated like a word plan's.
+    Scalar(Arc<Rule>, ValueEval),
 }
 
 /// A rule compiled into a flat decode plan: one branch-light word-load +
@@ -396,6 +396,9 @@ enum PlanKind {
 #[derive(Debug, Clone)]
 pub struct DecodePlan {
     kind: PlanKind,
+    /// The enumeration's labels in raw order; [`PlanDecoded::Text`]
+    /// indexes them.
+    labels: Vec<Arc<str>>,
 }
 
 /// Word location for a field at `start`/`len` (window-relative bit
@@ -469,9 +472,20 @@ impl DecodePlan {
     /// the scalar path, so `plan.decode` is total and bit-identical to
     /// [`Rule::decode`]'s error policy for every rule.
     pub fn compile(rule: &Arc<Rule>) -> DecodePlan {
-        let scalar = || DecodePlan {
-            kind: PlanKind::Scalar(rule.clone()),
-        };
+        let spec = &rule.info.spec;
+        let labels = spec
+            .enumeration()
+            .values()
+            .map(|label| Arc::from(label.as_str()))
+            .collect();
+        DecodePlan {
+            kind: DecodePlan::kind(rule),
+            labels,
+        }
+    }
+
+    fn kind(rule: &Arc<Rule>) -> PlanKind {
+        let scalar = || PlanKind::Scalar(rule.clone(), ValueEval::from_spec(&rule.info.spec));
         let spec = &rule.info.spec;
         let body = |first_byte: usize, num_bytes: usize| {
             word_loc(
@@ -483,7 +497,7 @@ impl DecodePlan {
             )
             .map(|loc| (loc, mask_for(spec.bit_len())))
         };
-        let kind = match &rule.info.packing {
+        match &rule.info.packing {
             Packing::Fixed {
                 first_byte,
                 num_bytes,
@@ -494,7 +508,7 @@ impl DecodePlan {
                     mask,
                     value: ValueEval::from_spec(&rule.info.spec),
                 },
-                None => return scalar(),
+                None => scalar(),
             },
             Packing::Multiplexed {
                 selector,
@@ -524,12 +538,16 @@ impl DecodePlan {
                         mask,
                         value: ValueEval::from_spec(&rule.info.spec),
                     },
-                    _ => return scalar(),
+                    _ => scalar(),
                 }
             }
-            Packing::OptionalField { .. } => return scalar(),
-        };
-        DecodePlan { kind }
+            Packing::OptionalField { .. } => scalar(),
+        }
+    }
+
+    /// The enumeration labels [`PlanDecoded::Text`] indexes, in raw order.
+    pub fn labels(&self) -> &[Arc<str>] {
+        &self.labels
     }
 
     /// Decodes one payload. `None` payloads produce [`PlanDecoded::Null`]
@@ -568,10 +586,11 @@ impl DecodePlan {
                 }
                 value.eval(load_word(payload, *loc) & mask)
             }
-            PlanKind::Scalar(rule) => match rule.relevant_bytes(payload) {
-                Ok(Some(rel)) => match rule.decode_relevant(rel) {
-                    Ok(PhysicalValue::Num(v)) => PlanDecoded::Num(v),
-                    Ok(PhysicalValue::Text(s)) => PlanDecoded::Text(Arc::from(s.as_str())),
+            PlanKind::Scalar(rule, value) => match rule.relevant_bytes(payload) {
+                // `decode_relevant`'s raw extraction, evaluated like a
+                // word plan's masked raw.
+                Ok(Some(rel)) => match rule.info.spec.decode_raw(rel) {
+                    Ok(raw) => value.eval(raw),
                     Err(_) => PlanDecoded::Null,
                 },
                 Ok(None) => PlanDecoded::Absent,

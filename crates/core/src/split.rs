@@ -5,11 +5,11 @@
 //! reduction, extension, classification, symbolization — is per signal.
 //!
 //! Until reduction has thrown most rows away, a sequence is a
-//! [`CodedSequence`]: one 24-byte [`CodedRow`] per row, channels coded
-//! against a shared dictionary. Only the rows lines 9–11 keep become a
-//! [`SignalSequence`] frame with per-row `s_id` / `b_id` cells.
+//! [`CodedSequence`]: one 24-byte [`CodedRow`] per row, channel and text
+//! coded against shared dictionaries. Only the rows lines 9–11 keep become
+//! a [`SignalSequence`] frame, its string columns over the same
+//! dictionaries.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
@@ -112,13 +112,15 @@ impl SignalSequence {
     /// Propagates tabular-engine failures.
     pub fn channels(&self) -> Result<Vec<String>> {
         let idx = self.frame.schema().index_of(c::BUS)?;
-        // A split sequence's bus cells share one `Arc` per channel, so
-        // collapsing pointer-equal cells first leaves a handful to sort.
+        // The distinct codes of each partition leave a handful to sort.
         let mut buses: Vec<&Arc<str>> = Vec::new();
         for batch in self.frame.partitions() {
-            for bus in str_column(batch, idx)?.iter().flatten() {
-                if !buses.iter().rev().take(8).any(|b| Arc::ptr_eq(b, bus)) {
-                    buses.push(bus);
+            let cells = str_column(batch, idx)?;
+            let mut seen = vec![false; cells.values().len()];
+            for &code in cells.codes() {
+                if let Some(seen @ false) = seen.get_mut(code as usize) {
+                    *seen = true;
+                    buses.push(&cells.values()[code as usize]);
                 }
             }
         }
@@ -134,11 +136,11 @@ pub struct Rows<'a> {
     /// Timestamps in seconds.
     pub t: &'a [Option<f64>],
     /// Channels.
-    pub bus: StrCells<'a>,
+    pub bus: &'a DictColumn,
     /// Numeric values.
     pub num: &'a [Option<f64>],
     /// Textual values.
-    pub text: StrCells<'a>,
+    pub text: &'a DictColumn,
 }
 
 impl<'a> Rows<'a> {
@@ -158,10 +160,10 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// One interpreted row of a signal in 24 bytes: `t`, `v_num`, the channel
-/// as a code into a dictionary its holder keeps, and `v_text` as an index
-/// into a text stream beside the rows. Lines 8–11 carry rows in this form;
-/// a `K_s`-schema frame is built only for the rows reduction keeps.
+/// One interpreted row of a signal in 24 bytes: `t`, `v_num`, and the
+/// channel and `v_text` as codes into dictionaries its holder keeps. Lines
+/// 8–11 carry rows in this form; a `K_s`-schema frame is built only for
+/// the rows reduction keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct CodedRow {
     /// The timestamp, `NaN` when null: the order key as it is.
@@ -170,7 +172,7 @@ pub struct CodedRow {
     /// The channel code in the low 30 bits (`NO_CHANNEL` for a null
     /// `b_id`); bit 31 set when `t` is present, bit 30 when `v_num` is.
     bus: u32,
-    /// 1 + the `v_text` cell's index in the text stream; 0 for null.
+    /// 1 + the `v_text` cell's index among the texts; 0 for null.
     text: u32,
 }
 
@@ -180,7 +182,7 @@ impl CodedRow {
     const NO_CHANNEL: u32 = Self::HAS_NUM - 1;
 
     /// A row from its cells: `channel` a code below 2³⁰ − 1, `text` the
-    /// index of its cell in the text stream.
+    /// index of its cell among the texts.
     ///
     /// # Panics
     ///
@@ -235,7 +237,7 @@ impl CodedRow {
         (code != Self::NO_CHANNEL).then_some(code)
     }
 
-    /// The textual value's index in the text stream.
+    /// The textual value's index among the texts.
     #[inline]
     pub fn text_index(&self) -> Option<usize> {
         (self.text as usize).checked_sub(1)
@@ -244,14 +246,13 @@ impl CodedRow {
 
 /// A borrowed run of one signal's coded rows, as lines 9 and 10
 /// ([`Deduplicator`](crate::dedup::Deduplicator),
-/// [`Reducer`](crate::reduce::Reducer)) read them: the rows, the text
-/// stream their text indices point into, and the channel dictionary their
-/// codes point into.
+/// [`Reducer`](crate::reduce::Reducer)) read them: the rows and the text
+/// and channel dictionaries their codes point into.
 #[derive(Debug, Clone, Copy)]
 pub struct CodedRows<'a> {
     /// The rows, in time order.
     pub rows: &'a [CodedRow],
-    /// The text cells the rows index.
+    /// Texts by index.
     pub texts: &'a [Arc<str>],
     /// Channel names by code.
     pub channels: &'a [Arc<str>],
@@ -270,7 +271,7 @@ impl<'a> CodedRows<'a> {
         row.channel().map(|c| &self.channels[c as usize])
     }
 
-    /// The rows in `range`, with the same text stream and dictionary.
+    /// The rows in `range`, with the same dictionaries.
     pub fn slice(&self, range: std::ops::Range<usize>) -> CodedRows<'a> {
         CodedRows {
             rows: &self.rows[range],
@@ -316,8 +317,8 @@ pub struct CodedSequence {
     pub signal: Arc<str>,
     /// The rows, in time order.
     rows: Vec<CodedRow>,
-    /// The text cells the rows index.
-    texts: Vec<Arc<str>>,
+    /// Texts by code, shared by every sequence of one builder.
+    texts: Arc<[Arc<str>]>,
     /// Channel names by code, shared by every sequence of one builder.
     channels: Arc<[Arc<str>]>,
 }
@@ -333,8 +334,8 @@ impl CodedSequence {
         self.rows.is_empty()
     }
 
-    /// The rows as the operators read them, with the text stream and the
-    /// channel dictionary their indices and codes point into.
+    /// The rows as the operators read them, with the text and channel
+    /// dictionaries their codes point into.
     pub fn view(&self) -> CodedRows<'_> {
         CodedRows {
             rows: &self.rows,
@@ -344,7 +345,8 @@ impl CodedSequence {
     }
 
     /// The sequence of the `keep` rows, in order: one `K_s`-schema
-    /// partition whose `s_id` / `b_id` cells share the dictionaries' `Arc`s.
+    /// partition whose `b_id` / `v_text` cells are the rows' codes over
+    /// the sequence's dictionaries.
     ///
     /// # Errors
     ///
@@ -353,22 +355,22 @@ impl CodedSequence {
         let n = keep.count(self.rows.len());
         let (mut t, mut bus) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let (mut num, mut text) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let view = self.view();
         for row in keep.positions(self.rows.len()).map(|i| &self.rows[i]) {
             t.push(row.t());
-            bus.push(view.channel(row).cloned());
+            bus.push(row.channel().unwrap_or(DictColumn::NULL));
             num.push(row.num());
-            text.push(view.text(row).cloned());
+            text.push(row.text_index().map_or(DictColumn::NULL, |i| i as u32));
         }
         let schema = signal_schema();
+        let signal = DictColumn::new(vec![0; n], Arc::from([self.signal.clone()]))?;
         let batch = Batch::new(
             schema.clone(),
             vec![
                 Column::Float(t),
-                Column::Str(vec![Some(self.signal.clone()); n]),
-                Column::Str(bus),
+                Column::Str(signal),
+                Column::Str(DictColumn::new(bus, self.channels.clone())?),
                 Column::Float(num),
-                Column::Str(text),
+                Column::Str(DictColumn::new(text, self.texts.clone())?),
             ],
         )?;
         Ok(SignalSequence {
@@ -385,68 +387,47 @@ impl CodedSequence {
     ///
     /// Fails when a column is missing or mistyped.
     pub fn from_sequence(seq: &SignalSequence) -> Result<CodedSequence> {
-        let mut channels = Dict::default();
-        let mut coded = SignalRows::default();
+        let (mut channels, mut texts) = (DictBuilder::default(), DictBuilder::default());
+        let mut coded = Vec::new();
         for rows in seq.rows()? {
+            let (mut bus, mut text) = (
+                Remap::new(rows.bus.values()),
+                Remap::new(rows.text.values()),
+            );
             for i in 0..rows.t.len() {
-                let bus = rows.bus.get(i).map(|b| channels.code(b));
-                coded.push(rows.t[i], bus, rows.num[i], rows.text.get(i).cloned());
+                let bus = bus.code(rows.bus.codes()[i], &mut channels);
+                let text = text.code(rows.text.codes()[i], &mut texts);
+                coded.push(coded_row(rows.t[i], bus, rows.num[i], text));
             }
         }
         Ok(CodedSequence {
             signal: Arc::from(seq.signal.as_str()),
-            rows: coded.rows,
-            texts: coded.texts,
-            channels: channels.entries.into(),
+            rows: coded,
+            texts: texts.finish(),
+            channels: channels.finish(),
         })
     }
 }
 
-/// One signal's row stream while its sequence is being built.
-#[derive(Default)]
-struct SignalRows {
-    rows: Vec<CodedRow>,
-    texts: Vec<Arc<str>>,
-}
-
-impl SignalRows {
-    #[inline]
-    fn push(&mut self, t: Option<f64>, bus: Option<u32>, num: Option<f64>, text: Option<Arc<str>>) {
-        let text = text.map(|label| {
-            self.texts.push(label);
-            self.texts.len() - 1
-        });
-        self.rows.push(CodedRow::new(t, bus, num, text));
-    }
-
-    /// Appends `other`'s rows, their text indices moved past ours.
-    fn append(&mut self, mut other: SignalRows) {
-        if self.rows.is_empty() {
-            *self = other;
-            return;
-        }
-        if !other.texts.is_empty() {
-            let base = u32::try_from(self.texts.len()).expect("text index fits 32 bits");
-            for row in other.rows.iter_mut().filter(|row| row.text != 0) {
-                row.text = row.text.checked_add(base).expect("text index fits 32 bits");
-            }
-            self.texts.append(&mut other.texts);
-        }
-        self.rows.append(&mut other.rows);
-    }
+/// A row from its cells, channel and text as dictionary codes
+/// ([`DictColumn::NULL`] for a null).
+#[inline]
+fn coded_row(t: Option<f64>, bus: u32, num: Option<f64>, text: u32) -> CodedRow {
+    let code = |c: u32| (c != DictColumn::NULL).then_some(c);
+    CodedRow::new(t, code(bus), num, code(text).map(|c| c as usize))
 }
 
 /// The per-signal row streams of one partition, row group or micro-batch,
 /// indexed by signal code: the sink the interpretation kernel emits into
 /// when nobody needs `K_s` as a table.
 pub(crate) struct SignalRuns {
-    signals: Vec<SignalRows>,
+    signals: Vec<Vec<CodedRow>>,
 }
 
 impl SignalRuns {
     fn new(signals: usize) -> SignalRuns {
         SignalRuns {
-            signals: (0..signals).map(|_| SignalRows::default()).collect(),
+            signals: vec![Vec::new(); signals],
         }
     }
 
@@ -457,72 +438,10 @@ impl SignalRuns {
         t: Option<f64>,
         bus: u32,
         num: Option<f64>,
-        text: Option<Arc<str>>,
+        text: Option<u32>,
     ) {
-        self.signals[signal as usize].push(t, Some(bus), num, text);
-    }
-}
-
-/// Names coded by content: a code is the index of the name that
-/// introduced it. Seeded entries (a kernel's dictionary) are indexed on
-/// first need, so a kernel-fed builder never builds the map.
-#[derive(Default)]
-struct Dict {
-    entries: Vec<Arc<str>>,
-    codes: HashMap<Arc<str>, u32>,
-}
-
-impl Dict {
-    fn from_entries(entries: &[Arc<str>]) -> Dict {
-        Dict {
-            entries: entries.to_vec(),
-            codes: HashMap::new(),
-        }
-    }
-
-    fn code(&mut self, name: &Arc<str>) -> u32 {
-        for (code, entry) in self.entries.iter().enumerate().skip(self.codes.len()) {
-            self.codes.entry(entry.clone()).or_insert(code as u32);
-        }
-        if let Some(&code) = self.codes.get(name) {
-            return code;
-        }
-        let code = self.entries.len() as u32;
-        self.entries.push(name.clone());
-        self.codes.insert(name.clone(), code);
-        code
-    }
-}
-
-/// A string column's cells as codes of a [`Dict`], in row order. A coded
-/// column's entries are looked up once each, on the first row holding
-/// them, so codes keep first-appearance order and no later row hashes a
-/// string; a plain column's cells are looked up one by one.
-struct Recoder<'a> {
-    cells: StrCells<'a>,
-    /// Per entry of a coded column's dictionary: its code, once met.
-    entries: Vec<Option<u32>>,
-}
-
-impl<'a> Recoder<'a> {
-    fn new(cells: StrCells<'a>) -> Recoder<'a> {
-        let entries = match cells {
-            StrCells::Coded(d) => vec![None; d.values().len()],
-            StrCells::Plain(_) => Vec::new(),
-        };
-        Recoder { cells, entries }
-    }
-
-    #[inline]
-    fn code(&mut self, row: usize, dict: &mut Dict) -> Option<u32> {
-        match self.cells {
-            StrCells::Coded(d) => {
-                let at = d.codes()[row] as usize;
-                let entry = self.entries.get_mut(at)?;
-                Some(*entry.get_or_insert_with(|| dict.code(&d.values()[at])))
-            }
-            StrCells::Plain(cells) => cells[row].as_ref().map(|name| dict.code(name)),
-        }
+        let text = text.map(|c| c as usize);
+        self.signals[signal as usize].push(CodedRow::new(t, Some(bus), num, text));
     }
 }
 
@@ -537,24 +456,31 @@ impl<'a> Recoder<'a> {
 /// non-decreasing (under `f64::total_cmp`, nulls as NaN) is emitted as is;
 /// any other is stable-sorted by that key, so ties keep feed order.
 pub struct SequenceBuilder {
-    signals: Dict,
-    buses: Dict,
+    signals: DictBuilder,
+    buses: DictBuilder,
+    texts: DictBuilder,
     runs: SignalRuns,
 }
 
 impl Default for SequenceBuilder {
     fn default() -> Self {
-        SequenceBuilder::with_dictionaries(&[], &[])
+        let none = Arc::default();
+        SequenceBuilder::with_dictionaries(&none, &none, &none)
     }
 }
 
 impl SequenceBuilder {
-    /// A builder whose signal and bus codes are the indices of the given
-    /// dictionaries (the kernel's).
-    pub(crate) fn with_dictionaries(signals: &[Arc<str>], buses: &[Arc<str>]) -> SequenceBuilder {
+    /// A builder whose signal, bus and text codes are the indices of the
+    /// given dictionaries (the kernel's).
+    pub(crate) fn with_dictionaries(
+        signals: &Arc<[Arc<str>]>,
+        buses: &Arc<[Arc<str>]>,
+        texts: &Arc<[Arc<str>]>,
+    ) -> SequenceBuilder {
         SequenceBuilder {
-            signals: Dict::from_entries(signals),
-            buses: Dict::from_entries(buses),
+            signals: DictBuilder::with_values(signals),
+            buses: DictBuilder::with_values(buses),
+            texts: DictBuilder::with_values(texts),
             runs: SignalRuns::new(signals.len()),
         }
     }
@@ -573,13 +499,14 @@ impl SequenceBuilder {
 
     /// Appends one partition's runs after everything fed so far.
     pub(crate) fn append(&mut self, runs: SignalRuns) {
-        for (mine, theirs) in self.runs.signals.iter_mut().zip(runs.signals) {
-            mine.append(theirs);
+        for (mine, mut theirs) in self.runs.signals.iter_mut().zip(runs.signals) {
+            mine.append(&mut theirs);
         }
     }
 
     /// Routes the rows of one interpreted `K_s` batch; rows with a null
-    /// `s_id` are dropped.
+    /// `s_id` are dropped. Each of the batch's dictionary entries is
+    /// recoded once.
     ///
     /// # Errors
     ///
@@ -587,20 +514,25 @@ impl SequenceBuilder {
     pub fn push(&mut self, batch: &Batch) -> Result<()> {
         let schema = batch.schema();
         let ts = float_column(batch, schema.index_of(c::T)?)?;
-        let mut names = Recoder::new(str_column(batch, schema.index_of(c::SIGNAL)?)?);
-        let mut buses = Recoder::new(str_column(batch, schema.index_of(c::BUS)?)?);
+        let names = str_column(batch, schema.index_of(c::SIGNAL)?)?;
+        let buses = str_column(batch, schema.index_of(c::BUS)?)?;
         let nums = float_column(batch, schema.index_of(c::VALUE_NUM)?)?;
         let texts = str_column(batch, schema.index_of(c::VALUE_TEXT)?)?;
+        let mut signal_codes = Remap::new(names.values());
+        let mut bus_codes = Remap::new(buses.values());
+        let mut text_codes = Remap::new(texts.values());
         for row in 0..ts.len() {
-            let Some(signal) = names.code(row, &mut self.signals) else {
+            let signal = signal_codes.code(names.codes()[row], &mut self.signals);
+            if signal == DictColumn::NULL {
                 continue;
-            };
+            }
             let signal = signal as usize;
             if signal == self.runs.signals.len() {
-                self.runs.signals.push(SignalRows::default());
+                self.runs.signals.push(Vec::new());
             }
-            let bus = buses.code(row, &mut self.buses);
-            self.runs.signals[signal].push(ts[row], bus, nums[row], texts.get(row).cloned());
+            let bus = bus_codes.code(buses.codes()[row], &mut self.buses);
+            let text = text_codes.code(texts.codes()[row], &mut self.texts);
+            self.runs.signals[signal].push(coded_row(ts[row], bus, nums[row], text));
         }
         Ok(())
     }
@@ -608,19 +540,16 @@ impl SequenceBuilder {
     /// The coded sequences of every signal that received a row, sorted by
     /// name; their codes point into one shared bus dictionary.
     pub fn finish(self) -> Vec<CodedSequence> {
-        let channels: Arc<[Arc<str>]> = self.buses.entries.into();
-        let mut fed: Vec<(Arc<str>, SignalRows)> = self
-            .signals
-            .entries
-            .into_iter()
+        let (channels, texts) = (self.buses.finish(), self.texts.finish());
+        let mut fed: Vec<(Arc<str>, Vec<CodedRow>)> = (self.signals.finish().iter().cloned())
             .zip(self.runs.signals)
-            .filter(|(_, rows)| !rows.rows.is_empty())
+            .filter(|(_, rows)| !rows.is_empty())
             .collect();
         fed.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut sorted_runs = 0u64;
         let mut out = Vec::with_capacity(fed.len());
-        for (signal, SignalRows { mut rows, texts }) in fed {
+        for (signal, mut rows) in fed {
             let key = |row: &CodedRow| row.time_key();
             let monotone = rows
                 .windows(2)
@@ -632,7 +561,7 @@ impl SequenceBuilder {
             out.push(CodedSequence {
                 signal,
                 rows,
-                texts,
+                texts: texts.clone(),
                 channels: channels.clone(),
             });
         }

@@ -16,34 +16,49 @@ use ivnt_protocol::signal::{PhysicalValue, RawKind, SignalSpec};
 use ivnt_protocol::someip::OptionalFieldLayout;
 use proptest::prelude::*;
 
+/// A decode outcome as both sides are compared: numeric values by
+/// `f64::to_bits`, so the plan may not even differ in NaN payload or
+/// signed zero, and labels by content.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Num(u64),
+    Text(String),
+    Null,
+    Absent,
+}
+
 /// The scalar oracle: `decode_instance`'s error policy, verbatim.
-fn oracle(rule: &Rule, payload: Option<&[u8]>) -> PlanDecoded {
+fn oracle(rule: &Rule, payload: Option<&[u8]>) -> Outcome {
     match payload {
-        None => PlanDecoded::Null,
+        None => Outcome::Null,
         Some(p) => match rule.relevant_bytes(p) {
             Ok(Some(rel)) => match rule.decode_relevant(rel) {
-                Ok(PhysicalValue::Num(v)) => PlanDecoded::Num(v),
-                Ok(PhysicalValue::Text(s)) => PlanDecoded::Text(Arc::from(s.as_str())),
-                Err(_) => PlanDecoded::Null,
+                Ok(PhysicalValue::Num(v)) => Outcome::Num(v.to_bits()),
+                Ok(PhysicalValue::Text(s)) => Outcome::Text(s),
+                Err(_) => Outcome::Null,
             },
-            Ok(None) => PlanDecoded::Absent,
-            Err(_) => PlanDecoded::Null,
+            Ok(None) => Outcome::Absent,
+            Err(_) => Outcome::Null,
         },
     }
 }
 
-/// Bit-level equality: numeric values compare by `f64::to_bits`, so the
-/// plan may not even differ in NaN payload or signed zero.
+/// The plan's outcome, its label index resolved.
+fn outcome(plan: &DecodePlan, decoded: PlanDecoded) -> Outcome {
+    match decoded {
+        PlanDecoded::Num(v) => Outcome::Num(v.to_bits()),
+        PlanDecoded::Text(i) => Outcome::Text(plan.labels()[i as usize].to_string()),
+        PlanDecoded::Null => Outcome::Null,
+        PlanDecoded::Absent => Outcome::Absent,
+    }
+}
+
 fn assert_bit_identical(rule: &Rule, payload: Option<&[u8]>) {
     let plan = DecodePlan::compile(&Arc::new(rule.clone()));
-    let got = plan.decode(payload);
+    let got = outcome(&plan, plan.decode(payload));
     let want = oracle(rule, payload);
-    let same = match (&got, &want) {
-        (PlanDecoded::Num(a), PlanDecoded::Num(b)) => a.to_bits() == b.to_bits(),
-        (a, b) => a == b,
-    };
     assert!(
-        same,
+        got == want,
         "plan {got:?} != scalar {want:?} for payload {payload:?}, rule {rule:?}"
     );
 }
@@ -266,8 +281,8 @@ fn multiplexed_corners_match_scalar_decode() {
     let plan = DecodePlan::compile(&Arc::new(rule.clone()));
     // Selector matches, labeled raw.
     assert_eq!(
-        plan.decode(Some(&[0x05, 0x02])),
-        PlanDecoded::Text(Arc::from("R"))
+        outcome(&plan, plan.decode(Some(&[0x05, 0x02]))),
+        Outcome::Text("R".into())
     );
     // Selector matches, unlabeled raw -> decode error -> null instance.
     assert_eq!(plan.decode(Some(&[0x05, 0x09])), PlanDecoded::Null);

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::column::{gather_str, Column};
+use crate::column::{gather_str, Column, ColumnBuilder, DictColumn};
 use crate::datatype::{DataType, Schema};
 use crate::error::{Error, Result};
 use crate::value::Value;
@@ -86,10 +86,10 @@ impl Batch {
         I: IntoIterator<Item = R>,
         R: IntoIterator<Item = Value>,
     {
-        let mut columns: Vec<Column> = schema
+        let mut columns: Vec<ColumnBuilder> = schema
             .fields()
             .iter()
-            .map(|f| Column::new_empty(f.data_type()))
+            .map(|f| ColumnBuilder::new(f.data_type()))
             .collect();
         let mut count = 0usize;
         for row in rows {
@@ -111,7 +111,7 @@ impl Batch {
         }
         Ok(Batch {
             schema,
-            columns,
+            columns: columns.into_iter().map(ColumnBuilder::finish).collect(),
             rows: count,
         })
     }
@@ -219,7 +219,7 @@ impl Batch {
                     DataType::Int => Column::Int(pick(cols, Column::as_int_slice, rows)),
                     DataType::Float => Column::Float(pick(cols, Column::as_float_slice, rows)),
                     DataType::Str => {
-                        let cols: Vec<&Column> = cols.collect();
+                        let cols: Vec<&DictColumn> = cols.flat_map(Column::as_dict).collect();
                         gather_str(&cols, rows.iter().map(|&pick| Some(pick)))
                     }
                     DataType::Bytes => Column::Bytes(pick(cols, Column::as_bytes_slice, rows)),
@@ -294,7 +294,8 @@ impl Batch {
         })
     }
 
-    /// Vertically concatenates batches sharing one schema.
+    /// Vertically concatenates batches sharing one schema: a
+    /// [`gather`](Batch::gather) of all their rows in order.
     ///
     /// # Errors
     ///
@@ -304,25 +305,11 @@ impl Batch {
         let first = batches
             .first()
             .ok_or_else(|| Error::InvalidArgument("concat of zero batches".into()))?;
-        let mut columns: Vec<Column> = first.columns.clone();
-        let mut rows = first.rows;
-        for b in &batches[1..] {
-            if b.schema.as_ref() != first.schema.as_ref() {
-                return Err(Error::SchemaMismatch(format!(
-                    "cannot concat {} with {}",
-                    first.schema, b.schema
-                )));
-            }
-            for (dst, src) in columns.iter_mut().zip(&b.columns) {
-                dst.extend_from(src)?;
-            }
-            rows += b.rows;
-        }
-        Ok(Batch {
-            schema: first.schema.clone(),
-            columns,
-            rows,
-        })
+        let refs: Vec<&Batch> = batches.iter().collect();
+        let rows: Vec<(usize, usize)> = (batches.iter().enumerate())
+            .flat_map(|(b, batch)| (0..batch.rows).map(move |r| (b, r)))
+            .collect();
+        Batch::gather(first.schema.clone(), &refs, &rows)
     }
 }
 
@@ -379,7 +366,10 @@ mod tests {
     #[test]
     fn replace_column_retypes_in_place() {
         let r = sample()
-            .replace_column("id", Column::Str(vec![None, None, None]))
+            .replace_column(
+                "id",
+                Column::Str(DictColumn::from_cells([None, None, None])),
+            )
             .unwrap();
         assert_eq!(r.schema().fields()[1].data_type(), DataType::Str);
         assert!(r.replace_column("id", Column::Int(vec![Some(1)])).is_err());
@@ -403,31 +393,85 @@ mod tests {
         assert!(matches!(r, Err(Error::SchemaMismatch(_))));
     }
 
+    fn str_batch(schema: &Arc<Schema>, codes: Vec<u32>, values: &[&str]) -> Batch {
+        let values: Arc<[Arc<str>]> = values.iter().map(|&s| Arc::<str>::from(s)).collect();
+        let col = Column::Str(DictColumn::new(codes, values).unwrap());
+        Batch::new(schema.clone(), vec![col]).unwrap()
+    }
+
+    fn cells(batch: &Batch) -> Vec<Value> {
+        batch.column(0).iter().collect()
+    }
+
     #[test]
-    fn gather_keeps_a_shared_dictionary_coded() {
-        use crate::column::DictColumn;
+    fn gather_and_concat_read_string_cells_by_content() {
         let schema = Schema::from_pairs([("s", DataType::Str)])
             .unwrap()
             .into_shared();
-        let names: Arc<[Arc<str>]> = ["x", "y"].map(Arc::<str>::from).into();
-        let coded = |codes: Vec<u32>| {
-            let col = Column::Dict(DictColumn::new(codes, names.clone()).unwrap());
-            Batch::new(schema.clone(), vec![col]).unwrap()
+        let n = DictColumn::NULL;
+        // One dictionary shared: gathered codes keep it.
+        let a = str_batch(&schema, vec![0, 1], &["x", "y"]);
+        let shared = a.slice(1, 1);
+        let out = Batch::gather(schema.clone(), &[&a, &shared], &[(1, 0), (0, 0)]).unwrap();
+        let (Column::Str(o), Column::Str(d)) = (out.column(0), a.column(0)) else {
+            unreachable!("string columns")
         };
-        let (a, b) = (coded(vec![0, 1]), coded(vec![DictColumn::NULL, 0]));
-        let picks = [(1, 1), (0, 1), (1, 0)];
-        let out = Batch::gather(schema.clone(), &[&a, &b], &picks).unwrap();
-        assert!(matches!(out.column(0), Column::Dict(_)));
-        let plain = Column::Str(vec![Some(Arc::from("x")), Some(Arc::from("y")), None]);
-        assert_eq!(out.column(0), &plain);
-        // A plain partition among coded ones gathers plain, same cells.
-        let c = Batch::new(schema.clone(), vec![plain.clone()]).unwrap();
-        let mixed = Batch::gather(schema, &[&a, &c], &[(1, 2), (0, 0)]).unwrap();
-        assert!(matches!(mixed.column(0), Column::Str(_)));
+        assert!(Arc::ptr_eq(o.values(), d.values()));
+        assert_eq!(cells(&out), vec![Value::from("y"), Value::from("x")]);
+        // Dictionaries in another order, with a duplicate, an unused
+        // entry and nulls.
+        let b = str_batch(&schema, vec![n, 2, 0], &["y", "unused", "x", "y"]);
+        let c = str_batch(&schema, vec![3, n], &["x", "x", "q", "y"]);
+        let picks = [(1, 2), (2, 0), (0, 0), (1, 0), (2, 1), (1, 1)];
+        let out = Batch::gather(schema.clone(), &[&a, &b, &c], &picks).unwrap();
+        let (x, y) = (Value::from("x"), Value::from("y"));
         assert_eq!(
-            mixed.column(0),
-            &Column::Str(vec![None, Some(Arc::from("x"))])
+            cells(&out),
+            vec![
+                y.clone(),
+                y.clone(),
+                x.clone(),
+                Value::Null,
+                Value::Null,
+                x.clone()
+            ]
         );
+        let all = Batch::concat(&[a.clone(), b.clone(), c.clone()]).unwrap();
+        assert_eq!(all.num_rows(), 7);
+        assert_eq!(
+            cells(&all),
+            vec![
+                x.clone(),
+                y.clone(),
+                Value::Null,
+                x,
+                y.clone(),
+                y,
+                Value::Null
+            ]
+        );
+        // Equal to the same cells over any other dictionary.
+        let rows: Vec<Vec<Value>> = cells(&all).into_iter().map(|v| vec![v]).collect();
+        assert_eq!(all, Batch::from_rows(schema, rows).unwrap());
+    }
+
+    #[test]
+    fn from_rows_codes_many_distinct_strings() {
+        let schema = Schema::from_pairs([("s", DataType::Str)])
+            .unwrap()
+            .into_shared();
+        let n = 100_000;
+        let rows = (0..n).map(|i| vec![Value::from(format!("cell-{i}"))]);
+        let batch = Batch::from_rows(schema, rows).unwrap();
+        let Column::Str(d) = batch.column(0) else {
+            unreachable!("a string column")
+        };
+        assert_eq!(d.values().len(), n);
+        assert_eq!(
+            batch.column(0).get(n - 1),
+            Value::from(format!("cell-{}", n - 1))
+        );
+        assert!(d.codes().iter().enumerate().all(|(i, &c)| c as usize == i));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Typed columnar storage.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::datatype::DataType;
@@ -12,12 +13,9 @@ use crate::value::Value;
 /// slicing, concatenation) avoid boxing each cell. Row-level access
 /// materializes a [`Value`].
 ///
-/// String cells come in two forms of one [`DataType::Str`]: [`Column::Str`]
-/// holds a shared payload per cell, [`Column::Dict`] a `u32` code per cell
-/// into a dictionary shared by every column cut from it. Every accessor
-/// serves both ([`str_cells`](Column::str_cells) is the borrowed view), and
-/// equality compares cell content, so a `Dict` column equals the `Str`
-/// column holding the same strings.
+/// String cells are `u32` codes into a dictionary shared by every column
+/// cut from this one ([`DictColumn`], built by a [`DictBuilder`]).
+/// Equality compares cell content, whatever the dictionaries.
 #[derive(Debug, Clone)]
 pub enum Column {
     /// Boolean cells.
@@ -26,10 +24,8 @@ pub enum Column {
     Int(Vec<Option<i64>>),
     /// Float cells.
     Float(Vec<Option<f64>>),
-    /// String cells (shared payloads).
-    Str(Vec<Option<Arc<str>>>),
-    /// String cells as codes into a shared dictionary.
-    Dict(DictColumn),
+    /// String cells, as codes into a shared dictionary.
+    Str(DictColumn),
     /// Byte-payload cells (shared payloads).
     Bytes(Vec<Option<Arc<[u8]>>>),
 }
@@ -41,7 +37,7 @@ impl Column {
             DataType::Bool => Column::Bool(Vec::new()),
             DataType::Int => Column::Int(Vec::new()),
             DataType::Float => Column::Float(Vec::new()),
-            DataType::Str => Column::Str(Vec::new()),
+            DataType::Str => Column::Str(DictColumn::default()),
             DataType::Bytes => Column::Bytes(Vec::new()),
         }
     }
@@ -56,11 +52,6 @@ impl Column {
         Column::Int(values.into_iter().map(Some).collect())
     }
 
-    /// Builds a non-null string column from shared payloads.
-    pub fn from_strs<I: IntoIterator<Item = Arc<str>>>(values: I) -> Self {
-        Column::Str(values.into_iter().map(Some).collect())
-    }
-
     /// Builds a non-null bytes column from shared payloads.
     pub fn from_byte_payloads<I: IntoIterator<Item = Arc<[u8]>>>(values: I) -> Self {
         Column::Bytes(values.into_iter().map(Some).collect())
@@ -72,7 +63,7 @@ impl Column {
             Column::Bool(_) => DataType::Bool,
             Column::Int(_) => DataType::Int,
             Column::Float(_) => DataType::Float,
-            Column::Str(_) | Column::Dict(_) => DataType::Str,
+            Column::Str(_) => DataType::Str,
             Column::Bytes(_) => DataType::Bytes,
         }
     }
@@ -83,8 +74,7 @@ impl Column {
             Column::Bool(v) => v.len(),
             Column::Int(v) => v.len(),
             Column::Float(v) => v.len(),
-            Column::Str(v) => v.len(),
-            Column::Dict(d) => d.codes.len(),
+            Column::Str(d) => d.codes.len(),
             Column::Bytes(v) => v.len(),
         }
     }
@@ -104,11 +94,7 @@ impl Column {
             Column::Bool(v) => v[row].map(Value::Bool).unwrap_or(Value::Null),
             Column::Int(v) => v[row].map(Value::Int).unwrap_or(Value::Null),
             Column::Float(v) => v[row].map(Value::Float).unwrap_or(Value::Null),
-            Column::Str(v) => v[row]
-                .as_ref()
-                .map(|s| Value::Str(s.clone()))
-                .unwrap_or(Value::Null),
-            Column::Dict(d) => d
+            Column::Str(d) => d
                 .get(row)
                 .map(|s| Value::Str(s.clone()))
                 .unwrap_or(Value::Null),
@@ -117,43 +103,6 @@ impl Column {
                 .map(|b| Value::Bytes(b.clone()))
                 .unwrap_or(Value::Null),
         }
-    }
-
-    /// Appends a value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TypeMismatch`] if the value's type does not match the
-    /// column's (nulls always match; ints are widened into float columns).
-    pub fn push(&mut self, value: Value) -> Result<()> {
-        match (self, value) {
-            (Column::Bool(v), Value::Null) => v.push(None),
-            (Column::Int(v), Value::Null) => v.push(None),
-            (Column::Float(v), Value::Null) => v.push(None),
-            (Column::Str(v), Value::Null) => v.push(None),
-            (Column::Dict(d), Value::Null) => d.codes.push(DictColumn::NULL),
-            (Column::Bytes(v), Value::Null) => v.push(None),
-            (Column::Bool(v), Value::Bool(b)) => v.push(Some(b)),
-            (Column::Int(v), Value::Int(i)) => v.push(Some(i)),
-            (Column::Float(v), Value::Float(f)) => v.push(Some(f)),
-            (Column::Float(v), Value::Int(i)) => v.push(Some(i as f64)),
-            (Column::Str(v), Value::Str(s)) => v.push(Some(s)),
-            (Column::Dict(d), Value::Str(s)) => {
-                let code = d.code_of(&s);
-                d.codes.push(code);
-            }
-            (Column::Bytes(v), Value::Bytes(b)) => v.push(Some(b)),
-            (col, value) => {
-                return Err(Error::TypeMismatch {
-                    expected: col.data_type().to_string(),
-                    actual: value
-                        .data_type()
-                        .map(|t| t.to_string())
-                        .unwrap_or_else(|| "null".to_string()),
-                })
-            }
-        }
-        Ok(())
     }
 
     /// Returns the cells selected by `indices`, in that order.
@@ -169,8 +118,7 @@ impl Column {
             Column::Bool(v) => Column::Bool(gather(v, indices)),
             Column::Int(v) => Column::Int(gather(v, indices)),
             Column::Float(v) => Column::Float(gather(v, indices)),
-            Column::Str(v) => Column::Str(gather(v, indices)),
-            Column::Dict(d) => d.with_codes(indices.iter().map(|&i| d.codes[i]).collect()),
+            Column::Str(d) => d.with_codes(indices.iter().map(|&i| d.codes[i]).collect()),
             Column::Bytes(v) => Column::Bytes(gather(v, indices)),
         }
     }
@@ -188,7 +136,7 @@ impl Column {
                 right: mask.len(),
             });
         }
-        fn keep<T: Clone>(v: &[Option<T>], mask: &[bool]) -> Vec<Option<T>> {
+        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
             v.iter()
                 .zip(mask)
                 .filter(|(_, &m)| m)
@@ -199,15 +147,7 @@ impl Column {
             Column::Bool(v) => Column::Bool(keep(v, mask)),
             Column::Int(v) => Column::Int(keep(v, mask)),
             Column::Float(v) => Column::Float(keep(v, mask)),
-            Column::Str(v) => Column::Str(keep(v, mask)),
-            Column::Dict(d) => d.with_codes(
-                d.codes
-                    .iter()
-                    .zip(mask)
-                    .filter(|(_, &m)| m)
-                    .map(|(c, _)| *c)
-                    .collect(),
-            ),
+            Column::Str(d) => d.with_codes(keep(&d.codes, mask)),
             Column::Bytes(v) => Column::Bytes(keep(v, mask)),
         })
     }
@@ -222,36 +162,9 @@ impl Column {
             Column::Bool(v) => Column::Bool(v[start..start + len].to_vec()),
             Column::Int(v) => Column::Int(v[start..start + len].to_vec()),
             Column::Float(v) => Column::Float(v[start..start + len].to_vec()),
-            Column::Str(v) => Column::Str(v[start..start + len].to_vec()),
-            Column::Dict(d) => d.with_codes(d.codes[start..start + len].to_vec()),
+            Column::Str(d) => d.with_codes(d.codes[start..start + len].to_vec()),
             Column::Bytes(v) => Column::Bytes(v[start..start + len].to_vec()),
         }
-    }
-
-    /// Appends all cells of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TypeMismatch`] if the types differ.
-    pub fn extend_from(&mut self, other: &Column) -> Result<()> {
-        match (self, other) {
-            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
-            (Column::Int(a), Column::Int(b)) => a.extend_from_slice(b),
-            (Column::Float(a), Column::Float(b)) => a.extend_from_slice(b),
-            (Column::Str(a), Column::Str(b)) => a.extend_from_slice(b),
-            (Column::Str(a), Column::Dict(b)) => {
-                a.extend(b.iter().map(Option::<&Arc<str>>::cloned))
-            }
-            (Column::Dict(a), b @ (Column::Str(_) | Column::Dict(_))) => a.extend_from(b),
-            (Column::Bytes(a), Column::Bytes(b)) => a.extend_from_slice(b),
-            (a, b) => {
-                return Err(Error::TypeMismatch {
-                    expected: a.data_type().to_string(),
-                    actual: b.data_type().to_string(),
-                })
-            }
-        }
-        Ok(())
     }
 
     /// Iterator over cells as [`Value`]s.
@@ -268,8 +181,7 @@ impl Column {
             Column::Bool(v) => count(v),
             Column::Int(v) => count(v),
             Column::Float(v) => count(v),
-            Column::Str(v) => count(v),
-            Column::Dict(d) => d.codes.iter().filter(|&&c| c == DictColumn::NULL).count(),
+            Column::Str(d) => d.codes.iter().filter(|&&c| c == DictColumn::NULL).count(),
             Column::Bytes(v) => count(v),
         }
     }
@@ -298,12 +210,10 @@ impl Column {
         }
     }
 
-    /// Borrows the string cells of either form, if this is a string
-    /// column.
-    pub fn str_cells(&self) -> Option<StrCells<'_>> {
+    /// Borrows the codes and dictionary, if this is a string column.
+    pub fn as_dict(&self) -> Option<&DictColumn> {
         match self {
-            Column::Str(v) => Some(StrCells::Plain(v)),
-            Column::Dict(d) => Some(StrCells::Coded(d)),
+            Column::Str(d) => Some(d),
             _ => None,
         }
     }
@@ -318,19 +228,18 @@ impl Column {
 }
 
 impl PartialEq for Column {
-    /// Cell content: the two string forms compare equal when their cells
-    /// are, whatever the dictionary or the allocations.
+    /// Cell content: string columns are equal when their cells are,
+    /// whatever the dictionaries or the codes.
     fn eq(&self, other: &Column) -> bool {
         match (self, other) {
             (Column::Bool(a), Column::Bool(b)) => a == b,
             (Column::Int(a), Column::Int(b)) => a == b,
             (Column::Float(a), Column::Float(b)) => a == b,
-            (Column::Str(a), Column::Str(b)) => a == b,
+            (Column::Str(a), Column::Str(b)) => {
+                a.codes.len() == b.codes.len() && a.iter().eq(b.iter())
+            }
             (Column::Bytes(a), Column::Bytes(b)) => a == b,
-            _ => match (self.str_cells(), other.str_cells()) {
-                (Some(a), Some(b)) => a.len() == b.len() && a.iter().eq(b.iter()),
-                _ => false,
-            },
+            _ => false,
         }
     }
 }
@@ -343,7 +252,7 @@ impl PartialEq for Column {
 /// `slice` move codes and share the dictionary; nothing per row touches a
 /// string or a refcount. The dictionary may hold entries no cell uses and
 /// entries with equal content: cells compare, hash and encode by content.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DictColumn {
     codes: Vec<u32>,
     values: Arc<[Arc<str>]>,
@@ -373,6 +282,26 @@ impl DictColumn {
         Ok(DictColumn { codes, values })
     }
 
+    /// A column whose dictionary is its non-null cells in row order: no
+    /// cell is hashed or compared, each is an entry of its own. The form
+    /// for mostly-unique cells.
+    pub fn from_cells<I: IntoIterator<Item = Option<Arc<str>>>>(cells: I) -> DictColumn {
+        let mut values = Vec::new();
+        let codes = cells
+            .into_iter()
+            .map(|cell| {
+                cell.map_or(DictColumn::NULL, |s| {
+                    values.push(s);
+                    dict_code(values.len() - 1)
+                })
+            })
+            .collect();
+        DictColumn {
+            codes,
+            values: values.into(),
+        }
+    }
+
     /// Per cell: its index into [`values`](DictColumn::values), or
     /// [`NULL`](DictColumn::NULL).
     pub fn codes(&self) -> &[u32] {
@@ -400,122 +329,223 @@ impl DictColumn {
     }
 
     fn with_codes(&self, codes: Vec<u32>) -> Column {
-        Column::Dict(DictColumn {
+        Column::Str(DictColumn {
             codes,
             values: self.values.clone(),
         })
     }
+}
 
-    /// The code of `s`, appending it to the dictionary (a copy of it, when
-    /// shared) if no entry holds that content. Linear in the dictionary:
-    /// for row-at-a-time pushes, which no bulk path takes.
-    fn code_of(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(i) = self.values.iter().position(|v| v == s) {
-            return i as u32;
+/// `len` as a dictionary code.
+///
+/// # Panics
+///
+/// When `len` reaches [`DictColumn::NULL`].
+fn dict_code(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&c| c != DictColumn::NULL)
+        .expect("dictionary entries fit u32 codes")
+}
+
+/// Codes strings by content, in first-appearance order: the one place
+/// string cells become dictionary codes. A small dictionary is scanned
+/// (an entry sharing the cell's allocation matches without reading the
+/// string); past 16 entries a hash index keeps coding linear
+/// in the cells. Entries a builder starts from
+/// ([`with_values`](DictBuilder::with_values)) keep their indices as codes,
+/// are shared rather than copied, and are indexed only when a lookup
+/// first needs them.
+#[derive(Debug, Clone, Default)]
+pub struct DictBuilder {
+    /// The entries the builder started from.
+    seed: Arc<[Arc<str>]>,
+    /// Entries added since, coded from `seed.len()` on.
+    added: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
+    /// Entries coded below this are in `index`.
+    indexed: usize,
+}
+
+/// Dictionary size up to which [`DictBuilder::code`] scans instead of
+/// hashing.
+const SCAN_LIMIT: usize = 16;
+
+impl DictBuilder {
+    /// A builder whose first codes are the indices of `values`.
+    pub fn with_values(values: &Arc<[Arc<str>]>) -> DictBuilder {
+        DictBuilder {
+            seed: values.clone(),
+            ..DictBuilder::default()
         }
-        let mut values = self.values.to_vec();
-        values.push(s.clone());
-        self.values = values.into();
-        (self.values.len() - 1) as u32
     }
 
-    /// Appends the cells of a string column of either form. A column over
-    /// the same dictionary appends its codes as they are; any other has
-    /// each distinct string coded once.
-    fn extend_from(&mut self, other: &Column) {
-        match other {
-            Column::Dict(b) if Arc::ptr_eq(&self.values, &b.values) => {
-                self.codes.extend_from_slice(&b.codes);
+    /// The code of `s`'s content; on its first appearance `s` itself
+    /// becomes the entry.
+    pub fn code(&mut self, s: &Arc<str>) -> u32 {
+        let len = self.seed.len() + self.added.len();
+        let entries = self.seed.iter().chain(&self.added);
+        let found = if len <= SCAN_LIMIT {
+            entries.clone().position(|v| v == s).map(|i| i as u32)
+        } else {
+            for (code, entry) in entries.enumerate().skip(self.indexed) {
+                self.index.entry(entry.clone()).or_insert(code as u32);
             }
-            Column::Dict(b) => {
-                let remap: Vec<u32> = b.values.iter().map(|s| self.code_of(s)).collect();
-                let code = |c: u32| remap.get(c as usize).copied().unwrap_or(DictColumn::NULL);
-                self.codes.extend(b.codes.iter().map(|&c| code(c)));
-            }
-            Column::Str(b) => {
-                for cell in b {
-                    let code = cell.as_ref().map_or(DictColumn::NULL, |s| self.code_of(s));
-                    self.codes.push(code);
-                }
-            }
-            _ => unreachable!("Column::extend_from checked the type"),
+            self.indexed = len;
+            self.index.get(s).copied()
+        };
+        found.unwrap_or_else(|| {
+            self.added.push(s.clone());
+            dict_code(len)
+        })
+    }
+
+    /// The dictionary, every code handed out an index into it.
+    pub fn finish(self) -> Arc<[Arc<str>]> {
+        if self.added.is_empty() {
+            return self.seed;
         }
+        self.seed.iter().cloned().chain(self.added).collect()
     }
 }
 
-/// The borrowed cells of a string column of either form.
-#[derive(Debug, Clone, Copy)]
-pub enum StrCells<'a> {
-    /// A [`Column::Str`]'s cells.
-    Plain(&'a [Option<Arc<str>>]),
-    /// A [`Column::Dict`]'s codes and dictionary.
-    Coded(&'a DictColumn),
+/// One source dictionary recoded into a [`DictBuilder`]: each entry is
+/// looked up by content once, on its first use, so recoded cells keep
+/// first-appearance order and no row hashes a string.
+#[derive(Debug)]
+pub struct Remap<'a> {
+    values: &'a [Arc<str>],
+    codes: Vec<Option<u32>>,
 }
 
-impl<'a> StrCells<'a> {
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        match self {
-            StrCells::Plain(v) => v.len(),
-            StrCells::Coded(d) => d.codes.len(),
+impl<'a> Remap<'a> {
+    /// A remap of the dictionary `values`.
+    pub fn new(values: &'a [Arc<str>]) -> Remap<'a> {
+        Remap {
+            values,
+            codes: vec![None; values.len()],
         }
     }
 
-    /// `true` if there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cell at `row`, `None` for a null.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.len()`.
+    /// The code in `into` of the source `code`;
+    /// [`NULL`](DictColumn::NULL) stays `NULL`.
     #[inline]
-    pub fn get(&self, row: usize) -> Option<&'a Arc<str>> {
-        match *self {
-            StrCells::Plain(v) => v[row].as_ref(),
-            StrCells::Coded(d) => d.get(row),
+    pub fn code(&mut self, code: u32, into: &mut DictBuilder) -> u32 {
+        let Some(slot) = self.codes.get_mut(code as usize) else {
+            return DictColumn::NULL;
+        };
+        *slot.get_or_insert_with(|| into.code(&self.values[code as usize]))
+    }
+}
+
+/// Builds one column from [`Value`]s, string cells coded as they come.
+pub(crate) struct ColumnBuilder {
+    column: Column,
+    strs: DictBuilder,
+}
+
+impl ColumnBuilder {
+    pub(crate) fn new(data_type: DataType) -> ColumnBuilder {
+        ColumnBuilder {
+            column: Column::new_empty(data_type),
+            strs: DictBuilder::default(),
         }
     }
 
-    /// Cells in row order.
-    pub fn iter(self) -> impl Iterator<Item = Option<&'a Arc<str>>> + 'a {
-        (0..self.len()).map(move |row| self.get(row))
+    /// Appends a value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TypeMismatch`] if the value's type does not match
+    /// the column's (nulls always match; ints are widened into float
+    /// columns).
+    pub(crate) fn push(&mut self, value: Value) -> Result<()> {
+        match (&mut self.column, value) {
+            (Column::Bool(v), Value::Null) => v.push(None),
+            (Column::Int(v), Value::Null) => v.push(None),
+            (Column::Float(v), Value::Null) => v.push(None),
+            (Column::Str(d), Value::Null) => d.codes.push(DictColumn::NULL),
+            (Column::Bytes(v), Value::Null) => v.push(None),
+            (Column::Bool(v), Value::Bool(b)) => v.push(Some(b)),
+            (Column::Int(v), Value::Int(i)) => v.push(Some(i)),
+            (Column::Float(v), Value::Float(f)) => v.push(Some(f)),
+            (Column::Float(v), Value::Int(i)) => v.push(Some(i as f64)),
+            (Column::Str(d), Value::Str(s)) => d.codes.push(self.strs.code(&s)),
+            (Column::Bytes(v), Value::Bytes(b)) => v.push(Some(b)),
+            (col, value) => {
+                return Err(Error::TypeMismatch {
+                    expected: col.data_type().to_string(),
+                    actual: value
+                        .data_type()
+                        .map(|t| t.to_string())
+                        .unwrap_or_else(|| "null".to_string()),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn finish(self) -> Column {
+        match self.column {
+            Column::Str(d) => Column::Str(DictColumn {
+                codes: d.codes,
+                values: self.strs.finish(),
+            }),
+            column => column,
+        }
     }
 }
 
 /// The string cells at `picks` (`None` for a null cell) across `cols`,
-/// each a string column of either form: codes over the one dictionary
-/// when every column shares it, shared payloads otherwise.
-pub(crate) fn gather_str<'a>(
-    cols: &[&'a Column],
-    picks: impl Iterator<Item = Option<(usize, usize)>>,
+/// with no row hashed: codes over the one dictionary when every column
+/// shares it; else, when they hold no more entries than there are picks,
+/// codes over the dictionaries one after another; else (a sparse gather)
+/// each source entry in use recoded once into a new dictionary.
+pub(crate) fn gather_str(
+    cols: &[&DictColumn],
+    picks: impl ExactSizeIterator<Item = Option<(usize, usize)>>,
 ) -> Column {
-    let views: Vec<StrCells<'a>> = cols
-        .iter()
-        .map(|c| c.str_cells().expect("schema-checked string column"))
-        .collect();
-    if let Some(StrCells::Coded(first)) = views.first() {
-        let codes: Option<Vec<&[u32]>> = views
-            .iter()
-            .map(|v| match v {
-                StrCells::Coded(d) if Arc::ptr_eq(&d.values, &first.values) => Some(&d.codes[..]),
-                _ => None,
+    let shared = cols
+        .first()
+        .filter(|first| cols.iter().all(|c| Arc::ptr_eq(&c.values, &first.values)));
+    if let Some(first) = shared {
+        let codes = picks
+            .map(|p| p.map_or(DictColumn::NULL, |(c, r)| cols[c].codes[r]))
+            .collect();
+        return first.with_codes(codes);
+    }
+    if cols.iter().map(|c| c.values.len()).sum::<usize>() <= picks.len() {
+        let mut values = Vec::new();
+        let base: Vec<u32> = (cols.iter())
+            .map(|c| {
+                let base = dict_code(values.len());
+                values.extend_from_slice(&c.values);
+                base
             })
             .collect();
-        if let Some(codes) = codes {
-            let picked = picks
-                .map(|p| p.map_or(DictColumn::NULL, |(c, r)| codes[c][r]))
-                .collect();
-            return first.with_codes(picked);
-        }
+        let code = |(c, r): (usize, usize)| match cols[c].codes[r] {
+            DictColumn::NULL => DictColumn::NULL,
+            code => base[c] + code,
+        };
+        let codes = picks.map(|p| p.map_or(DictColumn::NULL, code)).collect();
+        return Column::Str(DictColumn {
+            codes,
+            values: values.into(),
+        });
     }
-    Column::Str(
-        picks
-            .map(|p| p.and_then(|(c, r)| views[c].get(r).cloned()))
-            .collect(),
-    )
+    let mut dict = DictBuilder::default();
+    let mut remaps: Vec<Remap<'_>> = cols.iter().map(|c| Remap::new(&c.values)).collect();
+    let codes = picks
+        .map(|p| {
+            p.map_or(DictColumn::NULL, |(c, r)| {
+                remaps[c].code(cols[c].codes[r], &mut dict)
+            })
+        })
+        .collect();
+    Column::Str(DictColumn {
+        codes,
+        values: dict.finish(),
+    })
 }
 
 impl FromIterator<Option<i64>> for Column {
@@ -544,9 +574,10 @@ mod tests {
 
     #[test]
     fn push_and_get() {
-        let mut c = Column::new_empty(DataType::Int);
-        c.push(Value::Int(1)).unwrap();
-        c.push(Value::Null).unwrap();
+        let mut b = ColumnBuilder::new(DataType::Int);
+        b.push(Value::Int(1)).unwrap();
+        b.push(Value::Null).unwrap();
+        let c = b.finish();
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(0), Value::Int(1));
         assert!(c.get(1).is_null());
@@ -555,16 +586,16 @@ mod tests {
 
     #[test]
     fn push_type_mismatch() {
-        let mut c = Column::new_empty(DataType::Int);
-        let err = c.push(Value::from("x")).unwrap_err();
+        let mut b = ColumnBuilder::new(DataType::Int);
+        let err = b.push(Value::from("x")).unwrap_err();
         assert!(matches!(err, Error::TypeMismatch { .. }));
     }
 
     #[test]
     fn int_widens_into_float_column() {
-        let mut c = Column::new_empty(DataType::Float);
-        c.push(Value::Int(3)).unwrap();
-        assert_eq!(c.get(0), Value::Float(3.0));
+        let mut b = ColumnBuilder::new(DataType::Float);
+        b.push(Value::Int(3)).unwrap();
+        assert_eq!(b.finish().get(0), Value::Float(3.0));
     }
 
     #[test]
@@ -580,22 +611,9 @@ mod tests {
     }
 
     #[test]
-    fn extend_concatenates() {
-        let mut a = int_col(&[1]);
-        a.extend_from(&int_col(&[2, 3])).unwrap();
-        assert_eq!(a, int_col(&[1, 2, 3]));
-        let err = a
-            .extend_from(&Column::new_empty(DataType::Str))
-            .unwrap_err();
-        assert!(matches!(err, Error::TypeMismatch { .. }));
-    }
-
-    #[test]
     fn non_null_constructors() {
         assert_eq!(Column::from_ints([1, 2]), int_col(&[1, 2]));
         assert_eq!(Column::from_floats([1.5]), Column::Float(vec![Some(1.5)]));
-        let s = Column::from_strs([Arc::from("a")]);
-        assert_eq!(s.get(0), Value::from("a"));
         let b = Column::from_byte_payloads([Arc::from(&[7u8][..])]);
         assert_eq!(b.null_count(), 0);
         assert_eq!(b.data_type(), DataType::Bytes);
@@ -608,83 +626,118 @@ mod tests {
         assert_eq!(vals, vec![Value::Int(5), Value::Int(6)]);
     }
 
-    fn names() -> Arc<[Arc<str>]> {
-        ["a", "b", "a", "unused"].map(Arc::<str>::from).into()
+    fn dict(values: &[&str]) -> Arc<[Arc<str>]> {
+        values.iter().map(|&s| Arc::<str>::from(s)).collect()
     }
 
-    /// `a, null, b, a` twice over: once coded (through both entries that
-    /// hold "a"), once as shared payloads.
+    fn coded(codes: Vec<u32>, values: &[&str]) -> Column {
+        Column::Str(DictColumn::new(codes, dict(values)).unwrap())
+    }
+
+    /// `a, null, b, a` twice over, through dictionaries that differ in
+    /// order and hold a duplicate and an unused entry.
     fn twins() -> (Column, Column) {
         let n = DictColumn::NULL;
-        let dict = DictColumn::new(vec![0, n, 1, 2], names()).unwrap();
-        let plain = ["a", "", "b", "a"]
-            .iter()
-            .map(|s| (!s.is_empty()).then(|| Arc::from(*s)))
-            .collect();
-        (Column::Dict(dict), Column::Str(plain))
+        (
+            coded(vec![0, n, 1, 2], &["a", "b", "a", "unused"]),
+            coded(vec![2, n, 1, 2], &["spare", "b", "a"]),
+        )
     }
 
     #[test]
-    fn dict_equals_its_str_twin_by_content() {
-        let (dict, plain) = twins();
-        assert_eq!(dict, plain);
-        assert_eq!(plain, dict);
-        assert_eq!(dict.data_type(), DataType::Str);
-        assert_eq!((dict.len(), dict.null_count()), (4, 1));
-        assert_eq!(dict.get(2), Value::from("b"));
-        assert!(dict.get(1).is_null());
-        assert_eq!(
-            dict.iter().collect::<Vec<_>>(),
-            plain.iter().collect::<Vec<_>>()
-        );
-        // One cell differs: not equal, in either direction.
-        let other =
-            Column::Dict(DictColumn::new(vec![0, DictColumn::NULL, 1, 1], names()).unwrap());
-        assert_ne!(other, plain);
-        assert_ne!(plain, other);
-        assert_ne!(dict, Column::Str(vec![None; 4]));
-        assert_ne!(dict, int_col(&[1, 2, 3, 4]));
+    fn string_columns_compare_by_content() {
+        let (x, y) = twins();
+        assert_eq!(x, y);
+        assert_eq!(y, x);
+        assert_eq!(x.data_type(), DataType::Str);
+        assert_eq!((x.len(), x.null_count()), (4, 1));
+        assert_eq!(x.get(2), Value::from("b"));
+        assert!(x.get(1).is_null());
+        assert_eq!(x.iter().collect::<Vec<_>>(), y.iter().collect::<Vec<_>>());
+        // One cell differs, or a null stands for a cell: not equal.
+        let n = DictColumn::NULL;
+        let other = coded(vec![0, n, 1, 1], &["a", "b", "a", "unused"]);
+        assert_ne!(other, y);
+        assert_ne!(y, other);
+        assert_ne!(x, coded(vec![2, 1, 1, 2], &["spare", "b", "a"]));
+        assert_ne!(x, coded(vec![n; 4], &[]));
+        assert_ne!(x, x.slice(0, 3));
+        assert_ne!(x, int_col(&[1, 2, 3, 4]));
+        assert!(DictColumn::new(vec![4], dict(&["a"])).is_err());
     }
 
     #[test]
-    fn dict_operators_move_codes_and_keep_content() {
-        let (dict, plain) = twins();
-        assert_eq!(dict.take(&[3, 1, 2]), plain.take(&[3, 1, 2]));
+    fn operators_move_codes_and_share_the_dictionary() {
+        let (x, y) = twins();
+        assert_eq!(x.take(&[3, 1, 2]), y.take(&[3, 1, 2]));
         let mask = [true, true, false, true];
-        assert_eq!(dict.filter(&mask).unwrap(), plain.filter(&mask).unwrap());
-        assert_eq!(dict.slice(1, 2), plain.slice(1, 2));
-        let Column::Dict(taken) = dict.take(&[0]) else {
-            panic!("take keeps the coded form");
-        };
-        let Column::Dict(d) = &dict else {
-            unreachable!()
+        assert_eq!(x.filter(&mask).unwrap(), y.filter(&mask).unwrap());
+        assert_eq!(x.slice(1, 2), y.slice(1, 2));
+        let (Column::Str(taken), Column::Str(d)) = (x.take(&[0]), &x) else {
+            unreachable!("string columns")
         };
         assert!(Arc::ptr_eq(taken.values(), d.values()));
-        assert!(DictColumn::new(vec![4], names()).is_err());
+    }
+
+    fn gather(cols: &[&Column], picks: &[Option<(usize, usize)>]) -> DictColumn {
+        let dicts: Vec<&DictColumn> = cols.iter().flat_map(|c| c.as_dict()).collect();
+        match gather_str(&dicts, picks.iter().copied()) {
+            Column::Str(d) => d,
+            _ => unreachable!("a string column"),
+        }
+    }
+
+    fn contents(d: &DictColumn) -> Vec<Option<&str>> {
+        d.iter().map(|c| c.map(|s| &**s)).collect()
     }
 
     #[test]
-    fn dict_extends_across_forms_and_dictionaries() {
-        let (dict, plain) = twins();
-        let foreign = Column::Dict(
-            DictColumn::new(vec![1, 0], ["z", "b"].map(Arc::<str>::from).into()).unwrap(),
+    fn gather_moves_codes_and_hashes_no_row() {
+        let (x, y) = twins();
+        let all = |n: usize, c: usize| (0..n).map(move |r| Some((c, r)));
+        // One dictionary: codes moved, the dictionary shared.
+        let picks: Vec<_> = all(4, 0).chain(all(2, 1)).collect();
+        let same = gather(&[&x, &x.slice(2, 2)], &picks);
+        let Column::Str(d) = &x else {
+            unreachable!("a string column")
+        };
+        assert!(Arc::ptr_eq(same.values(), d.values()));
+        assert_eq!(same.codes(), &[0, DictColumn::NULL, 1, 2, 1, 2]);
+        // Several, no more entries than picks: the dictionaries one after
+        // another, content kept.
+        let z = coded(vec![0], &["z"]);
+        let picks: Vec<_> = all(4, 0).chain(all(4, 1)).chain(all(1, 2)).collect();
+        let mixed = gather(&[&x, &y, &z], &picks);
+        let (a, b) = (Some("a"), Some("b"));
+        assert_eq!(
+            contents(&mixed),
+            vec![a, None, b, a, a, None, b, a, Some("z")]
         );
-        let mut coded = dict.clone();
-        coded.extend_from(&dict).unwrap();
-        coded.extend_from(&plain).unwrap();
-        coded.extend_from(&foreign).unwrap();
-        let mut flat = plain.clone();
-        flat.extend_from(&dict).unwrap();
-        flat.extend_from(&plain).unwrap();
-        flat.extend_from(&foreign).unwrap();
-        assert!(matches!(coded, Column::Dict(_)));
-        assert!(matches!(flat, Column::Str(_)));
-        assert_eq!(coded, flat);
-        assert_eq!(coded.len(), 14);
-        coded.push(Value::from("new")).unwrap();
-        coded.push(Value::Null).unwrap();
-        assert_eq!(coded.get(14), Value::from("new"));
-        assert!(coded.get(15).is_null());
-        assert!(coded.extend_from(&int_col(&[1])).is_err());
+        assert_eq!(mixed.values().len(), 8);
+        // A sparse gather: each entry in use recoded once, by content.
+        let sparse = gather(&[&x, &y], &[Some((0, 0)), Some((1, 3)), None]);
+        assert_eq!(contents(&sparse), vec![a, a, None]);
+        assert_eq!(sparse.values().len(), 1);
+    }
+
+    #[test]
+    fn builder_codes_by_content_in_first_appearance_order() {
+        let mut b = DictBuilder::with_values(&dict(&["x", "y"]));
+        assert_eq!(b.code(&Arc::from("y")), 1);
+        assert_eq!(b.code(&Arc::from("new")), 2);
+        assert_eq!(b.code(&Arc::from("x")), 0);
+        assert_eq!(b.code(&Arc::from("new")), 2);
+        let source = dict(&["q", "new", "x"]);
+        let mut remap = Remap::new(&source);
+        assert_eq!(remap.code(1, &mut b), 2);
+        assert_eq!(remap.code(0, &mut b), 3);
+        assert_eq!(remap.code(DictColumn::NULL, &mut b), DictColumn::NULL);
+        assert_eq!(&*b.finish(), &*dict(&["x", "y", "new", "q"]));
+        let cells = DictColumn::from_cells([Some(Arc::from("p")), None, Some(Arc::from("p"))]);
+        assert_eq!(cells.codes(), &[0, DictColumn::NULL, 1]);
+        assert_eq!(
+            Column::Str(cells),
+            coded(vec![0, DictColumn::NULL, 0], &["p"])
+        );
     }
 }

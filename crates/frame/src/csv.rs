@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
 use crate::batch::Batch;
-use crate::column::Column;
+use crate::column::ColumnBuilder;
 use crate::datatype::{DataType, Schema};
 use crate::error::{Error, Result};
 use crate::frame::DataFrame;
@@ -151,13 +151,14 @@ pub fn read_csv<R: Read>(reader: R, schema: Arc<Schema>) -> Result<DataFrame> {
             "csv header {names:?} does not match schema {expected:?}"
         )));
     }
-    let new_columns = |schema: &Schema| -> Vec<Column> {
+    let new_columns = |schema: &Schema| -> Vec<ColumnBuilder> {
         schema
             .fields()
             .iter()
-            .map(|f| Column::new_empty(f.data_type()))
+            .map(|f| ColumnBuilder::new(f.data_type()))
             .collect()
     };
+    let finish = |columns: Vec<ColumnBuilder>| columns.into_iter().map(ColumnBuilder::finish);
     let mut columns = new_columns(&schema);
     let mut batch_rows = 0usize;
     let mut batches = Vec::new();
@@ -182,15 +183,13 @@ pub fn read_csv<R: Read>(reader: R, schema: Arc<Schema>) -> Result<DataFrame> {
         }
         batch_rows += 1;
         if batch_rows >= READ_BATCH_ROWS {
-            batches.push(Batch::new(
-                schema.clone(),
-                std::mem::replace(&mut columns, new_columns(&schema)),
-            )?);
+            let full = std::mem::replace(&mut columns, new_columns(&schema));
+            batches.push(Batch::new(schema.clone(), finish(full).collect())?);
             batch_rows = 0;
         }
     }
     if batch_rows > 0 || batches.is_empty() {
-        batches.push(Batch::new(schema.clone(), columns)?);
+        batches.push(Batch::new(schema.clone(), finish(columns).collect())?);
     }
     DataFrame::from_partitions(schema, batches)
 }
@@ -355,6 +354,23 @@ mod tests {
             matches!(&err, Error::SchemaMismatch(m) if m.contains("line 3")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn many_distinct_strings_round_trip() {
+        let schema = Schema::from_pairs([("s", DataType::Str)])
+            .unwrap()
+            .into_shared();
+        let n = 100_000;
+        let mut text = String::from("s\n");
+        for i in 0..n {
+            text.push_str(&format!("cell-{i}\n"));
+        }
+        let f = read_csv(text.as_bytes(), schema).unwrap();
+        assert_eq!(f.num_rows(), n);
+        let mut buf = Vec::new();
+        write_csv(&f, &mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), text);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::batch::Batch;
-use crate::column::{gather_str, Column};
+use crate::column::{gather_str, Column, DictColumn};
 use crate::datatype::{DataType, Field, Schema};
 use crate::error::{Error, Result};
 use crate::exec::Executor;
@@ -72,7 +72,7 @@ fn build_table(right: &DataFrame, right_key_idx: &[usize], kinds: &[DataType]) -
             for (pi, batch) in right.partitions().iter().enumerate() {
                 let strs = batch
                     .column(right_key_idx[0])
-                    .str_cells()
+                    .as_dict()
                     .expect("schema-checked str key column");
                 let ints = batch
                     .column(right_key_idx[1])
@@ -221,20 +221,18 @@ fn probe_matches(
         BuildTable::StrInt { ids, table } => {
             let strs = lbatch
                 .column(left_key_idx[0])
-                .str_cells()
+                .as_dict()
                 .expect("schema-checked str key column");
             let ints = lbatch
                 .column(left_key_idx[1])
                 .as_int_slice()
                 .expect("schema-checked int key column");
-            for (row, (s, i)) in strs.iter().zip(ints).enumerate() {
-                let hits = match (s, i) {
-                    (Some(s), Some(i)) => ids
-                        .get(s.as_ref() as &str)
-                        .and_then(|sid| table.get(&(*sid, *i))),
-                    _ => None,
-                };
-                emit(row, hits);
+            // Each dictionary entry's build-side id, looked up once.
+            let sids: Vec<Option<u32>> =
+                strs.values().iter().map(|s| ids.get(s).copied()).collect();
+            for (row, (&code, i)) in strs.codes().iter().zip(ints).enumerate() {
+                let sid = sids.get(code as usize).copied().flatten();
+                emit(row, sid.zip(*i).and_then(|key| table.get(&key)));
             }
         }
         BuildTable::General(table) => {
@@ -254,9 +252,8 @@ fn probe_matches(
     (left_rows, right_rows)
 }
 
-/// Typed gather of one right-side column along the hit list — the
-/// columnar replacement for materializing each cell through
-/// `Column::push(Value)`.
+/// Typed gather of one right-side column along the hit list, with no
+/// per-cell boxing.
 fn gather_right_column(
     right_parts: &[Batch],
     column_idx: usize,
@@ -285,7 +282,10 @@ fn gather_right_column(
         DataType::Int => gather!(Int, as_int_slice),
         DataType::Float => gather!(Float, as_float_slice),
         DataType::Str => {
-            let cols: Vec<&Column> = right_parts.iter().map(|b| b.column(column_idx)).collect();
+            let cols: Vec<&DictColumn> = right_parts
+                .iter()
+                .flat_map(|b| b.column(column_idx).as_dict())
+                .collect();
             gather_str(
                 &cols,
                 hits.iter()
@@ -322,6 +322,7 @@ fn probe_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use crate::datatype::DataType;
     use crate::frame::DataFrame;
 
@@ -403,21 +404,38 @@ mod tests {
             ],
         )
         .unwrap();
-        let r = DataFrame::from_rows(
-            Schema::from_pairs([
-                ("rule_bus", DataType::Str),
-                ("rule_mid", DataType::Int),
-                ("rule", DataType::Str),
-            ])
-            .unwrap()
-            .into_shared(),
+        // Two build partitions whose string dictionaries differ: the
+        // second's hold entries in another order, a duplicate, an unused
+        // entry and a null cell.
+        let schema = Schema::from_pairs([
+            ("rule_bus", DataType::Str),
+            ("rule_mid", DataType::Int),
+            ("rule", DataType::Str),
+        ])
+        .unwrap()
+        .into_shared();
+        let first = Batch::from_rows(
+            schema.clone(),
             vec![
                 vec![Value::from("FC"), Value::Int(3), Value::from("wpos")],
                 vec![Value::from("FC"), Value::Int(3), Value::from("wvel")],
-                vec![Value::from("DC"), Value::Int(3), Value::from("dpos")],
             ],
         )
         .unwrap();
+        let dict = |codes: Vec<u32>, values: &[&str]| {
+            let values: Arc<[Arc<str>]> = values.iter().map(|&s| Arc::<str>::from(s)).collect();
+            Column::Str(DictColumn::new(codes, values).unwrap())
+        };
+        let second = Batch::new(
+            schema.clone(),
+            vec![
+                dict(vec![3, 0], &["FC", "unused", "DC", "DC"]),
+                Column::from_ints([3, 9]),
+                dict(vec![2, DictColumn::NULL], &["dpos", "x", "dpos"]),
+            ],
+        )
+        .unwrap();
+        let r = DataFrame::from_partitions(schema, vec![first, second]).unwrap();
         let j = l
             .join(
                 &r,
@@ -427,12 +445,17 @@ mod tests {
             )
             .unwrap();
         let rows = j.collect_rows().unwrap();
-        // FC/3 matches two rules in build order, DC/3 one; 9, null and
-        // unknown-bus rows match nothing.
-        assert_eq!(rows.len(), 3);
+        // FC/3 matches two rules in build order, DC/3 one and FC/9 the
+        // rule with a null cell; null and unknown-bus rows match nothing.
+        assert_eq!(rows.len(), 4);
         assert_eq!(rows[0][3], Value::from("wpos"));
         assert_eq!(rows[1][3], Value::from("wvel"));
         assert_eq!(rows[2][3], Value::from("dpos"));
+        assert_eq!(rows[2][0], Value::from("DC"));
+        assert_eq!(
+            (rows[3][2].clone(), rows[3][3].clone()),
+            (Value::from("cc"), Value::Null)
+        );
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! into its own kernel; this crate holds the tables and the rest:
 //!
 //! * [`DataFrame`] — immutable, horizontally partitioned
-//!   table of typed [`Column`]s; string columns are either a shared
-//!   payload per cell or `u32` codes into a shared dictionary
-//!   ([`Column::Dict`], Arrow's `DictionaryArray`), the same cells to
-//!   every accessor,
+//!   table of typed [`Column`]s; string cells are `u32` codes into a
+//!   shared dictionary ([`DictColumn`], Arrow's `DictionaryArray`), coded
+//!   by content through one [`DictBuilder`],
 //! * [`Batch`] — one partition, with the mask [`filter`](Batch::filter)
 //!   (σ), [`take`](Batch::take), [`slice`](Batch::slice) and
 //!   [`concat`](Batch::concat) the pipeline's columnar stages build on,
@@ -65,7 +64,7 @@ pub mod join;
 pub mod value;
 
 pub use batch::Batch;
-pub use column::{Column, DictColumn, StrCells};
+pub use column::{Column, DictBuilder, DictColumn, Remap};
 pub use datatype::{DataType, Field, Schema};
 pub use error::{Error, Result};
 pub use exec::Executor;
@@ -76,7 +75,7 @@ pub use value::Value;
 /// Convenient glob import of the engine's common types.
 pub mod prelude {
     pub use crate::batch::Batch;
-    pub use crate::column::{Column, DictColumn, StrCells};
+    pub use crate::column::{Column, DictBuilder, DictColumn, Remap};
     pub use crate::datatype::{DataType, Field, Schema};
     pub use crate::exec::Executor;
     pub use crate::frame::DataFrame;

@@ -48,9 +48,9 @@ pub fn raw_trace_schema() -> Arc<Schema> {
 /// any re-iterable source of `&Record` (a slice, or preselected
 /// survivors), so filtering never copies a record.
 ///
-/// Cells are typed from the start: seconds as `µs / 1e6`, protocol display
-/// names interned per batch, bus `Arc`s shared with the records (the
-/// interpretation kernel's learned bus-pointer table relies on that).
+/// Cells are typed from the start: seconds as `µs / 1e6`, and `b_id` /
+/// `m_info` as dictionary codes. Records share one bus `Arc` per bus, so a
+/// row's bus matches its dictionary entry without reading the name.
 ///
 /// # Errors
 ///
@@ -61,22 +61,25 @@ where
     I::IntoIter: Clone,
 {
     let records = records.into_iter();
-    // Protocol display names repeat endlessly; intern them per batch.
-    let mut names: Vec<(Protocol, Arc<str>)> = Vec::new();
-    let protos = records.clone().map(|r| {
-        let at = names.iter().position(|(p, _)| *p == r.protocol);
-        let at = at.unwrap_or_else(|| {
-            names.push((r.protocol, Arc::from(r.protocol.to_string())));
-            names.len() - 1
-        });
-        names[at].1.clone()
+    let mut buses = DictBuilder::default();
+    let bus_codes: Vec<u32> = records.clone().map(|r| buses.code(&r.bus)).collect();
+    // A protocol's code is its index in `protocols`.
+    let mut protocols: Vec<Protocol> = Vec::new();
+    let info_codes = records.clone().map(|r| {
+        let at = protocols.iter().position(|&p| p == r.protocol);
+        at.unwrap_or_else(|| {
+            protocols.push(r.protocol);
+            protocols.len() - 1
+        }) as u32
     });
+    let info_codes: Vec<u32> = info_codes.collect();
+    let names = protocols.iter().map(|p| Arc::from(p.to_string())).collect();
     let columns = vec![
         Column::from_floats(records.clone().map(Record::timestamp_s)),
         Column::from_byte_payloads(records.clone().map(|r| Arc::from(r.payload.as_slice()))),
-        Column::from_strs(records.clone().map(|r| r.bus.clone())),
+        Column::Str(DictColumn::new(bus_codes, buses.finish())?),
         Column::from_ints(records.map(|r| i64::from(r.message_id))),
-        Column::from_strs(protos),
+        Column::Str(DictColumn::new(info_codes, names)?),
     ];
     Ok(Batch::new(schema, columns)?)
 }
@@ -102,6 +105,14 @@ mod tests {
                 payload: vec![],
                 protocol: Protocol::Lin,
             },
+            // The same bus name in an allocation of its own.
+            Record {
+                timestamp_us: 3_000,
+                bus: Arc::from("FC"),
+                message_id: 4,
+                payload: vec![1, 2],
+                protocol: Protocol::Can,
+            },
         ];
         let schema = raw_trace_schema();
         let batch = records_to_batch(schema.clone(), &records).unwrap();
@@ -119,6 +130,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(batch, row_wise);
+        let buses = batch.column(2).as_dict().unwrap();
+        assert_eq!((buses.codes(), buses.values().len()), (&[0, 1, 0][..], 2));
         // A selection of borrowed records builds the same cells.
         let picked = [&records[1]];
         let batch = records_to_batch(schema, picked.iter().copied()).unwrap();

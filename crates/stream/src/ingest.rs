@@ -133,7 +133,8 @@ struct Shared {
 /// # Errors
 ///
 /// Source and store failures; frames written before the failure stay
-/// recoverable in the store.
+/// recoverable in the store, including those a failing source accepted
+/// before its error.
 pub fn ingest<W, S>(
     mut source: S,
     mut writer: StoreWriter<W>,
@@ -213,15 +214,19 @@ where
         ivnt_obs::with(|r| r.add("stream_frames_dropped_total", stats.dropped_frames));
     }
     result?;
+
+    // Flush the partial tail group first so the stats count every data
+    // byte; seal() then only adds the footer and trailer. After a source
+    // error the rows it handed over before failing are flushed too, and
+    // the store is left unsealed.
+    if let Some(flush) = writer.flush()? {
+        note_flush(&mut stats, flush.seconds);
+    }
+    stats.groups = writer.groups();
+    stats.bytes = writer.bytes_written();
     if let Some(e) = shared.error.lock().expect("error slot").take() {
         return Err(e);
     }
-
-    // Flush the partial tail group first so the stats count every data
-    // byte; seal() then only adds the footer and trailer.
-    writer.flush()?;
-    stats.groups = writer.groups();
-    stats.bytes = writer.bytes_written();
     let out = if options.seal {
         let out = writer.seal()?;
         stats.sealed = true;

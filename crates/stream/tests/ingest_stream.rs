@@ -438,6 +438,34 @@ fn ingest_seals_a_store_identical_to_the_source() {
 }
 
 #[test]
+fn every_flush_is_counted_the_tail_group_too() {
+    // 1 000 records in 256-row groups: three full groups and a tail.
+    let records = varied_records(1_000);
+    let source = LineSource::new(Cursor::new(lines_of(&records).into_bytes()));
+    let (bytes, stats) = ingested(source, append_options(), &IngestOptions::default());
+    assert_eq!(stats.groups, 4);
+    assert_eq!(stats.flush_seconds.len(), stats.groups as usize);
+    assert_eq!(bytes, appended(&records, append_options()));
+}
+
+#[test]
+fn a_source_error_keeps_the_rows_accepted_before_it() {
+    let records = varied_records(3);
+    let text = lines_of(&records) + "bad line\n";
+    let path = temp_path("source-error");
+    let writer = StoreWriter::create(&path, append_options()).expect("writer");
+    let source = LineSource::new(Cursor::new(text.into_bytes()));
+    let err = ingest(source, writer, &IngestOptions::default(), &StopFlag::new());
+    assert!(err.is_err(), "the bad line fails the run");
+    let (mut reader, recovered) = open_recovered(&path).expect("recover");
+    let got = reader.read_all().expect("read_all");
+    let _ = std::fs::remove_file(&path);
+    assert!(!recovered.sealed, "a failed run leaves the store unsealed");
+    assert_eq!(recovered.torn_bytes(), 0);
+    assert_eq!(got, records);
+}
+
+#[test]
 fn ingest_stops_at_max_frames_and_leaves_a_recoverable_store() {
     let data = dataset();
     let path = temp_path("maxframes");

@@ -148,35 +148,42 @@ fn reduced_sequences_match_across_serial_and_store_sources() {
 #[test]
 fn store_session_matches_trace_session() {
     let _alone = alone();
-    let data = dataset();
-    let p = pipeline(&data, Some(2));
-    let bytes = store_bytes(&data);
+    // SYN, and STA, whose value-table signals carry text labels.
+    let sta = generate(&DataSetSpec::sta().with_seed(41)).expect("generate STA");
+    for data in [dataset(), sta] {
+        let p = pipeline(&data, Some(2));
+        let bytes = store_bytes(&data);
 
-    let trace_ex = p
-        .session(RunOptions::trace(&data.trace))
-        .extract()
-        .expect("trace extract");
-    assert!(trace_ex.scan.is_none(), "trace sources carry no scan stats");
-    let store_ex = p
-        .session(RunOptions::store(&mut open(&bytes)))
-        .extract()
-        .expect("store extract");
-    assert!(store_ex.scan.is_some(), "store sources carry scan stats");
-    assert_eq!(
-        store_ex.frame.collect_rows().expect("store rows"),
-        trace_ex.frame.collect_rows().expect("trace rows"),
-    );
+        let trace_ex = p
+            .session(RunOptions::trace(&data.trace))
+            .extract()
+            .expect("trace extract");
+        assert!(trace_ex.scan.is_none(), "trace sources carry no scan stats");
+        let store_ex = p
+            .session(RunOptions::store(&mut open(&bytes)))
+            .extract()
+            .expect("store extract");
+        assert!(store_ex.scan.is_some(), "store sources carry scan stats");
+        let rows = trace_ex.frame.collect_rows().expect("trace rows");
+        assert_eq!(store_ex.frame.collect_rows().expect("store rows"), rows);
+        let labels = rows.iter().filter(|r| !r[4].is_null()).count();
+        assert!(
+            labels > 0 || data.spec.name != "STA",
+            "STA labels in v_text"
+        );
 
-    // The full run — what `ivnt run --state-csv` writes — is identical too.
-    let trace_run = p
-        .session(RunOptions::trace(&data.trace))
-        .run()
-        .expect("trace run");
-    let store_run = p
-        .session(RunOptions::store(&mut open(&bytes)))
-        .run()
-        .expect("store run");
-    assert_eq!(state_csv(&store_run), state_csv(&trace_run));
+        // The full run — what `ivnt run --state-csv` writes — is identical
+        // too.
+        let trace_run = p
+            .session(RunOptions::trace(&data.trace))
+            .run()
+            .expect("trace run");
+        let store_run = p
+            .session(RunOptions::store(&mut open(&bytes)))
+            .run()
+            .expect("store run");
+        assert_eq!(state_csv(&store_run), state_csv(&trace_run));
+    }
 }
 
 #[test]

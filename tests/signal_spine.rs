@@ -32,7 +32,7 @@ fn oracle_split(ks: &DataFrame) -> Vec<SignalSequence> {
     let mut buckets: HashMap<Arc<str>, Vec<Vec<usize>>> = HashMap::new();
     let n_parts = ks.num_partitions();
     for (pi, batch) in ks.partitions().iter().enumerate() {
-        let Some(names) = batch.column(sig_idx).str_cells() else {
+        let Some(names) = batch.column(sig_idx).as_dict() else {
             continue;
         };
         for (row, name) in names.iter().enumerate() {

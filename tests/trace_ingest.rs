@@ -327,10 +327,9 @@ fn columnar_frame_equals_the_row_wise_frame() {
             .all(|batch| batch.columns().iter().all(|col| col.null_count() == 0)));
     }
 
-    // Every row of one bus shares the trace's `Arc` (the kernel learns
-    // buses by pointer), and within a partition — the builder's unit, so
-    // worker threads never share a refcount — every row of one protocol
-    // shares one interned name.
+    // Within a partition — the builder's unit — `b_id` and `m_info` are
+    // dictionary codes: each bus and each protocol name is one entry, and
+    // every row of it carries that entry's code.
     let frame = trace_to_frame(&trace, 4).expect("frame");
     let schema = raw_schema();
     let (bus_col, info_col) = (
@@ -339,19 +338,20 @@ fn columnar_frame_equals_the_row_wise_frame() {
     );
     let mut row = 0;
     for batch in frame.partitions() {
-        let mut names: Vec<Arc<str>> = Vec::new();
-        let buses = batch.column(bus_col).str_cells().expect("bus column");
-        let infos = batch.column(info_col).str_cells().expect("info column");
-        for (bus, info) in buses.iter().zip(infos.iter()) {
-            let (bus, info) = (bus.unwrap(), info.unwrap());
-            assert!(Arc::ptr_eq(bus, &trace.records()[row].bus), "row {row} bus");
-            match names.iter().find(|n| *n == info) {
-                Some(first) => assert!(Arc::ptr_eq(first, info), "row {row} protocol name"),
-                None => names.push(Arc::clone(info)),
-            }
+        let buses = batch.column(bus_col).as_dict().expect("bus column");
+        let infos = batch.column(info_col).as_dict().expect("info column");
+        assert_eq!((buses.values().len(), infos.values().len()), (2, 3));
+        for (i, &code) in buses.codes().iter().enumerate() {
+            let record = &trace.records()[row];
+            assert_eq!(buses.values()[code as usize], record.bus, "row {row} bus");
+            let info = &infos.values()[infos.codes()[i] as usize];
+            assert_eq!(
+                info.as_ref(),
+                record.protocol.to_string(),
+                "row {row} protocol"
+            );
             row += 1;
         }
-        assert_eq!(names.len(), 3);
     }
     assert_eq!(row, trace.len());
 }
