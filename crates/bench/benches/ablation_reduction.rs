@@ -1,9 +1,7 @@
 //! Ablation: the reduction techniques of Sec. 4.1 — the paper's lossless
 //! constraint formalism (unchanged-repeat removal) vs. lossy clustering
 //! onto representative levels (the related-work approach of Agarwal et al.
-//! [1]) vs. no reduction at all. Timed over the full pipeline; the row
-//! counts behind the time differences are reported by the fig5/table6
-//! binaries.
+//! [1]) vs. no reduction at all. Timed over the full pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivnt_bench::u_rel_with_hints;

@@ -1,23 +1,21 @@
 //! # ivnt-bench — benchmark harness regenerating the paper's evaluation
 //!
-//! One binary per table/figure of the DAC'18 paper's Sec. 5:
-//!
-//! * `table5` — data-set statistics (Table 5),
-//! * `fig5`   — execution time of Algorithm 1 lines 3–11 vs. #examples
-//!   (Fig. 5),
-//! * `table6` — signal-extraction time, proposed vs. in-house tool, over
-//!   multiple journeys and signal counts (Table 6),
-//!
-//! plus criterion benches (`cargo bench`) for the same measurements and for
+//! `paper_probe` regenerates the paper's Sec. 5 in one run — Table 5
+//! (data-set statistics and measured branch counts), Fig. 5 (Algorithm 1
+//! lines 3–11 over growing prefixes), Table 6 (proposed pipeline against
+//! the in-house comparator, [`ivnt_baseline`]) and the raw-storage
+//! footprint — checks the paper's shape claims, and writes
+//! `BENCH_paper.json`. The other `*_probe` binaries write the remaining
+//! `BENCH_*.json` files, and the criterion benches (`cargo bench`) cover
 //! the design-choice ablations listed in `DESIGN.md` (preselection,
-//! partition count, gateway dedup), and the `*_probe` binaries that write
-//! the `BENCH_*.json` files. Every probe times through the one harness
-//! below: [`median_secs`] for a single side, [`paired_secs`] for a
-//! comparison of two.
+//! partition count, gateway dedup, reduction technique). Every probe
+//! times through the one harness below: [`median_secs`] for a single
+//! side, [`paired_secs`] for a comparison of two.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
+use ivnt_core::classify::classify;
 use ivnt_core::prelude::*;
 use ivnt_simulator::prelude::*;
 use ivnt_simulator::scenario;
@@ -48,16 +46,17 @@ pub fn median(mut sample: Vec<f64>) -> f64 {
     sample[sample.len() / 2]
 }
 
-/// Wall-clock seconds of one call of `f`.
-pub fn time_secs(f: impl FnOnce()) -> f64 {
+/// Wall-clock seconds of one call of `f`; its result is opaque to the
+/// optimizer and dropped inside the timed region.
+pub fn time_secs<T>(f: impl FnOnce() -> T) -> f64 {
     let t0 = Instant::now();
-    f();
+    std::hint::black_box(f());
     t0.elapsed().as_secs_f64()
 }
 
 /// Median wall-clock seconds over `runs` executions (after one warmup).
-pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
+pub fn median_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f()); // warmup
     median((0..runs).map(|_| time_secs(&mut f)).collect())
 }
 
@@ -275,14 +274,48 @@ pub fn domain_pipeline(
     Pipeline::new(u_rel, profile)
 }
 
-/// Formats a right-aligned table row for the report binaries.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}"))
-        .collect::<Vec<_>>()
-        .join("  ")
+/// One data set's Table 5 branch counts, measured by the pipeline's
+/// classifier rather than read from the generator.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BranchCounts {
+    /// Signal types per branch: α, β, γ.
+    pub counts: [usize; 3],
+    /// `(signal, designed, measured)` for every signal the classifier puts
+    /// in another branch than the generator designed it for.
+    pub mismatches: Vec<(String, Branch, Branch)>,
+}
+
+/// Runs every signal of `data` through Algorithm 1 lines 3–12 with its
+/// comparability hint and counts the branches the classifier picks — the
+/// rows Table 5 reports.
+///
+/// # Errors
+///
+/// Propagates pipeline failures.
+pub fn branch_counts(data: &GeneratedDataSet) -> Result<BranchCounts, ivnt_core::Error> {
+    let pipeline = Pipeline::new(u_rel_with_hints(data), DomainProfile::new("table5"))?;
+    let reduced = pipeline
+        .session(RunOptions::trace(&data.trace))
+        .extract_reduced()?;
+    let mut out = BranchCounts {
+        counts: [0; 3],
+        mismatches: Vec::new(),
+    };
+    for (seq, _, _) in &reduced {
+        let (hint, comparable) = data.signal_classes[&seq.signal];
+        let measured = classify(seq, comparable, &pipeline.profile().classify)?.branch;
+        let designed = match hint {
+            BranchHint::Alpha => Branch::Alpha,
+            BranchHint::Beta => Branch::Beta,
+            BranchHint::Gamma => Branch::Gamma,
+        };
+        out.counts[measured as usize] += 1;
+        if measured != designed {
+            out.mismatches
+                .push((seq.signal.clone(), designed, measured));
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

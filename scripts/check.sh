@@ -93,6 +93,17 @@ IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
 IVNT_INFER_MIN_F1="${IVNT_INFER_MIN_F1:-0.85}" \
   cargo run --release -q -p ivnt-bench --bin infer_probe
 
+echo "==> paper_probe smoke (Table 5 / Fig. 5 / Table 6 shape gates)"
+# The paper's evaluation in one run. Its gates are constants in the probe,
+# checked at every scale as medians of interleaved pairs: the in-house
+# comparator flat in #signals (89 : 9 in 0.8-1.25), both sides linear in
+# journeys (per-journey 12 : 7 within 25 %), Fig. 5 linear (4/8 -> 8/8
+# prefix in 1.5-2.5x), the proposed side ahead at 9 signals and ahead by
+# more at 9 than at 89 for lines 3-7 and 3-11, and the comparator
+# extracting exactly the proposed K_s rows in every cell.
+IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
+  cargo run --release -q -p ivnt-bench --bin paper_probe
+
 echo "==> plan_probe smoke (multi-query shared-scan bit-identity + speedup gate)"
 # N concurrent domains from one shared store pass; every shared answer is
 # checked bit-identical to its solo session inline, and 4 domains' full

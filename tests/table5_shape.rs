@@ -2,48 +2,20 @@
 //! run through the real classifier (with the data sets' comparability
 //! hints), must reproduce the paper's per-branch signal counts.
 
-use ivnt::core::classify::classify;
-use ivnt::core::prelude::*;
 use ivnt::simulator::prelude::*;
+use ivnt_bench::branch_counts;
 
-fn measure(spec: DataSetSpec, examples: usize) -> (usize, usize, usize) {
+fn measure(spec: DataSetSpec, examples: usize) -> [usize; 3] {
     // Long enough that every stepped/dwelling signal visits its full value
     // range; at very short durations slow β signals degenerate to binary.
     let data = generate(&spec.with_target_examples(examples)).expect("generate");
-    let mut u_rel = RuleSet::from_network(&data.network);
-    for (signal, (_, comparable)) in &data.signal_classes {
-        u_rel
-            .set_comparable(signal, *comparable)
-            .expect("hint applies");
-    }
-    let pipeline = Pipeline::new(u_rel, DomainProfile::new("table5-test")).expect("pipeline");
-    let reduced = pipeline
-        .session(RunOptions::trace(&data.trace))
-        .extract_reduced()
-        .expect("extract");
-    let mut counts = (0usize, 0usize, 0usize);
-    for (seq, _, _) in &reduced {
-        let comparable = pipeline
-            .u_comb()
-            .rules()
-            .iter()
-            .find(|r| r.signal == seq.signal)
-            .map(|r| r.info.comparable)
-            .unwrap_or(true);
-        let class = classify(seq, comparable, &pipeline.profile().classify).expect("classify");
-        match class.branch {
-            Branch::Alpha => counts.0 += 1,
-            Branch::Beta => counts.1 += 1,
-            Branch::Gamma => counts.2 += 1,
-        }
-    }
-    counts
+    branch_counts(&data).expect("classify").counts
 }
 
 #[test]
 fn syn_reproduces_table5_branches() {
     // Paper Table 5, SYN column: 6 / 4 / 3.
-    assert_eq!(measure(DataSetSpec::syn(), 60_000), (6, 4, 3));
+    assert_eq!(measure(DataSetSpec::syn(), 60_000), [6, 4, 3]);
 }
 
 #[test]
@@ -51,13 +23,13 @@ fn lig_reproduces_table5_branches() {
     // Paper Table 5, LIG column: 27 / 71 / 82. LIG has the most slow β
     // signals, so it needs the longest window before every stepped level
     // has been visited at least three times.
-    assert_eq!(measure(DataSetSpec::lig(), 90_000), (27, 71, 82));
+    assert_eq!(measure(DataSetSpec::lig(), 90_000), [27, 71, 82]);
 }
 
 #[test]
 fn sta_reproduces_table5_branches() {
     // Paper Table 5, STA column: 6 / 1 / 71.
-    assert_eq!(measure(DataSetSpec::sta(), 60_000), (6, 1, 71));
+    assert_eq!(measure(DataSetSpec::sta(), 60_000), [6, 1, 71]);
 }
 
 #[test]

@@ -5,6 +5,9 @@
 //!    requested signals;
 //! 2. the proposed pipeline beats the in-house tool when few signals are
 //!    extracted (the preselection advantage).
+//!
+//! Both sides decode through the same compiled kernel, so they must also
+//! extract the same instances — checked deterministically.
 
 use std::time::Instant;
 
@@ -30,7 +33,7 @@ fn table6_shape_holds() {
     let few = select_signals_for_fraction(&data, 9, 0.027);
     let many = select_signals_for_fraction(&data, 89, 0.165);
 
-    let tool = SequentialAnalyzer::new(data.network.clone());
+    let tool = SequentialAnalyzer::new(&data.network);
     let few_refs: Vec<&str> = few.iter().map(String::as_str).collect();
     let many_refs: Vec<&str> = many.iter().map(String::as_str).collect();
     let in_house_few = median_ms(|| {
@@ -61,4 +64,27 @@ fn table6_shape_holds() {
         proposed_few < in_house_few * 1.1,
         "proposed ({proposed_few:.1} ms) should beat in-house ({in_house_few:.1} ms) at 9 signals"
     );
+}
+
+#[test]
+fn in_house_extracts_the_proposed_ks_rows() {
+    let data = vehicle_journey(10_000, 0).expect("generate");
+    let tool = SequentialAnalyzer::new(&data.network);
+    for (n, fraction) in [(9, 0.027), (89, 0.165)] {
+        let signals = select_signals_for_fraction(&data, n, fraction);
+        let names: Vec<&str> = signals.iter().map(String::as_str).collect();
+        let ks_rows = domain_pipeline(&data, &signals)
+            .expect("pipeline")
+            .session(RunOptions::trace(&data.trace))
+            .extract()
+            .expect("extract")
+            .frame
+            .num_rows();
+        assert!(ks_rows > 0);
+        assert_eq!(
+            tool.extract_signals(&data.trace, &names),
+            ks_rows,
+            "{n} signals"
+        );
+    }
 }
