@@ -97,12 +97,13 @@ impl SequentialAnalyzer {
     ///
     /// Propagates tabular-engine failures.
     pub fn ingest(&self, trace: &Trace) -> Result<IngestedTrace> {
-        let mut per_signal = HashMap::new();
-        for batch in trace_to_frame(trace, 1)?.partitions() {
-            for seq in self.kernel.coded_sequences(batch)? {
-                per_signal.insert(seq.signal.clone(), seq);
-            }
-        }
+        let frame = trace_to_frame(trace, 1)?;
+        let per_signal = self
+            .kernel
+            .coded_sequences(&frame.partitions()[0])?
+            .into_iter()
+            .map(|seq| (seq.signal.clone(), seq))
+            .collect();
         Ok(IngestedTrace { per_signal })
     }
 

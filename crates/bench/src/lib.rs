@@ -287,13 +287,19 @@ pub struct BranchCounts {
 
 /// Runs every signal of `data` through Algorithm 1 lines 3–12 with its
 /// comparability hint and counts the branches the classifier picks — the
-/// rows Table 5 reports.
+/// rows Table 5 reports. Each signal's comparability is read back from the
+/// pipeline's own rule set, the value Algorithm 1 classifies with.
 ///
 /// # Errors
 ///
-/// Propagates pipeline failures.
+/// Propagates pipeline failures, and [`ivnt_core::Error::UnknownSignal`]
+/// when a generator hint names a signal the network does not carry.
 pub fn branch_counts(data: &GeneratedDataSet) -> Result<BranchCounts, ivnt_core::Error> {
-    let pipeline = Pipeline::new(u_rel_with_hints(data), DomainProfile::new("table5"))?;
+    let mut u_rel = RuleSet::from_network(&data.network);
+    for (signal, (_, comparable)) in &data.signal_classes {
+        u_rel.set_comparable(signal, *comparable)?;
+    }
+    let pipeline = Pipeline::new(u_rel, DomainProfile::new("table5"))?;
     let reduced = pipeline
         .session(RunOptions::trace(&data.trace))
         .extract_reduced()?;
@@ -302,8 +308,15 @@ pub fn branch_counts(data: &GeneratedDataSet) -> Result<BranchCounts, ivnt_core:
         mismatches: Vec::new(),
     };
     for (seq, _, _) in &reduced {
-        let (hint, comparable) = data.signal_classes[&seq.signal];
+        let comparable = pipeline
+            .u_comb()
+            .rules()
+            .iter()
+            .find(|r| r.signal == seq.signal)
+            .map(|r| r.info.comparable)
+            .unwrap_or(true);
         let measured = classify(seq, comparable, &pipeline.profile().classify)?.branch;
+        let (hint, _) = data.signal_classes[&seq.signal];
         let designed = match hint {
             BranchHint::Alpha => Branch::Alpha,
             BranchHint::Beta => Branch::Beta,

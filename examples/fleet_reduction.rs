@@ -66,13 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The in-house comparator must ingest-and-interpret everything. Its
     // decode plans are compiled before the clock starts, as the
     // pipeline's are.
-    let tools: Vec<SequentialAnalyzer> = journeys
-        .iter()
-        .map(|j| SequentialAnalyzer::new(&j.network))
-        .collect();
+    let tool = SequentialAnalyzer::new(network);
     let started = Instant::now();
     let mut baseline_rows = 0usize;
-    for (tool, journey) in tools.iter().zip(&journeys) {
+    for journey in &journeys {
         baseline_rows += tool.extract_signals(&journey.trace, &selected);
     }
     let baseline_time = started.elapsed();
